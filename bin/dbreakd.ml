@@ -116,21 +116,7 @@ let run_server port shards slice metrics_port serve_seconds =
         (Scrape.port s);
       Some s
   in
-  let deadline = Unix.gettimeofday () +. serve_seconds in
-  let rec loop () =
-    let now = Unix.gettimeofday () in
-    if now < deadline then begin
-      (try
-         ignore
-           (Unix.select (Daemon.server_fds srv) [] []
-              (min 0.05 (deadline -. now)))
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      Daemon.server_poll srv;
-      Option.iter (fun s -> ignore (Scrape.poll s)) scrape;
-      loop ()
-    end
-  in
-  loop ();
+  Daemon.serve_for srv ~seconds:serve_seconds ?scrape;
   Daemon.server_close srv;
   Option.iter Scrape.close scrape;
   Daemon.drain engine;

@@ -62,11 +62,18 @@ type t = {
   mu : Mutex.t;  (* guards [sessions] *)
   sessions : (string, sess) Hashtbl.t;
   mutable next_cid : int;
+  wake_r : Unix.file_descr;  (* readable once a shard has pushed replies *)
+  wake_w : Unix.file_descr;
+  wake_pending : bool Atomic.t;  (* a wake byte is in flight *)
+  mutable down : bool;  (* shut down: the wake pipe is closed *)
 }
 
 let default_slice = 50_000
 
 let create ?(shards = 1) ?(slice = default_slice) () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   {
     sched = Sched.create ~shards ();
     slice = max 1 slice;
@@ -74,7 +81,37 @@ let create ?(shards = 1) ?(slice = default_slice) () =
     mu = Mutex.create ();
     sessions = Hashtbl.create 64;
     next_cid = 0;
+    wake_r;
+    wake_w;
+    wake_pending = Atomic.make false;
+    down = false;
   }
+
+(* Shard side: tell the main loop that an outbox has lines to flush.
+   Only the caller that raises the flag writes, so jobs finishing
+   between two main-loop passes write one byte between them; a full
+   pipe already holds a wake. *)
+let wake t =
+  if Atomic.compare_and_set t.wake_pending false true then
+    try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+    with Unix.Unix_error _ -> ()
+
+(* Main side, before flushing: empty the pipe, then lower the flag.  A
+   wake raised after the lowering writes a byte the next [select]
+   sees; lowering first would let a byte written mid-drain vanish while
+   the flag stays up, stranding every later reply. *)
+let clear_wake t =
+  if not t.down then begin
+    let buf = Bytes.create 64 in
+    let rec drain () =
+      match Unix.read t.wake_r buf 0 (Bytes.length buf) with
+      | 0 -> ()
+      | _ -> drain ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    drain ();
+    Atomic.set t.wake_pending false
+  end
 
 let shards t = Sched.shards t.sched
 
@@ -408,7 +445,14 @@ let rec step t sess =
       | Some cmd -> guarded sess (fun () -> exec t sess (repost t sess) cmd)
       | None -> ())
 
-and repost t sess () = Sched.post t.sched ~key:sess.sid (fun () -> step t sess)
+(* One wake per job, and only for a job that emitted: a step streaming
+   hundreds of hits costs the main loop one pass, not one per line. *)
+and repost t sess () =
+  Sched.post t.sched ~key:sess.sid (fun () ->
+      let seq = sess.seq in
+      Fun.protect
+        ~finally:(fun () -> if sess.seq <> seq then wake t)
+        (fun () -> step t sess))
 
 and take_cmd sess =
   Mutex.lock sess.cmd_mu;
@@ -523,20 +567,29 @@ let merged_report t =
 
 let metrics_body t = Export.to_prometheus (merged_report t)
 
-let shutdown t = Sched.shutdown t.sched
+let shutdown t =
+  Sched.shutdown t.sched;
+  if not t.down then begin
+    t.down <- true;
+    (try Unix.close t.wake_r with _ -> ());
+    try Unix.close t.wake_w with _ -> ()
+  end
 
 (* --- wire listener ----------------------------------------------------- *)
 
 (* Same nonblocking-accept discipline as {!Scrape}, but connections are
    long-lived: each one accumulates bytes into a line buffer, feeds
    complete frames to {!submit}, and flushes its client's outbox with
-   nonblocking writes (partial writes are carried to the next poll). *)
+   nonblocking writes.  Unsent bytes wait in [wbuf] from offset [woff]
+   until the socket drains ({!serve_for} selects for writability while
+   any are pending). *)
 
 type conn = {
   fd : Unix.file_descr;
   cl : client;
   rbuf : Buffer.t;
-  mutable wpend : string;  (* bytes accepted for write, not yet sent *)
+  wbuf : Buffer.t;  (* reply bytes accepted for write *)
+  mutable woff : int;  (* [wbuf]'s prefix already sent *)
   mutable eof : bool;
 }
 
@@ -546,6 +599,7 @@ type server = {
   lport : int;
   mutable conns : conn list;
   mutable sclosed : bool;
+  chunk : Bytes.t;  (* read and write staging, main thread only *)
 }
 
 let listen ?(host = Unix.inet_addr_loopback) ?(backlog = 64) t ~port () =
@@ -563,7 +617,14 @@ let listen ?(host = Unix.inet_addr_loopback) ?(backlog = 64) t ~port () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  { engine = t; lsock = sock; lport; conns = []; sclosed = false }
+  {
+    engine = t;
+    lsock = sock;
+    lport;
+    conns = [];
+    sclosed = false;
+    chunk = Bytes.create 65536;
+  }
 
 let server_port srv = srv.lport
 
@@ -573,7 +634,14 @@ let accept_pending srv =
     | fd, _ ->
       Unix.set_nonblock fd;
       srv.conns <-
-        { fd; cl = client srv.engine; rbuf = Buffer.create 256; wpend = ""; eof = false }
+        {
+          fd;
+          cl = client srv.engine;
+          rbuf = Buffer.create 256;
+          wbuf = Buffer.create 4096;
+          woff = 0;
+          eof = false;
+        }
         :: srv.conns;
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -605,12 +673,11 @@ let feed_lines srv conn =
   go 0
 
 let read_conn srv conn =
-  let buf = Bytes.create 4096 in
   let rec go () =
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    match Unix.read conn.fd srv.chunk 0 (Bytes.length srv.chunk) with
     | 0 -> conn.eof <- true
     | k ->
-      Buffer.add_subbytes conn.rbuf buf 0 k;
+      Buffer.add_subbytes conn.rbuf srv.chunk 0 k;
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
@@ -620,36 +687,55 @@ let read_conn srv conn =
   go ();
   feed_lines srv conn
 
-let flush_conn conn =
-  let fresh = output conn.cl in
-  if fresh <> [] then
-    conn.wpend <-
-      conn.wpend ^ String.concat "" (List.map (fun l -> l ^ "\n") fresh);
-  if conn.wpend <> "" then begin
-    match
-      Unix.write_substring conn.fd conn.wpend 0 (String.length conn.wpend)
-    with
-    | k -> conn.wpend <- String.sub conn.wpend k (String.length conn.wpend - k)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error _ ->
-      (* Peer reset: drop the pending bytes; the EOF path below reaps
-         the connection and closes its sessions. *)
-      conn.wpend <- "";
-      conn.eof <- true
+let unsent conn = Buffer.length conn.wbuf - conn.woff
+
+(* Append the outbox to [wbuf] and write until the socket would block.
+   Each write stages at most one chunk, and the sent prefix is dropped
+   once it outgrows what is left, so a slow reader's backlog costs time
+   linear in its bytes. *)
+let flush_conn srv conn =
+  List.iter
+    (fun l ->
+      Buffer.add_string conn.wbuf l;
+      Buffer.add_char conn.wbuf '\n')
+    (output conn.cl);
+  let rec go () =
+    let n = min (unsent conn) (Bytes.length srv.chunk) in
+    if n > 0 then begin
+      Buffer.blit conn.wbuf conn.woff srv.chunk 0 n;
+      match Unix.single_write conn.fd srv.chunk 0 n with
+      | k ->
+        conn.woff <- conn.woff + k;
+        go ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error _ ->
+        (* Peer reset: drop the pending bytes; the EOF path below reaps
+           the connection and closes its sessions. *)
+        Buffer.clear conn.wbuf;
+        conn.woff <- 0;
+        conn.eof <- true
+    end
+  in
+  go ();
+  if conn.woff > unsent conn then begin
+    let rest = Buffer.sub conn.wbuf conn.woff (unsent conn) in
+    Buffer.clear conn.wbuf;
+    Buffer.add_string conn.wbuf rest;
+    conn.woff <- 0
   end
 
 let server_poll srv =
   if not srv.sclosed then begin
+    clear_wake srv.engine;
     accept_pending srv;
     List.iter
       (fun conn ->
         if not conn.eof then read_conn srv conn;
-        flush_conn conn)
+        flush_conn srv conn)
       srv.conns;
     let live, dead =
-      List.partition (fun c -> not c.eof || c.wpend <> "") srv.conns
+      List.partition (fun c -> not c.eof || unsent c > 0) srv.conns
     in
     srv.conns <- live;
     List.iter
@@ -660,19 +746,26 @@ let server_poll srv =
       dead
   end
 
+(* A connection past EOF stays only to send what it still owes: it
+   waits for writability, never readability (EOF is always readable). *)
 let server_fds srv =
-  srv.lsock :: List.map (fun c -> c.fd) srv.conns
+  (if srv.engine.down then [] else [ srv.engine.wake_r ])
+  @ (srv.lsock :: List.filter_map (fun c -> if c.eof then None else Some c.fd) srv.conns)
 
-let serve_for srv ~seconds =
+let serve_for ?scrape srv ~seconds =
   let deadline = Unix.gettimeofday () +. seconds in
+  let scrape_fds = Option.to_list (Option.map Scrape.fd scrape) in
   let rec go () =
     let now = Unix.gettimeofday () in
     if now < deadline && not srv.sclosed then begin
+      let writes =
+        List.filter_map (fun c -> if unsent c > 0 then Some c.fd else None) srv.conns
+      in
       (try
-         ignore
-           (Unix.select (server_fds srv) [] [] (min 0.05 (deadline -. now)))
+         ignore (Unix.select (scrape_fds @ server_fds srv) writes [] (deadline -. now))
        with Unix.Unix_error (Unix.EINTR, _, _) -> ());
       server_poll srv;
+      Option.iter (fun s -> ignore (Scrape.poll s)) scrape;
       go ()
     end
   in

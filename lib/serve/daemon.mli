@@ -65,7 +65,8 @@ val metrics_body : t -> string
 (** {!merged_report} rendered for [GET /metrics]. *)
 
 val shutdown : t -> unit
-(** Drain and join the shard domains.  Idempotent. *)
+(** Drain and join the shard domains, then close the engine's wake
+    pipe.  Idempotent. *)
 
 (** {1 TCP front end} *)
 
@@ -79,16 +80,25 @@ val listen :
 val server_port : server -> int
 
 val server_poll : server -> unit
-(** One nonblocking pass: accept pending connections, read available
-    bytes (feeding complete frames to {!submit}), flush outboxes
-    (partial writes carry over), reap disconnected peers (closing
-    their sessions). *)
+(** One nonblocking pass: consume the engine's wake (empty the pipe,
+    then clear the wake-pending flag, so a reply pushed during this pass
+    wakes the next [select]), accept pending connections, read available
+    bytes (feeding complete frames to {!submit}), flush outboxes (bytes
+    the socket does not take stay queued), reap disconnected peers
+    (closing their sessions). *)
 
 val server_fds : server -> Unix.file_descr list
-(** Listener + connection fds, for an external [select] loop. *)
+(** Fds to wait on for reading before the next {!server_poll}: the
+    engine's wake fd — readable once a shard job has pushed replies —
+    the listener, and every connection still reading.  A [select] on
+    these wakes as soon as there is a reply to flush. *)
 
-val serve_for : server -> seconds:float -> unit
-(** Select-driven {!server_poll} loop for a bounded duration. *)
+val serve_for : ?scrape:Scrape.t -> server -> seconds:float -> unit
+(** The daemon's event loop, for a bounded duration: [select] on
+    {!server_fds}, on [scrape]'s listener, and for writing on every
+    connection with unsent bytes; then {!server_poll} and
+    {!Scrape.poll}.  No timer: replies go out as soon as a shard
+    produces them. *)
 
 val server_close : server -> unit
 (** Final poll, then close every connection (closing its sessions) and

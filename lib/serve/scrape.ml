@@ -35,6 +35,7 @@ let create ?(host = Unix.inet_addr_loopback) ?(backlog = 16) ~port ~metrics ()
   { sock; port; metrics; served = 0; closed = false }
 
 let port t = t.port
+let fd t = t.sock
 let served t = t.served
 
 let index_body t =

@@ -34,6 +34,10 @@ val create :
 
 val port : t -> int
 
+val fd : t -> Unix.file_descr
+(** The listening socket: readable when a request is waiting, for an
+    embedding [select] loop that calls {!poll} then. *)
+
 val served : t -> int
 (** Requests answered so far. *)
 

@@ -426,6 +426,133 @@ let test_engine_errors_and_gauges () =
       check_bool "closed session's counters absorbed" true
         (List.assoc "store_execs" rep.Telemetry.r_counters >= 0))
 
+(* --- wake-up ------------------------------------------------------------- *)
+
+let read_available fd =
+  let buf = Buffer.create 256 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | k ->
+      Buffer.add_subbytes buf chunk 0 k;
+      go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  go ();
+  Buffer.contents buf
+
+let readable fds =
+  let r, _, _ = Unix.select fds [] [] 0.0 in
+  r
+
+let test_wake_on_replies () =
+  (* A shard that pushes replies makes the server fds readable; one
+     poll flushes the replies and consumes the wake.  No timing: the
+     engine is drained before each look. *)
+  let t = Daemon.create () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with _ -> ());
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      Unix.connect sock
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.server_port srv));
+      let frames =
+        String.concat ""
+          (List.map
+             (fun l -> l ^ "\n")
+             (List.filteri (fun i _ -> i < 2) (script "w1")))
+      in
+      ignore (Unix.write_substring sock frames 0 (String.length frames));
+      Daemon.server_poll srv;
+      check_int "open routed" 1 (Daemon.sessions_open t);
+      Daemon.drain t;
+      check_bool "wake fd readable once the shard has replied" true
+        (readable (Daemon.server_fds srv) <> []);
+      Daemon.server_poll srv;
+      Unix.set_nonblock sock;
+      let kinds =
+        List.filter_map
+          (fun l ->
+            match Proto.decode_reply l with
+            | Ok { Proto.r_body = Proto.Opened _; _ } -> Some "opened"
+            | Ok { Proto.r_body = Proto.Armed _; _ } -> Some "armed"
+            | _ -> None)
+          (String.split_on_char '\n' (read_available sock))
+      in
+      check_string "replies flushed to the client" "opened,armed"
+        (String.concat "," kinds);
+      check_bool "wake consumed" true (readable (Daemon.server_fds srv) = []))
+
+let test_slow_reader_backlog () =
+  (* Megabytes of report replies against a client with a tiny receive
+     buffer: the server must queue what the socket refuses and deliver
+     every byte, in order, as the reader catches up. *)
+  let t = Daemon.create () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with _ -> ());
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      Unix.setsockopt_int sock Unix.SO_RCVBUF 4096;
+      Unix.connect sock
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.server_port srv));
+      let reports = 2500 in
+      let frames =
+        List.hd (script "b1") :: List.init reports (fun _ -> "report b1")
+      in
+      let payload = String.concat "" (List.map (fun l -> l ^ "\n") frames) in
+      ignore (Unix.write_substring sock payload 0 (String.length payload));
+      Daemon.server_poll srv;
+      Daemon.drain t;
+      Unix.set_nonblock sock;
+      let got = Buffer.create 65536 in
+      let lines () =
+        List.length (String.split_on_char '\n' (Buffer.contents got)) - 1
+      in
+      let rounds = ref 0 in
+      while lines () < reports + 1 && !rounds < 100_000 do
+        incr rounds;
+        Daemon.server_poll srv;
+        Buffer.add_string got (read_available sock)
+      done;
+      check_bool "backlog larger than a socket buffer" true
+        (Buffer.length got > 4 * 1024 * 1024);
+      let replies =
+        List.filter_map
+          (fun l ->
+            match Proto.decode_reply l with
+            | Ok { Proto.r_sid = "b1"; r_seq; r_body } -> Some (r_seq, r_body)
+            | _ -> None)
+          (String.split_on_char '\n' (Buffer.contents got))
+      in
+      check_bool "every reply in order" true
+        (List.map fst replies = List.init (reports + 1) (fun i -> i + 1));
+      let bodies =
+        List.filter_map
+          (function _, Proto.Report_json j -> Some j | _ -> None)
+          replies
+      in
+      check_bool "every report byte-identical" true
+        (List.length bodies = reports
+        && List.for_all (String.equal (List.hd bodies)) bodies))
+
+let test_no_fd_leak () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for _ = 1 to 100 do
+    Daemon.shutdown (Daemon.create ())
+  done;
+  check_int "create/shutdown leaves no fd behind" before (open_fds ())
+
 (* --- scrape hardening ---------------------------------------------------- *)
 
 let http_roundtrip srv ~shutdown_after request =
@@ -528,6 +655,12 @@ let suites =
           test_engine_shard_determinism;
         Alcotest.test_case "errors, gauges, disconnect" `Quick
           test_engine_errors_and_gauges;
+        Alcotest.test_case "shard replies wake the server fds" `Quick
+          test_wake_on_replies;
+        Alcotest.test_case "slow reader gets the whole backlog" `Quick
+          test_slow_reader_backlog;
+        Alcotest.test_case "create/shutdown leaks no fds" `Quick
+          test_no_fd_leak;
       ] );
     ( "serve.scrape",
       [
