@@ -5,16 +5,13 @@
      dune exec bench/main.exe -- [table1|table2|figure3|nops|strategies|
                                   breakeven|readwrite|ablations|smoke|
                                   telemetry|replay|profile|timeseries|verify|
-                                  service|micro|all]
-                                 [-j N] [--json FILE] [--chrome-trace FILE]
-                                 [--span-set]
+                                  service|all]
+                                 [-j N] [--chrome-trace FILE] [--span-set]
 
    Cells run on a pool of [-j] worker domains (default: [DBP_JOBS] or
-   [Domain.recommended_domain_count ()]; [-j 1] is fully serial).  The
-   tables printed on stdout are byte-identical for every [-j]; timing
-   (wall seconds, aggregate simulated MIPS) goes to stderr, and
-   [--json] writes a per-cell report including simulated-MIPS plus the
-   merged telemetry report (dbp-telemetry/6).
+   [Domain.recommended_domain_count ()]; [-j 1] is fully serial).  Every
+   number printed is simulated, so stdout is byte-identical for every
+   [-j].  Host time is measured by perfbench alone (perfbench/README.md).
 
    Every instrumented cell's telemetry report is absorbed into its
    worker domain's sink ([Pool.telemetry_sink]); the merged summary
@@ -27,68 +24,11 @@
 
 let usage () =
   prerr_endline
-    "usage: main.exe [table1|table2|figure3|nops|strategies|breakeven|readwrite|ablations|smoke|telemetry|replay|profile|timeseries|verify|service|micro|all] [-j N] [--json FILE] [--chrome-trace FILE] [--span-set]";
+    "usage: main.exe [table1|table2|figure3|nops|strategies|breakeven|readwrite|ablations|smoke|telemetry|replay|profile|timeseries|verify|service|all] [-j N] [--chrome-trace FILE] [--span-set]";
   exit 2
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Per-cell simulated-throughput report; schema documented in README. *)
-let write_json ~experiment path =
-  let cells = Runner.cells () in
-  let agg_instrs, agg_wall, agg_mips = Runner.aggregate () in
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"dbp-bench/1\",\n";
-  p "  \"experiment\": \"%s\",\n" (json_escape experiment);
-  p "  \"jobs\": %d,\n" (Pool.jobs ());
-  p "  \"cells\": [\n";
-  List.iteri
-    (fun i (c : Runner.cell) ->
-      p "    {\"label\": \"%s\", \"cycles\": %d, \"instrs\": %d, "
-        (json_escape c.Runner.label) c.Runner.c_cycles c.Runner.c_instrs;
-      (match c.Runner.overhead_pct with
-      | Some o -> p "\"overhead_pct\": %.2f, " o
-      | None -> p "\"overhead_pct\": null, ");
-      p "\"wall_s\": %.4f, \"simulated_mips\": %.2f}%s\n" c.Runner.c_wall_s
-        c.Runner.c_mips
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  p "  ],\n";
-  p "  \"telemetry\": %s,\n" (Export.to_json_string (Pool.merged_report ()));
-  (* Service-daemon latency percentiles, present when the service
-     experiment ran (wall-clock, so JSON/stderr only — never stdout). *)
-  Option.iter (fun frag -> p "  \"service\": %s,\n" frag) (Service.json_fragment ());
-  (* Provenance-verdict counts summed over every instrumented cell's
-     audit journal (canonical order; commutative merge, so
-     [-j]-independent). *)
-  let summary = Pool.merged_audit_summary () in
-  p "  \"audit_summary\": {";
-  List.iteri
-    (fun i (name, count) ->
-      p "%s\"%s\": %d" (if i = 0 then "" else ", ") (json_escape name) count)
-    summary;
-  p "},\n";
-  p "  \"aggregate\": {\"instrs\": %d, \"wall_s\": %.4f, \"simulated_mips\": %.2f}\n"
-    agg_instrs agg_wall agg_mips;
-  p "}\n";
-  close_out oc
 
 let () =
   let experiment = ref None in
-  let json_path = ref None in
   let chrome_path = ref None in
   let span_set = ref false in
   let rec parse = function
@@ -97,9 +37,6 @@ let () =
       (match Pool.parse_jobs n with
       | Some n -> Pool.set_jobs n
       | None -> usage ());
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := Some path;
       parse rest
     | "--chrome-trace" :: path :: rest ->
       chrome_path := Some path;
@@ -114,7 +51,6 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let which = Option.value ~default:"all" !experiment in
-  let t0 = Unix.gettimeofday () in
   (match which with
   | "table1" -> Tables.table1 ()
   | "table2" -> Tables.table2 ()
@@ -131,7 +67,6 @@ let () =
   | "timeseries" -> Tables.timeseries_sampler ()
   | "verify" -> Tables.verify ()
   | "service" -> Service.run ()
-  | "micro" -> Micro.run ()
   | "all" ->
     Tables.table1 ();
     Tables.figure3 ();
@@ -145,8 +80,7 @@ let () =
     Tables.replay ();
     Tables.profile ();
     Tables.timeseries_sampler ();
-    Tables.verify ();
-    Micro.run ()
+    Tables.verify ()
   | _ -> usage ());
   (* The merged telemetry summary is a sum over per-domain sinks —
      commutative, so byte-identical for every [-j]. *)
@@ -166,16 +100,6 @@ let () =
       (fun (name, count) -> Printf.printf "%-16s%10d\n" name count)
       (Trace.span_set (Pool.tracers ()))
   end;
-  (* Timing is host-dependent, so it goes to stderr: stdout stays
-     byte-identical across [-j] values (the bench-smoke alias and the
-     acceptance check diff it). *)
-  let agg_instrs, agg_wall, agg_mips = Runner.aggregate () in
-  Printf.eprintf
-    "(total bench time: %.1fs; %d simulated Minstrs in %.1fs of simulator time, %.1f MIPS aggregate, -j %d)\n"
-    (Unix.gettimeofday () -. t0)
-    (agg_instrs / 1_000_000)
-    agg_wall agg_mips (Pool.jobs ());
-  Option.iter (fun path -> write_json ~experiment:which path) !json_path;
   Option.iter
     (fun path ->
       let oc = open_out path in

@@ -4,8 +4,7 @@ open Dbp
    uninstrumented baselines.
 
    The harness may run cells on several domains at once (see [Pool]),
-   so the two pieces of shared state here — the baseline cache and the
-   observability log — are mutex-protected.  The simulator itself is
+   so the baseline cache is mutex-protected.  The simulator itself is
    deterministic and shares nothing between [Cpu.t] instances, so a
    duplicated baseline computation (two domains missing the cache for
    the same workload at the same time) is merely redundant work that
@@ -13,58 +12,7 @@ open Dbp
 
 let fuel = 200_000_000
 
-type run = {
-  cycles : int;
-  instrs : int;
-  stores : int;
-  exit_code : int;
-  wall_s : float;  (** host seconds spent inside the simulator run *)
-}
-
-let simulated_mips { instrs; wall_s; _ } =
-  if wall_s <= 0.0 then 0.0 else float_of_int instrs /. wall_s /. 1e6
-
-(* --- observability: per-cell log and aggregate throughput ------------------ *)
-
-type cell = {
-  label : string;  (** e.g. ["008.espresso/bitmap-inline-regs"] *)
-  c_cycles : int;
-  c_instrs : int;
-  overhead_pct : float option;  (** vs the uninstrumented baseline *)
-  c_wall_s : float;
-  c_mips : float;
-}
-
-let log_mu = Mutex.create ()
-let log : cell list ref = ref []
-let agg_instrs = ref 0
-let agg_wall = ref 0.0
-
-let record ~label ?overhead_pct (r : run) =
-  let c =
-    {
-      label;
-      c_cycles = r.cycles;
-      c_instrs = r.instrs;
-      overhead_pct;
-      c_wall_s = r.wall_s;
-      c_mips = simulated_mips r;
-    }
-  in
-  Mutex.protect log_mu (fun () ->
-      log := c :: !log;
-      agg_instrs := !agg_instrs + r.instrs;
-      agg_wall := !agg_wall +. r.wall_s)
-
-let cells () = Mutex.protect log_mu (fun () -> List.rev !log)
-
-let aggregate () =
-  Mutex.protect log_mu (fun () ->
-      let mips =
-        if !agg_wall <= 0.0 then 0.0
-        else float_of_int !agg_instrs /. !agg_wall /. 1e6
-      in
-      (!agg_instrs, !agg_wall, mips))
+type run = { cycles : int; instrs : int; stores : int; exit_code : int }
 
 (* --- baseline runs --------------------------------------------------------- *)
 
@@ -80,9 +28,7 @@ let baseline (w : Workloads.Workload.t) : run =
     let linked = Minic.Compile.compile_and_link w.source in
     let cpu = Machine.Cpu.create linked.image in
     Machine.Cpu.install_basic_services cpu;
-    let t0 = Unix.gettimeofday () in
     let exit_code = Machine.Cpu.run ~fuel cpu in
-    let wall_s = Unix.gettimeofday () -. t0 in
     (match w.expected_exit with
     | Some e when e <> exit_code ->
       failwith (Printf.sprintf "%s: baseline exit %d <> expected %d" w.name exit_code e)
@@ -90,10 +36,9 @@ let baseline (w : Workloads.Workload.t) : run =
     let s = Machine.Cpu.stats cpu in
     let r =
       { cycles = s.Machine.Cpu.cycles; instrs = s.Machine.Cpu.instrs;
-        stores = s.Machine.Cpu.stores; exit_code; wall_s }
+        stores = s.Machine.Cpu.stores; exit_code }
     in
     Mutex.protect cache_mu (fun () -> Hashtbl.replace baseline_cache w.name r);
-    record ~label:(w.name ^ "/baseline") r;
     r
 
 let options_for (w : Workloads.Workload.t) ?(opt = Instrument.O0)
@@ -122,50 +67,25 @@ let overhead (w : Workloads.Workload.t) run = Stats.pct (baseline w).cycles run.
    disabled one); either way the session's final report is absorbed
    into this domain's sink so the harness can print one merged,
    scheduling-independent telemetry summary at the end. *)
-let instrumented ?(enable = true) ?telemetry ?(tag = "") ?(profile = false)
-    ?sample_every ?(heatmap = false) ?(best_of = 1) options
-    (w : Workloads.Workload.t) : run * Session.t =
-  let once () =
-    let session =
-      Session.create ?telemetry ~trace:(Pool.trace_sink ()) ~options ~profile
-        ?sample_every ~heatmap w.source
-    in
-    if enable then Mrs.enable session.Session.mrs;
-    let t0 = Unix.gettimeofday () in
-    let exit_code, _ = Session.run ~fuel session in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (match w.expected_exit with
-    | Some e when e <> exit_code ->
-      failwith
-        (Printf.sprintf "%s under %s: exit %d <> expected %d" w.name
-           (Strategy.to_string options.Instrument.strategy) exit_code e)
-    | _ -> ());
-    let s = Session.stats session in
-    let r =
-      { cycles = s.Machine.Cpu.cycles; instrs = s.Machine.Cpu.instrs;
-        stores = s.Machine.Cpu.stores; exit_code; wall_s }
-    in
-    (r, session)
+let instrumented ?(enable = true) ?telemetry ?(profile = false) ?sample_every
+    ?(heatmap = false) options (w : Workloads.Workload.t) : run * Session.t =
+  let session =
+    Session.create ?telemetry ~trace:(Pool.trace_sink ()) ~options ~profile
+      ?sample_every ~heatmap w.source
   in
-  (* Repeats are identical simulations, so every run yields the same
-     simulated counts; only the host wall clock differs.  Keeping the
-     minimum-wall run is the standard robust estimator for cells whose
-     single-run time is within scheduler-noise range (the overhead
-     experiments on small workloads).  Only the kept run's telemetry,
-     audit and profile state is absorbed. *)
-  let best = ref (once ()) in
-  for _ = 2 to best_of do
-    let ((r, _) as cand) = once () in
-    if r.wall_s < (fst !best).wall_s then best := cand
-  done;
-  let r, session = !best in
-  let label =
-    Printf.sprintf "%s/%s%s%s" w.name
-      (Strategy.to_string options.Instrument.strategy)
-      (if enable then "" else "/disabled")
-      (if tag = "" then "" else "/" ^ tag)
+  if enable then Mrs.enable session.Session.mrs;
+  let exit_code, _ = Session.run ~fuel session in
+  (match w.expected_exit with
+  | Some e when e <> exit_code ->
+    failwith
+      (Printf.sprintf "%s under %s: exit %d <> expected %d" w.name
+         (Strategy.to_string options.Instrument.strategy) exit_code e)
+  | _ -> ());
+  let s = Session.stats session in
+  let r =
+    { cycles = s.Machine.Cpu.cycles; instrs = s.Machine.Cpu.instrs;
+      stores = s.Machine.Cpu.stores; exit_code }
   in
-  record ~label ~overhead_pct:(overhead w r) r;
   Telemetry.absorb (Pool.telemetry_sink ()) (Session.report session);
   Pool.absorb_audit_summary (Audit.summary session.Session.audit);
   (r, session)

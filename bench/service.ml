@@ -1,5 +1,6 @@
 (* The service experiment: drive K concurrent debug sessions through a
-   loopback dbreakd engine and measure per-command latency.
+   loopback dbreakd engine and check that what each session sees does
+   not depend on how many shards serve it.
 
    For each fleet size K in {1, 8, 64} a fresh engine is spun up with
    [Pool.jobs ()] shards and a TCP listener on an ephemeral loopback
@@ -9,16 +10,15 @@
    [Daemon.server_poll] — exactly the daemon's own serving discipline,
    with the heavy lifting on the shard domains.
 
-   Output discipline matches the rest of the harness: stdout is
-   byte-identical for every [-j] (session s1's full reply transcript,
-   per-session reply summaries, and the engine's merged telemetry —
-   absorbed into this domain's [Pool.telemetry_sink], so the trailing
-   merged summary and [--json] telemetry cover it under the bench-smoke
-   diff); wall-clock latency percentiles and throughput go to stderr
-   and the [--json] report only. *)
+   Everything printed is byte-identical for every [-j]: session s1's
+   full reply transcript, per-session reply summaries, and the engine's
+   merged telemetry — absorbed into this domain's [Pool.telemetry_sink],
+   so the trailing merged summary covers it under the service-smoke
+   diff.  Daemon latency and throughput are perfbench's: the
+   [daemon.*] metrics and the svc-interactive and svc-fleet
+   workloads. *)
 
 let fleet_sizes = [ 1; 8; 64 ]
-let commands_per_session = 5
 
 (* ~200 watched-global writes per session: enough hit traffic to be a
    real stream, small enough that K=64 stays snappy. *)
@@ -43,38 +43,14 @@ int main() {
 }
 |}
 
-let percentile xs p =
-  (* Nearest-rank on a sorted copy; [] -> 0. *)
-  match xs with
-  | [] -> 0.0
-  | _ ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    a.(max 0 (min (n - 1) (rank - 1)))
-
-type fleet_result = {
-  fr_sessions : int;
-  fr_commands : int;
-  fr_wall_s : float;
-  fr_p50_ms : float;
-  fr_p99_ms : float;
-  fr_mean_ms : float;
-}
-
-let results : fleet_result list ref = ref []
-
 (* One scripted client connection. *)
 type cstate = {
   sid : string;
   fd : Unix.file_descr;
   rbuf : Buffer.t;  (* unconsumed reply bytes *)
   mutable script : string list;  (* commands not yet sent *)
-  mutable sent_at : float;  (* send time of the in-flight command *)
   mutable in_flight : bool;
   mutable transcript : string list;  (* reverse order *)
-  mutable latencies : float list;
   mutable hits : int;
   mutable replies : int;
   mutable exit_code : int option;
@@ -109,7 +85,6 @@ let send_next c =
     (* Loopback socket buffers dwarf our largest frame (the escaped
        program source); a single write always takes it all. *)
     ignore (Unix.write_substring c.fd frame 0 (String.length frame));
-    c.sent_at <- Unix.gettimeofday ();
     c.in_flight <- true
 
 let note_reply c line =
@@ -127,7 +102,6 @@ let note_reply c line =
       Proto.terminal r_body)
   in
   if terminal && c.in_flight then begin
-    c.latencies <- (Unix.gettimeofday () -. c.sent_at) :: c.latencies;
     c.in_flight <- false;
     send_next c
   end
@@ -174,10 +148,8 @@ let run_fleet k =
           fd;
           rbuf = Buffer.create 4096;
           script = session_script sid;
-          sent_at = 0.0;
           in_flight = false;
           transcript = [];
-          latencies = [];
           hits = 0;
           replies = 0;
           exit_code = None;
@@ -185,7 +157,6 @@ let run_fleet k =
           done_ = false;
         })
   in
-  let t0 = Unix.gettimeofday () in
   List.iter send_next clients;
   while not (List.for_all (fun c -> c.done_) clients) do
     (try
@@ -197,13 +168,12 @@ let run_fleet k =
     Daemon.server_poll srv;
     List.iter (fun c -> if not c.done_ then pump_client c) clients
   done;
-  let wall = Unix.gettimeofday () -. t0 in
   List.iter (fun c -> try Unix.close c.fd with _ -> ()) clients;
   Daemon.server_close srv;
   Daemon.drain engine;
   (* Fold this fleet's engine telemetry into the bench harness's own
-     sink: the trailing merged summary and --json stay the single
-     source of truth, and both are under the -j parity diff. *)
+     sink: the trailing merged summary stays the single source of
+     truth, under the -j parity diff. *)
   Telemetry.absorb (Pool.telemetry_sink ()) (Daemon.merged_report engine);
   Daemon.shutdown engine;
 
@@ -221,51 +191,6 @@ let run_fleet k =
         (match c.last_write_insn with
         | Some i -> string_of_int i
         | None -> "?"))
-    clients;
-
-  (* Wall-clock numbers: stderr + JSON only. *)
-  let lat_ms =
-    List.concat_map (fun c -> List.map (fun s -> s *. 1000.0) c.latencies)
-      clients
-  in
-  let r =
-    {
-      fr_sessions = k;
-      fr_commands = List.length lat_ms;
-      fr_wall_s = wall;
-      fr_p50_ms = percentile lat_ms 50.0;
-      fr_p99_ms = percentile lat_ms 99.0;
-      fr_mean_ms = Stats.mean lat_ms;
-    }
-  in
-  results := !results @ [ r ];
-  Printf.eprintf
-    "(service %2d sessions: %d commands in %.2fs, p50 %.2fms, p99 %.2fms, \
-     %.1f sessions/s)\n"
-    k r.fr_commands wall r.fr_p50_ms r.fr_p99_ms
-    (float_of_int k /. wall)
+    clients
 
 let run () = List.iter run_fleet fleet_sizes
-
-(* JSON fragment embedded by [Main.write_json] under the "service"
-   key; empty when the experiment did not run. *)
-let json_fragment () =
-  match !results with
-  | [] -> None
-  | rs ->
-    let b = Buffer.create 512 in
-    Buffer.add_string b "[\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"sessions\": %d, \"commands\": %d, \"wall_s\": %.4f, \
-              \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"mean_ms\": %.3f, \
-              \"sessions_per_s\": %.2f}%s\n"
-             r.fr_sessions r.fr_commands r.fr_wall_s r.fr_p50_ms r.fr_p99_ms
-             r.fr_mean_ms
-             (float_of_int r.fr_sessions /. r.fr_wall_s)
-             (if i = List.length rs - 1 then "" else ",")))
-      rs;
-    Buffer.add_string b "  ]";
-    Some (Buffer.contents b)

@@ -603,6 +603,9 @@ type server = {
 }
 
 let listen ?(host = Unix.inet_addr_loopback) ?(backlog = 64) t ~port () =
+  (* A write to a peer that reset would otherwise kill the process
+     before [flush_conn] sees EPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

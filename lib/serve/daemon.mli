@@ -75,7 +75,10 @@ type server
 val listen :
   ?host:Unix.inet_addr -> ?backlog:int -> t -> port:int -> unit -> server
 (** Bind a nonblocking listener (port 0 for ephemeral — read it back
-    with {!server_port}).  Loopback by default. *)
+    with {!server_port}).  Loopback by default.  Sets the process's
+    SIGPIPE disposition to ignore, so a peer that resets costs only its
+    own connection (the write fails with EPIPE and the connection is
+    reaped) instead of killing the process. *)
 
 val server_port : server -> int
 

@@ -18,6 +18,9 @@ type t = {
 
 let create ?(host = Unix.inet_addr_loopback) ?(backlog = 16) ~port ~metrics ()
     =
+  (* A write to a scraper that reset would otherwise kill the process
+     before [respond] sees EPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

@@ -29,7 +29,10 @@ val create :
   t
 (** Bind and listen ([host] defaults to loopback).  [port = 0] binds an
     ephemeral port — read it back with {!port}.  The [metrics] callback
-    runs once per [/metrics] request, on the {!poll}er's stack.
+    runs once per [/metrics] request, on the {!poll}er's stack.  Sets
+    the process's SIGPIPE disposition to ignore, so a scraper that
+    resets before its reply is written costs only that request instead
+    of killing the process.
     @raise Unix.Unix_error when the bind fails (e.g. port in use). *)
 
 val port : t -> int

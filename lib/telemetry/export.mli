@@ -1,9 +1,9 @@
 (** Rendering of telemetry {!Telemetry.report} snapshots.
 
     Three formats: human-readable text (for [dbreak --stats] and the
-    bench telemetry table), versioned JSON (embedded in the bench
-    [--json] output and [BENCH_*.json] snapshots), and Prometheus-style
-    exposition text ([dbreak --metrics FILE]).
+    bench telemetry table), versioned JSON (the dbreakd [report]
+    reply), and Prometheus-style exposition text
+    ([dbreak --metrics FILE]).
 
     The JSON side is a self-contained mini JSON library (the repository
     takes no external dependencies): objects preserve key order, so a

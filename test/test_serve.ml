@@ -1,7 +1,8 @@
-(* The service layer: dbp-wire/1 codec round-trips, the shard
-   scheduler's ordering/merge guarantees, the daemon engine's
-   transcript and telemetry determinism across shard counts, and the
-   scrape endpoint's malformed-request hardening. *)
+(* The service layer: dbp-wire/1 codec round-trips and decoder
+   totality, the shard scheduler's ordering/merge guarantees, the
+   daemon engine's transcript and telemetry determinism across shard
+   counts, peer resets on both listeners, and the scrape endpoint's
+   malformed-request hardening. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -163,6 +164,31 @@ let test_malformed_frames () =
         true
         (Result.is_error (Proto.decode_reply frame)))
     [ ""; "s1"; "s1 x opened a b c"; "s1 1 nonsense"; "s1 1 armed a b" ]
+
+(* Decoders are total: any frame is [Ok] or [Error], never an
+   exception.  Token soup — the tokens of a real command and reply
+   (keywords, escapes, numerals), reshuffled with a few malformed
+   ones — reaches far deeper into the parsers than random bytes. *)
+let gen_token_frame =
+  let open QCheck.Gen in
+  let malformed = [ "%"; "%2"; "%2g"; "-"; "12-3"; "99999999999999999999999" ] in
+  let tokens c r =
+    String.split_on_char ' ' (Proto.encode_command c ^ " " ^ Proto.encode_reply r)
+    @ malformed
+  in
+  map2 tokens gen_command gen_reply >>= fun pool ->
+  map (String.concat " ") (list_size (0 -- 9) (oneofl pool))
+
+let prop_decoders_total =
+  let total decode frame =
+    match decode frame with Ok _ | Error _ -> true | exception _ -> false
+  in
+  QCheck.Test.make ~name:"decoders never raise on arbitrary frames"
+    ~count:3000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(frequency [ (1, gen_bytes); (3, gen_token_frame) ]))
+    (fun frame ->
+      total Proto.decode_command frame && total Proto.decode_reply frame)
 
 (* --- sched --------------------------------------------------------------- *)
 
@@ -544,6 +570,39 @@ let test_slow_reader_backlog () =
         (List.length bodies = reports
         && List.for_all (String.equal (List.hd bodies)) bodies))
 
+(* Close with SO_LINGER 0: the peer gets a reset, not a FIN, so the
+   next write to it fails (EPIPE, or SIGPIPE if not ignored). *)
+let reset_close sock =
+  Unix.setsockopt_optint sock Unix.SO_LINGER (Some 0);
+  Unix.close sock
+
+let test_peer_reset () =
+  (* Replies still queued for a client that resets: flushing them must
+     fail with EPIPE and reap the connection and its session, not kill
+     the process with SIGPIPE. *)
+  let t = Daemon.create () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      Unix.connect sock
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.server_port srv));
+      let frames = List.hd (script "r1") :: List.init 8 (fun _ -> "report r1") in
+      let payload = String.concat "" (List.map (fun l -> l ^ "\n") frames) in
+      ignore (Unix.write_substring sock payload 0 (String.length payload));
+      Daemon.server_poll srv;
+      check_int "open routed" 1 (Daemon.sessions_open t);
+      reset_close sock;
+      Daemon.drain t;
+      for _ = 1 to 4 do
+        Daemon.server_poll srv;
+        Daemon.drain t
+      done;
+      check_int "reset peer's session closed" 0 (Daemon.sessions_open t))
+
 let test_no_fd_leak () =
   if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
   let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
@@ -625,6 +684,23 @@ let test_scrape_hardening () =
         http_roundtrip srv ~shutdown_after:false "GET / HTTP/1.0\r\n\r\n"
       in
       check_bool "terminated request still served" true
+        (has_substring resp "HTTP/1.0 200 OK");
+      (* A scraper that resets mid-head, before its reply is written,
+         costs only that request: the read sees the reset, and the 400
+         then fails with EPIPE, not SIGPIPE. *)
+      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect sock
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Scrape.port srv));
+      let req = "GET /met" in
+      ignore (Unix.write_substring sock req 0 (String.length req));
+      reset_close sock;
+      let served = Scrape.served srv in
+      ignore (Scrape.poll srv);
+      check_int "reset request counted" (served + 1) (Scrape.served srv);
+      let resp =
+        http_roundtrip srv ~shutdown_after:false "GET / HTTP/1.0\r\n\r\n"
+      in
+      check_bool "served after a reset" true
         (has_substring resp "HTTP/1.0 200 OK"))
 
 (* --- suites -------------------------------------------------------------- *)
@@ -637,6 +713,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_escape_roundtrip;
         QCheck_alcotest.to_alcotest prop_command_roundtrip;
         QCheck_alcotest.to_alcotest prop_reply_roundtrip;
+        QCheck_alcotest.to_alcotest prop_decoders_total;
         Alcotest.test_case "malformed frames rejected" `Quick
           test_malformed_frames;
       ] );
@@ -659,6 +736,8 @@ let suites =
           test_wake_on_replies;
         Alcotest.test_case "slow reader gets the whole backlog" `Quick
           test_slow_reader_backlog;
+        Alcotest.test_case "peer reset reaps, does not kill" `Quick
+          test_peer_reset;
         Alcotest.test_case "create/shutdown leaks no fds" `Quick
           test_no_fd_leak;
       ] );
