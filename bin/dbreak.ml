@@ -370,7 +370,7 @@ let run_cmd source_file watches strategy opt check_aliases monitor_reads dump_as
   | Replay.Determinism_violation { insn; expected; actual } ->
     fail
       (Printf.sprintf
-         "replay diverged from the recorded run at insn %d (digest %s, \
+         "replay diverged from the recorded run at insn %d (%s, \
           expected %s)"
          insn actual expected)
   | Minic.Compile.Error e ->

@@ -2,11 +2,12 @@
    "who wrote this variable, and when?" after the fact.
 
    The session records the run through a copy-on-write checkpoint
-   journal ([~checkpoint_every]); a retroactive query restores the
-   nearest checkpoint and re-executes the window under an invisible
-   host-side watch, so the replay is byte-identical to the recorded
-   run (a determinism guard checks the state digest at every retained
-   checkpoint it crosses).
+   journal ([~checkpoint_every]); a retroactive query restores a
+   checkpoint and re-executes the window under an invisible host-side
+   watch, skipping windows whose checkpoints share every page of the
+   variable (no store reached it there).  The replay is byte-identical
+   to the recorded run: a determinism guard compares the machine with
+   every retained checkpoint it lands on.
 
    Run with:  dune exec examples/time_travel.exe *)
 

@@ -45,7 +45,6 @@ type t = {
   (* Passive hit observers (heatmaps, tooling): all run after the
      user callback, never replace it. *)
   mutable observers : (hit -> unit) list;
-  patched : (int, unit) Hashtbl.t;  (* origins with inserted checks *)
   site_addr : (int, int) Hashtbl.t;     (* origin -> text address *)
   patch_addr : (int, int) Hashtbl.t;
   original : (int, Insn.t) Hashtbl.t;
@@ -275,11 +274,20 @@ let invalidate_caches t =
 
 (* --- patches (Kessler fast breakpoints, §4) ------------------------------------ *)
 
+(* An origin's check is inserted iff its site no longer holds the
+   original store.  The state lives in the text, not in a host-side
+   table, so a rollback (which restores text) restores it too: a
+   replayed loop pre-header then re-patches exactly as the recorded run
+   did. *)
+let check_inserted t origin =
+  match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.original origin with
+  | Some site, Some insn -> Cpu.fetch_at t.cpu site <> insn
+  | _, _ -> false
+
 let insert_check ?(why = "") t origin =
-  if not (Hashtbl.mem t.patched origin) then begin
+  if not (check_inserted t origin) then begin
     match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.patch_addr origin with
     | Some site, Some patch ->
-      Hashtbl.replace t.patched origin ();
       t.counters.patches_inserted <- t.counters.patches_inserted + 1;
       tel_incr t Telemetry.Patches_inserted;
       aud_patch t Audit.Patch_inserted ~why origin;
@@ -288,17 +296,14 @@ let insert_check ?(why = "") t origin =
   end
 
 let remove_check ?(why = "") t origin =
-  if Hashtbl.mem t.patched origin then begin
+  if check_inserted t origin then begin
     match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.original origin with
     | Some site, Some insn ->
-      Hashtbl.remove t.patched origin;
       tel_incr t Telemetry.Patches_removed;
       aud_patch t Audit.Patch_removed ~why origin;
       Cpu.patch t.cpu site insn
     | _, _ -> ()
   end
-
-let check_inserted t origin = Hashtbl.mem t.patched origin
 
 (* Snapshot gauges: occupancy numbers whose current value (not a sum of
    bumps) is the interesting quantity; written unconditionally at report
@@ -509,7 +514,6 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
       enabled = false;
       callback = None;
       observers = [];
-      patched = Hashtbl.create 64;
       site_addr = Hashtbl.create 256;
       patch_addr = Hashtbl.create 64;
       original = Hashtbl.create 64;

@@ -968,53 +968,88 @@ let checkpoint_overhead_bytes cp =
   + ((8 + (Windows.depth cp.cp_win * 24)) * 8)
   + String.length cp.cp_out + (15 * 8)
 
-(* Architectural-state digest for the replay determinism guard: pc,
-   condition codes, heap break, halt status, captured output, the full
-   register-window stack and every nonzero memory page in ascending
-   address order.  Execution counters and cache state are deliberately
-   excluded — tests compare [stats] separately — and all-zero pages are
-   skipped so that page-materialization differences between a run and
-   its replay cannot perturb the digest. *)
-let all_zero arr =
-  let n = Array.length arr in
-  let rec go i = i >= n || (Array.unsafe_get arr i = 0 && go (i + 1)) in
-  go 0
-
-let state_digest t =
-  let b = Buffer.create 65536 in
-  let add_int v = Buffer.add_int64_le b (Int64.of_int v) in
-  add_int t.pc;
-  add_int t.icc;
-  add_int t.brk;
-  (match t.halted with
-  | None -> add_int min_int
-  | Some c ->
-    add_int 1;
-    add_int c);
-  add_int (Buffer.length t.out);
-  Buffer.add_buffer b t.out;
-  let w = t.win in
-  Array.iter add_int w.Windows.globals;
-  add_int w.Windows.depth;
-  add_int w.Windows.resident;
-  List.iter
-    (fun (f : Windows.frame) ->
-      Array.iter add_int f.Windows.locals;
-      Array.iter add_int f.Windows.ins;
-      Array.iter add_int f.Windows.outs)
-    w.Windows.frames;
-  let pages = ref [] in
-  Memory.iter_pages t.mem (fun key arr ->
-      if not (all_zero arr) then pages := (key, arr) :: !pages);
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> compare (a : int) b) !pages
+(* The replay determinism guard: compare the live machine with a
+   checkpoint of the recorded run — pc, condition codes, heap break,
+   halt status, captured output, the register-window file and every
+   memory word.  Execution counters and cache state are deliberately
+   excluded (tests compare [stats] separately).  Memory compares
+   through {!Memory.diff_view}, so a replayed window costs the pages
+   it wrote, not the resident image; a page materialized on one side
+   only compares as zeros. *)
+let diverges t cp =
+  let named name recorded live = Some (name ^ "=" ^ recorded, name ^ "=" ^ live) in
+  let field name show recorded live () =
+    if recorded = live then None else named name (show recorded) (show live)
   in
-  List.iter
-    (fun (key, arr) ->
-      add_int key;
-      Array.iter add_int arr)
-    sorted;
-  Digest.to_hex (Digest.bytes (Buffer.to_bytes b))
+  let first checks = List.find_map (fun check -> check ()) checks in
+  let regs name recorded live () =
+    let rec go i =
+      if i = Array.length recorded then None
+      else if recorded.(i) <> live.(i) then
+        named
+          (Printf.sprintf "%s%d" name i)
+          (string_of_int recorded.(i)) (string_of_int live.(i))
+      else go (i + 1)
+    in
+    go 0
+  in
+  let output () =
+    let live = t.out and recorded = cp.cp_out in
+    let n = min (Buffer.length live) (String.length recorded) in
+    let rec go i =
+      if i < n && Buffer.nth live i = recorded.[i] then go (i + 1) else i
+    in
+    let i = go 0 in
+    if i = n && Buffer.length live = String.length recorded then None
+    else
+      named
+        (Printf.sprintf "output@%d" i)
+        (Printf.sprintf "%S" (String.sub recorded i (String.length recorded - i)))
+        (Printf.sprintf "%S" (Buffer.sub live i (Buffer.length live - i)))
+  in
+  let windows () =
+    let w = t.win and r = cp.cp_win in
+    let rec frames k (rf : Windows.frame list) (lf : Windows.frame list) () =
+      match (rf, lf) with
+      | r :: rs, l :: ls ->
+        let name reg = Printf.sprintf "window %d %%%s" k reg in
+        first
+          [
+            regs (name "l") r.locals l.locals;
+            regs (name "i") r.ins l.ins;
+            regs (name "o") r.outs l.outs;
+            frames (k + 1) rs ls;
+          ]
+      | _ -> None
+    in
+    first
+      [
+        regs "%g" r.Windows.globals w.Windows.globals;
+        field "depth" string_of_int r.depth w.depth;
+        field "resident" string_of_int r.resident w.resident;
+        frames 0 r.frames w.frames;
+      ]
+  in
+  let memory () =
+    Option.bind (Memory.diff_view t.mem cp.cp_mem)
+      (fun (addr, recorded, live) ->
+        named
+          (Printf.sprintf "word 0x%x" addr)
+          (string_of_int recorded) (string_of_int live))
+  in
+  let hex = Printf.sprintf "0x%x" in
+  let halt = function None -> "running" | Some c -> string_of_int c in
+  first
+    [
+      field "pc" hex cp.cp_pc t.pc;
+      field "icc" string_of_int cp.cp_icc t.icc;
+      field "brk" hex cp.cp_brk t.brk;
+      field "halted" halt cp.cp_halted t.halted;
+      output;
+      windows;
+      memory;
+    ]
+
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
 let brk t = t.brk

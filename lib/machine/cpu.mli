@@ -134,13 +134,16 @@ val checkpoint_overhead_bytes : checkpoint -> int
 (** Fixed non-page cost of the checkpoint (cache tags, window frames,
     captured output, scalars); page bytes are the journal's to count. *)
 
-val state_digest : t -> string
-(** Hex digest of the architectural state: pc, flags, break, halt
-    status, output, register windows, and every nonzero memory page in
-    address order.  Execution counters and cache state are excluded
-    (compare {!stats} separately); all-zero pages are skipped so page
-    materialization cannot perturb it.  The replay determinism guard
-    compares this at the replay target against the original run. *)
+val diverges : t -> checkpoint -> (string * string) option
+(** The replay determinism guard: [None] when the live machine's
+    architectural state equals the checkpoint's — pc, flags, break,
+    halt status, output, register windows and every memory word — or
+    [Some (expected, actual)] naming the first component that differs,
+    e.g. [("word 0xf00000=0", "word 0xf00000=57005")].  Execution
+    counters and cache state are excluded (compare {!stats}
+    separately).  Memory pages still shared with the checkpoint compare
+    equal without a scan, and a page present on one side only reads as
+    zeros, so page materialization cannot perturb the verdict. *)
 
 type stats = {
   instrs : int;

@@ -102,6 +102,24 @@ val view_diff : view -> view -> int
     [prev] — with [prev] the preceding checkpoint, the number of pages
     this checkpoint actually captured (its O(dirty) cost). *)
 
+val view_unwritten : view -> view -> lo:int -> hi:int -> bool
+(** [view_unwritten prev next ~lo ~hi]: no store landed in byte range
+    [[lo, hi)] between two views taken in that order by one run (no
+    {!restore_cow} between them), even with other snapshots taken and
+    dropped in between.  Exact for writes through this module and the
+    interpreter's inlined store path: every page overlapping the range
+    is physically the same array, or absent, in both views.  A store
+    anywhere on such a page — even one that rewrites the same value —
+    makes it [false]. *)
+
+val diff_view : t -> view -> (int * int * int) option
+(** [diff_view t view]: the lowest word address at which live memory
+    and [view] hold different values, as [(addr, in_view, live)];
+    [None] when every word agrees.  A page missing on one side reads as
+    zeros, and pages physically shared with the view compare equal
+    without a scan: only pages written since the view was taken or
+    restored are compared word by word. *)
+
 val view_read_word : view -> int -> int
 (** Read a word out of a snapshot without restoring it.
     @raise Misaligned unless 4-byte aligned. *)

@@ -34,7 +34,6 @@ type t = {
   journal : Journal.t;
   telemetry : Telemetry.t;
   audit : Audit.t;
-  digests : bool;
   mutable seq : int;
   mutable end_insn : int;
   mutable exit_code : int option;
@@ -57,8 +56,7 @@ type t = {
 let off_telemetry () = Telemetry.create ~enabled:false ()
 let off_audit () = Audit.create ~enabled:(fun () -> false) ()
 
-let create ?telemetry ?audit ?budget_bytes ?(digests = true)
-    ?(checkpoint_every = 10_000) cpu =
+let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
   let telemetry =
     match telemetry with Some t -> t | None -> off_telemetry ()
   in
@@ -78,7 +76,6 @@ let create ?telemetry ?audit ?budget_bytes ?(digests = true)
       journal;
       telemetry;
       audit;
-      digests;
       seq = 0;
       end_insn = 0;
       exit_code = None;
@@ -132,7 +129,7 @@ let interval t = Journal.interval t.journal
 (* --- recording -------------------------------------------------------- *)
 
 let take_checkpoint t =
-  let snap = Snapshot.capture ~digest:t.digests ~seq:t.seq t.cpu in
+  let snap = Snapshot.capture ~seq:t.seq t.cpu in
   t.seq <- t.seq + 1;
   let d0 = Journal.captured_delta_pages t.journal in
   let s0 = Journal.captured_shared_pages t.journal in
@@ -215,8 +212,8 @@ let restore_to t snap ~target =
   Audit.replay t.audit ~kind:Audit.State_restored ~insn:(Snapshot.insn snap)
     ~detail:(Printf.sprintf "target=%d" target)
 
-(* Step to [insn]; if a retained checkpoint exists exactly there, check
-   the digest (the determinism guard). *)
+(* Step to [insn]; if a retained checkpoint exists exactly there,
+   compare the machine with it (the determinism guard). *)
 let exec_to ?(guard = true) t ~insn =
   let replayed = ref 0 in
   while Cpu.instr_count t.cpu < insn && Cpu.halted t.cpu = None do
@@ -231,14 +228,9 @@ let exec_to ?(guard = true) t ~insn =
          "Replay: re-execution diverged: halted at insn %d before target %d"
          (Cpu.instr_count t.cpu) insn);
   if guard then begin
-    match Journal.find t.journal ~insn with
-    | Some target_snap -> (
-      match Snapshot.digest target_snap with
-      | Some expected ->
-        let actual = Cpu.state_digest t.cpu in
-        if actual <> expected then
-          raise (Determinism_violation { insn; expected; actual })
-      | None -> ())
+    match Option.bind (Journal.find t.journal ~insn) (Snapshot.diverges t.cpu) with
+    | Some (expected, actual) ->
+      raise (Determinism_violation { insn; expected; actual })
     | None -> ()
   end;
   Audit.replay t.audit ~kind:Audit.Replay_finished ~insn
@@ -281,27 +273,38 @@ let disarm t = t.armed <- false
 
 let hits t = List.rev t.hits
 
+(* Re-execute to [insn] under the armed watch; an exception disarms it.
+   Hits accumulate in [t.hits]. *)
+let replay_armed ?guard t ~insn =
+  try ignore (exec_to ?guard t ~insn)
+  with e ->
+    disarm t;
+    raise e
+
+(* A window whose snapshots share every page of the range saw no store
+   to it ({!Memory.view_unwritten}): replaying it cannot produce a hit,
+   so the queries below skip it without restoring anything. *)
+let unwritten start stop ~lo ~hi =
+  Memory.view_unwritten (Snapshot.view start) (Snapshot.view stop) ~lo ~hi
+
 (* Scan checkpoint windows newest-first; the first window containing a
    hit holds the final write (Transition-Watchpoints search order).
    The machine is left at the recorded end state. *)
 let last_write ?guard t ~lo ~hi =
   if not t.recorded then invalid_arg "Replay.last_write: record the run first";
   let snaps = Array.of_list (Journal.snapshots t.journal) in
-  let n = Array.length snaps in
   let result = ref None in
-  let i = ref (n - 1) in
+  let i = ref (Array.length snaps - 1) in
   while !result = None && !i >= 1 do
-    let start = snaps.(!i - 1) in
-    let stop = Snapshot.insn snaps.(!i) in
-    restore_to t start ~target:stop;
-    arm t ~lo ~hi;
-    let fin () = disarm t in
-    (try ignore (exec_to ?guard t ~insn:stop)
-     with e ->
-       fin ();
-       raise e);
-    fin ();
-    (match t.hits with [] -> () | newest :: _ -> result := Some newest);
+    let start = snaps.(!i - 1) and stop = snaps.(!i) in
+    if not (unwritten start stop ~lo ~hi) then begin
+      let insn = Snapshot.insn stop in
+      restore_to t start ~target:insn;
+      arm t ~lo ~hi;
+      replay_armed ?guard t ~insn;
+      disarm t;
+      match t.hits with [] -> () | newest :: _ -> result := Some newest
+    end;
     decr i
   done;
   ignore (travel ?guard t ~insn:t.end_insn);
@@ -311,20 +314,34 @@ let last_write_word ?guard t ~addr =
   let lo = addr land lnot 3 in
   last_write ?guard t ~lo ~hi:(lo + 4)
 
-(* Full history: replay the whole run once with the watch armed. *)
+(* Full history: replay, oldest first, only the windows that wrote the
+   range.  Adjacent written windows form one segment — one restore, one
+   arm — and every window ends on a retained checkpoint, so the guard
+   checks each of them.  Skipped windows wrote nothing in the range, so
+   a segment's watch seeds the same old values the recorded run had. *)
 let write_history ?guard t ~lo ~hi =
   if not t.recorded then
     invalid_arg "Replay.write_history: record the run first";
-  match Journal.snapshots t.journal with
-  | [] -> []
-  | first :: _ ->
-    restore_to t first ~target:t.end_insn;
-    arm t ~lo ~hi;
-    (try ignore (exec_to ?guard t ~insn:t.end_insn)
-     with e ->
-       disarm t;
-       raise e);
-    disarm t;
-    let collected = hits t in
-    t.hits <- [];
-    collected
+  let collected = ref [] (* earlier segments' hits, newest first *) in
+  let at = ref (-1) (* where the current segment's replay stands *) in
+  let rec windows = function
+    | start :: (stop :: _ as rest) ->
+      if not (unwritten start stop ~lo ~hi) then begin
+        if !at <> Snapshot.insn start then begin
+          collected := t.hits @ !collected;
+          restore_to t start ~target:(Snapshot.insn stop);
+          arm t ~lo ~hi
+        end;
+        replay_armed ?guard t ~insn:(Snapshot.insn stop);
+        at := Snapshot.insn stop
+      end;
+      windows rest
+    | [ _ ] | [] -> ()
+  in
+  t.hits <- [];
+  windows (Journal.snapshots t.journal);
+  disarm t;
+  let history = List.rev (t.hits @ !collected) in
+  t.hits <- [];
+  ignore (travel ?guard t ~insn:t.end_insn);
+  history

@@ -11,9 +11,13 @@
     is byte-identical with or without a watch armed (Price's
     virtual-breakpoint invisibility property).  The determinism guard
     leans on this: whenever a re-execution lands on a retained
-    checkpoint, its {!Machine.Cpu.state_digest} must equal the digest
-    recorded during the original run, or {!Determinism_violation} is
-    raised. *)
+    checkpoint, the machine must equal that checkpoint in full
+    ({!Snapshot.diverges}), or {!Determinism_violation} is raised.
+
+    Queries replay only windows that can change their answer: a window
+    whose two bounding snapshots share every page of the watched range
+    ({!Machine.Memory.view_unwritten}) saw no store to it and is
+    skipped without restoring anything. *)
 
 type hit = {
   h_insn : int;  (** instruction count {e including} the store *)
@@ -29,8 +33,10 @@ exception Determinism_violation of {
   expected : string;
   actual : string;
 }
-(** Re-execution reached a checkpointed instruction count with a
-    different architectural digest than the original run. *)
+(** Re-execution reached a checkpointed instruction count in a
+    different architectural state than the original run.  [expected]
+    and [actual] name the first differing component, recorded vs
+    replayed — e.g. ["word 0xf00000=0"] vs ["word 0xf00000=57005"]. *)
 
 type t
 
@@ -38,7 +44,6 @@ val create :
   ?telemetry:Telemetry.t ->
   ?audit:Audit.t ->
   ?budget_bytes:int ->
-  ?digests:bool ->
   ?checkpoint_every:int ->
   Machine.Cpu.t ->
   t
@@ -46,8 +51,7 @@ val create :
     immediately (disarmed: one flag test per store until a query arms
     it).  [checkpoint_every] (default 10000) is the journal interval in
     executed instructions; [budget_bytes] enables exponential-thinning
-    eviction; [digests:false] skips per-checkpoint digests (cheaper
-    recording, no guard).  [telemetry]/[audit] receive checkpoint and
+    eviction.  [telemetry]/[audit] receive checkpoint and
     replay lifecycle counters/events, gated by their own flags
     (defaults: disabled instances). *)
 
@@ -89,7 +93,7 @@ val travel : ?guard:bool -> t -> insn:int -> int
     re-execute the gap.  Returns the number of re-executed
     instructions.  [guard] (default true) applies the determinism check
     when [insn] is itself a retained checkpoint.
-    @raise Determinism_violation on digest mismatch.
+    @raise Determinism_violation if the replayed state differs.
     @raise Invalid_argument if the run is unrecorded or [insn] is
     outside it. *)
 
@@ -103,7 +107,8 @@ val replay_from : ?guard:bool -> t -> Snapshot.t -> insn:int -> int
 val last_write : ?guard:bool -> t -> lo:int -> hi:int -> hit option
 (** The final store of the recorded run that landed in byte range
     [[lo, hi)]: scans checkpoint windows newest-first, replaying each
-    under an armed watch until one contains a hit.  Returns the exact
+    one that wrote the range's pages under an armed watch until one
+    contains a hit.  Returns the exact
     (instruction index, pc, old/new value) of that store, or [None] if
     the range was never written.  Leaves the machine at the recorded
     end state. *)
@@ -113,8 +118,9 @@ val last_write_word : ?guard:bool -> t -> addr:int -> hit option
 
 val write_history : ?guard:bool -> t -> lo:int -> hi:int -> hit list
 (** Every store of the recorded run landing in [[lo, hi)], in execution
-    order — one full replay from the first checkpoint.  Leaves the
-    machine at the recorded end state. *)
+    order.  Replays only the windows that wrote the range's pages, each
+    run of adjacent ones from a single restore, and guards every
+    replayed window.  Leaves the machine at the recorded end state. *)
 
 (** {1 Low-level watch control}
 

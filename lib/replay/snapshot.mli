@@ -4,9 +4,10 @@
     (O(1); pages are generation-tagged and shared between snapshots
     until a write separates them), register windows, cache tags and
     counters, patched text and output — with the metadata the journal
-    and the determinism guard need: the executed-instruction count at
-    capture (the journal key), a capture-order sequence number, and the
-    architectural {!Machine.Cpu.state_digest}.
+    needs: the executed-instruction count at capture (the journal key)
+    and a capture-order sequence number.  The determinism guard needs
+    nothing more: it compares a replay with the retained checkpoint
+    itself ({!diverges}), so capture hashes nothing.
 
     Because the MRS keeps all its visible state (segment bitmap,
     region table, enable word) in simulated memory, a snapshot captures
@@ -15,24 +16,25 @@
 
 type t
 
-val capture : ?digest:bool -> seq:int -> Machine.Cpu.t -> t
-(** Snapshot the machine now.  [digest] (default true) records the
-    architectural digest for the replay determinism guard; pass [false]
-    to skip the O(memory) hash when only rollback is needed.  [seq] is
-    the caller-assigned capture order (kept per replay instance so
-    parallel bench domains share no state). *)
+val capture : seq:int -> Machine.Cpu.t -> t
+(** Snapshot the machine now.  [seq] is the caller-assigned capture
+    order (kept per replay instance so parallel bench domains share no
+    state). *)
 
 val restore : Machine.Cpu.t -> t -> unit
 (** Exact rollback, including cache state — replay from here reproduces
     the original run's {!Machine.Cpu.stats} bit-for-bit. *)
+
+val diverges : Machine.Cpu.t -> t -> (string * string) option
+(** {!Machine.Cpu.diverges} against this snapshot: [None] when the live
+    machine's architectural state equals the captured one, else the
+    first differing component as [(expected, actual)]. *)
 
 val insn : t -> int
 (** Executed-instruction count at capture — the journal key. *)
 
 val seq : t -> int
 (** Global capture order (deterministic eviction tie-break). *)
-
-val digest : t -> string option
 
 val view : t -> Machine.Memory.view
 

@@ -293,7 +293,7 @@ let guarded sess f =
     emit sess
       (Proto.Error
          (Printf.sprintf
-            "replay diverged from the recorded run at insn %d (digest %s, \
+            "replay diverged from the recorded run at insn %d (%s, \
              expected %s)"
             insn actual expected))
   | Minic.Compile.Error e ->

@@ -3,20 +3,23 @@
    Three layers of evidence, mirroring the acceptance criteria:
 
    1. Units: COW page snapshots really share unwritten pages and
-      restore exactly; the journal's exponential-thinning eviction
-      keeps the endpoints and its byte accounting consistent.
+      restore exactly, [view_unwritten] is exact for every store path,
+      [Cpu.diverges] names each component; the journal's
+      exponential-thinning eviction keeps the endpoints and its byte
+      accounting consistent.
 
    2. The determinism guard: replaying every checkpoint-to-checkpoint
-      window of two real workloads (matrix300 and li) reproduces a
-      byte-identical architectural digest AND an identical [Cpu.stats]
-      record at the target — with and without a watch armed during the
+      window of two real workloads (matrix300 and li) reaches a state
+      equal to the checkpoint AND an identical [Cpu.stats] record at
+      the target — with and without a watch armed during the
       re-execution (Price's invisibility property), and the guard
-      *does* fire when a saboteur hook perturbs the replay.
+      *does* fire, naming what diverged, when a saboteur perturbs the
+      replay.
 
-   3. Retroactive queries: [last_write]/[write_history] answers are
-      checked against ground truth from a full-trace run — a second,
-      identically-instrumented session whose store hook records every
-      store to the target word as it happens. *)
+   3. Retroactive queries: [last_write]/[write_history] answers for
+      every global of four programs are checked against ground truth —
+      a store hook logging every store to the global as the recorded
+      run makes it. *)
 
 open Dbp
 
@@ -63,33 +66,200 @@ let test_cpu_checkpoint_exact () =
   let linked = Minic.Compile.compile_and_link src in
   let cpu = Machine.Cpu.create linked.Minic.Compile.image in
   Machine.Cpu.install_basic_services cpu;
-  (* Run halfway, checkpoint, note the digest/stats. *)
+  (* Run halfway, checkpoint, note the stats. *)
   for _ = 1 to 500 do
     Machine.Cpu.step cpu
   done;
   let cp = Machine.Cpu.checkpoint cpu in
-  let mid_digest = Machine.Cpu.state_digest cpu in
   let mid_stats = Machine.Cpu.stats cpu in
   (* Run to completion, then roll back: everything must be bit-exact,
      including the cache-model tags and hit/miss counters inside
      [Cpu.stats]. *)
   let code1 = Machine.Cpu.run cpu in
   let end_stats = Machine.Cpu.stats cpu in
+  check_bool "the run moved away from the checkpoint" true
+    (Machine.Cpu.diverges cpu cp <> None);
   Machine.Cpu.rollback cpu cp;
-  check_string "digest restored" mid_digest (Machine.Cpu.state_digest cpu);
+  check_bool "state restored" true (Machine.Cpu.diverges cpu cp = None);
   check_bool "stats restored exactly" true (Machine.Cpu.stats cpu = mid_stats);
   let code2 = Machine.Cpu.run cpu in
   check_int "same exit after rollback" code1 code2;
   check_bool "same end stats after rollback" true
     (Machine.Cpu.stats cpu = end_stats)
 
-(* --- units: journal + eviction ------------------------------------------------ *)
-
-let snap_cpu () =
-  let linked = Minic.Compile.compile_and_link "int main() { return 7; }" in
+let snap_cpu_of src =
+  let linked = Minic.Compile.compile_and_link src in
   let cpu = Machine.Cpu.create linked.Minic.Compile.image in
   Machine.Cpu.install_basic_services cpu;
   cpu
+
+let snap_cpu () = snap_cpu_of "int main() { return 7; }"
+
+(* [view_unwritten] is what lets queries skip windows, so it must be
+   exact for every way a store can reach memory: after any store the
+   written page differs between the views around it, and after loads
+   or reads alone it does not. *)
+let test_view_unwritten_memory () =
+  let open Machine in
+  let mem = Memory.create () in
+  let p = 0x40_0000 and q = 0x80_0000 in
+  Memory.write_word mem p 1;
+  Memory.write_word mem q 1;
+  let unwritten v0 v1 = Memory.view_unwritten v0 v1 ~lo:p ~hi:(p + 16) in
+  let around name ~written f =
+    let v0 = Memory.snapshot_cow mem in
+    f ();
+    check_bool name (not written) (unwritten v0 (Memory.snapshot_cow mem))
+  in
+  around "write_word" ~written:true (fun () -> Memory.write_word mem p 2);
+  around "write_byte" ~written:true (fun () -> Memory.write_byte mem (p + 5) 7);
+  around "write_half" ~written:true (fun () -> Memory.write_half mem (p + 10) 9);
+  around "same value rewritten" ~written:true (fun () ->
+      Memory.write_word mem p (Memory.read_word mem p));
+  around "reads only" ~written:false (fun () ->
+      ignore (Memory.read_word mem p);
+      ignore (Memory.read_byte mem (p + 5));
+      ignore (Memory.read_half mem (p + 10)));
+  around "write to another page" ~written:false (fun () ->
+      Memory.write_word mem q 3);
+  (* The slot cache holds [p]'s page after this write; the write after
+     the snapshot would go through it if the snapshot did not drop it. *)
+  Memory.write_word mem p 4;
+  around "write through the slot cache" ~written:true (fun () ->
+      Memory.write_word mem (p + 4) 5);
+  (* Range past a page boundary: the second page counts too. *)
+  let v0 = Memory.snapshot_cow mem in
+  Memory.write_word mem (p + Memory.page_bytes) 6;
+  check_bool "range spanning two pages" false
+    (Memory.view_unwritten v0 (Memory.snapshot_cow mem) ~lo:(p + 8)
+       ~hi:(p + Memory.page_bytes + 4));
+  (* Materializing a page counts as a write; absent on both sides does
+     not. *)
+  let r = 0xC0_0000 in
+  let v0 = Memory.snapshot_cow mem in
+  check_bool "never materialized" true
+    (Memory.view_unwritten v0 (Memory.snapshot_cow mem) ~lo:r ~hi:(r + 4));
+  Memory.write_word mem r 0;
+  check_bool "materialized by a zero store" false
+    (Memory.view_unwritten v0 (Memory.snapshot_cow mem) ~lo:r ~hi:(r + 4));
+  (* Just after a restore, the restored pages are shared with the view
+     they came from: a read leaves them shared, a write copies. *)
+  Memory.restore_cow mem v0;
+  ignore (Memory.read_word mem p);
+  check_bool "read after restore" true (unwritten v0 (Memory.snapshot_cow mem));
+  Memory.restore_cow mem v0;
+  Memory.write_word mem p 8;
+  check_bool "write after restore" false
+    (unwritten v0 (Memory.snapshot_cow mem))
+
+let test_view_unwritten_cpu () =
+  let open Sparc in
+  let items =
+    [ Asm.Set_label { label = "x"; offset = 0; rd = Reg.l 1 } ]
+    @ Asm.insns
+        [
+          Asm.mov (Insn.Imm 7) (Reg.l 0);
+          Asm.mov (Insn.Imm 9) (Reg.l 2);
+          Asm.mov (Insn.Imm 11) (Reg.l 3);
+          Asm.st (Reg.l 0) (Reg.l 1) (Insn.Imm 0);
+          Asm.st (Reg.l 0) (Reg.l 1) (Insn.Imm 4);
+          Asm.st ~width:Insn.Double (Reg.l 2) (Reg.l 1) (Insn.Imm 8);
+          Asm.st ~width:Insn.Byte (Reg.l 0) (Reg.l 1) (Insn.Imm 17);
+          Asm.st ~width:Insn.Half (Reg.l 0) (Reg.l 1) (Insn.Imm 18);
+          Asm.ld (Reg.l 1) (Insn.Imm 0) (Reg.l 4);
+          Asm.ld ~width:Insn.Double (Reg.l 1) (Insn.Imm 8) (Reg.l 6);
+          Asm.ld ~width:Insn.Byte (Reg.l 1) (Insn.Imm 17) (Reg.l 5);
+          Asm.mov (Insn.Imm 0) (Reg.o 0);
+          Asm.trap 0;
+        ]
+  in
+  let prog =
+    { Asm.text = Asm.Label "main" :: items;
+      data = [ { Asm.name = "x"; size = 24; init = [] } ];
+      entry = "main" }
+  in
+  let image = Assembler.assemble prog in
+  let cpu = Machine.Cpu.create image in
+  Machine.Cpu.install_basic_services cpu;
+  let x = Option.get (Assembler.addr_of_label image "x") in
+  let view = Machine.Cpu.checkpoint_view in
+  let unwritten cp0 cp1 =
+    Machine.Memory.view_unwritten (view cp0) (view cp1) ~lo:x ~hi:(x + 24)
+  in
+  (* Set_label (sethi + or) and the three moves. *)
+  for _ = 1 to 5 do
+    Machine.Cpu.step cpu
+  done;
+  let first_store = Machine.Cpu.checkpoint cpu in
+  (* One checkpoint on each side of every instruction; the second [st]
+     would write through the slot cache its predecessor filled if the
+     checkpoint between them did not drop it. *)
+  List.iter
+    (fun (name, written) ->
+      let cp0 = Machine.Cpu.checkpoint cpu in
+      Machine.Cpu.step cpu;
+      check_bool name (not written) (unwritten cp0 (Machine.Cpu.checkpoint cpu)))
+    [
+      ("st", true);
+      ("st after st (slot cache)", true);
+      ("std", true);
+      ("stb", true);
+      ("sth", true);
+      ("ld", false);
+      ("ldd", false);
+      ("ldub", false);
+    ];
+  (* Just after a rollback: a load leaves the restored pages shared, a
+     store copies them. *)
+  Machine.Cpu.rollback cpu first_store;
+  (* Skip the five stores. *)
+  Machine.Cpu.set_pc cpu (Machine.Cpu.pc cpu + (5 * 4));
+  Machine.Cpu.step cpu;
+  check_bool "ld after rollback" true
+    (unwritten first_store (Machine.Cpu.checkpoint cpu));
+  Machine.Cpu.rollback cpu first_store;
+  Machine.Cpu.step cpu;
+  check_bool "st after rollback" false
+    (unwritten first_store (Machine.Cpu.checkpoint cpu))
+
+(* [Cpu.diverges] names the first component that differs from the
+   checkpoint, recorded value first. *)
+let test_diverges_names_component () =
+  let open Machine in
+  let cpu = snap_cpu_of "int g; int main() { g = 4; return g; }" in
+  Cpu.step cpu;
+  let cp = Cpu.checkpoint cpu in
+  check_bool "equal to its own checkpoint" true (Cpu.diverges cpu cp = None);
+  let names label perturb expected actual =
+    Cpu.rollback cpu cp;
+    perturb ();
+    match Cpu.diverges cpu cp with
+    | Some (e, a) ->
+      check_string (label ^ " expected") expected e;
+      check_string (label ^ " actual") actual a
+    | None -> Alcotest.failf "%s: no divergence reported" label
+  in
+  let pc = Cpu.pc cpu and brk = Cpu.brk cpu in
+  names "pc" (fun () -> Cpu.set_pc cpu (pc + 4))
+    (Printf.sprintf "pc=0x%x" pc)
+    (Printf.sprintf "pc=0x%x" (pc + 4));
+  names "brk" (fun () -> ignore (Cpu.sbrk cpu 8))
+    (Printf.sprintf "brk=0x%x" brk)
+    (Printf.sprintf "brk=0x%x" (brk + 8));
+  names "halted" (fun () -> Cpu.halt cpu 3) "halted=running" "halted=3";
+  names "output" (fun () -> Cpu.print_string cpu "hi") "output@0=\"\""
+    "output@0=\"hi\"";
+  names "global register" (fun () -> Cpu.set cpu (Sparc.Reg.g 5) 77) "%g5=0"
+    "%g5=77";
+  names "window register"
+    (fun () -> Cpu.set cpu (Sparc.Reg.l 3) 5)
+    "window 0 %l3=0" "window 0 %l3=5";
+  names "memory word"
+    (fun () -> Memory.write_word (Cpu.mem cpu) 0xF0_0004 (-1))
+    "word 0xf00004=0" "word 0xf00004=-1"
+
+(* --- units: journal + eviction ------------------------------------------------ *)
+
 
 let test_journal_basics () =
   let cpu = snap_cpu () in
@@ -191,11 +361,11 @@ let record_session ?checkpoint_budget ~interval (w : Workloads.Workload.t) =
   let r = Option.get (Session.replay session) in
   (session, r)
 
-(* Replay every checkpoint-to-checkpoint window under the digest guard
-   and compare the architectural stats at each target with the stats
-   the recorder saw — once bare, and once with an (invisible) watch
-   armed over the whole data space.  [Cpu.stats] equality is strictly
-   stronger than the digest: it includes the cache-model tags'
+(* Replay every checkpoint-to-checkpoint window under the determinism
+   guard and compare the architectural stats at each target with the
+   stats the recorder saw — once bare, and once with an (invisible)
+   watch armed over the whole data space.  [Cpu.stats] equality adds
+   what the guard leaves out: the counters and the cache model's
    hit/miss history. *)
 let check_all_windows (session : Session.t) r ~watch =
   let cpu = session.Session.cpu in
@@ -219,8 +389,8 @@ let check_all_windows (session : Session.t) r ~watch =
       (Printf.sprintf "window %d replays its full gap" i)
       (target - Snapshot.insn snaps.(i - 1))
       replayed;
-    (* The guard inside [replay_from] has already compared digests;
-       stats equality is the stronger architectural check. *)
+    (* The guard inside [replay_from] has already compared the state
+       with the checkpoint; stats add counters and cache history. *)
     check_bool
       (Printf.sprintf "stats identical at checkpoint %d (watch=%b)" i watch)
       true
@@ -237,9 +407,19 @@ let test_determinism_li () =
   check_all_windows session r ~watch:false;
   check_all_windows session r ~watch:true
 
+(* Replay the first window under a saboteur: the guard must fire at
+   the window's checkpoint.  Returns what it named, recorded first. *)
+let violation r snaps =
+  match Replay.replay_from r snaps.(0) ~insn:(Snapshot.insn snaps.(1)) with
+  | _ -> Alcotest.fail "guard did not fire on a perturbed replay"
+  | exception Replay.Determinism_violation { insn; expected; actual } ->
+    check_int "violation at the window's checkpoint" (Snapshot.insn snaps.(1))
+      insn;
+    (expected, actual)
+
 let test_guard_fires_on_divergence () =
   (* A saboteur store hook perturbs simulated memory during replay
-     only: the digest at the target checkpoint can no longer match. *)
+     only: the state at the target checkpoint can no longer match. *)
   let session, r = record_session ~interval:10_000 (workload "030.matrix300") in
   let cpu = session.Session.cpu in
   let sabotage = ref false in
@@ -248,117 +428,183 @@ let test_guard_fires_on_divergence () =
         Machine.Memory.write_word (Machine.Cpu.mem cpu) 0xF0_0000 0xDEAD);
   let snaps = Array.of_list (Journal.snapshots (Replay.journal r)) in
   sabotage := true;
-  (match Replay.replay_from r snaps.(0) ~insn:(Snapshot.insn snaps.(1)) with
-  | _ -> Alcotest.fail "guard did not fire on a perturbed replay"
-  | exception Replay.Determinism_violation { insn; expected; actual } ->
-    check_int "violation at the window's checkpoint" (Snapshot.insn snaps.(1))
-      insn;
-    check_bool "digests differ" true (expected <> actual));
+  let expected, actual = violation r snaps in
+  check_string "recorded word named" "word 0xf00000=0" expected;
+  check_string "replayed word named" "word 0xf00000=57005" actual;
   sabotage := false;
   (* ...and with the saboteur off the same window replays clean. *)
   ignore (Replay.replay_from r snaps.(0) ~insn:(Snapshot.insn snaps.(1)))
 
+(* Saboteurs for the other components: a sampler firing on the
+   window's last replayed instruction perturbs a register or the output
+   buffer, where nothing later in the window can undo it. *)
+let test_guard_fires_on_registers_and_output () =
+  let session, r = record_session ~interval:10_000 (workload "030.matrix300") in
+  let cpu = session.Session.cpu in
+  let snaps = Array.of_list (Journal.snapshots (Replay.journal r)) in
+  let target = Snapshot.insn snaps.(1) in
+  let sabotage ~names perturb =
+    Machine.Cpu.sample_install cpu ~every:1 ~hook:(fun insn ->
+        if insn = target then perturb ());
+    let expected, actual = violation r snaps in
+    Machine.Cpu.sample_set_enabled cpu false;
+    List.iter
+      (fun s ->
+        check_bool (Printf.sprintf "%S names %s" s names) true
+          (String.starts_with ~prefix:names s))
+      [ expected; actual ];
+    check_bool "recorded and replayed differ" true (expected <> actual)
+  in
+  sabotage ~names:"%g5=" (fun () ->
+      Machine.Cpu.set cpu (Sparc.Reg.g 5) (Machine.Cpu.get cpu (Sparc.Reg.g 5) + 1));
+  sabotage ~names:"window 0 %l0=" (fun () ->
+      Machine.Cpu.set cpu (Sparc.Reg.l 0) (Machine.Cpu.get cpu (Sparc.Reg.l 0) + 1));
+  sabotage ~names:"output@" (fun () ->
+      Machine.Cpu.print_string cpu "!");
+  ignore (Replay.replay_from r snaps.(0) ~insn:target)
+
 (* --- retroactive queries vs full-trace ground truth --------------------------- *)
 
-type gt_hit = { g_insn : int; g_pc : int; g_old : int; g_new : int }
+type gt_hit = { g_insn : int; g_pc : int; g_addr : int; g_old : int; g_new : int }
 
-(* Ground truth: run the identical instrumented program in a second
-   session whose store hook records every store overlapping the target
-   word as it happens — the full-trace answer replay must reproduce. *)
-let ground_truth_writes (w : Workloads.Workload.t) ~var =
+let gt_of_hit (h : Replay.hit) =
+  { g_insn = h.h_insn; g_pc = h.h_pc; g_addr = h.h_addr; g_old = h.h_old;
+    g_new = h.h_new }
+
+let show_hit = function
+  | None -> "none"
+  | Some g ->
+    Printf.sprintf "insn %d pc 0x%x word 0x%x %d -> %d" g.g_insn g.g_pc g.g_addr
+      g.g_old g.g_new
+
+let check_hit label expected got =
+  if expected <> got then
+    Alcotest.failf "%s: expected %s, got %s" label (show_hit expected)
+      (show_hit got)
+
+let check_hits label expected got =
+  check_int (label ^ " length") (List.length expected) (List.length got);
+  List.iteri
+    (fun i (e, g) -> check_hit (Printf.sprintf "%s #%d" label i) (Some e) (Some g))
+    (List.combine expected got)
+
+let last_of l = List.fold_left (fun _ x -> Some x) None l
+
+(* Record [w] with [var] watched through the debugger — so loop
+   pre-headers patch checks in and out exactly as a `dbreak --watch`
+   run does — while a second store hook logs every store to [var]'s
+   footprint as it happens: the full-trace answer replay must
+   reproduce.  The log stops with the recorded run.  Then check
+   [last_write] over the footprint and over its first word, and the
+   whole [write_history], against that log. *)
+let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
+    ~interval (wname, var) =
+  let w = workload wname in
   let options =
     { Instrument.default_options with
       strategy = Strategy.Bitmap_inline_registers;
+      opt;
       fortran_idiom = Workloads.Workload.fortran_idiom w }
   in
-  let session = Session.create ~options w.Workloads.Workload.source in
-  Mrs.enable session.Session.mrs;
-  let addr =
+  let session =
+    Session.create ~options ~checkpoint_every:interval ?checkpoint_budget
+      w.Workloads.Workload.source
+  in
+  ignore (Debugger.watch (Debugger.create session) var);
+  let lo =
     match Session.resolve_addr session var with
     | Some a -> a
     | None -> Alcotest.failf "no global %s in %s" var w.name
   in
-  let word = addr land lnot 3 in
-  let cpu = session.Session.cpu in
-  let shadow = ref (Machine.Memory.read_word (Machine.Cpu.mem cpu) word) in
-  let hits = ref [] in
-  Machine.Cpu.set_store_hook cpu (fun cpu ~addr:a ~width ->
-      let last = a + Sparc.Insn.width_bytes width in
-      if word + 4 > a land lnot 3 && word < last then begin
-        let nv = Machine.Memory.read_word (Machine.Cpu.mem cpu) word in
-        hits :=
-          {
-            g_insn = Machine.Cpu.instr_count cpu;
-            g_pc = Machine.Cpu.pc cpu;
-            g_old = !shadow;
-            g_new = nv;
-          }
-          :: !hits;
-        shadow := nv
-      end);
-  ignore (Session.run session);
-  (addr, List.rev !hits)
-
-let check_queries_against_ground_truth ~interval (wname, var) =
-  let w = workload wname in
-  let truth_addr, truth = ground_truth_writes w ~var in
-  check_bool (var ^ " is written at least once") true (truth <> []);
-  let session, r = record_session ~interval w in
-  let addr =
-    match Session.resolve_addr session var with
-    | Some a -> a
-    | None -> Alcotest.failf "no global %s" var
+  let hi =
+    lo + Sparc.Symtab.size_bytes
+           (Option.get (Sparc.Symtab.lookup session.Session.symtab var))
   in
-  check_int "same address in both sessions" truth_addr addr;
-  (* last_write: the exact (insn, pc, old, new) of the final store. *)
-  (match Session.last_write session ~addr with
-  | None -> Alcotest.failf "last_write found nothing for %s" var
+  let cpu = session.Session.cpu in
+  let read a = Machine.Memory.read_word (Machine.Cpu.mem cpu) a in
+  let shadow = Hashtbl.create 64 in
+  for i = 0 to ((hi - lo) / 4) - 1 do
+    Hashtbl.replace shadow (lo + (4 * i)) (read (lo + (4 * i)))
+  done;
+  let logging = ref true and log = ref [] in
+  Machine.Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
+      if !logging then begin
+        let word = ref (addr land lnot 3) in
+        while !word < addr + Sparc.Insn.width_bytes width do
+          if !word >= lo && !word < hi then begin
+            let nv = read !word in
+            log :=
+              { g_insn = Machine.Cpu.instr_count cpu; g_pc = Machine.Cpu.pc cpu;
+                g_addr = !word; g_old = Hashtbl.find shadow !word; g_new = nv }
+              :: !log;
+            Hashtbl.replace shadow !word nv
+          end;
+          word := !word + 4
+        done
+      end);
+  let code, _ = Session.run session in
+  logging := false;
+  (match w.expected_exit with
+  | Some e -> check_int (w.name ^ " exit") e code
+  | None -> ());
+  let truth = List.rev !log in
+  let r = Option.get (Session.replay session) in
+  if checkpoint_budget <> None then
+    check_bool "eviction happened" true
+      (Journal.evictions (Replay.journal r) > 0);
+  let label = Printf.sprintf "%s %s" w.name var in
+  check_hit (label ^ " last write") (last_of truth)
+    (Option.map gt_of_hit (Replay.last_write r ~lo ~hi));
+  (match Session.last_write session ~addr:lo with
+  | None -> check_hit (label ^ " first-word last write") None None
   | Some { Session.wr_hit = h; wr_write_type } ->
-    let final = List.nth truth (List.length truth - 1) in
-    check_int "final write insn" final.g_insn h.Replay.h_insn;
-    check_int "final write pc" final.g_pc h.Replay.h_pc;
-    check_int "final write old value" final.g_old h.Replay.h_old;
-    check_int "final write new value" final.g_new h.Replay.h_new;
+    check_hit (label ^ " first-word last write")
+      (last_of (List.filter (fun g -> g.g_addr = lo) truth))
+      (Some (gt_of_hit h));
     check_bool "write site classified" true (wr_write_type <> None));
-  (* write_history: every store to the word, in execution order. *)
-  let word = addr land lnot 3 in
-  let history = Session.write_history session ~lo:word ~hi:(word + 4) in
-  check_int (var ^ " history length") (List.length truth) (List.length history);
-  List.iter2
-    (fun g { Session.wr_hit = h; _ } ->
-      check_int "history insn" g.g_insn h.Replay.h_insn;
-      check_int "history pc" g.g_pc h.Replay.h_pc;
-      check_int "history old" g.g_old h.Replay.h_old;
-      check_int "history new" g.g_new h.Replay.h_new)
-    truth history;
+  check_hits (label ^ " history") truth
+    (List.map
+       (fun { Session.wr_hit = h; _ } -> gt_of_hit h)
+       (Session.write_history session ~lo ~hi));
   (* Queries end back at the recorded end state. *)
   check_int "machine at recorded end" (Replay.end_insn r)
-    (Machine.Cpu.instr_count session.Session.cpu)
+    (Machine.Cpu.instr_count cpu);
+  truth
 
 let test_last_write_matrix300 () =
-  check_queries_against_ground_truth ~interval:25_000 ("030.matrix300", "c")
+  let truth =
+    check_queries_against_ground_truth ~interval:25_000 ("030.matrix300", "c")
+  in
+  check_bool "c is written" true (truth <> [])
 
 let test_last_write_li () =
-  check_queries_against_ground_truth ~interval:50_000 ("022.li", "mark_count")
+  let truth =
+    check_queries_against_ground_truth ~interval:50_000 ("022.li", "mark_count")
+  in
+  check_bool "mark_count is written" true (truth <> [])
 
 let test_queries_survive_eviction () =
   (* With a byte budget forcing eviction, windows get wider but the
      answers must not change. *)
-  let w = workload "030.matrix300" in
-  let _, truth = ground_truth_writes w ~var:"c" in
-  let session, r =
-    record_session ~interval:5_000 ~checkpoint_budget:200_000 w
+  ignore
+    (check_queries_against_ground_truth ~interval:5_000
+       ~checkpoint_budget:200_000 ("030.matrix300", "c"))
+
+(* Every global of the program, each in its own watched recording.  At
+   O_full the watch makes loop pre-headers patch checks in during the
+   run, which a replay must reproduce from the restored text. *)
+let every_global ?checkpoint_budget ?(interval = 10_000) ~opt wname () =
+  let globals =
+    Sparc.Symtab.globals
+      (Session.create (workload wname).Workloads.Workload.source).Session.symtab
   in
-  check_bool "eviction happened" true
-    (Journal.evictions (Replay.journal r) > 0);
-  let addr = Option.get (Session.resolve_addr session "c") in
-  match Session.last_write session ~addr with
-  | None -> Alcotest.fail "last_write found nothing after eviction"
-  | Some { Session.wr_hit = h; _ } ->
-    let final = List.nth truth (List.length truth - 1) in
-    check_int "insn unchanged by eviction" final.g_insn h.Replay.h_insn;
-    check_int "pc unchanged by eviction" final.g_pc h.Replay.h_pc;
-    check_int "value unchanged by eviction" final.g_new h.Replay.h_new
+  check_bool "has globals" true (globals <> []);
+  List.iter
+    (fun (g : Sparc.Symtab.entry) ->
+      ignore
+        (check_queries_against_ground_truth ?checkpoint_budget ~opt ~interval
+           (wname, g.name)))
+    globals
 
 (* --- session plumbing --------------------------------------------------------- *)
 
@@ -439,6 +685,12 @@ let suites =
           test_memory_cow_sharing;
         Alcotest.test_case "cpu checkpoint is bit-exact" `Quick
           test_cpu_checkpoint_exact;
+        Alcotest.test_case "view_unwritten: memory write paths" `Quick
+          test_view_unwritten_memory;
+        Alcotest.test_case "view_unwritten: cpu stores and loads" `Quick
+          test_view_unwritten_cpu;
+        Alcotest.test_case "diverges names each component" `Quick
+          test_diverges_names_component;
       ] );
     ( "replay.journal",
       [
@@ -453,6 +705,8 @@ let suites =
           test_determinism_li;
         Alcotest.test_case "guard fires on divergence" `Quick
           test_guard_fires_on_divergence;
+        Alcotest.test_case "guard fires on registers and output" `Quick
+          test_guard_fires_on_registers_and_output;
       ] );
     ( "replay.queries",
       [
@@ -462,6 +716,25 @@ let suites =
           test_last_write_li;
         Alcotest.test_case "answers survive eviction" `Quick
           test_queries_survive_eviction;
+        Alcotest.test_case "matrix300 every global, O_symbol" `Quick
+          (every_global ~opt:Instrument.O_symbol "030.matrix300");
+        Alcotest.test_case "li every global, O_symbol" `Quick
+          (every_global ~opt:Instrument.O_symbol "022.li");
+        Alcotest.test_case "tomcatv every global, O_symbol" `Quick
+          (every_global ~opt:Instrument.O_symbol "047.tomcatv");
+        Alcotest.test_case "nasker every global, O_symbol" `Quick
+          (every_global ~opt:Instrument.O_symbol "020.nasker");
+        Alcotest.test_case "matrix300 every global, O_full" `Quick
+          (every_global ~opt:Instrument.O_full "030.matrix300");
+        Alcotest.test_case "li every global, O_full" `Quick
+          (every_global ~opt:Instrument.O_full "022.li");
+        Alcotest.test_case "tomcatv every global, O_full" `Quick
+          (every_global ~opt:Instrument.O_full "047.tomcatv");
+        Alcotest.test_case "nasker every global, O_full" `Quick
+          (every_global ~opt:Instrument.O_full "020.nasker");
+        Alcotest.test_case "matrix300 every global, O_full, thinned" `Quick
+          (every_global ~interval:5_000 ~checkpoint_budget:200_000
+             ~opt:Instrument.O_full "030.matrix300");
       ] );
     ( "replay.session",
       [
