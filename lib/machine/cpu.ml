@@ -993,19 +993,10 @@ let diverges t cp =
     in
     go 0
   in
-  let output () =
-    let live = t.out and recorded = cp.cp_out in
-    let n = min (Buffer.length live) (String.length recorded) in
-    let rec go i =
-      if i < n && Buffer.nth live i = recorded.[i] then go (i + 1) else i
-    in
-    let i = go 0 in
-    if i = n && Buffer.length live = String.length recorded then None
-    else
-      named
-        (Printf.sprintf "output@%d" i)
-        (Printf.sprintf "%S" (String.sub recorded i (String.length recorded - i)))
-        (Printf.sprintf "%S" (Buffer.sub live i (Buffer.length live - i)))
+  (* Output is named by its length and last bytes. *)
+  let tail s =
+    let n = String.length s in
+    Printf.sprintf "%d bytes ending %S" n (String.sub s (max 0 (n - 16)) (min n 16))
   in
   let windows () =
     let w = t.win and r = cp.cp_win in
@@ -1045,7 +1036,7 @@ let diverges t cp =
       field "icc" string_of_int cp.cp_icc t.icc;
       field "brk" hex cp.cp_brk t.brk;
       field "halted" halt cp.cp_halted t.halted;
-      output;
+      field "output" tail cp.cp_out (Buffer.contents t.out);
       windows;
       memory;
     ]

@@ -315,33 +315,29 @@ let last_write_word ?guard t ~addr =
   last_write ?guard t ~lo ~hi:(lo + 4)
 
 (* Full history: replay, oldest first, only the windows that wrote the
-   range.  Adjacent written windows form one segment — one restore, one
-   arm — and every window ends on a retained checkpoint, so the guard
-   checks each of them.  Skipped windows wrote nothing in the range, so
-   a segment's watch seeds the same old values the recorded run had. *)
+   range, each from its own checkpoint.  Every window ends on a retained
+   checkpoint, so the guard checks each of them; a skipped window left
+   the range unchanged, so arming at a window's start seeds the same old
+   values the recorded run had there. *)
 let write_history ?guard t ~lo ~hi =
   if not t.recorded then
     invalid_arg "Replay.write_history: record the run first";
-  let collected = ref [] (* earlier segments' hits, newest first *) in
-  let at = ref (-1) (* where the current segment's replay stands *) in
-  let rec windows = function
-    | start :: (stop :: _ as rest) ->
-      if not (unwritten start stop ~lo ~hi) then begin
-        if !at <> Snapshot.insn start then begin
-          collected := t.hits @ !collected;
-          restore_to t start ~target:(Snapshot.insn stop);
-          arm t ~lo ~hi
-        end;
-        replay_armed ?guard t ~insn:(Snapshot.insn stop);
-        at := Snapshot.insn stop
-      end;
-      windows rest
-    | [ _ ] | [] -> ()
+  let snaps = Array.of_list (Journal.snapshots t.journal) in
+  let history =
+    List.concat_map
+      (fun i ->
+        let start = snaps.(i - 1) and stop = snaps.(i) in
+        if unwritten start stop ~lo ~hi then []
+        else begin
+          let insn = Snapshot.insn stop in
+          restore_to t start ~target:insn;
+          arm t ~lo ~hi;
+          replay_armed ?guard t ~insn;
+          hits t
+        end)
+      (List.init (max 0 (Array.length snaps - 1)) succ)
   in
-  t.hits <- [];
-  windows (Journal.snapshots t.journal);
   disarm t;
-  let history = List.rev (t.hits @ !collected) in
   t.hits <- [];
   ignore (travel ?guard t ~insn:t.end_insn);
   history

@@ -119,8 +119,7 @@ val last_write_word : ?guard:bool -> t -> addr:int -> hit option
 val write_history : ?guard:bool -> t -> lo:int -> hi:int -> hit list
 (** Every store of the recorded run landing in [[lo, hi)], in execution
     order.  Replays only the windows that wrote the range's pages, each
-    run of adjacent ones from a single restore, and guards every
-    replayed window.  Leaves the machine at the recorded end state. *)
+    from its own checkpoint, and guards every replayed window.  Leaves the machine at the recorded end state. *)
 
 (** {1 Low-level watch control}
 

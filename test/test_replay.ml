@@ -18,8 +18,8 @@
 
    3. Retroactive queries: [last_write]/[write_history] answers for
       every global of four programs are checked against ground truth —
-      a store hook logging every store to the global as the recorded
-      run makes it. *)
+      a store hook logging every store to the global in a second,
+      unrecorded run of the same session. *)
 
 open Dbp
 
@@ -247,8 +247,8 @@ let test_diverges_names_component () =
     (Printf.sprintf "brk=0x%x" brk)
     (Printf.sprintf "brk=0x%x" (brk + 8));
   names "halted" (fun () -> Cpu.halt cpu 3) "halted=running" "halted=3";
-  names "output" (fun () -> Cpu.print_string cpu "hi") "output@0=\"\""
-    "output@0=\"hi\"";
+  names "output" (fun () -> Cpu.print_string cpu "hi")
+    "output=0 bytes ending \"\"" "output=2 bytes ending \"hi\"";
   names "global register" (fun () -> Cpu.set cpu (Sparc.Reg.g 5) 77) "%g5=0"
     "%g5=77";
   names "window register"
@@ -459,7 +459,7 @@ let test_guard_fires_on_registers_and_output () =
       Machine.Cpu.set cpu (Sparc.Reg.g 5) (Machine.Cpu.get cpu (Sparc.Reg.g 5) + 1));
   sabotage ~names:"window 0 %l0=" (fun () ->
       Machine.Cpu.set cpu (Sparc.Reg.l 0) (Machine.Cpu.get cpu (Sparc.Reg.l 0) + 1));
-  sabotage ~names:"output@" (fun () ->
+  sabotage ~names:"output=" (fun () ->
       Machine.Cpu.print_string cpu "!");
   ignore (Replay.replay_from r snaps.(0) ~insn:target)
 
@@ -490,16 +490,11 @@ let check_hits label expected got =
 
 let last_of l = List.fold_left (fun _ x -> Some x) None l
 
-(* Record [w] with [var] watched through the debugger — so loop
+(* [w] at [opt] with [var] watched through the debugger — so loop
    pre-headers patch checks in and out exactly as a `dbreak --watch`
-   run does — while a second store hook logs every store to [var]'s
-   footprint as it happens: the full-trace answer replay must
-   reproduce.  The log stops with the recorded run.  Then check
-   [last_write] over the footprint and over its first word, and the
-   whole [write_history], against that log. *)
-let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
-    ~interval (wname, var) =
-  let w = workload wname in
+   run does — and [var]'s footprint [[lo, hi)].  Not yet run. *)
+let watched_session ?checkpoint_every ?checkpoint_budget ~opt
+    (w : Workloads.Workload.t) var =
   let options =
     { Instrument.default_options with
       strategy = Strategy.Bitmap_inline_registers;
@@ -507,7 +502,7 @@ let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
       fortran_idiom = Workloads.Workload.fortran_idiom w }
   in
   let session =
-    Session.create ~options ~checkpoint_every:interval ?checkpoint_budget
+    Session.create ~options ?checkpoint_every ?checkpoint_budget
       w.Workloads.Workload.source
   in
   ignore (Debugger.watch (Debugger.create session) var);
@@ -520,34 +515,51 @@ let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
     lo + Sparc.Symtab.size_bytes
            (Option.get (Sparc.Symtab.lookup session.Session.symtab var))
   in
-  let cpu = session.Session.cpu in
+  (session, lo, hi)
+
+let run_to_exit session (w : Workloads.Workload.t) =
+  let code, _ = Session.run session in
+  match w.expected_exit with
+  | Some e -> check_int (w.name ^ " exit") e code
+  | None -> ()
+
+(* The full-trace answer, independent of recording: a second session
+   with the same options and watch but no journal logs every store to
+   [var]'s footprint as it happens.  Then record [w] the same way and
+   check [last_write] over the footprint and over its first word, and
+   the whole [write_history], against that log — which also checks
+   that recording leaves the program's write trace unchanged. *)
+let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
+    ~interval (wname, var) =
+  let w = workload wname in
+  let plain, lo, hi = watched_session ~opt w var in
+  let cpu = plain.Session.cpu in
   let read a = Machine.Memory.read_word (Machine.Cpu.mem cpu) a in
   let shadow = Hashtbl.create 64 in
   for i = 0 to ((hi - lo) / 4) - 1 do
     Hashtbl.replace shadow (lo + (4 * i)) (read (lo + (4 * i)))
   done;
-  let logging = ref true and log = ref [] in
+  let log = ref [] in
   Machine.Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
-      if !logging then begin
-        let word = ref (addr land lnot 3) in
-        while !word < addr + Sparc.Insn.width_bytes width do
-          if !word >= lo && !word < hi then begin
-            let nv = read !word in
-            log :=
-              { g_insn = Machine.Cpu.instr_count cpu; g_pc = Machine.Cpu.pc cpu;
-                g_addr = !word; g_old = Hashtbl.find shadow !word; g_new = nv }
-              :: !log;
-            Hashtbl.replace shadow !word nv
-          end;
-          word := !word + 4
-        done
-      end);
-  let code, _ = Session.run session in
-  logging := false;
-  (match w.expected_exit with
-  | Some e -> check_int (w.name ^ " exit") e code
-  | None -> ());
+      let word = ref (addr land lnot 3) in
+      while !word < addr + Sparc.Insn.width_bytes width do
+        if !word >= lo && !word < hi then begin
+          let nv = read !word in
+          log :=
+            { g_insn = Machine.Cpu.instr_count cpu; g_pc = Machine.Cpu.pc cpu;
+              g_addr = !word; g_old = Hashtbl.find shadow !word; g_new = nv }
+            :: !log;
+          Hashtbl.replace shadow !word nv
+        end;
+        word := !word + 4
+      done);
+  run_to_exit plain w;
   let truth = List.rev !log in
+  let session, _, _ =
+    watched_session ~checkpoint_every:interval ?checkpoint_budget ~opt w var
+  in
+  run_to_exit session w;
+  let cpu = session.Session.cpu in
   let r = Option.get (Session.replay session) in
   if checkpoint_budget <> None then
     check_bool "eviction happened" true
