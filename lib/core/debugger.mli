@@ -71,3 +71,6 @@ val violations : t -> (string * string option) list
 val set_on_event : t -> (event -> unit) -> unit
 
 val function_of_pc : Session.t -> int -> string option
+(** The function a pc belongs to: the greatest function label at or
+    below it, except that a pc inside an eliminated site's patch stub
+    belongs to the site's function. *)

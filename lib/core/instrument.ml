@@ -46,6 +46,7 @@ type status =
 type site = {
   origin : int;
   slot : int;  (* dense index into the telemetry per-site arrays *)
+  fn : string;  (* the instrumented function holding the store *)
   width : Insn.width;
   write_type : Write_type.t;
   status : status;
@@ -188,12 +189,12 @@ let run ?audit ?trace (options : options) (out : Minic.Codegen.output) : t =
             match c with
             | Loopopt.Inv { expr; origin; level; _ } ->
               Audit.loop_invariant a ~origin ~loop_id:p.loop_id
-                ~bexpr:(Fmt.str "%a" Ir.Bounds.pp_bexpr expr)
+                ~bexpr:(Ir.Bounds.bexpr_to_string expr)
                 ~level:(Ir.Bounds.level_name level)
             | Loopopt.Rng { lo; hi; origin; lo_level; hi_level; _ } ->
               Audit.loop_range a ~origin ~loop_id:p.loop_id
-                ~lo:(Fmt.str "%a" Ir.Bounds.pp_bexpr lo)
-                ~hi:(Fmt.str "%a" Ir.Bounds.pp_bexpr hi)
+                ~lo:(Ir.Bounds.bexpr_to_string lo)
+                ~hi:(Ir.Bounds.bexpr_to_string hi)
                 ~levels:
                   (Ir.Bounds.level_name lo_level ^ "/"
                   ^ Ir.Bounds.level_name hi_level))
@@ -218,39 +219,48 @@ let run ?audit ?trace (options : options) (out : Minic.Codegen.output) : t =
     (fun (p : Loopopt.loop_plan) ->
       List.iter (fun o -> Hashtbl.replace loop_eliminated o p.loop_id) p.eliminated)
     loop_plans;
-  let in_instrumented =
+  (* The instrumented function holding an item, if any. *)
+  let fn_of =
     let ranges =
       List.map
         (fun (s : Ir.Lift.slice) ->
           match s.items with
           | (first, _) :: _ ->
             let last = List.fold_left (fun _ (k, _) -> k) first s.items in
-            (first, last)
-          | [] -> (0, -1))
+            (s.Ir.Lift.fname, first, last)
+          | [] -> (s.Ir.Lift.fname, 0, -1))
         slices
     in
-    fun idx -> List.exists (fun (a, b) -> idx >= a && idx <= b) ranges
+    fun idx ->
+      List.find_map
+        (fun (f, a, b) -> if idx >= a && idx <= b then Some f else None)
+        ranges
   in
+  let in_instrumented idx = fn_of idx <> None in
   let sites = ref [] in
   span "plan" (fun () ->
       Array.iteri
         (fun idx item ->
           match item with
-          | Asm.Insn (Insn.St { width; _ } as st) when in_instrumented idx ->
-            let write_type =
-              Write_type.classify ~fortran_idiom:options.fortran_idiom items idx
-            in
-            let status =
-              match Hashtbl.find_opt sym_eliminated idx with
-              | Some pseudo -> Sym_eliminated pseudo
-              | None -> (
-                match Hashtbl.find_opt loop_eliminated idx with
-                | Some id -> Loop_eliminated id
-                | None -> Checked)
-            in
-            sites :=
-              { origin = idx; slot = 0; width; write_type; status; insn = st }
-              :: !sites
+          | Asm.Insn (Insn.St { width; _ } as st) -> (
+            match fn_of idx with
+            | None -> ()
+            | Some fn ->
+              let write_type =
+                Write_type.classify ~fortran_idiom:options.fortran_idiom items idx
+              in
+              let status =
+                match Hashtbl.find_opt sym_eliminated idx with
+                | Some pseudo -> Sym_eliminated pseudo
+                | None -> (
+                  match Hashtbl.find_opt loop_eliminated idx with
+                  | Some id -> Loop_eliminated id
+                  | None -> Checked)
+              in
+              sites :=
+                { origin = idx; slot = 0; fn; width; write_type; status;
+                  insn = st }
+                :: !sites)
           | _ -> ())
         items);
   (* Slots are dense indices in program order: the telemetry layer sizes
@@ -262,27 +272,9 @@ let run ?audit ?trace (options : options) (out : Minic.Codegen.output) : t =
      decisions the optimizers recorded by origin. *)
   (match audit with
   | Some a ->
-    let fn_of =
-      let ranges =
-        List.map
-          (fun (s : Ir.Lift.slice) ->
-            match s.items with
-            | (first, _) :: _ ->
-              let last = List.fold_left (fun _ (k, _) -> k) first s.items in
-              (s.Ir.Lift.fname, first, last)
-            | [] -> (s.Ir.Lift.fname, 0, -1))
-          slices
-      in
-      fun idx ->
-        match
-          List.find_opt (fun (_, a, b) -> idx >= a && idx <= b) ranges
-        with
-        | Some (f, _, _) -> f
-        | None -> "?"
-    in
     List.iter
       (fun s ->
-        Audit.record_site a ~slot:s.slot ~origin:s.origin ~fn:(fn_of s.origin)
+        Audit.record_site a ~slot:s.slot ~origin:s.origin ~fn:s.fn
           ~write_type:(Write_type.to_string s.write_type))
       sites
   | None -> ());

@@ -53,6 +53,9 @@ type site = {
   slot : int;
       (** dense program-order index — the telemetry layer's per-site
           array slot, assigned at instrument time *)
+  fn : string;
+      (** the instrumented function holding the store (the audit
+          journal's [fn]; also owns the site's patch stub) *)
   width : Sparc.Insn.width;
   write_type : Write_type.t;
   status : status;

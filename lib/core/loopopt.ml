@@ -19,15 +19,21 @@ type check =
     }
 
 (* The canonical debug rendering of a planned pre-header check — the
-   same pretty-printers back the audit journal and `dbreak --explain`. *)
-let pp_check ppf = function
+   same string backs the audit journal, the verifier's details and
+   `dbreak --explain`. *)
+let check_to_string = function
   | Inv { expr; origin; level; _ } ->
-    Fmt.pf ppf "inv@%d(%a@%a)" origin Ir.Bounds.pp_bexpr expr
-      Ir.Bounds.pp_level level
+    Printf.sprintf "inv@%d(%s@%s)" origin
+      (Ir.Bounds.bexpr_to_string expr)
+      (Ir.Bounds.level_name level)
   | Rng { lo; hi; origin; lo_level; hi_level; _ } ->
-    Fmt.pf ppf "rng@%d(%a@%a, %a@%a)" origin Ir.Bounds.pp_bexpr lo
-      Ir.Bounds.pp_level lo_level Ir.Bounds.pp_bexpr hi Ir.Bounds.pp_level
-      hi_level
+    Printf.sprintf "rng@%d(%s@%s, %s@%s)" origin
+      (Ir.Bounds.bexpr_to_string lo)
+      (Ir.Bounds.level_name lo_level)
+      (Ir.Bounds.bexpr_to_string hi)
+      (Ir.Bounds.level_name hi_level)
+
+let pp_check ppf c = Fmt.string ppf (check_to_string c)
 
 type loop_plan = {
   loop_id : int;
@@ -187,13 +193,6 @@ let analyze ~next_loop_id ?trace (input : fn_input) : loop_plan list * stats =
                       (Ir.Cfg.block cfg b).body)
                   loop.body
               in
-              let lattice =
-                List.map
-                  (fun (v, b) ->
-                    ( Fmt.str "%a" Ir.Ssa.pp_var v,
-                      Fmt.str "%a" Ir.Bounds.pp_bounds b ))
-                  (Ir.Bounds.env_bindings env)
-              in
               Some
                 {
                   loop_id = id;
@@ -204,7 +203,7 @@ let analyze ~next_loop_id ?trace (input : fn_input) : loop_plan list * stats =
                   alias_pseudos = List.sort_uniq compare alias;
                   exit_items;
                   contains_ret;
-                  lattice;
+                  lattice = Ir.Bounds.env_bindings env;
                 }
             end
           end

@@ -25,9 +25,14 @@ type check =
       hi_level : Ir.Bounds.level;
     }  (** a monotonic/bounded address: one range check per entry *)
 
+val check_to_string : check -> string
+(** Canonical debug rendering, e.g. [inv@12(&a+4@Lc)] or
+    [rng@12(lo@Lm, hi@La)] (via {!Ir.Bounds.bexpr_to_string} /
+    {!Ir.Bounds.level_name}), shared with the audit journal and the
+    verifier's obligation details. *)
+
 val pp_check : Format.formatter -> check -> unit
-(** Canonical debug rendering (via {!Ir.Bounds.pp_bexpr} /
-    {!Ir.Bounds.pp_level}), shared with the audit journal. *)
+(** Prints {!check_to_string}. *)
 
 val pseudos_of_bexpr : Ir.Bounds.bexpr -> string list
 (** The symbol-table pseudo homes a bound expression reads — the
@@ -48,8 +53,9 @@ type loop_plan = {
   contains_ret : bool;
   lattice : (string * string) list;
       (** the Figure-4 fixpoint: rendered SSA variable → rendered
-          bounds ({!Ir.Bounds.pp_bounds}), deterministically ordered —
-          the provenance the audit journal records per loop *)
+          bounds, as {!Ir.Bounds.env_bindings} lists it (each binding
+          rendered once, sorted by variable name) — the provenance the
+          audit journal records per loop *)
 }
 
 type stats = {

@@ -30,12 +30,41 @@ type t = {
       (* extra per-sample callback (scrape-server polling) *)
   observers_live : bool ref;
       (* heatmap recording gate; lowered around replay re-execution *)
+  stub_functions : (int * int * string) list Lazy.t;
+      (* (first pc, closing [ba] pc, site function) per patch stub *)
 }
 
 let site_kind_of_status = function
   | Instrument.Checked -> Telemetry.site_kind_checked
   | Instrument.Sym_eliminated _ -> Telemetry.site_kind_sym
   | Instrument.Loop_eliminated _ -> Telemetry.site_kind_loop
+
+(* Patch stubs sit after every function, so a label search would name
+   the last function for them; each stub instead belongs to its site's
+   function, from its label through its closing [ba] back to the site. *)
+let stub_functions image (plan : Instrument.t) =
+  let text = image.Assembler.text in
+  List.filter_map
+    (fun (s : Instrument.site) ->
+      match
+        ( Assembler.addr_of_label image (Instrument.patch_label s.origin),
+          Assembler.addr_of_label image (Instrument.back_label s.origin) )
+      with
+      | Some first, Some back ->
+        let rec close k =
+          if k >= Array.length text then None
+          else
+            match text.(k) with
+            | Insn.Branch { cond = Cond.A; target = Insn.Abs a } when a = back
+              ->
+              Some (image.Assembler.text_base + (4 * k))
+            | _ -> close (k + 1)
+        in
+        Option.map
+          (fun last -> (first, last, s.Instrument.fn))
+          (close ((first - image.Assembler.text_base) / 4))
+      | _ -> None)
+    plan.Instrument.sites
 
 let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false)
     ?telemetry ?audit ?trace ?checkpoint_every ?checkpoint_budget
@@ -323,6 +352,7 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
     heatmap;
     on_sample;
     observers_live;
+    stub_functions = lazy (stub_functions image plan);
   }
 
 let site_executions t origin =

@@ -29,6 +29,10 @@ type t = {
       (** extra per-sample callback — see {!set_on_sample} *)
   observers_live : bool ref;
       (** heatmap recording gate, lowered around replay re-execution *)
+  stub_functions : (int * int * string) list Lazy.t;
+      (** per patch stub: its first pc, the pc of its closing [ba] back
+          to the site, and the function holding the site — the stubs
+          are laid out after every function body *)
 }
 
 val create :

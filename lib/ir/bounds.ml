@@ -439,7 +439,10 @@ let propagate (ssa : Ssa.t) (loop : Loops.loop) : env * group list =
       let merged =
         { lo = max_bound current.lo computed.lo; hi = max_bound current.hi computed.hi }
       in
-      if not (bounds_equal current merged) then begin
+      (* [max_bound] returns its current argument unless the candidate
+         is strictly more useful, so physical inequality is exactly
+         "the bound changed" — no normalization needed. *)
+      if not (merged.lo == current.lo && merged.hi == current.hi) then begin
         VarTbl.replace env dst merged;
         List.iter
           (fun u -> Queue.add u work)
@@ -513,26 +516,69 @@ let dispositions (ssa : Ssa.t) (loop : Loops.loop) (env : env) : store_decision 
     ssa.blocks;
   List.rev !out
 
-let rec pp_bexpr ppf = function
-  | Bconst c -> Fmt.int ppf c
-  | Blab (l, 0) -> Fmt.pf ppf "&%s" l
-  | Blab (l, o) -> Fmt.pf ppf "&%s%+d" l o
-  | Bvar v -> Ssa.pp_var ppf v
-  | Badd (a, b) -> Fmt.pf ppf "(%a + %a)" pp_bexpr a pp_bexpr b
-  | Bsub (a, b) -> Fmt.pf ppf "(%a - %a)" pp_bexpr a pp_bexpr b
-  | Bmul (a, c) -> Fmt.pf ppf "(%a * %d)" pp_bexpr a c
-  | Bshl (a, c) -> Fmt.pf ppf "(%a << %d)" pp_bexpr a c
-
 let level_name = function La -> "La" | Lm -> "Lm" | Lli -> "Lli" | Lc -> "Lc"
 
 let pp_level ppf l = Fmt.string ppf (level_name l)
 
-let pp_bound ppf = function
-  | Unbounded -> Fmt.string ppf "⊥"
-  | Bound { level; expr } -> Fmt.pf ppf "%a@%a" pp_bexpr expr pp_level level
+(* One Buffer-based renderer per type; the [pp_*] printers print the
+   same strings, so the audit journal, [--explain] and the verifier's
+   details cannot drift apart. *)
+let rec add_bexpr buf = function
+  | Bconst c -> Buffer.add_string buf (string_of_int c)
+  | Blab (l, o) ->
+    Buffer.add_char buf '&';
+    Buffer.add_string buf l;
+    if o > 0 then Buffer.add_char buf '+';
+    if o <> 0 then Buffer.add_string buf (string_of_int o)
+  | Bvar v -> Buffer.add_string buf (Ssa.var_to_string v)
+  | Badd (a, b) -> add_infix buf a " + " b
+  | Bsub (a, b) -> add_infix buf a " - " b
+  | Bmul (a, c) -> add_scaled buf a " * " c
+  | Bshl (a, c) -> add_scaled buf a " << " c
 
-let pp_bounds ppf { lo; hi } =
-  Fmt.pf ppf "[%a, %a]" pp_bound lo pp_bound hi
+and add_infix buf a op b =
+  Buffer.add_char buf '(';
+  add_bexpr buf a;
+  Buffer.add_string buf op;
+  add_bexpr buf b;
+  Buffer.add_char buf ')'
+
+and add_scaled buf a op c =
+  Buffer.add_char buf '(';
+  add_bexpr buf a;
+  Buffer.add_string buf op;
+  Buffer.add_string buf (string_of_int c);
+  Buffer.add_char buf ')'
+
+let add_bound buf = function
+  | Unbounded -> Buffer.add_string buf "⊥"
+  | Bound { level; expr } ->
+    add_bexpr buf expr;
+    Buffer.add_char buf '@';
+    Buffer.add_string buf (level_name level)
+
+let render add x =
+  let buf = Buffer.create 32 in
+  add buf x;
+  Buffer.contents buf
+
+let bexpr_to_string = render add_bexpr
+
+let bound_to_string = render add_bound
+
+let bounds_to_string =
+  render (fun buf { lo; hi } ->
+      Buffer.add_char buf '[';
+      add_bound buf lo;
+      Buffer.add_string buf ", ";
+      add_bound buf hi;
+      Buffer.add_char buf ']')
+
+let pp_bexpr ppf e = Fmt.string ppf (bexpr_to_string e)
+
+let pp_bound ppf b = Fmt.string ppf (bound_to_string b)
+
+let pp_bounds ppf b = Fmt.string ppf (bounds_to_string b)
 
 let pp_disposition ppf = function
   | Keep -> Fmt.string ppf "keep"
@@ -544,11 +590,12 @@ let pp_disposition ppf = function
 
 (* Deterministic listing of an env's fixpoint: sorted by the rendered
    variable name so the audit journal and [--explain] output do not
-   depend on hash-table iteration order. *)
-let env_bindings (env : env) : (Ssa.var * bounds) list =
-  VarTbl.fold (fun v b acc -> (v, b) :: acc) env []
-  |> List.sort (fun ((a : Ssa.var), _) ((b : Ssa.var), _) ->
-         let render (v : Ssa.var) = Fmt.str "%a" Ssa.pp_var v in
-         match String.compare (render a) (render b) with
+   depend on hash-table iteration order.  Each name is rendered once,
+   before the sort, and each binding's bounds once, after it. *)
+let env_bindings (env : env) : (string * string) list =
+  VarTbl.fold (fun v b acc -> (Ssa.var_to_string v, v, b) :: acc) env []
+  |> List.sort (fun (ra, (a : Ssa.var), _) (rb, (b : Ssa.var), _) ->
+         match String.compare ra rb with
          | 0 -> compare a.version b.version
          | c -> c)
+  |> List.map (fun (name, _, b) -> (name, bounds_to_string b))

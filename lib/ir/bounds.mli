@@ -38,6 +38,10 @@ val normalize : bexpr -> bexpr
     expressions denote the same Word-valued function of their atoms
     iff their normal forms are structurally equal. *)
 
+val struct_equal : bexpr -> bexpr -> bool
+(** Structural equality.  Because {!normalize} is idempotent, this is
+    exact semantic equality on expressions already in normal form. *)
+
 val bexpr_equal : bexpr -> bexpr -> bool
 (** Structural fast path, falling back to comparing {!normalize}d
     forms — i.e. semantic equality of the linear combinations. *)
@@ -87,27 +91,37 @@ val dispositions : Ssa.t -> Loops.loop -> env -> store_decision list
 
 val evaluable : Ssa.t -> Loops.loop -> bexpr -> bool
 
-(** {2 Pretty-printers}
+(** {2 Renderings}
 
     Canonical renderings shared by the loop optimizer's debug strings,
-    the audit journal and [dbreak --explain]. *)
+    the audit journal and [dbreak --explain].  Each type has one
+    Buffer-based [*_to_string]; its [pp_*] prints the same string. *)
 
 val level_name : level -> string
 (** ["La"] / ["Lm"] / ["Lli"] / ["Lc"]. *)
 
 val pp_level : Format.formatter -> level -> unit
 
+val bexpr_to_string : bexpr -> string
+(** Fully parenthesized infix, e.g. [((%o0.1 * 4) + &a+8)]. *)
+
 val pp_bexpr : Format.formatter -> bexpr -> unit
 
-val pp_bound : Format.formatter -> bound -> unit
+val bound_to_string : bound -> string
 (** [expr@level], or [⊥] for [Unbounded]. *)
 
+val pp_bound : Format.formatter -> bound -> unit
+
+val bounds_to_string : bounds -> string
+(** [[lo, hi]] via {!bound_to_string}. *)
+
 val pp_bounds : Format.formatter -> bounds -> unit
-(** [[lo, hi]] via {!pp_bound}. *)
 
 val pp_disposition : Format.formatter -> disposition -> unit
 
-val env_bindings : env -> (Ssa.var * bounds) list
-(** The fixpoint environment as a deterministically ordered listing
-    (sorted by rendered variable name, then version) — hash-order
-    independent, for the audit journal's lattice section. *)
+val env_bindings : env -> (string * string) list
+(** The fixpoint environment as rendered [(variable, bounds)] pairs
+    ({!Ssa.var_to_string}, {!bounds_to_string}), sorted by rendered
+    variable name, then version — hash-order independent, for the
+    audit journal's lattice section.  Each variable and each binding's
+    bounds is rendered exactly once. *)

@@ -70,6 +70,18 @@ let rhs_of_tac rename = function
     Load { base = operand_of_tac rename base; off = operand_of_tac rename off; width }
   | Tac.Callret -> Callret
 
+(* The renaming stacks are keyed on names; a monomorphic table avoids
+   the polymorphic hash and compare on every lookup. *)
+module NameTbl = Hashtbl.Make (struct
+  type t = Tac.name
+
+  let equal = Tac.name_equal
+
+  let hash = function
+    | Tac.Machine r -> Sparc.Reg.index r
+    | Tac.Pseudo s -> Hashtbl.hash s
+end)
+
 let construct ?(extra_call_defs = []) (cfg : Cfg.t) (dom : Dominance.t) : t =
   let n = Cfg.n_blocks cfg in
   let reachable = Cfg.reachable cfg in
@@ -119,23 +131,23 @@ let construct ?(extra_call_defs = []) (cfg : Cfg.t) (dom : Dominance.t) : t =
     !def_blocks;
   (* 3. renaming. *)
   let blocks = Array.init n (fun _ -> { phis = []; body = [] }) in
-  let counters : (Tac.name, int) Hashtbl.t = Hashtbl.create 64 in
-  let stacks : (Tac.name, var list) Hashtbl.t = Hashtbl.create 64 in
+  let counters : int NameTbl.t = NameTbl.create 64 in
+  let stacks : var list NameTbl.t = NameTbl.create 64 in
   let top name =
-    match Hashtbl.find_opt stacks name with
+    match NameTbl.find_opt stacks name with
     | Some (v :: _) -> v
     | Some [] | None -> { name; version = 0 }
   in
   let fresh name =
-    let c = Option.value ~default:0 (Hashtbl.find_opt counters name) + 1 in
-    Hashtbl.replace counters name c;
+    let c = Option.value ~default:0 (NameTbl.find_opt counters name) + 1 in
+    NameTbl.replace counters name c;
     let v = { name; version = c } in
-    Hashtbl.replace stacks name (v :: Option.value ~default:[] (Hashtbl.find_opt stacks name));
+    NameTbl.replace stacks name (v :: Option.value ~default:[] (NameTbl.find_opt stacks name));
     v
   in
   let pop name =
-    match Hashtbl.find_opt stacks name with
-    | Some (_ :: rest) -> Hashtbl.replace stacks name rest
+    match NameTbl.find_opt stacks name with
+    | Some (_ :: rest) -> NameTbl.replace stacks name rest
     | Some [] | None -> ()
   in
   let defs_table : (var, def_site) Hashtbl.t = Hashtbl.create 256 in
@@ -286,7 +298,15 @@ let iter_instrs t f =
       List.iter (fun i -> f id (`Instr i)) b.body)
     t.blocks
 
-let pp_var ppf v = Fmt.pf ppf "%a.%d" Tac.pp_name v.name v.version
+let var_to_string v =
+  let name =
+    match v.name with
+    | Tac.Machine r -> Sparc.Reg.to_string r
+    | Tac.Pseudo s -> "$" ^ s
+  in
+  name ^ "." ^ string_of_int v.version
+
+let pp_var ppf v = Fmt.string ppf (var_to_string v)
 
 let pp_operand ppf = function
   | Ovar v -> pp_var ppf v

@@ -68,5 +68,9 @@ val instr_defs : instr -> var list
 
 val iter_instrs : t -> (int -> [ `Phi of phi | `Instr of instr ] -> unit) -> unit
 
+val var_to_string : var -> string
+(** [name.version], e.g. [%o0.3] or [$main.i.2] — the one rendering of
+    a variable; {!pp_var} prints the same string. *)
+
 val pp_var : Format.formatter -> var -> unit
 val pp_operand : Format.formatter -> operand -> unit

@@ -104,11 +104,14 @@ let rec bdepth = function
 
 let cand_cap = 24
 
+(* Every candidate list [var_cands] returns comes out of [tidy], so it
+   is in normal form; [normalize] is idempotent, so [B.struct_equal] is
+   exact semantic equality between candidates. *)
 let tidy cands =
   let rec dedup acc = function
     | [] -> List.rev acc
     | e :: rest ->
-      if List.exists (fun e' -> B.bexpr_equal e e') acc then dedup acc rest
+      if List.exists (fun e' -> B.struct_equal e e') acc then dedup acc rest
       else dedup (e :: acc) rest
   in
   let kept =
@@ -219,7 +222,7 @@ and phi_cands st visiting mode b (phi : S.phi) =
             List.for_all
               (fun (_, a) ->
                 List.exists
-                  (fun e' -> B.bexpr_equal e e')
+                  (fun e' -> B.struct_equal e e')
                   (var_cands st visiting Exact a))
               rest)
           (var_cands st visiting Exact v0)
@@ -235,7 +238,7 @@ and phi_cands st visiting mode b (phi : S.phi) =
           List.for_all
             (fun (_, a) ->
               List.exists
-                (fun e' -> B.bexpr_equal e e')
+                (fun e' -> B.struct_equal e e')
                 (var_cands st visiting mode a))
             rest)
         (var_cands st visiting mode a0)
@@ -418,7 +421,7 @@ let check_origin = function
   | L.Inv { origin; _ } | L.Rng { origin; _ } -> origin
 
 let verify_check st (p : L.loop_plan) (chk : L.check) : obligation =
-  let detail = Fmt.str "%a" L.pp_check chk in
+  let detail = L.check_to_string chk in
   let origin = check_origin chk in
   let verdict =
     match find_store st origin with
@@ -828,29 +831,29 @@ let addr_taken_raw instrs =
 
 type home = Hlocal of int | Hglobal of string * int | Hnone
 
-(* Walk the raw TAC with the same register-holds discipline the §4.2
-   matcher used, classifying the address of the store at [origin]. *)
-let store_home (instrs : T.instr list) origin : (home * Insn.width) option =
+(* Walk the raw TAC once with the same register-holds discipline the
+   §4.2 matcher used, classifying the address of every store by its
+   origin; the first store at an origin wins. *)
+let store_homes (instrs : T.instr list) : (int, home * Insn.width) Hashtbl.t =
+  let homes = Hashtbl.create 64 in
   let holds : (Reg.t, string * int) Hashtbl.t = Hashtbl.create 8 in
-  let result = ref None in
   List.iter
     (fun ins ->
-      (match ins with
-      | T.Store { base; off; width; origin = o; _ }
-        when o = origin && !result = None ->
-        let h =
-          match (base, off) with
-          | T.Name (T.Machine r), T.Imm c when Reg.equal r Reg.fp -> Hlocal c
-          | T.Name (T.Machine r), T.Imm c -> (
-            match Hashtbl.find_opt holds r with
-            | Some (l, b) -> Hglobal (l, b + c)
-            | None -> Hnone)
-          | T.Lab (l, b), T.Imm c -> Hglobal (l, b + c)
-          | _ -> Hnone
-        in
-        result := Some (h, width)
-      | _ -> ());
       match ins with
+      | T.Store { base; off; width; origin; _ } ->
+        if not (Hashtbl.mem homes origin) then begin
+          let h =
+            match (base, off) with
+            | T.Name (T.Machine r), T.Imm c when Reg.equal r Reg.fp -> Hlocal c
+            | T.Name (T.Machine r), T.Imm c -> (
+              match Hashtbl.find_opt holds r with
+              | Some (l, b) -> Hglobal (l, b + c)
+              | None -> Hnone)
+            | T.Lab (l, b), T.Imm c -> Hglobal (l, b + c)
+            | _ -> Hnone
+          in
+          Hashtbl.add homes origin (h, width)
+        end
       | T.Label _ | T.Branch _ | T.Jump _ | T.Ret _ | T.Call _ | T.Effect _ ->
         Hashtbl.reset holds
       | T.Def { dst; rhs; _ } -> (
@@ -864,16 +867,16 @@ let store_home (instrs : T.instr list) origin : (home * Insn.width) option =
           | Some lo -> Hashtbl.replace holds r lo
           | None -> ())
         | _ -> ())
-      | _ -> ())
+      | T.Assert _ -> ())
     instrs;
-  !result
+  homes
 
 let scalar_or_pointer (e : Symtab.entry) =
   match e.Symtab.ctype with
   | Symtab.Scalar | Symtab.Pointer -> true
   | Symtab.Array _ | Symtab.Struct _ -> false
 
-let verify_sym_site symtab ~fname ~addr_taken ~escaped ~premonitored ~raw
+let verify_sym_site symtab ~fname ~addr_taken ~escaped ~premonitored ~home
     (s : I.site) claimed : obligation =
   let local_verdict off (e : Symtab.entry) =
     let covers o =
@@ -931,7 +934,7 @@ let verify_sym_site symtab ~fname ~addr_taken ~escaped ~premonitored ~raw
       else Proved
   in
   let verdict =
-    match store_home raw s.I.origin with
+    match home with
     | None ->
       Refuted
         (Printf.sprintf "no store at origin %d in the raw slice of %s"
@@ -1278,7 +1281,7 @@ let verify_audit (inst : I.t) (r : Audit.report) =
           match plan_check id s.I.origin with
           | Some (L.Inv { expr; level = lv; _ }) ->
             if
-              bexpr = Fmt.str "%a" B.pp_bexpr expr
+              bexpr = B.bexpr_to_string expr
               && level = B.level_name lv
             then None
             else
@@ -1287,7 +1290,7 @@ let verify_audit (inst : I.t) (r : Audit.report) =
                    "origin %d: journal records inv %s@%s but the plan checks \
                     %s@%s"
                    s.I.origin bexpr level
-                   (Fmt.str "%a" B.pp_bexpr expr)
+                   (B.bexpr_to_string expr)
                    (B.level_name lv))
           | _ ->
             Some
@@ -1304,8 +1307,8 @@ let verify_audit (inst : I.t) (r : Audit.report) =
           match plan_check id s.I.origin with
           | Some (L.Rng { lo = plo; hi = phi; lo_level; hi_level; _ }) ->
             if
-              lo = Fmt.str "%a" B.pp_bexpr plo
-              && hi = Fmt.str "%a" B.pp_bexpr phi
+              lo = B.bexpr_to_string plo
+              && hi = B.bexpr_to_string phi
               && levels
                  = B.level_name lo_level ^ "/" ^ B.level_name hi_level
             then None
@@ -1315,8 +1318,8 @@ let verify_audit (inst : I.t) (r : Audit.report) =
                    "origin %d: journal records range [%s, %s]@%s but the plan \
                     checks [%s, %s]@%s/%s"
                    s.I.origin lo hi levels
-                   (Fmt.str "%a" B.pp_bexpr plo)
-                   (Fmt.str "%a" B.pp_bexpr phi)
+                   (B.bexpr_to_string plo)
+                   (B.bexpr_to_string phi)
                    (B.level_name lo_level) (B.level_name hi_level))
           | _ ->
             Some
@@ -1351,11 +1354,17 @@ let verify_audit (inst : I.t) (r : Audit.report) =
 
 (* --- the verifier -------------------------------------------------------- *)
 
-let fn_of_origin (inst : I.t) origin =
-  List.find_opt
+(* Origin -> owning function; the first slice holding an item wins. *)
+let fn_by_origin (inst : I.t) : (int, L.fn_input) Hashtbl.t =
+  let tbl = Hashtbl.create 256 in
+  List.iter
     (fun (fi : L.fn_input) ->
-      List.exists (fun (idx, _) -> idx = origin) fi.L.items)
-    inst.I.fn_inputs
+      List.iter
+        (fun (idx, _) ->
+          if not (Hashtbl.mem tbl idx) then Hashtbl.add tbl idx fi)
+        fi.L.items)
+    inst.I.fn_inputs;
+  tbl
 
 let run ?audit ?(tags = []) (inst : I.t) : report =
   let ctx_cache : (string, (ctx, string) result) Hashtbl.t =
@@ -1386,7 +1395,7 @@ let run ?audit ?(tags = []) (inst : I.t) : report =
             (fun chk ->
               mk ~origin:(check_origin chk) ~loop:p.L.loop_id
                 (match chk with L.Inv _ -> "inv" | L.Rng _ -> "rng")
-                (Fmt.str "%a" L.pp_check chk)
+                (L.check_to_string chk)
                 (Unknown m))
             p.L.checks
         in
@@ -1420,11 +1429,25 @@ let run ?audit ?(tags = []) (inst : I.t) : report =
                 | Error _ -> None)
               inst.I.fn_inputs))
     in
+    let fn_of = lazy (fn_by_origin inst) in
+    (* per function: address-taken frame offsets and store homes, each
+       from one walk of its raw TAC *)
+    let tables : (string, int list * (int, home * Insn.width) Hashtbl.t) Hashtbl.t =
+      Hashtbl.create 8
+    in
+    let tables_of (c : ctx) =
+      match Hashtbl.find_opt tables c.fi.L.fname with
+      | Some t -> t
+      | None ->
+        let t = (addr_taken_raw c.raw, store_homes c.raw) in
+        Hashtbl.replace tables c.fi.L.fname t;
+        t
+    in
     List.filter_map
       (fun (s : I.site) ->
         match s.I.status with
         | I.Sym_eliminated claimed -> (
-          match fn_of_origin inst s.I.origin with
+          match Hashtbl.find_opt (Lazy.force fn_of) s.I.origin with
           | None ->
             Some
               (mk ~origin:s.I.origin ~pseudo:claimed "sym" ""
@@ -1444,11 +1467,11 @@ let run ?audit ?(tags = []) (inst : I.t) : report =
                     String.equal q claimed && List.mem s.I.origin os)
                   inst.I.sites_by_pseudo
               in
+              let addr_taken, homes = tables_of c in
               Some
-                (verify_sym_site inst.I.symtab ~fname:fi.L.fname
-                   ~addr_taken:(addr_taken_raw c.raw)
-                   ~escaped:(Lazy.force escaped) ~premonitored ~raw:c.raw s
-                   claimed)))
+                (verify_sym_site inst.I.symtab ~fname:fi.L.fname ~addr_taken
+                   ~escaped:(Lazy.force escaped) ~premonitored
+                   ~home:(Hashtbl.find_opt homes s.I.origin) s claimed)))
         | I.Checked | I.Loop_eliminated _ -> None)
       inst.I.sites
   in

@@ -59,6 +59,26 @@ val run :
 (** Discharge every obligation the plan owes.  [audit] additionally
     cross-checks the plan against the journal's recorded verdicts. *)
 
+(** {2 Per-function tables}
+
+    The §4.2 re-match looks each symbol-eliminated site up in tables
+    built once per run ({!fn_by_origin}) and once per function
+    ({!store_homes}), not by walking the function per site. *)
+
+type home =
+  | Hlocal of int  (** a frame slot: [%fp] plus this offset *)
+  | Hglobal of string * int  (** a data label plus offset *)
+  | Hnone  (** neither: the address is not a re-matchable home *)
+
+val fn_by_origin :
+  Dbp.Instrument.t -> (int, Dbp.Loopopt.fn_input) Hashtbl.t
+(** Item index → the first retained function slice holding it. *)
+
+val store_homes : Ir.Tac.instr list -> (int, home * Sparc.Insn.width) Hashtbl.t
+(** One walk of a function's raw (pre-symopt) TAC, tracking which
+    registers hold label addresses, classifying the address of every
+    store by its origin; the first store at an origin wins. *)
+
 val ok : report -> bool
 (** No [Refuted] and no [Unknown] obligations. *)
 
