@@ -4,8 +4,8 @@
    The session records the run through a copy-on-write checkpoint
    journal ([~checkpoint_every]); a retroactive query restores a
    checkpoint and re-executes the window under an invisible host-side
-   watch, skipping windows whose checkpoints share every page of the
-   variable (no store reached it there).  The replay is byte-identical
+   watch, skipping windows that never stored to the variable (each
+   checkpoint notes which words its window stored to).  The replay is byte-identical
    to the recorded run: a determinism guard compares the machine with
    every retained checkpoint it lands on.
 

@@ -838,18 +838,21 @@ let step t =
 
 let halt t code = t.halted <- Some code
 
+(* The one run loop; recording and replay stop it at checkpoint
+   boundaries.  [halted] can only flip inside [step] (a trap handler,
+   probe, or hook), so a field test per iteration suffices — no option
+   allocation, no per-step match. *)
+let run_to t ~insn =
+  while t.halted == None && t.ninstrs < insn do
+    step t
+  done
+
 let run ?(fuel = 200_000_000) t =
-  (* Counted loop: [halted] can only flip inside [step] (a trap handler,
-     probe, or hook), so a single field test per iteration suffices — no
-     option allocation, no per-step match on the fuel path. *)
-  let n = ref 0 in
-  while t.halted == None && !n < fuel do
-    step t;
-    incr n
-  done;
+  let start = t.ninstrs in
+  run_to t ~insn:(if fuel > max_int - start then max_int else start + fuel);
   match t.halted with
   | Some code -> code
-  | None -> raise (Out_of_fuel { executed = !n })
+  | None -> raise (Out_of_fuel { executed = t.ninstrs - start })
 
 let install_basic_services t =
   on_trap t 0 (fun t -> halt t (get t (Reg.o 0)));

@@ -44,6 +44,12 @@ val step : t -> unit
     a step with no probe registered at the pc is one direct-indexed
     table read plus one indirect call. *)
 
+val run_to : t -> insn:int -> unit
+(** Step until the program halts or {!instr_count} reaches [insn] — the
+    interpreter's only run loop, shared by {!run} and by recording and
+    replay, which stop it at checkpoint boundaries.  Returns at once if
+    the count is already at or past [insn]. *)
+
 val run : ?fuel:int -> t -> int
 (** Run until the program halts (trap 0); returns the exit code.
     @raise Out_of_fuel after [fuel] instructions (default 2·10{^8}). *)

@@ -184,26 +184,6 @@ let view_diff prev next =
       | Some _ | None -> acc + 1)
     next 0
 
-(* [prev] and [next] are views taken in that order by one recording
-   with no [restore_cow] between them.  A page's array changes identity
-   exactly when it is written after a snapshot ([page_of]'s COW step,
-   or materialization), and the single-slot cache never holds a shared
-   page, so every page overlapping [[lo, hi)] being the same array (or
-   absent) in both means no store landed in the range in between —
-   whatever snapshots were taken, or later dropped, between them. *)
-let view_unwritten prev next ~lo ~hi =
-  let rec go key last =
-    key > last
-    || (match (IntMap.find_opt key prev, IntMap.find_opt key next) with
-       | None, None -> true
-       | Some a, Some b -> a == b
-       | Some _, None | None, Some _ -> false)
-       && go (key + 1) last
-  in
-  lo >= hi
-  || go (Word.to_unsigned lo lsr page_bits)
-       (Word.to_unsigned (hi - 1) lsr page_bits)
-
 (* Never written: stands in for a page one side has not materialized. *)
 let zero_page = Array.make page_words 0
 

@@ -10,7 +10,12 @@
     generation counter; the first write to each page after a snapshot
     copies just that page.  Adjacent checkpoints therefore share every
     page that was not dirtied between them, replacing the former
-    O(allocated-memory) deep copy with an O(dirty-pages) one. *)
+    O(allocated-memory) deep copy with an O(dirty-pages) one.
+
+    Memory does not record which words were written: a store
+    instruction and a host-side {!write_word} look the same here.  The
+    replay engine learns which words each checkpoint window stored to
+    from {!Cpu}'s store hooks instead, per word rather than per page. *)
 
 exception Misaligned of { addr : int; width : int }
 
@@ -101,16 +106,6 @@ val view_diff : view -> view -> int
 (** [view_diff prev next]: pages of [next] not physically shared with
     [prev] — with [prev] the preceding checkpoint, the number of pages
     this checkpoint actually captured (its O(dirty) cost). *)
-
-val view_unwritten : view -> view -> lo:int -> hi:int -> bool
-(** [view_unwritten prev next ~lo ~hi]: no store landed in byte range
-    [[lo, hi)] between two views taken in that order by one run (no
-    {!restore_cow} between them), even with other snapshots taken and
-    dropped in between.  Exact for writes through this module and the
-    interpreter's inlined store path: every page overlapping the range
-    is physically the same array, or absent, in both views.  A store
-    anywhere on such a page — even one that rewrites the same value —
-    makes it [false]. *)
 
 val diff_view : t -> view -> (int * int * int) option
 (** [diff_view t view]: the lowest word address at which live memory

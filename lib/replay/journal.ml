@@ -10,11 +10,21 @@
 
 type entry = {
   snap : Snapshot.t;
-  mutable delta_pages : int;
-      (* pages captured fresh vs the previous *retained* entry *)
-  mutable shared_pages : int;  (* pages shared with that entry *)
-  mutable bytes : int;  (* attributed retention cost *)
+  delta_pages : int;  (* pages captured fresh vs the previous *retained* entry *)
+  shared_pages : int;  (* pages shared with that entry *)
+  bytes : int;  (* attributed retention cost *)
 }
+
+(* One page-map walk per entry: the shared pages and the bytes both
+   follow from the delta. *)
+let entry ~prev snap =
+  let delta_pages = Snapshot.delta_pages ~prev snap in
+  {
+    snap;
+    delta_pages;
+    shared_pages = Snapshot.pages snap - delta_pages;
+    bytes = Snapshot.bytes_of_delta snap delta_pages;
+  }
 
 type t = {
   interval : int;
@@ -102,11 +112,11 @@ let evict_one t =
        retention cost is re-derived against its new predecessor, so
        pages the victim shared with both neighbours stay counted once
        and pages only the victim held drop off the books — exactly
-       mirroring what the garbage collector reclaims. *)
+       mirroring what the garbage collector reclaims.  The successor's
+       window now also covers the victim's, and so do its stores. *)
     let pred = arr.(idx - 1) and succ = arr.(idx + 1) in
-    succ.delta_pages <- Snapshot.delta_pages ~prev:(Some pred.snap) succ.snap;
-    succ.shared_pages <- Snapshot.shared_pages ~prev:(Some pred.snap) succ.snap;
-    succ.bytes <- Snapshot.bytes ~prev:(Some pred.snap) succ.snap;
+    Snapshot.absorb succ.snap ~victim:victim.snap;
+    arr.(idx + 1) <- entry ~prev:(Some pred.snap) succ.snap;
     t.entries <-
       List.rev (List.filteri (fun i _ -> i <> idx) (Array.to_list arr));
     t.n <- t.n - 1;
@@ -120,14 +130,12 @@ let record t snap =
     invalid_arg "Journal.record: instruction counts must be non-decreasing"
   | _ -> ());
   let prev = match t.entries with e :: _ -> Some e.snap | [] -> None in
-  let delta_pages = Snapshot.delta_pages ~prev snap in
-  let shared_pages = Snapshot.shared_pages ~prev snap in
-  let bytes = Snapshot.bytes ~prev snap in
-  t.entries <- { snap; delta_pages; shared_pages; bytes } :: t.entries;
+  let e = entry ~prev snap in
+  t.entries <- e :: t.entries;
   t.n <- t.n + 1;
-  t.captured_delta_pages <- t.captured_delta_pages + delta_pages;
-  t.captured_shared_pages <- t.captured_shared_pages + shared_pages;
-  t.captured_bytes <- t.captured_bytes + bytes;
+  t.captured_delta_pages <- t.captured_delta_pages + e.delta_pages;
+  t.captured_shared_pages <- t.captured_shared_pages + e.shared_pages;
+  t.captured_bytes <- t.captured_bytes + e.bytes;
   match t.budget_bytes with
   | None -> ()
   | Some budget ->

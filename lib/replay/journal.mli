@@ -14,14 +14,16 @@
     {e not} share with the previous retained entry (plus the fixed
     per-checkpoint overhead), and eviction re-derives the successor's
     attribution against its new predecessor — mirroring exactly what
-    the garbage collector can reclaim. *)
+    the garbage collector can reclaim.  Eviction also merges the
+    victim's store summary into its successor ({!Snapshot.absorb}), so
+    each retained checkpoint's {!Snapshot.written} covers its whole,
+    widened window. *)
 
 type entry = {
   snap : Snapshot.t;
-  mutable delta_pages : int;
-      (** pages captured fresh vs the previous retained entry *)
-  mutable shared_pages : int;  (** pages shared with that entry *)
-  mutable bytes : int;  (** attributed retention cost *)
+  delta_pages : int;  (** pages captured fresh vs the previous retained entry *)
+  shared_pages : int;  (** pages shared with that entry *)
+  bytes : int;  (** attributed retention cost *)
 }
 
 type t

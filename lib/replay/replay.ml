@@ -12,7 +12,12 @@ open Machine
    program's architectural outcome is byte-identical whether or not a
    watch is armed (Price's virtual-breakpoint invisibility property) —
    which is precisely what lets the determinism guard hold during
-   queries. *)
+   queries.
+
+   While the run is recorded, the same hook marks the words every store
+   writes ({!Written}); each checkpoint keeps the marks of the window
+   it closes, and a query replays only the windows whose marks overlap
+   the watched range. *)
 
 type hit = {
   h_insn : int;  (* instruction count including the store *)
@@ -43,6 +48,7 @@ type t = {
      the next interval checkpoint is due. *)
   mutable started : bool;
   mutable next_boundary : int;
+  pending : Written.builder;  (* stores since the last checkpoint *)
   (* Watch state shared with the store hook installed at [create]
      (hooks are append-only, so one hook with an [armed] flag). *)
   mutable armed : bool;
@@ -63,9 +69,10 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
   let audit = match audit with Some a -> a | None -> off_audit () in
   let on_evict snap =
     Telemetry.incr telemetry Telemetry.Checkpoint_evictions;
-    Audit.replay audit ~kind:Audit.Checkpoint_evicted
-      ~insn:(Snapshot.insn snap)
-      ~detail:(Printf.sprintf "seq=%d" (Snapshot.seq snap))
+    if Audit.enabled audit then
+      Audit.replay audit ~kind:Audit.Checkpoint_evicted
+        ~insn:(Snapshot.insn snap)
+        ~detail:(Printf.sprintf "seq=%d" (Snapshot.seq snap))
   in
   let journal =
     Journal.create ~on_evict ?budget_bytes ~interval:checkpoint_every ()
@@ -82,6 +89,7 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
       recorded = false;
       started = false;
       next_boundary = 0;
+      pending = Written.builder ();
       armed = false;
       watch_lo = 0;
       watch_hi = 0;
@@ -115,7 +123,8 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
           end;
           w := !w + 4
         done
-      end);
+      end
+      else if not t.recorded then Written.add t.pending ~addr ~width);
   t
 
 let cpu t = t.cpu
@@ -129,7 +138,9 @@ let interval t = Journal.interval t.journal
 (* --- recording -------------------------------------------------------- *)
 
 let take_checkpoint t =
-  let snap = Snapshot.capture ~seq:t.seq t.cpu in
+  let snap =
+    Snapshot.capture ~seq:t.seq ~written:(Written.take t.pending) t.cpu
+  in
   t.seq <- t.seq + 1;
   let d0 = Journal.captured_delta_pages t.journal in
   let s0 = Journal.captured_shared_pages t.journal in
@@ -142,13 +153,13 @@ let take_checkpoint t =
     (Journal.captured_shared_pages t.journal - s0);
   Telemetry.add t.telemetry Telemetry.Checkpoint_bytes
     (Journal.captured_bytes t.journal - b0);
-  Audit.replay t.audit ~kind:Audit.Checkpoint_taken ~insn:(Snapshot.insn snap)
-    ~detail:
-      (Printf.sprintf "pages=%d shared=%d bytes=%d"
-         (Journal.captured_delta_pages t.journal - d0)
-         (Journal.captured_shared_pages t.journal - s0)
-         (Journal.captured_bytes t.journal - b0));
-  snap
+  if Audit.enabled t.audit then
+    Audit.replay t.audit ~kind:Audit.Checkpoint_taken ~insn:(Snapshot.insn snap)
+      ~detail:
+        (Printf.sprintf "pages=%d shared=%d bytes=%d"
+           (Journal.captured_delta_pages t.journal - d0)
+           (Journal.captured_shared_pages t.journal - s0)
+           (Journal.captured_bytes t.journal - b0))
 
 (* Incremental recording: each slice advances the machine by at most
    [fuel] instructions, checkpointing at exactly the same places a
@@ -164,27 +175,21 @@ let record_slice ?(fuel = 200_000_000) t =
   else begin
     if not t.started then begin
       t.started <- true;
-      ignore (take_checkpoint t);
+      take_checkpoint t;
       t.next_boundary <- Cpu.instr_count t.cpu + Journal.interval t.journal
     end;
-    let executed = ref 0 in
-    while Cpu.halted t.cpu = None && !executed < fuel do
-      while
-        Cpu.halted t.cpu = None
-        && Cpu.instr_count t.cpu < t.next_boundary
-        && !executed < fuel
-      do
-        Cpu.step t.cpu;
-        incr executed
-      done;
-      if Cpu.halted t.cpu <> None || Cpu.instr_count t.cpu >= t.next_boundary
-      then begin
-        ignore (take_checkpoint t);
+    let start = Cpu.instr_count t.cpu in
+    let stop = if fuel > max_int - start then max_int else start + fuel in
+    let running () = Option.is_none (Cpu.halted t.cpu) in
+    while running () && Cpu.instr_count t.cpu < stop do
+      Cpu.run_to t.cpu ~insn:(min t.next_boundary stop);
+      if (not (running ())) || Cpu.instr_count t.cpu >= t.next_boundary then begin
+        take_checkpoint t;
         t.next_boundary <- Cpu.instr_count t.cpu + Journal.interval t.journal
       end
     done;
     match Cpu.halted t.cpu with
-    | None -> `Out_of_fuel !executed
+    | None -> `Out_of_fuel (Cpu.instr_count t.cpu - start)
     | Some code ->
       t.end_insn <- Cpu.instr_count t.cpu;
       t.exit_code <- Some code;
@@ -201,7 +206,7 @@ let record ?(fuel = 200_000_000) t =
        checkpointed the frontier before giving up (unless a boundary
        checkpoint already landed on this exact instruction). *)
     if Cpu.instr_count t.cpu + Journal.interval t.journal <> t.next_boundary
-    then ignore (take_checkpoint t);
+    then take_checkpoint t;
     raise (Cpu.Out_of_fuel { executed })
 
 (* --- travel ----------------------------------------------------------- *)
@@ -209,19 +214,18 @@ let record ?(fuel = 200_000_000) t =
 let restore_to t snap ~target =
   Snapshot.restore t.cpu snap;
   Telemetry.incr t.telemetry Telemetry.Restores;
-  Audit.replay t.audit ~kind:Audit.State_restored ~insn:(Snapshot.insn snap)
-    ~detail:(Printf.sprintf "target=%d" target)
+  if Audit.enabled t.audit then
+    Audit.replay t.audit ~kind:Audit.State_restored ~insn:(Snapshot.insn snap)
+      ~detail:(Printf.sprintf "target=%d" target)
 
 (* Step to [insn]; if a retained checkpoint exists exactly there,
    compare the machine with it (the determinism guard). *)
 let exec_to ?(guard = true) t ~insn =
-  let replayed = ref 0 in
-  while Cpu.instr_count t.cpu < insn && Cpu.halted t.cpu = None do
-    Cpu.step t.cpu;
-    incr replayed
-  done;
-  t.replayed <- t.replayed + !replayed;
-  Telemetry.add t.telemetry Telemetry.Replayed_instrs !replayed;
+  let start = Cpu.instr_count t.cpu in
+  Cpu.run_to t.cpu ~insn;
+  let replayed = Cpu.instr_count t.cpu - start in
+  t.replayed <- t.replayed + replayed;
+  Telemetry.add t.telemetry Telemetry.Replayed_instrs replayed;
   if Cpu.instr_count t.cpu <> insn then
     failwith
       (Printf.sprintf
@@ -233,9 +237,10 @@ let exec_to ?(guard = true) t ~insn =
       raise (Determinism_violation { insn; expected; actual })
     | None -> ()
   end;
-  Audit.replay t.audit ~kind:Audit.Replay_finished ~insn
-    ~detail:(Printf.sprintf "replayed=%d" !replayed);
-  !replayed
+  if Audit.enabled t.audit then
+    Audit.replay t.audit ~kind:Audit.Replay_finished ~insn
+      ~detail:(Printf.sprintf "replayed=%d" replayed);
+  replayed
 
 let replay_from ?guard t snap ~insn =
   if not t.recorded then invalid_arg "Replay.replay_from: record the run first";
@@ -281,11 +286,10 @@ let replay_armed ?guard t ~insn =
     disarm t;
     raise e
 
-(* A window whose snapshots share every page of the range saw no store
-   to it ({!Memory.view_unwritten}): replaying it cannot produce a hit,
-   so the queries below skip it without restoring anything. *)
-let unwritten start stop ~lo ~hi =
-  Memory.view_unwritten (Snapshot.view start) (Snapshot.view stop) ~lo ~hi
+(* Whether the window closed by [stop] stored to [[lo, hi)].  The
+   summary marks exactly the words the watch would report, so the
+   queries below skip every other window without restoring anything. *)
+let stored stop ~lo ~hi = Written.overlaps (Snapshot.written stop) ~lo ~hi
 
 (* Scan checkpoint windows newest-first; the first window containing a
    hit holds the final write (Transition-Watchpoints search order).
@@ -295,9 +299,9 @@ let last_write ?guard t ~lo ~hi =
   let snaps = Array.of_list (Journal.snapshots t.journal) in
   let result = ref None in
   let i = ref (Array.length snaps - 1) in
-  while !result = None && !i >= 1 do
+  while Option.is_none !result && !i >= 1 do
     let start = snaps.(!i - 1) and stop = snaps.(!i) in
-    if not (unwritten start stop ~lo ~hi) then begin
+    if stored stop ~lo ~hi then begin
       let insn = Snapshot.insn stop in
       restore_to t start ~target:insn;
       arm t ~lo ~hi;
@@ -327,7 +331,7 @@ let write_history ?guard t ~lo ~hi =
     List.concat_map
       (fun i ->
         let start = snaps.(i - 1) and stop = snaps.(i) in
-        if unwritten start stop ~lo ~hi then []
+        if not (stored stop ~lo ~hi) then []
         else begin
           let insn = Snapshot.insn stop in
           restore_to t start ~target:insn;

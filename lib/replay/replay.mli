@@ -14,10 +14,18 @@
     checkpoint, the machine must equal that checkpoint in full
     ({!Snapshot.diverges}), or {!Determinism_violation} is raised.
 
-    Queries replay only windows that can change their answer: a window
-    whose two bounding snapshots share every page of the watched range
-    ({!Machine.Memory.view_unwritten}) saw no store to it and is
-    skipped without restoring anything. *)
+    Queries replay only the windows that stored to the watched words.
+    While the run is recorded, the same store hook marks every word each
+    store instruction writes, and each checkpoint keeps the marks of the
+    window it closes ({!Snapshot.written}, exact per word; eviction
+    merges a victim's marks into its successor).  A window whose marks
+    miss the range cannot produce a hit and is skipped without
+    restoring anything.  Host-side writes (a trap handler or the
+    debugger writing simulated memory) are not marked: they run no
+    store hook, so replaying them produces no hit either.
+
+    Recording and replay run the interpreter through {!Machine.Cpu.run_to},
+    stopped at checkpoint boundaries or at the replay target. *)
 
 type hit = {
   h_insn : int;  (** instruction count {e including} the store *)
@@ -106,9 +114,9 @@ val replay_from : ?guard:bool -> t -> Snapshot.t -> insn:int -> int
 
 val last_write : ?guard:bool -> t -> lo:int -> hi:int -> hit option
 (** The final store of the recorded run that landed in byte range
-    [[lo, hi)]: scans checkpoint windows newest-first, replaying each
-    one that wrote the range's pages under an armed watch until one
-    contains a hit.  Returns the exact
+    [[lo, hi)]: scans checkpoint windows newest-first and replays, under
+    an armed watch, the first one that stored to the range — it holds
+    the hit.  Returns the exact
     (instruction index, pc, old/new value) of that store, or [None] if
     the range was never written.  Leaves the machine at the recorded
     end state. *)
@@ -118,8 +126,9 @@ val last_write_word : ?guard:bool -> t -> addr:int -> hit option
 
 val write_history : ?guard:bool -> t -> lo:int -> hi:int -> hit list
 (** Every store of the recorded run landing in [[lo, hi)], in execution
-    order.  Replays only the windows that wrote the range's pages, each
-    from its own checkpoint, and guards every replayed window.  Leaves the machine at the recorded end state. *)
+    order.  Replays only the windows that stored to the range, each
+    from its own checkpoint, and guards every replayed window.  Leaves
+    the machine at the recorded end state. *)
 
 (** {1 Low-level watch control}
 

@@ -16,10 +16,11 @@
 
 type t
 
-val capture : seq:int -> Machine.Cpu.t -> t
+val capture : seq:int -> written:Written.t -> Machine.Cpu.t -> t
 (** Snapshot the machine now.  [seq] is the caller-assigned capture
     order (kept per replay instance so parallel bench domains share no
-    state). *)
+    state); [written] summarizes the stores made since the previous
+    checkpoint. *)
 
 val restore : Machine.Cpu.t -> t -> unit
 (** Exact rollback, including cache state — replay from here reproduces
@@ -38,6 +39,14 @@ val seq : t -> int
 
 val view : t -> Machine.Memory.view
 
+val written : t -> Written.t
+(** The words stored to between the previous retained checkpoint and
+    this one. *)
+
+val absorb : t -> victim:t -> unit
+(** Widen [t]'s window over that of [victim], the evicted checkpoint
+    just before it: [written t] becomes the union of both summaries. *)
+
 val pages : t -> int
 (** Pages resident in the captured view (shared or private). *)
 
@@ -45,9 +54,9 @@ val delta_pages : prev:t option -> t -> int
 (** Pages not physically shared with [prev] — what this snapshot
     actually cost to retain, given its predecessor is retained too. *)
 
-val shared_pages : prev:t option -> t -> int
-(** [pages t - delta_pages ~prev t]. *)
-
 val bytes : prev:t option -> t -> int
 (** Attributed size: delta pages plus the fixed per-checkpoint overhead
     (cache tags, windows, output, scalars). *)
+
+val bytes_of_delta : t -> int -> int
+(** [bytes] given [delta_pages] already computed. *)

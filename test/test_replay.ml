@@ -3,7 +3,8 @@
    Three layers of evidence, mirroring the acceptance criteria:
 
    1. Units: COW page snapshots really share unwritten pages and
-      restore exactly, [view_unwritten] is exact for every store path,
+      restore exactly, the per-window store summaries mark exactly the
+      words each store width writes,
       [Cpu.diverges] names each component; the journal's
       exponential-thinning eviction keeps the endpoints and its byte
       accounting consistent.
@@ -95,64 +96,12 @@ let snap_cpu_of src =
 
 let snap_cpu () = snap_cpu_of "int main() { return 7; }"
 
-(* [view_unwritten] is what lets queries skip windows, so it must be
-   exact for every way a store can reach memory: after any store the
-   written page differs between the views around it, and after loads
-   or reads alone it does not. *)
-let test_view_unwritten_memory () =
-  let open Machine in
-  let mem = Memory.create () in
-  let p = 0x40_0000 and q = 0x80_0000 in
-  Memory.write_word mem p 1;
-  Memory.write_word mem q 1;
-  let unwritten v0 v1 = Memory.view_unwritten v0 v1 ~lo:p ~hi:(p + 16) in
-  let around name ~written f =
-    let v0 = Memory.snapshot_cow mem in
-    f ();
-    check_bool name (not written) (unwritten v0 (Memory.snapshot_cow mem))
-  in
-  around "write_word" ~written:true (fun () -> Memory.write_word mem p 2);
-  around "write_byte" ~written:true (fun () -> Memory.write_byte mem (p + 5) 7);
-  around "write_half" ~written:true (fun () -> Memory.write_half mem (p + 10) 9);
-  around "same value rewritten" ~written:true (fun () ->
-      Memory.write_word mem p (Memory.read_word mem p));
-  around "reads only" ~written:false (fun () ->
-      ignore (Memory.read_word mem p);
-      ignore (Memory.read_byte mem (p + 5));
-      ignore (Memory.read_half mem (p + 10)));
-  around "write to another page" ~written:false (fun () ->
-      Memory.write_word mem q 3);
-  (* The slot cache holds [p]'s page after this write; the write after
-     the snapshot would go through it if the snapshot did not drop it. *)
-  Memory.write_word mem p 4;
-  around "write through the slot cache" ~written:true (fun () ->
-      Memory.write_word mem (p + 4) 5);
-  (* Range past a page boundary: the second page counts too. *)
-  let v0 = Memory.snapshot_cow mem in
-  Memory.write_word mem (p + Memory.page_bytes) 6;
-  check_bool "range spanning two pages" false
-    (Memory.view_unwritten v0 (Memory.snapshot_cow mem) ~lo:(p + 8)
-       ~hi:(p + Memory.page_bytes + 4));
-  (* Materializing a page counts as a write; absent on both sides does
-     not. *)
-  let r = 0xC0_0000 in
-  let v0 = Memory.snapshot_cow mem in
-  check_bool "never materialized" true
-    (Memory.view_unwritten v0 (Memory.snapshot_cow mem) ~lo:r ~hi:(r + 4));
-  Memory.write_word mem r 0;
-  check_bool "materialized by a zero store" false
-    (Memory.view_unwritten v0 (Memory.snapshot_cow mem) ~lo:r ~hi:(r + 4));
-  (* Just after a restore, the restored pages are shared with the view
-     they came from: a read leaves them shared, a write copies. *)
-  Memory.restore_cow mem v0;
-  ignore (Memory.read_word mem p);
-  check_bool "read after restore" true (unwritten v0 (Memory.snapshot_cow mem));
-  Memory.restore_cow mem v0;
-  Memory.write_word mem p 8;
-  check_bool "write after restore" false
-    (unwritten v0 (Memory.snapshot_cow mem))
-
-let test_view_unwritten_cpu () =
+(* The store summaries are what let queries skip windows, so each
+   store width must mark exactly the words it writes.  With a
+   checkpoint after every instruction, the window closed at insn [n]
+   holds just the [n]th instruction.  Codegen never emits [std], so
+   the program is hand-assembled. *)
+let test_written_store_widths () =
   let open Sparc in
   let items =
     [ Asm.Set_label { label = "x"; offset = 0; rd = Reg.l 1 } ]
@@ -165,7 +114,7 @@ let test_view_unwritten_cpu () =
           Asm.st (Reg.l 0) (Reg.l 1) (Insn.Imm 4);
           Asm.st ~width:Insn.Double (Reg.l 2) (Reg.l 1) (Insn.Imm 8);
           Asm.st ~width:Insn.Byte (Reg.l 0) (Reg.l 1) (Insn.Imm 17);
-          Asm.st ~width:Insn.Half (Reg.l 0) (Reg.l 1) (Insn.Imm 18);
+          Asm.st ~width:Insn.Half (Reg.l 0) (Reg.l 1) (Insn.Imm 22);
           Asm.ld (Reg.l 1) (Insn.Imm 0) (Reg.l 4);
           Asm.ld ~width:Insn.Double (Reg.l 1) (Insn.Imm 8) (Reg.l 6);
           Asm.ld ~width:Insn.Byte (Reg.l 1) (Insn.Imm 17) (Reg.l 5);
@@ -182,45 +131,79 @@ let test_view_unwritten_cpu () =
   let cpu = Machine.Cpu.create image in
   Machine.Cpu.install_basic_services cpu;
   let x = Option.get (Assembler.addr_of_label image "x") in
-  let view = Machine.Cpu.checkpoint_view in
-  let unwritten cp0 cp1 =
-    Machine.Memory.view_unwritten (view cp0) (view cp1) ~lo:x ~hi:(x + 24)
+  let r = Replay.create ~checkpoint_every:1 cpu in
+  check_int "exit" 0 (Replay.record r);
+  let written n =
+    Written.words
+      (Snapshot.written (Option.get (Journal.find (Replay.journal r) ~insn:n)))
   in
-  (* Set_label (sethi + or) and the three moves. *)
-  for _ = 1 to 5 do
-    Machine.Cpu.step cpu
-  done;
-  let first_store = Machine.Cpu.checkpoint cpu in
-  (* One checkpoint on each side of every instruction; the second [st]
-     would write through the slot cache its predecessor filled if the
-     checkpoint between them did not drop it. *)
-  List.iter
-    (fun (name, written) ->
-      let cp0 = Machine.Cpu.checkpoint cpu in
-      Machine.Cpu.step cpu;
-      check_bool name (not written) (unwritten cp0 (Machine.Cpu.checkpoint cpu)))
+  (* Set_label (sethi + or) and the three moves come first. *)
+  List.iteri
+    (fun i (name, words) ->
+      Alcotest.(check (list int)) name (List.map (( + ) x) words) (written (6 + i)))
     [
-      ("st", true);
-      ("st after st (slot cache)", true);
-      ("std", true);
-      ("stb", true);
-      ("sth", true);
-      ("ld", false);
-      ("ldd", false);
-      ("ldub", false);
+      ("st", [ 0 ]);
+      ("st, next word", [ 4 ]);
+      ("std marks two words", [ 8; 12 ]);
+      ("stb", [ 16 ]);
+      ("sth", [ 20 ]);
+      ("ld", []);
+      ("ldd", []);
+      ("ldub", []);
     ];
-  (* Just after a rollback: a load leaves the restored pages shared, a
-     store copies them. *)
-  Machine.Cpu.rollback cpu first_store;
-  (* Skip the five stores. *)
-  Machine.Cpu.set_pc cpu (Machine.Cpu.pc cpu + (5 * 4));
-  Machine.Cpu.step cpu;
-  check_bool "ld after rollback" true
-    (unwritten first_store (Machine.Cpu.checkpoint cpu));
-  Machine.Cpu.rollback cpu first_store;
-  Machine.Cpu.step cpu;
-  check_bool "st after rollback" false
-    (unwritten first_store (Machine.Cpu.checkpoint cpu))
+  (* A sub-word range overlaps the word holding it, and nothing else. *)
+  let at n = Snapshot.written (Option.get (Journal.find (Replay.journal r) ~insn:n)) in
+  check_bool "stb: byte range inside the word" true
+    (Written.overlaps (at 9) ~lo:(x + 18) ~hi:(x + 19));
+  check_bool "stb: next word" false (Written.overlaps (at 9) ~lo:(x + 20) ~hi:(x + 24));
+  check_bool "std: its second word alone" true
+    (Written.overlaps (at 8) ~lo:(x + 13) ~hi:(x + 14));
+  check_bool "empty range" false (Written.overlaps (at 8) ~lo:(x + 8) ~hi:(x + 8))
+
+(* Summaries straddling a 128-byte block and a 4 KiB page boundary,
+   marked directly. *)
+let test_written_boundaries () =
+  let summary addrs =
+    let b = Written.builder () in
+    List.iter (fun addr -> Written.add b ~addr ~width:Sparc.Insn.Word) addrs;
+    Written.take b
+  in
+  let base = 0x40_0000 in
+  let block_end = base + 0x7C and page_end = base + 0xFFC in
+  let cases =
+    [
+      ("last word of a block, range across the block", [ block_end ], 0x7E, 0x82, true);
+      ("last word of a block, range after it", [ block_end ], 0x80, 0x90, false);
+      ("last word of a block, range before it", [ block_end ], 0x00, 0x7C, false);
+      ("first word of the next block", [ base + 0x80 ], 0x7E, 0x82, true);
+      ("first word of the next block, range before it", [ base + 0x80 ], 0x00, 0x80, false);
+      ("range over many blocks", [ base + 0x200 ], 0x00, 0x400, true);
+      ("range over many blocks, none marked", [ base + 0x400 ], 0x00, 0x400, false);
+      ("last word of a page, range across the page", [ page_end ], 0xFFE, 0x1002, true);
+      ("first word of the next page", [ base + 0x1000 ], 0xFFE, 0x1002, true);
+      ("next page, range before it", [ base + 0x1000 ], 0xF00, 0x1000, false);
+      ("range over two pages", [ base + 0x1800 ], 0x800, 0x2000, true);
+    ]
+  in
+  List.iter
+    (fun (name, addrs, lo, hi, expected) ->
+      check_bool name expected
+        (Written.overlaps (summary addrs) ~lo:(base + lo) ~hi:(base + hi)))
+    cases;
+  (* Heap addresses are negative as normalized words. *)
+  let heap = Sparc.Word.norm 0xA000_0080 in
+  Alcotest.(check (list int)) "heap word" [ heap ] (Written.words (summary [ heap ]));
+  check_bool "heap range across a block" true
+    (Written.overlaps (summary [ heap - 4 ]) ~lo:(heap - 2) ~hi:(heap + 2));
+  (* The builder forgets what it handed out, and union merges blocks. *)
+  let b = Written.builder () in
+  Written.add b ~addr:page_end ~width:Sparc.Insn.Byte;
+  ignore (Written.take b);
+  check_int "taken marks are forgotten" 0 (Written.blocks (Written.take b));
+  let u = Written.union (summary [ base; page_end ]) (summary [ base + 4; base + 0x80 ]) in
+  Alcotest.(check (list int)) "union" [ base; base + 4; base + 0x80; page_end ]
+    (Written.words u);
+  check_int "union blocks" 3 (Written.blocks u)
 
 (* [Cpu.diverges] names the first component that differs from the
    checkpoint, recorded value first. *)
@@ -266,7 +249,7 @@ let test_journal_basics () =
   let j = Journal.create ~interval:100 () in
   check_int "interval" 100 (Journal.interval j);
   let take seq =
-    let s = Snapshot.capture ~seq cpu in
+    let s = Snapshot.capture ~seq ~written:Written.empty cpu in
     Journal.record j s;
     s
   in
@@ -523,17 +506,10 @@ let run_to_exit session (w : Workloads.Workload.t) =
   | Some e -> check_int (w.name ^ " exit") e code
   | None -> ()
 
-(* The full-trace answer, independent of recording: a second session
-   with the same options and watch but no journal logs every store to
-   [var]'s footprint as it happens.  Then record [w] the same way and
-   check [last_write] over the footprint and over its first word, and
-   the whole [write_history], against that log — which also checks
-   that recording leaves the program's write trace unchanged. *)
-let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
-    ~interval (wname, var) =
-  let w = workload wname in
-  let plain, lo, hi = watched_session ~opt w var in
-  let cpu = plain.Session.cpu in
+(* Log every store to the words of [[lo, hi)] ([lo], [hi] word-aligned)
+   that [cpu] executes from now on; the result reads the log, oldest
+   first. *)
+let log_stores cpu ~lo ~hi =
   let read a = Machine.Memory.read_word (Machine.Cpu.mem cpu) a in
   let shadow = Hashtbl.create 64 in
   for i = 0 to ((hi - lo) / 4) - 1 do
@@ -553,8 +529,34 @@ let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
         end;
         word := !word + 4
       done);
+  fun () -> List.rev !log
+
+(* The log entries a watch on [[lo, hi)] reports: words overlapping it. *)
+let within ~lo ~hi = List.filter (fun g -> g.g_addr + 4 > lo && g.g_addr < hi)
+
+(* [last_write] and [write_history] of [r] over [[lo, hi)] against
+   [truth] narrowed to the range. *)
+let check_range label r truth ~lo ~hi =
+  let truth = within ~lo ~hi truth in
+  check_hit (label ^ " last write") (last_of truth)
+    (Option.map gt_of_hit (Replay.last_write r ~lo ~hi));
+  check_hits (label ^ " history") truth
+    (List.map gt_of_hit (Replay.write_history r ~lo ~hi))
+
+(* The full-trace answer, independent of recording: a second session
+   with the same options and watch but no journal logs every store to
+   [var]'s footprint as it happens.  Then record [w] the same way and
+   check [last_write] over the footprint and over its first word, and
+   the whole [write_history], against that log — which also checks
+   that recording leaves the program's write trace unchanged.
+   [sub_word] adds a range of two bytes inside the first word. *)
+let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
+    ?(sub_word = false) ~interval (wname, var) =
+  let w = workload wname in
+  let plain, lo, hi = watched_session ~opt w var in
+  let log = log_stores plain.Session.cpu ~lo ~hi in
   run_to_exit plain w;
-  let truth = List.rev !log in
+  let truth = log () in
   let session, _, _ =
     watched_session ~checkpoint_every:interval ?checkpoint_budget ~opt w var
   in
@@ -578,6 +580,8 @@ let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
     (List.map
        (fun { Session.wr_hit = h; _ } -> gt_of_hit h)
        (Session.write_history session ~lo ~hi));
+  if sub_word then
+    check_range (label ^ " bytes 1-2") r truth ~lo:(lo + 1) ~hi:(lo + 3);
   (* Queries end back at the recorded end state. *)
   check_int "machine at recorded end" (Replay.end_insn r)
     (Machine.Cpu.instr_count cpu);
@@ -605,7 +609,7 @@ let test_queries_survive_eviction () =
 (* Every global of the program, each in its own watched recording.  At
    O_full the watch makes loop pre-headers patch checks in during the
    run, which a replay must reproduce from the restored text. *)
-let every_global ?checkpoint_budget ?(interval = 10_000) ~opt wname () =
+let every_global ?checkpoint_budget ?sub_word ?(interval = 10_000) ~opt wname () =
   let globals =
     Sparc.Symtab.globals
       (Session.create (workload wname).Workloads.Workload.source).Session.symtab
@@ -614,9 +618,212 @@ let every_global ?checkpoint_budget ?(interval = 10_000) ~opt wname () =
   List.iter
     (fun (g : Sparc.Symtab.entry) ->
       ignore
-        (check_queries_against_ground_truth ?checkpoint_budget ~opt ~interval
-           (wname, g.name)))
+        (check_queries_against_ground_truth ?checkpoint_budget ?sub_word ~opt
+           ~interval (wname, g.name)))
     globals
+
+(* --- window skipping ------------------------------------------------------------ *)
+
+(* A Mini-C program in an unrecorded session (for ground truth) or a
+   recorded one, with the address of its global [var]. *)
+let program_session ?checkpoint_every src var =
+  let session = Session.create ?checkpoint_every src in
+  (session, Option.get (Session.resolve_addr session var))
+
+let record_all r =
+  match Replay.record_slice r with
+  | `Exited code -> code
+  | `Out_of_fuel _ -> Alcotest.fail "recording ran out of fuel"
+
+(* The window closed by the first checkpoint after [insn]. *)
+let window_around r ~insn =
+  let snaps = Array.of_list (Journal.snapshots (Replay.journal r)) in
+  let i = ref 1 in
+  while Snapshot.insn snaps.(!i) <= insn do
+    incr i
+  done;
+  (snaps.(!i - 1), snaps.(!i))
+
+let replayed_by r f =
+  let before = Replay.replayed_insns r in
+  f ();
+  Replay.replayed_insns r - before
+
+(* A host-side write is not a store: a window whose only write to the
+   range is one is skipped, although it changed the range, and the
+   answers still equal the ground truth.  [x] is written by the program
+   in the first and last loop; the host writes [x[1]] in the middle
+   one, which stores only to [y], on the same page. *)
+let test_host_write_skipped () =
+  let src =
+    "int x[2]; int y; int main() { int i; for (i = 0; i < 50; i = i + 1) { \
+     x[0] = x[0] + i; } for (i = 0; i < 500; i = i + 1) { y = y + i; } for (i \
+     = 0; i < 50; i = i + 1) { x[0] = x[0] + 1; } return x[0] % 256; }"
+  in
+  let host_write session x =
+    Machine.Memory.write_word (Machine.Cpu.mem session.Session.cpu) (x + 4) 77
+  in
+  let plain, x = program_session src "x" in
+  let log = log_stores plain.Session.cpu ~lo:x ~hi:(x + 8) in
+  let exit = Machine.Cpu.run plain.Session.cpu in
+  (* The middle of the longest stretch without a store to [x]. *)
+  let truth = log () in
+  let _, gap_lo, gap_hi =
+    List.fold_left
+      (fun (prev, lo, hi) g ->
+        if g.g_insn - prev > hi - lo then (g.g_insn, prev, g.g_insn)
+        else (g.g_insn, lo, hi))
+      (0, 0, 0) truth
+  in
+  let mid = (gap_lo + gap_hi) / 2 in
+  let plain, _ = program_session src "x" in
+  let log = log_stores plain.Session.cpu ~lo:x ~hi:(x + 8) in
+  Machine.Cpu.run_to plain.Session.cpu ~insn:mid;
+  host_write plain x;
+  check_int "exit with the host write" exit (Machine.Cpu.run plain.Session.cpu);
+  let truth = log () in
+  let session, _ = program_session ~checkpoint_every:500 src "x" in
+  let r = Option.get (Session.replay session) in
+  (match Replay.record_slice ~fuel:mid r with
+  | `Out_of_fuel _ -> ()
+  | `Exited _ -> Alcotest.fail "exited before the host write");
+  host_write session x;
+  check_int "recorded exit" exit (record_all r);
+  let start, stop = window_around r ~insn:mid in
+  check_bool "the host write changed the range in its window" true
+    (Machine.Memory.view_read_word (Snapshot.view start) (x + 4) = 0
+    && Machine.Memory.view_read_word (Snapshot.view stop) (x + 4) = 77);
+  check_bool "yet the window's summary misses the range" false
+    (Written.overlaps (Snapshot.written stop) ~lo:x ~hi:(x + 8));
+  check_range "x" r truth ~lo:x ~hi:(x + 8);
+  check_int "x[1] alone: nothing replayed" 0
+    (replayed_by r (fun () -> check_range "x[1]" r truth ~lo:(x + 4) ~hi:(x + 8)));
+  let last = Option.get (last_of truth) in
+  let start, stop = window_around r ~insn:(last.g_insn - 1) in
+  check_int "last write replays one window"
+    (Snapshot.insn stop - Snapshot.insn start)
+    (replayed_by r (fun () -> ignore (Replay.last_write r ~lo:x ~hi:(x + 8))))
+
+(* Queries over ranges straddling a 128-byte block or a 4 KiB page
+   boundary inside an array written element by element. *)
+let test_straddling_ranges () =
+  let src =
+    "int big[2048]; int main() { int i; for (i = 0; i < 2048; i = i + 1) { \
+     big[i] = i + 1; } for (i = 1000; i < 1100; i = i + 3) { big[i] = 0; } \
+     return 0; }"
+  in
+  let plain, a = program_session src "big" in
+  let log = log_stores plain.Session.cpu ~lo:a ~hi:(a + 8192) in
+  ignore (Machine.Cpu.run plain.Session.cpu);
+  let truth = log () in
+  let session, _ = program_session ~checkpoint_every:1_000 src "big" in
+  let r = Option.get (Session.replay session) in
+  ignore (record_all r);
+  let page = (a / 4096 + 1) * 4096 in
+  let block = page + 128 in
+  List.iter
+    (fun (name, lo, hi) -> check_range name r truth ~lo ~hi)
+    [
+      ("page boundary, bytes", page - 2, page + 2);
+      ("page boundary, words", page - 8, page + 8);
+      ("last word of a page", page - 4, page);
+      ("block boundary, bytes", block - 1, block + 1);
+      ("block boundary, blocks", block - 130, block + 130);
+      ("rewritten words across a page", a + 4000, a + 4400);
+    ]
+
+(* Recording in slices of random fuel places the same checkpoints with
+   the same summaries as recording in one shot, and answers the same. *)
+let test_slicing_invariance () =
+  let w = workload "030.matrix300" in
+  let globals = [ "a"; "b"; "c" ] in
+  let record ?checkpoint_budget rng =
+    let session, _, _ =
+      watched_session ~checkpoint_every:7_000 ?checkpoint_budget
+        ~opt:Instrument.O_full w "c"
+    in
+    let r = Option.get (Session.replay session) in
+    (match rng with
+    | None -> ignore (Replay.record r)
+    | Some rng ->
+      let rec go () =
+        match Replay.record_slice ~fuel:(Random.State.int rng 20_000) r with
+        | `Exited _ -> ()
+        | `Out_of_fuel _ -> go ()
+      in
+      go ());
+    let j = Replay.journal r in
+    let snaps = Journal.snapshots j in
+    let answers =
+      List.map
+        (fun g ->
+          let lo = Option.get (Session.resolve_addr session g) in
+          ( Option.map gt_of_hit (Replay.last_write r ~lo ~hi:(lo + 8)),
+            List.map gt_of_hit (Replay.write_history r ~lo ~hi:(lo + 8)) ))
+        globals
+    in
+    ( (Replay.exit_code r, Replay.end_insn r, Journal.evictions j),
+      ( Journal.captured_delta_pages j,
+        Journal.captured_shared_pages j,
+        Journal.captured_bytes j,
+        Journal.retained_bytes j ),
+      List.map Snapshot.insn snaps,
+      List.map (fun s -> Written.words (Snapshot.written s)) snaps,
+      answers )
+  in
+  List.iter
+    (fun checkpoint_budget ->
+      let one_shot = record ?checkpoint_budget None in
+      List.iter
+        (fun seed ->
+          let sliced =
+            record ?checkpoint_budget (Some (Random.State.make [| seed |]))
+          in
+          let run, bytes, insns, summaries, answers = one_shot in
+          let run', bytes', insns', summaries', answers' = sliced in
+          let what = Printf.sprintf "seed %d, budget %b" seed (checkpoint_budget <> None) in
+          check_bool (what ^ ": exit, end, evictions") true (run = run');
+          check_bool (what ^ ": page accounting") true (bytes = bytes');
+          Alcotest.(check (list int)) (what ^ ": checkpoints") insns insns';
+          check_bool (what ^ ": summaries") true (summaries = summaries');
+          check_bool (what ^ ": answers") true (answers = answers'))
+        [ 1; 2 ])
+    [ None; Some 150_000 ]
+
+(* Under a tight budget every retained checkpoint's summary is the
+   union of the unthinned windows it now spans. *)
+let test_eviction_merges_summaries () =
+  let w = workload "030.matrix300" in
+  let record ?checkpoint_budget () =
+    let session, _, _ =
+      watched_session ~checkpoint_every:5_000 ?checkpoint_budget
+        ~opt:Instrument.O_symbol w "c"
+    in
+    run_to_exit session w;
+    Option.get (Session.replay session)
+  in
+  let full = record () and thin = record ~checkpoint_budget:150_000 () in
+  check_bool "eviction happened" true (Journal.evictions (Replay.journal thin) > 0);
+  let windows = Journal.snapshots (Replay.journal full) in
+  let kept = Array.of_list (Journal.snapshots (Replay.journal thin)) in
+  let widest = ref 0 in
+  for i = 1 to Array.length kept - 1 do
+    let lo = Snapshot.insn kept.(i - 1) and hi = Snapshot.insn kept.(i) in
+    let absorbed =
+      List.filter (fun s -> Snapshot.insn s > lo && Snapshot.insn s <= hi) windows
+    in
+    check_int (Printf.sprintf "checkpoint at %d placed as unthinned" hi) hi
+      (Snapshot.insn (List.nth absorbed (List.length absorbed - 1)));
+    widest := max !widest (List.length absorbed);
+    Alcotest.(check (list int))
+      (Printf.sprintf "summary of (%d, %d]" lo hi)
+      (Written.words
+         (List.fold_left
+            (fun acc s -> Written.union acc (Snapshot.written s))
+            Written.empty absorbed))
+      (Written.words (Snapshot.written kept.(i)))
+  done;
+  check_bool "some window absorbed several" true (!widest > 2)
 
 (* --- session plumbing --------------------------------------------------------- *)
 
@@ -697,10 +904,10 @@ let suites =
           test_memory_cow_sharing;
         Alcotest.test_case "cpu checkpoint is bit-exact" `Quick
           test_cpu_checkpoint_exact;
-        Alcotest.test_case "view_unwritten: memory write paths" `Quick
-          test_view_unwritten_memory;
-        Alcotest.test_case "view_unwritten: cpu stores and loads" `Quick
-          test_view_unwritten_cpu;
+        Alcotest.test_case "written: each store width marks its words" `Quick
+          test_written_store_widths;
+        Alcotest.test_case "written: block and page boundaries" `Quick
+          test_written_boundaries;
         Alcotest.test_case "diverges names each component" `Quick
           test_diverges_names_component;
       ] );
@@ -746,7 +953,18 @@ let suites =
           (every_global ~opt:Instrument.O_full "020.nasker");
         Alcotest.test_case "matrix300 every global, O_full, thinned" `Quick
           (every_global ~interval:5_000 ~checkpoint_budget:200_000
-             ~opt:Instrument.O_full "030.matrix300");
+             ~sub_word:true ~opt:Instrument.O_full "030.matrix300");
+      ] );
+    ( "replay.skip",
+      [
+        Alcotest.test_case "host-side write window is skipped" `Quick
+          test_host_write_skipped;
+        Alcotest.test_case "ranges straddling a block or a page" `Quick
+          test_straddling_ranges;
+        Alcotest.test_case "sliced recording: same journal and answers" `Quick
+          test_slicing_invariance;
+        Alcotest.test_case "eviction merges summaries" `Quick
+          test_eviction_merges_summaries;
       ] );
     ( "replay.session",
       [
