@@ -578,16 +578,16 @@ let shutdown t =
 (* --- wire listener ----------------------------------------------------- *)
 
 (* Same nonblocking-accept discipline as {!Scrape}, but connections are
-   long-lived: each one accumulates bytes into a line buffer, feeds
-   complete frames to {!submit}, and flushes its client's outbox with
-   nonblocking writes.  Unsent bytes wait in [wbuf] from offset [woff]
-   until the socket drains ({!serve_for} selects for writability while
-   any are pending). *)
+   long-lived: each one feeds complete frames to {!submit} as bytes
+   arrive, and flushes its client's outbox with nonblocking writes.
+   Unsent bytes wait in [wbuf] from offset [woff] until the socket
+   drains ({!serve_for} selects for writability while any are
+   pending). *)
 
 type conn = {
   fd : Unix.file_descr;
   cl : client;
-  rbuf : Buffer.t;
+  rbuf : Buffer.t;  (* the unterminated tail of the input *)
   wbuf : Buffer.t;  (* reply bytes accepted for write *)
   mutable woff : int;  (* [wbuf]'s prefix already sent *)
   mutable eof : bool;
@@ -636,6 +636,10 @@ let accept_pending srv =
     match Unix.accept srv.lsock with
     | fd, _ ->
       Unix.set_nonblock fd;
+      (* [flush_conn] already writes a pass's replies at once; Nagle
+         would hold a second write (the [exited] after a slice's hits,
+         another session's replies) until the peer's delayed ACK. *)
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
       srv.conns <-
         {
           fd;
@@ -654,41 +658,51 @@ let accept_pending srv =
   in
   go ()
 
-(* Split [conn.rbuf] at newlines; unterminated tails stay buffered. *)
-let feed_lines srv conn =
-  let data = Buffer.contents conn.rbuf in
-  Buffer.clear conn.rbuf;
-  let rec go start =
-    match String.index_from_opt data start '\n' with
-    | None ->
-      if start < String.length data then
-        Buffer.add_substring conn.rbuf data start (String.length data - start)
-    | Some i ->
-      let line =
-        let l = String.sub data start (i - start) in
-        if l <> "" && l.[String.length l - 1] = '\r' then
-          String.sub l 0 (String.length l - 1)
-        else l
-      in
-      if line <> "" then submit srv.engine conn.cl line;
-      go (i + 1)
-  in
-  go 0
+(* Longest unterminated frame a connection may send.  Real frames are
+   far smaller: the largest SPEC source is ~3 KB before escaping. *)
+let max_line = 1 lsl 20
 
+(* Submit the frames completed by the [k] bytes just read into
+   [srv.chunk], the first one prefixed by the buffered tail, and buffer
+   the new tail.  Only the new bytes are scanned. *)
+let feed_chunk srv conn k =
+  let rec go start i =
+    if i = k then Buffer.add_subbytes conn.rbuf srv.chunk start (k - start)
+    else if Bytes.get srv.chunk i <> '\n' then go start (i + 1)
+    else begin
+      Buffer.add_subbytes conn.rbuf srv.chunk start (i - start);
+      let n = Buffer.length conn.rbuf in
+      let n = if n > 0 && Buffer.nth conn.rbuf (n - 1) = '\r' then n - 1 else n in
+      let line = Buffer.sub conn.rbuf 0 n in
+      Buffer.clear conn.rbuf;
+      if line <> "" then submit srv.engine conn.cl line;
+      go (i + 1) (i + 1)
+    end
+  in
+  go 0 0
+
+(* Read until the socket would block.  A tail past [max_line] gets one
+   client-level error and ends the connection like EOF, so its sessions
+   close once the error is flushed. *)
 let read_conn srv conn =
   let rec go () =
     match Unix.read conn.fd srv.chunk 0 (Bytes.length srv.chunk) with
     | 0 -> conn.eof <- true
     | k ->
-      Buffer.add_subbytes conn.rbuf srv.chunk 0 k;
-      go ()
+      feed_chunk srv conn k;
+      if Buffer.length conn.rbuf > max_line then begin
+        Buffer.reset conn.rbuf;
+        client_reply conn.cl
+          (Proto.Error (Printf.sprintf "frame longer than %d bytes" max_line));
+        conn.eof <- true
+      end
+      else go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
       ()
     | exception Unix.Unix_error _ -> conn.eof <- true
   in
-  go ();
-  feed_lines srv conn
+  go ()
 
 let unsent conn = Buffer.length conn.wbuf - conn.woff
 

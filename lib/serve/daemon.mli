@@ -78,7 +78,11 @@ val listen :
     with {!server_port}).  Loopback by default.  Sets the process's
     SIGPIPE disposition to ignore, so a peer that resets costs only its
     own connection (the write fails with EPIPE and the connection is
-    reaped) instead of killing the process. *)
+    reaped) instead of killing the process.  Every accepted connection
+    sets [TCP_NODELAY]: the daemon already writes each connection's
+    pending replies once per {!server_poll}, and Nagle's algorithm would
+    otherwise hold a second write until the peer's delayed ACK (~40 ms
+    on Linux). *)
 
 val server_port : server -> int
 
@@ -88,7 +92,9 @@ val server_poll : server -> unit
     wakes the next [select]), accept pending connections, read available
     bytes (feeding complete frames to {!submit}), flush outboxes (bytes
     the socket does not take stay queued), reap disconnected peers
-    (closing their sessions). *)
+    (closing their sessions).  A connection whose unterminated frame
+    grows past 1 MiB gets one client-level [error] reply and is then
+    reaped as on EOF. *)
 
 val server_fds : server -> Unix.file_descr list
 (** Fds to wait on for reading before the next {!server_poll}: the

@@ -603,6 +603,187 @@ let test_peer_reset () =
       done;
       check_int "reset peer's session closed" 0 (Daemon.sessions_open t))
 
+(* --- wire latency and bounds ---------------------------------------------- *)
+
+let connect_to srv sock =
+  Unix.connect sock
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.server_port srv))
+
+let test_nodelay_on_accept () =
+  (* Every accepted connection turns Nagle's algorithm off.  Connected
+     sockets are the server fds with a peer: not the listener, not the
+     wake pipe. *)
+  let t = Daemon.create () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with _ -> ());
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      connect_to srv sock;
+      Daemon.server_poll srv;
+      let connected =
+        List.filter
+          (fun fd ->
+            match Unix.getpeername fd with
+            | _ -> true
+            | exception Unix.Unix_error _ -> false)
+          (Daemon.server_fds srv)
+      in
+      check_int "one accepted connection" 1 (List.length connected);
+      List.iter
+        (fun fd ->
+          check_bool "TCP_NODELAY set" true (Unix.getsockopt fd Unix.TCP_NODELAY))
+        connected)
+
+let counter_program = {|
+int counter;
+
+int main() {
+  int i;
+  i = 0;
+  while (i < 400) {
+    counter = counter + 1;
+    i = i + 1;
+  }
+  return counter;
+}
+|}
+
+let test_replies_skip_delayed_ack () =
+  (* Twenty sessions back to back on one connection, each [run]
+     streaming 400 hits over several slices before [exited].  With
+     Nagle on, each write after the first waits for this client's
+     delayed ACK (~40 ms on Linux); without it a round trip takes a few
+     ms.  Four slow trips are tolerated as host noise. *)
+  let t = Daemon.create ~shards:1 ~slice:500 () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with _ -> ());
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      Unix.setsockopt sock Unix.TCP_NODELAY true;
+      connect_to srv sock;
+      Unix.set_nonblock sock;
+      let pending = Buffer.create 65536 in
+      (* Send [frame], then serve and read until its terminal reply;
+         return that reply and the round trip in ms. *)
+      let exchange frame =
+        let t0 = Unix.gettimeofday () in
+        let line = frame ^ "\n" in
+        ignore (Unix.write_substring sock line 0 (String.length line));
+        let rec await () =
+          if Unix.gettimeofday () -. t0 > 10.0 then
+            Alcotest.fail ("no terminal reply to " ^ frame);
+          (try ignore (Unix.select (sock :: Daemon.server_fds srv) [] [] 0.5)
+           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          Daemon.server_poll srv;
+          Buffer.add_string pending (read_available sock);
+          let data = Buffer.contents pending in
+          match String.rindex_opt data '\n' with
+          | None -> await ()
+          | Some i -> (
+            Buffer.clear pending;
+            Buffer.add_string pending
+              (String.sub data (i + 1) (String.length data - i - 1));
+            let last =
+              List.find_map
+                (fun l ->
+                  match Proto.decode_reply l with
+                  | Ok { Proto.r_body; _ } when Proto.terminal r_body ->
+                    Some r_body
+                  | _ -> None)
+                (String.split_on_char '\n' (String.sub data 0 i))
+            in
+            match last with
+            | Some body -> (body, (Unix.gettimeofday () -. t0) *. 1000.0)
+            | None -> await ())
+        in
+        await ()
+      in
+      let send cmd = exchange (Proto.encode_command cmd) in
+      let runs =
+        List.init 20 (fun i ->
+            let sid = Printf.sprintf "n%d" i in
+            let source = Proto.Program counter_program in
+            ignore
+              (send
+                 (Proto.Open
+                    { sid; source; strategy = "BitmapInlineRegisters"; opt = "none" }));
+            ignore (send (Proto.Arm { sid; target = Proto.Var "counter" }));
+            let body, ms = send (Proto.Run { sid; fuel = 100_000_000 }) in
+            (match body with
+            | Proto.Exited _ -> ()
+            | _ -> Alcotest.fail "run did not end in exited");
+            ignore (send (Proto.Close { sid }));
+            ms)
+      in
+      let slow = List.filter (fun ms -> ms >= 30.0) runs in
+      check_bool
+        (Printf.sprintf "at most 4 of 20 run round trips >= 30 ms (got %s)"
+           (String.concat ", " (List.map (Printf.sprintf "%.1f") slow)))
+        true
+        (List.length slow <= 4))
+
+let test_overlong_frame () =
+  (* A frame that never ends: the daemon stops buffering at the cap,
+     answers once with an error and reaps the connection, closing its
+     session. *)
+  let t = Daemon.create () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with _ -> ());
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      connect_to srv sock;
+      let opening = List.hd (script "o1") ^ "\n" in
+      ignore (Unix.write_substring sock opening 0 (String.length opening));
+      Daemon.server_poll srv;
+      Daemon.drain t;
+      check_int "open routed" 1 (Daemon.sessions_open t);
+      Unix.set_nonblock sock;
+      let junk = String.make (2 * 1024 * 1024) 'x' in
+      let sent = ref 0 and got = Buffer.create 4096 and closed = ref false in
+      let chunk = Bytes.create 4096 in
+      let rounds = ref 0 in
+      while (not !closed) && !rounds < 100_000 do
+        incr rounds;
+        (if !sent < String.length junk then
+           let left = String.length junk - !sent in
+           match Unix.write_substring sock junk !sent left with
+           | k -> sent := !sent + k
+           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+           | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+             sent := String.length junk);
+        Daemon.server_poll srv;
+        match Unix.read sock chunk 0 (Bytes.length chunk) with
+        | 0 -> closed := true
+        | k -> Buffer.add_subbytes got chunk 0 k
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> closed := true
+      done;
+      check_bool "connection closed by the daemon" true !closed;
+      let errors =
+        List.filter
+          (fun l ->
+            match Proto.decode_reply l with
+            | Ok { Proto.r_sid = "-"; r_body = Proto.Error _; _ } -> true
+            | _ -> false)
+          (String.split_on_char '\n' (Buffer.contents got))
+      in
+      check_int "exactly one error reply" 1 (List.length errors);
+      check_int "connection reaped" 2 (List.length (Daemon.server_fds srv));
+      Daemon.drain t;
+      check_int "its session closed" 0 (Daemon.sessions_open t))
+
 let test_no_fd_leak () =
   if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
   let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
@@ -740,6 +921,12 @@ let suites =
           test_peer_reset;
         Alcotest.test_case "create/shutdown leaks no fds" `Quick
           test_no_fd_leak;
+        Alcotest.test_case "accepted connections set TCP_NODELAY" `Quick
+          test_nodelay_on_accept;
+        Alcotest.test_case "run replies skip the delayed-ACK clock" `Quick
+          test_replies_skip_delayed_ack;
+        Alcotest.test_case "overlong frame answered once and reaped" `Quick
+          test_overlong_frame;
       ] );
     ( "serve.scrape",
       [
