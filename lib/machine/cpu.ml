@@ -126,27 +126,23 @@ let[@inline] norm x =
 
 let[@inline] uns x = x land 0xFFFFFFFF
 
-(* Register accessors, inlined from {!Windows} (whose representation is
-   exposed for exactly this): several reads/writes per simulated
-   instruction, so the cross-module call mattered. *)
-let get t r =
+(* Register access by {!Windows.slot}, indexing the flat register file
+   directly (its representation is exposed for exactly this).
+   {!compile} resolves every operand's slot once, at decode time.
+   [%g0] is slot 0, which holds zero and is never written.  [rset]
+   stores its value as is: callers pass normalized words. *)
+let[@inline] rget t c =
   let w = t.win in
-  match r with
-  | Reg.G 0 -> 0
-  | Reg.G i -> w.Windows.globals.(i)
-  | Reg.O i -> w.Windows.cur.Windows.outs.(i)
-  | Reg.L i -> w.Windows.cur.Windows.locals.(i)
-  | Reg.I i -> w.Windows.cur.Windows.ins.(i)
+  if c < 8 then Array.unsafe_get w.Windows.regs c
+  else Array.unsafe_get w.Windows.regs (w.Windows.base + c)
 
-let set t r v =
+let[@inline] rset t c v =
   let w = t.win in
-  let v = norm v in
-  match r with
-  | Reg.G 0 -> ()
-  | Reg.G i -> w.Windows.globals.(i) <- v
-  | Reg.O i -> w.Windows.cur.Windows.outs.(i) <- v
-  | Reg.L i -> w.Windows.cur.Windows.locals.(i) <- v
-  | Reg.I i -> w.Windows.cur.Windows.ins.(i) <- v
+  if c >= 8 then Array.unsafe_set w.Windows.regs (w.Windows.base + c) v
+  else if c > 0 then Array.unsafe_set w.Windows.regs c v
+
+let get t r = rget t (Windows.slot r)
+let set t r v = rset t (Windows.slot r) (norm v)
 
 let operand t = function
   | Insn.Reg r -> get t r
@@ -365,23 +361,29 @@ let run_load_hooks t ea width =
 
 (* Width-specialized memory-operation bodies, shared between the
    generic {!execute} (probe slow path) and the pre-decoded closures
-   built by {!compile}, so the two paths cannot diverge. *)
+   built by {!compile}, so the two paths cannot diverge.  Word and
+   sub-word accesses take the data register's slot; double accesses,
+   which need the register's name for the odd-register fault, take the
+   register itself. *)
+
+(* The page holding [key], looked up inline in {!Memory}'s two-level
+   table: three dependent loads, no test for a missing page. *)
+let[@inline] mem_page m key =
+  Array.unsafe_get
+    (Array.unsafe_get m.Memory.dir (key lsr Memory.l2_bits))
+    (key land Memory.l2_mask)
 
 let ld_word t ea rd =
   t.nloads <- t.nloads + 1;
   add_cycles t t.config.load_cycles;
-  (* Inlined aligned-word fast path: a hit on the memory's single-slot
-     page cache is one compare + one array read. *)
   data_access t ea;
   let a = uns ea in
   if a land 3 <> 0 then faultf t "misaligned 4-byte load at 0x%x" a;
-  let m = t.mem in
-  let v =
-    if a lsr Memory.page_bits = m.Memory.last_key then
-      Array.unsafe_get m.Memory.last_page ((a land Memory.offset_mask) lsr 2)
-    else Memory.read_word m ea
-  in
-  set t rd v;
+  (* Memory holds normalized words. *)
+  rset t rd
+    (Array.unsafe_get
+       (mem_page t.mem (a lsr Memory.page_bits)).Memory.arr
+       ((a land Memory.offset_mask) lsr 2));
   if t.nload_hooks <> 0 then run_load_hooks t ea Insn.Word
 
 let ld_double t ea rd =
@@ -407,7 +409,7 @@ let ld_sub t ea width signed rd =
        if signed then Memory.read_signed t.mem ea width
        else Memory.read_unsigned t.mem ea width
      in
-     set t rd v
+     rset t rd v
    with Memory.Misaligned { addr; width } ->
      faultf t "misaligned %d-byte load at 0x%x" width (Word.to_unsigned addr));
   if t.nload_hooks <> 0 then run_load_hooks t ea width
@@ -415,17 +417,18 @@ let ld_sub t ea width signed rd =
 let st_word t ea rd =
   t.nstores <- t.nstores + 1;
   add_cycles t t.config.store_cycles;
-  (* Inlined aligned-word fast path; the slot only ever holds
-     materialized pages, so writing through it is safe.  Register
-     values are already normalized. *)
   data_access t ea;
   let a = uns ea in
   if a land 3 <> 0 then faultf t "misaligned 4-byte store at 0x%x" a;
   let m = t.mem in
-  let v = get t rd in
-  if a lsr Memory.page_bits = m.Memory.last_key then
-    Array.unsafe_set m.Memory.last_page ((a land Memory.offset_mask) lsr 2) v
-  else Memory.write_word m ea v;
+  let key = a lsr Memory.page_bits in
+  let p = mem_page m key in
+  let arr =
+    if p.Memory.gen = m.Memory.epoch then p.Memory.arr
+    else Memory.writable m key
+  in
+  (* Register values are already normalized. *)
+  Array.unsafe_set arr ((a land Memory.offset_mask) lsr 2) (rget t rd);
   if t.nstore_hooks <> 0 then run_store_hooks t ea Insn.Word
 
 let st_double t ea rd =
@@ -446,7 +449,7 @@ let st_byte t ea rd =
   t.nstores <- t.nstores + 1;
   add_cycles t t.config.store_cycles;
   data_access t ea;
-  (try Memory.write_byte t.mem ea (get t rd land 0xFF)
+  (try Memory.write_byte t.mem ea (rget t rd land 0xFF)
    with Memory.Misaligned { addr; width } ->
      faultf t "misaligned %d-byte store at 0x%x" width (Word.to_unsigned addr));
   if t.nstore_hooks <> 0 then run_store_hooks t ea Insn.Byte
@@ -455,7 +458,7 @@ let st_half t ea rd =
   t.nstores <- t.nstores + 1;
   add_cycles t t.config.store_cycles;
   data_access t ea;
-  (try Memory.write_half t.mem ea (get t rd land 0xFFFF)
+  (try Memory.write_half t.mem ea (rget t rd land 0xFFFF)
    with Memory.Misaligned { addr; width } ->
      faultf t "misaligned %d-byte store at 0x%x" width (Word.to_unsigned addr));
   if t.nstore_hooks <> 0 then run_store_hooks t ea Insn.Half
@@ -478,17 +481,17 @@ let execute t insn next =
   | Insn.Ld { width; signed; rs1; off; rd } ->
     let ea = Word.add (get t rs1) (operand t off) in
     (match width with
-    | Insn.Word -> ld_word t ea rd
+    | Insn.Word -> ld_word t ea (Windows.slot rd)
     | Insn.Double -> ld_double t ea rd
-    | Insn.Byte | Insn.Half -> ld_sub t ea width signed rd);
+    | Insn.Byte | Insn.Half -> ld_sub t ea width signed (Windows.slot rd));
     t.pc <- next
   | Insn.St { width; rd; rs1; off } ->
     let ea = Word.add (get t rs1) (operand t off) in
     (match width with
-    | Insn.Word -> st_word t ea rd
+    | Insn.Word -> st_word t ea (Windows.slot rd)
     | Insn.Double -> st_double t ea rd
-    | Insn.Byte -> st_byte t ea rd
-    | Insn.Half -> st_half t ea rd);
+    | Insn.Byte -> st_byte t ea (Windows.slot rd)
+    | Insn.Half -> st_half t ea (Windows.slot rd));
     t.pc <- next
   | Insn.Branch { cond; target } ->
     t.nbranches <- t.nbranches + 1;
@@ -543,15 +546,18 @@ let[@inline] icc_sub a b r =
   lor if uns a < uns b then 1 else 0
 
 (* Pre-decode one instruction into a specialized closure.  The
-   fall-through pc, operand shapes, access width and cc flag are all
-   resolved here, once, instead of being re-matched on every execution.
+   fall-through pc, register slots, operand shapes, access width and cc
+   flag are all resolved here, once, instead of being re-matched on
+   every execution.
    The bodies delegate to the same [ld_*]/[st_*]/[alu_result]/[set_icc]
    helpers as {!execute}, so both paths stay bit-identical. *)
 let compile text_base idx insn : t -> unit =
   let next = text_base + ((idx + 1) lsl 2) in
+  let slot = Windows.slot in
   match insn with
   | Insn.Nop -> fun t -> t.pc <- next
   | Insn.Alu { op; cc; rs1; op2; rd } -> (
+    let rs1 = slot rs1 and rd = slot rd in
     match (op, cc, op2) with
     (* The shapes below cover almost every ALU instruction the mini-C
        compiler emits (address arithmetic, loop increments, and the
@@ -560,136 +566,149 @@ let compile text_base idx insn : t -> unit =
     | Insn.Add, false, Insn.Imm i ->
       let b = norm i in
       fun t ->
-        set t rd (norm (get t rs1 + b));
+        rset t rd (norm (rget t rs1 + b));
         t.pc <- next
     | Insn.Add, false, Insn.Reg rs2 ->
+      let rs2 = slot rs2 in
       fun t ->
-        set t rd (norm (get t rs1 + get t rs2));
+        rset t rd (norm (rget t rs1 + rget t rs2));
         t.pc <- next
     | Insn.Sub, false, Insn.Imm i ->
       let b = norm i in
       fun t ->
-        set t rd (norm (get t rs1 - b));
+        rset t rd (norm (rget t rs1 - b));
         t.pc <- next
     | Insn.Sub, false, Insn.Reg rs2 ->
+      let rs2 = slot rs2 in
       fun t ->
-        set t rd (norm (get t rs1 - get t rs2));
+        rset t rd (norm (rget t rs1 - rget t rs2));
         t.pc <- next
     | Insn.Or, false, Insn.Imm i ->
       let b = norm i in
       fun t ->
-        set t rd (norm (get t rs1 lor b));
+        rset t rd (norm (rget t rs1 lor b));
         t.pc <- next
     | Insn.Or, false, Insn.Reg rs2 ->
+      let rs2 = slot rs2 in
       fun t ->
-        set t rd (norm (get t rs1 lor get t rs2));
+        rset t rd (norm (rget t rs1 lor rget t rs2));
         t.pc <- next
     | Insn.Sll, false, Insn.Imm i ->
       let b = norm i land 31 in
       fun t ->
-        set t rd (norm (get t rs1 lsl b));
+        rset t rd (norm (rget t rs1 lsl b));
         t.pc <- next
     | Insn.Add, true, Insn.Imm i ->
       let b = norm i in
       fun t ->
-        let a = get t rs1 in
+        let a = rget t rs1 in
         let r = norm (a + b) in
-        set t rd r;
+        rset t rd r;
         t.icc <- icc_add a b r;
         t.pc <- next
     | Insn.Add, true, Insn.Reg rs2 ->
+      let rs2 = slot rs2 in
       fun t ->
-        let a = get t rs1 and b = get t rs2 in
+        let a = rget t rs1 and b = rget t rs2 in
         let r = norm (a + b) in
-        set t rd r;
+        rset t rd r;
         t.icc <- icc_add a b r;
         t.pc <- next
     | Insn.Sub, true, Insn.Imm i ->
       let b = norm i in
       fun t ->
-        let a = get t rs1 in
+        let a = rget t rs1 in
         let r = norm (a - b) in
-        set t rd r;
+        rset t rd r;
         t.icc <- icc_sub a b r;
         t.pc <- next
     | Insn.Sub, true, Insn.Reg rs2 ->
+      let rs2 = slot rs2 in
       fun t ->
-        let a = get t rs1 and b = get t rs2 in
+        let a = rget t rs1 and b = rget t rs2 in
         let r = norm (a - b) in
-        set t rd r;
+        rset t rd r;
         t.icc <- icc_sub a b r;
         t.pc <- next
     | _, _, Insn.Imm i ->
       let b = norm i in
       if cc then
         fun t ->
-          let a = get t rs1 in
+          let a = rget t rs1 in
           let r = alu_result t op a b in
-          set t rd r;
+          rset t rd r;
           set_icc t op a b r;
           t.pc <- next
       else
         fun t ->
-          set t rd (alu_result t op (get t rs1) b);
+          rset t rd (alu_result t op (rget t rs1) b);
           t.pc <- next
     | _, _, Insn.Reg rs2 ->
+      let rs2 = slot rs2 in
       if cc then
         fun t ->
-          let a = get t rs1 and b = get t rs2 in
+          let a = rget t rs1 and b = rget t rs2 in
           let r = alu_result t op a b in
-          set t rd r;
+          rset t rd r;
           set_icc t op a b r;
           t.pc <- next
       else
         fun t ->
-          set t rd (alu_result t op (get t rs1) (get t rs2));
+          rset t rd (alu_result t op (rget t rs1) (rget t rs2));
           t.pc <- next)
   | Insn.Sethi { imm; rd } ->
-    let v = Word.norm (imm lsl 10) in
+    let v = Word.norm (imm lsl 10) and rd = slot rd in
     fun t ->
-      set t rd v;
+      rset t rd v;
       t.pc <- next
   | Insn.Ld { width; signed; rs1; off; rd } -> (
+    let rs1 = slot rs1 in
     match (width, off) with
     | Insn.Word, Insn.Imm i ->
-      let i = Word.norm i in
+      let i = Word.norm i and rd = slot rd in
       fun t ->
-        ld_word t (norm (get t rs1 + i)) rd;
+        ld_word t (norm (rget t rs1 + i)) rd;
         t.pc <- next
     | Insn.Word, Insn.Reg rs2 ->
+      let rs2 = slot rs2 and rd = slot rd in
       fun t ->
-        ld_word t (norm (get t rs1 + get t rs2)) rd;
+        ld_word t (norm (rget t rs1 + rget t rs2)) rd;
         t.pc <- next
     | Insn.Double, _ ->
       fun t ->
-        ld_double t (Word.add (get t rs1) (operand t off)) rd;
+        ld_double t (Word.add (rget t rs1) (operand t off)) rd;
         t.pc <- next
     | (Insn.Byte | Insn.Half), _ ->
+      let rd = slot rd in
       fun t ->
-        ld_sub t (Word.add (get t rs1) (operand t off)) width signed rd;
+        ld_sub t (Word.add (rget t rs1) (operand t off)) width signed rd;
         t.pc <- next)
   | Insn.St { width; rd; rs1; off } -> (
+    let rs1 = slot rs1 in
     match (width, off) with
     | Insn.Word, Insn.Imm i ->
-      let i = Word.norm i in
+      let i = Word.norm i and rd = slot rd in
       fun t ->
-        st_word t (norm (get t rs1 + i)) rd;
+        st_word t (norm (rget t rs1 + i)) rd;
         t.pc <- next
     | Insn.Word, Insn.Reg rs2 ->
+      let rs2 = slot rs2 and rd = slot rd in
       fun t ->
-        st_word t (norm (get t rs1 + get t rs2)) rd;
+        st_word t (norm (rget t rs1 + rget t rs2)) rd;
         t.pc <- next
     | Insn.Double, _ ->
       fun t ->
-        st_double t (Word.add (get t rs1) (operand t off)) rd;
+        st_double t (Word.add (rget t rs1) (operand t off)) rd;
         t.pc <- next
     | Insn.Byte, _ ->
+      let rd = slot rd in
       fun t ->
-        st_byte t (Word.add (get t rs1) (operand t off)) rd;
+        st_byte t (Word.add (rget t rs1) (operand t off)) rd;
         t.pc <- next
     | Insn.Half, _ ->
+      let rd = slot rd in
       fun t ->
-        st_half t (Word.add (get t rs1) (operand t off)) rd;
+        st_half t (Word.add (rget t rs1) (operand t off)) rd;
         t.pc <- next)
   | Insn.Branch { cond; target } -> (
     match (target, cond) with
@@ -707,38 +726,42 @@ let compile text_base idx insn : t -> unit =
         if Cond.eval_packed cond t.icc then t.pc <- resolved t target
         else t.pc <- next)
   | Insn.Call { target } -> (
+    let o7 = slot Reg.o7 in
     match target with
     | Insn.Abs a ->
       fun t ->
-        set t Reg.o7 t.pc;
+        rset t o7 (norm t.pc);
         t.pc <- a
     | Insn.Sym _ ->
       fun t ->
-        set t Reg.o7 t.pc;
+        rset t o7 (norm t.pc);
         t.pc <- resolved t target)
   | Insn.Jmpl { rs1; off; rd } ->
+    let rs1 = slot rs1 and rd = slot rd in
     fun t ->
-      let dest = Word.add (get t rs1) (operand t off) in
+      let dest = Word.add (rget t rs1) (operand t off) in
       if dest land 3 <> 0 then
         faultf t "misaligned jump to 0x%x" (Word.to_unsigned dest);
-      set t rd t.pc;
+      rset t rd (norm t.pc);
       t.pc <- dest
   | Insn.Save { rs1; op2; rd } ->
+    let rs1 = slot rs1 and rd = slot rd in
     fun t ->
-      let v = Word.add (get t rs1) (operand t op2) in
+      let v = Word.add (rget t rs1) (operand t op2) in
       let spills = Windows.spills t.win in
       Windows.save t.win;
       if Windows.spills t.win > spills then add_cycles t t.config.spill_cycles;
-      set t rd v;
+      rset t rd v;
       t.pc <- next
   | Insn.Restore { rs1; op2; rd } ->
+    let rs1 = slot rs1 and rd = slot rd in
     fun t ->
-      let v = Word.add (get t rs1) (operand t op2) in
+      let v = Word.add (rget t rs1) (operand t op2) in
       let fills = Windows.fills t.win in
       (try Windows.restore t.win
        with Windows.Underflow -> faultf t "register window underflow");
       if Windows.fills t.win > fills then add_cycles t t.config.spill_cycles;
-      set t rd v;
+      rset t rd v;
       t.pc <- next
   | Insn.Trap { number } ->
     fun t ->
@@ -963,9 +986,10 @@ let checkpoint_view cp = cp.cp_mem
 let checkpoint_insns cp = cp.cp_ninstrs
 
 let checkpoint_overhead_bytes cp =
-  (* Fixed (non-page) cost of one checkpoint: cache tags, window
-     frames (8 globals + 24 words per frame), captured output, and the
-     scalar fields.  Page bytes are accounted separately by the journal
+  (* Fixed (non-page) cost of one checkpoint: cache tags, register
+     windows (charged at 8 globals + 24 words per window, the figure
+     the replay tables print), captured output, and the scalar
+     fields.  Page bytes are accounted separately by the journal
      via {!Memory.view_diff}. *)
   Cache.snapshot_bytes cp.cp_cache
   + ((8 + (Windows.depth cp.cp_win * 24)) * 8)
@@ -985,43 +1009,48 @@ let diverges t cp =
     if recorded = live then None else named name (show recorded) (show live)
   in
   let first checks = List.find_map (fun check -> check ()) checks in
-  let regs name recorded live () =
-    let rec go i =
-      if i = Array.length recorded then None
-      else if recorded.(i) <> live.(i) then
-        named
-          (Printf.sprintf "%s%d" name i)
-          (string_of_int recorded.(i)) (string_of_int live.(i))
-      else go (i + 1)
-    in
-    go 0
-  in
   (* Output is named by its length and last bytes. *)
   let tail s =
     let n = String.length s in
     Printf.sprintf "%d bytes ending %S" n (String.sub s (max 0 (n - 16)) (min n 16))
   in
   let windows () =
-    let w = t.win and r = cp.cp_win in
-    let rec frames k (rf : Windows.frame list) (lf : Windows.frame list) () =
-      match (rf, lf) with
-      | r :: rs, l :: ls ->
+    let r = cp.cp_win.Windows.regs and l = t.win.Windows.regs in
+    let regs name at () =
+      let rec go i =
+        if i = 8 then None
+        else if r.(at + i) <> l.(at + i) then
+          named
+            (Printf.sprintf "%s%d" name i)
+            (string_of_int r.(at + i)) (string_of_int l.(at + i))
+        else go (i + 1)
+      in
+      go 0
+    in
+    (* Window [k] counts out from the current one.  Depths are equal by
+       the time it runs, so both files share one layout; a window's outs
+       are the next inner window's ins and compare there first. *)
+    let depth = cp.cp_win.Windows.depth in
+    let rec frames k () =
+      if k = depth then None
+      else
+        let base = 16 * (depth - 1 - k) in
         let name reg = Printf.sprintf "window %d %%%s" k reg in
         first
           [
-            regs (name "l") r.locals l.locals;
-            regs (name "i") r.ins l.ins;
-            regs (name "o") r.outs l.outs;
-            frames (k + 1) rs ls;
+            regs (name "l") (base + 16);
+            regs (name "i") (base + 8);
+            regs (name "o") (base + 24);
+            frames (k + 1);
           ]
-      | _ -> None
     in
+    let w = t.win and c = cp.cp_win in
     first
       [
-        regs "%g" r.Windows.globals w.Windows.globals;
-        field "depth" string_of_int r.depth w.depth;
-        field "resident" string_of_int r.resident w.resident;
-        frames 0 r.frames w.frames;
+        regs "%g" 0;
+        field "depth" string_of_int c.depth w.depth;
+        field "resident" string_of_int c.resident w.resident;
+        frames 0;
       ]
   in
   let memory () =

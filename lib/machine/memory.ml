@@ -6,32 +6,28 @@ let page_bits = 12
 let page_words = 1 lsl (page_bits - 2)
 let page_bytes = 1 lsl page_bits
 let offset_mask = (1 lsl page_bits) - 1
+let l2_bits = 10
+let l2_mask = (1 lsl l2_bits) - 1
 
 module IntMap = Map.Make (Int)
 
 type view = int array IntMap.t
 
-(* A materialized page.  [gen] is the epoch in which [arr] was last
+(* A mapped page.  [gen] is the epoch in which [arr] was last
    (re)copied: when [gen < epoch] the array may be shared with one or
    more snapshot views and must be copied before the next write
    (copy-on-write). *)
 type page = { mutable arr : int array; mutable gen : int }
 
 type t = {
-  pages : (int, page) Hashtbl.t;
-  (* Single-slot page cache: the last page touched through the word
-     paths.  Spatial locality makes almost every access hit the slot,
-     so the common case is one integer compare instead of a [Hashtbl]
-     probe (which also allocates a [Some] per hit).  [last_key] is
-     [invalid_key] whenever [last_page] must not be trusted.
-
-     COW invariant: the slot only ever holds arrays private to the
-     current epoch ([gen = epoch]), so {!Cpu}'s inlined store fast path
-     may write through it without a generation check. *)
-  mutable last_key : int;
-  mutable last_page : int array;
+  (* Two-level page table over the 20-bit page key: [dir.(key lsr 10)]
+     is a second level and its slot [key land 1023] the page.  Unmapped
+     pages are the shared [absent] page and empty second levels the
+     shared [absent_l2], so finding a page is plain indexing: no
+     compare, no hash, no allocation. *)
+  dir : page array array;
   mutable epoch : int;
-  (* Persistent index of the live page arrays, maintained incrementally
+  (* Persistent index of the mapped page arrays, maintained incrementally
      whenever a page's array identity changes (materialization or COW).
      [snapshot_cow] is then O(1): bump the epoch and hand out the
      current map. *)
@@ -39,43 +35,57 @@ type t = {
   mutable cow_copies : int;  (* cumulative pages copied by COW *)
 }
 
-let invalid_key = min_int
-let no_page : int array = [||]
+(* Never written: the contents of every unmapped page, and of a page
+   one side of a diff has not materialized.  [gen = -1] never equals an
+   epoch, so a write to [absent] always goes through [writable]. *)
+let zero_page = Array.make page_words 0
+let absent = { arr = zero_page; gen = -1 }
+let absent_l2 = Array.make (1 lsl l2_bits) absent
 
 let create () =
   {
-    pages = Hashtbl.create 1024;
-    last_key = invalid_key;
-    last_page = no_page;
+    dir = Array.make (1 lsl (32 - page_bits - l2_bits)) absent_l2;
     epoch = 1;
     view = IntMap.empty;
     cow_copies = 0;
   }
 
-let page_of t addr =
-  let key = Word.to_unsigned addr lsr page_bits in
-  if key = t.last_key then t.last_page
-  else
-    match Hashtbl.find_opt t.pages key with
-    | Some p ->
-      if p.gen < t.epoch then begin
-        (* Shared with a snapshot view: copy before the write the
-           caller is about to perform. *)
-        p.arr <- Array.copy p.arr;
-        p.gen <- t.epoch;
-        t.view <- IntMap.add key p.arr t.view;
-        t.cow_copies <- t.cow_copies + 1
-      end;
-      t.last_key <- key;
-      t.last_page <- p.arr;
-      p.arr
-    | None ->
+let[@inline] page t key =
+  Array.unsafe_get (Array.unsafe_get t.dir (key lsr l2_bits)) (key land l2_mask)
+
+let set_page t key p =
+  let hi = key lsr l2_bits in
+  let l2 = t.dir.(hi) in
+  let l2 =
+    if l2 != absent_l2 then l2
+    else begin
+      let l2 = Array.make (1 lsl l2_bits) absent in
+      t.dir.(hi) <- l2;
+      l2
+    end
+  in
+  l2.(key land l2_mask) <- p
+
+let writable t key =
+  let p = page t key in
+  let arr =
+    if p == absent then begin
       let arr = Array.make page_words 0 in
-      Hashtbl.add t.pages key { arr; gen = t.epoch };
-      t.view <- IntMap.add key arr t.view;
-      t.last_key <- key;
-      t.last_page <- arr;
+      set_page t key { arr; gen = t.epoch };
       arr
+    end
+    else begin
+      (* Shared with a snapshot view: copy before the write the caller
+         is about to perform. *)
+      let arr = Array.copy p.arr in
+      p.arr <- arr;
+      p.gen <- t.epoch;
+      t.cow_copies <- t.cow_copies + 1;
+      arr
+    end
+  in
+  t.view <- IntMap.add key arr t.view;
+  arr
 
 let check_align addr width =
   if Word.to_unsigned addr land (width - 1) <> 0 then
@@ -84,26 +94,15 @@ let check_align addr width =
 let read_word t addr =
   let a = Word.to_unsigned addr in
   if a land 3 <> 0 then raise (Misaligned { addr; width = 4 });
-  let key = a lsr page_bits in
-  if key = t.last_key then Array.unsafe_get t.last_page ((a land offset_mask) lsr 2)
-  else
-    (* Reads of never-written pages return zero without allocating. *)
-    match Hashtbl.find_opt t.pages key with
-    | None -> 0
-    | Some p ->
-      (* Only private pages may enter the slot cache (COW invariant);
-         reads of shared pages pay the Hashtbl probe until a write
-         copies them into the current epoch. *)
-      if p.gen = t.epoch then begin
-        t.last_key <- key;
-        t.last_page <- p.arr
-      end;
-      Array.unsafe_get p.arr ((a land offset_mask) lsr 2)
+  Array.unsafe_get (page t (a lsr page_bits)).arr ((a land offset_mask) lsr 2)
 
 let write_word t addr v =
   let a = Word.to_unsigned addr in
   if a land 3 <> 0 then raise (Misaligned { addr; width = 4 });
-  Array.unsafe_set (page_of t addr) ((a land offset_mask) lsr 2) (Word.norm v)
+  let key = a lsr page_bits in
+  let p = page t key in
+  let arr = if p.gen = t.epoch then p.arr else writable t key in
+  Array.unsafe_set arr ((a land offset_mask) lsr 2) (Word.norm v)
 
 let read_byte t addr =
   let w = read_word t (addr land lnot 3) in
@@ -147,26 +146,20 @@ let read_unsigned t addr = function
 (* --- Copy-on-write snapshots ----------------------------------------- *)
 
 let snapshot_cow t =
-  (* From now on every resident page is shared with the returned view;
-     the first write to each will copy it.  The slot cache may hold a
-     page that was private a moment ago, so it must be dropped. *)
+  (* From now on every mapped page is shared with the returned view;
+     the first write to each will copy it. *)
   t.epoch <- t.epoch + 1;
-  t.last_key <- invalid_key;
-  t.last_page <- no_page;
   t.view
 
 let restore_cow t view =
-  Hashtbl.reset t.pages;
+  IntMap.iter (fun key _ -> set_page t key absent) t.view;
   IntMap.iter
     (* [gen = 0 < epoch]: the restored arrays still belong to the
        snapshot; the first write to each page copies it out. *)
-    (fun key arr -> Hashtbl.replace t.pages key { arr; gen = 0 })
+    (fun key arr -> set_page t key { arr; gen = 0 })
     view;
   t.view <- view;
-  t.epoch <- t.epoch + 1;
-  t.last_key <- invalid_key;
-  t.last_page <- no_page
-
+  t.epoch <- t.epoch + 1
 let epoch t = t.epoch
 let cow_copies t = t.cow_copies
 let view_pages v = IntMap.cardinal v
@@ -183,9 +176,6 @@ let view_diff prev next =
       | Some prev_arr when prev_arr == arr -> acc
       | Some _ | None -> acc + 1)
     next 0
-
-(* Never written: stands in for a page one side has not materialized. *)
-let zero_page = Array.make page_words 0
 
 let diff_view t view =
   let differing =
@@ -219,15 +209,10 @@ let view_read_word view addr =
 
 let iter_view view f = IntMap.iter f view
 
-let allocated_words t =
-  Hashtbl.length t.pages * page_words
-
 let iter_written t f =
-  Hashtbl.iter
-    (fun key (p : page) ->
+  IntMap.iter
+    (fun key arr ->
       Array.iteri
         (fun i v -> if v <> 0 then f ((key lsl page_bits) + (i * 4)) v)
-        p.arr)
-    t.pages
-
-let iter_pages t f = Hashtbl.iter (fun key p -> f key p.arr) t.pages
+        arr)
+    t.view

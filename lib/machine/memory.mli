@@ -25,24 +25,27 @@ type view
     a write separates them. *)
 
 type page = { mutable arr : int array; mutable gen : int }
-(** A materialized page: [gen] is the epoch in which [arr] was last
-    copied; [gen < epoch] means [arr] may be shared with a snapshot
-    view and must be copied before the next write. *)
+(** A mapped page: [gen] is the epoch in which [arr] was last copied;
+    [gen <> epoch] means [arr] may be shared with a snapshot view (or
+    is the shared zero page) and must not be written in place. *)
 
 type t = {
-  pages : (int, page) Hashtbl.t;
-  mutable last_key : int;  (** single-slot page cache; see [memory.ml] *)
-  mutable last_page : int array;
+  dir : page array array;
   mutable epoch : int;
   mutable view : view;
   mutable cow_copies : int;
 }
-(** The representation is exposed so {!Cpu}'s hot loop can inline the
-    aligned word load/store fast path (a hit on the single-slot page
-    cache is one compare and one array access).  The slot cache only
-    ever holds pages private to the current epoch, so the inlined store
-    path needs no generation check.  Code outside [Cpu] must treat the
-    type as abstract and use the accessors below. *)
+(** [dir] is a two-level page table: a 1024-entry directory indexed by
+    the top ten bits of the 20-bit page key, each entry a 1024-entry
+    second level indexed by the low ten bits.  Unmapped pages are one
+    shared read-only page whose array is all zeros, and empty second
+    levels one shared array of it, so a read is plain indexing with no
+    test for a missing page.  A write also checks [gen = epoch] and
+    otherwise calls {!writable}.
+
+    The representation is exposed so {!Cpu}'s hot loop can inline the
+    aligned word load/store.  Code outside [Cpu] must treat the type as
+    abstract and use the accessors below. *)
 
 val page_bits : int
 (** Page size is [1 lsl page_bits] bytes. *)
@@ -53,7 +56,17 @@ val page_bytes : int
 val offset_mask : int
 (** [(1 lsl page_bits) - 1]: mask selecting the in-page byte offset. *)
 
+val l2_bits : int
+(** A page key [k] lives at [dir.(k lsr l2_bits).(k land l2_mask)]. *)
+
+val l2_mask : int
+
 val create : unit -> t
+
+val writable : t -> int -> int array
+(** [writable t key]: the array of page [key], made private to the
+    current epoch — created if unmapped, copied if shared with a view.
+    Call it only when the page's [gen] differs from [t.epoch]. *)
 
 val read_word : t -> int -> int
 (** @raise Misaligned unless [addr] is 4-byte aligned. *)
@@ -83,8 +96,8 @@ val snapshot_cow : t -> view
     is copied now; subsequent writes copy the pages they touch. *)
 
 val restore_cow : t -> view -> unit
-(** Reset [t]'s contents to a view's.  O(resident pages) table rebuild,
-    zero page copies: the restored pages stay shared with the view and
+(** Reset [t]'s contents to a view's: unmap the live pages and map the
+    view's.  O(resident pages), zero page copies: the restored pages stay shared with the view and
     are copied back out lazily on write. *)
 
 val epoch : t -> int
@@ -122,12 +135,6 @@ val view_read_word : view -> int -> int
 val iter_view : view -> (int -> int array -> unit) -> unit
 (** Iterate the view's pages in ascending key order (key, words). *)
 
-val allocated_words : t -> int
-(** Number of words in materialized pages — the denominator for the
-    segmented bitmap's ~3% space-overhead figure. *)
-
 val iter_written : t -> (int -> int -> unit) -> unit
-(** Iterate over non-zero words of materialized pages. *)
-
-val iter_pages : t -> (int -> int array -> unit) -> unit
-(** Iterate materialized pages (key, words); unspecified order. *)
+(** Iterate over non-zero words of mapped pages, in ascending address
+    order. *)

@@ -2,15 +2,9 @@ open Sparc
 
 exception Underflow
 
-type frame = { locals : int array; ins : int array; outs : int array }
-
 type t = {
-  globals : int array;
-  mutable frames : frame list;
-  (* The head of [frames], cached so the register accessors — several
-     per simulated instruction — read a field instead of matching on the
-     list. *)
-  mutable cur : frame;
+  mutable regs : int array;
+  mutable base : int;
   nwindows : int;
   mutable depth : int;
   mutable resident : int;  (* windows currently in the register file *)
@@ -18,15 +12,24 @@ type t = {
   mutable fills : int;
 }
 
-let fresh_frame ins =
-  { locals = Array.make 8 0; ins; outs = Array.make 8 0 }
+(* Globals at 0..7, then window [d]'s ins, locals and outs at
+   [8 + 16d], [16 + 16d] and [24 + 16d]: a child's ins are its parent's
+   outs by layout, which gives the SPARC register-window overlap for
+   free.  The current window is [d = depth - 1], so [base = 16d] and a
+   windowed register's slot [c] lives at [base + c]. *)
+let slot = function
+  | Reg.G i -> i
+  | Reg.I i -> 8 + i
+  | Reg.L i -> 16 + i
+  | Reg.O i -> 24 + i
+
+(* Slots in use at [depth]: the globals plus the current window's outs. *)
+let live t = t.base + 32
 
 let create ?(nwindows = 8) () =
-  let f0 = fresh_frame (Array.make 8 0) in
   {
-    globals = Array.make 8 0;
-    frames = [ f0 ];
-    cur = f0;
+    regs = Array.make ((16 * nwindows) + 24) 0;
+    base = 0;
     nwindows;
     depth = 1;
     resident = 1;
@@ -35,25 +38,16 @@ let create ?(nwindows = 8) () =
   }
 
 let get t r =
-  match r with
-  | Reg.G 0 -> 0
-  | Reg.G i -> t.globals.(i)
-  | Reg.O i -> t.cur.outs.(i)
-  | Reg.L i -> t.cur.locals.(i)
-  | Reg.I i -> t.cur.ins.(i)
+  let c = slot r in
+  if c < 8 then t.regs.(c) else t.regs.(t.base + c)
 
 let set t r v =
-  let v = Word.norm v in
-  match r with
-  | Reg.G 0 -> ()
-  | Reg.G i -> t.globals.(i) <- v
-  | Reg.O i -> t.cur.outs.(i) <- v
-  | Reg.L i -> t.cur.locals.(i) <- v
-  | Reg.I i -> t.cur.ins.(i) <- v
+  let c = slot r in
+  if c >= 8 then t.regs.(t.base + c) <- Word.norm v
+  else if c > 0 then t.regs.(c) <- Word.norm v
 
-(* The child window's ins ARE the parent's outs: sharing the array gives
-   the SPARC register-window overlap for free.  All frames are retained,
-   so window overflow only costs cycles, never correctness.
+(* All windows are retained, so window overflow only costs cycles,
+   never correctness.
 
    The overflow model matches real hardware behaviour: [resident] counts
    windows held in the register file.  A save with the file full spills
@@ -62,70 +56,37 @@ let set t r v =
    depth beyond [nwindows] is therefore free after the first crossing,
    as on a real SPARC. *)
 let save t =
-  let child = fresh_frame t.cur.outs in
-  t.frames <- child :: t.frames;
-  t.cur <- child;
+  t.base <- t.base + 16;
   t.depth <- t.depth + 1;
+  let n = live t in
+  if n > Array.length t.regs then begin
+    let regs = Array.make (2 * Array.length t.regs) 0 in
+    Array.blit t.regs 0 regs 0 (n - 16);
+    t.regs <- regs
+  end;
+  (* The child's ins are already the parent's outs. *)
+  Array.fill t.regs (n - 16) 16 0;
   if t.resident >= t.nwindows then t.spills <- t.spills + 1
   else t.resident <- t.resident + 1
 
 let restore t =
-  match t.frames with
-  | [] | [ _ ] -> raise Underflow
-  | _ :: (parent :: _ as rest) ->
-    t.frames <- rest;
-    t.cur <- parent;
-    t.depth <- t.depth - 1;
-    if t.resident <= 1 then t.fills <- t.fills + 1
-    else t.resident <- t.resident - 1
+  if t.depth <= 1 then raise Underflow;
+  t.base <- t.base - 16;
+  t.depth <- t.depth - 1;
+  if t.resident <= 1 then t.fills <- t.fills + 1
+  else t.resident <- t.resident - 1
 
-(* Did the last save/restore cross the overflow boundary?  The CPU
-   charges spill cycles based on the counters' deltas. *)
-(* Deep copy that preserves the in/out overlap: rebuild from the oldest
-   frame, threading each copied outs array into the next frame's ins. *)
-let copy t =
-  let oldest_first = List.rev t.frames in
-  let copied =
-    match oldest_first with
-    | [] -> []
-    | first :: rest ->
-      let first' =
-        { locals = Array.copy first.locals; ins = Array.copy first.ins;
-          outs = Array.copy first.outs }
-      in
-      let _, acc =
-        List.fold_left
-          (fun (parent, acc) f ->
-            let f' =
-              { locals = Array.copy f.locals; ins = parent.outs;
-                outs = Array.copy f.outs }
-            in
-            (f', f' :: acc))
-          (first', [ first' ]) rest
-      in
-      acc
-  in
-  let cur = match copied with f :: _ -> f | [] -> raise Underflow in
-  {
-    globals = Array.copy t.globals;
-    frames = copied;
-    cur;
-    nwindows = t.nwindows;
-    depth = t.depth;
-    resident = t.resident;
-    spills = t.spills;
-    fills = t.fills;
-  }
+let copy t = { t with regs = Array.sub t.regs 0 (live t) }
 
 let restore_from t snap =
-  let s = copy snap in
-  Array.blit s.globals 0 t.globals 0 8;
-  t.frames <- s.frames;
-  t.cur <- s.cur;
-  t.depth <- s.depth;
-  t.resident <- s.resident;
-  t.spills <- s.spills;
-  t.fills <- s.fills
+  let n = live snap in
+  if n > Array.length t.regs then t.regs <- Array.make n 0;
+  Array.blit snap.regs 0 t.regs 0 n;
+  t.base <- snap.base;
+  t.depth <- snap.depth;
+  t.resident <- snap.resident;
+  t.spills <- snap.spills;
+  t.fills <- snap.fills
 
 let depth t = t.depth
 let spills t = t.spills

@@ -161,34 +161,53 @@ let memory_dump cpu =
   let words = ref [] in
   Machine.Memory.iter_written (Machine.Cpu.mem cpu) (fun addr v ->
       words := (addr, v) :: !words);
-  List.sort compare !words
+  !words
+
+let fast_path_matches_generic src =
+  let linked = Minic.Compile.compile_and_link src in
+  let image = linked.Minic.Compile.image in
+  let fuel = 20_000_000 in
+  (* Fast path: empty probe table, no hooks. *)
+  let fast = Machine.Cpu.create image in
+  Machine.Cpu.install_basic_services fast;
+  let fast_code = Machine.Cpu.run ~fuel fast in
+  (* Slow path: a no-op probe on every pc and no-op hooks. *)
+  let slow = Machine.Cpu.create image in
+  Machine.Cpu.install_basic_services slow;
+  for i = 0 to Array.length image.Sparc.Assembler.text - 1 do
+    Machine.Cpu.add_probe slow
+      (image.Sparc.Assembler.text_base + (4 * i))
+      (fun _ -> ())
+  done;
+  Machine.Cpu.set_store_hook slow (fun _ ~addr:_ ~width:_ -> ());
+  Machine.Cpu.set_load_hook slow (fun _ ~addr:_ ~width:_ -> ());
+  let slow_code = Machine.Cpu.run ~fuel slow in
+  fast_code = slow_code
+  && Machine.Cpu.stats fast = Machine.Cpu.stats slow
+  && Machine.Cpu.output fast = Machine.Cpu.output slow
+  && memory_dump fast = memory_dump slow
 
 let prop_fast_path_differential =
   QCheck.Test.make
     ~name:"random programs: pre-decoded fast path == generic interpreter"
-    ~count:30 arb_program (fun src ->
-      let linked = Minic.Compile.compile_and_link src in
-      let image = linked.Minic.Compile.image in
-      let fuel = 20_000_000 in
-      (* Fast path: empty probe table, no hooks. *)
-      let fast = Machine.Cpu.create image in
-      Machine.Cpu.install_basic_services fast;
-      let fast_code = Machine.Cpu.run ~fuel fast in
-      (* Slow path: a no-op probe on every pc and no-op hooks. *)
-      let slow = Machine.Cpu.create image in
-      Machine.Cpu.install_basic_services slow;
-      for i = 0 to Array.length image.Sparc.Assembler.text - 1 do
-        Machine.Cpu.add_probe slow
-          (image.Sparc.Assembler.text_base + (4 * i))
-          (fun _ -> ())
-      done;
-      Machine.Cpu.set_store_hook slow (fun _ ~addr:_ ~width:_ -> ());
-      Machine.Cpu.set_load_hook slow (fun _ ~addr:_ ~width:_ -> ());
-      let slow_code = Machine.Cpu.run ~fuel slow in
-      fast_code = slow_code
-      && Machine.Cpu.stats fast = Machine.Cpu.stats slow
-      && Machine.Cpu.output fast = Machine.Cpu.output slow
-      && memory_dump fast = memory_dump slow)
+    ~count:30 arb_program fast_path_matches_generic
+
+(* [gen_program] never recurses, so one fixed program drives the
+   register windows far past the 8 resident ones: 40 and 25 deep, with
+   locals live across every call and a two-way recursion on the way. *)
+let recursive_program =
+  "int calls; int acc[8];\n\
+   int fib(int n) { int a; int b; calls = calls + 1; if (n < 2) { return n; } \
+   a = fib(n - 1); b = fib(n - 2); return a + b; }\n\
+   int down(int n) { int r; int k; k = n * 3; acc[n % 8] = acc[n % 8] + k; \
+   if (n == 0) { r = fib(6); } else { r = down(n - 1) + k; } return r - n; }\n\
+   int main() { int s; s = down(40); s = s + down(25); \
+   return (s + calls + acc[3]) & 255; }\n"
+
+let test_recursive_differential () =
+  Alcotest.(check bool)
+    "recursive program: fast path == generic interpreter" true
+    (fast_path_matches_generic recursive_program)
 
 let suites =
   [
@@ -196,5 +215,7 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_semantics_and_soundness;
         QCheck_alcotest.to_alcotest prop_fast_path_differential;
+        Alcotest.test_case "recursive program: pre-decoded fast path == generic"
+          `Quick test_recursive_differential;
       ] );
   ]

@@ -60,6 +60,186 @@ let test_memory_signed () =
   check_int "signed half" (-32768) (Memory.read_signed m 0x3002 Insn.Half);
   check_int "unsigned half" 0x8000 (Memory.read_unsigned m 0x3002 Insn.Half)
 
+(* --- Memory against a reference model ------------------------------------ *)
+
+(* The reference is an [IntMap] from word address to normalized word,
+   plus the set of pages ever written; every snapshot keeps its own
+   copy of both. *)
+module IntMap = Map.Make (Int)
+module IntSet = Set.Make (Int)
+
+type model = { words : int IntMap.t; pages : IntSet.t }
+
+type mem_op =
+  | Write_word of int * int
+  | Write_byte of int * int
+  | Write_half of int * int
+  | Read of int
+  | Snapshot
+  | Restore of int
+  | Diff of int
+  | View_read of int * int
+  | Iter_written
+
+let show_op = function
+  | Write_word (a, v) -> Printf.sprintf "write_word 0x%x %d" a v
+  | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%x %d" a v
+  | Write_half (a, v) -> Printf.sprintf "write_half 0x%x %d" a v
+  | Read a -> Printf.sprintf "read 0x%x" a
+  | Snapshot -> "snapshot"
+  | Restore i -> Printf.sprintf "restore %d" i
+  | Diff i -> Printf.sprintf "diff %d" i
+  | View_read (i, a) -> Printf.sprintf "view_read %d 0x%x" i a
+  | Iter_written -> "iter_written"
+
+(* Word addresses at the page table's edges: the first page, the last
+   page of one second level and the first of the next, the stack, and
+   the top of memory.  Half of them are drawn in their negative
+   [Word.norm] form, which names the same address. *)
+let gen_addr ~align =
+  let open QCheck.Gen in
+  let* base = oneofl [ 0; 0x3FFFFC; 0x400000; 0x7FFFFF00; 0xFFFFFFFC ]
+  and* k = int_range (-2) 2
+  and* off = int_bound (3 / align)
+  and* neg = bool in
+  let a = (base + (4 * k) + (align * off)) land 0xFFFFFFFF in
+  return (if neg then Word.norm a else a)
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let value = oneof [ int_range (-5) 5; map Word.norm int ] in
+  frequency
+    [
+      (4, map2 (fun a v -> Write_word (a, v)) (gen_addr ~align:4) value);
+      (2, map2 (fun a v -> Write_byte (a, v)) (gen_addr ~align:1) (int_bound 255));
+      (2, map2 (fun a v -> Write_half (a, v)) (gen_addr ~align:2) (int_bound 0xFFFF));
+      (3, map (fun a -> Read a) (gen_addr ~align:1));
+      (2, return Snapshot);
+      (1, map (fun i -> Restore i) nat);
+      (1, map (fun i -> Diff i) nat);
+      (2, map2 (fun i a -> View_read (i, a)) nat (gen_addr ~align:4));
+      (1, return Iter_written);
+    ]
+
+let uns = Word.to_unsigned
+let word_addr a = uns a land lnot 3
+let model_word m a = Option.value ~default:0 (IntMap.find_opt (word_addr a) m.words)
+
+(* Big-endian bytes of the word holding [a], most significant first. *)
+let model_bytes m a = List.init 4 (fun i -> (uns (model_word m a) lsr (24 - (8 * i))) land 0xFF)
+
+let model_byte m a = List.nth (model_bytes m a) (uns a land 3)
+
+let model_set m a w =
+  {
+    words = IntMap.add (word_addr a) (Word.norm w) m.words;
+    pages = IntSet.add (uns a lsr Memory.page_bits) m.pages;
+  }
+
+let model_write_byte m a v =
+  let bytes = List.mapi (fun i b -> if i = uns a land 3 then v land 0xFF else b) (model_bytes m a) in
+  model_set m a (List.fold_left (fun w b -> (w lsl 8) lor b) 0 bytes)
+
+let model_read m a =
+  match uns a land 3 with
+  | 0 -> model_word m a
+  | 2 -> (model_byte m a lsl 8) lor model_byte m (a + 1)
+  | _ -> model_byte m a
+
+let read_like_model mem a =
+  match uns a land 3 with
+  | 0 -> Memory.read_word mem a
+  | 2 -> Memory.read_half mem a
+  | _ -> Memory.read_byte mem a
+
+let run_mem_ops ops =
+  let mem = Memory.create () in
+  let live = ref { words = IntMap.empty; pages = IntSet.empty } in
+  let snaps = ref [||] in
+  let touched =
+    List.fold_left
+      (fun s -> function
+        | Write_word (a, _) | Write_byte (a, _) | Write_half (a, _) | Read a
+        | View_read (_, a) ->
+          IntSet.add (word_addr a) s
+        | Snapshot | Restore _ | Diff _ | Iter_written -> s)
+      IntSet.empty ops
+  in
+  let nth i = (!snaps).(i mod Array.length !snaps) in
+  let step op =
+    match op with
+    | Write_word (a, v) ->
+      Memory.write_word mem a v;
+      live := model_set !live a v
+    | Write_byte (a, v) ->
+      Memory.write_byte mem a v;
+      live := model_write_byte !live a v
+    | Write_half (a, v) ->
+      Memory.write_half mem a v;
+      live := model_write_byte (model_write_byte !live a (v lsr 8)) (a + 1) v
+    | Read a ->
+      let got = read_like_model mem a and want = model_read !live a in
+      if got <> want then QCheck.Test.fail_reportf "read 0x%x: %d, model %d" a got want
+    | Snapshot ->
+      let v = Memory.snapshot_cow mem in
+      (* Reads of never-written pages must not have mapped any. *)
+      if Memory.view_pages v <> IntSet.cardinal !live.pages then
+        QCheck.Test.fail_reportf "snapshot maps %d pages, model wrote %d"
+          (Memory.view_pages v) (IntSet.cardinal !live.pages);
+      snaps := Array.append !snaps [| (v, !live) |]
+    | Restore i when !snaps <> [||] ->
+      let v, m = nth i in
+      Memory.restore_cow mem v;
+      live := m
+    | Diff i when !snaps <> [||] ->
+      let v, m = nth i in
+      let want =
+        IntMap.merge
+          (fun _ l r ->
+            let l = Option.value l ~default:0 and r = Option.value r ~default:0 in
+            if l = r then None else Some (r, l))
+          !live.words m.words
+        |> IntMap.min_binding_opt
+        |> Option.map (fun (a, (r, l)) -> (a, r, l))
+      in
+      if Memory.diff_view mem v <> want then
+        QCheck.Test.fail_reportf "diff_view against snapshot %d disagrees" i
+    | View_read (i, a) when !snaps <> [||] ->
+      let v, m = nth i in
+      if Memory.view_read_word v a <> model_word m a then
+        QCheck.Test.fail_reportf "view_read_word 0x%x disagrees" a
+    | Iter_written ->
+      let got = ref [] in
+      Memory.iter_written mem (fun a v -> got := (a, v) :: !got);
+      (* Ascending order is part of the contract: no sort here. *)
+      let want = IntMap.bindings (IntMap.filter (fun _ v -> v <> 0) !live.words) in
+      if List.rev !got <> want then QCheck.Test.fail_reportf "iter_written disagrees"
+    | Restore _ | Diff _ | View_read _ -> ()
+  in
+  List.iter
+    (fun op ->
+      step op;
+      (* No write, restore or copy ever reaches a snapshot. *)
+      Array.iteri
+        (fun i (v, m) ->
+          IntSet.iter
+            (fun a ->
+              if Memory.view_read_word v a <> model_word m a then
+                QCheck.Test.fail_reportf "snapshot %d changed at 0x%x after %s" i a
+                  (show_op op))
+            touched)
+        !snaps)
+    ops;
+  true
+
+let prop_memory_model =
+  QCheck.Test.make ~name:"page table and COW views = reference model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) gen_mem_op))
+    run_mem_ops
+
 (* --- Cache --------------------------------------------------------------- *)
 
 let test_cache_basic () =
@@ -121,6 +301,92 @@ let test_windows_spill () =
   for _ = 1 to 6 do Windows.restore w done;
   Alcotest.check_raises "underflow" Windows.Underflow (fun () ->
       Windows.restore w)
+
+(* 40 deep is past [nwindows] and past the flat file's initial
+   capacity, so the file grows while windows are live. *)
+let test_windows_deep () =
+  let w = Windows.create () in
+  let depth = 40 in
+  let tag d i = (1000 * d) + i in
+  for d = 1 to depth do
+    if d > 1 then begin
+      Windows.save w;
+      for i = 0 to 7 do
+        check_int "ins are the parent's outs" (tag (d - 1) (50 + i)) (Windows.get w (Reg.i_ i));
+        check_int "fresh locals" 0 (Windows.get w (Reg.l i));
+        check_int "fresh outs" 0 (Windows.get w (Reg.o i))
+      done
+    end;
+    for i = 0 to 7 do
+      Windows.set w (Reg.l i) (tag d i);
+      Windows.set w (Reg.o i) (tag d (50 + i))
+    done
+  done;
+  check_int "depth" depth (Windows.depth w);
+  check_int "spills past nwindows" (depth - 8) (Windows.spills w);
+  for d = depth downto 2 do
+    for i = 0 to 7 do
+      check_int "locals survive" (tag d i) (Windows.get w (Reg.l i));
+      (* Below the top, the child's in writes have replaced the outs. *)
+      check_int "outs survive"
+        (if d = depth then tag d (50 + i) else -tag (d + 1) i)
+        (Windows.get w (Reg.o i));
+      Windows.set w (Reg.i_ i) (-tag d i)
+    done;
+    Windows.restore w;
+    for i = 0 to 7 do
+      check_int "in writes reach the parent's outs" (-tag d i) (Windows.get w (Reg.o i))
+    done
+  done;
+  check_int "fills on the climb" (depth - 8) (Windows.fills w)
+
+(* A copy taken at one depth restores exactly into a file at another,
+   in both directions, including into a file smaller than the copy. *)
+let test_windows_copy_depths () =
+  let fill w d =
+    for i = 0 to 7 do
+      Windows.set w (Reg.l i) ((1000 * d) + i);
+      Windows.set w (Reg.o i) ((1000 * d) + 8 + i)
+    done
+  in
+  let w = Windows.create () in
+  fill w 1;
+  for d = 2 to 30 do
+    Windows.save w;
+    fill w d
+  done;
+  Windows.set w (Reg.g 3) 7;
+  let deep = Windows.copy w in
+  for _ = 1 to 27 do Windows.restore w done;
+  Windows.set w (Reg.l 0) (-1);
+  Windows.set w (Reg.g 3) 8;
+  let shallow = Windows.copy w in
+  let check_deep w =
+    check_int "deep depth" 30 (Windows.depth w);
+    check_int "deep global" 7 (Windows.get w (Reg.g 3));
+    for d = 30 downto 1 do
+      for i = 0 to 7 do
+        check_int "locals" ((1000 * d) + i) (Windows.get w (Reg.l i));
+        check_int "outs" ((1000 * d) + 8 + i) (Windows.get w (Reg.o i));
+        if d > 1 then
+          check_int "ins" ((1000 * (d - 1)) + 8 + i) (Windows.get w (Reg.i_ i))
+      done;
+      if d > 1 then Windows.restore w
+    done
+  in
+  Windows.restore_from w deep;
+  check_deep w;
+  let small = Windows.create ~nwindows:2 () in
+  Windows.restore_from small deep;
+  check_deep small;
+  Windows.restore_from w shallow;
+  check_int "shallow depth" 3 (Windows.depth w);
+  check_int "shallow global" 8 (Windows.get w (Reg.g 3));
+  check_int "shallow local" (-1) (Windows.get w (Reg.l 0));
+  Windows.save w;
+  check_int "ins after save" 3008 (Windows.get w (Reg.i_ 0));
+  check_int "no stale deep locals" 0 (Windows.get w (Reg.l 1));
+  check_int "no stale deep outs" 0 (Windows.get w (Reg.o 1))
 
 (* --- Cpu ------------------------------------------------------------------- *)
 
@@ -403,6 +669,7 @@ let suites =
         Alcotest.test_case "bytes and halves" `Quick test_memory_bytes;
         Alcotest.test_case "page offsets do not alias" `Quick test_memory_page_offsets;
         Alcotest.test_case "sign extension" `Quick test_memory_signed;
+        QCheck_alcotest.to_alcotest prop_memory_model;
       ] );
     ( "machine.cache",
       [
@@ -415,6 +682,8 @@ let suites =
         Alcotest.test_case "g0" `Quick test_windows_g0;
         Alcotest.test_case "spill accounting" `Quick test_windows_spill;
         Alcotest.test_case "oscillation is free" `Quick test_windows_oscillation;
+        Alcotest.test_case "40 deep" `Quick test_windows_deep;
+        Alcotest.test_case "copy across depths" `Quick test_windows_copy_depths;
       ] );
     ( "machine.cpu",
       [

@@ -213,10 +213,10 @@ let test_diverges_names_component () =
   Cpu.step cpu;
   let cp = Cpu.checkpoint cpu in
   check_bool "equal to its own checkpoint" true (Cpu.diverges cpu cp = None);
-  let names label perturb expected actual =
-    Cpu.rollback cpu cp;
+  let names ?(at = cp) label perturb expected actual =
+    Cpu.rollback cpu at;
     perturb ();
-    match Cpu.diverges cpu cp with
+    match Cpu.diverges cpu at with
     | Some (e, a) ->
       check_string (label ^ " expected") expected e;
       check_string (label ^ " actual") actual a
@@ -239,7 +239,24 @@ let test_diverges_names_component () =
     "window 0 %l3=0" "window 0 %l3=5";
   names "memory word"
     (fun () -> Memory.write_word (Cpu.mem cpu) 0xF0_0004 (-1))
-    "word 0xf00004=0" "word 0xf00004=-1"
+    "word 0xf00004=0" "word 0xf00004=-1";
+  (* Window 1 is the caller's.  Checkpoint one [save] deep; then step
+     out, change the caller's %l3 and step back in.  The second [save]
+     zeroes the current locals and outs again, as at the checkpoint. *)
+  let exec insn =
+    Cpu.patch cpu pc insn;
+    Cpu.step cpu;
+    Cpu.set_pc cpu pc
+  in
+  let save = Sparc.Insn.Save { rs1 = Sparc.Reg.g0; op2 = Sparc.Insn.Imm 0; rd = Sparc.Reg.g0 } in
+  Cpu.rollback cpu cp;
+  exec save;
+  names ~at:(Cpu.checkpoint cpu) "outer window register"
+    (fun () ->
+      exec Sparc.Asm.restore;
+      Cpu.set cpu (Sparc.Reg.l 3) 5;
+      exec save)
+    "window 1 %l3=0" "window 1 %l3=5"
 
 (* --- units: journal + eviction ------------------------------------------------ *)
 
