@@ -12,6 +12,20 @@ open Dbp
 
 let workloads = Workloads.Spec.all
 
+let find_workload name =
+  match Workloads.Spec.find name with
+  | Some w -> w
+  | None -> failwith ("unknown workload " ^ name)
+
+(* The attached-vs-detached experiments' cells: each workload once with
+   its observer on, once with it off. *)
+let on_off_cells names =
+  List.concat_map
+    (fun n ->
+      let w = find_workload n in
+      [ (w, true); (w, false) ])
+    names
+
 let lang_tag (w : Workloads.Workload.t) =
   Printf.sprintf "(%s) %s" (Workloads.Workload.lang_to_string w.lang) w.name
 
@@ -548,15 +562,7 @@ int main() {
    strategies — for quick regression checks: the [bench-smoke] dune
    alias runs it with [-j 1] and [-j 2] and diffs the output. *)
 let smoke () =
-  let names = [ "023.eqntott"; "030.matrix300" ] in
-  let ws =
-    List.filter_map
-      (fun n ->
-        match Workloads.Spec.find n with
-        | Some w -> Some w
-        | None -> failwith ("smoke: unknown workload " ^ n))
-      names
-  in
+  let ws = List.map find_workload [ "023.eqntott"; "030.matrix300" ] in
   let strategies =
     [ Strategy.Bitmap; Strategy.Bitmap_inline_registers; Strategy.Cache ]
   in
@@ -603,9 +609,8 @@ let replay () =
   let cells =
     List.concat_map
       (fun (name, var) ->
-        match Workloads.Spec.find name with
-        | None -> failwith ("replay: unknown workload " ^ name)
-        | Some w -> List.map (fun i -> (w, var, i)) intervals)
+        let w = find_workload name in
+        List.map (fun i -> (w, var, i)) intervals)
       targets
   in
   let rows =
@@ -703,18 +708,7 @@ let replay () =
    cost is inside [cpu.session_mips] and [checks.enabled_cost_pct] on
    the debug-batch workload. *)
 let telemetry () =
-  let names = [ "023.eqntott"; "030.matrix300" ] in
-  let ws =
-    List.filter_map
-      (fun n ->
-        match Workloads.Spec.find n with
-        | Some w -> Some w
-        | None -> failwith ("telemetry: unknown workload " ^ n))
-      names
-  in
-  let cells =
-    List.concat_map (fun w -> [ (w, true); (w, false) ]) ws
-  in
+  let cells = on_off_cells [ "023.eqntott"; "030.matrix300" ] in
   let rows =
     Pool.map
       (fun ((w : Workloads.Workload.t), enabled) ->
@@ -757,16 +751,7 @@ let telemetry () =
    commutative multiset sum) — so the [profile-smoke] alias can diff
    [-j 1] against [-j 4] byte-for-byte. *)
 let profile () =
-  let names = [ "030.matrix300"; "022.li" ] in
-  let ws =
-    List.filter_map
-      (fun n ->
-        match Workloads.Spec.find n with
-        | Some w -> Some w
-        | None -> failwith ("profile: unknown workload " ^ n))
-      names
-  in
-  let cells = List.concat_map (fun w -> [ (w, true); (w, false) ]) ws in
+  let cells = on_off_cells [ "030.matrix300"; "022.li" ] in
   let rows =
     Pool.map
       (fun ((w : Workloads.Workload.t), on) ->
@@ -866,16 +851,7 @@ let profile () =
 let sample_interval = 50_000
 
 let timeseries_sampler () =
-  let names = [ "030.matrix300"; "022.li" ] in
-  let ws =
-    List.filter_map
-      (fun n ->
-        match Workloads.Spec.find n with
-        | Some w -> Some w
-        | None -> failwith ("timeseries: unknown workload " ^ n))
-      names
-  in
-  let cells = List.concat_map (fun w -> [ (w, true); (w, false) ]) ws in
+  let cells = on_off_cells [ "030.matrix300"; "022.li" ] in
   let rows =
     Pool.map
       (fun ((w : Workloads.Workload.t), on) ->
@@ -1002,14 +978,12 @@ let verify () =
   let sessions =
     Pool.map
       (fun name ->
-        match Workloads.Spec.find name with
-        | None -> failwith ("verify: unknown workload " ^ name)
-        | Some w ->
-          let options =
-            Runner.options_for w ~opt:Instrument.O_full
-              Strategy.Bitmap_inline_registers
-          in
-          (name, Session.create ~options w.Workloads.Workload.source))
+        let w = find_workload name in
+        let options =
+          Runner.options_for w ~opt:Instrument.O_full
+            Strategy.Bitmap_inline_registers
+        in
+        (name, Session.create ~options w.Workloads.Workload.source))
       mutation_names
   in
   let cells =

@@ -43,7 +43,8 @@ type t = {
   mutable enabled : bool;
   mutable callback : (hit -> unit) option;
   (* Passive hit observers (heatmaps, tooling): all run after the
-     user callback, never replace it. *)
+     user callback, never replace it, and skip hits while the machine's
+     observers are paused ({!Cpu.without_observers}). *)
   mutable observers : (hit -> unit) list;
   site_addr : (int, int) Hashtbl.t;     (* origin -> text address *)
   patch_addr : (int, int) Hashtbl.t;
@@ -386,7 +387,7 @@ let on_hit ?(access = Write) t cpu =
     tel_hit t cpu ~access ~addr ~pc (Some region);
     let h = { addr; pc; region; access } in
     (match t.callback with Some f -> f h | None -> ());
-    List.iter (fun f -> f h) t.observers
+    if Cpu.observing cpu then List.iter (fun f -> f h) t.observers
   | Some ({ Region.kind = Region.Internal; _ } as region) ->
     t.counters.internal_hits <- t.counters.internal_hits + 1;
     tel_incr t Telemetry.Internal_hits;
@@ -642,7 +643,7 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
                 region; access = Write }
             in
             (match t.callback with Some f -> f h | None -> ());
-            List.iter (fun f -> f h) t.observers
+            if Cpu.observing cpu then List.iter (fun f -> f h) t.observers
           | Some _ | None -> ()
         end)
   | _ -> ());

@@ -77,7 +77,9 @@ val set_callback : t -> (hit -> unit) -> unit
 val add_hit_observer : t -> (hit -> unit) -> unit
 (** Register a passive observer (heatmaps, tooling) fired for every
     [User]-region hit after the callback.  Observers accumulate —
-    unlike {!set_callback} they never replace each other. *)
+    unlike {!set_callback} they never replace each other.  Unlike the
+    callback, they share the machine's observer gate: no observer runs
+    inside {!Machine.Cpu.without_observers} (replay re-execution). *)
 
 val enable : t -> unit
 val disable : t -> unit

@@ -17,9 +17,8 @@ type t = {
   replay : Replay.t option;
       (* present iff [checkpoint_every] was given: the time-travel
          engine that [run] records through *)
-  store_pc_type : (int, Write_type.t) Hashtbl.t;
-      (* store pc (site or patch-stub label) -> write type, for
-         enriching replay hits *)
+  store_lo : int;
+  store_types : Bytes.t;  (* see [store_table] *)
   site_slot : (int, int) Hashtbl.t;  (* origin -> telemetry array slot *)
   mutable expected_hits : (int * int) list;  (* oracle: addr, access pc *)
   functions : string list;
@@ -28,8 +27,6 @@ type t = {
   heatmap : Heatmap.t option;  (* present iff [~heatmap:true] *)
   on_sample : (int -> unit) ref;
       (* extra per-sample callback (scrape-server polling) *)
-  observers_live : bool ref;
-      (* heatmap recording gate; lowered around replay re-execution *)
   stub_functions : (int * int * string) list Lazy.t;
       (* (first pc, closing [ba] pc, site function) per patch stub *)
 }
@@ -66,7 +63,41 @@ let stub_functions image (plan : Instrument.t) =
       | _ -> None)
     plan.Instrument.sites
 
-let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false)
+(* Program store pcs, resolved once: every site label (inline store)
+   and patch-stub label (re-inserted check) as one byte per text word
+   over their pc range — 0 for no store site, else 1 + the write type's
+   index.  Replay hits, the heatmap and the oracle all read it. *)
+let store_table image (plan : Instrument.t) =
+  let stores =
+    List.concat_map
+      (fun (s : Instrument.site) ->
+        List.filter_map
+          (fun label ->
+            Option.map
+              (fun a -> (a, s.write_type))
+              (Assembler.addr_of_label image label))
+          [ Instrument.site_label s.origin; Instrument.patch_label s.origin ])
+      plan.Instrument.sites
+  in
+  match stores with
+  | [] -> (0, Bytes.empty)
+  | (a, _) :: _ ->
+    let lo = List.fold_left (fun m (a, _) -> min m a) a stores
+    and hi = List.fold_left (fun m (a, _) -> max m a) a stores in
+    let types = Bytes.make (((hi - lo) lsr 2) + 1) '\000' in
+    List.iter
+      (fun (a, wt) ->
+        Bytes.set types ((a - lo) lsr 2) (Char.chr (1 + Write_type.index wt)))
+      stores;
+    (lo, types)
+
+(* The store table's byte for [pc]: one unsigned range check (a pc
+   below [lo] shifts to a huge index) and one unboxed read. *)
+let[@inline] store_code lo types pc =
+  let i = (pc - lo) lsr 2 in
+  if i < Bytes.length types then Char.code (Bytes.unsafe_get types i) else 0
+
+let create ?(options = Instrument.default_options) ?(protect_mrs = false)
     ?telemetry ?audit ?trace ?checkpoint_every ?checkpoint_budget
     ?(profile = false) ?profile_clock ?sample_every ?sample_clock
     ?(heatmap = false) source =
@@ -98,7 +129,7 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
       ~addr_of_label:(Assembler.addr_of_label image)
       out.Minic.Codegen.symtab
   in
-  let cpu = Cpu.create ?config image in
+  let cpu = Cpu.create image in
   Cpu.install_basic_services cpu;
   Telemetry.set_tag telemetry "strategy" (Strategy.tag options.Instrument.strategy);
   Audit.set_tag audit "strategy" (Strategy.tag options.Instrument.strategy);
@@ -172,26 +203,10 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
             Checkgen.cache_miss_routine wt ^ "_rd";
           ])
       Write_type.all;
+  let store_lo, store_types = store_table image plan in
   (* Time travel: when an interval is given, attach the replay engine —
      its checkpoint/restore emissions flow into the same registry and
-     provenance journal, gated exactly like the rest of telemetry.  The
-     pc -> write-type map mirrors the oracle's: a replay hit's pc is
-     either a site label (inline store) or a patch-stub label
-     (re-inserted check), and both identify the write type recorded in
-     the plan. *)
-  let store_pc_type = Hashtbl.create 256 in
-  List.iter
-    (fun (s : Instrument.site) ->
-      List.iter
-        (fun label ->
-          match Assembler.addr_of_label image label with
-          | Some a -> Hashtbl.replace store_pc_type a s.Instrument.write_type
-          | None -> ())
-        [
-          Instrument.site_label s.Instrument.origin;
-          Instrument.patch_label s.Instrument.origin;
-        ])
-    plan.Instrument.sites;
+     provenance journal, gated exactly like the rest of telemetry. *)
   let replay =
     match checkpoint_every with
     | None -> None
@@ -254,46 +269,22 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
     end
   in
   (* Address-space heatmap: a store hook paints per-page write density
-     (plus check density where the store's pc is a site or patch-stub
-     label — the same pc → site identification the oracle uses), and an
-     MRS hit observer paints hit density.  The [observers_live] gate is
-     lowered around replay re-execution so replayed stores are not
-     double-counted. *)
-  let observers_live = ref true in
+     (plus check density where the store's pc is in the store table)
+     and an MRS hit observer paints hit density.  The hook tests the
+     machine's observer gate, so replayed stores are not counted
+     twice. *)
   let heatmap =
     if not heatmap then None
     else begin
       let hm = Heatmap.create ~page_bits:Memory.page_bits () in
-      (* The hook runs on every store, so the pc → is-check-site test
-         is a flat bitmap over the (fixed) site/patch-stub pc range
-         rather than a hash lookup.  [store_pc_type] is fully built
-         above and never grows afterwards. *)
-      let check_lo, check_hi =
-        Hashtbl.fold
-          (fun pc _ (lo, hi) -> (min lo pc, max hi pc))
-          store_pc_type (max_int, -1)
-      in
-      let check_bm =
-        if check_hi < check_lo then Bytes.empty
-        else begin
-          let bm = Bytes.make (((check_hi - check_lo) lsr 2) + 1) '\000' in
-          Hashtbl.iter
-            (fun pc _ -> Bytes.set bm ((pc - check_lo) lsr 2) '\001')
-            store_pc_type;
-          bm
-        end
-      in
       Cpu.set_store_hook cpu (fun cpu ~addr ~width:_ ->
-          if !observers_live then begin
+          if Cpu.observing cpu then begin
             Heatmap.record_write hm addr;
-            let pc = Cpu.pc cpu in
-            if
-              pc >= check_lo && pc <= check_hi
-              && Bytes.unsafe_get check_bm ((pc - check_lo) lsr 2) <> '\000'
-            then Heatmap.record_check hm addr
+            if store_code store_lo store_types (Cpu.pc cpu) <> 0 then
+              Heatmap.record_check hm addr
           end);
       Mrs.add_hit_observer mrs (fun (h : Mrs.hit) ->
-          if !observers_live then Heatmap.record_hit hm h.Mrs.addr);
+          Heatmap.record_hit hm h.Mrs.addr);
       Some hm
     end
   in
@@ -343,7 +334,8 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
     audit;
     trace;
     replay;
-    store_pc_type;
+    store_lo;
+    store_types;
     site_slot;
     expected_hits = [];
     functions = plan.Instrument.functions;
@@ -351,7 +343,6 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
     timeseries;
     heatmap;
     on_sample;
-    observers_live;
     stub_functions = lazy (stub_functions image plan);
   }
 
@@ -408,18 +399,8 @@ let install_oracle t =
     in
     go addr
   in
-  let program_store_pcs = Hashtbl.create 256 in
-  List.iter
-    (fun (s : Instrument.site) ->
-      (match Assembler.addr_of_label t.image (Instrument.site_label s.origin) with
-      | Some a -> Hashtbl.replace program_store_pcs a ()
-      | None -> ());
-      match Assembler.addr_of_label t.image (Instrument.patch_label s.origin) with
-      | Some a -> Hashtbl.replace program_store_pcs a ()
-      | None -> ())
-    t.plan.Instrument.sites;
   Cpu.set_store_hook t.cpu (fun cpu ~addr ~width ->
-      if Hashtbl.mem program_store_pcs (Cpu.pc cpu) then begin
+      if store_code t.store_lo t.store_types (Cpu.pc cpu) <> 0 then begin
         if covered addr (Insn.width_bytes width) then
           t.expected_hits <- (addr, Cpu.pc cpu) :: t.expected_hits
       end);
@@ -490,41 +471,31 @@ type write_record = {
          stores) *)
 }
 
+let store_write_type t pc =
+  match store_code t.store_lo t.store_types pc with
+  | 0 -> None
+  | code -> Some (List.nth Write_type.all (code - 1))
+
 let enrich t (h : Replay.hit) =
-  { wr_hit = h; wr_write_type = Hashtbl.find_opt t.store_pc_type h.Replay.h_pc }
+  { wr_hit = h; wr_write_type = store_write_type t h.Replay.h_pc }
 
 (* Replay queries roll the machine back and re-execute recorded
-   instructions; pausing the profiler, the time-series sampler and the
-   heatmap hooks around them keeps the replayed steps from being
-   double-counted into their arrays (and keeps rolled-back instruction
-   counts from producing phantom samples). *)
-let without_observers t f =
-  let prof = t.profiler <> None && Cpu.profile_enabled t.cpu in
-  let samp = t.timeseries <> None && Cpu.sample_enabled t.cpu in
-  let live = !(t.observers_live) in
-  if prof then Cpu.profile_set_enabled t.cpu false;
-  if samp then Cpu.sample_set_enabled t.cpu false;
-  t.observers_live := false;
-  Fun.protect
-    ~finally:(fun () ->
-      if prof then Cpu.profile_set_enabled t.cpu true;
-      if samp then Cpu.sample_set_enabled t.cpu true;
-      t.observers_live := live)
-    f
-
+   instructions under the machine's observer gate, so the replayed
+   steps are not counted twice by the profiler, the sampler or the
+   heatmap. *)
 let last_write ?guard t ~addr =
   let r = require_replay t "Session.last_write" in
-  without_observers t (fun () ->
+  Cpu.without_observers t.cpu (fun () ->
       Option.map (enrich t) (Replay.last_write_word ?guard r ~addr))
 
 let write_history ?guard t ~lo ~hi =
   let r = require_replay t "Session.write_history" in
-  without_observers t (fun () ->
+  Cpu.without_observers t.cpu (fun () ->
       List.map (enrich t) (Replay.write_history ?guard r ~lo ~hi))
 
 let time_travel ?guard t ~insn =
   let r = require_replay t "Session.time_travel" in
-  without_observers t (fun () -> Replay.travel ?guard r ~insn)
+  Cpu.without_observers t.cpu (fun () -> Replay.travel ?guard r ~insn)
 
 (* Resolve a CLI watch target to an address: a 0x-hex or decimal
    numeral, or a global variable name from the symbol table. *)

@@ -13,8 +13,11 @@ type t = {
   trace : Trace.t;  (** phase-span tracer (compile → … → run) *)
   replay : Replay.t option;
       (** time-travel engine, present iff [checkpoint_every] was given *)
-  store_pc_type : (int, Write_type.t) Hashtbl.t;
-      (** store pc (site or patch-stub label) → write type *)
+  store_lo : int;  (** first pc of the store table *)
+  store_types : Bytes.t;
+      (** the store table — see {!store_write_type}: byte [i] describes
+          pc [store_lo + 4i], 0 for no store site, else 1 +
+          {!Write_type.index} *)
   site_slot : (int, int) Hashtbl.t;
       (** write-site origin → telemetry array slot *)
   mutable expected_hits : (int * int) list;
@@ -27,8 +30,6 @@ type t = {
       (** address-space heatmap, present iff [heatmap] was given *)
   on_sample : (int -> unit) ref;
       (** extra per-sample callback — see {!set_on_sample} *)
-  observers_live : bool ref;
-      (** heatmap recording gate, lowered around replay re-execution *)
   stub_functions : (int * int * string) list Lazy.t;
       (** per patch stub: its first pc, the pc of its closing [ba] back
           to the site, and the function holding the site — the stubs
@@ -36,7 +37,6 @@ type t = {
 }
 
 val create :
-  ?config:Machine.Cpu.config ->
   ?options:Instrument.options ->
   ?protect_mrs:bool ->
   ?telemetry:Telemetry.t ->
@@ -81,8 +81,7 @@ val create :
     bumps the per-instruction exec/taken arrays inline, and call/return
     transfers maintain the shadow call stack — read the result with
     {!profile_report} (or the [profiler] field for folded/Perfetto
-    exports).  Replay queries pause it, so replayed instructions are
-    never double-counted.  [profile_clock] timestamps its Perfetto
+    exports).  [profile_clock] timestamps its Perfetto
     counter samples (pass [Unix.gettimeofday]; default: a constant).
 
     [sample_every] arms the time-series sampler: every N executed
@@ -92,13 +91,18 @@ val create :
     read them from {!report}'s [r_samples] or via {!Timeseries}'s
     exports.  [sample_clock] timestamps the sampler's Perfetto counter
     tracks only (default: a constant; samples themselves never carry
-    wall-clock time).  Replay queries pause the sampler.
+    wall-clock time).
 
     [heatmap] (default false) attaches the address-space heatmap: a
     store hook paints per-page write/check density and an MRS observer
     paints hit density — render with the [heatmap] field's
     {!Heatmap.to_text}/[to_json_string]/[to_ppm] after calling
-    {!heatmap_sync_regions}.  Replay queries pause heatmap recording.
+    {!heatmap_sync_regions}.
+
+    Replay queries run under {!Machine.Cpu.without_observers}, which
+    pauses the profiler, the sampler and the heatmap together, so
+    replayed instructions are never counted twice.  The debugger's
+    notification callback is not an observer and fires during replay.
     @raise Failure if the instrumented program fails to assemble.
     @raise Minic.Compile.Error on compilation errors. *)
 
@@ -145,6 +149,12 @@ val write_history :
 val time_travel : ?guard:bool -> t -> insn:int -> int
 (** Move the machine to its state just after instruction [insn];
     returns the number of re-executed instructions. *)
+
+val store_write_type : t -> int -> Write_type.t option
+(** The write type of the program store at a pc — a site label (inline
+    store) or a patch-stub label (re-inserted check) — or [None] for
+    any other pc.  Replay hits, the heatmap's check density and the
+    oracle all read this one table. *)
 
 val resolve_addr : t -> string -> int option
 (** Resolve a CLI target — [0x]-hex or decimal numeral, or a global

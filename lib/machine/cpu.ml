@@ -92,23 +92,25 @@ type t = {
      so one read-modify-write per step yields both the count and the
      branch-vs-transfer decision — no separate kind load;
      [profile_install] seeds the bits and [patch]/[rollback] keep them
-     in sync with text.  Like the dispatch counters, none of this
-     touches {!stats} — the differential fuzz harness's fast/generic
-     parity is preserved, and a profiler-off run pays exactly one
-     boolean test per step. *)
-  mutable prof_on : bool;
+     in sync with text.  An empty [prof_exec] means no profiler.  Like
+     the dispatch counters, none of this touches {!stats} — the
+     differential fuzz harness's fast/generic parity is preserved. *)
   mutable prof_exec : int array;
   mutable prof_taken : int array;
   mutable prof_transfer : int -> int -> unit;  (* kind, executed slot *)
-  (* Time-series sampler hook: a countdown over executed instructions.
-     Same discipline as the profiler — a sampler-off run pays exactly
-     one boolean test per step; when armed, one decrement per step and
-     the hook fires with the live instruction count every [samp_every]
-     executed instructions.  Never touches {!stats}. *)
-  mutable samp_on : bool;
+  (* Time-series sampler hook: a countdown over executed instructions
+     that fires the hook with the live instruction count every
+     [samp_every] executed instructions ([samp_every = 0]: no sampler).
+     Never touches {!stats}. *)
   mutable samp_every : int;
   mutable samp_left : int;
   mutable samp_hook : int -> unit;
+  (* The one observer gate.  [paused] is raised by [without_observers]
+     around replay re-execution; [observed] caches "a profiler or
+     sampler is installed and not paused", so a run with neither pays
+     exactly one boolean test per step. *)
+  mutable paused : bool;
+  mutable observed : bool;
 }
 
 let faultf t fmt =
@@ -196,6 +198,10 @@ let prof_classify t _i insn =
 
 let profile_static t = Array.mapi (prof_classify t) t.text
 
+let refresh_observed t =
+  t.observed <-
+    (not t.paused) && (Array.length t.prof_exec > 0 || t.samp_every > 0)
+
 let profile_install t ~exec ~taken ~transfer =
   let n = Array.length t.text in
   if Array.length exec < n || Array.length taken < n then
@@ -208,28 +214,26 @@ let profile_install t ~exec ~taken ~transfer =
       exec.(i) <- (exec.(i) land lnot 3) lor fst (prof_classify t i insn))
     t.text;
   t.prof_transfer <- transfer;
-  t.prof_on <- true
-
-let profile_enabled t = t.prof_on
-
-let profile_set_enabled t on =
-  if on && Array.length t.prof_exec = 0 then
-    invalid_arg "Cpu.profile_set_enabled: no profiler installed";
-  t.prof_on <- on
+  refresh_observed t
 
 let sample_install t ~every ~hook =
   if every < 1 then invalid_arg "Cpu.sample_install: every must be >= 1";
   t.samp_every <- every;
   t.samp_left <- every;
   t.samp_hook <- hook;
-  t.samp_on <- true
+  refresh_observed t
 
-let sample_enabled t = t.samp_on
+let observing t = not t.paused
 
-let sample_set_enabled t on =
-  if on && t.samp_every = 0 then
-    invalid_arg "Cpu.sample_set_enabled: no sampler installed";
-  t.samp_on <- on
+let without_observers t f =
+  let was = t.paused in
+  t.paused <- true;
+  refresh_observed t;
+  Fun.protect
+    ~finally:(fun () ->
+      t.paused <- was;
+      refresh_observed t)
+    f
 
 (* Post-step sampler countdown; fires the hook on every [samp_every]th
    executed instruction. *)
@@ -265,6 +269,12 @@ let[@inline] prof_step t idx =
       end
     end
     else t.prof_transfer k idx
+
+(* Post-step work of whichever observers are installed, for the
+   executed slot [idx]; [step] calls it only while [observed]. *)
+let[@inline] observe t idx =
+  if Array.length t.prof_exec > 0 then prof_step t idx;
+  if t.samp_every > 0 then samp_step t
 
 (* Cache probe, inlined from {!Cache.access}: runs once per fetch and
    once per data access.  Counters live in the shared [Cache.t] so
@@ -807,14 +817,14 @@ let create ?(config = default_config) (image : Assembler.image) =
       code = Array.mapi (compile image.text_base) text;
       text_version = 0;
       text_snap = None;
-      prof_on = false;
       prof_exec = [||];
       prof_taken = [||];
       prof_transfer = (fun _ _ -> ());
-      samp_on = false;
       samp_every = 0;
       samp_left = 0;
       samp_hook = ignore;
+      paused = false;
+      observed = false;
     }
   in
   Windows.set t.win Reg.sp 0x7FFF_FF00;
@@ -840,8 +850,7 @@ let step t =
     t.ninstrs <- t.ninstrs + 1;
     add_cycles t 1;
     (Array.unsafe_get t.code idx) t;
-    if t.prof_on then prof_step t idx;
-    if t.samp_on then samp_step t
+    if t.observed then observe t idx
   end
   else begin
     t.nprobe_dispatches <- t.nprobe_dispatches + Array.length ps;
@@ -855,8 +864,7 @@ let step t =
     t.ninstrs <- t.ninstrs + 1;
     add_cycles t 1;
     execute t insn (t.pc + 4);
-    if t.prof_on then prof_step t eidx;
-    if t.samp_on then samp_step t
+    if t.observed then observe t eidx
   end
 
 let halt t code = t.halted <- Some code

@@ -189,15 +189,12 @@ val load_hook_dispatches : t -> int
 val trap_count : t -> int
 (** Executed [ta] instructions ([(stats t).traps]). *)
 
-(** {2 Hot-path profiler hooks}
+(** {2 Observer hooks}
 
-    The interpreter side of {!Profile}: the profiler owns the counter
-    arrays; the step path bumps the executed slot's exec counter, a
-    taken counter per executed branch that left the fall-through, and
-    fires a closure on calls and returns.  Gated exactly like the
-    dispatch counters: none of it is part of {!stats} (fast/generic
-    differential parity is preserved), and with no profiler installed —
-    or the profiler disabled — every step pays one boolean test. *)
+    The interpreter side of {!Profile} and the time-series sampler.
+    Neither is part of {!stats} (fast/generic differential parity is
+    preserved).  Both sit behind one pause gate: with neither installed,
+    or inside {!without_observers}, every step pays one boolean test. *)
 
 val profile_static : t -> (int * int) array
 (** Per-slot [(kind, static target slot or -1)] classification of the
@@ -208,37 +205,29 @@ val profile_static : t -> (int * int) array
 val profile_install :
   t -> exec:int array -> taken:int array -> transfer:(int -> int -> unit) ->
   unit
-(** Attach counter arrays (each at least text-length, normally
-    {!Profile.exec_array}/{!Profile.taken_array}) and the call/return
-    callback [transfer kind slot], fired after the transfer executed —
-    read the destination from {!pc} and totals from
-    {!instr_count}/{!cycle_count}.  Enables profiling.
+(** Attach the profiler: counter arrays (each at least text-length,
+    normally {!Profile.exec_array}/{!Profile.taken_array}) that the step
+    path bumps — the executed slot's exec counter, and a taken counter
+    per executed branch that left the fall-through — and the
+    call/return callback [transfer kind slot], fired after the transfer
+    executed (read the destination from {!pc} and totals from
+    {!instr_count}/{!cycle_count}).
     @raise Invalid_argument if an array is shorter than text. *)
 
-val profile_enabled : t -> bool
-
-val profile_set_enabled : t -> bool -> unit
-(** Pause/resume a previously installed profiler — the replay layer
-    pauses it around rollback/re-execution so replayed instructions are
-    not double-counted.  @raise Invalid_argument when enabling with no
-    profiler installed. *)
-
-(** {1 Time-series sampler hook}
-
-    The interpreter side of the telemetry sampler: a countdown over
-    executed instructions that fires a closure every [every]th step
-    with the live instruction count.  Same gating discipline as the
-    profiler — never part of {!stats}, and with no sampler installed
-    (or the sampler paused) every step pays one boolean test. *)
-
 val sample_install : t -> every:int -> hook:(int -> unit) -> unit
-(** Arm the sampler: [hook insn] fires after every [every]th executed
-    instruction.  @raise Invalid_argument when [every < 1]. *)
+(** Attach the sampler: [hook insn] fires with the live instruction
+    count after every [every]th executed instruction.
+    @raise Invalid_argument when [every < 1]. *)
 
-val sample_enabled : t -> bool
+val observing : t -> bool
+(** [false] inside {!without_observers}, [true] otherwise.  Passive
+    observers outside the interpreter (the heatmap's store hook and
+    MRS hit observers) test it, so one gate pauses every observer. *)
 
-val sample_set_enabled : t -> bool -> unit
-(** Pause/resume a previously installed sampler — the replay layer
-    pauses it around rollback/re-execution so replayed instructions do
-    not produce phantom samples.  @raise Invalid_argument when enabling
-    with no sampler installed. *)
+val without_observers : t -> (unit -> 'a) -> 'a
+(** [without_observers t f] runs [f] with every observer paused: the
+    profiler and sampler do not run, and {!observing} is [false].
+    Replay queries re-execute recorded instructions under it, so they
+    are never counted twice and produce no phantom samples.  The
+    previous state is restored when [f] returns or raises, so calls
+    nest. *)

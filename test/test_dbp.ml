@@ -301,6 +301,80 @@ let test_hits_all_strategies () =
       check_int "oracle: no missed hits" 0 (Session.missed_hits session))
     all_option_sets
 
+(* The session's one store table: every site and patch-stub pc maps to
+   its plan write type and every other pc to nothing, the pcs just
+   outside the table's range included; and the oracle that reads it
+   still sees every monitored store, for every strategy. *)
+let store_table_src =
+  "int g; int a[16]; int main() { int i; int *p; p = malloc(16); for (i = \
+   0; i < 16; i = i + 1) { a[i] = i; g = g + 2; } p[1] = g; return (g + \
+   p[1] + a[3]) % 256; }"
+
+let test_store_table () =
+  let expected_code, _ = run_plain store_table_src in
+  let show = function None -> "none" | Some wt -> Write_type.to_string wt in
+  List.iter
+    (fun o ->
+      let session, _, _, code, _ =
+        run_session ~options:o
+          ~watch:(fun dbg -> List.map (Debugger.watch dbg) [ "g"; "a" ])
+          store_table_src
+      in
+      let name =
+        Strategy.to_string o.Instrument.strategy
+        ^
+        match o.Instrument.opt with
+        | Instrument.O0 -> "/O0"
+        | Instrument.O_symbol -> "/sym"
+        | Instrument.O_full -> "/full"
+      in
+      check_int ("exit " ^ name) expected_code code;
+      check_bool ("oracle saw stores " ^ name) true
+        (session.Session.expected_hits <> []);
+      check_int ("oracle: no missed hits " ^ name) 0
+        (Session.missed_hits session);
+      let image = session.Session.image in
+      let expected = Hashtbl.create 64 in
+      List.iter
+        (fun (s : Instrument.site) ->
+          List.iter
+            (fun label ->
+              match Sparc.Assembler.addr_of_label image label with
+              | Some a -> Hashtbl.replace expected a s.Instrument.write_type
+              | None -> ())
+            [ Instrument.site_label s.origin; Instrument.patch_label s.origin ])
+        session.Session.plan.Instrument.sites;
+      let types =
+        List.sort_uniq compare (List.of_seq (Hashtbl.to_seq_values expected))
+      in
+      check_bool ("several write types " ^ name) true (List.length types >= 2);
+      let base = image.Sparc.Assembler.text_base in
+      let mismatches =
+        List.filter_map
+          (fun i ->
+            let pc = base + (4 * i) in
+            let want = show (Hashtbl.find_opt expected pc)
+            and got = show (Session.store_write_type session pc) in
+            if want = got then None
+            else Some (Printf.sprintf "0x%x: want %s, got %s" pc want got))
+          (List.init (Array.length image.Sparc.Assembler.text) Fun.id)
+      in
+      Alcotest.(check (list string)) ("store table " ^ name) [] mismatches;
+      let lo = session.Session.store_lo in
+      let hi = lo + (4 * Bytes.length session.Session.store_types) in
+      check_bool ("table starts at a store " ^ name) true
+        (Hashtbl.mem expected lo);
+      check_bool ("table ends at a store " ^ name) true
+        (Hashtbl.mem expected (hi - 4));
+      Alcotest.(check string) ("pc below the table " ^ name) "none"
+        (show (Session.store_write_type session (lo - 4)));
+      Alcotest.(check string) ("pc past the table " ^ name) "none"
+        (show (Session.store_write_type session hi)))
+    (all_option_sets
+    @ List.map
+        (fun strategy -> options ~strategy ~opt:Instrument.O_full ())
+        (Strategy.all @ [ Strategy.Hash_table ]))
+
 let test_disabled_no_hits () =
   (* Region exists but MRS disabled: no hits, and the disabled-flag
      guard keeps overhead small. *)
@@ -772,6 +846,7 @@ let suites =
       [
         Alcotest.test_case "semantics preserved" `Slow test_semantics_preserved;
         Alcotest.test_case "hits, all strategies" `Quick test_hits_all_strategies;
+        Alcotest.test_case "store table, all strategies" `Quick test_store_table;
         Alcotest.test_case "disabled flag" `Quick test_disabled_no_hits;
         Alcotest.test_case "alias writes detected" `Quick test_alias_writes_detected;
         Alcotest.test_case "nop padding" `Quick test_nop_padding;

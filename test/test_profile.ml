@@ -245,16 +245,58 @@ let test_profile_report_requires_profile () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_enable_uninstalled_rejected () =
-  let linked = Minic.Compile.compile_and_link "int main() { return 0; }" in
+(* The one observer gate: [without_observers] pauses the profiler and
+   the sampler together, nests, and restores the previous state when
+   its body raises.  The install checks stay. *)
+let test_without_observers_nests () =
+  let linked =
+    Minic.Compile.compile_and_link
+      "int main() { int i; int s; s = 0; for (i = 0; i < 100; i = i + 1) { \
+       s = s + i; } return s % 256; }"
+  in
   let cpu = Machine.Cpu.create linked.Minic.Compile.image in
-  check_bool "set_enabled without install rejected" true
-    (match Machine.Cpu.profile_set_enabled cpu true with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* Disabling when nothing is installed is a harmless no-op. *)
-  Machine.Cpu.profile_set_enabled cpu false;
-  check_bool "not enabled" false (Machine.Cpu.profile_enabled cpu)
+  Machine.Cpu.install_basic_services cpu;
+  let rejected f =
+    match f () with exception Invalid_argument _ -> true | () -> false
+  in
+  check_bool "short counter arrays rejected" true
+    (rejected (fun () ->
+         Machine.Cpu.profile_install cpu ~exec:[||] ~taken:[||]
+           ~transfer:(fun _ _ -> ())));
+  check_bool "every = 0 rejected" true
+    (rejected (fun () -> Machine.Cpu.sample_install cpu ~every:0 ~hook:ignore));
+  let n = Array.length (Machine.Cpu.profile_static cpu) in
+  let exec = Array.make n 0 in
+  Machine.Cpu.profile_install cpu ~exec ~taken:(Array.make n 0)
+    ~transfer:(fun _ _ -> ());
+  let samples = ref 0 in
+  Machine.Cpu.sample_install cpu ~every:1 ~hook:(fun _ -> incr samples);
+  (* Exec slots count in steps of 4 above the two kind bits. *)
+  let profiled () = Array.fold_left (fun acc v -> acc + (v lsr 2)) 0 exec in
+  let steps k = for _ = 1 to k do Machine.Cpu.step cpu done in
+  check_bool "observing by default" true (Machine.Cpu.observing cpu);
+  steps 10;
+  check_int "profiled while observing" 10 (profiled ());
+  check_int "sampled while observing" 10 !samples;
+  Machine.Cpu.without_observers cpu (fun () ->
+      Machine.Cpu.without_observers cpu (fun () -> steps 5);
+      check_bool "inner exit keeps the outer pause" false
+        (Machine.Cpu.observing cpu);
+      steps 5);
+  check_bool "outer exit resumes" true (Machine.Cpu.observing cpu);
+  check_int "paused steps not profiled" 10 (profiled ());
+  check_int "paused steps not sampled" 10 !samples;
+  (match
+     Machine.Cpu.without_observers cpu (fun () ->
+         steps 3;
+         raise Exit)
+   with
+  | exception Exit -> ()
+  | () -> Alcotest.fail "Exit was swallowed");
+  check_bool "a raise resumes" true (Machine.Cpu.observing cpu);
+  steps 10;
+  check_int "profiling resumes" 20 (profiled ());
+  check_int "sampling resumes" 20 !samples
 
 (* --- Chrome-trace edge cases -------------------------------------------------------- *)
 
@@ -421,8 +463,8 @@ let suites =
         Alcotest.test_case "merge_folded" `Quick test_merge_folded;
         Alcotest.test_case "profile_report requires ~profile" `Quick
           test_profile_report_requires_profile;
-        Alcotest.test_case "enable without install rejected" `Quick
-          test_enable_uninstalled_rejected;
+        Alcotest.test_case "without_observers nests" `Quick
+          test_without_observers_nests;
       ] );
     ( "profile.chrome",
       [

@@ -443,11 +443,13 @@ let test_guard_fires_on_registers_and_output () =
   let cpu = session.Session.cpu in
   let snaps = Array.of_list (Journal.snapshots (Replay.journal r)) in
   let target = Snapshot.insn snaps.(1) in
-  let sabotage ~names perturb =
-    Machine.Cpu.sample_install cpu ~every:1 ~hook:(fun insn ->
-        if insn = target then perturb ());
+  let perturb = ref ignore in
+  Machine.Cpu.sample_install cpu ~every:1 ~hook:(fun insn ->
+      if insn = target then !perturb ());
+  let sabotage ~names p =
+    perturb := p;
     let expected, actual = violation r snaps in
-    Machine.Cpu.sample_set_enabled cpu false;
+    perturb := ignore;
     List.iter
       (fun s ->
         check_bool (Printf.sprintf "%S names %s" s names) true

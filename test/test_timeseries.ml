@@ -127,15 +127,34 @@ let test_conservation () =
 
 (* --- replay queries leave the series alone ----------------------------------- *)
 
-(* A retroactive query rolls the machine back and re-executes; the
-   sampler and heatmap pause, so the sample ring and page counts are
-   byte-identical before and after — and the monotonic [store_execs]
-   gauge keeps conserving against the heatmap. *)
+(* A retroactive query rolls the machine back and re-executes; every
+   observer sits behind the machine's one pause gate, so the profile,
+   the sample ring and the heatmap's page counts are identical before
+   and after all three queries — and the monotonic [store_execs] gauge
+   keeps conserving against the heatmap.  The debugger's notification
+   callback is not an observer: replayed hits still reach it. *)
 let test_replay_pauses_observers () =
-  let session = run_sampled ~checkpoint_every:2_000 loop_src in
+  let session =
+    Session.create ~options ~checkpoint_every:2_000 ~profile:true
+      ~sample_every:1_000 ~heatmap:true loop_src
+  in
+  let dbg = Debugger.create session in
+  ignore (Debugger.watch dbg "g");
+  let code, _ = Session.run ~fuel:20_000_000 session in
+  check_int "exit" 0 code;
   let rep1 = Session.report session in
   let hm = Option.get session.Session.heatmap in
-  let writes1 = Heatmap.total_writes hm in
+  let prof = Option.get session.Session.profiler in
+  let observed () =
+    ( Profile.profiled_instrs prof,
+      Heatmap.total_writes hm,
+      Heatmap.total_checks hm,
+      Heatmap.total_hits hm )
+  in
+  let before = observed () in
+  let _, _, _, hits1 = before in
+  check_bool "the watch hit" true (hits1 > 0);
+  let events1 = List.length (Debugger.events dbg) in
   let addr =
     match Session.resolve_addr session "g" with
     | Some a -> a
@@ -145,16 +164,28 @@ let test_replay_pauses_observers () =
   | Some { Session.wr_hit = h; _ } ->
     check_bool "last write found a store" true (h.Replay.h_new > 0)
   | None -> Alcotest.fail "g was written but last_write found nothing");
+  check_bool "write history found stores" true
+    (Session.write_history session ~lo:addr ~hi:(addr + 4) <> []);
+  check_bool "travel re-executed" true
+    (Session.time_travel session ~insn:(Machine.Cpu.instr_count session.Session.cpu / 2)
+    > 0);
+  check_bool "observing after the queries" true
+    (Machine.Cpu.observing session.Session.cpu);
   let rep2 = Session.report session in
+  let p1, w1, c1, h1 = before and p2, w2, c2, h2 = observed () in
+  check_int "profiled instrs unchanged by replay" p1 p2;
+  check_int "heatmap writes unchanged by replay" w1 w2;
+  check_int "heatmap checks unchanged by replay" c1 c2;
+  check_int "heatmap hits unchanged by replay" h1 h2;
   check_bool "sample ring unchanged by replay" true
     (rep1.Telemetry.r_samples = rep2.Telemetry.r_samples);
-  check_int "heatmap writes unchanged by replay" writes1
-    (Heatmap.total_writes hm);
   check_int "store_execs gauge survives the rollback"
     (counter rep1 "store_execs")
     (counter rep2 "store_execs");
   check_bool "replayed instructions were counted" true
-    (counter rep2 "replayed_instrs" > 0)
+    (counter rep2 "replayed_instrs" > 0);
+  check_bool "replayed hits reach the debugger" true
+    (List.length (Debugger.events dbg) > events1)
 
 (* --- zero added work when disabled ------------------------------------------- *)
 
