@@ -145,9 +145,9 @@ let port_arg =
 
 let shards_arg =
   Arg.(value & opt int 1 & info [ "j"; "shards" ] ~docv:"N"
-       ~doc:"Worker domains; sessions are hashed to a shard.  Merged \
-             telemetry and per-session transcripts do not depend on \
-             $(docv).")
+       ~doc:"$(docv) shards on $(docv) domains; the serving domain runs \
+             shard 0.  Sessions are hashed to a shard.  Merged telemetry \
+             and per-session transcripts do not depend on $(docv).")
 
 let slice_arg =
   Arg.(value & opt int Daemon.default_slice & info [ "slice" ] ~docv:"INSTRS"

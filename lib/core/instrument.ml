@@ -96,7 +96,7 @@ let run ?audit ?trace (options : options) (out : Minic.Codegen.output) : t =
   let span name f =
     match trace with Some tr -> Trace.with_span tr name f | None -> f ()
   in
-  let items = Array.of_list out.program.text in
+  let items = Arr.of_list out.program.text in
   let function_labels = "_start" :: out.functions in
   let instrumented_functions =
     let fs =

@@ -575,7 +575,7 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
         | Some a -> wentries := (a, s.Instrument.slot, wt) :: !wentries
         | None -> ())
       plan.Instrument.sites;
-    let w = Array.of_list (List.sort compare !wentries) in
+    let w = Arr.of_list (List.sort compare !wentries) in
     t.w_attr_addrs <- Array.map (fun (a, _, _) -> a) w;
     t.w_attr_slots <- Array.map (fun (_, s, _) -> s) w;
     t.w_attr_types <- Array.map (fun (_, _, wt) -> wt) w;
@@ -592,7 +592,7 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
             :: !rentries
         | None -> ())
       plan.Instrument.read_sites;
-    let r = Array.of_list (List.sort compare !rentries) in
+    let r = Arr.of_list (List.sort compare !rentries) in
     t.r_attr_addrs <- Array.map (fun (a, _, _) -> a) r;
     t.r_attr_slots <- Array.map (fun (_, s, _) -> s) r;
     t.r_attr_types <- Array.map (fun (_, _, wt) -> wt) r);

@@ -48,9 +48,9 @@ let build (instrs : Tac.instr list) : t =
         if is_terminator instr then flush ())
     instrs;
   flush ();
-  let groups = Array.of_list (List.rev !groups) in
+  let groups = Sparc.Arr.of_list (List.rev !groups) in
   let blocks =
-    Array.mapi
+    Sparc.Arr.mapi
       (fun id (labels, body) -> { id; labels; body; succs = []; preds = [] })
       groups
   in

@@ -196,7 +196,7 @@ let prof_classify t _i insn =
   | Insn.Jmpl _ -> (Profile.kind_call, -1)
   | _ -> (Profile.kind_plain, -1)
 
-let profile_static t = Array.mapi (prof_classify t) t.text
+let profile_static t = Arr.mapi (prof_classify t) t.text
 
 let refresh_observed t =
   t.observed <-
@@ -814,7 +814,7 @@ let create ?(config = default_config) (image : Assembler.image) =
       nstore_hooks = 0;
       load_hooks = [||];
       nload_hooks = 0;
-      code = Array.mapi (compile image.text_base) text;
+      code = Arr.mapi (compile image.text_base) text;
       text_version = 0;
       text_snap = None;
       prof_exec = [||];
@@ -854,7 +854,9 @@ let step t =
   end
   else begin
     t.nprobe_dispatches <- t.nprobe_dispatches + Array.length ps;
-    Array.iter (fun f -> f t) ps;
+    for i = 0 to Array.length ps - 1 do
+      (Array.unsafe_get ps i) t
+    done;
     (* A probe may patch text or move the pc (breakpoint callbacks);
        re-fetch through the checked path and fall back to the generic
        interpreter. *)

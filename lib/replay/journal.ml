@@ -103,7 +103,7 @@ let pick_victim arr =
   end
 
 let evict_one t =
-  let arr = Array.of_list (entries t) in
+  let arr = Sparc.Arr.of_list (entries t) in
   match pick_victim arr with
   | None -> false
   | Some idx ->

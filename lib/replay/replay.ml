@@ -296,7 +296,7 @@ let stored stop ~lo ~hi = Written.overlaps (Snapshot.written stop) ~lo ~hi
    The machine is left at the recorded end state. *)
 let last_write ?guard t ~lo ~hi =
   if not t.recorded then invalid_arg "Replay.last_write: record the run first";
-  let snaps = Array.of_list (Journal.snapshots t.journal) in
+  let snaps = Arr.of_list (Journal.snapshots t.journal) in
   let result = ref None in
   let i = ref (Array.length snaps - 1) in
   while Option.is_none !result && !i >= 1 do
@@ -326,7 +326,7 @@ let last_write_word ?guard t ~addr =
 let write_history ?guard t ~lo ~hi =
   if not t.recorded then
     invalid_arg "Replay.write_history: record the run first";
-  let snaps = Array.of_list (Journal.snapshots t.journal) in
+  let snaps = Arr.of_list (Journal.snapshots t.journal) in
   let history =
     List.concat_map
       (fun i ->

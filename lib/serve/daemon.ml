@@ -3,10 +3,13 @@
 
    Division of labor:
 
-   - The *main thread* (whoever calls {!submit} / {!server_poll})
-     parses frames, routes them, owns the session table and the daemon
-     registry ([commands_served]), and answers client-level frames
-     ([hello], unknown-session errors) under the reserved sid ["-"].
+   - The *main thread* (whoever created the engine and calls {!submit}
+     / {!server_poll}) parses frames, routes them, owns the session
+     table and the daemon registry ([commands_served]), and answers
+     client-level frames ([hello], unknown-session errors) under the
+     reserved sid ["-"].  It is also shard 0's domain: each
+     {!server_poll} runs at most one shard-0 job between its socket
+     passes, and {!drain} runs the rest.
 
    - A session's *shard domain* executes its commands in arrival
      order: opening (compile → instrument → load), arming, fuel-sliced
@@ -742,15 +745,18 @@ let flush_conn srv conn =
     conn.woff <- 0
   end
 
+(* At most one shard-0 job runs between the read and the flush, so
+   socket I/O waits for at most one run slice or one other verb.  While
+   shard 0 still has queued work the pass leaves a wake in the pipe, so
+   the next [select] on {!server_fds} returns at once. *)
 let server_poll srv =
   if not srv.sclosed then begin
-    clear_wake srv.engine;
+    let t = srv.engine in
+    clear_wake t;
     accept_pending srv;
-    List.iter
-      (fun conn ->
-        if not conn.eof then read_conn srv conn;
-        flush_conn srv conn)
-      srv.conns;
+    List.iter (fun conn -> if not conn.eof then read_conn srv conn) srv.conns;
+    ignore (Sched.run_local t.sched);
+    List.iter (flush_conn srv) srv.conns;
     let live, dead =
       List.partition (fun c -> not c.eof || unsent c > 0) srv.conns
     in
@@ -760,7 +766,8 @@ let server_poll srv =
         close_client srv.engine conn.cl;
         (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ());
         try Unix.close conn.fd with _ -> ())
-      dead
+      dead;
+    if (not t.down) && Sched.local_pending t.sched then wake t
   end
 
 (* A connection past EOF stays only to send what it still owes: it

@@ -9,6 +9,14 @@
     executed in fuel slices and re-posted behind other sessions' work,
     so one session cannot starve a shard.
 
+    The main thread is shard 0's domain ({!Sched}): it runs shard 0's
+    jobs one per {!server_poll}, between socket passes, and all of them
+    in {!drain}.  [n] shards therefore run on [n] domains.  Call every
+    function here from the domain that called {!create}.  Only [run] is
+    cut into slices: an [open], [verify], [query] or [travel] that lands
+    on shard 0 runs as one job, and holds up socket I/O for every
+    shard's sessions for its whole duration.
+
     Two front ends sit on top: the in-process {!client}/{!submit}/
     {!output} API (tests, bench loopback driver) and the TCP listener
     ({!listen}/{!server_poll}/{!serve_for}). *)
@@ -20,7 +28,9 @@ val default_slice : int
 (** Fairness quantum (instructions per [run] slice): 50k. *)
 
 val create : ?shards:int -> ?slice:int -> unit -> t
-(** Spawn the shard pool.  [slice] overrides {!default_slice}. *)
+(** Create the shard pool: the calling domain runs shard 0, and
+    [shards - 1] worker domains are spawned.  [slice] overrides
+    {!default_slice}. *)
 
 val shards : t -> int
 
@@ -38,7 +48,8 @@ val client : t -> client
 val submit : t -> client -> string -> unit
 (** Route one frame (a line, no terminator).  Client-level replies are
     pushed synchronously; session commands are posted to the session's
-    shard and their replies arrive in the outbox asynchronously. *)
+    shard and their replies arrive in the outbox asynchronously (for
+    shard 0, once the caller runs {!server_poll} or {!drain}). *)
 
 val output : client -> string list
 (** Drain the client's outbox (encoded reply lines, in emission
@@ -49,9 +60,9 @@ val close_client : t -> client -> unit
     telemetry into the shard sinks), as on TCP disconnect. *)
 
 val drain : t -> unit
-(** Block until all posted commands (and re-posted run slices) have
-    executed.  After [drain], outboxes and {!merged_report} are
-    quiescent and deterministic. *)
+(** Run shard 0's posted commands inline, then block until all posted
+    commands (and re-posted run slices) have executed.  After [drain],
+    outboxes and {!merged_report} are quiescent and deterministic. *)
 
 val sessions_open : t -> int
 
@@ -65,7 +76,7 @@ val metrics_body : t -> string
 (** {!merged_report} rendered for [GET /metrics]. *)
 
 val shutdown : t -> unit
-(** Drain and join the shard domains, then close the engine's wake
+(** Drain and join the worker domains, then close the engine's wake
     pipe.  Idempotent. *)
 
 (** {1 TCP front end} *)
@@ -90,24 +101,30 @@ val server_poll : server -> unit
 (** One nonblocking pass: consume the engine's wake (empty the pipe,
     then clear the wake-pending flag, so a reply pushed during this pass
     wakes the next [select]), accept pending connections, read available
-    bytes (feeding complete frames to {!submit}), flush outboxes (bytes
-    the socket does not take stay queued), reap disconnected peers
-    (closing their sessions).  A connection whose unterminated frame
-    grows past 1 MiB gets one client-level [error] reply and is then
-    reaped as on EOF. *)
+    bytes (feeding complete frames to {!submit}), run at most one
+    shard-0 job (one [run] slice or one other verb), flush outboxes
+    (bytes the socket does not take stay queued), reap disconnected
+    peers (closing their sessions).  While shard 0 still has queued
+    work after the pass, it leaves a wake in the pipe, so a caller's
+    [select] on {!server_fds} returns at once.  A connection whose
+    unterminated frame grows past 1 MiB gets one client-level [error]
+    reply and is then reaped as on EOF. *)
 
 val server_fds : server -> Unix.file_descr list
 (** Fds to wait on for reading before the next {!server_poll}: the
-    engine's wake fd — readable once a shard job has pushed replies —
-    the listener, and every connection still reading.  A [select] on
-    these wakes as soon as there is a reply to flush. *)
+    engine's wake fd — readable once a shard job has pushed replies,
+    or while shard 0 has queued work — the listener, and every
+    connection still reading.  A [select] on these wakes as soon as
+    there is a reply to flush or a shard-0 job to run. *)
 
 val serve_for : ?scrape:Scrape.t -> server -> seconds:float -> unit
 (** The daemon's event loop, for a bounded duration: [select] on
     {!server_fds}, on [scrape]'s listener, and for writing on every
     connection with unsent bytes; then {!server_poll} and
     {!Scrape.poll}.  No timer: replies go out as soon as a shard
-    produces them. *)
+    produces them.  While shard 0 has queued work the wake fd stays
+    readable, so the loop alternates one shard-0 job with one socket
+    pass; socket I/O waits for at most one job. *)
 
 val server_close : server -> unit
 (** Final poll, then close every connection (closing its sessions) and

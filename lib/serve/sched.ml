@@ -1,16 +1,23 @@
 (* N-domain session shard pool — bench/pool.ml's per-domain
    commutative-sink pattern promoted into a reusable scheduler.
 
-   Each shard owns one worker domain, one FIFO job queue and one
-   telemetry sink registry.  Sessions are hashed to a shard by their
-   (client-chosen) session id, and every job posted under that key runs
-   on that shard's domain, in post order — so a session's commands
-   execute sequentially with no locking around the session itself,
-   while different sessions proceed in parallel.  Fairness comes from
-   the queue discipline: a long-running command (the daemon's [run]
-   verb) executes one fuel slice and re-posts its continuation, which
-   lands *behind* any other session's queued work on the same shard —
-   round-robin, so one session cannot starve the loop.
+   Each shard owns one domain, one FIFO job queue and one telemetry
+   sink registry.  Shard 0's domain is the one that created the pool
+   (dbreakd's serving loop), which runs shard 0's jobs itself, one per
+   {!run_local} call or all of them in {!drain}; shards 1..n-1 each get
+   a spawned worker domain.  So n shards cost n domains: OCaml 5's
+   minor collections stop every domain, and an extra, mostly idle
+   serving domain on a busy host makes every collection wait for it.
+
+   Sessions are hashed to a shard by their (client-chosen) session id,
+   and every job posted under that key runs on that shard's domain, in
+   post order — so a session's commands execute sequentially with no
+   locking around the session itself, while different sessions proceed
+   in parallel.  Fairness comes from the queue discipline: a
+   long-running command (the daemon's [run] verb) executes one fuel
+   slice and re-posts its continuation, which lands *behind* any other
+   session's queued work on the same shard — round-robin, so one
+   session cannot starve the loop.
 
    The sinks merge exactly as the bench harness merges its per-domain
    sinks: closed sessions' reports are absorbed into their shard's
@@ -29,6 +36,7 @@ type shard = {
 
 type t = {
   shards : shard array;
+  owner : Domain.id;  (* the creating domain, which runs shard 0 *)
   mutable running : bool;  (* writes under every shard's [mu] *)
   failures : int Atomic.t;
 }
@@ -38,6 +46,19 @@ let shards t = Array.length t.shards
 let shard_of t key = Hashtbl.hash key mod Array.length t.shards
 
 let sink t ~shard = t.shards.(shard).sink
+
+(* Run one popped job: [busy] covers it, so {!drain} waits for it. *)
+let run_job t sh job =
+  (try job ()
+   with _ ->
+     (* A job that escapes its own error handling must not kill the
+        shard; the daemon wraps command execution in its own error-reply
+        path, so this is a last-resort backstop. *)
+     Atomic.incr t.failures);
+  Mutex.lock sh.mu;
+  sh.busy <- false;
+  Condition.broadcast sh.cv;
+  Mutex.unlock sh.mu
 
 let worker t sh () =
   let rec loop () =
@@ -53,20 +74,36 @@ let worker t sh () =
       let job = Queue.pop sh.queue in
       sh.busy <- true;
       Mutex.unlock sh.mu;
-      (try job ()
-       with _ ->
-         (* A job that escapes its own error handling must not kill the
-            shard; the daemon wraps command execution in its own
-            error-reply path, so this is a last-resort backstop. *)
-         Atomic.incr t.failures);
-      Mutex.lock sh.mu;
-      sh.busy <- false;
-      Condition.broadcast sh.cv;
-      Mutex.unlock sh.mu;
+      run_job t sh job;
       loop ()
     end
   in
   loop ()
+
+let check_owner t fn =
+  if Domain.self () <> t.owner then
+    invalid_arg (fn ^ ": shard 0 runs only on the domain that created the pool")
+
+let run_local t =
+  check_owner t "Sched.run_local";
+  let sh = t.shards.(0) in
+  Mutex.lock sh.mu;
+  match Queue.take_opt sh.queue with
+  | None ->
+    Mutex.unlock sh.mu;
+    false
+  | Some job ->
+    sh.busy <- true;
+    Mutex.unlock sh.mu;
+    run_job t sh job;
+    true
+
+let local_pending t =
+  let sh = t.shards.(0) in
+  Mutex.lock sh.mu;
+  let pending = not (Queue.is_empty sh.queue) in
+  Mutex.unlock sh.mu;
+  pending
 
 let create ?(shards = 1) () =
   let shards = max 1 shards in
@@ -88,12 +125,13 @@ let create ?(shards = 1) () =
   let t =
     {
       shards = Array.init shards mk;
+      owner = Domain.self ();
       running = true;
       failures = Atomic.make 0;
     }
   in
-  Array.iter
-    (fun sh -> sh.domain <- Some (Domain.spawn (worker t sh)))
+  Array.iteri
+    (fun i sh -> if i > 0 then sh.domain <- Some (Domain.spawn (worker t sh)))
     t.shards;
   t
 
@@ -108,15 +146,26 @@ let post t ~key job =
   Condition.broadcast sh.cv;
   Mutex.unlock sh.mu
 
+(* Shard 0 first, inline; then wait for the workers.  A worker job may
+   post to shard 0 while we wait, so repeat until a full pass finds
+   shard 0 empty. *)
 let drain t =
-  Array.iter
-    (fun sh ->
-      Mutex.lock sh.mu;
-      while not (Queue.is_empty sh.queue) || sh.busy do
-        Condition.wait sh.cv sh.mu
-      done;
-      Mutex.unlock sh.mu)
-    t.shards
+  check_owner t "Sched.drain";
+  let rec go () =
+    while run_local t do () done;
+    Array.iteri
+      (fun i sh ->
+        if i > 0 then begin
+          Mutex.lock sh.mu;
+          while not (Queue.is_empty sh.queue) || sh.busy do
+            Condition.wait sh.cv sh.mu
+          done;
+          Mutex.unlock sh.mu
+        end)
+      t.shards;
+    if local_pending t then go ()
+  in
+  go ()
 
 let failures t = Atomic.get t.failures
 

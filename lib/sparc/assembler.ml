@@ -82,7 +82,7 @@ let assemble ?(text_base = default_text_base) ?(data_base = default_data_base)
         emit idx (Asm.or_ rd (Insn.Imm lo) rd)
       | Asm.Label _ | Asm.Comment _ -> ())
     program.text;
-  let text = Array.of_list (List.rev !out) in
+  let text = Arr.of_list (List.rev !out) in
   let insn_items = Array.of_list (List.rev !origins) in
   let entry = resolve_label program.entry in
   {

@@ -1386,7 +1386,7 @@ let run ?audit ?(tags = []) (inst : I.t) : report =
       Hashtbl.replace ctx_cache fname r;
       r
   in
-  let text_arr = Array.of_list inst.I.program.Asm.text in
+  let text_arr = Arr.of_list inst.I.program.Asm.text in
   let plan_obs =
     List.concat_map
       (fun (p : L.loop_plan) ->

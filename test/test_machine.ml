@@ -661,6 +661,56 @@ let test_cpu_unhandled_trap () =
      Alcotest.fail "expected fault"
    with Cpu.Fault _ -> ())
 
+(* --- large arrays ----------------------------------------------------------- *)
+
+let test_arr_builders () =
+  List.iter
+    (fun n ->
+      let l = List.init n (fun i -> ref i) in
+      check_bool (Printf.sprintf "of_list %d" n) true (Arr.of_list l = Array.of_list l);
+      let calls = ref [] in
+      let a = Arr.mapi (fun i x -> calls := i :: !calls; !x + i) (Array.of_list l) in
+      check_bool (Printf.sprintf "mapi %d" n) true (a = Array.init n (fun i -> 2 * i));
+      check_bool (Printf.sprintf "mapi %d in index order" n) true
+        (List.rev !calls = List.init n Fun.id))
+    [ 0; 1; 255; 256; 257; 512; 1000 ]
+
+(* Minor collections over 50 calls of [f].  Each major cycle also
+   empties the minor heap, and how often cycles come depends on the
+   heap the earlier tests left; a high [space_overhead] makes them rare,
+   so what is counted is the collections [f] forces. *)
+let minor_collections_over_50 f =
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.space_overhead = 1000 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set gc)
+    (fun () ->
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      for _ = 1 to 50 do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      (Gc.quick_stat ()).Gc.minor_collections - before)
+
+let test_no_forced_minor_gc () =
+  (* Building an array of more than 256 elements around a freshly
+     allocated first element forces a stop-the-world minor collection
+     ({!Arr}).  gcc1.35's 730-word text would force one per call in
+     Cpu.create (its closure array) and in the assembler. *)
+  let spec = Option.get (Workloads.Spec.find "001.gcc1.35") in
+  let prog =
+    (Minic.Compile.compile spec.Workloads.Workload.source).Minic.Codegen.program
+  in
+  let image = Assembler.assemble prog in
+  check_bool "text longer than 256 words" true
+    (Array.length image.Assembler.text > 256);
+  let n = minor_collections_over_50 (fun () -> Cpu.create image) in
+  check_bool (Printf.sprintf "50 Cpu.create: %d minor collections, < 10" n) true (n < 10);
+  let n = minor_collections_over_50 (fun () -> Assembler.assemble prog) in
+  check_bool
+    (Printf.sprintf "50 Assembler.assemble: %d minor collections, < 10" n)
+    true (n < 10)
+
+
 let suites =
   [
     ( "machine.memory",
@@ -700,5 +750,8 @@ let suites =
         Alcotest.test_case "fuel" `Quick test_cpu_fuel;
         Alcotest.test_case "cycle accounting" `Quick test_cpu_cycles_accumulate;
         Alcotest.test_case "unhandled trap" `Quick test_cpu_unhandled_trap;
+        Alcotest.test_case "chunked array builders" `Quick test_arr_builders;
+        Alcotest.test_case "large texts force no minor collection" `Quick
+          test_no_forced_minor_gc;
       ] );
   ]

@@ -258,6 +258,37 @@ let test_sched_merge_determinism () =
   check_string "merged telemetry independent of shard count (j3)" one
     (merged 3)
 
+let test_sched_local_shard () =
+  (* With one shard the creating domain is the shard: a posted job runs
+     only when its creator calls [run_local] or [drain], and on the
+     creator's domain.  No other domain may run shard 0. *)
+  let sched = Sched.create ~shards:1 () in
+  Fun.protect
+    ~finally:(fun () -> Sched.shutdown sched)
+    (fun () ->
+      let ran_on = ref [] in
+      let job () = ran_on := Domain.self () :: !ran_on in
+      Sched.post sched ~key:"a" job;
+      Sched.post sched ~key:"b" job;
+      check_int "posted jobs wait for their creator" 0 (List.length !ran_on);
+      check_bool "shard 0 has queued work" true (Sched.local_pending sched);
+      check_bool "run_local ran a job" true (Sched.run_local sched);
+      check_int "run_local ran exactly one" 1 (List.length !ran_on);
+      Sched.drain sched;
+      check_int "drain ran the other" 2 (List.length !ran_on);
+      check_bool "both ran on the creating domain" true
+        (List.for_all (fun d -> d = Domain.self ()) !ran_on);
+      check_bool "run_local on an empty queue" false (Sched.run_local sched);
+      check_bool "nothing queued" false (Sched.local_pending sched);
+      let refused =
+        Domain.join
+          (Domain.spawn (fun () ->
+               match Sched.run_local sched with
+               | _ -> false
+               | exception Invalid_argument _ -> true))
+      in
+      check_bool "run_local refused on another domain" true refused)
+
 (* --- daemon engine ------------------------------------------------------- *)
 
 let program = {|
@@ -730,6 +761,115 @@ let test_replies_skip_delayed_ack () =
         true
         (List.length slow <= 4))
 
+(* About seven million instructions: at a 1000-instruction slice, a few
+   thousand shard-0 jobs. *)
+let long_program = {|
+int counter;
+
+int main() {
+  int i;
+  i = 0;
+  while (i < 1000000) {
+    counter = i;
+    i = i + 1;
+  }
+  return 0;
+}
+|}
+
+(* The first session id [prefix]N that a two-shard engine hashes to
+   [shard]. *)
+let sid_on_shard shard prefix =
+  let probe = Sched.create ~shards:2 () in
+  Fun.protect
+    ~finally:(fun () -> Sched.shutdown probe)
+    (fun () ->
+      let rec go i =
+        let sid = Printf.sprintf "%s%d" prefix i in
+        if Sched.shard_of probe sid = shard then sid else go (i + 1)
+      in
+      go 0)
+
+let test_shard0_head_of_line () =
+  (* The serving domain runs at most one shard-0 job per poll, so a
+     long run on shard 0 cannot hold back socket I/O: a short session
+     sent while the run is under way is read, run on shard 1 and
+     closed before the long run exits. *)
+  let t = Daemon.create ~shards:2 ~slice:1000 () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with _ -> ());
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      connect_to srv sock;
+      Unix.set_nonblock sock;
+      let long = sid_on_shard 0 "long" and short = sid_on_shard 1 "short" in
+      let send cmds =
+        let frames =
+          String.concat "" (List.map (fun c -> Proto.encode_command c ^ "\n") cmds)
+        in
+        ignore (Unix.write_substring sock frames 0 (String.length frames))
+      in
+      let opener sid source =
+        Proto.Open
+          { sid; source = Proto.Program source;
+            strategy = "BitmapInlineRegisters"; opt = "none" }
+      in
+      (* Terminal events in arrival order. *)
+      let events = ref [] and pending = Buffer.create 4096 in
+      let t0 = Unix.gettimeofday () in
+      let rec serve_until p =
+        if not (p ()) then begin
+          if Unix.gettimeofday () -. t0 > 60.0 then
+            Alcotest.fail "no reply within 60 s";
+          (try ignore (Unix.select (sock :: Daemon.server_fds srv) [] [] 0.5)
+           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          Daemon.server_poll srv;
+          Buffer.add_string pending (read_available sock);
+          let data = Buffer.contents pending in
+          (match String.rindex_opt data '\n' with
+          | None -> ()
+          | Some i ->
+            Buffer.clear pending;
+            Buffer.add_string pending
+              (String.sub data (i + 1) (String.length data - i - 1));
+            List.iter
+              (fun l ->
+                match Proto.decode_reply l with
+                | Ok { Proto.r_sid; r_body = Proto.Opened _; _ } ->
+                  events := (r_sid ^ " opened") :: !events
+                | Ok { Proto.r_sid; r_body = Proto.Exited { executed; _ }; _ } ->
+                  events := (r_sid ^ " exited") :: !events;
+                  if r_sid = long then
+                    check_bool "the long run is millions of instructions" true
+                      (executed > 5_000_000)
+                | Ok { Proto.r_sid; r_body = Proto.Closed; _ } ->
+                  events := (r_sid ^ " closed") :: !events
+                | Ok { Proto.r_body = Proto.Error m; _ } -> Alcotest.fail m
+                | _ -> ())
+              (String.split_on_char '\n' (String.sub data 0 i)));
+          serve_until p
+        end
+      in
+      let seen e () = List.mem e !events in
+      send [ opener long long_program; Proto.Run { sid = long; fuel = 100_000_000 } ];
+      serve_until (seen (long ^ " opened"));
+      send
+        [
+          opener short counter_program;
+          Proto.Run { sid = short; fuel = 100_000_000 };
+          Proto.Close { sid = short };
+        ];
+      serve_until (fun () -> seen (short ^ " closed") () && seen (long ^ " exited") ());
+      check_string "short session closes while the long run is under way"
+        (String.concat ", "
+           [ long ^ " opened"; short ^ " opened"; short ^ " exited";
+             short ^ " closed"; long ^ " exited" ])
+        (String.concat ", " (List.rev !events)))
+
 let test_overlong_frame () =
   (* A frame that never ends: the daemon stops buffering at the cap,
      answers once with an error and reaps the connection, closing its
@@ -904,6 +1044,8 @@ let suites =
           test_sched_ordering;
         Alcotest.test_case "merge determinism across shard counts" `Quick
           test_sched_merge_determinism;
+        Alcotest.test_case "shard 0 runs on the creating domain" `Quick
+          test_sched_local_shard;
       ] );
     ( "serve.daemon",
       [
@@ -927,6 +1069,8 @@ let suites =
           test_replies_skip_delayed_ack;
         Alcotest.test_case "overlong frame answered once and reaped" `Quick
           test_overlong_frame;
+        Alcotest.test_case "a long shard-0 run does not hold back shard 1"
+          `Quick test_shard0_head_of_line;
       ] );
     ( "serve.scrape",
       [
