@@ -5,16 +5,25 @@ open Sparc
    functions: the line index uses a bit mask whenever the line count is
    a power of two (the seed's [mod] compiled to an integer divide), and
    validity is folded into the tag array (tag [-1] can never match a
-   real line address, which is non-negative). *)
+   real line address, which is non-negative).
+
+   For checkpoints the tags are cut into chunks of [1 lsl chunk_bits]
+   lines, and the miss path marks its chunk in [dirty]: a snapshot
+   copies only the chunks some miss changed since the previous
+   snapshot taken or restored ([base]) and shares the others with it. *)
 
 type t = {
   line_bits : int;
   lines : int;
   mask : int;  (* [lines - 1] when lines is a power of two, else [-1] *)
   tags : int array;
+  dirty : Bytes.t;  (* one byte per chunk, non-zero when it changed *)
+  mutable base : int array array;  (* chunks of the last snapshot, or [||] *)
   mutable hits : int;
   mutable misses : int;
 }
+
+let chunk_bits = 6
 
 let invalid_tag = -1
 
@@ -27,6 +36,8 @@ let create ?(size_bytes = 64 * 1024) ?(line_bytes = 32) () =
     lines;
     mask = (if lines land (lines - 1) = 0 then lines - 1 else -1);
     tags = Array.make lines invalid_tag;
+    dirty = Bytes.make (((lines - 1) lsr chunk_bits) + 1) '\001';
+    base = [||];
     hits = 0;
     misses = 0;
   }
@@ -43,6 +54,7 @@ let access t addr =
   else begin
     t.misses <- t.misses + 1;
     Array.unsafe_set t.tags idx line_addr;
+    Bytes.unsafe_set t.dirty (idx lsr chunk_bits) '\001';
     false
   end
 
@@ -55,19 +67,35 @@ let reset_counters t =
 
 let flush t =
   Array.fill t.tags 0 t.lines invalid_tag;
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\001';
   reset_counters t
 
 (* Exact state capture for checkpoint/replay: restoring tags *and*
    counters makes re-execution from a checkpoint reproduce the original
-   run's hit/miss stream (and hence cycle counts) bit-for-bit. *)
-type snapshot = { s_tags : int array; s_hits : int; s_misses : int }
+   run's hit/miss stream (and hence cycle counts) bit-for-bit.  Chunks
+   are never written after capture, so snapshots may share them. *)
+type snapshot = { s_chunks : int array array; s_lines : int; s_hits : int; s_misses : int }
 
-let snapshot t = { s_tags = Array.copy t.tags; s_hits = t.hits; s_misses = t.misses }
+let snapshot t =
+  let chunks =
+    Array.init (Bytes.length t.dirty) (fun c ->
+        if Bytes.get t.dirty c = '\000' then t.base.(c)
+        else
+          let lo = c lsl chunk_bits in
+          Array.sub t.tags lo (min (1 lsl chunk_bits) (t.lines - lo)))
+  in
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+  t.base <- chunks;
+  { s_chunks = chunks; s_lines = t.lines; s_hits = t.hits; s_misses = t.misses }
 
 let restore t s =
-  if Array.length s.s_tags <> t.lines then invalid_arg "Cache.restore";
-  Array.blit s.s_tags 0 t.tags 0 t.lines;
+  if s.s_lines <> t.lines then invalid_arg "Cache.restore";
+  Array.iteri
+    (fun c chunk -> Array.blit chunk 0 t.tags (c lsl chunk_bits) (Array.length chunk))
+    s.s_chunks;
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+  t.base <- s.s_chunks;
   t.hits <- s.s_hits;
   t.misses <- s.s_misses
 
-let snapshot_bytes s = Array.length s.s_tags * 8
+let snapshot_bytes s = s.s_lines * 8

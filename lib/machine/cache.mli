@@ -9,13 +9,23 @@ type t = {
   lines : int;
   mask : int;  (** [lines - 1] when [lines] is a power of two, else [-1] *)
   tags : int array;  (** per-line tag; [-1] marks an invalid line *)
+  dirty : Bytes.t;
+      (** one byte per chunk of [1 lsl chunk_bits] lines: non-zero when a
+          miss changed the chunk since the last snapshot taken or
+          restored *)
+  mutable base : int array array;
+      (** that snapshot's chunks ([[||]] before the first) *)
   mutable hits : int;
   mutable misses : int;
 }
 (** The representation is exposed so {!Cpu}'s hot loop can inline the
     access check (one array read per instruction fetch / data access)
-    without a cross-module call.  Code outside [Cpu] must treat it as
+    without a cross-module call; an inlined miss must mark its chunk
+    dirty as {!access} does.  Code outside [Cpu] must treat it as
     abstract and go through {!access}/{!flush}. *)
+
+val chunk_bits : int
+(** Lines per tag chunk, as a power of two. *)
 
 val create : ?size_bytes:int -> ?line_bytes:int -> unit -> t
 (** Defaults: 64 KiB, 32-byte lines.
@@ -37,12 +47,15 @@ val flush : t -> unit
 type snapshot
 
 val snapshot : t -> snapshot
-(** Copy the tag array and counters.  Restoring an exact cache state is
+(** Capture the tags and counters.  Restoring an exact cache state is
     what makes replayed execution reproduce the original hit/miss
-    stream — and therefore identical cycle counts — from a checkpoint. *)
+    stream — and therefore identical cycle counts — from a checkpoint.
+    Only the tag chunks a miss changed since the last snapshot taken or
+    restored are copied; the rest are shared with that snapshot. *)
 
 val restore : t -> snapshot -> unit
 (** @raise Invalid_argument if the snapshot's geometry differs. *)
 
 val snapshot_bytes : snapshot -> int
-(** Host bytes held by the snapshot's tag array (journal accounting). *)
+(** [lines * 8]: the tag array the snapshot stands for, as the journal
+    accounts it, whether its chunks are shared or not. *)

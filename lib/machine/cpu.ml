@@ -293,6 +293,7 @@ let cache_access t addr =
   else begin
     c.Cache.misses <- c.Cache.misses + 1;
     Array.unsafe_set c.Cache.tags idx line_addr;
+    Bytes.unsafe_set c.Cache.dirty (idx lsr Cache.chunk_bits) '\001';
     false
   end
 
@@ -901,7 +902,8 @@ let config t = t.config
    data for replayed execution as a data-breakpoint application).
    Checkpoints are copy-on-write: capturing memory is O(1) via
    {!Memory.snapshot_cow}; only pages the run subsequently dirties get
-   copied, and adjacent checkpoints share every untouched page.  The
+   packed into the view, and adjacent checkpoints share every untouched
+   page, as cache snapshots share every tag chunk no miss changed.  The
    cache (tags *and* counters) and window spill/fill counters are
    captured exactly, so re-execution from a checkpoint reproduces the
    original run's [stats] bit-for-bit. *)

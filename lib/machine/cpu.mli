@@ -118,16 +118,17 @@ val checkpoint : t -> checkpoint
 (** Capture the entire architectural state — memory, windows, cache,
     pc, flags, patched text, output, counters (§5: checkpointing for
     replayed execution).  Copy-on-write: memory capture is O(1); only
-    pages dirtied after the checkpoint get copied, and checkpoints
-    taken back-to-back share every untouched page (and, absent
-    patching, one text copy). *)
+    pages dirtied after the checkpoint get packed into it, and
+    checkpoints taken back-to-back share every untouched page, every
+    cache-tag chunk no miss changed and, absent patching, one text
+    copy. *)
 
 val rollback : t -> checkpoint -> unit
 (** Restore a checkpoint exactly — including cache tags and hit/miss
     counters — so subsequent execution replays the original run
     deterministically, reproducing {!stats} bit-for-bit.  O(resident
-    pages) table rebuild; restored pages stay shared with the
-    checkpoint and are copied back out lazily on write. *)
+    pages) table rebuild: restored pages the checkpoint still shares
+    stay shared, and its packed pages are unpacked. *)
 
 val checkpoint_view : checkpoint -> Memory.view
 (** The memory view captured by the checkpoint (page-sharing

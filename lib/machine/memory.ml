@@ -11,13 +11,18 @@ let l2_mask = (1 lsl l2_bits) - 1
 
 module IntMap = Map.Make (Int)
 
-type view = int array IntMap.t
+(* A mapped page, and also a view's cell for it.  [gen] is the epoch
+   in which the page was last made private: when [gen <> epoch] the
+   record may be bound in a snapshot view and must not be written in
+   place (copy-on-write).  A record bound in a view keeps sharing the
+   live [arr] until the first write after the snapshot; that write
+   packs the contents into [packed] (4 bytes per normalized word) and
+   gives the live page a fresh record over the same [arr].  So at most
+   one record shares any live array, and a frozen page costs 4 KiB
+   instead of an 8 KiB [int array] copy. *)
+type page = { mutable arr : int array; mutable gen : int; mutable packed : Bytes.t }
 
-(* A mapped page.  [gen] is the epoch in which [arr] was last
-   (re)copied: when [gen < epoch] the array may be shared with one or
-   more snapshot views and must be copied before the next write
-   (copy-on-write). *)
-type page = { mutable arr : int array; mutable gen : int }
+type view = page IntMap.t
 
 type t = {
   (* Two-level page table over the 20-bit page key: [dir.(key lsr 10)]
@@ -27,19 +32,22 @@ type t = {
      compare, no hash, no allocation. *)
   dir : page array array;
   mutable epoch : int;
-  (* Persistent index of the mapped page arrays, maintained incrementally
-     whenever a page's array identity changes (materialization or COW).
-     [snapshot_cow] is then O(1): bump the epoch and hand out the
-     current map. *)
+  (* Persistent index of the live page records, maintained
+     incrementally whenever a page gets a new record (materialization
+     or its first write after a snapshot).  [snapshot_cow] is then
+     O(1): bump the epoch and hand out the current map. *)
   mutable view : view;
-  mutable cow_copies : int;  (* cumulative pages copied by COW *)
+  mutable cow_copies : int;  (* cumulative first writes to shared pages *)
 }
+
+(* [unpacked] marks a record whose contents are [arr]. *)
+let unpacked = Bytes.empty
 
 (* Never written: the contents of every unmapped page, and of a page
    one side of a diff has not materialized.  [gen = -1] never equals an
    epoch, so a write to [absent] always goes through [writable]. *)
 let zero_page = Array.make page_words 0
-let absent = { arr = zero_page; gen = -1 }
+let absent = { arr = zero_page; gen = -1; packed = unpacked }
 let absent_l2 = Array.make (1 lsl l2_bits) absent
 
 let create () =
@@ -66,25 +74,48 @@ let set_page t key p =
   in
   l2.(key land l2_mask) <- p
 
+(* Words are normalized to 32 signed bits, so the 32-bit round trip is
+   exact.  Every packed [Bytes] is [page_bytes] long. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let pack arr =
+  let b = Bytes.create page_bytes in
+  for i = 0 to page_words - 1 do
+    set32 b (i lsl 2) (Int32.of_int (Array.unsafe_get arr i))
+  done;
+  b
+
+let unpack b arr =
+  for i = 0 to page_words - 1 do
+    Array.unsafe_set arr i (Int32.to_int (get32 b (i lsl 2)))
+  done;
+  arr
+
+let[@inline] cell_word p i =
+  if p.packed == unpacked then Array.unsafe_get p.arr i
+  else Int32.to_int (get32 p.packed (i lsl 2))
+
 let writable t key =
   let p = page t key in
   let arr =
-    if p == absent then begin
-      let arr = Array.make page_words 0 in
-      set_page t key { arr; gen = t.epoch };
-      arr
-    end
+    if p == absent then Array.make page_words 0
     else begin
-      (* Shared with a snapshot view: copy before the write the caller
-         is about to perform. *)
-      let arr = Array.copy p.arr in
-      p.arr <- arr;
-      p.gen <- t.epoch;
+      let arr = p.arr in
+      (* [p] may be bound in a view: freeze its contents there before
+         the caller's write, and keep writing [arr] in place.  A page
+         restored from a packed cell already holds that cell's bytes. *)
+      if p.packed == unpacked then begin
+        p.packed <- pack arr;
+        p.arr <- zero_page
+      end;
       t.cow_copies <- t.cow_copies + 1;
       arr
     end
   in
-  t.view <- IntMap.add key arr t.view;
+  let q = { arr; gen = t.epoch; packed = unpacked } in
+  set_page t key q;
+  t.view <- IntMap.add key q t.view;
   arr
 
 let check_align addr width =
@@ -147,19 +178,43 @@ let read_unsigned t addr = function
 
 let snapshot_cow t =
   (* From now on every mapped page is shared with the returned view;
-     the first write to each will copy it. *)
+     the first write to each will pack it there. *)
   t.epoch <- t.epoch + 1;
   t.view
 
 let restore_cow t view =
-  IntMap.iter (fun key _ -> set_page t key absent) t.view;
+  (* Arrays no view can reach are reused for this view's packed cells:
+     those of pages made private since the last snapshot or restore,
+     and those the last restore unpacked into.  A replay that restores
+     window after window then allocates no page. *)
+  let spare = ref [] in
   IntMap.iter
-    (* [gen = 0 < epoch]: the restored arrays still belong to the
-       snapshot; the first write to each page copies it out. *)
-    (fun key arr -> set_page t key { arr; gen = 0 })
+    (fun key _ ->
+      let p = page t key in
+      if p.gen = t.epoch || p.packed != unpacked then spare := p.arr :: !spare;
+      set_page t key absent)
+    t.view;
+  let private_array () =
+    match !spare with
+    | arr :: rest ->
+      spare := rest;
+      arr
+    | [] -> Array.make page_words 0
+  in
+  IntMap.iter
+    (* The restored records still belong to the snapshot, and every
+       [gen] is below the epoch bumped below.  A record still sharing
+       its array is mapped as it is, and its first write packs it; a
+       packed one is unpacked into a private array that keeps the
+       record's bytes, so that write has nothing left to pack. *)
+    (fun key p ->
+      set_page t key
+        (if p.packed == unpacked then p
+         else { arr = unpack p.packed (private_array ()); gen = 0; packed = p.packed }))
     view;
   t.view <- view;
   t.epoch <- t.epoch + 1
+
 let epoch t = t.epoch
 let cow_copies t = t.cow_copies
 let view_pages v = IntMap.cardinal v
@@ -171,9 +226,9 @@ let view_diff prev next =
      previous checkpoint's view this counts exactly the pages captured
      fresh by [next] — the O(dirty) cost of the checkpoint. *)
   IntMap.fold
-    (fun key arr acc ->
+    (fun key p acc ->
       match IntMap.find_opt key prev with
-      | Some prev_arr when prev_arr == arr -> acc
+      | Some q when q == p -> acc
       | Some _ | None -> acc + 1)
     next 0
 
@@ -182,21 +237,22 @@ let diff_view t view =
     IntMap.merge
       (fun _ live recorded ->
         match (live, recorded) with
-        (* A page shared with a view is never written in place. *)
+        (* A record bound in a view is never written in place. *)
         | Some a, Some b when a == b -> None
         | _ ->
           Some
-            ( Option.value live ~default:zero_page,
-              Option.value recorded ~default:zero_page ))
+            ( Option.value live ~default:absent,
+              Option.value recorded ~default:absent ))
       t.view view
   in
   IntMap.to_seq differing
   |> Seq.find_map (fun (key, (live, recorded)) ->
          let rec go i =
            if i = page_words then None
-           else if live.(i) <> recorded.(i) then
-             Some ((key lsl page_bits) + (i * 4), recorded.(i), live.(i))
-           else go (i + 1)
+           else
+             let l = cell_word live i and r = cell_word recorded i in
+             if l <> r then Some ((key lsl page_bits) + (i * 4), r, l)
+             else go (i + 1)
          in
          go 0)
 
@@ -205,14 +261,12 @@ let view_read_word view addr =
   if a land 3 <> 0 then raise (Misaligned { addr; width = 4 });
   match IntMap.find_opt (a lsr page_bits) view with
   | None -> 0
-  | Some arr -> Array.unsafe_get arr ((a land offset_mask) lsr 2)
-
-let iter_view view f = IntMap.iter f view
+  | Some p -> cell_word p ((a land offset_mask) lsr 2)
 
 let iter_written t f =
   IntMap.iter
-    (fun key arr ->
+    (fun key _ ->
       Array.iteri
         (fun i v -> if v <> 0 then f ((key lsl page_bits) + (i * 4)) v)
-        arr)
+        (page t key).arr)
     t.view

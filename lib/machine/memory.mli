@@ -7,10 +7,12 @@
 
     Checkpointing is copy-on-write: {!snapshot_cow} is O(1) — it hands
     out a persistent view of the current page map and bumps a
-    generation counter; the first write to each page after a snapshot
-    copies just that page.  Adjacent checkpoints therefore share every
-    page that was not dirtied between them, replacing the former
-    O(allocated-memory) deep copy with an O(dirty-pages) one.
+    generation counter.  A view maps each page to a cell that keeps
+    sharing the live page's array until the first write after the
+    snapshot; that write packs the cell into 4 bytes per word and goes
+    on writing the same array in place.  Adjacent checkpoints share
+    every page not written between them, and a page that was written
+    costs its snapshot 4 KiB of packed words, not an 8 KiB array.
 
     Memory does not record which words were written: a store
     instruction and a host-side {!write_word} look the same here.  The
@@ -20,14 +22,17 @@
 exception Misaligned of { addr : int; width : int }
 
 type view
-(** An immutable snapshot of the page map.  Cheap to hold: pages are
+(** An immutable snapshot of the page map.  Cheap to hold: cells are
     shared structurally with the live memory and with other views until
     a write separates them. *)
 
-type page = { mutable arr : int array; mutable gen : int }
-(** A mapped page: [gen] is the epoch in which [arr] was last copied;
-    [gen <> epoch] means [arr] may be shared with a snapshot view (or
-    is the shared zero page) and must not be written in place. *)
+type page = { mutable arr : int array; mutable gen : int; mutable packed : Bytes.t }
+(** A mapped page, which is also a view's cell for it.  [gen] is the
+    epoch in which the page was last made private; [gen <> epoch]
+    means the record may be bound in a snapshot view (or is the shared
+    zero page) and [arr] must not be written in place.  [packed] is
+    empty while the contents are [arr]; a frozen cell holds them there,
+    4 bytes per word. *)
 
 type t = {
   dir : page array array;
@@ -65,8 +70,9 @@ val create : unit -> t
 
 val writable : t -> int -> int array
 (** [writable t key]: the array of page [key], made private to the
-    current epoch — created if unmapped, copied if shared with a view.
-    Call it only when the page's [gen] differs from [t.epoch]. *)
+    current epoch — created if unmapped; if shared with a view, the
+    view's cell is packed and the same array is returned.  Call it only
+    when the page's [gen] differs from [t.epoch]. *)
 
 val read_word : t -> int -> int
 (** @raise Misaligned unless [addr] is 4-byte aligned. *)
@@ -93,20 +99,21 @@ val read_unsigned : t -> int -> Sparc.Insn.width -> int
 
 val snapshot_cow : t -> view
 (** Capture the current contents as an immutable view.  O(1): no page
-    is copied now; subsequent writes copy the pages they touch. *)
+    is copied now; the first later write to each page packs it into
+    the view's cell. *)
 
 val restore_cow : t -> view -> unit
 (** Reset [t]'s contents to a view's: unmap the live pages and map the
-    view's.  O(resident pages), zero page copies: the restored pages stay shared with the view and
-    are copied back out lazily on write. *)
+    view's.  O(resident pages): a cell still sharing its array is mapped
+    as it is, and a packed cell is unpacked into a private array,
+    reusing the arrays of live pages no view holds. *)
 
 val epoch : t -> int
 (** Current generation; bumped by every {!snapshot_cow}/{!restore_cow}. *)
 
 val cow_copies : t -> int
-(** Cumulative pages copied by the COW machinery since [create] — the
-    real byte cost of all snapshots taken so far is
-    [cow_copies * page_bytes] plus one copy of the final resident set. *)
+(** Cumulative first writes to pages shared with a view since
+    [create]: each froze one cell of [page_bytes] packed bytes. *)
 
 val view_pages : view -> int
 (** Number of pages resident in the view. *)
@@ -116,7 +123,7 @@ val view_bytes : view -> int
     not). *)
 
 val view_diff : view -> view -> int
-(** [view_diff prev next]: pages of [next] not physically shared with
+(** [view_diff prev next]: cells of [next] not physically shared with
     [prev] — with [prev] the preceding checkpoint, the number of pages
     this checkpoint actually captured (its O(dirty) cost). *)
 
@@ -131,9 +138,6 @@ val diff_view : t -> view -> (int * int * int) option
 val view_read_word : view -> int -> int
 (** Read a word out of a snapshot without restoring it.
     @raise Misaligned unless 4-byte aligned. *)
-
-val iter_view : view -> (int -> int array -> unit) -> unit
-(** Iterate the view's pages in ascending key order (key, words). *)
 
 val iter_written : t -> (int -> int -> unit) -> unit
 (** Iterate over non-zero words of mapped pages, in ascending address

@@ -79,26 +79,81 @@ let union a b =
 
 (* --- accumulation ------------------------------------------------------- *)
 
-let no_key = min_int
+(* Marks live in a direct-indexed table over the 20-bit page number,
+   two levels like {!Machine.Memory}'s page table: a page's row holds
+   its 32 block masks, then a flag saying the page is listed in
+   [touched].  [take] zeroes the rows it reads and keeps them, so a
+   window of stores to pages seen before allocates nothing.  The last
+   row written is cached, so a store to the same page as the previous
+   one is a compare, a shift and an [lor]. *)
+let page_bits = 12
+let row_blocks = 1 lsl (page_bits - block_bits)
+let l2_bits = 10
+let l2_mask = (1 lsl l2_bits) - 1
+let page_mask = (1 lsl (32 - page_bits)) - 1
+let no_row = [||]
+let no_l2 = Array.make (1 lsl l2_bits) no_row
 
-(* The block being written is cached outside the table, so a store to
-   the same block as the previous one is a compare and an [lor]. *)
 type builder = {
-  table : (int, int) Hashtbl.t;
-  mutable key : int;
-  mutable mask : int;
+  dir : int array array array;
+  mutable touched : int array;  (* signed page numbers, [n_touched] used *)
+  mutable n_touched : int;
+  mutable page : int;  (* signed page number of [row], or [no_key] *)
+  mutable row : int array;
 }
 
-let builder () = { table = Hashtbl.create 64; key = no_key; mask = 0 }
+let no_key = min_int
+
+let builder () =
+  {
+    dir = Array.make (1 lsl (32 - page_bits - l2_bits)) no_l2;
+    touched = Array.make 16 0;
+    n_touched = 0;
+    page = no_key;
+    row = no_row;
+  }
+
+(* The row of signed page number [page], created and listed in
+   [touched] as needed. *)
+let row_of b page =
+  let key = page land page_mask in
+  let l2 =
+    let l2 = b.dir.(key lsr l2_bits) in
+    if l2 != no_l2 then l2
+    else begin
+      let l2 = Array.make (1 lsl l2_bits) no_row in
+      b.dir.(key lsr l2_bits) <- l2;
+      l2
+    end
+  in
+  let row =
+    let row = l2.(key land l2_mask) in
+    if row != no_row then row
+    else begin
+      let row = Array.make (row_blocks + 1) 0 in
+      l2.(key land l2_mask) <- row;
+      row
+    end
+  in
+  if row.(row_blocks) = 0 then begin
+    row.(row_blocks) <- 1;
+    if b.n_touched = Array.length b.touched then
+      b.touched <- Array.append b.touched b.touched;
+    b.touched.(b.n_touched) <- page;
+    b.n_touched <- b.n_touched + 1
+  end;
+  row
 
 let mark b addr =
-  let key = addr asr block_bits in
-  if key <> b.key then begin
-    if b.key <> no_key then Hashtbl.replace b.table b.key b.mask;
-    b.key <- key;
-    b.mask <- Option.value (Hashtbl.find_opt b.table key) ~default:0
+  let addr = Word.norm addr in
+  let page = addr asr page_bits in
+  if page <> b.page then begin
+    b.row <- row_of b page;
+    b.page <- page
   end;
-  b.mask <- b.mask lor (1 lsl ((addr asr 2) land word_mask))
+  let blk = (addr lsr block_bits) land (row_blocks - 1) in
+  Array.unsafe_set b.row blk
+    (Array.unsafe_get b.row blk lor (1 lsl ((addr asr 2) land word_mask)))
 
 let add b ~addr ~width =
   mark b addr;
@@ -107,13 +162,21 @@ let add b ~addr ~width =
   | Insn.Byte | Insn.Half | Insn.Word -> ()
 
 let take b =
-  if b.key <> no_key then Hashtbl.replace b.table b.key b.mask;
-  let pairs = Array.of_seq (Hashtbl.to_seq b.table) in
-  Array.sort compare pairs;
-  Hashtbl.reset b.table;
-  b.key <- no_key;
-  Array.init
-    (2 * Array.length pairs)
-    (fun i ->
-      let key, mask = pairs.(i / 2) in
-      if i land 1 = 0 then key else mask)
+  let pages = Array.sub b.touched 0 b.n_touched in
+  Array.sort compare pages;
+  let out = ref [] in
+  Array.iter
+    (fun page ->
+      let key = page land page_mask in
+      let row = b.dir.(key lsr l2_bits).(key land l2_mask) in
+      for blk = 0 to row_blocks - 1 do
+        if row.(blk) <> 0 then begin
+          out := row.(blk) :: ((page lsl (page_bits - block_bits)) + blk) :: !out;
+          row.(blk) <- 0
+        end
+      done;
+      row.(row_blocks) <- 0)
+    pages;
+  b.n_touched <- 0;
+  b.page <- no_key;
+  Array.of_list (List.rev !out)

@@ -35,11 +35,16 @@ val blocks : t -> int
 type builder
 
 val builder : unit -> builder
+(** An empty builder: an 8 KiB page directory, plus 8 KiB for each
+    4 MiB region later stored to. *)
 
 val add : builder -> addr:int -> width:Sparc.Insn.width -> unit
-(** Mark the words an executed store of [width] at [addr] wrote.  A
-    store to the block of the previous one allocates nothing. *)
+(** Mark the words an executed store of [width] at [addr] wrote.  [addr]
+    and the second word of an [std] are taken as 32-bit words
+    ({!Sparc.Word.norm}).  Marks go to a table indexed by page number,
+    with a row of 32 block masks per page: no hashing, and no
+    allocation once the page has a row. *)
 
 val take : builder -> t
-(** The marks made since the last [take], which the builder then
-    forgets. *)
+(** The marks made since the last [take].  The builder zeroes the rows
+    it read and keeps them for the next window. *)

@@ -64,7 +64,9 @@ let test_memory_signed () =
 
 (* The reference is an [IntMap] from word address to normalized word,
    plus the set of pages ever written; every snapshot keeps its own
-   copy of both. *)
+   copy of both.  Beside it the test models cell identity: a page gets
+   a fresh cell on its first write after a snapshot or a restore, and
+   {!Memory.view_diff} counts the cells two views do not share. *)
 module IntMap = Map.Make (Int)
 module IntSet = Set.Make (Int)
 
@@ -80,6 +82,8 @@ type mem_op =
   | Diff of int
   | View_read of int * int
   | Iter_written
+  | Cycle of int * int * int * int
+  | View_diff of int * int
 
 let show_op = function
   | Write_word (a, v) -> Printf.sprintf "write_word 0x%x %d" a v
@@ -91,6 +95,9 @@ let show_op = function
   | Diff i -> Printf.sprintf "diff %d" i
   | View_read (i, a) -> Printf.sprintf "view_read %d 0x%x" i a
   | Iter_written -> "iter_written"
+  | Cycle (i, a, v, j) ->
+    Printf.sprintf "restore %d; write_word 0x%x %d; snapshot; restore %d" i a v j
+  | View_diff (i, j) -> Printf.sprintf "view_diff %d %d" i j
 
 (* Word addresses at the page table's edges: the first page, the last
    page of one second level and the first of the next, the stack, and
@@ -119,6 +126,14 @@ let gen_mem_op =
       (1, map (fun i -> Diff i) nat);
       (2, map2 (fun i a -> View_read (i, a)) nat (gen_addr ~align:4));
       (1, return Iter_written);
+      (* Restores, then writes through a restored page: pages pass
+         through the shared, packed and restored-from-packed states,
+         and each restore reuses the arrays no view holds. *)
+      ( 3,
+        map3
+          (fun i (a, v) j -> Cycle (i, a, v, j))
+          nat (pair (gen_addr ~align:4) value) nat );
+      (1, map2 (fun i j -> View_diff (i, j)) nat nat);
     ]
 
 let uns = Word.to_unsigned
@@ -155,27 +170,41 @@ let read_like_model mem a =
 let run_mem_ops ops =
   let mem = Memory.create () in
   let live = ref { words = IntMap.empty; pages = IntSet.empty } in
+  (* Cell model: the live page -> cell id map, and the pages whose cell
+     is fresh since the last snapshot or restore. *)
+  let cells = ref IntMap.empty and fresh = ref IntSet.empty and next_cell = ref 0 in
+  let touch a =
+    let k = uns a lsr Memory.page_bits in
+    if not (IntSet.mem k !fresh) then begin
+      incr next_cell;
+      cells := IntMap.add k !next_cell !cells;
+      fresh := IntSet.add k !fresh
+    end
+  in
   let snaps = ref [||] in
   let touched =
     List.fold_left
       (fun s -> function
         | Write_word (a, _) | Write_byte (a, _) | Write_half (a, _) | Read a
-        | View_read (_, a) ->
+        | View_read (_, a) | Cycle (_, a, _, _) ->
           IntSet.add (word_addr a) s
-        | Snapshot | Restore _ | Diff _ | Iter_written -> s)
+        | Snapshot | Restore _ | Diff _ | Iter_written | View_diff _ -> s)
       IntSet.empty ops
   in
   let nth i = (!snaps).(i mod Array.length !snaps) in
-  let step op =
+  let rec step op =
     match op with
     | Write_word (a, v) ->
       Memory.write_word mem a v;
+      touch a;
       live := model_set !live a v
     | Write_byte (a, v) ->
       Memory.write_byte mem a v;
+      touch a;
       live := model_write_byte !live a v
     | Write_half (a, v) ->
       Memory.write_half mem a v;
+      touch a;
       live := model_write_byte (model_write_byte !live a (v lsr 8)) (a + 1) v
     | Read a ->
       let got = read_like_model mem a and want = model_read !live a in
@@ -186,13 +215,16 @@ let run_mem_ops ops =
       if Memory.view_pages v <> IntSet.cardinal !live.pages then
         QCheck.Test.fail_reportf "snapshot maps %d pages, model wrote %d"
           (Memory.view_pages v) (IntSet.cardinal !live.pages);
-      snaps := Array.append !snaps [| (v, !live) |]
+      fresh := IntSet.empty;
+      snaps := Array.append !snaps [| (v, !live, !cells) |]
     | Restore i when !snaps <> [||] ->
-      let v, m = nth i in
+      let v, m, c = nth i in
       Memory.restore_cow mem v;
-      live := m
+      live := m;
+      cells := c;
+      fresh := IntSet.empty
     | Diff i when !snaps <> [||] ->
-      let v, m = nth i in
+      let v, m, _ = nth i in
       let want =
         IntMap.merge
           (fun _ l r ->
@@ -205,7 +237,7 @@ let run_mem_ops ops =
       if Memory.diff_view mem v <> want then
         QCheck.Test.fail_reportf "diff_view against snapshot %d disagrees" i
     | View_read (i, a) when !snaps <> [||] ->
-      let v, m = nth i in
+      let v, m, _ = nth i in
       if Memory.view_read_word v a <> model_word m a then
         QCheck.Test.fail_reportf "view_read_word 0x%x disagrees" a
     | Iter_written ->
@@ -214,14 +246,27 @@ let run_mem_ops ops =
       (* Ascending order is part of the contract: no sort here. *)
       let want = IntMap.bindings (IntMap.filter (fun _ v -> v <> 0) !live.words) in
       if List.rev !got <> want then QCheck.Test.fail_reportf "iter_written disagrees"
-    | Restore _ | Diff _ | View_read _ -> ()
+    | Cycle (i, a, v, j) ->
+      if !snaps = [||] then step Snapshot;
+      List.iter step [ Restore i; Write_word (a, v); Snapshot; Restore j; Diff i; Iter_written ]
+    | View_diff (i, j) when !snaps <> [||] ->
+      let vi, _, ci = nth i and vj, _, cj = nth j in
+      let want =
+        IntMap.fold
+          (fun k c n -> if IntMap.find_opt k ci = Some c then n else n + 1)
+          cj 0
+      in
+      let got = Memory.view_diff vi vj in
+      if got <> want then
+        QCheck.Test.fail_reportf "view_diff %d %d: %d cells, model %d" i j got want
+    | Restore _ | Diff _ | View_read _ | View_diff _ -> ()
   in
   List.iter
     (fun op ->
       step op;
       (* No write, restore or copy ever reaches a snapshot. *)
       Array.iteri
-        (fun i (v, m) ->
+        (fun i (v, m, _) ->
           IntSet.iter
             (fun a ->
               if Memory.view_read_word v a <> model_word m a then
@@ -259,6 +304,86 @@ let test_cache_flush () =
   Cache.flush c;
   check_bool "miss after flush" false (Cache.access c 0x1000);
   check_int "counters reset" 1 (Cache.misses c)
+
+(* Chunk-shared cache snapshots against a flat-copy model: the model
+   keeps a plain tag array and copies all of it per snapshot.  Random
+   accesses, snapshots, restores to random earlier snapshots and
+   flushes must give the same hit/miss stream and counters.  The cache
+   sizes give four full tag chunks, and a line count that is not a
+   power of two (so a short last chunk and the [mod] index). *)
+type cache_op = Access of int | Cache_snapshot | Cache_restore of int | Flush
+
+let show_cache_op = function
+  | Access a -> Printf.sprintf "access 0x%x" a
+  | Cache_snapshot -> "snapshot"
+  | Cache_restore i -> Printf.sprintf "restore %d" i
+  | Flush -> "flush"
+
+let run_cache_ops (size_bytes, ops) =
+  let line_bytes = 32 in
+  let lines = size_bytes / line_bytes in
+  let c = Cache.create ~size_bytes ~line_bytes () in
+  let tags = Array.make lines (-1) and hits = ref 0 and misses = ref 0 in
+  let snaps = ref [||] in
+  let step = function
+    | Access a ->
+      let line = a / line_bytes in
+      let want = tags.(line mod lines) = line in
+      if want then incr hits
+      else begin
+        incr misses;
+        tags.(line mod lines) <- line
+      end;
+      if Cache.access c a <> want then
+        QCheck.Test.fail_reportf "access 0x%x: cache says %b" a (not want)
+    | Cache_snapshot ->
+      snaps := Array.append !snaps [| (Cache.snapshot c, Array.copy tags, !hits, !misses) |]
+    | Cache_restore i ->
+      if !snaps <> [||] then begin
+        let s, t, h, m = (!snaps).(i mod Array.length !snaps) in
+        Cache.restore c s;
+        Array.blit t 0 tags 0 lines;
+        hits := h;
+        misses := m
+      end
+    | Flush ->
+      Cache.flush c;
+      Array.fill tags 0 lines (-1);
+      hits := 0;
+      misses := 0
+  in
+  List.iter
+    (fun op ->
+      step op;
+      if (Cache.hits c, Cache.misses c) <> (!hits, !misses) then
+        QCheck.Test.fail_reportf "counters after %s: %d/%d, model %d/%d"
+          (show_cache_op op) (Cache.hits c) (Cache.misses c) !hits !misses)
+    ops;
+  true
+
+let prop_cache_snapshots =
+  let open QCheck.Gen in
+  (* Four regions that conflict in the cache.  A window between two
+     snapshots holds a few accesses, so it leaves some chunks clean and
+     the next snapshot shares them. *)
+  let addr =
+    map2 (fun region off -> (region * 0x2000) + off) (int_bound 3) (int_bound 0x1FFF)
+  in
+  let op =
+    frequency
+      [
+        (12, map (fun a -> Access a) addr);
+        (2, return Cache_snapshot);
+        (2, map (fun i -> Cache_restore i) nat);
+        (1, return Flush);
+      ]
+  in
+  QCheck.Test.make ~name:"chunk-shared snapshots = flat-copy model" ~count:300
+    (QCheck.make
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "%d bytes: %s" size (String.concat "; " (List.map show_cache_op ops)))
+       QCheck.Gen.(pair (oneofl [ 8192; 3200 ]) (list_size (int_range 1 200) op)))
+    run_cache_ops
 
 (* --- Windows -------------------------------------------------------------- *)
 
@@ -725,6 +850,7 @@ let suites =
       [
         Alcotest.test_case "hits and conflicts" `Quick test_cache_basic;
         Alcotest.test_case "flush" `Quick test_cache_flush;
+        QCheck_alcotest.to_alcotest prop_cache_snapshots;
       ] );
     ( "machine.windows",
       [

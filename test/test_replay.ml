@@ -205,6 +205,85 @@ let test_written_boundaries () =
     (Written.words u);
   check_int "union blocks" 3 (Written.blocks u)
 
+(* The builder against a word-set model: every store width, addresses
+   at and above 0x80000000 (negative as normalized words), page and
+   block edges, an [std] crossing a block, and repeated [take]s.  Each
+   [take] must list exactly the model's words, ascending as signed
+   words, and answer [overlaps] as the model does. *)
+type written_op = Store of int * Sparc.Insn.width | Take of (int * int) list
+
+let show_written_op = function
+  | Store (a, w) ->
+    Printf.sprintf "%s 0x%x"
+      (match w with
+      | Sparc.Insn.Byte -> "stb"
+      | Half -> "sth"
+      | Word -> "st"
+      | Double -> "std")
+      (Sparc.Word.to_unsigned a)
+  | Take ranges ->
+    "take, ranges "
+    ^ String.concat " "
+        (List.map
+           (fun (lo, hi) -> Printf.sprintf "0x%x+%d" (Sparc.Word.to_unsigned lo) (hi - lo))
+           ranges)
+
+let prop_written_model =
+  let open QCheck.Gen in
+  let near =
+    let* base =
+      oneofl [ 0; 0x40_0F80; 0x40_1000; 0x7FFF_FF80; 0x8000_0000; 0xA000_0FF8; 0xFFFF_FF80 ]
+    and* off = int_range (-8) 40 in
+    return (Sparc.Word.norm (base + (4 * off)))
+  in
+  let store =
+    let* w = oneofl Sparc.Insn.[ Byte; Half; Word; Double ] and* a = near and* sub = int_bound 3 in
+    let a =
+      match w with
+      | Sparc.Insn.Byte -> a + sub
+      | Half -> a + (2 * (sub land 1))
+      (* 4-aligned but not 8-aligned half the time: the second word may
+         open the next block or page. *)
+      | Word | Double -> a
+    in
+    return (Store (a, w))
+  in
+  let take =
+    map
+      (fun rs -> Take (List.map (fun (lo, n) -> (lo, lo + n)) rs))
+      (list_size (int_range 1 4) (pair near (int_range 1 300)))
+  in
+  QCheck.Test.make ~name:"builder = word-set model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_written_op ops))
+       ~shrink:QCheck.Shrink.list
+       (list_size (int_range 1 60) (frequency [ (6, store); (1, take) ])))
+    (fun ops ->
+      let b = Written.builder () in
+      let model = ref [] in
+      let word a = Sparc.Word.norm a land lnot 3 in
+      List.iter
+        (function
+          | Store (a, w) ->
+            Written.add b ~addr:a ~width:w;
+            model := word a :: !model;
+            if w = Sparc.Insn.Double then model := word (a + 4) :: !model
+          | Take ranges ->
+            let got = Written.take b in
+            let want = List.sort_uniq compare !model in
+            model := [];
+            if Written.words got <> want then
+              QCheck.Test.fail_reportf "take: %d words, model %d"
+                (List.length (Written.words got)) (List.length want);
+            List.iter
+              (fun (lo, hi) ->
+                let want = List.exists (fun w -> w + 4 > lo && w < hi) want in
+                if Written.overlaps got ~lo ~hi <> want then
+                  QCheck.Test.fail_reportf "overlaps [0x%x, 0x%x): model %b" lo hi want)
+              ranges)
+        (ops @ [ Take [] ]);
+      true)
+
 (* [Cpu.diverges] names the first component that differs from the
    checkpoint, recorded value first. *)
 let test_diverges_names_component () =
@@ -406,6 +485,41 @@ let test_determinism_li () =
   let session, r = record_session ~interval:50_000 (workload "022.li") in
   check_all_windows session r ~watch:false;
   check_all_windows session r ~watch:true
+
+(* What a recorded run keeps: 022.li watched at the replay sessions'
+   optimization level, a checkpoint every 10,000 instructions.  Frozen
+   pages are packed and clean cache-tag chunks shared, so the journal
+   retains under 4.5 MB of host memory (a full 8 KiB copy per written
+   page and 16 KiB of tags per checkpoint came to 6.5 MB).  The model
+   accounting is pinned: host-side packing moves none of it. *)
+let test_journal_memory_li () =
+  let w = workload "022.li" in
+  let telemetry = Telemetry.create () in
+  let session =
+    Session.create
+      ~options:{ Instrument.default_options with opt = Instrument.O_symbol }
+      ~telemetry ~checkpoint_every:10_000 w.Workloads.Workload.source
+  in
+  let g =
+    let out = Minic.Compile.compile w.Workloads.Workload.source in
+    (List.hd (Sparc.Symtab.globals out.Minic.Codegen.symtab)).Sparc.Symtab.name
+  in
+  ignore (Debugger.watch (Debugger.create session) g);
+  ignore (Session.run session);
+  let journal = Replay.journal (Option.get (Session.replay session)) in
+  Gc.full_major ();
+  let bytes = Obj.reachable_words (Obj.repr journal) * (Sys.word_size / 8) in
+  check_bool
+    (Printf.sprintf "journal retains %d bytes, at most 4.5 MB" bytes)
+    true (bytes <= 4_500_000);
+  List.iter
+    (fun (name, counter, pinned) ->
+      check_int name pinned (Telemetry.get telemetry counter))
+    [
+      ("checkpoint bytes", Telemetry.Checkpoint_bytes, 4_186_256);
+      ("pages copied", Telemetry.Checkpoint_pages_copied, 509);
+      ("pages shared", Telemetry.Checkpoint_pages_shared, 488);
+    ]
 
 (* Replay the first window under a saboteur: the guard must fire at
    the window's checkpoint.  Returns what it named, recorded first. *)
@@ -927,6 +1041,7 @@ let suites =
           test_written_store_widths;
         Alcotest.test_case "written: block and page boundaries" `Quick
           test_written_boundaries;
+        QCheck_alcotest.to_alcotest prop_written_model;
         Alcotest.test_case "diverges names each component" `Quick
           test_diverges_names_component;
       ] );
@@ -934,6 +1049,8 @@ let suites =
       [
         Alcotest.test_case "record/nearest/find" `Quick test_journal_basics;
         Alcotest.test_case "budgeted eviction" `Quick test_journal_eviction;
+        Alcotest.test_case "li: retained host memory ceiling" `Quick
+          test_journal_memory_li;
       ] );
     ( "replay.determinism",
       [

@@ -364,6 +364,37 @@ let test_heatmap_pages () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* More pages than the lookup cache has slots, some of them negative
+   as normalized words: stores cycling through them evict each other's
+   slots and still land on their own page. *)
+let test_heatmap_slot_conflicts () =
+  let hm = Heatmap.create ~page_bits:12 () in
+  let pages =
+    List.init 20 (fun k -> 0x400 + (64 * k))
+    @ List.init 20 (fun k -> Sparc.Word.norm (0xA000_0000 + (k lsl 12)) lsr 12)
+  in
+  for i = 1 to 3 do
+    List.iter (fun p -> for _ = 1 to i do Heatmap.record_write hm (p lsl 12) done) pages
+  done;
+  let writes =
+    match Heatmap.to_json hm with
+    | Export.Obj fields -> (
+      match List.assoc "cells" fields with
+      | Export.List cells ->
+        List.map
+          (function
+            | Export.Obj c -> (
+              match (List.assoc "page" c, List.assoc "writes" c) with
+              | Export.Int p, Export.Int w -> (p, w)
+              | _ -> Alcotest.fail "cell fields")
+            | _ -> Alcotest.fail "cell")
+          cells
+      | _ -> Alcotest.fail "cells")
+    | _ -> Alcotest.fail "heatmap json"
+  in
+  Alcotest.(check (list (pair int int)))
+    "writes per page" (List.sort compare (List.map (fun p -> (p, 6)) pages)) writes
+
 let test_heatmap_renders () =
   let hm = Heatmap.create ~page_bits:12 () in
   Heatmap.record_write hm 0x1000;
@@ -622,6 +653,7 @@ let suites =
     ( "timeseries.heatmap",
       [
         Alcotest.test_case "page accounting" `Quick test_heatmap_pages;
+        Alcotest.test_case "lookup slot conflicts" `Quick test_heatmap_slot_conflicts;
         Alcotest.test_case "renders deterministic" `Quick test_heatmap_renders;
       ] );
     ( "timeseries.prometheus",
