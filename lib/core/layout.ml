@@ -34,8 +34,6 @@ let segment_bitmap_bytes t = ((segment_words t + 31) / 32) * 4
 
 let segment_of t addr = Sparc.Word.to_unsigned addr lsr t.seg_bits
 
-let n_segments t = 1 lsl (32 - t.seg_bits)
-
 let table_entry_addr t addr = t.table_base + (4 * segment_of t addr)
 
 (* Word index within its segment. *)

@@ -23,6 +23,5 @@ val segment_bitmap_bytes : t -> int
 val segment_of : t -> int -> int
 (** Segment number of an address ([addr >> seg_bits], unsigned). *)
 
-val n_segments : t -> int
 val table_entry_addr : t -> int -> int
 val word_in_segment : t -> int -> int

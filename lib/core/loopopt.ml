@@ -33,8 +33,6 @@ let check_to_string = function
       (Ir.Bounds.bexpr_to_string hi)
       (Ir.Bounds.level_name hi_level)
 
-let pp_check ppf c = Fmt.string ppf (check_to_string c)
-
 type loop_plan = {
   loop_id : int;
   fname : string;

@@ -31,9 +31,6 @@ val check_to_string : check -> string
     {!Ir.Bounds.level_name}), shared with the audit journal and the
     verifier's obligation details. *)
 
-val pp_check : Format.formatter -> check -> unit
-(** Prints {!check_to_string}. *)
-
 val pseudos_of_bexpr : Ir.Bounds.bexpr -> string list
 (** The symbol-table pseudo homes a bound expression reads — the
     memory locations whose mutation could invalidate a pre-header

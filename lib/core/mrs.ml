@@ -24,15 +24,6 @@ type counters = {
   mutable violations : int;
 }
 
-let reset_counters (c : counters) =
-  c.user_hits <- 0;
-  c.read_hits <- 0;
-  c.internal_hits <- 0;
-  c.loop_entries <- 0;
-  c.loop_triggers <- 0;
-  c.patches_inserted <- 0;
-  c.violations <- 0
-
 type t = {
   layout : Layout.t;
   plan : Instrument.t;
@@ -285,6 +276,9 @@ let check_inserted t origin =
   | Some site, Some insn -> Cpu.fetch_at t.cpu site <> insn
   | _, _ -> false
 
+(* Patch in the check for one eliminated site (by origin).  [why]
+   labels the audit event: the pseudo name for PreMonitor patches,
+   ["loop:N"] / ["alias:N"] for dynamic loop re-insertion. *)
 let insert_check ?(why = "") t origin =
   if not (check_inserted t origin) then begin
     match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.patch_addr origin with

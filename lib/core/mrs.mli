@@ -90,20 +90,9 @@ val pre_monitor : t -> string -> unit
 
 val post_monitor : t -> string -> unit
 
-val insert_check : ?why:string -> t -> int -> unit
-(** Patch in the check for one eliminated site (by origin).  [why]
-    labels the audit event: the pseudo name for PreMonitor patches,
-    ["loop:N"] / ["alias:N"] for dynamic loop re-insertion. *)
-
-val remove_check : ?why:string -> t -> int -> unit
-
 val check_inserted : t -> int -> bool
 
 val counters : t -> counters
-
-val reset_counters : counters -> unit
-(** Zero every field — for reusing a session across measurement
-    phases. *)
 
 val record_gauges : t -> unit
 (** Write the occupancy gauges ({!Telemetry.Seg_words_monitored},

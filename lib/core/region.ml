@@ -58,10 +58,4 @@ let intersects_range set ~lo ~hi =
 
 let iter f set = Set_.iter (fun _ r -> f r) set
 
-let cardinal = Set_.cardinal
-
 let elements set = List.map snd (Set_.bindings set)
-
-let pp ppf t =
-  Fmt.pf ppf "[0x%08x, 0x%08x]%s" t.lo t.hi
-    (match t.kind with User -> "" | Internal -> " (internal)")

@@ -15,7 +15,6 @@ val v : ?kind:kind -> addr:int -> size_bytes:int -> unit -> t
 (** @raise Invalid on misaligned address or non-positive/odd size. *)
 
 val size_bytes : t -> int
-val overlaps : t -> t -> bool
 val contains : t -> int -> bool
 val equal : t -> t -> bool
 
@@ -36,6 +35,4 @@ val intersects_range : set -> lo:int -> hi:int -> bool
     paper's pre-header range checks need. *)
 
 val iter : (t -> unit) -> set -> unit
-val cardinal : set -> int
 val elements : set -> t list
-val pp : Format.formatter -> t -> unit

@@ -104,8 +104,6 @@ let segment_monitored t addr =
   let entry = Sparc.Word.to_unsigned (Memory.read_word t.mem (entry_addr t addr)) in
   entry land 1 <> 0
 
-let allocated_segments t = Hashtbl.length t.counts
-
 let monitored_words t = Hashtbl.fold (fun _ c acc -> acc + c) t.counts 0
 
 let space_bytes t = t.next_segment - t.layout.Layout.segments_base

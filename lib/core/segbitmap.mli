@@ -24,8 +24,6 @@ val monitored : t -> int -> bool
 val segment_monitored : t -> int -> bool
 (** The unmonitored-flag test (low bit of the segment table entry). *)
 
-val allocated_segments : t -> int
-
 val monitored_words : t -> int
 (** Occupancy snapshot: monitored words across all segments (the
     [Telemetry.Seg_words_monitored] gauge). *)

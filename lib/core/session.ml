@@ -375,14 +375,6 @@ let sym_eliminated_site_executions t =
       | Instrument.Checked | Instrument.Loop_eliminated _ -> acc)
     0 t.plan.Instrument.sites
 
-let loop_eliminated_site_executions t =
-  List.fold_left
-    (fun acc (s : Instrument.site) ->
-      match s.status with
-      | Instrument.Loop_eliminated _ -> acc + site_executions t s.origin
-      | Instrument.Checked | Instrument.Sym_eliminated _ -> acc)
-    0 t.plan.Instrument.sites
-
 (* The oracle: record every program store that lands in a user region;
    at the end of the run, every one of them must have produced a
    notification (assuming the debugger armed the regions through the

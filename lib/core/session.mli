@@ -166,7 +166,6 @@ val site_executions : t -> int -> int
 val total_site_executions : t -> int
 val eliminated_site_executions : t -> int
 val sym_eliminated_site_executions : t -> int
-val loop_eliminated_site_executions : t -> int
 
 val install_oracle : t -> unit
 (** Record every program store that lands in a user region; after the

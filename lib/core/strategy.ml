@@ -9,8 +9,6 @@ type t =
   | Trap_check
   | Hardware_watch of int
 
-let all = [ Bitmap; Bitmap_inline; Bitmap_inline_registers; Cache; Cache_inline ]
-
 let to_string = function
   | Nocheck -> "none"
   | Bitmap -> "Bitmap"

@@ -32,9 +32,6 @@ type t =
   | Trap_check
   | Hardware_watch of int
 
-val all : t list
-(** The five Table 1 variants (excluding [Nocheck]/[Hash_table]). *)
-
 val to_string : t -> string
 
 val of_string : string -> t

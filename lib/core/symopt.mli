@@ -26,8 +26,6 @@ type result = {
 val escaped_globals : Ir.Tac.instr list list -> SS.t
 (** Whole-program escape analysis over all functions' TAC. *)
 
-val addr_taken_offsets : Ir.Tac.instr list -> int list
-
 val rewrite :
   ?audit:Audit.t ->
   Sparc.Symtab.t -> fname:string -> escaped:SS.t -> Ir.Tac.instr list -> result

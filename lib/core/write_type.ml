@@ -78,5 +78,3 @@ let classify_load ?fortran_idiom (items : Asm.item array) idx =
     classify_base ?fortran_idiom items idx rs1 off
   | Asm.Insn _ | Asm.Label _ | Asm.Set_label _ | Asm.Comment _ ->
     invalid_arg "Write_type.classify_load: not a load"
-
-let pp ppf t = Fmt.string ppf (to_string t)

@@ -24,5 +24,3 @@ val classify : ?fortran_idiom:bool -> Sparc.Asm.item array -> int -> t
 val classify_load : ?fortran_idiom:bool -> Sparc.Asm.item array -> int -> t
 (** Same classification for a load (read monitoring, §5).
     @raise Invalid_argument if the item is not a load. *)
-
-val pp : Format.formatter -> t -> unit

@@ -518,8 +518,6 @@ let dispositions (ssa : Ssa.t) (loop : Loops.loop) (env : env) : store_decision 
 
 let level_name = function La -> "La" | Lm -> "Lm" | Lli -> "Lli" | Lc -> "Lc"
 
-let pp_level ppf l = Fmt.string ppf (level_name l)
-
 (* One Buffer-based renderer per type; the [pp_*] printers print the
    same strings, so the audit journal, [--explain] and the verifier's
    details cannot drift apart. *)
@@ -575,18 +573,6 @@ let bounds_to_string =
       Buffer.add_char buf ']')
 
 let pp_bexpr ppf e = Fmt.string ppf (bexpr_to_string e)
-
-let pp_bound ppf b = Fmt.string ppf (bound_to_string b)
-
-let pp_bounds ppf b = Fmt.string ppf (bounds_to_string b)
-
-let pp_disposition ppf = function
-  | Keep -> Fmt.string ppf "keep"
-  | Invariant { expr; level } ->
-    Fmt.pf ppf "invariant(%a@%a)" pp_bexpr expr pp_level level
-  | Range { lo; hi; lo_level; hi_level } ->
-    Fmt.pf ppf "range(%a@%a, %a@%a)" pp_bexpr lo pp_level lo_level pp_bexpr hi
-      pp_level hi_level
 
 (* Deterministic listing of an env's fixpoint: sorted by the rendered
    variable name so the audit journal and [--explain] output do not

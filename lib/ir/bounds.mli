@@ -18,8 +18,6 @@
 
 type level = La | Lm | Lli | Lc
 
-val level_rank : level -> int
-
 type bexpr =
   | Bconst of int
   | Blab of string * int
@@ -55,8 +53,6 @@ type bounds = { lo : bound; hi : bound }
 module VarTbl : Hashtbl.S with type key = Ssa.var
 
 type env = bounds VarTbl.t
-
-val lookup : env -> Ssa.var -> bounds
 
 type direction = Increasing | Decreasing
 
@@ -95,12 +91,10 @@ val evaluable : Ssa.t -> Loops.loop -> bexpr -> bool
 
     Canonical renderings shared by the loop optimizer's debug strings,
     the audit journal and [dbreak --explain].  Each type has one
-    Buffer-based [*_to_string]; its [pp_*] prints the same string. *)
+    Buffer-based [*_to_string]; {!pp_bexpr} prints the same string. *)
 
 val level_name : level -> string
 (** ["La"] / ["Lm"] / ["Lli"] / ["Lc"]. *)
-
-val pp_level : Format.formatter -> level -> unit
 
 val bexpr_to_string : bexpr -> string
 (** Fully parenthesized infix, e.g. [((%o0.1 * 4) + &a+8)]. *)
@@ -110,14 +104,8 @@ val pp_bexpr : Format.formatter -> bexpr -> unit
 val bound_to_string : bound -> string
 (** [expr@level], or [⊥] for [Unbounded]. *)
 
-val pp_bound : Format.formatter -> bound -> unit
-
 val bounds_to_string : bounds -> string
 (** [[lo, hi]] via {!bound_to_string}. *)
-
-val pp_bounds : Format.formatter -> bounds -> unit
-
-val pp_disposition : Format.formatter -> disposition -> unit
 
 val env_bindings : env -> (string * string) list
 (** The fixpoint environment as rendered [(variable, bounds)] pairs

@@ -213,16 +213,3 @@ let reachable (t : t) : bool array =
   in
   dfs t.entry;
   seen
-
-let pp ppf t =
-  Array.iter
-    (fun b ->
-      Fmt.pf ppf "block %d%a (preds %a, succs %a):@\n" b.id
-        Fmt.(list ~sep:nop (any " " ++ string))
-        b.labels
-        Fmt.(list ~sep:comma int)
-        b.preds
-        Fmt.(list ~sep:comma int)
-        b.succs;
-      List.iter (fun i -> Fmt.pf ppf "%a@\n" Tac.pp i) b.body)
-    t.blocks

@@ -34,5 +34,3 @@ val reverse_postorder : t -> int list
 (** Reachable blocks only, entry first. *)
 
 val reachable : t -> bool array
-
-val pp : Format.formatter -> t -> unit

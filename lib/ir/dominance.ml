@@ -67,8 +67,6 @@ let compute (cfg : Cfg.t) : t =
     cfg.blocks;
   { idom; rpo_index; children; frontier }
 
-let idom t id = t.idom.(id)
-
 let dominates t a b =
   (* a dominates b: walk b's idom chain. *)
   if t.rpo_index.(a) = -1 || t.rpo_index.(b) = -1 then false

@@ -5,10 +5,6 @@ type t
 
 val compute : Cfg.t -> t
 
-val idom : t -> int -> int
-(** Immediate dominator; the entry is its own idom, unreachable blocks
-    return [-1]. *)
-
 val dominates : t -> int -> int -> bool
 (** [dominates t a b] — reflexive. False if either block is unreachable. *)
 

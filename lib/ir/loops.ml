@@ -67,10 +67,3 @@ let find (cfg : Cfg.t) (dom : Dominance.t) : loop list =
   in
   (* Inner loops first, as the paper processes loop nests inside-out. *)
   List.sort (fun a b -> compare b.depth a.depth) loops
-
-let pp ppf l =
-  Fmt.pf ppf "loop header=%d depth=%d body=[%a] latches=[%a] entries=[%a]"
-    l.header l.depth
-    Fmt.(list ~sep:comma int) l.body
-    Fmt.(list ~sep:comma int) l.back_edges
-    Fmt.(list ~sep:comma int) l.outside_preds

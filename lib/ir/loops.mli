@@ -16,5 +16,3 @@ type loop = {
 val in_loop : loop -> int -> bool
 
 val find : Cfg.t -> Dominance.t -> loop list
-
-val pp : Format.formatter -> loop -> unit

@@ -2,11 +2,6 @@ type var = { name : Tac.name; version : int }
 
 let var_equal a b = a.version = b.version && Tac.name_equal a.name b.name
 
-let var_compare a b =
-  match compare a.version b.version with
-  | 0 -> Tac.name_compare a.name b.name
-  | c -> c
-
 type operand = Ovar of var | Oimm of int | Olab of string * int
 
 type rhs =
@@ -305,11 +300,3 @@ let var_to_string v =
     | Tac.Pseudo s -> "$" ^ s
   in
   name ^ "." ^ string_of_int v.version
-
-let pp_var ppf v = Fmt.string ppf (var_to_string v)
-
-let pp_operand ppf = function
-  | Ovar v -> pp_var ppf v
-  | Oimm i -> Fmt.int ppf i
-  | Olab (l, 0) -> Fmt.pf ppf "&%s" l
-  | Olab (l, o) -> Fmt.pf ppf "&%s%+d" l o

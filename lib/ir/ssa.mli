@@ -10,7 +10,6 @@
 type var = { name : Tac.name; version : int }
 
 val var_equal : var -> var -> bool
-val var_compare : var -> var -> int
 
 type operand = Ovar of var | Oimm of int | Olab of string * int
 
@@ -70,7 +69,4 @@ val iter_instrs : t -> (int -> [ `Phi of phi | `Instr of instr ] -> unit) -> uni
 
 val var_to_string : var -> string
 (** [name.version], e.g. [%o0.3] or [$main.i.2] — the one rendering of
-    a variable; {!pp_var} prints the same string. *)
-
-val pp_var : Format.formatter -> var -> unit
-val pp_operand : Format.formatter -> operand -> unit
+    a variable. *)

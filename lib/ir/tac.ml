@@ -94,59 +94,3 @@ let defs ?(extra_call_defs = []) = function
   | Branch _ | Jump _ | Ret _ -> []
   | Call _ -> call_clobbered_regs @ extra_call_defs
   | Effect _ -> [ Machine (Reg.o 0) ]
-
-let origin = function
-  | Label _ -> None
-  | Def { origin; _ }
-  | Store { origin; _ }
-  | Assert { origin; _ }
-  | Branch { origin; _ }
-  | Jump { origin; _ }
-  | Call { origin; _ }
-  | Ret { origin; _ }
-  | Effect { origin; _ } ->
-    Some origin
-
-let relop_to_string = function
-  | Req -> "=="
-  | Rlt -> "<"
-  | Rle -> "<="
-  | Rgt -> ">"
-  | Rge -> ">="
-
-let pp_name ppf = function
-  | Machine r -> Reg.pp ppf r
-  | Pseudo s -> Fmt.pf ppf "$%s" s
-
-let pp_operand ppf = function
-  | Name n -> pp_name ppf n
-  | Imm i -> Fmt.int ppf i
-  | Lab (l, 0) -> Fmt.pf ppf "&%s" l
-  | Lab (l, o) -> Fmt.pf ppf "&%s%+d" l o
-
-let pp_rhs ppf = function
-  | Mov op -> pp_operand ppf op
-  | Bin (op, a, b) ->
-    Fmt.pf ppf "%a %s %a" pp_operand a (Insn.alu_to_string op) pp_operand b
-  | Load { base; off; _ } -> Fmt.pf ppf "mem[%a + %a]" pp_operand base pp_operand off
-  | Callret -> Fmt.string ppf "callret"
-
-let pp ppf = function
-  | Label l -> Fmt.pf ppf "%s:" l
-  | Def { dst; rhs; _ } -> Fmt.pf ppf "  %a := %a" pp_name dst pp_rhs rhs
-  | Store { base; off; src; _ } ->
-    Fmt.pf ppf "  mem[%a + %a] := %a" pp_operand base pp_operand off pp_operand
-      src
-  | Assert { dst; src; rel; bound; _ } ->
-    Fmt.pf ppf "  %a := assert(%a %s %a)" pp_name dst pp_name src
-      (relop_to_string rel) pp_operand bound
-  | Branch { cond; target; compare; _ } -> (
-    match compare with
-    | Some (a, b) ->
-      Fmt.pf ppf "  if %a %s %a goto %s" pp_operand a (Cond.to_string cond)
-        pp_operand b target
-    | None -> Fmt.pf ppf "  b%s %s" (Cond.to_string cond) target)
-  | Jump { target; _ } -> Fmt.pf ppf "  goto %s" target
-  | Call { target; _ } -> Fmt.pf ppf "  call %s" target
-  | Ret _ -> Fmt.pf ppf "  ret"
-  | Effect _ -> Fmt.pf ppf "  effect"

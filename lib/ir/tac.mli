@@ -52,18 +52,8 @@ type instr =
 val name_equal : name -> name -> bool
 val name_compare : name -> name -> int
 
-val call_clobbered_regs : name list
-
 val uses : instr -> name list
 
 val defs : ?extra_call_defs:name list -> instr -> name list
 (** [extra_call_defs] adds pseudo names a call may redefine (matched
     globals, address-taken locals). *)
-
-val origin : instr -> int option
-(** Index of the assembly item this instruction came from. *)
-
-val relop_to_string : relop -> string
-val pp_name : Format.formatter -> name -> unit
-val pp_operand : Format.formatter -> operand -> unit
-val pp : Format.formatter -> instr -> unit

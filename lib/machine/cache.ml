@@ -61,15 +61,6 @@ let access t addr =
 let hits t = t.hits
 let misses t = t.misses
 
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0
-
-let flush t =
-  Array.fill t.tags 0 t.lines invalid_tag;
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\001';
-  reset_counters t
-
 (* Exact state capture for checkpoint/replay: restoring tags *and*
    counters makes re-execution from a checkpoint reproduce the original
    run's hit/miss stream (and hence cycle counts) bit-for-bit.  Chunks

@@ -22,7 +22,7 @@ type t = {
     access check (one array read per instruction fetch / data access)
     without a cross-module call; an inlined miss must mark its chunk
     dirty as {!access} does.  Code outside [Cpu] must treat it as
-    abstract and go through {!access}/{!flush}. *)
+    abstract and go through {!access}. *)
 
 val chunk_bits : int
 (** Lines per tag chunk, as a power of two. *)
@@ -37,10 +37,6 @@ val access : t -> int -> bool
 
 val hits : t -> int
 val misses : t -> int
-val reset_counters : t -> unit
-
-val flush : t -> unit
-(** Invalidate all lines and reset counters. *)
 
 (** {1 Checkpoint support} *)
 

@@ -36,7 +36,7 @@ type t = {
   cache : Cache.t;
   win : Windows.t;
   mutable pc : int;
-  mutable icc : int;  (* packed {!Cond} flags; see [Cond.pack] *)
+  mutable icc : int;  (* packed {!Cond} flags; see [Cond.eval_packed] *)
   mutable halted : int option;
   mutable ninstrs : int;
   mutable cycles : int;
@@ -326,8 +326,8 @@ let alu_result t op a b =
     add_cycles t (t.config.div_cycles - 1);
     (try Word.udiv a b with Division_by_zero -> faultf t "division by zero")
 
-(* Allocation-free flag update: builds the packed bits directly (the
-   seed allocated a [Cond.icc] record per cc-setting instruction). *)
+(* Allocation-free flag update: builds the packed bits directly, with
+   no record per cc-setting instruction. *)
 let set_icc t op a b r =
   let nz = (if r < 0 then 8 else 0) lor if r = 0 then 4 else 0 in
   let vc =
@@ -995,7 +995,6 @@ let rollback t cp =
   Cache.restore t.cache cp.cp_cache
 
 let checkpoint_view cp = cp.cp_mem
-let checkpoint_insns cp = cp.cp_ninstrs
 
 let checkpoint_overhead_bytes cp =
   (* Fixed (non-page) cost of one checkpoint: cache tags, register

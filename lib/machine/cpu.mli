@@ -21,8 +21,6 @@ type config = {
   nwindows : int;
 }
 
-val default_config : config
-
 exception Fault of { pc : int; reason : string }
 (** Irrecoverable machine fault: bad pc, misalignment, unresolved label,
     unhandled trap, division by zero, window underflow. *)
@@ -133,9 +131,6 @@ val rollback : t -> checkpoint -> unit
 val checkpoint_view : checkpoint -> Memory.view
 (** The memory view captured by the checkpoint (page-sharing
     accounting: {!Memory.view_diff} between adjacent checkpoints). *)
-
-val checkpoint_insns : checkpoint -> int
-(** Instruction count at capture time — the replay journal's key. *)
 
 val checkpoint_overhead_bytes : checkpoint -> int
 (** Fixed non-page cost of the checkpoint (cache tags, window frames,

@@ -218,7 +218,6 @@ let restore_cow t view =
 let epoch t = t.epoch
 let cow_copies t = t.cow_copies
 let view_pages v = IntMap.cardinal v
-let view_bytes v = IntMap.cardinal v * page_bytes
 
 let view_diff prev next =
   (* Pages physically differing between two adjacent views: present in

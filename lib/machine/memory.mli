@@ -118,10 +118,6 @@ val cow_copies : t -> int
 val view_pages : view -> int
 (** Number of pages resident in the view. *)
 
-val view_bytes : view -> int
-(** [view_pages v * page_bytes]: bytes addressed by the view (shared or
-    not). *)
-
 val view_diff : view -> view -> int
 (** [view_diff prev next]: cells of [next] not physically shared with
     [prev] — with [prev] the preceding checkpoint, the number of pages

@@ -63,9 +63,3 @@ let rec typ_to_string = function
   | Tptr t -> typ_to_string t ^ "*"
   | Tstruct s -> "struct " ^ s
   | Tarray (t, n) -> Printf.sprintf "%s[%d]" (typ_to_string t) n
-
-let binop_to_string = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-  | Band -> "&" | Bor -> "|" | Bxor -> "^" | Shl -> "<<" | Shr -> ">>"
-  | Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
-  | Land -> "&&" | Lor -> "||"

@@ -72,4 +72,3 @@ type program = {
 }
 
 val typ_to_string : typ -> string
-val binop_to_string : binop -> string

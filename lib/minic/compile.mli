@@ -8,9 +8,6 @@ type error = { phase : string; message : string }
 
 exception Error of error
 
-val front : ?runtime:bool -> string -> Typecheck.tprogram
-(** Parse and typecheck. @raise Error tagged with the failing phase. *)
-
 val compile : ?runtime:bool -> string -> Codegen.output
 (** Compile to (unassembled) annotated assembly plus symbol table. *)
 
@@ -19,8 +16,6 @@ type linked = {
   symtab : Sparc.Symtab.t;  (** data labels resolved to absolute addresses *)
   functions : string list;
 }
-
-val link : Codegen.output -> linked
 
 val compile_and_link : ?runtime:bool -> string -> linked
 

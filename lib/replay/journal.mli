@@ -61,9 +61,6 @@ val record : t -> Snapshot.t -> unit
     thin until back under budget.
     @raise Invalid_argument on out-of-order instruction counts. *)
 
-val entries : t -> entry list
-(** Oldest first. *)
-
 val snapshots : t -> Snapshot.t list
 (** Oldest first. *)
 

@@ -127,11 +127,8 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
       else if not t.recorded then Written.add t.pending ~addr ~width);
   t
 
-let cpu t = t.cpu
 let journal t = t.journal
 let end_insn t = t.end_insn
-let exit_code t = t.exit_code
-let recorded t = t.recorded
 let replayed_insns t = t.replayed
 let interval t = Journal.interval t.journal
 

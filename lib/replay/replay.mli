@@ -81,15 +81,12 @@ val record : ?fuel:int -> t -> int
     (default 2·10{^8}).
     @raise Invalid_argument if already recorded. *)
 
-val cpu : t -> Machine.Cpu.t
 val journal : t -> Journal.t
 val interval : t -> int
-val recorded : t -> bool
 
 val end_insn : t -> int
 (** Instruction count at the recorded halt. *)
 
-val exit_code : t -> int option
 val replayed_insns : t -> int
 (** Total instructions re-executed by travels and queries so far. *)
 
@@ -139,6 +136,3 @@ val arm : t -> lo:int -> hi:int -> unit
     seed from current memory. *)
 
 val disarm : t -> unit
-
-val hits : t -> hit list
-(** Hits collected since the last {!arm}, in execution order. *)

@@ -15,7 +15,6 @@ let word_mask = (1 lsl (block_bits - 2)) - 1
    ([|key0; mask0; key1; mask1; ...|]); no mask is zero. *)
 type t = int array
 
-let empty = [||]
 let blocks t = Array.length t / 2
 
 let words t =

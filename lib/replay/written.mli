@@ -14,8 +14,6 @@
 type t
 (** An immutable summary. *)
 
-val empty : t
-
 val overlaps : t -> lo:int -> hi:int -> bool
 (** Some marked word overlaps byte range [[lo, hi)]. *)
 

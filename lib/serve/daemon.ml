@@ -605,7 +605,7 @@ type server = {
   chunk : Bytes.t;  (* read and write staging, main thread only *)
 }
 
-let listen ?(host = Unix.inet_addr_loopback) ?(backlog = 64) t ~port () =
+let listen ?(host = Unix.inet_addr_loopback) t ~port () =
   (* A write to a peer that reset would otherwise kill the process
      before [flush_conn] sees EPIPE. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -613,7 +613,7 @@ let listen ?(host = Unix.inet_addr_loopback) ?(backlog = 64) t ~port () =
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;
      Unix.bind sock (Unix.ADDR_INET (host, port));
-     Unix.listen sock backlog;
+     Unix.listen sock 64;
      Unix.set_nonblock sock
    with e ->
      Unix.close sock;

@@ -84,7 +84,7 @@ val shutdown : t -> unit
 type server
 
 val listen :
-  ?host:Unix.inet_addr -> ?backlog:int -> t -> port:int -> unit -> server
+  ?host:Unix.inet_addr -> t -> port:int -> unit -> server
 (** Bind a nonblocking listener (port 0 for ephemeral — read it back
     with {!server_port}).  Loopback by default.  Sets the process's
     SIGPIPE disposition to ignore, so a peer that resets costs only its

@@ -10,9 +10,6 @@
 val read_file : string -> string
 (** Whole-file read (binary). *)
 
-val write_file : string -> string -> unit
-(** Whole-file write; truncates.  @raise Sys_error like [open_out]. *)
-
 val export : string option -> (unit -> string) -> unit
 (** [export (Some path) render] = [write_file path (render ())];
     [None] is a no-op (the flag was not given). *)

@@ -14,9 +14,6 @@
     that never reached a session) use the reserved session id ["-"]
     with the client's own sequence counter. *)
 
-val version : string
-(** ["dbp-wire/1"]. *)
-
 (** {1 Token escaping} *)
 
 val escape : string -> string

@@ -12,12 +12,10 @@ type t = {
   sock : Unix.file_descr;
   port : int;
   metrics : unit -> string;
-  mutable served : int;
   mutable closed : bool;
 }
 
-let create ?(host = Unix.inet_addr_loopback) ?(backlog = 16) ~port ~metrics ()
-    =
+let create ?(host = Unix.inet_addr_loopback) ~port ~metrics () =
   (* A write to a scraper that reset would otherwise kill the process
      before [respond] sees EPIPE. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -25,7 +23,7 @@ let create ?(host = Unix.inet_addr_loopback) ?(backlog = 16) ~port ~metrics ()
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;
      Unix.bind sock (Unix.ADDR_INET (host, port));
-     Unix.listen sock backlog;
+     Unix.listen sock 16;
      Unix.set_nonblock sock
    with e ->
      Unix.close sock;
@@ -35,11 +33,10 @@ let create ?(host = Unix.inet_addr_loopback) ?(backlog = 16) ~port ~metrics ()
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  { sock; port; metrics; served = 0; closed = false }
+  { sock; port; metrics; closed = false }
 
 let port t = t.port
 let fd t = t.sock
-let served t = t.served
 
 let index_body t =
   Printf.sprintf
@@ -134,10 +131,11 @@ let respond t conn =
      while Unix.read conn scratch 0 (Bytes.length scratch) > 0 do
        ()
      done
-   with _ -> ());
-  t.served <- t.served + 1
+   with _ -> ())
 
-let poll ?(max_requests = 16) t =
+let max_requests = 16
+
+let poll t =
   if t.closed then 0
   else begin
     let handled = ref 0 in

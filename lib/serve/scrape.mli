@@ -22,7 +22,6 @@ type t
 
 val create :
   ?host:Unix.inet_addr ->
-  ?backlog:int ->
   port:int ->
   metrics:(unit -> string) ->
   unit ->
@@ -41,14 +40,10 @@ val fd : t -> Unix.file_descr
 (** The listening socket: readable when a request is waiting, for an
     embedding [select] loop that calls {!poll} then. *)
 
-val served : t -> int
-(** Requests answered so far. *)
-
-val poll : ?max_requests:int -> t -> int
-(** Accept and answer every pending connection (up to [max_requests],
-    default 16); returns the number handled.  Never blocks waiting for
-    new connections; a connected client gets at most 0.5 s to deliver
-    its request line. *)
+val poll : t -> int
+(** Accept and answer every pending connection (up to 16); returns the
+    number handled.  Never blocks waiting for new connections; a
+    connected client gets at most 0.5 s to deliver its request line. *)
 
 val serve_for : t -> seconds:float -> unit
 (** Block answering requests until [seconds] elapse — the post-run

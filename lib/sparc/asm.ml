@@ -21,7 +21,6 @@ let add ?cc rs1 op2 rd = alu ?cc Insn.Add rs1 op2 rd
 let sub ?cc rs1 op2 rd = alu ?cc Insn.Sub rs1 op2 rd
 let and_ ?cc rs1 op2 rd = alu ?cc Insn.And rs1 op2 rd
 let or_ ?cc rs1 op2 rd = alu ?cc Insn.Or rs1 op2 rd
-let xor ?cc rs1 op2 rd = alu ?cc Insn.Xor rs1 op2 rd
 let sll rs1 op2 rd = alu Insn.Sll rs1 op2 rd
 let srl rs1 op2 rd = alu Insn.Srl rs1 op2 rd
 let sra rs1 op2 rd = alu Insn.Sra rs1 op2 rd
@@ -67,12 +66,3 @@ let item_size = function
   | Insn _ -> 4
   | Label _ | Comment _ -> 0
   | Set_label _ -> 8
-
-let text_size items = List.fold_left (fun a i -> a + item_size i) 0 items
-
-let stores items =
-  List.filter (function Insn i -> Insn.is_store i | Label _ | Set_label _ | Comment _ -> false) items
-  |> List.length
-
-let map_insns f items =
-  List.map (function Insn i -> Insn (f i) | (Label _ | Set_label _ | Comment _) as x -> x) items

@@ -22,9 +22,6 @@ type ddef = { name : string; size : int; init : int list }
 type program = { text : item list; data : ddef list; entry : string }
 (** [entry] names the label where execution starts. *)
 
-val simm13_min : int
-val simm13_max : int
-
 val fits_simm13 : int -> bool
 (** Whether [v] fits a SPARC 13-bit signed immediate. *)
 
@@ -36,7 +33,6 @@ val add : ?cc:bool -> Reg.t -> Insn.operand -> Reg.t -> Insn.t
 val sub : ?cc:bool -> Reg.t -> Insn.operand -> Reg.t -> Insn.t
 val and_ : ?cc:bool -> Reg.t -> Insn.operand -> Reg.t -> Insn.t
 val or_ : ?cc:bool -> Reg.t -> Insn.operand -> Reg.t -> Insn.t
-val xor : ?cc:bool -> Reg.t -> Insn.operand -> Reg.t -> Insn.t
 val sll : Reg.t -> Insn.operand -> Reg.t -> Insn.t
 val srl : Reg.t -> Insn.operand -> Reg.t -> Insn.t
 val sra : Reg.t -> Insn.operand -> Reg.t -> Insn.t
@@ -86,10 +82,3 @@ val insns : Insn.t list -> item list
 val item_size : item -> int
 (** Encoded size in bytes: 4 per instruction, 8 for {!Set_label}, 0 for
     labels and comments. *)
-
-val text_size : item list -> int
-
-val stores : item list -> int
-(** Static count of store instructions. *)
-
-val map_insns : (Insn.t -> Insn.t) -> item list -> item list

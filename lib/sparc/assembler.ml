@@ -14,8 +14,8 @@ exception Error of string
 
 let errorf fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-let default_text_base = 0x0001_0000
-let default_data_base = 0x0040_0000
+let text_base = 0x0001_0000
+let data_base = 0x0040_0000
 
 let align8 n = (n + 7) land lnot 7
 
@@ -34,8 +34,7 @@ let layout_data ~data_base data =
     data;
   (List.rev !labels, List.rev !init, !addr)
 
-let assemble ?(text_base = default_text_base) ?(data_base = default_data_base)
-    (program : Asm.program) =
+let assemble (program : Asm.program) =
   let labels = Hashtbl.create 97 in
   let add_label name addr =
     if Hashtbl.mem labels name then errorf "duplicate label %s" name
@@ -111,7 +110,3 @@ let label_of_addr image addr =
         | Some _ | None -> Some name
       else best)
     image.labels None
-
-let text_limit image = image.text_base + (4 * Array.length image.text)
-
-let in_text image addr = addr >= image.text_base && addr < text_limit image

@@ -18,16 +18,8 @@ type image = {
 
 exception Error of string
 
-val default_text_base : int
-val default_data_base : int
-
-val assemble : ?text_base:int -> ?data_base:int -> Asm.program -> image
+val assemble : Asm.program -> image
 (** @raise Error on duplicate or undefined labels and malformed data. *)
 
 val addr_of_label : image -> string -> int option
 val label_of_addr : image -> int -> string option
-
-val text_limit : image -> int
-(** First address past the text segment. *)
-
-val in_text : image -> int -> bool

@@ -16,27 +16,11 @@ type t =
   | Vc   (* overflow clear: !V *)
   | Vs   (* overflow set: V *)
 
-type icc = { n : bool; z : bool; v : bool; c : bool }
-
-let icc_zero = { n = false; z = false; v = false; c = false }
-
 (* Packed flags, used by the simulator's hot loop: updating the flags
    writes one immediate integer instead of allocating a record per
    cc-setting instruction.  Bit 3 = n, bit 2 = z, bit 1 = v, bit 0 = c. *)
 
 let packed_zero = 0
-
-let pack { n; z; v; c } =
-  (if n then 8 else 0) lor (if z then 4 else 0) lor (if v then 2 else 0)
-  lor (if c then 1 else 0)
-
-let unpack bits =
-  {
-    n = bits land 8 <> 0;
-    z = bits land 4 <> 0;
-    v = bits land 2 <> 0;
-    c = bits land 1 <> 0;
-  }
 
 let eval_packed t bits =
   match t with
@@ -56,25 +40,6 @@ let eval_packed t bits =
   | Neg -> bits land 8 <> 0
   | Vc -> bits land 2 = 0
   | Vs -> bits land 2 <> 0
-
-let eval t { n; z; v; c } =
-  match t with
-  | A -> true
-  | N -> false
-  | E -> z
-  | Ne -> not z
-  | G -> not (z || n <> v)
-  | Ge -> n = v
-  | L -> n <> v
-  | Le -> z || n <> v
-  | Gu -> not (c || z)
-  | Leu -> c || z
-  | Cc -> not c
-  | Cs -> c
-  | Pos -> not n
-  | Neg -> n
-  | Vc -> not v
-  | Vs -> v
 
 let negate = function
   | A -> N
@@ -132,7 +97,3 @@ let of_string = function
   | s -> invalid_arg (Printf.sprintf "Cond.of_string: %S" s)
 
 let equal (a : t) b = a = b
-
-let pp ppf t = Fmt.string ppf (to_string t)
-
-let all = [ A; N; E; Ne; G; Ge; L; Le; Gu; Leu; Cc; Cs; Pos; Neg; Vc; Vs ]

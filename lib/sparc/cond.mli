@@ -1,9 +1,9 @@
 (** Integer condition codes and branch conditions.
 
-    The [icc] record mirrors the SPARC integer condition-code register:
+    The simulator keeps the SPARC integer condition-code register —
     negative, zero, overflow and carry, set by the [cc]-modifying ALU
     instructions ([addcc], [subcc], ...) and consumed by conditional
-    branches. *)
+    branches — packed in one integer. *)
 
 type t =
   | A    (** always *)
@@ -23,28 +23,18 @@ type t =
   | Vc   (** overflow clear *)
   | Vs   (** overflow set *)
 
-type icc = { n : bool; z : bool; v : bool; c : bool }
-
-val icc_zero : icc
-
-val eval : t -> icc -> bool
-(** Whether a branch on this condition is taken given the flags. *)
-
 (** Packed flags for the simulator's hot loop (bit 3 = n, bit 2 = z,
     bit 1 = v, bit 0 = c): setting flags writes one immediate integer
-    instead of allocating an [icc] record per cc-setting instruction. *)
+    instead of allocating a record per cc-setting instruction. *)
 
 val packed_zero : int
 
-val pack : icc -> int
-
-val unpack : int -> icc
-
 val eval_packed : t -> int -> bool
-(** [eval_packed t bits = eval t (unpack bits)], allocation-free. *)
+(** Whether a branch on this condition is taken given the flags. *)
 
 val negate : t -> t
-(** The complementary condition: [eval (negate t) icc = not (eval t icc)]. *)
+(** The complementary condition: [eval_packed (negate t) bits = not
+    (eval_packed t bits)]. *)
 
 val to_string : t -> string
 (** Branch mnemonic suffix, e.g. [Ge] is ["ge"] as in [bge]. *)
@@ -54,6 +44,3 @@ val of_string : string -> t
     @raise Invalid_argument on unknown mnemonics. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
-val all : t list

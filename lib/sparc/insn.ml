@@ -24,23 +24,6 @@ type t =
 
 let width_bytes = function Byte -> 1 | Half -> 2 | Word -> 4 | Double -> 8
 
-let operand_uses = function Reg r -> [ r ] | Imm _ -> []
-
-let uses = function
-  | Alu { rs1; op2; _ } -> rs1 :: operand_uses op2
-  | Sethi _ -> []
-  | Ld { rs1; off; _ } -> rs1 :: operand_uses off
-  | St { rd; rs1; off; width } ->
-    let base = rd :: rs1 :: operand_uses off in
-    if width = Double then Reg.of_index (Reg.index rd + 1) :: base else base
-  | Branch _ -> []
-  | Call _ -> []
-  | Jmpl { rs1; off; _ } -> rs1 :: operand_uses off
-  | Save { rs1; op2; _ } -> rs1 :: operand_uses op2
-  | Restore { rs1; op2; _ } -> rs1 :: operand_uses op2
-  | Trap _ -> []
-  | Nop -> []
-
 let defs = function
   | Alu { rd; _ } -> [ rd ]
   | Sethi { rd; _ } -> [ rd ]
@@ -54,24 +37,6 @@ let defs = function
   | Trap _ -> []
   | Nop -> []
 
-let sets_cc = function
-  | Alu { cc; _ } -> cc
-  | Sethi _ | Ld _ | St _ | Branch _ | Call _ | Jmpl _ | Save _ | Restore _
-  | Trap _ | Nop ->
-    false
-
-let is_store = function
-  | St _ -> true
-  | Alu _ | Sethi _ | Ld _ | Branch _ | Call _ | Jmpl _ | Save _ | Restore _
-  | Trap _ | Nop ->
-    false
-
-let store_address = function
-  | St { rs1; off; _ } -> Some (rs1, off)
-  | Alu _ | Sethi _ | Ld _ | Branch _ | Call _ | Jmpl _ | Save _ | Restore _
-  | Trap _ | Nop ->
-    None
-
 let is_control = function
   | Branch _ | Call _ | Jmpl _ | Trap _ -> true
   | Alu _ | Sethi _ | Ld _ | St _ | Save _ | Restore _ | Nop -> false
@@ -82,12 +47,6 @@ let map_target f = function
   | (Alu _ | Sethi _ | Ld _ | St _ | Jmpl _ | Save _ | Restore _ | Trap _ | Nop)
     as insn ->
     insn
-
-let target = function
-  | Branch { target; _ } | Call { target; _ } -> Some target
-  | Alu _ | Sethi _ | Ld _ | St _ | Jmpl _ | Save _ | Restore _ | Trap _ | Nop
-    ->
-    None
 
 let alu_to_string = function
   | Add -> "add"

@@ -53,18 +53,8 @@ type t =
 
 val width_bytes : width -> int
 
-val uses : t -> Reg.t list
-(** Registers read, including the stored value register(s) of a store. *)
-
 val defs : t -> Reg.t list
 (** Registers written.  [Call] defines [%o7]. *)
-
-val sets_cc : t -> bool
-
-val is_store : t -> bool
-
-val store_address : t -> (Reg.t * operand) option
-(** [(base, offset)] of a store's effective address, if [t] is a store. *)
 
 val is_control : t -> bool
 (** Branch, call, indirect jump or trap. *)
@@ -72,12 +62,8 @@ val is_control : t -> bool
 val map_target : (target -> target) -> t -> t
 (** Rewrite the branch/call target, if any. *)
 
-val target : t -> target option
-
 val alu_to_string : alu -> string
 val alu_of_string : string -> alu
 (** @raise Invalid_argument on unknown mnemonics. *)
 
-val equal_operand : operand -> operand -> bool
-val equal_target : target -> target -> bool
 val equal : t -> t -> bool

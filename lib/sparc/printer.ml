@@ -72,9 +72,6 @@ let item_to_string = function
     Printf.sprintf "\tset %s%+d, %s" label offset (Reg.to_string rd)
   | Asm.Comment c -> "\t! " ^ c
 
-let pp_insn ppf i = Fmt.string ppf (insn_to_string i)
-let pp_item ppf i = Fmt.string ppf (item_to_string i)
-
 let pp_program ppf (p : Asm.program) =
   Fmt.pf ppf "\t.text\n";
   List.iter (fun item -> Fmt.pf ppf "%s\n" (item_to_string item)) p.text;

@@ -2,12 +2,6 @@
     syntax.  {!Parser.program_of_string} parses this format back; the
     round trip is exercised by the property tests. *)
 
-val operand_to_string : Insn.operand -> string
-val target_to_string : Insn.target -> string
 val insn_to_string : Insn.t -> string
-val item_to_string : Asm.item -> string
 
-val pp_insn : Format.formatter -> Insn.t -> unit
-val pp_item : Format.formatter -> Asm.item -> unit
-val pp_program : Format.formatter -> Asm.program -> unit
 val program_to_string : Asm.program -> string

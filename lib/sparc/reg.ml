@@ -36,7 +36,6 @@ let of_index n =
   else I (n - 24)
 
 let compare a b = compare (index a) (index b)
-let hash = index
 
 let to_string = function
   | O 6 -> "%sp"
@@ -64,11 +63,3 @@ let of_string s =
         | 'i' -> I i
         | _ -> fail ()
     end
-
-let pp ppf r = Fmt.string ppf (to_string r)
-
-let all = List.init 32 of_index
-
-let is_global = function G _ -> true | O _ | L _ | I _ -> false
-
-let is_windowed r = not (is_global r)

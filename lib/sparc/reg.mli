@@ -26,7 +26,6 @@ val i7 : t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val index : t -> int
 (** Dense index in [0,32): globals, outs, locals, ins. *)
@@ -39,13 +38,3 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Inverse of {!to_string}. @raise Invalid_argument on malformed input. *)
-
-val pp : Format.formatter -> t -> unit
-
-val all : t list
-(** All 32 registers in {!index} order. *)
-
-val is_global : t -> bool
-
-val is_windowed : t -> bool
-(** True for out/local/in registers, which rotate on [save]/[restore]. *)

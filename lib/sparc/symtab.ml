@@ -19,21 +19,9 @@ type entry = {
 
 type t = { entries : entry list }
 
-let empty = { entries = [] }
-
-let add entry t = { entries = entry :: t.entries }
-
 let of_list entries = { entries }
 
 let entries t = t.entries
-
-let scalar ?func ~name location = {
-  name;
-  func;
-  location;
-  size_words = 1;
-  ctype = Scalar;
-}
 
 let same_scope func entry =
   match func, entry.func with
@@ -46,15 +34,7 @@ let lookup t ?func name =
     (fun e -> String.equal e.name name && same_scope func e)
     t.entries
 
-let lookup_visible t ~func name =
-  match lookup t ~func name with
-  | Some _ as e -> e
-  | None -> lookup t name
-
 let globals t = List.filter (fun e -> e.func = None) t.entries
-
-let locals_of t func =
-  List.filter (fun e -> same_scope (Some func) e) t.entries
 
 let size_bytes e = e.size_words * 4
 
@@ -85,5 +65,3 @@ let pp_entry ppf e =
   let scope = match e.func with None -> "global" | Some f -> f in
   Fmt.pf ppf "%s:%s %a (%d words)" scope e.name pp_location e.location
     e.size_words
-
-let pp ppf t = Fmt.(list ~sep:(any "@\n") pp_entry) ppf t.entries

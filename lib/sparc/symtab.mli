@@ -28,22 +28,13 @@ type entry = {
 
 type t
 
-val empty : t
-val add : entry -> t -> t
 val of_list : entry list -> t
 val entries : t -> entry list
-
-val scalar : ?func:string -> name:string -> location -> entry
-(** Convenience constructor for a one-word variable. *)
 
 val lookup : t -> ?func:string -> string -> entry option
 (** Exact-scope lookup: [?func:None] finds globals only. *)
 
-val lookup_visible : t -> func:string -> string -> entry option
-(** Source-language visibility: locals of [func] shadow globals. *)
-
 val globals : t -> entry list
-val locals_of : t -> string -> entry list
 
 val size_bytes : entry -> int
 
@@ -54,6 +45,4 @@ val resolve_data_labels : addr_of_label:(string -> int option) -> t -> t
 (** Replace {!Data_label} locations with {!Absolute} addresses using the
     assembler's label map. *)
 
-val pp_location : Format.formatter -> location -> unit
 val pp_entry : Format.formatter -> entry -> unit
-val pp : Format.formatter -> t -> unit

@@ -11,8 +11,6 @@ let norm x =
 
 let to_unsigned x = x land 0xFFFFFFFF
 
-let of_unsigned = norm
-
 let add a b = norm (a + b)
 let sub a b = norm (a - b)
 let mul a b = norm (a * b)
@@ -56,7 +54,3 @@ let sub_carry a b =
 let sub_overflow a b =
   let r = sub a b in
   (a >= 0 && b < 0 && r < 0) || (a < 0 && b >= 0 && r >= 0)
-
-let compare_unsigned a b = compare (to_unsigned a) (to_unsigned b)
-
-let pp_hex ppf x = Fmt.pf ppf "0x%08x" (to_unsigned x)

@@ -11,9 +11,6 @@ val norm : int -> int
 val to_unsigned : int -> int
 (** Reinterpret a normalized value as unsigned, in [0, 2{^32}). *)
 
-val of_unsigned : int -> int
-(** Inverse of {!to_unsigned} (same as {!norm}). *)
-
 val add : int -> int -> int
 val sub : int -> int -> int
 val mul : int -> int -> int
@@ -51,7 +48,3 @@ val sub_carry : int -> int -> bool
 
 val sub_overflow : int -> int -> bool
 (** Signed overflow for [a - b]. *)
-
-val compare_unsigned : int -> int -> int
-
-val pp_hex : Format.formatter -> int -> unit

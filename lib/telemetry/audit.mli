@@ -46,9 +46,6 @@ type verdict =
 val verdict_name : verdict -> string
 (** ["kept"] / ["sym_matched"] / ["loop_invariant"] / ["loop_range"]. *)
 
-val all_verdict_names : string list
-(** Canonical summary order. *)
-
 (** {1 Journal entries} *)
 
 type site = {
@@ -93,8 +90,6 @@ type replay_kind =
   | Checkpoint_evicted  (** thinned out of the journal under budget *)
   | State_restored  (** rollback to a checkpoint *)
   | Replay_finished  (** a travel/query re-execution reached its target *)
-
-val replay_kind_name : replay_kind -> string
 
 type replay_event = {
   rp_kind : replay_kind;
@@ -176,24 +171,16 @@ val merge_summaries : (string * int) list list -> (string * int) list
 (** Pointwise sum in canonical order — commutative, so per-domain
     bench summaries merge deterministically. *)
 
-val find_sites : report -> string -> site list
-(** [find_sites r target] resolves an [--explain] query: [target] is
-    either an origin address ([0x]-hex or decimal) or a pseudo
-    register name from a {!Sym_matched} verdict.  Returns matching
-    sites in slot order. *)
-
 val explain : report -> string -> string option
-(** Human-readable provenance for {!find_sites}'s matches: the
-    verdict, its bound expressions, the loop's lattice derivation and
-    any patch events touching the site.  [None] when nothing
-    matches. *)
+(** Human-readable provenance for the sites a target names — an
+    origin address ([0x]-hex or decimal) or a pseudo register name
+    from a {!Sym_matched} verdict: the verdict, its bound expressions,
+    the loop's lattice derivation and any patch events touching the
+    site.  [None] when nothing matches. *)
 
 (** {2 JSON} *)
 
-val to_json : report -> Export.json
-val of_json : Export.json -> report
-(** @raise Export.Parse_error when the value does not match
-    {!schema_version}'s layout. *)
-
 val to_json_string : ?indent:int -> report -> string
 val of_json_string : string -> report
+(** @raise Export.Parse_error when the text does not match
+    {!schema_version}'s layout. *)

@@ -44,7 +44,6 @@ let create ~page_bits () =
     slot_cell = Array.make (1 lsl slot_bits) (dummy_cell ());
   }
 
-let page_bits t = t.page_bits
 let page_bytes t = 1 lsl t.page_bits
 
 let cell t addr =

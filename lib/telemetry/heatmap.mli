@@ -20,7 +20,6 @@ type t
 val create : page_bits:int -> unit -> t
 (** @raise Invalid_argument when [page_bits] is outside [1, 30]. *)
 
-val page_bits : t -> int
 val page_bytes : t -> int
 
 val record_write : t -> int -> unit

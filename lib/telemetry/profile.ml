@@ -59,7 +59,6 @@ type t = {
   mutable last_call_fn : int;
   (* Perfetto counter sampling. *)
   clock : unit -> float;
-  sample_every : int;
   mutable next_sample : int;
   mutable samples : (float * int * int * int) list;  (* newest first *)
 }
@@ -121,8 +120,10 @@ let fn_of_pc t pc =
     !best
   end
 
-let create ?(clock = fun () -> 0.) ?(sample_every = 65536) ~text_base ~info
-    ~functions ~entry () =
+(* Instructions between Perfetto counter samples. *)
+let sample_every = 65536
+
+let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
   let n = Array.length info in
   let leader = Array.make (max n 1) false in
   let mark i = if i >= 0 && i < n then leader.(i) <- true in
@@ -185,8 +186,7 @@ let create ?(clock = fun () -> 0.) ?(sample_every = 65536) ~text_base ~info
       last_call_pc = -1;
       last_call_fn = 0;
       clock;
-      sample_every = max 1 sample_every;
-      next_sample = max 1 sample_every;
+      next_sample = sample_every;
       samples = [];
     }
   in
@@ -223,7 +223,7 @@ let flush t ~instrs ~cycles =
 let sample t ~instrs ~cycles =
   if instrs >= t.next_sample then begin
     t.samples <- (t.clock (), instrs, cycles, t.depth) :: t.samples;
-    t.next_sample <- instrs + t.sample_every
+    t.next_sample <- instrs + sample_every
   end
 
 let transfer t ~kind ~pc ~instrs ~cycles =

@@ -47,7 +47,6 @@ type t
 
 val create :
   ?clock:(unit -> float) ->
-  ?sample_every:int ->
   text_base:int ->
   info:(int * int) array ->
   functions:(int * string) list ->
@@ -65,10 +64,9 @@ val create :
     following a call.
 
     [functions] maps entry addresses to names; call targets outside it
-    are registered lazily under their hex address.  [sample_every]
-    (default 65536) is the instruction interval between Perfetto
-    counter samples taken at transfer events; [clock] (default: a
-    constant) timestamps them. *)
+    are registered lazily under their hex address.  Perfetto counter
+    samples are taken at transfer events every 65536 instructions;
+    [clock] (default: a constant) timestamps them. *)
 
 val exec_array : t -> int array
 (** The per-instruction execution counter array, owned by the
@@ -107,9 +105,6 @@ val transfers : t -> int
 (** Total transfer events processed (call + return). *)
 
 (** {1 Reports} *)
-
-val schema_version : string
-(** ["dbp-profile/1"] *)
 
 type fn_report = {
   fr_name : string;
@@ -177,7 +172,6 @@ val merge_folded : (string * int) list list -> (string * int) list
 (** Commutative multiset sum of folded profiles, sorted by path — the
     benchmark harness's cross-domain merge. *)
 
-val to_json : report -> Export.json
 val to_json_string : ?indent:int -> report -> string
 
 val chrome_counters : t -> (string * float * int) list

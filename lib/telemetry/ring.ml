@@ -7,7 +7,7 @@
    monitor hits — never on the interpreter fast path. *)
 
 type 'a t = {
-  mutable slots : 'a option array;
+  slots : 'a option array;
   mutable pushed : int;
 }
 
@@ -15,11 +15,7 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Ring.create: negative capacity";
   { slots = Array.make capacity None; pushed = 0 }
 
-let capacity t = Array.length t.slots
-
 let length t = min t.pushed (Array.length t.slots)
-
-let pushed t = t.pushed
 
 let dropped t = t.pushed - length t
 
@@ -29,10 +25,6 @@ let push t x =
   (* Even a zero-capacity ring counts pushes: the "how many events did
      I miss" question stays answerable with tracing sized off. *)
   t.pushed <- t.pushed + 1
-
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
-  t.pushed <- 0
 
 let to_list t =
   let cap = Array.length t.slots in
@@ -45,5 +37,3 @@ let to_list t =
         | Some x -> x
         | None -> assert false)
   end
-
-let iter f t = List.iter f (to_list t)

@@ -3,9 +3,8 @@
     A bounded, allocation-light event store: pushes beyond the capacity
     silently overwrite the oldest entries, so the buffer always holds
     the most recent [capacity] events.  The total number of pushes ever
-    made is retained, letting readers compute how many events were
-    dropped ([pushed - length]) — the property the wraparound test
-    checks. *)
+    made is retained, so readers can tell how many events were dropped
+    — the property the wraparound test checks. *)
 
 type 'a t
 
@@ -13,24 +12,13 @@ val create : capacity:int -> 'a t
 (** A fresh ring.  [capacity = 0] is legal and drops every push.
     @raise Invalid_argument on negative capacity. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
-(** Events currently held: [min pushed capacity]. *)
-
-val pushed : 'a t -> int
-(** Total events ever pushed, including overwritten ones. *)
+(** Events currently held: at most the capacity. *)
 
 val dropped : 'a t -> int
-(** [pushed - length]: events lost to wraparound. *)
+(** Pushes minus {!length}: events lost to wraparound. *)
 
 val push : 'a t -> 'a -> unit
 
-val clear : 'a t -> unit
-(** Forget all events and reset {!pushed} to zero. *)
-
 val to_list : 'a t -> 'a list
 (** Retained events, oldest first. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** [iter f t] applies [f] to retained events, oldest first. *)

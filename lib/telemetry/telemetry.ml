@@ -188,7 +188,7 @@ type sample = {
 }
 
 type t = {
-  mutable on : bool;
+  on : bool;
   scalars : int array;
   typed : int array array;
   mutable site_exec : int array;
@@ -199,7 +199,7 @@ type t = {
   mutable rsite_exec : int array;
   mutable rsite_hit : int array;
   mutable rsite_type : int array;
-  mutable ring : event Ring.t;
+  ring : event Ring.t;
   mutable sample_ring : sample Ring.t;
   mutable sample_metrics : string list;
   mutable sample_every : int;
@@ -231,7 +231,6 @@ let create ?(enabled = true) ?(ring_capacity = 0) () =
   }
 
 let enabled t = t.on
-let set_enabled t b = t.on <- b
 
 let set_tag t k v =
   t.tags <- (k, v) :: List.remove_assoc k t.tags
@@ -275,7 +274,6 @@ let alloc_read_sites t types =
   t.rsite_type <- Array.copy types
 
 let n_sites t = Array.length t.site_exec
-let n_read_sites t = Array.length t.rsite_exec
 
 (* The probe fast path: one test, one increment. *)
 let[@inline] bump_site t slot =
@@ -296,10 +294,7 @@ let[@inline] bump_read_site_hit t slot =
   if t.on then t.rsite_hit.(slot) <- t.rsite_hit.(slot) + 1
 
 let site_exec t slot = t.site_exec.(slot)
-let site_hits t slot = t.site_hit.(slot)
 let site_patched t slot = t.site_patched.(slot)
-
-let set_ring_capacity t capacity = t.ring <- Ring.create ~capacity
 
 let record_event t ev = if t.on then Ring.push t.ring ev
 

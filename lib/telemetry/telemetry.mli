@@ -65,14 +65,6 @@ type counter =
   | Commands_served         (** daemon: wire commands dispatched (v6) *)
   | Hits_streamed           (** daemon: async hit events streamed (v6) *)
 
-val all_counters : counter list
-(** Canonical order used by every report and export format. *)
-
-val counter_name : counter -> string
-(** Stable snake_case identifier, e.g. ["user_hits"]. *)
-
-val counter_of_name : string -> counter option
-
 (** Write-type-keyed counters; each holds one slot per write-type id
     0–3 ({!write_type_name}). *)
 type typed =
@@ -81,13 +73,6 @@ type typed =
   | Hits_by_type
   | Read_hits_by_type
   | Cache_misses_by_type  (** segment-cache misses (§3.1) *)
-
-val all_typed : typed list
-val typed_name : typed -> string
-val typed_of_name : string -> typed option
-
-val n_write_types : int
-(** 4: BSS, STACK, HEAP, BSS-VAR (§3.1). *)
 
 val write_type_name : int -> string
 (** @raise Invalid_argument outside [0, n_write_types). *)
@@ -116,10 +101,6 @@ val create : ?enabled:bool -> ?ring_capacity:int -> unit -> t
     pushes only counted). *)
 
 val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
-(** The global disabled flag: with [false], every bump and event record
-    is a no-op (one boolean test). *)
 
 val set_tag : t -> string -> string -> unit
 (** Attach report metadata (workload, strategy, …); keys are unique and
@@ -165,7 +146,6 @@ val alloc_read_sites : t -> int array -> unit
 (** Same for read sites; the spec holds write-type ids. *)
 
 val n_sites : t -> int
-val n_read_sites : t -> int
 
 val bump_site : t -> int -> unit
 (** One increment on the check fast path; no-op when disabled. *)
@@ -181,17 +161,11 @@ val bump_read_site : t -> int -> unit
 val bump_read_site_hit : t -> int -> unit
 
 val site_exec : t -> int -> int
-val site_hits : t -> int -> int
 val site_patched : t -> int -> int
 
 (** {2 Tracing} *)
 
-val set_ring_capacity : t -> int -> unit
-(** Replace the ring with a fresh one of the given capacity. *)
-
 val record_event : t -> event -> unit
-val events : t -> event list
-val events_dropped : t -> int
 
 (** {2 Time-series samples (v5)}
 
@@ -216,9 +190,6 @@ val set_sample_meta : t -> every:int -> metrics:string list -> unit
 
 val record_sample : t -> sample -> unit
 (** Push a sample (and bump {!Samples_taken}); no-op when disabled. *)
-
-val samples : t -> sample list
-val samples_dropped : t -> int
 
 (** {1 Reports} *)
 

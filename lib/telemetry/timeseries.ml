@@ -15,7 +15,6 @@ type metric = {
 type t = {
   registry : Telemetry.t;
   metrics : metric list;
-  every : int;
   clock : unit -> float;
   mutable chrome : (string * float * int) list;  (* reversed *)
   mutable last_insn : int;
@@ -23,15 +22,12 @@ type t = {
 
 let default_window = 100_000
 
-let create ?(clock = fun () -> 0.) ?(capacity = 4096) ~every ~registry
-    ~metrics () =
+let create ?(clock = fun () -> 0.) ~every ~registry ~metrics () =
   if every < 1 then invalid_arg "Timeseries.create: every must be >= 1";
-  Telemetry.set_sample_capacity registry capacity;
+  Telemetry.set_sample_capacity registry 4096;
   Telemetry.set_sample_meta registry ~every
     ~metrics:(List.map (fun m -> m.m_name) metrics);
-  { registry; metrics; every; clock; chrome = []; last_insn = -1 }
-
-let every t = t.every
+  { registry; metrics; clock; chrome = []; last_insn = -1 }
 
 (* One snapshot.  Monotonic guard: [Session.report] finalizes on every
    call and replay rollbacks move the instruction count backwards, so
@@ -62,9 +58,6 @@ type summary = {
   ws_peak : int;
   ws_peak_window : int;
 }
-
-let mean_per_window s =
-  if s.ws_windows = 0 then 0. else float_of_int s.ws_total /. float_of_int s.ws_windows
 
 let summarize ?(window = default_window) (r : Telemetry.report) =
   if window < 1 then invalid_arg "Timeseries.summarize: window must be >= 1";

@@ -25,19 +25,16 @@ type t
 
 val create :
   ?clock:(unit -> float) ->
-  ?capacity:int ->
   every:int ->
   registry:Telemetry.t ->
   metrics:metric list ->
   unit ->
   t
-(** Arm a sampler: replaces [registry]'s sample ring with one of
-    [capacity] slots (default 4096) and records the interval/metric-set
-    metadata.  [clock] feeds only the Chrome counter tracks and
-    defaults to a constant (deterministic exports).
+(** Arm a sampler: replaces [registry]'s sample ring with one of 4096
+    slots and records the interval/metric-set metadata.  [clock] feeds
+    only the Chrome counter tracks and defaults to a constant
+    (deterministic exports).
     @raise Invalid_argument when [every < 1]. *)
-
-val every : t -> int
 
 val sample : t -> insn:int -> unit
 (** Take one snapshot at instruction count [insn].  Monotonic: calls
@@ -65,18 +62,11 @@ type summary = {
   ws_peak_window : int;  (** index of the peak window *)
 }
 
-val default_window : int
-(** 100_000 instructions. *)
-
 val summarize : ?window:int -> Telemetry.report -> summary list
 (** Per-metric windowed rates derived from a report's sample ring, one
-    summary per metric in [r_sample_metrics] order.  Empty when the
-    report holds no samples.  @raise Invalid_argument when
-    [window < 1]. *)
-
-val mean_per_window : summary -> float
-(** [ws_total / ws_windows] (0 with no windows) — presentation only;
-    deterministic outputs should print the integer fields. *)
+    summary per metric in [r_sample_metrics] order, over windows of
+    [window] instructions (default 100_000).  Empty when the report
+    holds no samples.  @raise Invalid_argument when [window < 1]. *)
 
 val schema_version : string
 (** ["dbp-timeseries/1"]. *)

@@ -28,14 +28,9 @@ type t = {
 
 let next_tid = Atomic.make 0
 
-let create ?(enabled = fun () -> true) ?(clock = Sys.time) ?tid () =
-  let t_tid =
-    match tid with Some i -> i | None -> Atomic.fetch_and_add next_tid 1
-  in
+let create ?(enabled = fun () -> true) ?(clock = Sys.time) () =
+  let t_tid = Atomic.fetch_and_add next_tid 1 in
   { on = enabled; clock; t_tid; stack = []; done_ = [] }
-
-let enabled t = t.on ()
-let tid t = t.t_tid
 
 let begin_span t ?(cat = "pipeline") ?(args = []) name =
   if t.on () then

@@ -30,14 +30,10 @@ type span = {
 
 type t
 
-val create : ?enabled:(unit -> bool) -> ?clock:(unit -> float) -> ?tid:int ->
-  unit -> t
+val create : ?enabled:(unit -> bool) -> ?clock:(unit -> float) -> unit -> t
 (** A fresh tracer.  [enabled] gates every record (pass the telemetry
-    registry's flag); [clock] defaults to [Sys.time]; [tid] defaults to
-    a fresh small integer (atomic counter), distinct per tracer. *)
-
-val enabled : t -> bool
-val tid : t -> int
+    registry's flag); [clock] defaults to [Sys.time].  Each tracer gets
+    a fresh small thread id (atomic counter). *)
 
 val begin_span : t -> ?cat:string -> ?args:(string * string) list -> string ->
   unit

@@ -1505,15 +1505,6 @@ let run ?audit ?(tags = []) (inst : I.t) : report =
 
 let ok r = r.v_refuted = 0 && r.v_unknown = 0
 
-let covered_origins r =
-  List.filter_map
-    (fun o ->
-      match (o.o_kind, o.o_origin) with
-      | ("sym" | "inv" | "rng"), Some origin -> Some origin
-      | _ -> None)
-    r.v_obligations
-  |> List.sort_uniq compare
-
 (* --- rendering ----------------------------------------------------------- *)
 
 let verdict_name = function
@@ -1547,11 +1538,6 @@ let summary_line r =
   Printf.sprintf "verify: obligations=%d proved=%d refuted=%d unknown=%d"
     (List.length r.v_obligations)
     r.v_proved r.v_refuted r.v_unknown
-
-let to_text r =
-  String.concat "\n"
-    (summary_line r
-    :: List.map (fun o -> Fmt.str "%a" pp_obligation o) r.v_obligations)
 
 let find_obligations r target =
   match int_of_string_opt target with

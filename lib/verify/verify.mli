@@ -37,7 +37,7 @@ type obligation = {
   o_pseudo : string option;  (** symbol-table pseudo, if any *)
   o_detail : string;
       (** human-readable statement of the obligation (for checks, the
-          canonical {!Dbp.Loopopt.pp_check} rendering) *)
+          canonical {!Dbp.Loopopt.check_to_string} rendering) *)
   o_verdict : verdict;
 }
 
@@ -49,9 +49,6 @@ type report = {
   v_refuted : int;
   v_unknown : int;
 }
-
-val schema_version : string
-(** ["dbp-verify/1"]. *)
 
 val run :
   ?audit:Audit.report -> ?tags:(string * string) list ->
@@ -82,24 +79,14 @@ val store_homes : Ir.Tac.instr list -> (int, home * Sparc.Insn.width) Hashtbl.t
 val ok : report -> bool
 (** No [Refuted] and no [Unknown] obligations. *)
 
-val covered_origins : report -> int list
-(** Sorted origins of all per-site elimination obligations
-    (["sym"] / ["inv"] / ["rng"]) — the verifier's independent view of
-    which stores lost their inline checks. *)
-
-val verdict_name : verdict -> string
 val pp_obligation : Format.formatter -> obligation -> unit
 
 val summary_line : report -> string
 (** One line: [verify: obligations=N proved=N refuted=N unknown=N]. *)
-
-val to_text : report -> string
-(** The summary line followed by one rendered line per obligation. *)
 
 val explain : report -> string -> string option
 (** Obligations touching the given site: the target parses as an
     origin item index (decimal or [0x] hex) or names a pseudo.  [None]
     when nothing matches — callers join this into [--explain] output. *)
 
-val to_json : report -> Export.json
 val to_json_string : ?indent:int -> report -> string

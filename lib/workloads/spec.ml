@@ -15,10 +15,5 @@ let all : Workload.t list =
     Tomcatv.workload;
   ]
 
-let c_programs = List.filter (fun w -> w.Workload.lang = Workload.C) all
-
-let fortran_programs =
-  List.filter (fun w -> w.Workload.lang = Workload.Fortran) all
-
 let find name =
   List.find_opt (fun w -> String.equal w.Workload.name name) all

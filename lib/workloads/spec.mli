@@ -1,6 +1,4 @@
 (** The benchmark registry, in Table 1's order. *)
 
 val all : Workload.t list
-val c_programs : Workload.t list
-val fortran_programs : Workload.t list
 val find : string -> Workload.t option

@@ -16,5 +16,3 @@ type t = {
 let lang_to_string = function C -> "C" | Fortran -> "F"
 
 let fortran_idiom t = t.lang = Fortran
-
-let pp ppf t = Fmt.pf ppf "(%s) %s" (lang_to_string t.lang) t.name

@@ -20,5 +20,3 @@ val lang_to_string : lang -> string
 
 val fortran_idiom : t -> bool
 (** Whether the BSS-VAR write type applies (§3.1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -373,8 +373,10 @@ let test_mrs_pseudo_home () =
   let symtab =
     Symtab.of_list
       [
-        Symtab.scalar ~name:"g" (Symtab.Absolute 0x400010);
-        Symtab.scalar ~func:"f" ~name:"x" (Symtab.Fp_offset (-20));
+        { Symtab.name = "g"; func = None; location = Symtab.Absolute 0x400010;
+          size_words = 1; ctype = Symtab.Scalar };
+        { Symtab.name = "x"; func = Some "f"; location = Symtab.Fp_offset (-20);
+          size_words = 1; ctype = Symtab.Scalar };
       ]
   in
   (match Mrs.pseudo_home_of_symtab symtab "g" with

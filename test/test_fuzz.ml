@@ -209,12 +209,122 @@ let test_recursive_differential () =
     "recursive program: fast path == generic interpreter" true
     (fast_path_matches_generic recursive_program)
 
+(* Translation validation on generated programs: every [O_full] plan,
+   with and without alias checks, must verify with no [Refuted]
+   obligation.  [Unknown] obligations are allowed but counted, and the
+   total is printed so the rate stays visible in the test log. *)
+let verifier_plans = ref 0
+let verifier_unknown = ref 0
+
+let prop_verifier_sound =
+  QCheck.Test.make ~name:"random programs: O_full plans verify, none refuted"
+    ~count:60 arb_program (fun src ->
+      List.for_all
+        (fun check_aliases ->
+          let options =
+            { Instrument.default_options with opt = Instrument.O_full; check_aliases }
+          in
+          let session = Session.create ~options src in
+          let rep =
+            Verify.run ~audit:(Audit.report session.Session.audit)
+              session.Session.plan
+          in
+          incr verifier_plans;
+          verifier_unknown := !verifier_unknown + rep.Verify.v_unknown;
+          if rep.Verify.v_refuted > 0 then
+            QCheck.Test.fail_reportf "check_aliases=%b: %s" check_aliases
+              (Verify.summary_line rep);
+          true)
+        [ false; true ])
+
+let verifier_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_verifier_sound in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Printf.printf "verifier on random programs: %d plans, %d unknown obligations\n"
+        !verifier_plans !verifier_unknown )
+
+(* Fuel slicing on generated programs: a session run in slices of a
+   random size, with a random checkpoint interval, must end exactly as
+   one [Session.run] of the same program does — exit code, output,
+   stats, debugger hits, telemetry, and the retroactive answers about
+   [g0].  dbreakd serves every [run] through [run_slice]. *)
+type run_result = {
+  code : int;
+  output : string;
+  stats : Machine.Cpu.stats;
+  hits : (int * int * string option * Mrs.access * int) list;
+  telemetry : string;
+  last_write : Session.write_record option;
+  history : Session.write_record list;
+}
+
+let run_watched ~options ~checkpoint_every ~slice src =
+  let session = Session.create ~options ~checkpoint_every src in
+  let dbg = Debugger.create session in
+  ignore (Debugger.watch dbg "g0");
+  let code, output =
+    match slice with
+    | None -> Session.run ~fuel:20_000_000 session
+    | Some fuel ->
+      let rec go () =
+        match Session.run_slice ~fuel session with
+        | `Exited result -> result
+        | `Running _ -> go ()
+      in
+      go ()
+  in
+  let g0 = Option.get (Session.resolve_addr session "g0") in
+  {
+    code;
+    output;
+    stats = Session.stats session;
+    hits =
+      List.map
+        (fun (e : Debugger.event) ->
+          (e.Debugger.addr, e.Debugger.pc, e.Debugger.in_function,
+           e.Debugger.access, e.Debugger.value))
+        (Debugger.events dbg);
+    telemetry = Export.to_text (Session.report session);
+    last_write = Session.last_write session ~addr:g0;
+    history = Session.write_history session ~lo:g0 ~hi:(g0 + 4);
+  }
+
+let slicing_configurations =
+  [
+    Instrument.default_options;
+    { Instrument.default_options with opt = Instrument.O_symbol };
+    { Instrument.default_options with opt = Instrument.O_full };
+    { Instrument.default_options with opt = Instrument.O_full; check_aliases = true };
+  ]
+
+let prop_slicing_matches_run =
+  QCheck.Test.make ~name:"random programs: run_slice to exit == one run"
+    ~count:40
+    (QCheck.triple arb_program
+       (* Most generated programs run a few hundred to a few thousand
+          instructions, so short slices and intervals are drawn often
+          enough to cut every run into many slices and windows. *)
+       (QCheck.make ~print:string_of_int
+          QCheck.Gen.(oneof [ int_range 1 100; int_range 1 5_000 ]))
+       (QCheck.int_range 50 2_000))
+    (fun (src, slice, checkpoint_every) ->
+      List.for_all
+        (fun options ->
+          run_watched ~options ~checkpoint_every ~slice:None src
+          = run_watched ~options ~checkpoint_every ~slice:(Some slice) src)
+        slicing_configurations)
+
 let suites =
   [
     ( "dbp.fuzz",
       [
         QCheck_alcotest.to_alcotest prop_semantics_and_soundness;
         QCheck_alcotest.to_alcotest prop_fast_path_differential;
+        verifier_case;
+        QCheck_alcotest.to_alcotest prop_slicing_matches_run;
         Alcotest.test_case "recursive program: pre-decoded fast path == generic"
           `Quick test_recursive_differential;
       ] );

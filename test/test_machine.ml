@@ -298,26 +298,18 @@ let test_cache_basic () =
   check_int "hits" 1 (Cache.hits c);
   check_int "misses" 4 (Cache.misses c)
 
-let test_cache_flush () =
-  let c = Cache.create ~size_bytes:1024 ~line_bytes:32 () in
-  ignore (Cache.access c 0x1000);
-  Cache.flush c;
-  check_bool "miss after flush" false (Cache.access c 0x1000);
-  check_int "counters reset" 1 (Cache.misses c)
-
 (* Chunk-shared cache snapshots against a flat-copy model: the model
    keeps a plain tag array and copies all of it per snapshot.  Random
-   accesses, snapshots, restores to random earlier snapshots and
-   flushes must give the same hit/miss stream and counters.  The cache
+   accesses, snapshots and restores to random earlier snapshots must
+   give the same hit/miss stream and counters.  The cache
    sizes give four full tag chunks, and a line count that is not a
    power of two (so a short last chunk and the [mod] index). *)
-type cache_op = Access of int | Cache_snapshot | Cache_restore of int | Flush
+type cache_op = Access of int | Cache_snapshot | Cache_restore of int
 
 let show_cache_op = function
   | Access a -> Printf.sprintf "access 0x%x" a
   | Cache_snapshot -> "snapshot"
   | Cache_restore i -> Printf.sprintf "restore %d" i
-  | Flush -> "flush"
 
 let run_cache_ops (size_bytes, ops) =
   let line_bytes = 32 in
@@ -346,11 +338,6 @@ let run_cache_ops (size_bytes, ops) =
         hits := h;
         misses := m
       end
-    | Flush ->
-      Cache.flush c;
-      Array.fill tags 0 lines (-1);
-      hits := 0;
-      misses := 0
   in
   List.iter
     (fun op ->
@@ -375,7 +362,6 @@ let prop_cache_snapshots =
         (12, map (fun a -> Access a) addr);
         (2, return Cache_snapshot);
         (2, map (fun i -> Cache_restore i) nat);
-        (1, return Flush);
       ]
   in
   QCheck.Test.make ~name:"chunk-shared snapshots = flat-copy model" ~count:300
@@ -849,7 +835,6 @@ let suites =
     ( "machine.cache",
       [
         Alcotest.test_case "hits and conflicts" `Quick test_cache_basic;
-        Alcotest.test_case "flush" `Quick test_cache_flush;
         QCheck_alcotest.to_alcotest prop_cache_snapshots;
       ] );
     ( "machine.windows",

@@ -345,7 +345,7 @@ let test_journal_basics () =
   let j = Journal.create ~interval:100 () in
   check_int "interval" 100 (Journal.interval j);
   let take seq =
-    let s = Snapshot.capture ~seq ~written:Written.empty cpu in
+    let s = Snapshot.capture ~seq ~written:(Written.take (Written.builder ())) cpu in
     Journal.record j s;
     s
   in
@@ -876,15 +876,17 @@ let test_slicing_invariance () =
         ~opt:Instrument.O_full w "c"
     in
     let r = Option.get (Session.replay session) in
-    (match rng with
-    | None -> ignore (Replay.record r)
-    | Some rng ->
-      let rec go () =
-        match Replay.record_slice ~fuel:(Random.State.int rng 20_000) r with
-        | `Exited _ -> ()
-        | `Out_of_fuel _ -> go ()
-      in
-      go ());
+    let code =
+      match rng with
+      | None -> Replay.record r
+      | Some rng ->
+        let rec go () =
+          match Replay.record_slice ~fuel:(Random.State.int rng 20_000) r with
+          | `Exited code -> code
+          | `Out_of_fuel _ -> go ()
+        in
+        go ()
+    in
     let j = Replay.journal r in
     let snaps = Journal.snapshots j in
     let answers =
@@ -895,7 +897,7 @@ let test_slicing_invariance () =
             List.map gt_of_hit (Replay.write_history r ~lo ~hi:(lo + 8)) ))
         globals
     in
-    ( (Replay.exit_code r, Replay.end_insn r, Journal.evictions j),
+    ( (code, Replay.end_insn r, Journal.evictions j),
       ( Journal.captured_delta_pages j,
         Journal.captured_shared_pages j,
         Journal.captured_bytes j,
@@ -953,7 +955,7 @@ let test_eviction_merges_summaries () =
       (Written.words
          (List.fold_left
             (fun acc s -> Written.union acc (Snapshot.written s))
-            Written.empty absorbed))
+            (Written.take (Written.builder ())) absorbed))
       (Written.words (Snapshot.written kept.(i)))
   done;
   check_bool "some window absorbed several" true (!widest > 2)

@@ -35,15 +35,17 @@ let test_word_divides () =
 
 (* --- Reg ---------------------------------------------------------------- *)
 
+let all_regs = List.init 32 Reg.of_index
+
 let test_reg_roundtrip () =
   List.iter
     (fun r ->
       let r' = Reg.of_string (Reg.to_string r) in
       check_bool (Reg.to_string r) true (Reg.equal r r'))
-    Reg.all;
+    all_regs;
   List.iteri
     (fun i r -> check_int "index" i (Reg.index r))
-    Reg.all
+    all_regs
 
 let test_reg_aliases () =
   check_string "sp" "%sp" (Reg.to_string Reg.sp);
@@ -55,14 +57,13 @@ let test_reg_aliases () =
 
 (* --- Cond --------------------------------------------------------------- *)
 
+(* Packed flags of [a - b], bit 3 = n, bit 2 = z, bit 1 = v, bit 0 = c. *)
 let icc_of_cmp a b =
   let r = Word.sub a b in
-  {
-    Cond.n = r < 0;
-    z = r = 0;
-    v = Word.sub_overflow a b;
-    c = Word.sub_carry a b;
-  }
+  let bit b k = if b then k else 0 in
+  bit (r < 0) 8 lor bit (r = 0) 4
+  lor bit (Word.sub_overflow a b) 2
+  lor bit (Word.sub_carry a b) 1
 
 let test_cond_signed () =
   let pairs = [ (1, 2); (2, 1); (0, 0); (-5, 3); (3, -5); (min_int land 0xFFFFFFFF, 1) ] in
@@ -70,11 +71,11 @@ let test_cond_signed () =
     (fun (a, b) ->
       let a = Word.norm a and b = Word.norm b in
       let icc = icc_of_cmp a b in
-      check_bool (Printf.sprintf "%d<%d" a b) (a < b) (Cond.eval Cond.L icc);
-      check_bool (Printf.sprintf "%d<=%d" a b) (a <= b) (Cond.eval Cond.Le icc);
-      check_bool (Printf.sprintf "%d>%d" a b) (a > b) (Cond.eval Cond.G icc);
-      check_bool (Printf.sprintf "%d>=%d" a b) (a >= b) (Cond.eval Cond.Ge icc);
-      check_bool (Printf.sprintf "%d=%d" a b) (a = b) (Cond.eval Cond.E icc))
+      check_bool (Printf.sprintf "%d<%d" a b) (a < b) (Cond.eval_packed Cond.L icc);
+      check_bool (Printf.sprintf "%d<=%d" a b) (a <= b) (Cond.eval_packed Cond.Le icc);
+      check_bool (Printf.sprintf "%d>%d" a b) (a > b) (Cond.eval_packed Cond.G icc);
+      check_bool (Printf.sprintf "%d>=%d" a b) (a >= b) (Cond.eval_packed Cond.Ge icc);
+      check_bool (Printf.sprintf "%d=%d" a b) (a = b) (Cond.eval_packed Cond.E icc))
     pairs
 
 let test_cond_unsigned () =
@@ -84,25 +85,24 @@ let test_cond_unsigned () =
       let a = Word.norm a and b = Word.norm b in
       let ua = Word.to_unsigned a and ub = Word.to_unsigned b in
       let icc = icc_of_cmp a b in
-      check_bool "gu" (ua > ub) (Cond.eval Cond.Gu icc);
-      check_bool "leu" (ua <= ub) (Cond.eval Cond.Leu icc);
-      check_bool "cc/geu" (ua >= ub) (Cond.eval Cond.Cc icc);
-      check_bool "cs/lu" (ua < ub) (Cond.eval Cond.Cs icc))
+      check_bool "gu" (ua > ub) (Cond.eval_packed Cond.Gu icc);
+      check_bool "leu" (ua <= ub) (Cond.eval_packed Cond.Leu icc);
+      check_bool "cc/geu" (ua >= ub) (Cond.eval_packed Cond.Cc icc);
+      check_bool "cs/lu" (ua < ub) (Cond.eval_packed Cond.Cs icc))
     pairs
+
+let all_conds =
+  Cond.[ A; N; E; Ne; G; Ge; L; Le; Gu; Leu; Cc; Cs; Pos; Neg; Vc; Vs ]
 
 let test_cond_negate () =
   List.iter
     (fun c ->
       List.iter
         (fun icc ->
-          check_bool "negate" (not (Cond.eval c icc)) (Cond.eval (Cond.negate c) icc))
-        [
-          Cond.icc_zero;
-          { Cond.n = true; z = false; v = false; c = true };
-          { Cond.n = false; z = true; v = false; c = false };
-          { Cond.n = true; z = false; v = true; c = false };
-        ])
-    Cond.all
+          check_bool "negate" (not (Cond.eval_packed c icc))
+            (Cond.eval_packed (Cond.negate c) icc))
+        [ Cond.packed_zero; 0b1001; 0b0100; 0b1010 ])
+    all_conds
 
 (* --- Asm / Assembler ----------------------------------------------------- *)
 
@@ -277,7 +277,7 @@ let gen_insn =
          and* rd = gen_reg
          and* width = oneofl [ Insn.Word; Insn.Byte; Insn.Half ] in
          return (Insn.St { width; rd; rs1; off }));
-        (let* cond = oneofl Cond.all in
+        (let* cond = oneofl all_conds in
          return (Insn.Branch { cond; target = Insn.Sym "target" }));
         return (Insn.Call { target = Insn.Sym "target" });
         (let* rs1 = gen_reg and* off = gen_operand and* rd = gen_reg in
@@ -305,13 +305,16 @@ let prop_roundtrip =
 
 (* --- Symtab -------------------------------------------------------------- *)
 
+let scalar ?func ~name location =
+  { Symtab.name; func; location; size_words = 1; ctype = Symtab.Scalar }
+
 let test_symtab_scopes () =
   let t =
     Symtab.of_list
       [
-        Symtab.scalar ~name:"x" (Symtab.Data_label ("x", 0));
-        Symtab.scalar ~func:"f" ~name:"x" (Symtab.Fp_offset (-20));
-        Symtab.scalar ~func:"f" ~name:"y" (Symtab.Fp_offset (-24));
+        scalar ~name:"x" (Symtab.Data_label ("x", 0));
+        scalar ~func:"f" ~name:"x" (Symtab.Fp_offset (-20));
+        scalar ~func:"f" ~name:"y" (Symtab.Fp_offset (-24));
       ]
   in
   (match Symtab.lookup t "x" with
@@ -320,14 +323,13 @@ let test_symtab_scopes () =
   (match Symtab.lookup t ~func:"f" "x" with
   | Some { Symtab.location = Symtab.Fp_offset (-20); _ } -> ()
   | _ -> Alcotest.fail "local x");
-  (match Symtab.lookup_visible t ~func:"g" "x" with
-  | Some { Symtab.func = None; _ } -> ()
-  | _ -> Alcotest.fail "fall back to global");
-  check_int "globals" 1 (List.length (Symtab.globals t));
-  check_int "locals of f" 2 (List.length (Symtab.locals_of t "f"))
+  (match Symtab.lookup t ~func:"g" "x" with
+  | None -> ()
+  | Some _ -> Alcotest.fail "g has no local x");
+  check_int "globals" 1 (List.length (Symtab.globals t))
 
 let test_symtab_resolution () =
-  let t = Symtab.of_list [ Symtab.scalar ~name:"g" (Symtab.Data_label ("g", 8)) ] in
+  let t = Symtab.of_list [ scalar ~name:"g" (Symtab.Data_label ("g", 8)) ] in
   let t =
     Symtab.resolve_data_labels
       ~addr_of_label:(fun l -> if l = "g" then Some 0x400000 else None)

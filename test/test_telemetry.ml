@@ -19,7 +19,6 @@ let test_ring_basic () =
   check_int "empty length" 0 (Ring.length r);
   List.iter (Ring.push r) [ 1; 2; 3 ];
   check_int "length" 3 (Ring.length r);
-  check_int "pushed" 3 (Ring.pushed r);
   check_int "dropped" 0 (Ring.dropped r);
   Alcotest.(check (list int)) "oldest first" [ 1; 2; 3 ] (Ring.to_list r)
 
@@ -29,13 +28,9 @@ let test_ring_wraparound () =
     Ring.push r i
   done;
   check_int "length capped" 3 (Ring.length r);
-  check_int "pushed counts everything" 10 (Ring.pushed r);
   check_int "dropped = pushed - length" 7 (Ring.dropped r);
   Alcotest.(check (list int)) "last three, oldest first" [ 8; 9; 10 ]
-    (Ring.to_list r);
-  Ring.clear r;
-  check_int "clear resets" 0 (Ring.pushed r);
-  Alcotest.(check (list int)) "cleared" [] (Ring.to_list r)
+    (Ring.to_list r)
 
 let test_ring_zero_capacity () =
   let r = Ring.create ~capacity:0 in
@@ -43,7 +38,6 @@ let test_ring_zero_capacity () =
     Ring.push r i
   done;
   check_int "holds nothing" 0 (Ring.length r);
-  check_int "still counts pushes" 5 (Ring.pushed r);
   check_int "all dropped" 5 (Ring.dropped r);
   check_bool "negative capacity rejected" true
     (match Ring.create ~capacity:(-1) with
@@ -230,30 +224,6 @@ int main() {
     (c.Mrs.user_hits + c.Mrs.internal_hits)
     (write_site_hits + read_site_hits + counter rep "unattributed_hits")
 
-let test_reset_counters () =
-  let src = {|
-int g;
-int main() {
-  int i;
-  for (i = 0; i < 5; i = i + 1) { g = i; }
-  return g;
-}
-|} in
-  let session = Session.create src in
-  let dbg = Debugger.create session in
-  ignore (Debugger.watch dbg "g");
-  ignore (Session.run ~fuel:1_000_000 session);
-  let c = Mrs.counters session.Session.mrs in
-  check_bool "phase one produced hits" true (c.Mrs.user_hits > 0);
-  Mrs.reset_counters c;
-  check_int "user_hits zeroed" 0 c.Mrs.user_hits;
-  check_int "read_hits zeroed" 0 c.Mrs.read_hits;
-  check_int "internal zeroed" 0 c.Mrs.internal_hits;
-  check_int "loop_entries zeroed" 0 c.Mrs.loop_entries;
-  check_int "loop_triggers zeroed" 0 c.Mrs.loop_triggers;
-  check_int "patches zeroed" 0 c.Mrs.patches_inserted;
-  check_int "violations zeroed" 0 c.Mrs.violations
-
 (* --- fuzz: registry on/off parity -------------------------------------------- *)
 
 (* The registry must be observation-only: running the same program with
@@ -404,7 +374,6 @@ let suites =
           test_matrix300_parity;
         Alcotest.test_case "optimized read/write attribution" `Quick
           test_optimized_readwrite_parity;
-        Alcotest.test_case "Mrs.reset_counters" `Quick test_reset_counters;
         QCheck_alcotest.to_alcotest prop_registry_parity;
         QCheck_alcotest.to_alcotest prop_fast_generic_count_parity;
       ] );

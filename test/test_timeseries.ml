@@ -253,9 +253,7 @@ let test_summarize_windows () =
     (* Window 1 holds samples at insn 100 and 150; its boundary value
        25 minus window 0's 5 is the peak increment. *)
     check_int "peak increment" 20 s.Timeseries.ws_peak;
-    check_int "peak window" 1 s.Timeseries.ws_peak_window;
-    check_bool "mean = total / windows" true
-      (Timeseries.mean_per_window s = 10.)
+    check_int "peak window" 1 s.Timeseries.ws_peak_window
   | l -> Alcotest.failf "expected one summary, got %d" (List.length l)
 
 let test_summarize_empty () =
@@ -618,8 +616,7 @@ let test_scrape_endpoint () =
       check_bool "index lists the endpoint" true
         (has_substring (http_get srv "GET / HTTP/1.0\r\n\r\n") "/metrics");
       check_bool "malformed request is 400" true
-        (has_substring (http_get srv "BOGUS\r\n\r\n") "HTTP/1.0 400");
-      check_int "requests counted" 4 (Scrape.served srv));
+        (has_substring (http_get srv "BOGUS\r\n\r\n") "HTTP/1.0 400"));
   (* Close is idempotent and polls become no-ops. *)
   Scrape.close srv;
   check_int "poll after close" 0 (Scrape.poll srv)
