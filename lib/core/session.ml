@@ -134,7 +134,7 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
   Telemetry.set_tag telemetry "strategy" (Strategy.tag options.Instrument.strategy);
   Audit.set_tag audit "strategy" (Strategy.tag options.Instrument.strategy);
   (* Size the per-site arrays off the plan: slot [i] is the i-th site in
-     program order — the probes below are the only writers of the exec
+     program order — the counters below are the only writers of the exec
      cells, so the fast path is one array increment. *)
   Telemetry.alloc_sites telemetry
     (Array.of_list
@@ -158,17 +158,17 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
       (match Assembler.addr_of_label image (Instrument.site_label s.origin) with
       | Some addr ->
         let slot = s.slot in
-        Cpu.add_probe cpu addr (fun _ -> Telemetry.bump_site telemetry slot)
+        Cpu.add_counter cpu addr (fun () -> Telemetry.bump_site telemetry slot)
       | None -> ());
       (* Conservation accounting: an eliminated site's check, once
-         patched back in, executes in its patch stub — a probe at the
+         patched back in, executes in its patch stub — a counter at the
          stub label counts exactly the patched-check executions, so
          [site_patched <= site_exec] always, with equality while the
          patch is armed and zero while the variable is unmonitored. *)
       match Assembler.addr_of_label image (Instrument.patch_label s.origin) with
       | Some addr ->
         let slot = s.slot in
-        Cpu.add_probe cpu addr (fun _ ->
+        Cpu.add_counter cpu addr (fun () ->
             Telemetry.bump_site_patched telemetry slot)
       | None -> ())
     plan.Instrument.sites;
@@ -179,13 +179,13 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
       with
       | Some addr ->
         let slot = r.r_slot in
-        Cpu.add_probe cpu addr (fun _ -> Telemetry.bump_read_site telemetry slot)
+        Cpu.add_counter cpu addr (fun () -> Telemetry.bump_read_site telemetry slot)
       | None -> ())
     plan.Instrument.read_sites;
-  (* Segment-cache miss accounting: probe the per-write-type miss
-     handlers (and their read variants) so Figure 3 and the telemetry
-     reports draw from one counter.  Probes cost no simulated cycles,
-     so every table number is unchanged. *)
+  (* Segment-cache miss accounting: count entries to the per-write-type
+     miss handlers (and their read variants) so Figure 3 and the
+     telemetry reports draw from one counter.  Counters cost no
+     simulated cycles, so every table number is unchanged. *)
   if Strategy.uses_segment_caches options.Instrument.strategy then
     List.iter
       (fun wt ->
@@ -194,7 +194,7 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
           (fun label ->
             match Assembler.addr_of_label image label with
             | Some addr ->
-              Cpu.add_probe cpu addr (fun _ ->
+              Cpu.add_counter cpu addr (fun () ->
                   Telemetry.incr_typed telemetry Telemetry.Cache_misses_by_type
                     idx)
             | None -> ())

@@ -15,14 +15,20 @@ type t = {
           restored *)
   mutable base : int array array;
       (** that snapshot's chunks ([[||]] before the first) *)
-  mutable hits : int;
+  mutable hits : int;  (** bumped by {!access} only *)
   mutable misses : int;
 }
 (** The representation is exposed so {!Cpu}'s hot loop can inline the
     access check (one array read per instruction fetch / data access)
     without a cross-module call; an inlined miss must mark its chunk
     dirty as {!access} does.  Code outside [Cpu] must treat it as
-    abstract and go through {!access}. *)
+    abstract and go through {!access}.
+
+    The hit count belongs to whoever probes the cache.  {!access} bumps
+    [hits]; a {!Cpu} owns its cache's hits instead: its inlined probe
+    counts only misses, skips the probe for fetches that cannot miss,
+    and derives hits from its fetch and data-access counts
+    ({!Cpu.stats}), so [hits] stays 0 in a [Cpu]'s cache. *)
 
 val chunk_bits : int
 (** Lines per tag chunk, as a power of two. *)
@@ -36,6 +42,8 @@ val access : t -> int -> bool
     the line on miss. *)
 
 val hits : t -> int
+(** Hits of {!access} (not of a {!Cpu}'s inlined probe). *)
+
 val misses : t -> int
 
 (** {1 Checkpoint support} *)

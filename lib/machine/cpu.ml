@@ -40,13 +40,19 @@ type t = {
   mutable halted : int option;
   mutable ninstrs : int;
   mutable cycles : int;
+  (* Cache probes made by data accesses, a double-word access counting
+     two.  Every executed instruction is one fetch, so the cache's hits
+     are derived ([ninstrs + ndata - misses]) rather than bumped: a
+     block's fetch that cannot miss skips the tag probe (see
+     [run_block]). *)
+  mutable ndata : int;
   mutable nloads : int;
   mutable nstores : int;
   mutable nbranches : int;
   mutable ntraps : int;
-  (* Dispatch counters for the observability layer: how many times the
-     probe slow path ran and how many hook invocations the memory
-     operations performed.  Deliberately *not* part of {!stats} — the
+  (* Dispatch counters for the observability layer: how many probes and
+     counters fired and how many hook invocations the memory operations
+     performed.  Deliberately *not* part of {!stats} — the
      fuzz harness checks that a probe-free fast run and a probed slow
      run produce identical [stats], and dispatch counts necessarily
      differ between them. *)
@@ -62,6 +68,23 @@ type t = {
      fast path is a single array read plus a length test — no hashing,
      no allocation (the seed did a [Hashtbl.find_opt] per step). *)
   probes : (t -> unit) array array;
+  (* Counting probes by slot ({!add_counter}): compiled into the slot's
+     pre-decoded closure, so a counted slot stays on the fast path and
+     inside blocks; the probe slow path bumps them too. *)
+  counters : (int, (unit -> unit) array) Hashtbl.t;
+  (* Block metadata, one byte per text slot, built lazily by [run_to]
+     ([Bytes.empty] until the first run).  Bits 1-7 hold [len + 1] for
+     the straight-line block starting at the slot ([0]: not built yet);
+     bit 0 is the slot's fetch flag, set when the fetch cannot miss if
+     the slot is reached by falling through from the previous one inside
+     a block: same cache line, and the previous instruction makes no
+     data access.  [patch], [add_probe] and a text-changing [rollback]
+     clear the lengths of every block that can cover the changed slot. *)
+  mutable blocks : Bytes.t;
+  (* Bumped by every change that can reshape a block (a patch, a new
+     probe, a text-changing rollback); the hook dispatchers check it is
+     unchanged across a hook. *)
+  mutable edits : int;
   out : Buffer.t;
   mutable brk : int;
   config : config;
@@ -158,10 +181,27 @@ let text_index t addr =
     faultf t "pc 0x%x outside text" (Word.to_unsigned addr)
   else off / 4
 
+(* Longest block [run_to] forms; [len + 1] must fit bits 1-7 of a
+   [blocks] byte. *)
+let max_block = 126
+
+(* Forget every block that can cover slot [i]: those starting at most
+   [max_block - 1] slots before it.  Fetch flags stay; a block that
+   covers a changed slot recomputes its flags when it re-forms. *)
+let unblock t i =
+  t.edits <- t.edits + 1;
+  let b = t.blocks in
+  if Bytes.length b > 0 then
+    for k = max 0 (i - max_block + 1) to i do
+      Bytes.unsafe_set b k
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get b k) land 1))
+    done
+
 let add_probe t addr f =
   let i = text_index t addr in
   (* Probes fire in registration order (append keeps it). *)
-  t.probes.(i) <- Array.append t.probes.(i) [| f |]
+  t.probes.(i) <- Array.append t.probes.(i) [| f |];
+  unblock t i
 
 let output t = Buffer.contents t.out
 let print_string t s = Buffer.add_string t.out s
@@ -276,29 +316,26 @@ let[@inline] observe t idx =
   if Array.length t.prof_exec > 0 then prof_step t idx;
   if t.samp_every > 0 then samp_step t
 
-(* Cache probe, inlined from {!Cache.access}: runs once per fetch and
-   once per data access.  Counters live in the shared [Cache.t] so
-   [stats]/[flush] behave exactly as before. *)
-let cache_access t addr =
+(* Cache probe, inlined from {!Cache.access} and charging the miss
+   penalty: runs once per data access and once per fetch that can miss.
+   Only misses are counted here; [stats] derives the hits. *)
+let[@inline] cache_access t addr =
   let c = t.cache in
   let line_addr = uns addr lsr c.Cache.line_bits in
   let idx =
     if c.Cache.mask >= 0 then line_addr land c.Cache.mask
     else line_addr mod c.Cache.lines
   in
-  if Array.unsafe_get c.Cache.tags idx = line_addr then begin
-    c.Cache.hits <- c.Cache.hits + 1;
-    true
-  end
-  else begin
+  if Array.unsafe_get c.Cache.tags idx <> line_addr then begin
     c.Cache.misses <- c.Cache.misses + 1;
     Array.unsafe_set c.Cache.tags idx line_addr;
     Bytes.unsafe_set c.Cache.dirty (idx lsr Cache.chunk_bits) '\001';
-    false
+    t.cycles <- t.cycles + t.config.miss_penalty
   end
 
 let data_access t addr =
-  if not (cache_access t addr) then add_cycles t t.config.miss_penalty
+  t.ndata <- t.ndata + 1;
+  cache_access t addr
 
 let alu_result t op a b =
   match op with
@@ -356,19 +393,26 @@ let pair_reg t rd =
 
 let double_align t ea = if ea land 7 <> 0 then faultf t "misaligned double access 0x%x" ea
 
-let run_store_hooks t ea width =
-  let hs = t.store_hooks in
-  t.nstore_hook_dispatches <- t.nstore_hook_dispatches + t.nstore_hooks;
-  for i = 0 to t.nstore_hooks - 1 do
+(* Hooks run inside blocks, which assume straight-line control and a
+   fixed text: a hook must not halt the machine, patch text, add a
+   probe or move the pc. *)
+let run_hooks t kind hs n ea width =
+  let pc = t.pc and halted = t.halted and edits = t.edits in
+  for i = 0 to n - 1 do
     (Array.unsafe_get hs i) t ~addr:ea ~width
-  done
+  done;
+  if t.pc <> pc || t.halted != halted || t.edits <> edits then
+    invalid_arg
+      ("Cpu: a " ^ kind
+     ^ " hook halted the machine, patched text, added a probe or moved the pc")
+
+let run_store_hooks t ea width =
+  t.nstore_hook_dispatches <- t.nstore_hook_dispatches + t.nstore_hooks;
+  run_hooks t "store" t.store_hooks t.nstore_hooks ea width
 
 let run_load_hooks t ea width =
-  let hs = t.load_hooks in
   t.nload_hook_dispatches <- t.nload_hook_dispatches + t.nload_hooks;
-  for i = 0 to t.nload_hooks - 1 do
-    (Array.unsafe_get hs i) t ~addr:ea ~width
-  done
+  run_hooks t "load" t.load_hooks t.nload_hooks ea width
 
 (* Width-specialized memory-operation bodies, shared between the
    generic {!execute} (probe slow path) and the pre-decoded closures
@@ -797,6 +841,7 @@ let create ?(config = default_config) (image : Assembler.image) =
       halted = None;
       ninstrs = 0;
       cycles = 0;
+      ndata = 0;
       nloads = 0;
       nstores = 0;
       nbranches = 0;
@@ -808,6 +853,9 @@ let create ?(config = default_config) (image : Assembler.image) =
       text_base = image.text_base;
       traps = Hashtbl.create 16;
       probes = Array.make (Array.length image.text) no_probes;
+      counters = Hashtbl.create 16;
+      blocks = Bytes.empty;
+      edits = 0;
       out = Buffer.create 256;
       brk = (image.data_limit + 7) land lnot 7;
       config;
@@ -831,12 +879,48 @@ let create ?(config = default_config) (image : Assembler.image) =
   Windows.set t.win Reg.sp 0x7FFF_FF00;
   t
 
+let no_counters : (unit -> unit) array = [||]
+
+let counters_at t i =
+  match Hashtbl.find_opt t.counters i with Some cs -> cs | None -> no_counters
+
+(* Fire slot [i]'s counters; they count as probe dispatches. *)
+let[@inline] count t cs =
+  t.nprobe_dispatches <- t.nprobe_dispatches + Array.length cs;
+  for k = 0 to Array.length cs - 1 do
+    (Array.unsafe_get cs k) ()
+  done
+
+(* Slot [i]'s pre-decoded closure, with its counters compiled in. *)
+let recompile t i insn =
+  let body = compile t.text_base i insn in
+  let cs = counters_at t i in
+  t.code.(i) <-
+    (if cs == no_counters then body
+     else
+       fun t ->
+         count t cs;
+         body t)
+
+let add_counter t addr f =
+  let i = text_index t addr in
+  Hashtbl.replace t.counters i (Array.append (counters_at t i) [| f |]);
+  recompile t i t.text.(i)
+
 let patch t addr insn =
   let i = text_index t addr in
   t.text.(i) <- insn;
-  t.code.(i) <- compile t.text_base i insn;
+  recompile t i insn;
   prof_repatch t i insn;
+  unblock t i;
   t.text_version <- t.text_version + 1
+
+(* One fetch that can miss: a tag probe charging any miss, then the
+   instruction's base cycle. *)
+let[@inline] fetch t =
+  cache_access t t.pc;
+  t.ninstrs <- t.ninstrs + 1;
+  t.cycles <- t.cycles + 1
 
 let step t =
   let off = t.pc - t.text_base in
@@ -847,13 +931,12 @@ let step t =
     faultf t "pc 0x%x outside text" (Word.to_unsigned t.pc);
   let ps = Array.unsafe_get t.probes idx in
   if ps == no_probes then begin
-    if not (cache_access t t.pc) then add_cycles t t.config.miss_penalty;
-    t.ninstrs <- t.ninstrs + 1;
-    add_cycles t 1;
+    fetch t;
     (Array.unsafe_get t.code idx) t;
     if t.observed then observe t idx
   end
   else begin
+    count t (counters_at t idx);
     t.nprobe_dispatches <- t.nprobe_dispatches + Array.length ps;
     for i = 0 to Array.length ps - 1 do
       (Array.unsafe_get ps i) t
@@ -863,22 +946,82 @@ let step t =
        interpreter. *)
     let eidx = text_index t t.pc in
     let insn = Array.unsafe_get t.text eidx in
-    if not (cache_access t t.pc) then add_cycles t t.config.miss_penalty;
-    t.ninstrs <- t.ninstrs + 1;
-    add_cycles t 1;
+    fetch t;
     execute t insn (t.pc + 4);
     if t.observed then observe t eidx
   end
 
 let halt t code = t.halted <- Some code
 
+let is_data_access = function
+  | Insn.Ld _ | Insn.St _ -> true
+  | _ -> false
+
+(* Form the block starting at slot [idx] and return its length: up to
+   and including the first branch, call or jmpl, stopping before any
+   trap or probed slot ([0] when slot [idx] is one).  Also sets the
+   fetch flag of every slot after the first. *)
+let build_block t idx =
+  let text = t.text and b = t.blocks in
+  let n = Array.length text in
+  let rec scan j =
+    if j >= n || j - idx >= max_block || Array.unsafe_get t.probes j != no_probes
+    then j - idx
+    else
+      match Array.unsafe_get text j with
+      | Insn.Trap _ -> j - idx
+      | Insn.Branch _ | Insn.Call _ | Insn.Jmpl _ -> j - idx + 1
+      | _ -> scan (j + 1)
+  in
+  let len = scan idx in
+  let line j = (t.text_base + (j lsl 2)) lsr t.cache.Cache.line_bits in
+  for j = idx + 1 to idx + len - 1 do
+    let can_miss = line j <> line (j - 1) || is_data_access text.(j - 1) in
+    let len_bits = Char.code (Bytes.get b j) land lnot 1 in
+    Bytes.set b j (Char.chr (len_bits lor if can_miss then 0 else 1))
+  done;
+  Bytes.set b idx
+    (Char.chr (((len + 1) lsl 1) lor (Char.code (Bytes.get b idx) land 1)));
+  len
+
+(* Run the [len]-instruction block at slot [idx].  Only its first fetch
+   probes the cache unconditionally: a later one is a guaranteed hit in
+   the direct-mapped cache when its fetch flag is set, because the
+   previous instruction was fetched from the same line and touched no
+   data.  Every instruction still bumps [ninstrs] and its base cycle
+   before it executes, so a fault or a hook sees exactly what [step]
+   would show it. *)
+let run_block t idx len =
+  let code = t.code and b = t.blocks in
+  fetch t;
+  (Array.unsafe_get code idx) t;
+  for j = idx + 1 to idx + len - 1 do
+    if Char.code (Bytes.unsafe_get b j) land 1 = 0 then fetch t
+    else begin
+      t.ninstrs <- t.ninstrs + 1;
+      t.cycles <- t.cycles + 1
+    end;
+    (Array.unsafe_get code j) t
+  done
+
 (* The one run loop; recording and replay stop it at checkpoint
-   boundaries.  [halted] can only flip inside [step] (a trap handler,
-   probe, or hook), so a field test per iteration suffices — no option
-   allocation, no per-step match. *)
+   boundaries.  [halted] can only flip inside a trap handler or probe,
+   which never run inside a block, so the loop's tests — halted, fuel,
+   observers, bounds, block length — are paid once per block.  A block
+   runs only when it fits before [insn]; otherwise, and for observed
+   runs, probed slots and traps, the loop falls back to [step]. *)
 let run_to t ~insn =
+  let n = Array.length t.text in
+  if Bytes.length t.blocks <> n then t.blocks <- Bytes.make n '\000';
   while t.halted == None && t.ninstrs < insn do
-    step t
+    let off = t.pc - t.text_base in
+    let idx = off lsr 2 in
+    if t.observed || off land 3 <> 0 || idx >= n then step t
+    else begin
+      let m = Char.code (Bytes.unsafe_get t.blocks idx) lsr 1 in
+      let len = if m = 0 then build_block t idx else m - 1 in
+      if len = 0 || t.ninstrs + len > insn then step t else run_block t idx len
+    end
   done
 
 let run ?(fuel = 200_000_000) t =
@@ -916,6 +1059,7 @@ type checkpoint = {
   cp_halted : int option;
   cp_ninstrs : int;
   cp_cycles : int;
+  cp_ndata : int;
   cp_nloads : int;
   cp_nstores : int;
   cp_nbranches : int;
@@ -947,6 +1091,7 @@ let checkpoint t =
     cp_halted = t.halted;
     cp_ninstrs = t.ninstrs;
     cp_cycles = t.cycles;
+    cp_ndata = t.ndata;
     cp_nloads = t.nloads;
     cp_nstores = t.nstores;
     cp_nbranches = t.nbranches;
@@ -965,6 +1110,7 @@ let rollback t cp =
   t.halted <- cp.cp_halted;
   t.ninstrs <- cp.cp_ninstrs;
   t.cycles <- cp.cp_cycles;
+  t.ndata <- cp.cp_ndata;
   t.nloads <- cp.cp_nloads;
   t.nstores <- cp.cp_nstores;
   t.nbranches <- cp.cp_nbranches;
@@ -977,8 +1123,9 @@ let rollback t cp =
          run actually patched. *)
       if insn != t.text.(i) then begin
         t.text.(i) <- insn;
-        t.code.(i) <- compile t.text_base i insn;
-        prof_repatch t i insn
+        recompile t i insn;
+        prof_repatch t i insn;
+        unblock t i
       end
     done;
     (* Text now equals [cp_text]; give it a fresh monotonic version so a
@@ -1136,7 +1283,7 @@ let stats t =
     stores = t.nstores;
     branches = t.nbranches;
     traps = t.ntraps;
-    cache_hits = Cache.hits t.cache;
+    cache_hits = t.ninstrs + t.ndata - Cache.misses t.cache;
     cache_misses = Cache.misses t.cache;
     window_spills = Windows.spills t.win;
   }

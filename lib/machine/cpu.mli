@@ -37,16 +37,29 @@ val get : t -> Sparc.Reg.t -> int
 val set : t -> Sparc.Reg.t -> int -> unit
 
 val step : t -> unit
-(** Execute one instruction.  Instructions are pre-decoded into
-    specialized closures at load time (and on {!patch}/{!rollback}), so
-    a step with no probe registered at the pc is one direct-indexed
-    table read plus one indirect call. *)
+(** Execute one instruction — the one single-instruction path: observed
+    runs, probed slots, traps and {!run_to}'s fall-backs all go through
+    it.  Instructions are pre-decoded into specialized closures at load
+    time (and on {!patch}/{!rollback}), so a step with no probe
+    registered at the pc is one direct-indexed table read plus one
+    indirect call; a probed slot runs its counters and probes, then the
+    generic interpreter. *)
 
 val run_to : t -> insn:int -> unit
-(** Step until the program halts or {!instr_count} reaches [insn] — the
+(** Run until the program halts or {!instr_count} reaches [insn] — the
     interpreter's only run loop, shared by {!run} and by recording and
     replay, which stop it at checkpoint boundaries.  Returns at once if
-    the count is already at or past [insn]. *)
+    the count is already at or past [insn].
+
+    Straight-line text runs as blocks: a block runs up to and including
+    the first branch, call or jmpl and stops before any trap or probed
+    slot, so the loop's tests are paid once per block.  A block runs
+    only when it ends at or before [insn], and not while a profiler or
+    sampler observes the run; otherwise the loop falls back to {!step},
+    so a stop lands on the exact instruction.  Inside a block a fetch
+    from the line of the previous instruction, which made no data
+    access, skips the tag probe: in the direct-mapped cache it cannot
+    miss.  {!stats} are those of stepping. *)
 
 val run : ?fuel:int -> t -> int
 (** Run until the program halts (trap 0); returns the exit code.
@@ -62,13 +75,24 @@ val install_basic_services : t -> unit
 (** Traps 0-3: exit, print-int, print-char, sbrk. *)
 
 val add_probe : t -> int -> (t -> unit) -> unit
-(** Run a zero-cost observer just before each execution of the
-    instruction at [addr] — used by the benchmark harness to count
-    events (e.g. segment-cache hits) without perturbing the simulation.
-    Probes at the same address fire in registration order.  Probes live
-    in a direct-indexed table parallel to the text segment, so the
-    per-instruction cost when no probe is registered is a single array
-    read. @raise Fault if [addr] is outside text. *)
+(** Run a zero-cost control probe just before each execution of the
+    instruction at [addr] (the debugger's control breakpoints).  A probe
+    may move the pc, patch text or halt the machine.  Probes at the same
+    address fire in registration order, after the slot's counters; the
+    instruction then runs on the generic interpreter, and {!run_to}'s
+    blocks stop before the slot.  Probes live in a direct-indexed table
+    parallel to the text segment, so the per-instruction cost when no
+    probe is registered is a single array read.
+    @raise Fault if [addr] is outside text. *)
+
+val add_counter : t -> int -> (unit -> unit) -> unit
+(** Add a counting probe at [addr]: [f ()] runs just before each
+    execution of the instruction there, and must only count (no machine
+    state is passed to it).  It is compiled into the slot's pre-decoded
+    closure, kept across {!patch} and {!rollback}, so a counted slot
+    stays inside blocks; the probed-slot path runs it too.  Each call
+    counts as one {!probe_dispatches}.
+    @raise Fault if [addr] is outside text. *)
 
 val output : t -> string
 (** Everything the program printed via the print traps. *)
@@ -85,7 +109,9 @@ val fetch_at : t -> int -> Sparc.Insn.t
 val patch : t -> int -> Sparc.Insn.t -> unit
 (** Replace the decoded instruction at [addr] — the primitive beneath
     Kessler-style fast-breakpoint patches.  The slot's pre-decoded
-    closure is recompiled in place. *)
+    closure is recompiled in place, with its counters, and every block
+    that can cover the slot re-forms on its next run, so the patch takes
+    effect at the next instruction. *)
 
 val add_cycles : t -> int -> unit
 (** Charge extra cycles (used by trap handlers modelling expensive
@@ -105,10 +131,17 @@ val set_store_hook : t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> u
     strategy).  Hooks compose: each registered hook runs in
     registration order.  Registration is amortized O(1) (hooks live in
     a counted array), and a zero-hook machine pays only one integer
-    test per memory operation. *)
+    test per memory operation.
+
+    Hooks run inside {!run_to}'s blocks, so a hook must never halt the
+    machine, patch text, add a probe or move the pc; it may read any
+    state, raise, or record.  The dispatcher checks this after each
+    access's hooks.
+    @raise Invalid_argument (from the access) when a hook broke it. *)
 
 val set_load_hook : t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> unit
-(** Same for loads (the read-monitoring oracle). *)
+(** Same for loads (the read-monitoring oracle), under the same
+    contract. *)
 
 type checkpoint
 
@@ -155,6 +188,8 @@ type stats = {
   branches : int;
   traps : int;
   cache_hits : int;
+      (** derived: fetches ([instrs]) plus data accesses (a double-word
+          access counts two) minus [cache_misses] *)
   cache_misses : int;
   window_spills : int;
 }
@@ -175,7 +210,8 @@ val cycle_count : t -> int
 (** Simulated cycles so far ([(stats t).cycles] without the record). *)
 
 val probe_dispatches : t -> int
-(** Total probe invocations (slow-path steps count each probe fired). *)
+(** Total probe and counter invocations: each control probe fired and
+    each counter bumped, on either path. *)
 
 val store_hook_dispatches : t -> int
 (** Total store-hook invocations across all executed stores. *)

@@ -568,7 +568,19 @@ let merged_report t =
   Telemetry.merge
     (Telemetry.report t.reg :: Sched.merged_report t.sched :: live)
 
-let metrics_body t = Export.to_prometheus (merged_report t)
+(* Escaped job exceptions are a daemon-process fact, not session
+   telemetry: the family is appended here, so [report] replies and
+   bench output never carry it. *)
+let metrics_body t =
+  Export.to_prometheus (merged_report t)
+  ^ Printf.sprintf
+      "# HELP dbreakd_job_failures_total Shard jobs that escaped with an \
+       exception.\n\
+       # TYPE dbreakd_job_failures_total counter\n\
+       dbreakd_job_failures_total %d\n"
+      (Sched.failures t.sched)
+
+let sched t = t.sched
 
 let shutdown t =
   Sched.shutdown t.sched;

@@ -73,7 +73,11 @@ val merged_report : t -> Telemetry.report
     byte-identical across shard counts. *)
 
 val metrics_body : t -> string
-(** {!merged_report} rendered for [GET /metrics]. *)
+(** {!merged_report} rendered for [GET /metrics], followed by the
+    [dbreakd_job_failures_total] counter ({!Sched.failures}). *)
+
+val sched : t -> Sched.t
+(** The engine's shard pool (tests post jobs on it directly). *)
 
 val shutdown : t -> unit
 (** Drain and join the worker domains, then close the engine's wake

@@ -26,6 +26,7 @@
    shard count, the property the service bench diffs across [-j]. *)
 
 type shard = {
+  id : int;
   mu : Mutex.t;
   cv : Condition.t;
   queue : (unit -> unit) Queue.t;
@@ -50,11 +51,13 @@ let sink t ~shard = t.shards.(shard).sink
 (* Run one popped job: [busy] covers it, so {!drain} waits for it. *)
 let run_job t sh job =
   (try job ()
-   with _ ->
+   with e ->
      (* A job that escapes its own error handling must not kill the
         shard; the daemon wraps command execution in its own error-reply
-        path, so this is a last-resort backstop. *)
-     Atomic.incr t.failures);
+        path, so this is a last-resort backstop, and it says so. *)
+     Atomic.incr t.failures;
+     Printf.eprintf "dbreakd: shard %d: job raised %s\n%!" sh.id
+       (Printexc.to_string e));
   Mutex.lock sh.mu;
   sh.busy <- false;
   Condition.broadcast sh.cv;
@@ -107,13 +110,14 @@ let local_pending t =
 
 let create ?(shards = 1) () =
   let shards = max 1 shards in
-  let mk _ =
+  let mk id =
     let sink = Telemetry.create () in
     (* Absorbed sample rings land here; sized like the bench pool's
        sinks so nothing ever drops (a drop would make the merged
        multiset depend on which shard absorbed which session). *)
     Telemetry.set_sample_capacity sink 65536;
     {
+      id;
       mu = Mutex.create ();
       cv = Condition.create ();
       queue = Queue.create ();

@@ -63,7 +63,9 @@ val merged_report : t -> Telemetry.report
 
 val failures : t -> int
 (** Jobs that escaped with an exception (backstop counter; the daemon
-    converts command errors to error replies before they get here). *)
+    converts command errors to error replies before they get here).
+    Each one also prints one stderr line naming the shard and the
+    exception. *)
 
 val shutdown : t -> unit
 (** {!drain}, then stop and join every worker.  Idempotent.  Call it

@@ -149,13 +149,22 @@ let prop_semantics_and_soundness =
           code = expect && Session.missed_hits session = 0)
         configurations)
 
-(* Differential check for the interpreter's two execution paths: a
-   plain run takes the pre-decoded closure fast path on every step,
-   while a no-op probe on every text pc forces every step through the
-   probe slow path (the generic [execute] interpreter), with no-op
-   store/load hooks exercising the hook dispatch as well.  The two runs
-   must agree bit-for-bit: exit code, every stat counter (including
-   cache hits/misses and cycles), program output, and final memory. *)
+(* Differential check for the interpreter's execution paths.  The
+   generic run puts a no-op probe on every text pc, which forces every
+   step through the probe slow path (the generic [execute]
+   interpreter) and keeps every block from forming, with no-op
+   store/load hooks exercising the hook dispatch as well.  Three block
+   runs must agree with it bit-for-bit — exit code, every stat counter
+   (including cache hits/misses and cycles), program output, and final
+   memory:
+   - a plain run (no probes, no hooks);
+   - a run with store and load hooks and no probes, the replay
+     recorder's configuration;
+   - a run driven by [run_to] at [stride] instructions a call.
+   The hooked run also checks the cache counts without the derived
+   formula: hits plus misses must equal the fetches (one per executed
+   instruction) plus the data accesses its hooks saw, a double-word
+   access counting two. *)
 
 let memory_dump cpu =
   let words = ref [] in
@@ -163,17 +172,17 @@ let memory_dump cpu =
       words := (addr, v) :: !words);
   !words
 
-let fast_path_matches_generic src =
+let fast_path_matches_generic ~stride src =
   let linked = Minic.Compile.compile_and_link src in
   let image = linked.Minic.Compile.image in
   let fuel = 20_000_000 in
-  (* Fast path: empty probe table, no hooks. *)
-  let fast = Machine.Cpu.create image in
-  Machine.Cpu.install_basic_services fast;
-  let fast_code = Machine.Cpu.run ~fuel fast in
-  (* Slow path: a no-op probe on every pc and no-op hooks. *)
-  let slow = Machine.Cpu.create image in
-  Machine.Cpu.install_basic_services slow;
+  let machine () =
+    let cpu = Machine.Cpu.create image in
+    Machine.Cpu.install_basic_services cpu;
+    cpu
+  in
+  (* Generic path: a no-op probe on every pc and no-op hooks. *)
+  let slow = machine () in
   for i = 0 to Array.length image.Sparc.Assembler.text - 1 do
     Machine.Cpu.add_probe slow
       (image.Sparc.Assembler.text_base + (4 * i))
@@ -182,15 +191,48 @@ let fast_path_matches_generic src =
   Machine.Cpu.set_store_hook slow (fun _ ~addr:_ ~width:_ -> ());
   Machine.Cpu.set_load_hook slow (fun _ ~addr:_ ~width:_ -> ());
   let slow_code = Machine.Cpu.run ~fuel slow in
-  fast_code = slow_code
-  && Machine.Cpu.stats fast = Machine.Cpu.stats slow
-  && Machine.Cpu.output fast = Machine.Cpu.output slow
-  && memory_dump fast = memory_dump slow
+  let same cpu code =
+    code = slow_code
+    && Machine.Cpu.stats cpu = Machine.Cpu.stats slow
+    && Machine.Cpu.output cpu = Machine.Cpu.output slow
+    && memory_dump cpu = memory_dump slow
+  in
+  let plain = machine () in
+  let plain_code = Machine.Cpu.run ~fuel plain in
+  let hooked = machine () in
+  let accesses = ref 0 in
+  let count _ ~addr:_ ~width =
+    accesses := !accesses + if width = Sparc.Insn.Double then 2 else 1
+  in
+  Machine.Cpu.set_store_hook hooked count;
+  Machine.Cpu.set_load_hook hooked count;
+  let hooked_code = Machine.Cpu.run ~fuel hooked in
+  let hs = Machine.Cpu.stats hooked in
+  (* Every [run_to] that does not halt stops exactly on its target. *)
+  let strided = machine () in
+  let exact = ref true in
+  while
+    Machine.Cpu.halted strided = None && Machine.Cpu.instr_count strided < fuel
+  do
+    let target = Machine.Cpu.instr_count strided + stride in
+    Machine.Cpu.run_to strided ~insn:target;
+    if Machine.Cpu.halted strided = None then
+      exact := !exact && Machine.Cpu.instr_count strided = target
+  done;
+  same plain plain_code
+  && same hooked hooked_code
+  && hs.Machine.Cpu.cache_hits + hs.Machine.Cpu.cache_misses
+     = hs.Machine.Cpu.instrs + !accesses
+  && !exact
+  && same strided (Option.value ~default:(-1) (Machine.Cpu.halted strided))
 
 let prop_fast_path_differential =
   QCheck.Test.make
     ~name:"random programs: pre-decoded fast path == generic interpreter"
-    ~count:30 arb_program fast_path_matches_generic
+    ~count:30
+    (QCheck.pair arb_program
+       (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 1 40)))
+    (fun (src, stride) -> fast_path_matches_generic ~stride src)
 
 (* [gen_program] never recurses, so one fixed program drives the
    register windows far past the 8 resident ones: 40 and 25 deep, with
@@ -207,7 +249,7 @@ let recursive_program =
 let test_recursive_differential () =
   Alcotest.(check bool)
     "recursive program: fast path == generic interpreter" true
-    (fast_path_matches_generic recursive_program)
+    (fast_path_matches_generic ~stride:7 recursive_program)
 
 (* Translation validation on generated programs: every [O_full] plan,
    with and without alias checks, must verify with no [Refuted]

@@ -772,6 +772,230 @@ let test_cpu_unhandled_trap () =
      Alcotest.fail "expected fault"
    with Cpu.Fault _ -> ())
 
+(* --- block runner ------------------------------------------------------------ *)
+
+(* Each case runs once on [run_to]'s blocks and once on the generic
+   path: a no-op probe on every slot sends every step through the probe
+   slow path and keeps every block from forming.  The two must end in
+   the same stats, output and memory. *)
+
+let probe_every_slot cpu (image : Assembler.image) =
+  Array.iteri
+    (fun i _ -> Cpu.add_probe cpu (image.Assembler.text_base + (4 * i)) ignore)
+    image.Assembler.text
+
+let show_stats (s : Cpu.stats) =
+  Printf.sprintf
+    "instrs=%d cycles=%d loads=%d stores=%d branches=%d traps=%d hits=%d \
+     misses=%d spills=%d"
+    s.Cpu.instrs s.Cpu.cycles s.Cpu.loads s.Cpu.stores s.Cpu.branches
+    s.Cpu.traps s.Cpu.cache_hits s.Cpu.cache_misses s.Cpu.window_spills
+
+let memory_words cpu =
+  let words = ref [] in
+  Memory.iter_written (Cpu.mem cpu) (fun a v -> words := (a, v) :: !words);
+  !words
+
+let check_same_machine what ~blocks ~generic =
+  Alcotest.(check string) (what ^ ": stats") (show_stats (Cpu.stats generic))
+    (show_stats (Cpu.stats blocks));
+  Alcotest.(check string) (what ^ ": output") (Cpu.output generic)
+    (Cpu.output blocks);
+  check_bool (what ^ ": memory") true (memory_words generic = memory_words blocks)
+
+let machine ?(generic = false) image =
+  let cpu = Cpu.create image in
+  Cpu.install_basic_services cpu;
+  if generic then probe_every_slot cpu image;
+  cpu
+
+(* Two machines on one image, the second on the generic path. *)
+let block_and_generic image = (machine image, machine ~generic:true image)
+
+let assemble_main ?(data = []) items =
+  Assembler.assemble { Asm.text = Asm.Label "main" :: items; data; entry = "main" }
+
+let test_block_repatched_mid_loop () =
+  (* A trap at the loop head patches the middle of the loop body into a
+     branch to a stub at its 5th execution and restores it at its 20th,
+     as MRS loop pre-header triggers do.  The body's block has formed by
+     then, so it must re-form with each new shape. *)
+  let image =
+    assemble_main
+      (Asm.insns
+         [ Asm.mov (Insn.Imm 0) (Reg.l 0); Asm.mov (Insn.Imm 0) (Reg.l 2);
+           Asm.mov (Insn.Imm 0) (Reg.l 3) ]
+      @ [ Asm.Label "loop" ]
+      @ Asm.insns
+          [ Asm.trap 9; Asm.add (Reg.l 0) (Insn.Imm 1) (Reg.l 0);
+            Asm.add (Reg.l 2) (Insn.Reg (Reg.l 0)) (Reg.l 2) ]
+      @ [ Asm.Label "site"; Asm.Insn (Asm.add (Reg.l 2) (Insn.Imm 3) (Reg.l 2));
+          Asm.Label "back" ]
+      @ Asm.insns
+          [ Asm.add (Reg.l 2) (Insn.Imm 1) (Reg.l 2); Asm.cmp (Reg.l 0) (Insn.Imm 40);
+            Asm.branch Cond.L "loop"; Asm.mov (Insn.Reg (Reg.l 3)) (Reg.o 0);
+            Asm.trap 1; Asm.mov (Insn.Reg (Reg.l 2)) (Reg.o 0); Asm.trap 0 ]
+      @ [ Asm.Label "stub" ]
+      @ Asm.insns
+          [ Asm.add (Reg.l 3) (Insn.Imm 1) (Reg.l 3);
+            Asm.add (Reg.l 2) (Insn.Imm 3) (Reg.l 2); Asm.ba "back" ])
+  in
+  let site = Option.get (Assembler.addr_of_label image "site") in
+  let stub = Option.get (Assembler.addr_of_label image "stub") in
+  let original = Cpu.fetch_at (Cpu.create image) site in
+  let blocks, generic = block_and_generic image in
+  (* The trigger reads the loop counter, so a replay repeats it. *)
+  let trigger cpu =
+    match Cpu.get cpu (Reg.l 0) with
+    | 4 -> Cpu.patch cpu site (Insn.Branch { cond = Cond.A; target = Insn.Abs stub })
+    | 19 -> Cpu.patch cpu site original
+    | _ -> ()
+  in
+  Cpu.on_trap blocks 9 trigger;
+  Cpu.on_trap generic 9 trigger;
+  (* 3 setup instructions, 7 per unpatched pass and 10 per patched one:
+     checkpoint in pass 10, while the stub is patched in. *)
+  Cpu.run_to blocks ~insn:(3 + (4 * 7) + (5 * 10));
+  let cp = Cpu.checkpoint blocks in
+  let code = Cpu.run blocks in
+  check_int "exit code" (Cpu.run generic) code;
+  Alcotest.(check string) "stub ran while patched in" "15" (Cpu.output blocks);
+  check_same_machine "repatched loop" ~blocks ~generic;
+  (* Rolling back restores the patched text under blocks formed on the
+     unpatched one: they must re-form again. *)
+  Cpu.rollback blocks cp;
+  check_int "replayed exit code" code (Cpu.run blocks);
+  check_same_machine "replay after rollback" ~blocks ~generic
+
+let test_block_probe_added_mid_block () =
+  (* Run until the loop body's block has formed, then probe a slot in
+     its middle: the probe must fire on the very next pass. *)
+  let image =
+    assemble_main
+      (Asm.insns [ Asm.mov (Insn.Imm 0) (Reg.l 0); Asm.mov (Insn.Imm 0) (Reg.l 1) ]
+      @ [ Asm.Label "loop" ]
+      @ Asm.insns
+          [ Asm.add (Reg.l 0) (Insn.Imm 1) (Reg.l 0);
+            Asm.add (Reg.l 1) (Insn.Reg (Reg.l 0)) (Reg.l 1) ]
+      @ [ Asm.Label "mid"; Asm.Insn (Asm.add (Reg.l 1) (Insn.Imm 2) (Reg.l 1)) ]
+      @ Asm.insns
+          [ Asm.cmp (Reg.l 0) (Insn.Imm 30); Asm.branch Cond.L "loop" ]
+      @ exit_with (Reg.l 1))
+  in
+  let mid = Option.get (Assembler.addr_of_label image "mid") in
+  let blocks, generic = block_and_generic image in
+  let fired =
+    List.map
+      (fun cpu ->
+        (* 2 setup instructions, then 5 per pass: stop mid-pass 10. *)
+        Cpu.run_to cpu ~insn:(2 + (5 * 9) + 1);
+        let count = ref 0 in
+        Cpu.add_probe cpu mid (fun _ -> incr count);
+        ignore (Cpu.run cpu);
+        !count)
+      [ blocks; generic ]
+  in
+  Alcotest.(check (list int)) "probe fired on passes 10..30" [ 21; 21 ] fired;
+  check_same_machine "probe added mid-block" ~blocks ~generic
+
+let strided_source =
+  "int a[16]; int s;\n\
+   int f(int x) { return x * 3 + 1; }\n\
+   int main() { int i; i = 0;\n\
+   while (i < 60) { a[i & 15] = f(i) + a[(i + 5) & 15]; s = s + a[i & 15];\n\
+   if ((i & 7) == 0) { print_int(s); } i = i + 1; }\n\
+   return s & 255; }\n"
+
+let test_block_strides () =
+  let image = (Minic.Compile.compile_and_link strided_source).Minic.Compile.image in
+  let generic = machine ~generic:true image in
+  ignore (Cpu.run generic);
+  List.iter
+    (fun stride ->
+      let cpu = machine image in
+      while Cpu.halted cpu = None do
+        let target = Cpu.instr_count cpu + stride in
+        Cpu.run_to cpu ~insn:target;
+        if Cpu.halted cpu = None then
+          check_int (Printf.sprintf "stride %d stops on its target" stride) target
+            (Cpu.instr_count cpu)
+      done;
+      check_same_machine (Printf.sprintf "stride %d" stride) ~blocks:cpu ~generic)
+    [ 1; 3; 7 ]
+
+let test_hook_contract () =
+  (* Hooks run inside blocks, so one that halts the machine, patches
+     text or moves the pc is refused at the access that ran it. *)
+  let image =
+    assemble_main
+      ~data:[ { Asm.name = "x"; size = 4; init = [] } ]
+      ([ Asm.Set_label { label = "x"; offset = 0; rd = Reg.l 1 } ]
+      @ Asm.insns [ Asm.st (Reg.l 0) (Reg.l 1) (Insn.Imm 0); Asm.nop ]
+      @ exit_with (Reg.l 0))
+  in
+  List.iter
+    (fun (what, hook) ->
+      let cpu = Cpu.create image in
+      Cpu.install_basic_services cpu;
+      Cpu.set_store_hook cpu hook;
+      match Cpu.run cpu with
+      | _ -> Alcotest.failf "a hook that %s was accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("halts", fun cpu ~addr:_ ~width:_ -> Cpu.halt cpu 1);
+      ("patches", fun cpu ~addr:_ ~width:_ -> Cpu.patch cpu image.entry Asm.nop);
+      ("adds a probe", fun cpu ~addr:_ ~width:_ -> Cpu.add_probe cpu image.entry ignore);
+      ("moves the pc", fun cpu ~addr:_ ~width:_ -> Cpu.set_pc cpu image.entry);
+    ]
+
+let test_block_load_evicts_own_line () =
+  (* A load whose address maps onto the cache line of its own
+     instruction evicts that line, so the next fetch from the line
+     misses: a block must probe it, not skip it. *)
+  let image =
+    assemble_main
+      (Asm.insns [ Asm.mov (Insn.Imm 3) (Reg.l 0) ]
+      @ [ Asm.Label "ldpc"; Asm.Insn (Asm.ld (Reg.l 1) (Insn.Imm 0) (Reg.l 2)) ]
+      @ Asm.insns
+          [ Asm.add (Reg.l 0) (Insn.Imm 1) (Reg.l 0);
+            Asm.add (Reg.l 0) (Insn.Imm 1) (Reg.l 0) ]
+      @ exit_with (Reg.l 0))
+  in
+  let ldpc = Option.get (Assembler.addr_of_label image "ldpc") in
+  let blocks, generic = block_and_generic image in
+  List.iter
+    (fun cpu ->
+      (* One cache size above the load's own pc: same line index. *)
+      Cpu.set cpu (Reg.l 1) (ldpc + (Cpu.config cpu).Cpu.cache_size);
+      check_int "exit code" 5 (Cpu.run cpu))
+    [ blocks; generic ];
+  check_same_machine "self-evicting load" ~blocks ~generic
+
+let test_block_fault_mid_block () =
+  (* A misaligned load between straight-line instructions faults with
+     its own pc, and the counts stop exactly where stepping stops. *)
+  let image =
+    assemble_main
+      ~data:[ { Asm.name = "x"; size = 8; init = [] } ]
+      ([ Asm.Set_label { label = "x"; offset = 0; rd = Reg.l 1 } ]
+      @ Asm.insns
+          [ Asm.mov (Insn.Imm 5) (Reg.l 0); Asm.add (Reg.l 0) (Insn.Imm 1) (Reg.l 0);
+            Asm.st (Reg.l 0) (Reg.l 1) (Insn.Imm 0) ]
+      @ [ Asm.Label "bad"; Asm.Insn (Asm.ld (Reg.l 1) (Insn.Imm 2) (Reg.l 2)) ]
+      @ Asm.insns [ Asm.add (Reg.l 0) (Insn.Imm 1) (Reg.l 0) ]
+      @ exit_with (Reg.l 0))
+  in
+  let bad = Option.get (Assembler.addr_of_label image "bad") in
+  let blocks, generic = block_and_generic image in
+  List.iter
+    (fun cpu ->
+      match Cpu.run cpu with
+      | _ -> Alcotest.fail "expected a misaligned-load fault"
+      | exception Cpu.Fault { pc; _ } -> check_int "fault pc" bad pc)
+    [ blocks; generic ];
+  check_int "instr_count" (Cpu.instr_count generic) (Cpu.instr_count blocks);
+  check_same_machine "faulting load" ~blocks ~generic
+
 (* --- large arrays ----------------------------------------------------------- *)
 
 let test_arr_builders () =
@@ -864,5 +1088,17 @@ let suites =
         Alcotest.test_case "chunked array builders" `Quick test_arr_builders;
         Alcotest.test_case "large texts force no minor collection" `Quick
           test_no_forced_minor_gc;
+        Alcotest.test_case "block re-forms after a mid-loop patch" `Quick
+          test_block_repatched_mid_loop;
+        Alcotest.test_case "probe added inside a formed block" `Quick
+          test_block_probe_added_mid_block;
+        Alcotest.test_case "run_to strides 1, 3, 7 = one run" `Quick
+          test_block_strides;
+        Alcotest.test_case "mid-block fault = generic fault" `Quick
+          test_block_fault_mid_block;
+        Alcotest.test_case "a load evicting its own fetch line" `Quick
+          test_block_load_evicts_own_line;
+        Alcotest.test_case "hooks may not reshape the run" `Quick
+          test_hook_contract;
       ] );
   ]

@@ -420,6 +420,32 @@ let test_engine_shard_determinism () =
     (List.combine s1 s3);
   check_string "merged telemetry identical across shards" t1 t3
 
+(* A job that escapes every handler is the scheduler's backstop: it is
+   counted in the daemon's /metrics body (which must still lint), and
+   its shard goes on to run the next job. *)
+let test_job_failure_metric () =
+  let t = Daemon.create ~shards:2 () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.shutdown t)
+    (fun () ->
+      let line body =
+        List.find_opt
+          (fun l -> String.starts_with ~prefix:"dbreakd_job_failures_total " l)
+          (String.split_on_char '\n' body)
+      in
+      check_bool "zero before any failure" true
+        (line (Daemon.metrics_body t) = Some "dbreakd_job_failures_total 0");
+      let sched = Daemon.sched t in
+      let ran_next = Atomic.make false in
+      Sched.post sched ~key:"k" (fun () -> raise Not_found);
+      Sched.post sched ~key:"k" (fun () -> Atomic.set ran_next true);
+      Daemon.drain t;
+      let body = Daemon.metrics_body t in
+      check_bool "escaped job counted" true
+        (line body = Some "dbreakd_job_failures_total 1");
+      Test_timeseries.lint_prometheus body;
+      check_bool "shard ran the next job" true (Atomic.get ran_next))
+
 let test_engine_errors_and_gauges () =
   let t = Daemon.create ~shards:2 () in
   Fun.protect
@@ -1053,6 +1079,8 @@ let suites =
           test_engine_shard_determinism;
         Alcotest.test_case "errors, gauges, disconnect" `Quick
           test_engine_errors_and_gauges;
+        Alcotest.test_case "escaped job counted in /metrics" `Quick
+          test_job_failure_metric;
         Alcotest.test_case "shard replies wake the server fds" `Quick
           test_wake_on_replies;
         Alcotest.test_case "slow reader gets the whole backlog" `Quick
