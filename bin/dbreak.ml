@@ -46,6 +46,17 @@ let opt_conv =
   in
   Arg.conv (parse, print)
 
+(* An interval in instructions: zero or less is a usage error that
+   names the flag (exit 2), not a failure inside the library. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 (* Runtime failures are reported here (message to stderr, exit 1) so
    that everything cmdliner itself rejects — unknown flags, missing
    option arguments — is unambiguously a usage error (exit 2). *)
@@ -470,7 +481,7 @@ let chrome_trace_arg =
              array to $(docv) — loadable in Perfetto or chrome://tracing.")
 
 let checkpoint_every_arg =
-  Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"N"
+  Arg.(value & opt (some positive_int) None & info [ "checkpoint-every" ] ~docv:"N"
        ~doc:"Record the run through the time-travel engine, taking a \
              copy-on-write checkpoint every $(docv) executed instructions \
              (enables --last-write and --travel; implied at N=10000 when \
@@ -522,7 +533,7 @@ let heatmap_arg =
              text table.")
 
 let sample_every_arg =
-  Arg.(value & opt int 100_000 & info [ "sample-every" ] ~docv:"N"
+  Arg.(value & opt positive_int 100_000 & info [ "sample-every" ] ~docv:"N"
        ~doc:"Sampling interval in executed instructions for --timeseries \
              and --serve-metrics (default 100000).")
 

@@ -216,9 +216,10 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
            ~checkpoint_every:interval cpu)
   in
   (* Hot-path profiler: block discovery over the instrumented text's
-     static classification, counter arrays handed to the interpreter
-     (one increment per step when on, one boolean test when off), and
-     call/return transfers feeding the shadow stack.  The function
+     static classification, counter arrays the interpreter bumps (one
+     increment per executed instruction when on, one boolean test per
+     block when off), and call/return transfers feeding the shadow
+     stack.  The function
      table is the compiler's function list plus every named call target
      in the image (runtime and check-stub routines), so monitoring
      overhead shows up attributed in the flamegraph. *)
@@ -260,11 +261,7 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
           ~text_base:image.Assembler.text_base ~info:(Cpu.profile_static cpu)
           ~functions:acc ~entry:image.Assembler.entry ()
       in
-      Cpu.profile_install cpu ~exec:(Profile.exec_array p)
-        ~taken:(Profile.taken_array p)
-        ~transfer:(fun kind _slot ->
-          Profile.transfer p ~kind ~pc:(Cpu.pc cpu)
-            ~instrs:(Cpu.instr_count cpu) ~cycles:(Cpu.cycle_count cpu));
+      Cpu.profile_install cpu p;
       Some p
     end
   in

@@ -108,11 +108,12 @@ type t = {
      happens between them share a single text copy (see [text_copy]). *)
   mutable text_version : int;
   mutable text_snap : (int * Insn.t array) option;
-  (* Hot-path profiler hooks.  The arrays belong to a {!Telemetry}-side
-     [Profile.t]; the interpreter only bumps them.  Each [prof_exec]
+  (* Hot-path profiler hooks.  The arrays belong to [prof], the
+     installed {!Profile.t}; the interpreter bumps them and calls
+     {!Profile.transfer} on each call and return.  Each [prof_exec]
      slot packs the control classification ([Profile.kind_*]) into its
      low two bits and the execution count above them (increment step 4),
-     so one read-modify-write per step yields both the count and the
+     so one read-modify-write per instruction yields both the count and the
      branch-vs-transfer decision — no separate kind load;
      [profile_install] seeds the bits and [patch]/[rollback] keep them
      in sync with text.  An empty [prof_exec] means no profiler.  Like
@@ -120,18 +121,21 @@ type t = {
      differential fuzz harness's fast/generic parity is preserved. *)
   mutable prof_exec : int array;
   mutable prof_taken : int array;
-  mutable prof_transfer : int -> int -> unit;  (* kind, executed slot *)
-  (* Time-series sampler hook: a countdown over executed instructions
+  mutable prof : Profile.t option;
+  (* Time-series sampler hook: a countdown over observed instructions
      that fires the hook with the live instruction count every
-     [samp_every] executed instructions ([samp_every = 0]: no sampler).
-     Never touches {!stats}. *)
+     [samp_every] of them ([samp_every = 0]: no sampler, and [samp_left]
+     is [max_int], so no block ever ends past it).  [run_to] treats
+     [samp_left] as a deadline: a block runs only when it ends at or
+     before the instruction the hook fires on.  Never touches
+     {!stats}. *)
   mutable samp_every : int;
   mutable samp_left : int;
   mutable samp_hook : int -> unit;
   (* The one observer gate.  [paused] is raised by [without_observers]
      around replay re-execution; [observed] caches "a profiler or
      sampler is installed and not paused", so a run with neither pays
-     exactly one boolean test per step. *)
+     exactly one boolean test per block (or single step). *)
   mutable paused : bool;
   mutable observed : bool;
 }
@@ -242,7 +246,8 @@ let refresh_observed t =
   t.observed <-
     (not t.paused) && (Array.length t.prof_exec > 0 || t.samp_every > 0)
 
-let profile_install t ~exec ~taken ~transfer =
+let profile_install t p =
+  let exec = Profile.exec_array p and taken = Profile.taken_array p in
   let n = Array.length t.text in
   if Array.length exec < n || Array.length taken < n then
     invalid_arg "Cpu.profile_install: counter arrays shorter than text";
@@ -253,7 +258,7 @@ let profile_install t ~exec ~taken ~transfer =
     (fun i insn ->
       exec.(i) <- (exec.(i) land lnot 3) lor fst (prof_classify t i insn))
     t.text;
-  t.prof_transfer <- transfer;
+  t.prof <- Some p;
   refresh_observed t
 
 let sample_install t ~every ~hook =
@@ -275,10 +280,11 @@ let without_observers t f =
       refresh_observed t)
     f
 
-(* Post-step sampler countdown; fires the hook on every [samp_every]th
-   executed instruction. *)
-let[@inline] samp_step t =
-  let left = t.samp_left - 1 in
+(* Sampler countdown after [k] observed instructions, the last of which
+   just completed; [k] never exceeds [samp_left], so the hook fires on
+   exactly every [samp_every]th one. *)
+let[@inline] samp_count t k =
+  let left = t.samp_left - k in
   if left <= 0 then begin
     t.samp_left <- t.samp_every;
     t.samp_hook t.ninstrs
@@ -293,9 +299,9 @@ let prof_repatch t i insn =
 (* Post-step accounting for the executed slot [idx]: bump its exec
    counter (packed: count above the two kind bits, so the same word
    also decides what else to do); for a branch, compare the new pc
-   against the fall-through to detect taken-ness; calls and returns go
-   through the (rare) transfer closure, which reads the destination
-   from [t.pc]. *)
+   against the fall-through to detect taken-ness; a call or return
+   hands its destination and the machine totals to the profile's
+   shadow stack. *)
 let[@inline] prof_step t idx =
   let c = t.prof_exec in
   let v = Array.unsafe_get c idx + 4 in
@@ -308,13 +314,17 @@ let[@inline] prof_step t idx =
         Array.unsafe_set tk idx (Array.unsafe_get tk idx + 1)
       end
     end
-    else t.prof_transfer k idx
+    else
+      match t.prof with
+      | Some p ->
+        Profile.transfer p ~kind:k ~pc:t.pc ~instrs:t.ninstrs ~cycles:t.cycles
+      | None -> ()
 
 (* Post-step work of whichever observers are installed, for the
    executed slot [idx]; [step] calls it only while [observed]. *)
 let[@inline] observe t idx =
   if Array.length t.prof_exec > 0 then prof_step t idx;
-  if t.samp_every > 0 then samp_step t
+  if t.samp_every > 0 then samp_count t 1
 
 (* Cache probe, inlined from {!Cache.access} and charging the miss
    penalty: runs once per data access and once per fetch that can miss.
@@ -868,9 +878,9 @@ let create ?(config = default_config) (image : Assembler.image) =
       text_snap = None;
       prof_exec = [||];
       prof_taken = [||];
-      prof_transfer = (fun _ _ -> ());
+      prof = None;
       samp_every = 0;
-      samp_left = 0;
+      samp_left = max_int;
       samp_hook = ignore;
       paused = false;
       observed = false;
@@ -984,43 +994,85 @@ let build_block t idx =
     (Char.chr (((len + 1) lsl 1) lor (Char.code (Bytes.get b idx) land 1)));
   len
 
-(* Run the [len]-instruction block at slot [idx].  Only its first fetch
-   probes the cache unconditionally: a later one is a guaranteed hit in
-   the direct-mapped cache when its fetch flag is set, because the
-   previous instruction was fetched from the same line and touched no
-   data.  Every instruction still bumps [ninstrs] and its base cycle
-   before it executes, so a fault or a hook sees exactly what [step]
-   would show it. *)
+(* The fetch of slot [j], reached by falling through inside a block.
+   Only a block's first fetch probes the cache unconditionally: a later
+   one is a guaranteed hit in the direct-mapped cache when its fetch
+   flag is set, because the previous instruction was fetched from the
+   same line and touched no data.  Every instruction still bumps
+   [ninstrs] and its base cycle before it executes, so a fault or a hook
+   sees exactly what [step] would show it. *)
+let[@inline] fetch_next t b j =
+  if Char.code (Bytes.unsafe_get b j) land 1 = 0 then fetch t
+  else begin
+    t.ninstrs <- t.ninstrs + 1;
+    t.cycles <- t.cycles + 1
+  end
+
+(* Run the [len]-instruction block at slot [idx]. *)
 let run_block t idx len =
   let code = t.code and b = t.blocks in
   fetch t;
   (Array.unsafe_get code idx) t;
   for j = idx + 1 to idx + len - 1 do
-    if Char.code (Bytes.unsafe_get b j) land 1 = 0 then fetch t
-    else begin
-      t.ninstrs <- t.ninstrs + 1;
-      t.cycles <- t.cycles + 1
-    end;
+    fetch_next t b j;
+    (Array.unsafe_get code j) t
+  done
+
+(* [run_block] for a profiled run: each slot but the last, which is
+   straight-line ([kind_plain]) as a block ends at its first branch,
+   call or jmpl, bumps its exec count once it completes, so a raise
+   leaves exactly the counts of the slots that ran; the last is
+   [prof_step]'s.  A second body, because counting in a separate pass
+   after the block measured slower on profiled runs (DESIGN.md §6). *)
+let run_counted_block t idx len =
+  let code = t.code and b = t.blocks and c = t.prof_exec in
+  fetch t;
+  (Array.unsafe_get code idx) t;
+  for j = idx + 1 to idx + len - 1 do
+    Array.unsafe_set c (j - 1) (Array.unsafe_get c (j - 1) + 4);
+    fetch_next t b j;
     (Array.unsafe_get code j) t
   done
 
 (* The one run loop; recording and replay stop it at checkpoint
    boundaries.  [halted] can only flip inside a trap handler or probe,
    which never run inside a block, so the loop's tests — halted, fuel,
-   observers, bounds, block length — are paid once per block.  A block
-   runs only when it fits before [insn]; otherwise, and for observed
-   runs, probed slots and traps, the loop falls back to [step]. *)
+   bounds, block length, observers — are paid once per block.  A block
+   runs only when it ends at or before [insn] and, while the sampler
+   observes, at or before the instruction the sampler fires on;
+   otherwise, and for probed slots and traps, the loop falls back to
+   [step]. *)
 let run_to t ~insn =
   let n = Array.length t.text in
   if Bytes.length t.blocks <> n then t.blocks <- Bytes.make n '\000';
   while t.halted == None && t.ninstrs < insn do
     let off = t.pc - t.text_base in
     let idx = off lsr 2 in
-    if t.observed || off land 3 <> 0 || idx >= n then step t
+    if off land 3 <> 0 || idx >= n then step t
     else begin
       let m = Char.code (Bytes.unsafe_get t.blocks idx) lsr 1 in
       let len = if m = 0 then build_block t idx else m - 1 in
-      if len = 0 || t.ninstrs + len > insn then step t else run_block t idx len
+      if len = 0 || t.ninstrs + len > insn then step t
+      else if not t.observed then run_block t idx len
+      else if len > t.samp_left then step t
+      else begin
+        (* An observed block: the profile and the sampler see exactly
+           what stepping would show them. *)
+        let start = t.ninstrs in
+        let profiled = Array.length t.prof_exec > 0 in
+        (try
+           if profiled then run_counted_block t idx len
+           else run_block t idx len
+         with e ->
+           (* The instructions before the raising one completed; it
+              bumped [ninstrs] but, as under [step], is not observed.
+              The sample lies past the block, so it cannot fire. *)
+           if t.samp_every > 0 then
+             t.samp_left <- t.samp_left - (t.ninstrs - start - 1);
+           raise e);
+        if profiled then prof_step t (idx + len - 1);
+        if t.samp_every > 0 then samp_count t len
+      end
     end
   done
 

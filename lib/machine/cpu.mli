@@ -37,13 +37,16 @@ val get : t -> Sparc.Reg.t -> int
 val set : t -> Sparc.Reg.t -> int -> unit
 
 val step : t -> unit
-(** Execute one instruction — the one single-instruction path: observed
-    runs, probed slots, traps and {!run_to}'s fall-backs all go through
-    it.  Instructions are pre-decoded into specialized closures at load
+(** Execute one instruction — the one single-instruction path: probed
+    slots, traps and {!run_to}'s fall-backs all go through it, observed
+    or not, and it is the reference the block runner is tested against.
+    Instructions are pre-decoded into specialized closures at load
     time (and on {!patch}/{!rollback}), so a step with no probe
     registered at the pc is one direct-indexed table read plus one
     indirect call; a probed slot runs its counters and probes, then the
-    generic interpreter. *)
+    generic interpreter.  While observed, the profiler and sampler then
+    account for the executed instruction; one that raises is counted in
+    {!instr_count} but not observed. *)
 
 val run_to : t -> insn:int -> unit
 (** Run until the program halts or {!instr_count} reaches [insn] — the
@@ -54,12 +57,17 @@ val run_to : t -> insn:int -> unit
     Straight-line text runs as blocks: a block runs up to and including
     the first branch, call or jmpl and stops before any trap or probed
     slot, so the loop's tests are paid once per block.  A block runs
-    only when it ends at or before [insn], and not while a profiler or
-    sampler observes the run; otherwise the loop falls back to {!step},
-    so a stop lands on the exact instruction.  Inside a block a fetch
-    from the line of the previous instruction, which made no data
-    access, skips the tag probe: in the direct-mapped cache it cannot
-    miss.  {!stats} are those of stepping. *)
+    only when it ends at or before [insn] and, while the sampler
+    observes, at or before the instruction the sampler fires on;
+    otherwise the loop falls back to {!step}, so a stop and a sample
+    land on the exact instruction.  Inside a block a fetch from the
+    line of the previous instruction, which made no data access, skips
+    the tag probe: in the direct-mapped cache it cannot miss.  Observed
+    runs execute in blocks too: a profiled block bumps each slot's exec
+    count as the slot completes and only its last slot pays the branch
+    test or the call/return transfer, and the sampler's countdown drops
+    by the block's length.  {!stats}, profiles and samples are those of
+    stepping, also when an instruction raises inside a block. *)
 
 val run : ?fuel:int -> t -> int
 (** Run until the program halts (trap 0); returns the exit code.
@@ -226,7 +234,8 @@ val trap_count : t -> int
     The interpreter side of {!Profile} and the time-series sampler.
     Neither is part of {!stats} (fast/generic differential parity is
     preserved).  Both sit behind one pause gate: with neither installed,
-    or inside {!without_observers}, every step pays one boolean test. *)
+    or inside {!without_observers}, every block and every step pays one
+    boolean test. *)
 
 val profile_static : t -> (int * int) array
 (** Per-slot [(kind, static target slot or -1)] classification of the
@@ -234,21 +243,27 @@ val profile_static : t -> (int * int) array
     {!Profile.create}'s block discovery.  Reflects patches applied so
     far; take it after instrumentation for patched-text profiles. *)
 
-val profile_install :
-  t -> exec:int array -> taken:int array -> transfer:(int -> int -> unit) ->
-  unit
-(** Attach the profiler: counter arrays (each at least text-length,
-    normally {!Profile.exec_array}/{!Profile.taken_array}) that the step
-    path bumps — the executed slot's exec counter, and a taken counter
-    per executed branch that left the fall-through — and the
-    call/return callback [transfer kind slot], fired after the transfer
-    executed (read the destination from {!pc} and totals from
-    {!instr_count}/{!cycle_count}).
-    @raise Invalid_argument if an array is shorter than text. *)
+val profile_install : t -> Profile.t -> unit
+(** Attach a profiler built over this machine's text
+    ({!profile_static}).  The interpreter bumps its
+    {!Profile.exec_array} slot for every executed instruction and its
+    {!Profile.taken_array} slot for every executed branch that left the
+    fall-through, and calls {!Profile.transfer} after every call and
+    return with the destination pc and the machine totals.  Inside
+    {!run_to}'s blocks only a block's last slot can be a branch, call or
+    return, so only it is tested; probed slots and traps are counted by
+    {!step}.
+    @raise Invalid_argument if the profile's arrays are shorter than
+    text. *)
 
 val sample_install : t -> every:int -> hook:(int -> unit) -> unit
 (** Attach the sampler: [hook insn] fires with the live instruction
-    count after every [every]th executed instruction.
+    count after every [every]th observed instruction.  The count until
+    the next sample is a deadline for {!run_to}: a block runs only when
+    it ends at or before it, else the loop steps up to the sample, so
+    the hook fires on the same instruction as under {!step}.  The
+    countdown survives {!rollback} and stands still inside
+    {!without_observers}.
     @raise Invalid_argument when [every < 1]. *)
 
 val observing : t -> bool

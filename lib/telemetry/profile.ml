@@ -12,15 +12,14 @@ let schema_version = "dbp-profile/1"
 
 (* Call-tree node: one per distinct call path, keyed by function id.
    Self counts accumulate here so the folded export reads paths off the
-   tree instead of materializing strings per transfer. *)
+   tree instead of materializing strings per transfer.  Children sit
+   unordered in the first [n_nkids] cells of [n_kids] (see [child]). *)
 type node = {
   n_fn : int;
-  n_parent : node option;
-  n_children : (int, node) Hashtbl.t;
+  n_parent : node;  (* the root is its own parent *)
+  mutable n_kids : node array;
+  mutable n_nkids : int;
   mutable n_self : int;
-  (* Last child fetched; loops calling the same callee repeatedly hit
-     this instead of the hashtable. *)
-  mutable n_cache : node option;
 }
 
 type t = {
@@ -31,10 +30,13 @@ type t = {
   block_of : int array;            (* insn idx -> block id *)
   block_lo : int array;            (* block id -> leader idx *)
   block_hi : int array;            (* block id -> last idx (inclusive) *)
-  (* Function table; grows when an unknown call target is entered. *)
+  (* Function table; grows when an unknown call target is entered.
+     Ids by entry slot ([-1]: none yet), so a call resolves its callee
+     with one array read; entries outside text are hashed. *)
   mutable fn_name : string array;
   mutable nfns : int;
-  fn_by_addr : (int, int) Hashtbl.t;
+  fn_at : int array;
+  fn_outside : (int, int) Hashtbl.t;
   static_fns : (int * int) array;  (* (entry addr, id), sorted, static *)
   mutable fn_calls : int array;
   mutable fn_excl_i : int array;
@@ -46,17 +48,12 @@ type t = {
   mutable st_fn : int array;
   mutable st_entry_i : int array;
   mutable st_entry_c : int array;
-  mutable st_node : node array;
   mutable depth : int;
   root : node;
-  mutable cur : node;
+  mutable cur : node;  (* the top frame's node *)
   mutable last_i : int;            (* machine totals at last flush *)
   mutable last_c : int;
   mutable ntransfers : int;
-  (* Call-target memo: the same site (a loop around one call) resolves
-     its function id without touching [fn_by_addr]. *)
-  mutable last_call_pc : int;
-  mutable last_call_fn : int;
   (* Perfetto counter sampling. *)
   clock : unit -> float;
   mutable next_sample : int;
@@ -75,8 +72,13 @@ let transfers t = t.ntransfers
 (* ---------- construction ---------- *)
 
 let mk_node fn parent =
-  { n_fn = fn; n_parent = parent; n_children = Hashtbl.create 4; n_self = 0;
-    n_cache = None }
+  { n_fn = fn; n_parent = parent; n_kids = [||]; n_nkids = 0; n_self = 0 }
+
+let mk_root fn =
+  let rec root =
+    { n_fn = fn; n_parent = root; n_kids = [||]; n_nkids = 0; n_self = 0 }
+  in
+  root
 
 let grow a len init =
   if Array.length a >= len then a
@@ -86,10 +88,20 @@ let grow a len init =
     b
   end
 
+(* The text slot at [addr], or [-1] outside text (a negative offset
+   shifts to a huge slot). *)
+let slot_of t addr =
+  let off = addr - t.text_base in
+  if off land 3 = 0 && off lsr 2 < Array.length t.fn_at then off lsr 2 else -1
+
 let register_fn t addr name =
-  match Hashtbl.find_opt t.fn_by_addr addr with
-  | Some id -> id
-  | None ->
+  let slot = slot_of t addr in
+  let known =
+    if slot >= 0 then t.fn_at.(slot)
+    else Option.value ~default:(-1) (Hashtbl.find_opt t.fn_outside addr)
+  in
+  if known >= 0 then known
+  else begin
     let id = t.nfns in
     t.fn_name <- grow t.fn_name (id + 1) "";
     t.fn_calls <- grow t.fn_calls (id + 1) 0;
@@ -100,8 +112,9 @@ let register_fn t addr name =
     t.fn_depth <- grow t.fn_depth (id + 1) 0;
     t.fn_name.(id) <- name;
     t.nfns <- id + 1;
-    Hashtbl.add t.fn_by_addr addr id;
+    if slot >= 0 then t.fn_at.(slot) <- id else Hashtbl.add t.fn_outside addr id;
     id
+  end
 
 (* Greatest static function entry <= pc; the entry function when pc
    precedes every known function. *)
@@ -165,7 +178,8 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
       block_hi;
       fn_name = [||];
       nfns = 0;
-      fn_by_addr = Hashtbl.create 16;
+      fn_at = Array.make n (-1);
+      fn_outside = Hashtbl.create 1;
       static_fns = [||];
       fn_calls = [||];
       fn_excl_i = [||];
@@ -176,15 +190,12 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
       st_fn = Array.make 64 0;
       st_entry_i = Array.make 64 0;
       st_entry_c = Array.make 64 0;
-      st_node = Array.make 64 (mk_node 0 None);
       depth = 0;
-      root = mk_node 0 None;
-      cur = mk_node 0 None;
+      root = mk_root 0;
+      cur = mk_root 0;
       last_i = 0;
       last_c = 0;
       ntransfers = 0;
-      last_call_pc = -1;
-      last_call_fn = 0;
       clock;
       next_sample = sample_every;
       samples = [];
@@ -198,10 +209,9 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
   in
   let t = { t with static_fns = Array.of_list statics } in
   let entry_fn = fn_of_pc t entry in
-  let root = mk_node entry_fn None in
+  let root = mk_root entry_fn in
   let t = { t with root; cur = root } in
   t.st_fn.(0) <- entry_fn;
-  t.st_node.(0) <- root;
   t.depth <- 1;
   t.fn_calls.(entry_fn) <- 1;
   t.fn_depth.(entry_fn) <- 1;
@@ -209,7 +219,7 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
 
 (* ---------- shadow stack ---------- *)
 
-let flush t ~instrs ~cycles =
+let[@inline] flush t ~instrs ~cycles =
   let di = instrs - t.last_i and dc = cycles - t.last_c in
   if di <> 0 || dc <> 0 then begin
     let fn = t.st_fn.(t.depth - 1) in
@@ -226,48 +236,54 @@ let sample t ~instrs ~cycles =
     t.next_sample <- instrs + sample_every
   end
 
+(* The function entered at [pc]: the id its slot holds, registering an
+   unnamed entry the first time. *)
+let callee t pc =
+  let slot = slot_of t pc in
+  let id = if slot >= 0 then Array.unsafe_get t.fn_at slot else -1 in
+  if id >= 0 then id else register_fn t pc (Printf.sprintf "0x%x" pc)
+
+(* [parent]'s child for [fn], made on the first entry.  The child found
+   swaps to the front, so a loop around one call site finds it with one
+   comparison; no lookup hashes. *)
+let child parent fn =
+  let n = parent.n_nkids in
+  let i = ref 0 in
+  while !i < n && (Array.unsafe_get parent.n_kids !i).n_fn <> fn do
+    incr i
+  done;
+  let i = !i in
+  if i = n then begin
+    let nd = mk_node fn parent in
+    parent.n_kids <- grow parent.n_kids (n + 1) nd;
+    parent.n_kids.(n) <- nd;
+    parent.n_nkids <- n + 1
+  end;
+  let kids = parent.n_kids in
+  let nd = kids.(i) in
+  if i > 0 then begin
+    kids.(i) <- kids.(0);
+    kids.(0) <- nd
+  end;
+  nd
+
+let grow_stack t =
+  let d = t.depth in
+  t.st_fn <- grow t.st_fn (d + 1) 0;
+  t.st_entry_i <- grow t.st_entry_i (d + 1) 0;
+  t.st_entry_c <- grow t.st_entry_c (d + 1) 0
+
 let transfer t ~kind ~pc ~instrs ~cycles =
   flush t ~instrs ~cycles;
   t.ntransfers <- t.ntransfers + 1;
   if kind = kind_call then begin
-    let fn =
-      if pc = t.last_call_pc then t.last_call_fn
-      else begin
-        let id =
-          match Hashtbl.find t.fn_by_addr pc with
-          | id -> id
-          | exception Not_found -> register_fn t pc (Printf.sprintf "0x%x" pc)
-        in
-        t.last_call_pc <- pc;
-        t.last_call_fn <- id;
-        id
-      end
-    in
+    let fn = callee t pc in
     let d = t.depth in
-    t.st_fn <- grow t.st_fn (d + 1) 0;
-    t.st_entry_i <- grow t.st_entry_i (d + 1) 0;
-    t.st_entry_c <- grow t.st_entry_c (d + 1) 0;
-    t.st_node <- grow t.st_node (d + 1) t.root;
+    if d = Array.length t.st_fn then grow_stack t;
     t.st_fn.(d) <- fn;
     t.st_entry_i.(d) <- instrs;
     t.st_entry_c.(d) <- cycles;
-    let node =
-      match t.cur.n_cache with
-      | Some nd when nd.n_fn = fn -> nd
-      | _ ->
-        let nd =
-          match Hashtbl.find t.cur.n_children fn with
-          | nd -> nd
-          | exception Not_found ->
-            let nd = mk_node fn (Some t.cur) in
-            Hashtbl.add t.cur.n_children fn nd;
-            nd
-        in
-        t.cur.n_cache <- Some nd;
-        nd
-    in
-    t.st_node.(d) <- node;
-    t.cur <- node;
+    t.cur <- child t.cur fn;
     t.depth <- d + 1;
     t.fn_calls.(fn) <- t.fn_calls.(fn) + 1;
     t.fn_depth.(fn) <- t.fn_depth.(fn) + 1
@@ -283,8 +299,7 @@ let transfer t ~kind ~pc ~instrs ~cycles =
       t.fn_incl_i.(fn) <- t.fn_incl_i.(fn) + (instrs - t.st_entry_i.(d));
       t.fn_incl_c.(fn) <- t.fn_incl_c.(fn) + (cycles - t.st_entry_c.(d))
     end;
-    t.cur <-
-      (match t.st_node.(d).n_parent with Some p -> p | None -> t.root)
+    t.cur <- t.cur.n_parent
   end;
   sample t ~instrs ~cycles
 
@@ -346,7 +361,7 @@ let folded_of_tree t =
       else path ^ ";" ^ t.fn_name.(node.n_fn)
     in
     if node.n_self > 0 then acc := (path, node.n_self) :: !acc;
-    let kids = Hashtbl.fold (fun _ nd l -> nd :: l) node.n_children [] in
+    let kids = Array.to_list (Array.sub node.n_kids 0 node.n_nkids) in
     let kids =
       List.sort (fun a b -> compare t.fn_name.(a.n_fn) t.fn_name.(b.n_fn)) kids
     in

@@ -234,6 +234,52 @@ let prop_fast_path_differential =
        (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 1 40)))
     (fun (src, stride) -> fast_path_matches_generic ~stride src)
 
+(* Observed legs of the same check: a session with the profiler and the
+   sampler installed runs in blocks, in [run_slice]s of [stride]
+   instructions, and must observe exactly what the same session observes
+   when a no-op probe on every slot makes every instruction a step: exec
+   and taken counts, the profile report with its folded stacks, and every
+   sample's instruction count and values.  [O_full] adds the loop
+   pre-header patches, which turn slots into branches mid-run. *)
+let observed_blocks_match_steps ?(watch = "g0") ~every ~stride src =
+  let leg ~options ~stepped =
+    let session = Session.create ~options ~profile:true ~sample_every:every src in
+    ignore (Debugger.watch (Debugger.create session) watch);
+    let cpu = session.Session.cpu in
+    let image = session.Session.image in
+    if stepped then
+      Array.iteri
+        (fun i _ ->
+          Machine.Cpu.add_probe cpu (image.Sparc.Assembler.text_base + (4 * i)) ignore)
+        image.Sparc.Assembler.text;
+    let rec go () =
+      match Session.run_slice ~fuel:stride session with
+      | `Exited result -> result
+      | `Running _ -> go ()
+    in
+    let result = if stepped then Session.run ~fuel:20_000_000 session else go () in
+    let p = Option.get session.Session.profiler in
+    ( result,
+      Session.stats session,
+      Array.to_list (Profile.exec_array p),
+      Array.to_list (Profile.taken_array p),
+      Session.profile_report session,
+      (Session.report session).Telemetry.r_samples )
+  in
+  List.for_all
+    (fun options -> leg ~options ~stepped:false = leg ~options ~stepped:true)
+    [ Instrument.default_options; { Instrument.default_options with opt = Instrument.O_full } ]
+
+let prop_observed_differential =
+  QCheck.Test.make
+    ~name:"random programs: observed blocks == observed steps"
+    ~count:30
+    (QCheck.triple arb_program
+       (QCheck.make ~print:string_of_int (QCheck.Gen.oneofl [ 1; 2; 3; 7; 50_000 ]))
+       (QCheck.make ~print:string_of_int
+          QCheck.Gen.(oneof [ int_range 1 40; int_range 1 5_000 ])))
+    (fun (src, every, stride) -> observed_blocks_match_steps ~every ~stride src)
+
 (* [gen_program] never recurses, so one fixed program drives the
    register windows far past the 8 resident ones: 40 and 25 deep, with
    locals live across every call and a two-way recursion on the way. *)
@@ -249,7 +295,11 @@ let recursive_program =
 let test_recursive_differential () =
   Alcotest.(check bool)
     "recursive program: fast path == generic interpreter" true
-    (fast_path_matches_generic ~stride:7 recursive_program)
+    (fast_path_matches_generic ~stride:7 recursive_program);
+  Alcotest.(check bool)
+    "recursive program: observed blocks == observed steps" true
+    (observed_blocks_match_steps ~watch:"calls" ~every:7 ~stride:7
+       recursive_program)
 
 (* Translation validation on generated programs: every [O_full] plan,
    with and without alias checks, must verify with no [Refuted]
@@ -365,6 +415,7 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_semantics_and_soundness;
         QCheck_alcotest.to_alcotest prop_fast_path_differential;
+        QCheck_alcotest.to_alcotest prop_observed_differential;
         verifier_case;
         QCheck_alcotest.to_alcotest prop_slicing_matches_run;
         Alcotest.test_case "recursive program: pre-decoded fast path == generic"

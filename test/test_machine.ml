@@ -815,11 +815,13 @@ let block_and_generic image = (machine image, machine ~generic:true image)
 let assemble_main ?(data = []) items =
   Assembler.assemble { Asm.text = Asm.Label "main" :: items; data; entry = "main" }
 
-let test_block_repatched_mid_loop () =
-  (* A trap at the loop head patches the middle of the loop body into a
-     branch to a stub at its 5th execution and restores it at its 20th,
-     as MRS loop pre-header triggers do.  The body's block has formed by
-     then, so it must re-form with each new shape. *)
+(* A trap at the loop head patches the middle of the loop body into a
+   branch to a stub at its 5th execution and restores it at its 20th,
+   as MRS loop pre-header triggers do.  The body's block has formed by
+   then, so it must re-form with each new shape.  Returns the image and
+   the trap handler, which reads the loop counter, so a replay repeats
+   it. *)
+let repatched_loop () =
   let image =
     assemble_main
       (Asm.insns
@@ -843,14 +845,17 @@ let test_block_repatched_mid_loop () =
   let site = Option.get (Assembler.addr_of_label image "site") in
   let stub = Option.get (Assembler.addr_of_label image "stub") in
   let original = Cpu.fetch_at (Cpu.create image) site in
-  let blocks, generic = block_and_generic image in
-  (* The trigger reads the loop counter, so a replay repeats it. *)
   let trigger cpu =
     match Cpu.get cpu (Reg.l 0) with
     | 4 -> Cpu.patch cpu site (Insn.Branch { cond = Cond.A; target = Insn.Abs stub })
     | 19 -> Cpu.patch cpu site original
     | _ -> ()
   in
+  (image, trigger)
+
+let test_block_repatched_mid_loop () =
+  let image, trigger = repatched_loop () in
+  let blocks, generic = block_and_generic image in
   Cpu.on_trap blocks 9 trigger;
   Cpu.on_trap generic 9 trigger;
   (* 3 setup instructions, 7 per unpatched pass and 10 per patched one:
@@ -996,6 +1001,106 @@ let test_block_fault_mid_block () =
   check_int "instr_count" (Cpu.instr_count generic) (Cpu.instr_count blocks);
   check_same_machine "faulting load" ~blocks ~generic
 
+(* Observed blocks.  The profiler and a sampler are installed on both
+   machines; the reader returned reads back what they saw: exec counts
+   (kind bits included), taken counts and the instants the sampler
+   fired on. *)
+let observe cpu (image : Assembler.image) ~every =
+  let entry = image.Assembler.entry in
+  let p =
+    Profile.create ~text_base:image.Assembler.text_base
+      ~info:(Cpu.profile_static cpu) ~functions:[ (entry, "main") ] ~entry ()
+  in
+  Cpu.profile_install cpu p;
+  let samples = ref [] in
+  Cpu.sample_install cpu ~every ~hook:(fun insn -> samples := insn :: !samples);
+  fun () ->
+    ( Array.to_list (Profile.exec_array p),
+      Array.to_list (Profile.taken_array p),
+      List.rev !samples )
+
+let check_same_observed what ~blocks ~generic =
+  let be, bt, bs = blocks () and ge, gt, gs = generic () in
+  Alcotest.(check (list int)) (what ^ ": exec counts") ge be;
+  Alcotest.(check (list int)) (what ^ ": taken counts") gt bt;
+  Alcotest.(check (list int)) (what ^ ": sample instants") gs bs
+
+let test_observed_fault_mid_block () =
+  (* A misaligned load in the middle of a straight-line block, between
+     two loops, under both observers at several sample periods: the
+     counts and samples at the fault are those of stepping, and so are
+     those of the run resumed past the faulting load. *)
+  let loop name =
+    [ Asm.Insn (Asm.mov (Insn.Imm 0) (Reg.l 0)); Asm.Label name ]
+    @ Asm.insns
+        [ Asm.add (Reg.l 0) (Insn.Imm 1) (Reg.l 0); Asm.st (Reg.l 0) (Reg.l 1) (Insn.Imm 0);
+          Asm.add (Reg.l 3) (Insn.Reg (Reg.l 0)) (Reg.l 3); Asm.cmp (Reg.l 0) (Insn.Imm 9);
+          Asm.branch Cond.L name ]
+  in
+  let image =
+    assemble_main
+      ~data:[ { Asm.name = "x"; size = 8; init = [] } ]
+      ([ Asm.Set_label { label = "x"; offset = 0; rd = Reg.l 1 } ]
+      @ Asm.insns [ Asm.mov (Insn.Imm 0) (Reg.l 3) ]
+      @ loop "first"
+      @ Asm.insns
+          [ Asm.add (Reg.l 3) (Insn.Imm 1) (Reg.l 3); Asm.add (Reg.l 3) (Insn.Imm 2) (Reg.l 3) ]
+      @ [ Asm.Label "bad"; Asm.Insn (Asm.ld (Reg.l 1) (Insn.Imm 2) (Reg.l 2)) ]
+      @ Asm.insns
+          [ Asm.add (Reg.l 3) (Insn.Imm 3) (Reg.l 3); Asm.add (Reg.l 3) (Insn.Imm 4) (Reg.l 3) ]
+      @ loop "second"
+      @ exit_with (Reg.l 3))
+  in
+  let bad = Option.get (Assembler.addr_of_label image "bad") in
+  List.iter
+    (fun every ->
+      let what = Printf.sprintf "every %d" every in
+      let blocks, generic = block_and_generic image in
+      let blocks_seen = observe blocks image ~every
+      and generic_seen = observe generic image ~every in
+      List.iter
+        (fun cpu ->
+          match Cpu.run cpu with
+          | _ -> Alcotest.fail "expected a misaligned-load fault"
+          | exception Cpu.Fault { pc; _ } -> check_int "fault pc" bad pc)
+        [ blocks; generic ];
+      check_same_observed (what ^ " at the fault") ~blocks:blocks_seen
+        ~generic:generic_seen;
+      List.iter (fun cpu -> Cpu.set_pc cpu (bad + 4)) [ blocks; generic ];
+      check_int (what ^ ": resumed exit") (Cpu.run generic) (Cpu.run blocks);
+      check_same_observed (what ^ " resumed") ~blocks:blocks_seen
+        ~generic:generic_seen;
+      check_same_machine (what ^ " resumed") ~blocks ~generic)
+    [ 1; 2; 3; 5; 7; 64 ]
+
+let test_observed_patch_into_branch () =
+  (* The repatched loop, profiled and sampled: the patched slot turns
+     into a branch mid-block and back, so its kind bits and the blocks
+     around it must follow, on the run and on its replay. *)
+  let image, trigger = repatched_loop () in
+  let blocks, generic = block_and_generic image in
+  let blocks_seen = observe blocks image ~every:3
+  and generic_seen = observe generic image ~every:3 in
+  List.iter (fun cpu -> Cpu.on_trap cpu 9 trigger) [ blocks; generic ];
+  let cps =
+    List.map
+      (fun cpu ->
+        Cpu.run_to cpu ~insn:(3 + (4 * 7) + (5 * 10));
+        let cp = Cpu.checkpoint cpu in
+        ignore (Cpu.run cpu);
+        cp)
+      [ blocks; generic ]
+  in
+  check_same_observed "patched loop" ~blocks:blocks_seen ~generic:generic_seen;
+  List.iter2
+    (fun cpu cp ->
+      Cpu.rollback cpu cp;
+      ignore (Cpu.run cpu))
+    [ blocks; generic ] cps;
+  check_same_observed "replayed patched loop" ~blocks:blocks_seen
+    ~generic:generic_seen;
+  check_same_machine "profiled patched loop" ~blocks ~generic
+
 (* --- large arrays ----------------------------------------------------------- *)
 
 let test_arr_builders () =
@@ -1098,6 +1203,10 @@ let suites =
           test_block_fault_mid_block;
         Alcotest.test_case "a load evicting its own fetch line" `Quick
           test_block_load_evicts_own_line;
+        Alcotest.test_case "observed mid-block fault = generic, and resumed"
+          `Quick test_observed_fault_mid_block;
+        Alcotest.test_case "profiled mid-block patch into a branch" `Quick
+          test_observed_patch_into_branch;
         Alcotest.test_case "hooks may not reshape the run" `Quick
           test_hook_contract;
       ] );

@@ -173,6 +173,40 @@ let test_recursion_inclusive () =
   in
   check_int "folded fib self = exclusive" fib.Profile.fr_excl_instrs fib_self
 
+(* Calls and returns run about once every ten instructions on
+   call-heavy code, so once a call path has been entered, entering and
+   leaving it again allocates nothing, even when one caller alternates
+   between callees. *)
+let test_warm_transfers_allocate_nothing () =
+  let session, _ =
+    run_profiled
+      "int f(int n) { return n + 1; } int g(int n) { return n * 2; } \
+       int main() { return f(g(3)); }"
+  in
+  let p = Option.get session.Session.profiler in
+  let entry name =
+    Option.get (Sparc.Assembler.addr_of_label session.Session.image name)
+  in
+  let f = entry "f" and g = entry "g" in
+  let instrs = ref (Machine.Cpu.instr_count session.Session.cpu) in
+  let transfer kind pc =
+    incr instrs;
+    Profile.transfer p ~kind ~pc ~instrs:!instrs ~cycles:!instrs
+  in
+  let round () =
+    transfer Profile.kind_call f;
+    transfer Profile.kind_ret f;
+    transfer Profile.kind_call g;
+    transfer Profile.kind_ret g
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 5_000 do round () done;
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "20 000 warm transfers allocated %.0f words" words)
+    true (words < 64.)
+
 (* --- determinism of the exports --------------------------------------------------- *)
 
 let test_deterministic_reports () =
@@ -259,16 +293,17 @@ let test_without_observers_nests () =
   let rejected f =
     match f () with exception Invalid_argument _ -> true | () -> false
   in
+  let { Sparc.Assembler.text_base; entry; _ } = linked.Minic.Compile.image in
+  let profile info =
+    Profile.create ~text_base ~info ~functions:[ (entry, "_start") ] ~entry ()
+  in
   check_bool "short counter arrays rejected" true
-    (rejected (fun () ->
-         Machine.Cpu.profile_install cpu ~exec:[||] ~taken:[||]
-           ~transfer:(fun _ _ -> ())));
+    (rejected (fun () -> Machine.Cpu.profile_install cpu (profile [||])));
   check_bool "every = 0 rejected" true
     (rejected (fun () -> Machine.Cpu.sample_install cpu ~every:0 ~hook:ignore));
-  let n = Array.length (Machine.Cpu.profile_static cpu) in
-  let exec = Array.make n 0 in
-  Machine.Cpu.profile_install cpu ~exec ~taken:(Array.make n 0)
-    ~transfer:(fun _ _ -> ());
+  let p = profile (Machine.Cpu.profile_static cpu) in
+  let exec = Profile.exec_array p in
+  Machine.Cpu.profile_install cpu p;
   let samples = ref 0 in
   Machine.Cpu.sample_install cpu ~every:1 ~hook:(fun _ -> incr samples);
   (* Exec slots count in steps of 4 above the two kind bits. *)
@@ -454,6 +489,8 @@ let suites =
         Alcotest.test_case "call attribution" `Quick test_call_attribution;
         Alcotest.test_case "recursion inclusive once" `Quick
           test_recursion_inclusive;
+        Alcotest.test_case "warm transfers allocate nothing" `Quick
+          test_warm_transfers_allocate_nothing;
       ] );
     ( "profile.exports",
       [
