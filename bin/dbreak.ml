@@ -17,13 +17,13 @@
 open Cmdliner
 open Dbp
 
-(* Every export flag funnels through the shared [Exporter.export]:
+(* Every export flag funnels through the shared [Frontend.export]:
    render only when the flag was given, and let [Sys_error] escape to
    the single handler below, which turns an unwritable path into the
    same one-line exit-1 failure for all of them (the contract pinned by
    bin/dune's runtest rules).  dbreakd uses the same funnel. *)
-let read_file = Exporter.read_file
-let export = Exporter.export
+let read_file = Frontend.read_file
+let export = Frontend.export
 
 let strategy_conv =
   let parse s =
@@ -33,18 +33,8 @@ let strategy_conv =
   Arg.conv (parse, fun ppf s -> Strategy.pp ppf s)
 
 let opt_conv =
-  let parse = function
-    | "none" | "0" -> Ok Instrument.O0
-    | "symbol" | "sym" -> Ok Instrument.O_symbol
-    | "full" | "loop" -> Ok Instrument.O_full
-    | s -> Error (`Msg (Printf.sprintf "unknown optimization level %S" s))
-  in
-  let print ppf = function
-    | Instrument.O0 -> Fmt.string ppf "none"
-    | Instrument.O_symbol -> Fmt.string ppf "symbol"
-    | Instrument.O_full -> Fmt.string ppf "full"
-  in
-  Arg.conv (parse, print)
+  let parse s = Result.map_error (fun m -> `Msg m) (Frontend.parse_opt s) in
+  Arg.conv (parse, fun ppf o -> Fmt.string ppf (Frontend.opt_name o))
 
 (* An interval in instructions: zero or less is a usage error that
    names the flag (exit 2), not a failure inside the library. *)
@@ -235,12 +225,7 @@ let run_cmd source_file watches strategy opt check_aliases monitor_reads dump_as
       | None -> ()
       | Some target -> (
         match Session.resolve_addr session target with
-        | None ->
-          replay_fail
-            (Printf.sprintf
-               "cannot resolve %S to a data address (expected 0x-hex, \
-                decimal, or a global variable name)"
-               target)
+        | None -> replay_fail (Frontend.unresolved_target target)
         | Some addr -> (
           match Session.last_write session ~addr with
           | None ->
@@ -378,23 +363,8 @@ let run_cmd source_file watches strategy opt check_aliases monitor_reads dump_as
             vtext;
           0)))
     end
-  with
-  | Sys_error m -> fail m
-  | Invalid_argument m -> fail m
-  | Replay.Determinism_violation { insn; expected; actual } ->
-    fail
-      (Printf.sprintf
-         "replay diverged from the recorded run at insn %d (%s, \
-          expected %s)"
-         insn actual expected)
-  | Minic.Compile.Error e ->
-    fail (Printf.sprintf "%s error: %s" e.Minic.Compile.phase e.message)
-  | Machine.Cpu.Fault { pc; reason } ->
-    fail (Printf.sprintf "machine fault at 0x%x: %s" pc reason)
-  | Machine.Cpu.Out_of_fuel { executed } ->
-    fail (Printf.sprintf "out of fuel after %d instructions" executed)
-  | Debugger.No_such_variable v ->
-    fail (Printf.sprintf "no such variable: %s" v)
+  with e -> (
+    match Frontend.error_message e with Some m -> fail m | None -> raise e)
 
 let source_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE.mc"

@@ -56,7 +56,7 @@ let expand_script_line line =
        simple: FILE is a plain path token. *)
     match rest with
     | [ file; strategy; opt ] ->
-      let src = Exporter.read_file file in
+      let src = Frontend.read_file file in
       Proto.encode_command
         (Proto.Open { sid; source = Proto.Program src; strategy; opt })
     | _ -> raise (Sys_error "usage: !open SID FILE STRATEGY OPT")
@@ -65,7 +65,7 @@ let expand_script_line line =
 
 let run_client host port script =
   let lines =
-    Exporter.read_file script |> String.split_on_char '\n'
+    Frontend.read_file script |> String.split_on_char '\n'
     |> List.filter_map (fun l ->
            let l = String.trim l in
            if l = "" || l.[0] = '#' then None else Some l)

@@ -27,23 +27,7 @@ type event = {
 exception No_such_variable of string
 
 let function_of_pc (session : Session.t) pc =
-  let in_stub (first, last, _) = pc >= first && pc <= last in
-  match List.find_opt in_stub (Lazy.force session.Session.stub_functions) with
-  | Some (_, _, fn) -> Some fn
-  | None ->
-    let image = session.Session.image in
-    (* Function labels sort below pc; pick the greatest one. *)
-    let best = ref None in
-    List.iter
-      (fun f ->
-        match Assembler.addr_of_label image f with
-        | Some a when a <= pc -> (
-          match !best with
-          | Some (_, ba) when ba >= a -> ()
-          | _ -> best := Some (f, a))
-        | Some _ | None -> ())
-      ("_start" :: session.Session.functions);
-    Option.map fst !best
+  Instrument.function_at session.Session.sites pc
 
 type breakpoint_event = { fname : string; count : int }
 

@@ -431,3 +431,153 @@ let run ?audit ?trace (options : options) (out : Minic.Codegen.output) : t =
     symtab = out.symtab;
     fn_inputs;
   }
+
+(* --- the site map --------------------------------------------------------- *)
+
+(* Where every site, patch stub and function sits in one assembled
+   image, resolved once from the labels above; every runtime reader
+   (counters, patching, hit attribution, store types, function names)
+   asks this map instead of the labels. *)
+
+type placed = { site : site; pc : int; stub : int; stub_end : int }
+
+type map = {
+  writes : placed array;  (* by slot, so by origin too *)
+  fns : (int * string) list;
+  (* Open addressing over the exact program-access pcs (0 marks an empty
+     cell): 1 + the write type's index at a store (site or stub), -1 at
+     a read site. *)
+  keys : int array;
+  codes : int array;
+  (* Sorted by pc: the labels that open each write and read site's
+     check, and the starts of the function ranges. *)
+  w_at : (int * placed) array;
+  r_at : (int * read_site) array;
+  f_at : (int * string option) array;
+}
+
+(* Greatest index with [key a.(i) <= x] in an array sorted by [key],
+   or -1. *)
+let last_le key a x =
+  let lo = ref (-1) and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if key a.(mid) <= x then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* The cell holding [pc], or the empty cell where it would go. *)
+let rec probe keys mask pc i =
+  let k = Array.unsafe_get keys i in
+  if k = pc || k = 0 then i else probe keys mask pc ((i + 1) land mask)
+
+let cell keys pc =
+  let mask = Array.length keys - 1 in
+  probe keys mask pc ((((pc lsr 2) * 0x9E3779B1) lsr 12) land mask)
+
+let by_pc l = Array.of_list (List.stable_sort (fun (x, _) (y, _) -> compare x y) l)
+
+let map (plan : t) (image : Assembler.image) =
+  let addr l = Option.value ~default:(-1) (Assembler.addr_of_label image l) in
+  let text = image.Assembler.text and base = image.Assembler.text_base in
+  (* A stub closes with the first [ba] back to its site. *)
+  let closing first back =
+    let rec go k =
+      if k >= Array.length text then -1
+      else
+        match text.(k) with
+        | Insn.Branch { cond = Cond.A; target = Insn.Abs a } when a = back ->
+          base + (4 * k)
+        | _ -> go (k + 1)
+    in
+    if first < 0 || back < 0 then -1 else go ((first - base) / 4)
+  in
+  let writes =
+    List.map
+      (fun s ->
+        let stub = addr (patch_label s.origin) in
+        { site = s; pc = addr (site_label s.origin); stub;
+          stub_end = closing stub (addr (back_label s.origin)) })
+      plan.sites
+  in
+  let w_at =
+    by_pc
+      (List.concat_map
+         (fun p -> List.filter (fun (a, _) -> a >= 0) [ (p.pc, p); (p.stub, p) ])
+         writes)
+  and r_at =
+    by_pc
+      (List.filter_map
+         (fun r ->
+           let a = addr (read_site_label r.r_origin) in
+           if a < 0 then None else Some (a, r))
+         plan.read_sites)
+  in
+  let size = ref 1 in
+  while !size < 2 * (Array.length w_at + Array.length r_at) do
+    size := 2 * !size
+  done;
+  let keys = Array.make !size 0 and codes = Array.make !size 0 in
+  let add code (pc, _) =
+    let i = cell keys pc in
+    keys.(i) <- pc;
+    codes.(i) <- code
+  in
+  Array.iter (fun ((_, p) as e) -> add (1 + Write_type.index p.site.write_type) e) w_at;
+  Array.iter (add (-1)) r_at;
+  (* The first name at a shared start wins.  A patch stub sits after
+     every function yet belongs to its site's function, so it opens a
+     range of its own; the stable sort lets a stub's start beat the
+     end of the stub before it, and that end beat a function start. *)
+  let fns =
+    List.rev
+      (List.fold_left
+         (fun acc f ->
+           let a = addr f in
+           if a < 0 || List.mem_assoc a acc then acc else (a, f) :: acc)
+         [] ("_start" :: plan.functions))
+  in
+  let starts = by_pc (List.map (fun (a, f) -> (a, Some f)) fns) in
+  let after_stub p =
+    let i = last_le fst starts (p.stub_end + 4) in
+    (p.stub_end + 4, if i < 0 then None else snd starts.(i))
+  in
+  let stubs = List.filter (fun p -> p.stub_end >= 0) writes in
+  let f_at =
+    by_pc
+      (Array.to_list starts
+      @ List.map after_stub stubs
+      @ List.map (fun p -> (p.stub, Some p.site.fn)) stubs)
+  in
+  { writes = Array.of_list writes; fns; keys; codes; w_at; r_at; f_at }
+
+let write_sites m = m.writes
+let read_sites m = m.r_at
+let functions m = m.fns
+
+let find_site m origin =
+  let i = last_le (fun p -> p.site.origin) m.writes origin in
+  if i >= 0 && m.writes.(i).site.origin = origin then Some m.writes.(i) else None
+
+(* A write check follows its site label (or runs inside its stub), so
+   its trap pc belongs to the greatest label at or below it; a read
+   check precedes its label, so to the least label at or above it. *)
+let write_site_at m pc =
+  let i = last_le fst m.w_at pc in
+  if i < 0 then None else Some (snd m.w_at.(i))
+
+let read_site_at m pc =
+  let i = last_le fst m.r_at (pc - 1) + 1 in
+  if i >= Array.length m.r_at then None else Some (snd m.r_at.(i))
+
+let some_type = Array.of_list (List.map Option.some Write_type.all)
+
+let store_type m pc =
+  let code = m.codes.(cell m.keys pc) in
+  if code > 0 then some_type.(code - 1) else None
+
+let load_site m pc = m.codes.(cell m.keys pc) < 0
+
+let function_at m pc =
+  let i = last_le fst m.f_at pc in
+  if i < 0 then None else snd m.f_at.(i)

@@ -116,3 +116,58 @@ val back_label : int -> string
 
 val patch_label : int -> string
 (** Start of an eliminated store's patch stub. *)
+
+(** {1 The site map}
+
+    Where every write site, patch stub, read site and function sits in
+    one assembled image — the table of stopping points every runtime
+    service reads.  It is resolved once per image from the labels above
+    and sized by the sites and functions, not by the text. *)
+
+type placed = {
+  site : site;
+  pc : int;  (** the store's own pc: its site label *)
+  stub : int;  (** first pc of its patch stub; [-1] for a checked site *)
+  stub_end : int;  (** pc of the stub's closing [ba]; [-1] without a stub *)
+}
+
+type map
+
+val map : t -> Sparc.Assembler.image -> map
+(** Resolve a plan's labels in the image it assembled to. *)
+
+val write_sites : map -> placed array
+(** Every write site, indexed by slot. *)
+
+val read_sites : map -> (int * read_site) array
+(** Every read site that resolves, with its pc, in pc order (which is
+    slot order). *)
+
+val functions : map -> (int * string) list
+(** [_start] and the compiler's functions that resolve, as
+    [(entry pc, name)] in plan order; the first name at a shared pc
+    wins. *)
+
+val find_site : map -> int -> placed option
+(** The write site of an origin. *)
+
+val write_site_at : map -> int -> placed option
+(** The write site whose check a trap pc belongs to: the greatest site
+    or stub pc at or below it (a check follows its store). *)
+
+val read_site_at : map -> int -> read_site option
+(** The read site whose check a trap pc belongs to: the least read-site
+    pc at or above it (a read check precedes its load). *)
+
+val store_type : map -> int -> Write_type.t option
+(** The write type of the program store at exactly this pc — a site
+    (inline store) or a stub's first pc (re-inserted check) — in O(1)
+    and without allocating; [None] for any other pc. *)
+
+val load_site : map -> int -> bool
+(** Is this pc exactly a read site's load? *)
+
+val function_at : map -> int -> string option
+(** The function a pc belongs to: the greatest function start at or
+    below it, except that a pc inside a patch stub (its first pc
+    through its closing [ba]) belongs to its site's function. *)

@@ -28,18 +28,15 @@ type t = {
   layout : Layout.t;
   plan : Instrument.t;
   image : Assembler.image;
+  sites : Instrument.map;
   cpu : Cpu.t;
   bitmap : Segbitmap.t;
   mutable regions : Region.set;
-  mutable enabled : bool;
   mutable callback : (hit -> unit) option;
   (* Passive hit observers (heatmaps, tooling): all run after the
      user callback, never replace it, and skip hits while the machine's
      observers are paused ({!Cpu.without_observers}). *)
   mutable observers : (hit -> unit) list;
-  site_addr : (int, int) Hashtbl.t;     (* origin -> text address *)
-  patch_addr : (int, int) Hashtbl.t;
-  original : (int, Insn.t) Hashtbl.t;
   loops : (int, Loopopt.loop_plan) Hashtbl.t;
   mutable alias_regions : ((int * int) * Region.t list) list;
       (* (loop id, %fp) -> internal regions created at loop entry *)
@@ -48,120 +45,64 @@ type t = {
   entries_by_loop : (int, int) Hashtbl.t;
   loop_check_cycles : int;
   pseudo_home : string -> [ `Global of int | `Local of string * int ] option;
-  telemetry : Telemetry.t option;
-  audit : Audit.t option;
-  (* Hit → site attribution maps, built once at install time from the
-     resolved site/patch/read-site labels: parallel arrays sorted by
-     label address.  A write hit's trap pc lies inside the check
-     sequence that follows its site label (or inside its patch stub), so
-     the owning site is the one with the greatest label address <= pc; a
-     read check precedes its label, so a read hit belongs to the site
-     with the least label address >= pc. *)
-  mutable w_attr_addrs : int array;
-  mutable w_attr_slots : int array;
-  mutable w_attr_types : int array;
-  mutable r_attr_addrs : int array;
-  mutable r_attr_slots : int array;
-  mutable r_attr_types : int array;
+  telemetry : Telemetry.t;
+  audit : Audit.t;
 }
 
 let g6 = Reg.g 6
 
 let counters t = t.counters
 
-(* --- telemetry glue ----------------------------------------------------------- *)
-
-let tel_incr t c =
-  match t.telemetry with Some tel -> Telemetry.incr tel c | None -> ()
-
 (* --- audit glue ---------------------------------------------------------------- *)
 
-let aud t f = match t.audit with Some a -> f a | None -> ()
-
 let aud_patch t kind ~why origin =
-  aud t (fun a ->
-      Audit.patch a ~kind ~pseudo:why ~origin ~insn:(Cpu.instr_count t.cpu))
+  Audit.patch t.audit ~kind ~pseudo:why ~origin ~insn:(Cpu.instr_count t.cpu)
 
 let aud_region t kind ~why (r : Region.t) =
-  aud t (fun a ->
-      Audit.region a ~kind ~lo:r.Region.lo ~hi:r.Region.hi ~why
-        ~insn:(Cpu.instr_count t.cpu))
+  Audit.region t.audit ~kind ~lo:r.Region.lo ~hi:r.Region.hi ~why
+    ~insn:(Cpu.instr_count t.cpu)
 
-(* Greatest index with [addrs.(i) <= pc]. *)
-let attr_last_le addrs pc =
-  let n = Array.length addrs in
-  if n = 0 || pc < addrs.(0) then None
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if addrs.(mid) <= pc then lo := mid else hi := mid - 1
-    done;
-    Some !lo
-  end
-
-(* Least index with [addrs.(i) >= pc]. *)
-let attr_first_ge addrs pc =
-  let n = Array.length addrs in
-  if n = 0 || pc > addrs.(n - 1) then None
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if addrs.(mid) >= pc then hi := mid else lo := mid + 1
-    done;
-    Some !lo
-  end
-
-(* Attribute a monitor hit to its check site, bump the per-site hit
-   cell, and append a trace event.  When the pc matches no known site
-   label the hit is still conserved under [Unattributed_hits]. *)
-let tel_hit t cpu ~(access : access) ~addr ~pc (region : Region.t option) =
-  match t.telemetry with
-  | None -> ()
-  | Some tel ->
-    if Telemetry.enabled tel then begin
-      let write_type =
-        match access with
-        | Write -> (
-          match attr_last_le t.w_attr_addrs pc with
-          | Some i ->
-            Telemetry.bump_site_hit tel t.w_attr_slots.(i);
-            Telemetry.write_type_name t.w_attr_types.(i)
-          | None ->
-            Telemetry.incr tel Telemetry.Unattributed_hits;
-            "")
-        | Read -> (
-          match attr_first_ge t.r_attr_addrs pc with
-          | Some i ->
-            Telemetry.bump_read_site_hit tel t.r_attr_slots.(i);
-            Telemetry.write_type_name t.r_attr_types.(i)
-          | None ->
-            Telemetry.incr tel Telemetry.Unattributed_hits;
-            "")
-      in
-      let lo, hi, kind =
-        match region with
+(* Attribute a monitor hit to its check site through the site map,
+   bump the per-site hit cell, and append a trace event.  When the pc
+   matches no known site the hit is still conserved under
+   [Unattributed_hits]. *)
+let tel_hit t cpu ~(access : access) ~addr ~pc (region : Region.t) =
+  let tel = t.telemetry in
+  if Telemetry.enabled tel then begin
+    let write_type =
+      match access with
+      | Write -> (
+        match Instrument.write_site_at t.sites pc with
+        | Some p ->
+          Telemetry.bump_site_hit tel p.site.slot;
+          Write_type.to_string p.site.write_type
+        | None ->
+          Telemetry.incr tel Telemetry.Unattributed_hits;
+          "")
+      | Read -> (
+        match Instrument.read_site_at t.sites pc with
         | Some r ->
-          ( r.Region.lo,
-            r.Region.hi,
-            match r.Region.kind with
-            | Region.User -> "user"
-            | Region.Internal -> "internal" )
-        | None -> (0, 0, "")
-      in
-      Telemetry.record_event tel
-        {
-          Telemetry.ev_pc = pc;
-          ev_addr = addr;
-          ev_region_lo = lo;
-          ev_region_hi = hi;
-          ev_region_kind = kind;
-          ev_access = (match access with Write -> Telemetry.Write | Read -> Telemetry.Read);
-          ev_write_type = write_type;
-          ev_insn = Cpu.instr_count cpu;
-        }
-    end
+          Telemetry.bump_read_site_hit tel r.r_slot;
+          Write_type.to_string r.r_write_type
+        | None ->
+          Telemetry.incr tel Telemetry.Unattributed_hits;
+          "")
+    in
+    Telemetry.record_event tel
+      {
+        Telemetry.ev_pc = pc;
+        ev_addr = addr;
+        ev_region_lo = region.Region.lo;
+        ev_region_hi = region.Region.hi;
+        ev_region_kind =
+          (match region.Region.kind with
+          | Region.User -> "user"
+          | Region.Internal -> "internal");
+        ev_access = (match access with Write -> Telemetry.Write | Read -> Telemetry.Read);
+        ev_write_type = write_type;
+        ev_insn = Cpu.instr_count cpu;
+      }
+  end
 
 let loop_entry_count t id =
   Option.value ~default:0 (Hashtbl.find_opt t.entries_by_loop id)
@@ -272,44 +213,42 @@ let invalidate_caches t =
    replayed loop pre-header then re-patches exactly as the recorded run
    did. *)
 let check_inserted t origin =
-  match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.original origin with
-  | Some site, Some insn -> Cpu.fetch_at t.cpu site <> insn
-  | _, _ -> false
+  match Instrument.find_site t.sites origin with
+  | Some p -> Cpu.fetch_at t.cpu p.pc <> p.site.insn
+  | None -> false
 
 (* Patch in the check for one eliminated site (by origin).  [why]
    labels the audit event: the pseudo name for PreMonitor patches,
    ["loop:N"] / ["alias:N"] for dynamic loop re-insertion. *)
 let insert_check ?(why = "") t origin =
   if not (check_inserted t origin) then begin
-    match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.patch_addr origin with
-    | Some site, Some patch ->
+    match Instrument.find_site t.sites origin with
+    | Some p when p.stub >= 0 ->
       t.counters.patches_inserted <- t.counters.patches_inserted + 1;
-      tel_incr t Telemetry.Patches_inserted;
+      Telemetry.incr t.telemetry Telemetry.Patches_inserted;
       aud_patch t Audit.Patch_inserted ~why origin;
-      Cpu.patch t.cpu site (Insn.Branch { cond = Cond.A; target = Insn.Abs patch })
-    | _, _ -> ()
+      Cpu.patch t.cpu p.pc (Insn.Branch { cond = Cond.A; target = Insn.Abs p.stub })
+    | Some _ | None -> ()
   end
 
 let remove_check ?(why = "") t origin =
   if check_inserted t origin then begin
-    match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.original origin with
-    | Some site, Some insn ->
-      tel_incr t Telemetry.Patches_removed;
+    match Instrument.find_site t.sites origin with
+    | Some p ->
+      Telemetry.incr t.telemetry Telemetry.Patches_removed;
       aud_patch t Audit.Patch_removed ~why origin;
-      Cpu.patch t.cpu site insn
-    | _, _ -> ()
+      Cpu.patch t.cpu p.pc p.site.insn
+    | None -> ()
   end
 
 (* Snapshot gauges: occupancy numbers whose current value (not a sum of
    bumps) is the interesting quantity; written unconditionally at report
    time via {!Telemetry.set}. *)
 let record_gauges t =
-  match t.telemetry with
-  | None -> ()
-  | Some tel ->
-    Telemetry.set tel Telemetry.Seg_words_monitored
-      (Segbitmap.monitored_words t.bitmap);
-    Telemetry.set tel Telemetry.Seg_arena_bytes (Segbitmap.space_bytes t.bitmap)
+  Telemetry.set t.telemetry Telemetry.Seg_words_monitored
+    (Segbitmap.monitored_words t.bitmap);
+  Telemetry.set t.telemetry Telemetry.Seg_arena_bytes
+    (Segbitmap.space_bytes t.bitmap)
 
 (* --- the service interface ------------------------------------------------------ *)
 
@@ -324,7 +263,7 @@ let create_region ?(why = "user") t region =
   | _ -> ());
   t.regions <- Region.add t.regions region;
   Segbitmap.add_region t.bitmap region;
-  tel_incr t Telemetry.Regions_created;
+  Telemetry.incr t.telemetry Telemetry.Regions_created;
   aud_region t Audit.Region_created ~why region;
   if t.plan.Instrument.options.strategy = Strategy.Hash_table then
     hash_add_region t region;
@@ -333,7 +272,7 @@ let create_region ?(why = "user") t region =
 let delete_region ?(why = "user") t region =
   t.regions <- Region.remove t.regions region;
   Segbitmap.remove_region t.bitmap region;
-  tel_incr t Telemetry.Regions_deleted;
+  Telemetry.incr t.telemetry Telemetry.Regions_deleted;
   aud_region t Audit.Region_deleted ~why region;
   if t.plan.Instrument.options.strategy = Strategy.Hash_table then
     hash_remove_region t region
@@ -342,13 +281,10 @@ let set_callback t f = t.callback <- Some f
 
 let add_hit_observer t f = t.observers <- t.observers @ [ f ]
 
-let enable t =
-  t.enabled <- true;
-  Cpu.set t.cpu g6 0
-
-let disable t =
-  t.enabled <- false;
-  Cpu.set t.cpu g6 1
+(* The disabled flag lives only in [%g6], which rollback restores; the
+   inline checks and the hardware-watch hook both read it there. *)
+let enable t = Cpu.set t.cpu g6 0
+let disable t = Cpu.set t.cpu g6 1
 
 let pre_monitor t pseudo =
   List.iter
@@ -364,6 +300,18 @@ let post_monitor t pseudo =
 
 (* --- trap handlers ---------------------------------------------------------------- *)
 
+(* Deliver a hit on a user region: count it, attribute it, then tell the
+   callback and (outside replay) the observers. *)
+let user_hit t cpu ~access ~addr ~pc region =
+  t.counters.user_hits <- t.counters.user_hits + 1;
+  if access = Read then t.counters.read_hits <- t.counters.read_hits + 1;
+  Telemetry.incr t.telemetry Telemetry.User_hits;
+  if access = Read then Telemetry.incr t.telemetry Telemetry.Read_hits;
+  tel_hit t cpu ~access ~addr ~pc region;
+  let h = { addr; pc; region; access } in
+  (match t.callback with Some f -> f h | None -> ());
+  if Cpu.observing cpu then List.iter (fun f -> f h) t.observers
+
 let on_hit ?(access = Write) t cpu =
   let addr = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
   (* Attribute the hit to the checked instruction: for inline checks
@@ -374,18 +322,11 @@ let on_hit ?(access = Write) t cpu =
   in
   match Region.find_containing t.regions addr with
   | Some ({ Region.kind = Region.User; _ } as region) ->
-    t.counters.user_hits <- t.counters.user_hits + 1;
-    if access = Read then t.counters.read_hits <- t.counters.read_hits + 1;
-    tel_incr t Telemetry.User_hits;
-    if access = Read then tel_incr t Telemetry.Read_hits;
-    tel_hit t cpu ~access ~addr ~pc (Some region);
-    let h = { addr; pc; region; access } in
-    (match t.callback with Some f -> f h | None -> ());
-    if Cpu.observing cpu then List.iter (fun f -> f h) t.observers
+    user_hit t cpu ~access ~addr ~pc region
   | Some ({ Region.kind = Region.Internal; _ } as region) ->
     t.counters.internal_hits <- t.counters.internal_hits + 1;
-    tel_incr t Telemetry.Internal_hits;
-    tel_hit t cpu ~access ~addr ~pc (Some region);
+    Telemetry.incr t.telemetry Telemetry.Internal_hits;
+    tel_hit t cpu ~access ~addr ~pc region;
     (* An alias home changed: conservatively re-insert every check the
        region was protecting. *)
     Hashtbl.iter
@@ -408,7 +349,7 @@ let loop_of_trap t cpu = Hashtbl.find_opt t.loops (Word.to_unsigned (Cpu.get cpu
 
 let on_loop_entry t cpu =
   t.counters.loop_entries <- t.counters.loop_entries + 1;
-  tel_incr t Telemetry.Loop_entries;
+  Telemetry.incr t.telemetry Telemetry.Loop_entries;
   (let id = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
    Hashtbl.replace t.entries_by_loop id
      (1 + Option.value ~default:0 (Hashtbl.find_opt t.entries_by_loop id)));
@@ -440,7 +381,7 @@ let on_loop_entry t cpu =
     in
     if triggered then begin
       t.counters.loop_triggers <- t.counters.loop_triggers + 1;
-      tel_incr t Telemetry.Loop_triggers;
+      Telemetry.incr t.telemetry Telemetry.Loop_triggers;
       List.iter
         (insert_check ~why:("loop:" ^ string_of_int plan.loop_id) t)
         plan.eliminated
@@ -490,28 +431,25 @@ let on_loop_exit t cpu =
 
 let on_violation t cpu =
   t.counters.violations <- t.counters.violations + 1;
-  tel_incr t Telemetry.Violations;
+  Telemetry.incr t.telemetry Telemetry.Violations;
   ignore cpu
 
 (* --- installation -------------------------------------------------------------------- *)
 
-let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
-    ~(image : Assembler.image) ~symtab cpu =
+let install ?(protect_self = false) ~telemetry ~audit ~(plan : Instrument.t)
+    ~sites ~(image : Assembler.image) ~symtab cpu =
   let layout = plan.Instrument.options.layout in
   let t =
     {
       layout;
       plan;
       image;
+      sites;
       cpu;
-      bitmap = Segbitmap.create ?telemetry layout (Cpu.mem cpu);
+      bitmap = Segbitmap.create ~telemetry layout (Cpu.mem cpu);
       regions = Region.empty;
-      enabled = false;
       callback = None;
       observers = [];
-      site_addr = Hashtbl.create 256;
-      patch_addr = Hashtbl.create 64;
-      original = Hashtbl.create 64;
       loops = Hashtbl.create 16;
       alias_regions = [];
       hash_bump = layout.Layout.hash_base + (4 * layout.Layout.hash_buckets);
@@ -530,66 +468,11 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
       pseudo_home = (fun p -> pseudo_home_of_symtab symtab p);
       telemetry;
       audit;
-      w_attr_addrs = [||];
-      w_attr_slots = [||];
-      w_attr_types = [||];
-      r_attr_addrs = [||];
-      r_attr_slots = [||];
-      r_attr_types = [||];
     }
   in
-  (* Resolve site/patch labels and squirrel away original stores. *)
-  List.iter
-    (fun (s : Instrument.site) ->
-      (match Assembler.addr_of_label image (Instrument.site_label s.origin) with
-      | Some a -> Hashtbl.replace t.site_addr s.origin a
-      | None -> ());
-      (match Assembler.addr_of_label image (Instrument.patch_label s.origin) with
-      | Some a -> Hashtbl.replace t.patch_addr s.origin a
-      | None -> ());
-      Hashtbl.replace t.original s.origin s.insn)
-    plan.Instrument.sites;
   List.iter
     (fun (p : Loopopt.loop_plan) -> Hashtbl.replace t.loops p.loop_id p)
     plan.Instrument.loop_plans;
-  (* Build the hit → site attribution maps (sorted label-address arrays;
-     a patched-out site's check executes in its patch stub, so both the
-     site label and the patch label map to the same slot). *)
-  (match telemetry with
-  | None -> ()
-  | Some _ ->
-    let wentries = ref [] in
-    List.iter
-      (fun (s : Instrument.site) ->
-        let wt = Write_type.index s.Instrument.write_type in
-        (match Hashtbl.find_opt t.site_addr s.Instrument.origin with
-        | Some a -> wentries := (a, s.Instrument.slot, wt) :: !wentries
-        | None -> ());
-        match Hashtbl.find_opt t.patch_addr s.Instrument.origin with
-        | Some a -> wentries := (a, s.Instrument.slot, wt) :: !wentries
-        | None -> ())
-      plan.Instrument.sites;
-    let w = Arr.of_list (List.sort compare !wentries) in
-    t.w_attr_addrs <- Array.map (fun (a, _, _) -> a) w;
-    t.w_attr_slots <- Array.map (fun (_, s, _) -> s) w;
-    t.w_attr_types <- Array.map (fun (_, _, wt) -> wt) w;
-    let rentries = ref [] in
-    List.iter
-      (fun (r : Instrument.read_site) ->
-        match
-          Assembler.addr_of_label image
-            (Instrument.read_site_label r.Instrument.r_origin)
-        with
-        | Some a ->
-          rentries :=
-            (a, r.Instrument.r_slot, Write_type.index r.Instrument.r_write_type)
-            :: !rentries
-        | None -> ())
-      plan.Instrument.read_sites;
-    let r = Arr.of_list (List.sort compare !rentries) in
-    t.r_attr_addrs <- Array.map (fun (a, _, _) -> a) r;
-    t.r_attr_slots <- Array.map (fun (_, s, _) -> s) r;
-    t.r_attr_types <- Array.map (fun (_, _, wt) -> wt) r);
   (* §2.1: the MRS protects the integrity of its own structures with
      internal monitored regions (the shadow stack and the hash-table
      bucket array; the segment table itself is too large to cover and a
@@ -615,7 +498,7 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
   (match plan.Instrument.options.strategy with
   | Strategy.Hardware_watch _ ->
     Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
-        if t.enabled then begin
+        if Cpu.get cpu g6 = 0 then begin
           let bytes = Insn.width_bytes width in
           let rec covered a =
             if a >= addr + bytes then None
@@ -626,18 +509,10 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
           in
           match covered addr with
           | Some ({ Region.kind = Region.User; _ } as region) ->
-            t.counters.user_hits <- t.counters.user_hits + 1;
-            tel_incr t Telemetry.User_hits;
             (* The watchpoint comparison fires on the store itself, whose
-               pc is exactly its site label's address. *)
-            tel_hit t cpu ~access:Write ~addr:(Word.to_unsigned addr)
-              ~pc:(Cpu.pc cpu) (Some region);
-            let h =
-              { addr = Word.to_unsigned addr; pc = Cpu.pc cpu;
-                region; access = Write }
-            in
-            (match t.callback with Some f -> f h | None -> ());
-            if Cpu.observing cpu then List.iter (fun f -> f h) t.observers
+               pc is exactly its site's. *)
+            user_hit t cpu ~access:Write ~addr:(Word.to_unsigned addr)
+              ~pc:(Cpu.pc cpu) region
           | Some _ | None -> ()
         end)
   | _ -> ());

@@ -38,9 +38,10 @@ type t
 
 val install :
   ?protect_self:bool ->
-  ?telemetry:Telemetry.t ->
-  ?audit:Audit.t ->
+  telemetry:Telemetry.t ->
+  audit:Audit.t ->
   plan:Instrument.t ->
+  sites:Instrument.map ->
   image:Sparc.Assembler.image ->
   symtab:Sparc.Symtab.t ->
   Machine.Cpu.t ->
@@ -48,17 +49,18 @@ val install :
 (** Install trap handlers and initialize reserved registers.  The MRS
     starts disabled.  With [protect_self], internal monitored regions
     cover the MRS's own in-memory structures (§2.1); stray program
-    writes into them surface as [internal_hits].
+    writes into them surface as [internal_hits].  [sites] is [plan]'s
+    site map in [image]: patches swing a site to its stub through it.
 
-    With [telemetry], every service-interface action and monitor hit is
-    mirrored into the registry: hits are attributed back to their check
-    site (by binary search over the site/patch/read-site label
-    addresses) and bump that slot's hit cell, a trace event is appended
-    to the registry's ring, and region/patch/loop/violation counters
-    are kept alongside {!counters}.
+    Every service-interface action and monitor hit is mirrored into
+    [telemetry]: hits are attributed back to their check site
+    ({!Instrument.write_site_at}, {!Instrument.read_site_at}) and bump
+    that slot's hit cell, a trace event is appended to the registry's
+    ring, and region/patch/loop/violation counters are kept alongside
+    {!counters}.
 
-    With [audit], patch insert/remove and region create/delete are
-    journalled as lifecycle events carrying the reason ([why]) and the
+    Patch insert/remove and region create/delete are journalled in
+    [audit] as lifecycle events carrying the reason ([why]) and the
     instruction count at which they happened — the runtime half of the
     provenance record started at instrument time. *)
 
@@ -96,8 +98,8 @@ val counters : t -> counters
 
 val record_gauges : t -> unit
 (** Write the occupancy gauges ({!Telemetry.Seg_words_monitored},
-    {!Telemetry.Seg_arena_bytes}) into the installed telemetry registry;
-    no-op without one.  Call just before taking a report. *)
+    {!Telemetry.Seg_arena_bytes}) into the installed telemetry registry.
+    Call just before taking a report. *)
 
 val loop_entry_count : t -> int -> int
 (** Dynamic executions of a loop's pre-header check. *)

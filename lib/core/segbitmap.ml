@@ -7,15 +7,15 @@ open Machine
    Segment table entry layout: [segment_pointer | monitored_flag] with
    the flag in the otherwise-unused low bit.  A zero entry means "no
    segment allocated" and reads as unmonitored, so the table needs no
-   initialization (fresh simulated memory is zero).  An OCaml-side
-   count of monitored words per segment supports efficient flag
-   maintenance on create/delete (§3.1). *)
+   initialization (fresh simulated memory is zero).  A segment's flag
+   means "its bitmap has a set bit" and is derived from the bitmap
+   words themselves, so a memory rollback restores it with them
+   (§3.1). *)
 
 type t = {
   layout : Layout.t;
   mem : Memory.t;
   mutable next_segment : int;
-  counts : (int, int) Hashtbl.t;  (* segment number -> monitored words *)
   telemetry : Telemetry.t option;
 }
 
@@ -24,7 +24,6 @@ let create ?telemetry layout mem =
     layout;
     mem;
     next_segment = layout.Layout.segments_base;
-    counts = Hashtbl.create 64;
     telemetry;
   }
 
@@ -56,26 +55,21 @@ let bit_location t addr =
   let widx = Layout.word_in_segment t.layout addr in
   (4 * (widx lsr 5), widx land 31)
 
+(* Does the segment bitmap at [ptr] have a set bit? *)
+let any_bit t ptr =
+  let rec go off =
+    off < Layout.segment_bitmap_bytes t.layout
+    && (Memory.read_word t.mem (ptr + off) <> 0 || go (off + 4))
+  in
+  go 0
+
 let set_word_bit t addr value =
-  let seg = Layout.segment_of t.layout addr in
   let ptr = segment_ptr t addr in
   let word_off, bit = bit_location t addr in
   let w = Sparc.Word.to_unsigned (Memory.read_word t.mem (ptr + word_off)) in
-  let already = w land (1 lsl bit) <> 0 in
   let w' = if value then w lor (1 lsl bit) else w land lnot (1 lsl bit) in
   Memory.write_word t.mem (ptr + word_off) w';
-  (* Maintain the per-segment monitored-word count and flag. *)
-  let delta =
-    match value, already with
-    | true, false -> 1
-    | false, true -> -1
-    | true, true | false, false -> 0
-  in
-  if delta <> 0 then begin
-    let c = Option.value ~default:0 (Hashtbl.find_opt t.counts seg) + delta in
-    Hashtbl.replace t.counts seg c;
-    set_flag t addr (c > 0)
-  end
+  if w' <> w then set_flag t addr (value || any_bit t ptr)
 
 let iter_region_words (region : Region.t) f =
   let lo = region.lo and hi = region.hi in
@@ -104,6 +98,14 @@ let segment_monitored t addr =
   let entry = Sparc.Word.to_unsigned (Memory.read_word t.mem (entry_addr t addr)) in
   entry land 1 <> 0
 
-let monitored_words t = Hashtbl.fold (fun _ c acc -> acc + c) t.counts 0
+(* Set bits over the whole arena: a segment orphaned by a rollback reads
+   back as zeros, so it adds nothing. *)
+let monitored_words t =
+  let rec popcount w = if w = 0 then 0 else 1 + popcount (w land (w - 1)) in
+  let rec go a acc =
+    if a >= t.next_segment then acc
+    else go (a + 4) (acc + popcount (Sparc.Word.to_unsigned (Memory.read_word t.mem a)))
+  in
+  go t.layout.Layout.segments_base 0
 
 let space_bytes t = t.next_segment - t.layout.Layout.segments_base

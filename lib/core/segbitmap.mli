@@ -25,7 +25,7 @@ val segment_monitored : t -> int -> bool
 (** The unmonitored-flag test (low bit of the segment table entry). *)
 
 val monitored_words : t -> int
-(** Occupancy snapshot: monitored words across all segments (the
+(** Occupancy snapshot: the set bits over the segment arena (the
     [Telemetry.Seg_words_monitored] gauge). *)
 
 val space_bytes : t -> int

@@ -8,6 +8,7 @@ open Machine
 type t = {
   plan : Instrument.t;
   image : Assembler.image;
+  sites : Instrument.map;
   symtab : Symtab.t;
   cpu : Cpu.t;
   mrs : Mrs.t;
@@ -17,85 +18,18 @@ type t = {
   replay : Replay.t option;
       (* present iff [checkpoint_every] was given: the time-travel
          engine that [run] records through *)
-  store_lo : int;
-  store_types : Bytes.t;  (* see [store_table] *)
-  site_slot : (int, int) Hashtbl.t;  (* origin -> telemetry array slot *)
-  mutable expected_hits : (int * int) list;  (* oracle: addr, access pc *)
-  functions : string list;
+  mutable expected_hits : int;  (* oracle: covered program accesses *)
   profiler : Profile.t option;  (* present iff [~profile:true] *)
   timeseries : Timeseries.t option;  (* present iff [?sample_every] *)
   heatmap : Heatmap.t option;  (* present iff [~heatmap:true] *)
   on_sample : (int -> unit) ref;
       (* extra per-sample callback (scrape-server polling) *)
-  stub_functions : (int * int * string) list Lazy.t;
-      (* (first pc, closing [ba] pc, site function) per patch stub *)
 }
 
 let site_kind_of_status = function
   | Instrument.Checked -> Telemetry.site_kind_checked
   | Instrument.Sym_eliminated _ -> Telemetry.site_kind_sym
   | Instrument.Loop_eliminated _ -> Telemetry.site_kind_loop
-
-(* Patch stubs sit after every function, so a label search would name
-   the last function for them; each stub instead belongs to its site's
-   function, from its label through its closing [ba] back to the site. *)
-let stub_functions image (plan : Instrument.t) =
-  let text = image.Assembler.text in
-  List.filter_map
-    (fun (s : Instrument.site) ->
-      match
-        ( Assembler.addr_of_label image (Instrument.patch_label s.origin),
-          Assembler.addr_of_label image (Instrument.back_label s.origin) )
-      with
-      | Some first, Some back ->
-        let rec close k =
-          if k >= Array.length text then None
-          else
-            match text.(k) with
-            | Insn.Branch { cond = Cond.A; target = Insn.Abs a } when a = back
-              ->
-              Some (image.Assembler.text_base + (4 * k))
-            | _ -> close (k + 1)
-        in
-        Option.map
-          (fun last -> (first, last, s.Instrument.fn))
-          (close ((first - image.Assembler.text_base) / 4))
-      | _ -> None)
-    plan.Instrument.sites
-
-(* Program store pcs, resolved once: every site label (inline store)
-   and patch-stub label (re-inserted check) as one byte per text word
-   over their pc range — 0 for no store site, else 1 + the write type's
-   index.  Replay hits, the heatmap and the oracle all read it. *)
-let store_table image (plan : Instrument.t) =
-  let stores =
-    List.concat_map
-      (fun (s : Instrument.site) ->
-        List.filter_map
-          (fun label ->
-            Option.map
-              (fun a -> (a, s.write_type))
-              (Assembler.addr_of_label image label))
-          [ Instrument.site_label s.origin; Instrument.patch_label s.origin ])
-      plan.Instrument.sites
-  in
-  match stores with
-  | [] -> (0, Bytes.empty)
-  | (a, _) :: _ ->
-    let lo = List.fold_left (fun m (a, _) -> min m a) a stores
-    and hi = List.fold_left (fun m (a, _) -> max m a) a stores in
-    let types = Bytes.make (((hi - lo) lsr 2) + 1) '\000' in
-    List.iter
-      (fun (a, wt) ->
-        Bytes.set types ((a - lo) lsr 2) (Char.chr (1 + Write_type.index wt)))
-      stores;
-    (lo, types)
-
-(* The store table's byte for [pc]: one unsigned range check (a pc
-   below [lo] shifts to a huge index) and one unboxed read. *)
-let[@inline] store_code lo types pc =
-  let i = (pc - lo) lsr 2 in
-  if i < Bytes.length types then Char.code (Bytes.unsafe_get types i) else 0
 
 let create ?(options = Instrument.default_options) ?(protect_mrs = false)
     ?telemetry ?audit ?trace ?checkpoint_every ?checkpoint_budget
@@ -147,41 +81,30 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
        (List.map
           (fun (r : Instrument.read_site) -> Write_type.index r.r_write_type)
           plan.Instrument.read_sites));
+  let sites = Instrument.map plan image in
   let mrs =
-    Mrs.install ~protect_self:protect_mrs ~telemetry ~audit ~plan ~image ~symtab
-      cpu
+    Mrs.install ~protect_self:protect_mrs ~telemetry ~audit ~plan ~sites ~image
+      ~symtab cpu
   in
-  let site_slot = Hashtbl.create 256 in
-  List.iter
-    (fun (s : Instrument.site) ->
-      Hashtbl.replace site_slot s.origin s.slot;
-      (match Assembler.addr_of_label image (Instrument.site_label s.origin) with
-      | Some addr ->
-        let slot = s.slot in
-        Cpu.add_counter cpu addr (fun () -> Telemetry.bump_site telemetry slot)
-      | None -> ());
+  Array.iter
+    (fun (p : Instrument.placed) ->
+      let slot = p.site.slot in
+      if p.pc >= 0 then
+        Cpu.add_counter cpu p.pc (fun () -> Telemetry.bump_site telemetry slot);
       (* Conservation accounting: an eliminated site's check, once
          patched back in, executes in its patch stub — a counter at the
-         stub label counts exactly the patched-check executions, so
+         stub counts exactly the patched-check executions, so
          [site_patched <= site_exec] always, with equality while the
          patch is armed and zero while the variable is unmonitored. *)
-      match Assembler.addr_of_label image (Instrument.patch_label s.origin) with
-      | Some addr ->
-        let slot = s.slot in
-        Cpu.add_counter cpu addr (fun () ->
-            Telemetry.bump_site_patched telemetry slot)
-      | None -> ())
-    plan.Instrument.sites;
-  List.iter
-    (fun (r : Instrument.read_site) ->
-      match
-        Assembler.addr_of_label image (Instrument.read_site_label r.r_origin)
-      with
-      | Some addr ->
-        let slot = r.r_slot in
-        Cpu.add_counter cpu addr (fun () -> Telemetry.bump_read_site telemetry slot)
-      | None -> ())
-    plan.Instrument.read_sites;
+      if p.stub >= 0 then
+        Cpu.add_counter cpu p.stub (fun () ->
+            Telemetry.bump_site_patched telemetry slot))
+    (Instrument.write_sites sites);
+  Array.iter
+    (fun (pc, (r : Instrument.read_site)) ->
+      let slot = r.r_slot in
+      Cpu.add_counter cpu pc (fun () -> Telemetry.bump_read_site telemetry slot))
+    (Instrument.read_sites sites);
   (* Segment-cache miss accounting: count entries to the per-write-type
      miss handlers (and their read variants) so Figure 3 and the
      telemetry reports draw from one counter.  Counters cost no
@@ -203,7 +126,6 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
             Checkgen.cache_miss_routine wt ^ "_rd";
           ])
       Write_type.all;
-  let store_lo, store_types = store_table image plan in
   (* Time travel: when an interval is given, attach the replay engine —
      its checkpoint/restore emissions flow into the same registry and
      provenance journal, gated exactly like the rest of telemetry. *)
@@ -236,11 +158,8 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
       in
       let acc =
         List.fold_left
-          (fun acc f ->
-            match Assembler.addr_of_label image f with
-            | Some a -> add acc a f
-            | None -> acc)
-          [] ("_start" :: plan.Instrument.functions)
+          (fun acc (a, f) -> add acc a f)
+          [] (Instrument.functions sites)
       in
       let acc =
         Array.fold_left
@@ -266,7 +185,7 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
     end
   in
   (* Address-space heatmap: a store hook paints per-page write density
-     (plus check density where the store's pc is in the store table)
+     (plus check density where the store is a program store site)
      and an MRS hit observer paints hit density.  The hook tests the
      machine's observer gate, so replayed stores are not counted
      twice. *)
@@ -277,7 +196,7 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
       Cpu.set_store_hook cpu (fun cpu ~addr ~width:_ ->
           if Cpu.observing cpu then begin
             Heatmap.record_write hm addr;
-            if store_code store_lo store_types (Cpu.pc cpu) <> 0 then
+            if Option.is_some (Instrument.store_type sites (Cpu.pc cpu)) then
               Heatmap.record_check hm addr
           end);
       Mrs.add_hit_observer mrs (fun (h : Mrs.hit) ->
@@ -324,6 +243,7 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
   {
     plan;
     image;
+    sites;
     symtab;
     cpu;
     mrs;
@@ -331,21 +251,16 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
     audit;
     trace;
     replay;
-    store_lo;
-    store_types;
-    site_slot;
-    expected_hits = [];
-    functions = plan.Instrument.functions;
+    expected_hits = 0;
     profiler;
     timeseries;
     heatmap;
     on_sample;
-    stub_functions = lazy (stub_functions image plan);
   }
 
 let site_executions t origin =
-  match Hashtbl.find_opt t.site_slot origin with
-  | Some slot -> Telemetry.site_exec t.telemetry slot
+  match Instrument.find_site t.sites origin with
+  | Some p -> Telemetry.site_exec t.telemetry p.site.slot
   | None -> 0
 
 let total_site_executions t =
@@ -388,27 +303,16 @@ let install_oracle t =
     in
     go addr
   in
+  let count ~addr ~width =
+    if covered addr (Insn.width_bytes width) then
+      t.expected_hits <- t.expected_hits + 1
+  in
   Cpu.set_store_hook t.cpu (fun cpu ~addr ~width ->
-      if store_code t.store_lo t.store_types (Cpu.pc cpu) <> 0 then begin
-        if covered addr (Insn.width_bytes width) then
-          t.expected_hits <- (addr, Cpu.pc cpu) :: t.expected_hits
-      end);
-  if t.plan.Instrument.options.monitor_reads then begin
-    let program_load_pcs = Hashtbl.create 256 in
-    List.iter
-      (fun (r : Instrument.read_site) ->
-        match
-          Assembler.addr_of_label t.image (Instrument.read_site_label r.r_origin)
-        with
-        | Some a -> Hashtbl.replace program_load_pcs a ()
-        | None -> ())
-      t.plan.Instrument.read_sites;
+      if Option.is_some (Instrument.store_type t.sites (Cpu.pc cpu)) then
+        count ~addr ~width);
+  if t.plan.Instrument.options.monitor_reads then
     Cpu.set_load_hook t.cpu (fun cpu ~addr ~width ->
-        if Hashtbl.mem program_load_pcs (Cpu.pc cpu) then begin
-          if covered addr (Insn.width_bytes width) then
-            t.expected_hits <- (addr, Cpu.pc cpu) :: t.expected_hits
-        end)
-  end
+        if Instrument.load_site t.sites (Cpu.pc cpu) then count ~addr ~width)
 
 let run ?fuel t =
   let code =
@@ -460,10 +364,7 @@ type write_record = {
          stores) *)
 }
 
-let store_write_type t pc =
-  match store_code t.store_lo t.store_types pc with
-  | 0 -> None
-  | code -> Some (List.nth Write_type.all (code - 1))
+let store_write_type t pc = Instrument.store_type t.sites pc
 
 let enrich t (h : Replay.hit) =
   { wr_hit = h; wr_write_type = store_write_type t h.Replay.h_pc }
@@ -509,7 +410,7 @@ let resolve_addr t target =
 
 let missed_hits t =
   let actual = (Mrs.counters t.mrs).Mrs.user_hits in
-  max 0 (List.length t.expected_hits - actual)
+  max 0 (t.expected_hits - actual)
 
 let stats t = Cpu.stats t.cpu
 
@@ -570,14 +471,11 @@ let profile_report t =
     invalid_arg "Session.profile_report: session was created without ~profile"
   | Some p ->
     let site_checks =
-      List.filter_map
-        (fun (s : Instrument.site) ->
-          match
-            Assembler.addr_of_label t.image (Instrument.site_label s.origin)
-          with
-          | Some addr -> Some (addr, Telemetry.site_exec t.telemetry s.slot)
-          | None -> None)
-        t.plan.Instrument.sites
+      Array.fold_right
+        (fun (p : Instrument.placed) acc ->
+          if p.pc < 0 then acc
+          else (p.pc, Telemetry.site_exec t.telemetry p.site.slot) :: acc)
+        (Instrument.write_sites t.sites) []
     in
     Profile.report p ~site_checks ~instrs:(Cpu.instr_count t.cpu)
       ~cycles:(Cpu.cycle_count t.cpu) ()

@@ -5,6 +5,10 @@
 type t = {
   plan : Instrument.t;
   image : Sparc.Assembler.image;
+  sites : Instrument.map;
+      (** where every site, patch stub and function sits in [image] —
+          counters, the oracle, hit attribution, {!store_write_type} and
+          {!Debugger.function_of_pc} all read it *)
   symtab : Sparc.Symtab.t;  (** resolved against the instrumented image *)
   cpu : Machine.Cpu.t;
   mrs : Mrs.t;
@@ -13,15 +17,9 @@ type t = {
   trace : Trace.t;  (** phase-span tracer (compile → … → run) *)
   replay : Replay.t option;
       (** time-travel engine, present iff [checkpoint_every] was given *)
-  store_lo : int;  (** first pc of the store table *)
-  store_types : Bytes.t;
-      (** the store table — see {!store_write_type}: byte [i] describes
-          pc [store_lo + 4i], 0 for no store site, else 1 +
-          {!Write_type.index} *)
-  site_slot : (int, int) Hashtbl.t;
-      (** write-site origin → telemetry array slot *)
-  mutable expected_hits : (int * int) list;
-  functions : string list;
+  mutable expected_hits : int;
+      (** the oracle's count of program accesses that landed in a user
+          region — see {!install_oracle} *)
   profiler : Profile.t option;
       (** hot-path profiler, present iff [profile] was given *)
   timeseries : Timeseries.t option;
@@ -30,10 +28,6 @@ type t = {
       (** address-space heatmap, present iff [heatmap] was given *)
   on_sample : (int -> unit) ref;
       (** extra per-sample callback — see {!set_on_sample} *)
-  stub_functions : (int * int * string) list Lazy.t;
-      (** per patch stub: its first pc, the pc of its closing [ba] back
-          to the site, and the function holding the site — the stubs
-          are laid out after every function body *)
 }
 
 val create :
@@ -153,8 +147,8 @@ val time_travel : ?guard:bool -> t -> insn:int -> int
 val store_write_type : t -> int -> Write_type.t option
 (** The write type of the program store at a pc — a site label (inline
     store) or a patch-stub label (re-inserted check) — or [None] for
-    any other pc.  Replay hits, the heatmap's check density and the
-    oracle all read this one table. *)
+    any other pc ({!Instrument.store_type}).  Replay hits, the heatmap's
+    check density and the oracle all read this one table. *)
 
 val resolve_addr : t -> string -> int option
 (** Resolve a CLI target — [0x]-hex or decimal numeral, or a global
@@ -168,8 +162,9 @@ val eliminated_site_executions : t -> int
 val sym_eliminated_site_executions : t -> int
 
 val install_oracle : t -> unit
-(** Record every program store that lands in a user region; after the
-    run, {!missed_hits} is the number of such stores that produced no
+(** Count every program store (and, with read monitoring, every
+    program load) that lands in a user region; after the run,
+    {!missed_hits} is the number of such accesses that produced no
     notification.  Zero for a correctly armed debugger — the soundness
     property the test suite checks for every strategy. *)
 

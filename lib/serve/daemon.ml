@@ -157,17 +157,6 @@ let emit sess body =
 
 (* --- command execution (shard side) ----------------------------------- *)
 
-let parse_opt = function
-  | "none" | "0" -> Ok Instrument.O0
-  | "symbol" | "sym" -> Ok Instrument.O_symbol
-  | "full" | "loop" -> Ok Instrument.O_full
-  | s -> Error (Printf.sprintf "unknown optimization level %S" s)
-
-let opt_name = function
-  | Instrument.O0 -> "none"
-  | Instrument.O_symbol -> "symbol"
-  | Instrument.O_full -> "full"
-
 let hit_sink t sess = Sched.sink t.sched ~shard:sess.shard
 
 let do_open t sess source strategy_s opt_s =
@@ -178,7 +167,7 @@ let do_open t sess source strategy_s opt_s =
       try Ok (Strategy.of_string strategy_s)
       with Invalid_argument m -> Error m
     in
-    (match (strategy, parse_opt opt_s) with
+    (match (strategy, Frontend.parse_opt opt_s) with
     | Error m, _ | _, Error m -> emit sess (Proto.Error m)
     | Ok strategy, Ok opt -> (
       let named =
@@ -221,7 +210,11 @@ let do_open t sess source strategy_s opt_s =
         sess.dbg <- Some dbg;
         emit sess
           (Proto.Opened
-             { name; strategy = Strategy.to_string strategy; opt = opt_name opt })))
+             {
+               name;
+               strategy = Strategy.to_string strategy;
+               opt = Frontend.opt_name opt;
+             })))
 
 let with_session sess f =
   match sess.session with
@@ -287,38 +280,19 @@ let do_run t sess repost fuel =
       slice (max 0 fuel))
 
 (* Every shard-side command runs under this: anything the session
-   machinery raises becomes a deterministic error reply instead of
-   killing the shard (mirrors dbreak's handler set). *)
+   machinery raises becomes a deterministic error reply, in dbreak's
+   words, instead of killing the shard. *)
 let guarded sess f =
-  try f () with
-  | Sys_error m | Invalid_argument m | Failure m -> emit sess (Proto.Error m)
-  | Replay.Determinism_violation { insn; expected; actual } ->
-    emit sess
-      (Proto.Error
-         (Printf.sprintf
-            "replay diverged from the recorded run at insn %d (%s, \
-             expected %s)"
-            insn actual expected))
-  | Minic.Compile.Error e ->
-    emit sess
-      (Proto.Error (Printf.sprintf "%s error: %s" e.Minic.Compile.phase e.message))
-  | Machine.Cpu.Fault { pc; reason } ->
-    emit sess (Proto.Error (Printf.sprintf "machine fault at 0x%x: %s" pc reason))
-  | Machine.Cpu.Out_of_fuel { executed } ->
-    emit sess (Proto.Error (Printf.sprintf "out of fuel after %d instructions" executed))
-  | Debugger.No_such_variable v ->
-    emit sess (Proto.Error (Printf.sprintf "no such variable: %s" v))
+  try f ()
+  with e -> (
+    match Frontend.error_message e with
+    | Some m -> emit sess (Proto.Error m)
+    | None -> raise e)
 
 let resolve sess s target k =
   match Session.resolve_addr s target with
   | Some addr -> k addr
-  | None ->
-    emit sess
-      (Proto.Error
-         (Printf.sprintf
-            "cannot resolve %S to a data address (expected 0x-hex, decimal, \
-             or a global variable name)"
-            target))
+  | None -> emit sess (Proto.Error (Frontend.unresolved_target target))
 
 let recorded_only sess s k =
   if sess.exited = None then

@@ -318,27 +318,6 @@ let verdict_to_json = function
         ("levels", Str levels);
       ]
 
-let get_field name fields =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> raise (Parse_error ("missing field " ^ name))
-
-let as_int = function
-  | Int n -> n
-  | _ -> raise (Parse_error "expected integer")
-
-let as_str = function
-  | Str s -> s
-  | _ -> raise (Parse_error "expected string")
-
-let as_obj = function
-  | Obj kvs -> kvs
-  | _ -> raise (Parse_error "expected object")
-
-let as_list = function
-  | List xs -> xs
-  | _ -> raise (Parse_error "expected array")
-
 let verdict_of_json v =
   let f = as_obj v in
   match as_str (get_field "verdict" f) with

@@ -30,6 +30,15 @@ val json_of_string : string -> json
     module emits (no floats, no unicode escapes beyond [\uXXXX] of
     ASCII). *)
 
+(** Decoding accessors shared by every JSON reader; each raises
+    {!Parse_error} on a missing field or a value of the wrong shape. *)
+
+val get_field : string -> (string * json) list -> json
+val as_int : json -> int
+val as_str : json -> string
+val as_obj : json -> (string * json) list
+val as_list : json -> json list
+
 (** {1 Report renderers} *)
 
 val to_json : Telemetry.report -> json

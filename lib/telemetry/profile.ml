@@ -116,22 +116,18 @@ let register_fn t addr name =
     id
   end
 
-(* Greatest static function entry <= pc; the entry function when pc
-   precedes every known function. *)
+(* Greatest static function entry <= pc; the lowest one when pc
+   precedes them all ([create] registers at least one). *)
 let fn_of_pc t pc =
   let a = t.static_fns in
-  let n = Array.length a in
-  if n = 0 then 0
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) and best = ref (snd a.(0)) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let addr, id = a.(mid) in
-      if addr <= pc then begin best := id; lo := mid + 1 end
-      else hi := mid - 1
-    done;
-    !best
-  end
+  let lo = ref 0 and hi = ref (Array.length a - 1) and best = ref (snd a.(0)) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let addr, id = a.(mid) in
+    if addr <= pc then begin best := id; lo := mid + 1 end
+    else hi := mid - 1
+  done;
+  !best
 
 (* Instructions between Perfetto counter samples. *)
 let sample_every = 65536
@@ -202,8 +198,14 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
     }
   in
   (* Register static functions sorted by entry address so ids are
-     deterministic, then seed the stack with the entry function. *)
-  let fns = List.sort_uniq compare functions in
+     deterministic, then seed the stack with the entry function —
+     under its hex address, as for any unnamed callee, when no
+     function is given. *)
+  let fns =
+    match functions with
+    | [] -> [ (entry, Printf.sprintf "0x%x" entry) ]
+    | _ -> List.sort_uniq compare functions
+  in
   let statics =
     List.map (fun (addr, name) -> (addr, register_fn t addr name)) fns
   in

@@ -71,7 +71,8 @@ val create :
     following a call.
 
     [functions] maps entry addresses to names; call targets outside it
-    are registered lazily under their hex address.  Perfetto counter
+    are registered lazily under their hex address, and so is [entry]
+    when [functions] is empty.  Perfetto counter
     samples are taken at transfer events every 65536 instructions;
     [clock] (default: a constant) timestamps them. *)
 

@@ -171,8 +171,8 @@ int main() {
   let _code, _ = Session.run ~fuel:5_000_000 session in
   let tel = session.Session.telemetry in
   let slot_of origin =
-    match Hashtbl.find_opt session.Session.site_slot origin with
-    | Some s -> s
+    match Instrument.find_site session.Session.sites origin with
+    | Some p -> p.Instrument.site.Instrument.slot
     | None -> Alcotest.failf "no slot for origin %d" origin
   in
   List.iter

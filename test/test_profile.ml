@@ -333,6 +333,41 @@ let test_without_observers_nests () =
   check_int "profiling resumes" 20 (profiled ());
   check_int "sampling resumes" 20 !samples
 
+(* A hand-built profile with no named function charges the run to the
+   entry under its hex address, as it would an unnamed callee. *)
+let test_no_functions () =
+  let linked =
+    Minic.Compile.compile_and_link
+      "int f(int x) { return x + 1; } int main() { int i; int s; s = 0; \
+       for (i = 0; i < 20; i = i + 1) { s = f(s); } return s; }"
+  in
+  let cpu = Machine.Cpu.create linked.Minic.Compile.image in
+  Machine.Cpu.install_basic_services cpu;
+  let { Sparc.Assembler.text_base; entry; _ } = linked.Minic.Compile.image in
+  let p =
+    Profile.create ~text_base ~info:(Machine.Cpu.profile_static cpu)
+      ~functions:[] ~entry ()
+  in
+  Machine.Cpu.profile_install cpu p;
+  check_int "exit" 20 (Machine.Cpu.run ~fuel:1_000_000 cpu);
+  let instrs = Machine.Cpu.instr_count cpu in
+  let rep =
+    Profile.report p ~instrs ~cycles:(Machine.Cpu.cycle_count cpu) ()
+  in
+  let root = fn rep (Printf.sprintf "0x%x" entry) in
+  check_int "entry called once" 1 root.Profile.fr_calls;
+  check_int "every instruction charged" instrs
+    (List.fold_left
+       (fun acc f -> acc + f.Profile.fr_excl_instrs)
+       0 rep.Profile.p_functions);
+  check_bool "callees named by address" true
+    (List.for_all
+       (fun f -> String.length f.Profile.fr_name > 2
+                 && String.sub f.Profile.fr_name 0 2 = "0x")
+       rep.Profile.p_functions);
+  check_bool "folded stacks rendered" true
+    (Profile.folded_to_string rep <> "")
+
 (* --- Chrome-trace edge cases -------------------------------------------------------- *)
 
 let span_events json =
@@ -502,6 +537,7 @@ let suites =
           test_profile_report_requires_profile;
         Alcotest.test_case "without_observers nests" `Quick
           test_without_observers_nests;
+        Alcotest.test_case "no named function" `Quick test_no_functions;
       ] );
     ( "profile.chrome",
       [

@@ -1048,6 +1048,47 @@ let test_scrape_hardening () =
       check_bool "served after a reset" true
         (has_substring resp "HTTP/1.0 200 OK"))
 
+(* --- front-end vocabulary ------------------------------------------------ *)
+
+(* dbreak and dbreakd word every failure, -O level and unresolvable
+   target alike: each mapped exception gets its one-line message, and
+   anything else is left to escape. *)
+let test_frontend_vocabulary () =
+  List.iter
+    (fun (e, want) ->
+      Alcotest.(check (option string))
+        (Printexc.to_string e) (Some want) (Frontend.error_message e))
+    [
+      (Sys_error "p: No such file", "p: No such file");
+      (Invalid_argument "bad arg", "bad arg");
+      (Failure "assembly failed", "assembly failed");
+      ( Replay.Determinism_violation { insn = 7; expected = "a"; actual = "b" },
+        "replay diverged from the recorded run at insn 7 (b, expected a)" );
+      ( Minic.Compile.Error { Minic.Compile.phase = "parse"; message = "eof" },
+        "parse error: eof" );
+      ( Machine.Cpu.Fault { pc = 0x10010; reason = "misaligned" },
+        "machine fault at 0x10010: misaligned" );
+      ( Machine.Cpu.Out_of_fuel { executed = 42 },
+        "out of fuel after 42 instructions" );
+      (Dbp.Debugger.No_such_variable "zz", "no such variable: zz");
+    ];
+  Alcotest.(check (option string)) "unmapped escapes" None
+    (Frontend.error_message Not_found);
+  check_string "unresolved target"
+    "cannot resolve \"q\" to a data address (expected 0x-hex, decimal, or a \
+     global variable name)"
+    (Frontend.unresolved_target "q");
+  List.iter
+    (fun (name, canonical) ->
+      match Frontend.parse_opt name with
+      | Ok o -> check_string name canonical (Frontend.opt_name o)
+      | Error m -> Alcotest.fail m)
+    [ ("none", "none"); ("0", "none"); ("symbol", "symbol"); ("sym", "symbol");
+      ("full", "full"); ("loop", "full") ];
+  Alcotest.(check (result reject string)) "unknown level"
+    (Error "unknown optimization level \"O3\"")
+    (Result.map (fun _ -> ()) (Frontend.parse_opt "O3"))
+
 (* --- suites -------------------------------------------------------------- *)
 
 let suites =
@@ -1097,6 +1138,11 @@ let suites =
           test_overlong_frame;
         Alcotest.test_case "a long shard-0 run does not hold back shard 1"
           `Quick test_shard0_head_of_line;
+      ] );
+    ( "serve.frontend",
+      [
+        Alcotest.test_case "shared messages and -O names" `Quick
+          test_frontend_vocabulary;
       ] );
     ( "serve.scrape",
       [
