@@ -83,6 +83,7 @@ let site_label origin = Printf.sprintf "__dbp_site_%d" origin
 let read_site_label origin = Printf.sprintf "__dbp_rsite_%d" origin
 let back_label origin = Printf.sprintf "__dbp_back_%d" origin
 let patch_label origin = Printf.sprintf "__dbp_patch_%d" origin
+let exit_label origin = Printf.sprintf ".Ldbp_exit_%d" origin
 
 let i insn = Asm.Insn insn
 
@@ -330,19 +331,20 @@ let run ?audit ?trace (options : options) (out : Minic.Codegen.output) : t =
             emit_all (loop_trap ~env ~trap:Traps.loop_entry p.loop_id))
           plans
       | None -> ());
+      (match Hashtbl.find_opt exit_at idx with
+      | Some plans ->
+        emit (Asm.Label (exit_label idx));
+        List.iter
+          (fun (p : Loopopt.loop_plan) ->
+            emit_all (loop_trap ~env ~trap:Traps.loop_exit p.loop_id))
+          plans
+      | None -> ());
       (match Hashtbl.find_opt read_site_of idx, item with
       | Some r, Asm.Insn ld when options.nop_padding = 0 ->
         emit_all (Checkgen.read_check_items env ~write_type:r.r_write_type ld);
         emit (Asm.Label (read_site_label idx))
       | _, _ -> ());
       emit item;
-      (match Hashtbl.find_opt exit_at idx with
-      | Some plans ->
-        List.iter
-          (fun (p : Loopopt.loop_plan) ->
-            emit_all (loop_trap ~env ~trap:Traps.loop_exit p.loop_id))
-          plans
-      | None -> ());
       match Hashtbl.find_opt site_of idx with
       | Some site ->
         (* The store itself was just emitted; move it behind its site

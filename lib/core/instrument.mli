@@ -117,6 +117,10 @@ val back_label : int -> string
 val patch_label : int -> string
 (** Start of an eliminated store's patch stub. *)
 
+val exit_label : int -> string
+(** Placed before the loop-exit traps at an alias-checked loop's exit
+    point (an item index from {!Loopopt.loop_plan.exit_items}). *)
+
 (** {1 The site map}
 
     Where every write site, patch stub, read site and function sits in

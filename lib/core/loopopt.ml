@@ -40,7 +40,8 @@ type loop_plan = {
   checks : check list;
   eliminated : int list;  (* origins of stores whose checks move out *)
   alias_pseudos : string list;
-  exit_items : int list;  (* item indices of exit-target labels *)
+  exit_items : int list;
+      (* item indices of the first instruction each exit edge runs *)
   contains_ret : bool;
       (* a return inside the loop bypasses exit bookkeeping; alias-
          checked runs refuse to optimize such loops *)
@@ -81,11 +82,22 @@ let fallthrough_entry (cfg : Ir.Cfg.t) (loop : Ir.Loops.loop) =
          | _ -> true)
        loop.outside_preds
 
-let exit_targets (cfg : Ir.Cfg.t) (loop : Ir.Loops.loop) =
+(* The item index of the first instruction an exit edge runs outside the
+   loop.  An assert block that [Cfg.insert_asserts] put on the edge has
+   no label and no code, and a label-only block falls through, so both
+   defer to their successor. *)
+let rec exit_point (cfg : Ir.Cfg.t) b =
+  match (Ir.Cfg.block cfg b).body, (Ir.Cfg.block cfg b).succs with
+  | (Ir.Tac.Assert _ :: _ | []), [ s ] -> exit_point cfg s
+  | i :: _, _ -> Ir.Tac.origin i
+  | [], _ -> None
+
+let exit_points (cfg : Ir.Cfg.t) (loop : Ir.Loops.loop) =
   List.concat_map
     (fun b ->
       List.filter (fun s -> not (Ir.Loops.in_loop loop s)) (Ir.Cfg.block cfg b).succs)
     loop.body
+  |> List.filter_map (exit_point cfg)
   |> List.sort_uniq compare
 
 type fn_input = {
@@ -164,13 +176,7 @@ let analyze ~next_loop_id ?trace (input : fn_input) : loop_plan list * stats =
             in
             if header_item < 0 then None
             else begin
-              let exit_items =
-                exit_targets cfg loop
-                |> List.filter_map (fun b ->
-                       match (Ir.Cfg.block cfg b).labels with
-                       | l :: _ -> Hashtbl.find_opt label_item l
-                       | [] -> None)
-              in
+              let exit_items = exit_points cfg loop in
               let n_inv =
                 List.length (List.filter (function Inv _ -> true | Rng _ -> false) checks)
               in

@@ -47,6 +47,8 @@ type loop_plan = {
           runs create internal regions over them for the loop's
           duration (§4.5) *)
   exit_items : int list;
+      (** item index of the first instruction each exit edge runs: the
+          loop-exit trap goes just before it *)
   contains_ret : bool;
   lattice : (string * string) list;
       (** the Figure-4 fixpoint: rendered SSA variable → rendered

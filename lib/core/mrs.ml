@@ -3,9 +3,9 @@ open Machine
 
 (* The monitored region service runtime (§2).
 
-   Owns the OCaml mirrors of the in-memory structures (segmented
-   bitmap, hash table, shadow stack), installs the trap handlers the
-   check code raises, and implements the service interface:
+   Writes the in-memory structures (segmented bitmap, hash table,
+   region table), installs the trap handlers the check code raises,
+   and implements the service interface:
    CreateMonitoredRegion / DeleteMonitoredRegion / NotificationCallBack
    plus PreMonitor / PostMonitor (§4.2) and the dynamic re-insertion of
    eliminated checks via Kessler-style patches (§4). *)
@@ -31,16 +31,12 @@ type t = {
   sites : Instrument.map;
   cpu : Cpu.t;
   bitmap : Segbitmap.t;
-  mutable regions : Region.set;
   mutable callback : (hit -> unit) option;
   (* Passive hit observers (heatmaps, tooling): all run after the
      user callback, never replace it, and skip hits while the machine's
      observers are paused ({!Cpu.without_observers}). *)
   mutable observers : (hit -> unit) list;
   loops : (int, Loopopt.loop_plan) Hashtbl.t;
-  mutable alias_regions : ((int * int) * Region.t list) list;
-      (* (loop id, %fp) -> internal regions created at loop entry *)
-  mutable hash_bump : int;
   counters : counters;
   entries_by_loop : (int, int) Hashtbl.t;
   loop_check_cycles : int;
@@ -107,8 +103,6 @@ let tel_hit t cpu ~(access : access) ~addr ~pc (region : Region.t) =
 let loop_entry_count t id =
   Option.value ~default:0 (Hashtbl.find_opt t.entries_by_loop id)
 
-let regions t = t.regions
-
 let pseudo_home_of_symtab symtab pseudo =
   match String.index_opt pseudo '.' with
   | None -> (
@@ -159,43 +153,40 @@ let hash_bucket t addr =
   let h = Word.to_unsigned (Word.umul (Word.to_unsigned addr lsr 2) 0x9E3779B1) in
   h lsr (32 - log2 t.layout.Layout.hash_buckets)
 
-let hash_add_region t (r : Region.t) =
-  let mem = Cpu.mem t.cpu in
+(* Call [f] on the bucket head of every word of [r]. *)
+let iter_buckets t (r : Region.t) f =
   let rec go addr =
     if addr <= r.hi then begin
-      let b = t.layout.Layout.hash_base + (4 * hash_bucket t addr) in
-      let node = t.hash_bump in
-      t.hash_bump <- t.hash_bump + 12;
-      Memory.write_word mem node r.lo;
-      Memory.write_word mem (node + 4) r.hi;
-      Memory.write_word mem (node + 8) (Memory.read_word mem b);
-      Memory.write_word mem b node;
+      f (t.layout.Layout.hash_base + (4 * hash_bucket t addr));
       go (addr + 4)
     end
   in
   go r.lo
 
+(* Nodes are bump-allocated past the bucket array; the bump count lives
+   in simulated memory ({!Layout.hash_used}), so a rollback rewinds it. *)
+let hash_add_region t (r : Region.t) =
+  let mem = Cpu.mem t.cpu in
+  iter_buckets t r (fun b ->
+      let used = Word.to_unsigned (Memory.read_word mem Layout.hash_used) in
+      let node = t.layout.Layout.hash_base + (4 * t.layout.Layout.hash_buckets) + used in
+      Memory.write_word mem Layout.hash_used (used + 12);
+      Memory.write_word mem node r.lo;
+      Memory.write_word mem (node + 4) r.hi;
+      Memory.write_word mem (node + 8) (Memory.read_word mem b);
+      Memory.write_word mem b node)
+
+(* Unlink, per word, the first node with matching bounds. *)
 let hash_remove_region t (r : Region.t) =
   let mem = Cpu.mem t.cpu in
-  let rec go addr =
-    if addr <= r.hi then begin
-      let b = t.layout.Layout.hash_base + (4 * hash_bucket t addr) in
-      (* Unlink the first node with matching bounds. *)
-      let rec unlink prev node =
-        if node = 0 then ()
-        else begin
-          let lo = Word.to_unsigned (Memory.read_word mem node) in
-          let hi = Word.to_unsigned (Memory.read_word mem (node + 4)) in
-          let next = Memory.read_word mem (node + 8) in
-          if lo = r.lo && hi = r.hi then Memory.write_word mem prev next
-          else unlink (node + 8) next
-        end
-      in
-      unlink b (Memory.read_word mem b);
-      go (addr + 4)
-    end
+  let field node k = Word.to_unsigned (Memory.read_word mem (node + (4 * k))) in
+  let rec unlink prev node =
+    if node <> 0 then
+      if field node 0 = r.lo && field node 1 = r.hi then
+        Memory.write_word mem prev (field node 2)
+      else unlink (node + 8) (field node 2)
   in
-  go r.lo
+  iter_buckets t r (fun b -> unlink b (field b 0))
 
 (* --- segment cache maintenance ------------------------------------------------- *)
 
@@ -252,16 +243,15 @@ let record_gauges t =
 
 (* --- the service interface ------------------------------------------------------ *)
 
-let create_region ?(why = "user") t region =
+let add_region ~why ?owner t region =
+  let mem = Cpu.mem t.cpu in
   (match t.plan.Instrument.options.strategy with
   | Strategy.Hardware_watch n ->
-    let words set =
-      List.fold_left (fun a r -> a + (Region.size_bytes r / 4)) 0 (Region.elements set)
-    in
-    if words t.regions + (Region.size_bytes region / 4) > n then
-      raise (Hardware_capacity n)
+    let words = ref (Region.size_bytes region / 4) in
+    Region.iter mem (fun r -> words := !words + (Region.size_bytes r / 4));
+    if !words > n then raise (Hardware_capacity n)
   | _ -> ());
-  t.regions <- Region.add t.regions region;
+  Region.add mem ?owner region;
   Segbitmap.add_region t.bitmap region;
   Telemetry.incr t.telemetry Telemetry.Regions_created;
   aud_region t Audit.Region_created ~why region;
@@ -269,8 +259,10 @@ let create_region ?(why = "user") t region =
     hash_add_region t region;
   invalidate_caches t
 
+let create_region ?(why = "user") t region = add_region ~why t region
+
 let delete_region ?(why = "user") t region =
-  t.regions <- Region.remove t.regions region;
+  Region.remove (Cpu.mem t.cpu) region;
   Segbitmap.remove_region t.bitmap region;
   Telemetry.incr t.telemetry Telemetry.Regions_deleted;
   aud_region t Audit.Region_deleted ~why region;
@@ -320,27 +312,19 @@ let on_hit ?(access = Write) t cpu =
   let pc =
     if Cpu.get cpu (Reg.g 7) <> 0 then Cpu.get cpu Reg.i7 else Cpu.pc cpu - 4
   in
-  match Region.find_containing t.regions addr with
+  match Region.find_containing (Cpu.mem cpu) addr with
   | Some ({ Region.kind = Region.User; _ } as region) ->
     user_hit t cpu ~access ~addr ~pc region
-  | Some ({ Region.kind = Region.Internal; _ } as region) ->
+  | Some ({ Region.kind = Region.Internal; _ } as region) -> (
     t.counters.internal_hits <- t.counters.internal_hits + 1;
     Telemetry.incr t.telemetry Telemetry.Internal_hits;
     tel_hit t cpu ~access ~addr ~pc region;
     (* An alias home changed: conservatively re-insert every check the
-       region was protecting. *)
-    Hashtbl.iter
-      (fun _ (p : Loopopt.loop_plan) ->
-        if
-          List.exists
-            (fun (key, rs) ->
-              fst key = p.loop_id && List.exists (Region.equal region) rs)
-            t.alias_regions
-        then
-          List.iter
-            (insert_check ~why:("alias:" ^ string_of_int p.loop_id) t)
-            p.eliminated)
-      t.loops
+       loop that owns the region eliminated. *)
+    match Option.bind (Region.owner_loop (Cpu.mem cpu) region) (Hashtbl.find_opt t.loops) with
+    | Some p ->
+      List.iter (insert_check ~why:("alias:" ^ string_of_int p.loop_id) t) p.eliminated
+    | None -> ())
   | None ->
     (* Stale bitmap bit cannot happen: bits are only set by regions. *)
     ()
@@ -353,12 +337,11 @@ let on_loop_entry t cpu =
   (let id = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
    Hashtbl.replace t.entries_by_loop id
      (1 + Option.value ~default:0 (Hashtbl.find_opt t.entries_by_loop id)));
-  (* Model the pre-header check as inline code rather than a full trap:
-     refund the trap cost beyond the modelled check cost. *)
   match loop_of_trap t cpu with
   | None -> ()
   | Some plan ->
-    (* Charge the modelled inline cost instead of the full trap cost. *)
+    (* Model the pre-header check as inline code rather than a full trap:
+       refund the trap cost beyond the modelled check cost. *)
     Cpu.add_cycles cpu
       (5 + (t.loop_check_cycles * List.length plan.checks)
       - (Cpu.config cpu).Cpu.trap_cycles);
@@ -369,13 +352,13 @@ let on_loop_entry t cpu =
             match c with
             | Loopopt.Inv { expr; width; _ } ->
               let a = Word.to_unsigned (eval_bexpr t expr) in
-              Region.intersects_range t.regions ~lo:a
+              Region.intersects_range (Cpu.mem cpu) ~lo:a
                 ~hi:(a + Insn.width_bytes width - 1)
             | Loopopt.Rng { lo; hi; width; _ } ->
               let lo = Word.to_unsigned (eval_bexpr t lo) in
               let hi = Word.to_unsigned (eval_bexpr t hi) + Insn.width_bytes width - 1 in
               (* A degenerate (empty-trip) range never triggers. *)
-              lo <= hi && Region.intersects_range t.regions ~lo ~hi
+              lo <= hi && Region.intersects_range (Cpu.mem cpu) ~lo ~hi
           with Unresolved _ -> true)
         plan.checks
     in
@@ -386,53 +369,36 @@ let on_loop_entry t cpu =
         (insert_check ~why:("loop:" ^ string_of_int plan.loop_id) t)
         plan.eliminated
     end;
-    if t.plan.Instrument.options.check_aliases && plan.alias_pseudos <> [] then begin
+    if t.plan.Instrument.options.check_aliases then begin
       let fp = Cpu.get cpu Reg.fp in
-      let rs =
-        List.filter_map
-          (fun p ->
-            match t.pseudo_home p with
-            | Some (`Global a) ->
-              Some (Region.v ~kind:Region.Internal ~addr:a ~size_bytes:4 ())
-            | Some (`Local (_, off)) ->
-              Some
-                (Region.v ~kind:Region.Internal ~addr:(Word.add fp off)
-                   ~size_bytes:4 ())
-            | None -> None)
-          plan.alias_pseudos
+      let home p =
+        match t.pseudo_home p with
+        | Some (`Global a) -> Some a
+        | Some (`Local (_, off)) -> Some (Word.add fp off)
+        | None -> None
       in
-      let rs =
-        List.filter_map
-          (fun r ->
-            try
-              create_region ~why:"loop-preheader" t r;
-              Some r
-            with Region.Invalid _ -> None)
-          rs
-      in
-      t.alias_regions <- ((plan.loop_id, fp), rs) :: t.alias_regions
+      (* A home already in the table (a user region, or an enclosing
+         loop's alias region) stays as it is; the refusal is journalled. *)
+      List.iter
+        (fun addr ->
+          let r = Region.v ~kind:Region.Internal ~addr ~size_bytes:4 () in
+          try add_region ~why:"loop-preheader" ~owner:(plan.loop_id, fp) t r
+          with Region.Invalid _ -> aud_region t Audit.Region_refused ~why:"loop-preheader" r)
+        (List.filter_map home plan.alias_pseudos)
     end
 
 let on_loop_exit t cpu =
   match loop_of_trap t cpu with
   | None -> ()
   | Some plan ->
-    let fp = Cpu.get cpu Reg.fp in
-    let key = (plan.loop_id, fp) in
-    (match List.assoc_opt key t.alias_regions with
-    | Some rs ->
-      List.iter
-        (fun r ->
-          try delete_region ~why:"loop-exit" t r with Region.Invalid _ -> ())
-        rs;
-      t.alias_regions <- List.remove_assoc key t.alias_regions
-    | None -> ());
+    List.iter
+      (delete_region ~why:"loop-exit" t)
+      (Region.owned_by (Cpu.mem cpu) ~loop:plan.loop_id ~fp:(Cpu.get cpu Reg.fp));
     Cpu.add_cycles cpu (4 - (Cpu.config cpu).Cpu.trap_cycles)
 
-let on_violation t cpu =
+let on_violation t _cpu =
   t.counters.violations <- t.counters.violations + 1;
-  Telemetry.incr t.telemetry Telemetry.Violations;
-  ignore cpu
+  Telemetry.incr t.telemetry Telemetry.Violations
 
 (* --- installation -------------------------------------------------------------------- *)
 
@@ -447,12 +413,9 @@ let install ?(protect_self = false) ~telemetry ~audit ~(plan : Instrument.t)
       sites;
       cpu;
       bitmap = Segbitmap.create ~telemetry layout (Cpu.mem cpu);
-      regions = Region.empty;
       callback = None;
       observers = [];
       loops = Hashtbl.create 16;
-      alias_regions = [];
-      hash_bump = layout.Layout.hash_base + (4 * layout.Layout.hash_buckets);
       entries_by_loop = Hashtbl.create 16;
       counters =
         {
@@ -499,15 +462,10 @@ let install ?(protect_self = false) ~telemetry ~audit ~(plan : Instrument.t)
   | Strategy.Hardware_watch _ ->
     Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
         if Cpu.get cpu g6 = 0 then begin
-          let bytes = Insn.width_bytes width in
-          let rec covered a =
-            if a >= addr + bytes then None
-            else
-              match Region.find_containing t.regions a with
-              | Some r -> Some r
-              | None -> covered (a + 1)
-          in
-          match covered addr with
+          match
+            Region.find_in (Cpu.mem cpu) ~lo:addr
+              ~hi:(addr + Insn.width_bytes width - 1)
+          with
           | Some ({ Region.kind = Region.User; _ } as region) ->
             (* The watchpoint comparison fires on the store itself, whose
                pc is exactly its site's. *)

@@ -1,8 +1,8 @@
 (** The monitored region service runtime (§2).
 
-    The OCaml half of the MRS: it owns the mirrors of the in-memory
-    structures the check code reads (segmented bitmap, hash table),
-    installs the trap handlers the checks raise, and implements the
+    The OCaml half of the MRS: it writes the in-memory structures the
+    check code reads (segmented bitmap, hash table) and the region table
+    ({!Region}), all in the debugged program's memory, installs the trap handlers the checks raise, and implements the
     service interface of §2 —
 
     {ul
@@ -67,11 +67,9 @@ val install :
 val create_region : ?why:string -> t -> Region.t -> unit
 (** [why] labels the audit event (defaults to ["user"]; internal callers
     pass ["loop-preheader"], ["mrs-self"], ...).
-    @raise Region.Invalid on overlap or misalignment. *)
+    @raise Region.Invalid on overlap, misalignment or a full table. *)
 
 val delete_region : ?why:string -> t -> Region.t -> unit
-
-val regions : t -> Region.set
 
 val set_callback : t -> (hit -> unit) -> unit
 (** The NotificationCallBack; fired for every hit on a [User] region. *)

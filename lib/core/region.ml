@@ -1,3 +1,5 @@
+open Machine
+
 exception Invalid of string
 
 type kind = User | Internal
@@ -10,11 +12,12 @@ let v ?(kind = User) ~addr ~size_bytes () =
   if addr land 3 <> 0 then raise (Invalid "region address not word aligned");
   if size_bytes <= 0 || size_bytes land 3 <> 0 then
     raise (Invalid "region size not a positive word multiple");
-  { lo = Sparc.Word.to_unsigned addr; hi = Sparc.Word.to_unsigned addr + size_bytes - 1; kind }
+  let lo = Sparc.Word.to_unsigned addr in
+  if lo + size_bytes - 1 > 0xFFFF_FFFF then
+    raise (Invalid "region past the end of the address space");
+  { lo; hi = lo + size_bytes - 1; kind }
 
 let size_bytes t = t.hi - t.lo + 1
-
-let overlaps a b = a.lo <= b.hi && b.lo <= a.hi
 
 let contains t addr =
   let addr = Sparc.Word.to_unsigned addr in
@@ -22,40 +25,73 @@ let contains t addr =
 
 let equal a b = a.lo = b.lo && a.hi = b.hi && a.kind = b.kind
 
-(* A set of non-overlapping regions, ordered by [lo].  The tree is the
-   OCaml-side mirror of the in-memory bitmap; range queries here stand
-   in for the paper's three-access range-check structure (§4.3). *)
-module Set_ = Map.Make (Int)
+(* --- the region table ------------------------------------------------------ *)
 
-type set = t Set_.t
+(* Unordered four-word entries ({!Layout.region_table}): lo, hi, owner
+   and %fp.  The owner is 0 for a user region, 1 for one of the MRS's
+   own and loop id + 2 for an alias home a loop pre-header created in
+   the frame at %fp.  Deletion moves the last entry into the hole and
+   zeroes the vacated one, so every word past the live entries stays 0. *)
+let slot i k =
+  (4 * k)
+  + if i < Layout.region_inline then Layout.region_table + (16 * i)
+    else Layout.region_overflow + (16 * (i - Layout.region_inline))
 
-let empty = Set_.empty
+let get mem i k = Sparc.Word.to_unsigned (Memory.read_word mem (slot i k))
+let count mem = Sparc.Word.to_unsigned (Memory.read_word mem Layout.region_count)
+let at mem i = { lo = get mem i 0; hi = get mem i 1; kind = (if get mem i 2 = 0 then User else Internal) }
 
-let add set region =
-  let conflict =
-    Set_.exists (fun _ r -> overlaps r region) set
+(* Index of the lowest-addressed entry intersecting [lo, hi], or -1. *)
+let first mem ~lo ~hi =
+  let best = ref (-1) in
+  for i = 0 to count mem - 1 do
+    if get mem i 0 <= hi && lo <= get mem i 1 && (!best < 0 || get mem i 0 < get mem !best 0)
+    then best := i
+  done;
+  !best
+
+let find_in mem ~lo ~hi =
+  match first mem ~lo:(Sparc.Word.to_unsigned lo) ~hi:(Sparc.Word.to_unsigned hi) with
+  | -1 -> None
+  | i -> Some (at mem i)
+
+let find_containing mem addr = find_in mem ~lo:addr ~hi:addr
+let intersects_range mem ~lo ~hi = find_in mem ~lo ~hi <> None
+
+let add mem ?owner r =
+  let n = count mem in
+  if first mem ~lo:r.lo ~hi:r.hi >= 0 then raise (Invalid "regions must not overlap");
+  if n >= Layout.region_capacity then raise (Invalid "region table full");
+  let owner_word, fp =
+    match (r.kind, owner) with
+    | User, _ -> (0, 0)
+    | Internal, None -> (1, 0)
+    | Internal, Some (loop, fp) -> (loop + 2, fp)
   in
-  if conflict then raise (Invalid "regions must not overlap");
-  Set_.add region.lo region set
+  List.iteri (fun k v -> Memory.write_word mem (slot n k) v) [ r.lo; r.hi; owner_word; fp ];
+  Memory.write_word mem Layout.region_count (n + 1)
 
-let remove set region =
-  match Set_.find_opt region.lo set with
-  | Some r when equal r region -> Set_.remove region.lo set
-  | Some _ | None -> raise (Invalid "no such region")
+(* The indices of the entries [p] holds for, in table order. *)
+let select mem p = List.filter p (List.init (count mem) Fun.id)
 
-let find_containing set addr =
-  let addr = Sparc.Word.to_unsigned addr in
-  match Set_.find_last_opt (fun lo -> lo <= addr) set with
-  | Some (_, r) when contains r addr -> Some r
-  | Some _ | None -> None
+let remove mem r =
+  match select mem (fun i -> equal (at mem i) r) with
+  | [] -> raise (Invalid "no such region")
+  | i :: _ ->
+    let last = count mem - 1 in
+    for k = 0 to 3 do
+      Memory.write_word mem (slot i k) (get mem last k);
+      Memory.write_word mem (slot last k) 0
+    done;
+    Memory.write_word mem Layout.region_count last
 
-let intersects_range set ~lo ~hi =
-  let lo = Sparc.Word.to_unsigned lo and hi = Sparc.Word.to_unsigned hi in
-  (* Any region with r.lo <= hi and r.hi >= lo. *)
-  match Set_.find_last_opt (fun rlo -> rlo <= hi) set with
-  | Some (_, r) -> r.hi >= lo
-  | None -> false
+let owner_loop mem r =
+  match select mem (fun i -> equal (at mem i) r && get mem i 2 >= 2) with
+  | i :: _ -> Some (get mem i 2 - 2)
+  | [] -> None
 
-let iter f set = Set_.iter (fun _ r -> f r) set
+let owned_by mem ~loop ~fp =
+  let fp = Sparc.Word.to_unsigned fp in
+  List.map (at mem) (select mem (fun i -> get mem i 2 = loop + 2 && get mem i 3 = fp))
 
-let elements set = List.map snd (Set_.bindings set)
+let iter mem f = List.iter (fun i -> f (at mem i)) (select mem (fun _ -> true))

@@ -15,17 +15,23 @@ open Machine
 type t = {
   layout : Layout.t;
   mem : Memory.t;
-  mutable next_segment : int;
   telemetry : Telemetry.t option;
 }
 
-let create ?telemetry layout mem =
-  {
-    layout;
-    mem;
-    next_segment = layout.Layout.segments_base;
-    telemetry;
-  }
+let create ?telemetry layout mem = { layout; mem; telemetry }
+
+(* Segments are bump-allocated upward from [segments_base], past the MRS
+   state block at the end of the arena's first page (every segment size
+   divides [Layout.state_offset]).  The count lives in simulated memory
+   ({!Layout.arena_used}), so a rollback rewinds it. *)
+let segments t = Sparc.Word.to_unsigned (Memory.read_word t.mem Layout.arena_used)
+
+let segment_addr t k =
+  let off = k * Layout.segment_bitmap_bytes t.layout in
+  t.layout.Layout.segments_base + off
+  + if off >= Layout.state_offset then Layout.state_bytes else 0
+
+let space_bytes t = segments t * Layout.segment_bitmap_bytes t.layout
 
 let entry_addr t addr = Layout.table_entry_addr t.layout addr
 
@@ -36,8 +42,9 @@ let segment_ptr t addr =
   let entry = Sparc.Word.to_unsigned (Memory.read_word t.mem ea) in
   if entry land lnot 1 <> 0 then entry land lnot 1
   else begin
-    let ptr = t.next_segment in
-    t.next_segment <- t.next_segment + Layout.segment_bitmap_bytes t.layout;
+    let k = segments t in
+    let ptr = segment_addr t k in
+    Memory.write_word t.mem Layout.arena_used (k + 1);
     Memory.write_word t.mem ea (ptr lor (entry land 1));
     (match t.telemetry with
     | Some tel -> Telemetry.incr tel Telemetry.Seg_segments_allocated
@@ -98,14 +105,14 @@ let segment_monitored t addr =
   let entry = Sparc.Word.to_unsigned (Memory.read_word t.mem (entry_addr t addr)) in
   entry land 1 <> 0
 
-(* Set bits over the whole arena: a segment orphaned by a rollback reads
-   back as zeros, so it adds nothing. *)
+(* Set bits over the allocated segments. *)
 let monitored_words t =
   let rec popcount w = if w = 0 then 0 else 1 + popcount (w land (w - 1)) in
-  let rec go a acc =
-    if a >= t.next_segment then acc
-    else go (a + 4) (acc + popcount (Sparc.Word.to_unsigned (Memory.read_word t.mem a)))
-  in
-  go t.layout.Layout.segments_base 0
-
-let space_bytes t = t.next_segment - t.layout.Layout.segments_base
+  let acc = ref 0 in
+  for k = 0 to segments t - 1 do
+    let ptr = segment_addr t k in
+    for off = 0 to (Layout.segment_bitmap_bytes t.layout / 4) - 1 do
+      acc := !acc + popcount (Sparc.Word.to_unsigned (Memory.read_word t.mem (ptr + (4 * off))))
+    done
+  done;
+  !acc

@@ -293,18 +293,17 @@ let sym_eliminated_site_executions t =
    proper interface).  Patched-out stores execute inside their patch
    stub, so stub addresses count as program stores too. *)
 let install_oracle t =
-  let covered addr bytes =
-    let rec go a =
-      if a >= addr + bytes then false
-      else
-        match Region.find_containing (Mrs.regions t.mrs) a with
-        | Some { Region.kind = Region.User; _ } -> true
-        | Some _ | None -> go (a + 1)
-    in
-    go addr
+  let rec covered ~lo ~hi =
+    lo <= hi
+    &&
+    match Region.find_in (Cpu.mem t.cpu) ~lo ~hi with
+    | Some { Region.kind = Region.User; _ } -> true
+    | Some r -> covered ~lo:(r.Region.hi + 1) ~hi
+    | None -> false
   in
   let count ~addr ~width =
-    if covered addr (Insn.width_bytes width) then
+    let lo = Word.to_unsigned addr in
+    if covered ~lo ~hi:(lo + Insn.width_bytes width - 1) then
       t.expected_hits <- t.expected_hits + 1
   in
   Cpu.set_store_hook t.cpu (fun cpu ~addr ~width ->
@@ -364,10 +363,8 @@ type write_record = {
          stores) *)
 }
 
-let store_write_type t pc = Instrument.store_type t.sites pc
-
 let enrich t (h : Replay.hit) =
-  { wr_hit = h; wr_write_type = store_write_type t h.Replay.h_pc }
+  { wr_hit = h; wr_write_type = Instrument.store_type t.sites h.Replay.h_pc }
 
 (* Replay queries roll the machine back and re-execute recorded
    instructions under the machine's observer gate, so the replayed
@@ -451,7 +448,7 @@ let report t =
 
 let set_on_sample t f = t.on_sample := f
 
-(* Paint the current MRS region set into the heatmap's monitored marks
+(* Paint the current MRS region table into the heatmap's monitored marks
    (call before rendering: regions armed then deleted re-paint on the
    next call only if still present — the map answers "which monitored
    pages never fired" for the regions armed now). *)
@@ -459,11 +456,9 @@ let heatmap_sync_regions t =
   match t.heatmap with
   | None -> ()
   | Some hm ->
-    Region.iter
-      (fun r ->
+    Region.iter (Cpu.mem t.cpu) (fun r ->
         if r.Region.kind = Region.User then
           Heatmap.mark_monitored hm ~lo:r.Region.lo ~hi:r.Region.hi)
-      (Mrs.regions t.mrs)
 
 let profile_report t =
   match t.profiler with

@@ -7,8 +7,9 @@ type t = {
   image : Sparc.Assembler.image;
   sites : Instrument.map;
       (** where every site, patch stub and function sits in [image] —
-          counters, the oracle, hit attribution, {!store_write_type} and
-          {!Debugger.function_of_pc} all read it *)
+          counters, the oracle, hit attribution, store write types
+          ({!Instrument.store_type}) and {!Debugger.function_of_pc} all
+          read it *)
   symtab : Sparc.Symtab.t;  (** resolved against the instrumented image *)
   cpu : Machine.Cpu.t;
   mrs : Mrs.t;
@@ -143,12 +144,6 @@ val write_history :
 val time_travel : ?guard:bool -> t -> insn:int -> int
 (** Move the machine to its state just after instruction [insn];
     returns the number of re-executed instructions. *)
-
-val store_write_type : t -> int -> Write_type.t option
-(** The write type of the program store at a pc — a site label (inline
-    store) or a patch-stub label (re-inserted check) — or [None] for
-    any other pc ({!Instrument.store_type}).  Replay hits, the heatmap's
-    check density and the oracle all read this one table. *)
 
 val resolve_addr : t -> string -> int option
 (** Resolve a CLI target — [0x]-hex or decimal numeral, or a global

@@ -62,6 +62,13 @@ let call_clobbered_regs =
   List.map (fun i -> Machine (Reg.o i)) [ 0; 1; 2; 3; 4; 5; 7 ]
   @ [ Machine (Reg.g 1); Machine (Reg.g 2); Machine (Reg.g 3) ]
 
+let origin = function
+  | Label _ -> None
+  | Def { origin; _ } | Store { origin; _ } | Assert { origin; _ }
+  | Branch { origin; _ } | Jump { origin; _ } | Call { origin; _ }
+  | Ret { origin } | Effect { origin } ->
+    Some origin
+
 let uses = function
   | Label _ -> []
   | Def { rhs; _ } -> (

@@ -52,6 +52,9 @@ type instr =
 val name_equal : name -> name -> bool
 val name_compare : name -> name -> int
 
+val origin : instr -> int option
+(** The item index an instruction was lifted from; [None] for a label. *)
+
 val uses : instr -> name list
 
 val defs : ?extra_call_defs:name list -> instr -> name list

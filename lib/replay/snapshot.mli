@@ -9,10 +9,11 @@
     nothing more: it compares a replay with the retained checkpoint
     itself ({!diverges}), so capture hashes nothing.
 
-    Because the MRS keeps all its visible state (segment bitmap,
-    region table, enable word) in simulated memory, a snapshot captures
-    the MRS for free: restoring one restores the monitoring state the
-    original run had at that instant. *)
+    Because the MRS keeps all the state execution reads (segment
+    bitmap, region table, allocation counts) in simulated memory and
+    its enabled flag in [%g6], a snapshot captures the MRS for free:
+    restoring one restores the monitoring state the original run had
+    at that instant. *)
 
 type t
 

@@ -58,4 +58,7 @@ let error_message = function
   | Machine.Cpu.Out_of_fuel { executed } ->
     Some (Printf.sprintf "out of fuel after %d instructions" executed)
   | Debugger.No_such_variable v -> Some (Printf.sprintf "no such variable: %s" v)
+  | Region.Invalid m -> Some (Printf.sprintf "invalid region: %s" m)
+  | Mrs.Hardware_capacity n ->
+    Some (Printf.sprintf "hardware watchpoints exhausted: the processor watches %d word(s)" n)
   | _ -> None

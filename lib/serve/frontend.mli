@@ -25,4 +25,5 @@ val error_message : exn -> string option
 (** The one-line message for an exception the session machinery raises
     ([Sys_error], [Invalid_argument], [Failure], a replay divergence, a
     compile error, a machine fault, running out of fuel, an unknown
-    variable); [None] for any other exception. *)
+    variable, an invalid or overlapping region, exhausted hardware
+    watchpoints); [None] for any other exception. *)

@@ -40,7 +40,7 @@ type patch_event = {
   p_insn : int;
 }
 
-type region_kind = Region_created | Region_deleted
+type region_kind = Region_created | Region_deleted | Region_refused
 
 type region_event = {
   rg_kind : region_kind;
@@ -398,7 +398,8 @@ let region_to_json e =
         Str
           (match e.rg_kind with
           | Region_created -> "region_created"
-          | Region_deleted -> "region_deleted") );
+          | Region_deleted -> "region_deleted"
+          | Region_refused -> "region_refused") );
       ("lo", Int e.rg_lo);
       ("hi", Int e.rg_hi);
       ("why", Str e.rg_why);
@@ -412,6 +413,7 @@ let region_of_json v =
       (match as_str (get_field "event" f) with
       | "region_created" -> Region_created
       | "region_deleted" -> Region_deleted
+      | "region_refused" -> Region_refused
       | s -> raise (Parse_error ("bad region event " ^ s)));
     rg_lo = as_int (get_field "lo" f);
     rg_hi = as_int (get_field "hi" f);

@@ -65,7 +65,12 @@ type patch_event = {
   p_insn : int;  (** machine instruction count at the event *)
 }
 
-type region_kind = Region_created | Region_deleted
+type region_kind =
+  | Region_created
+  | Region_deleted
+  | Region_refused
+      (** a loop pre-header's alias region overlapped one already in
+          the table, so none was created *)
 
 type region_event = {
   rg_kind : region_kind;

@@ -4,7 +4,7 @@
     Pages materialize on first touch (sparse, like the memory they
     mirror) and carry three counters — store executions, instrumented
     check executions, monitored-region hits — plus a [monitored] mark
-    painted from the MRS region set.  The three renders answer "which
+    painted from the MRS region table.  The three renders answer "which
     pages are hot and which monitored regions never fire": an aligned
     text table, a [dbp-heatmap/1] JSON document, and a plain-text PPM
     image (one pixel per touched page, red = writes, green = checks,

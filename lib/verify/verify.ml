@@ -43,6 +43,10 @@ let mk ?origin ?loop ?pseudo kind detail verdict =
   { o_id = 0; o_kind = kind; o_origin = origin; o_loop = loop;
     o_pseudo = pseudo; o_detail = detail; o_verdict = verdict }
 
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
 (* --- per-function pipeline rebuild ------------------------------------- *)
 
 (* The IR pipeline is deterministic, so rebuilding it from the retained
@@ -751,6 +755,86 @@ let verify_alias (inst : I.t) (c : ctx) (lp : Ir.Loops.loop)
        (String.concat ", " p.L.alias_pseudos))
     verdict
 
+(* Where an exit edge lands, re-derived here: the first instruction it
+   runs outside the loop, past an assert block on the edge (no label,
+   no code) or a label-only block (falls through). *)
+let rec exit_point (cfg : Ir.Cfg.t) b =
+  let blk = Ir.Cfg.block cfg b in
+  match (blk.Ir.Cfg.body, blk.Ir.Cfg.succs) with
+  | (T.Assert _ :: _ | []), [ s ] -> exit_point cfg s
+  | i :: _, _ -> T.origin i
+  | [], _ -> None
+
+(* Does the exit label of item [origin] start a run of guarded trap
+   sequences that includes a loop-exit trap for [loop_id]?  The run may
+   hold other loops' exit traps but no code of the program's own. *)
+let has_exit_trap text_arr origin loop_id =
+  let n = Array.length text_arr in
+  let label = I.exit_label origin in
+  let g5 = Reg.g 5 in
+  let rec scan i =
+    i < n
+    &&
+    match text_arr.(i) with
+    | Asm.Insn (Insn.Alu { op = Insn.Or; cc = false; rs1; op2 = Insn.Imm k; rd })
+      when Reg.equal rs1 Reg.g0 && Reg.equal rd g5 && k = loop_id
+           && i + 1 < n
+           && text_arr.(i + 1)
+              = Asm.Insn (Insn.Trap { number = Dbp.Traps.loop_exit }) ->
+      true
+    | Asm.Insn (Insn.Alu { op = Insn.Or; cc = true; rs1; op2 = Insn.Reg r; rd })
+      when Reg.equal rs1 Reg.g0 && Reg.equal r (Reg.g 6) && Reg.equal rd Reg.g0 ->
+      scan (i + 1)
+    | Asm.Insn (Insn.Alu { rd; _ } | Insn.Sethi { rd; _ }) when Reg.equal rd g5 ->
+      scan (i + 1)
+    | Asm.Insn (Insn.Branch { cond = Cond.Ne; target = Insn.Sym l })
+    | Asm.Label l
+      when starts_with ".Ldbp_ltrap" l ->
+      scan (i + 1)
+    | Asm.Insn (Insn.Trap { number }) when number = Dbp.Traps.loop_exit -> scan (i + 1)
+    | Asm.Comment _ -> scan (i + 1)
+    | _ -> false
+  in
+  let rec find i =
+    i < n && (text_arr.(i) = Asm.Label label && scan (i + 1) || find (i + 1))
+  in
+  find 0
+
+(* Exit coverage: on an alias-checked loop, every exit edge must pass a
+   loop-exit trap for the loop, or the alias regions its pre-header
+   created outlive it. *)
+let verify_exits text_arr (inst : I.t) (c : ctx) (lp : Ir.Loops.loop)
+    (p : L.loop_plan) =
+  if not (inst.I.options.I.check_aliases && p.L.alias_pseudos <> []) then []
+  else begin
+    let edges =
+      List.concat_map
+        (fun b ->
+          List.filter_map
+            (fun s -> if Ir.Loops.in_loop lp s then None else Some (b, s))
+            (Ir.Cfg.block c.cfg b).Ir.Cfg.succs)
+        lp.Ir.Loops.body
+    in
+    let uncovered =
+      List.filter
+        (fun (_, s) ->
+          match exit_point c.cfg s with
+          | Some origin -> not (has_exit_trap text_arr origin p.L.loop_id)
+          | None -> true)
+        edges
+    in
+    [
+      mk ~loop:p.L.loop_id "exit"
+        (Printf.sprintf "%s: %d exit edge(s), loop-exit trap %d" p.L.fname
+           (List.length edges) p.L.loop_id)
+        (match uncovered with
+        | [] -> Proved
+        | (b, s) :: _ ->
+          Refuted
+            (Printf.sprintf "exit edge %d -> %d passes no loop-exit trap" b s));
+    ]
+  end
+
 (* --- §4.2 re-matching (sym obligations) --------------------------------- *)
 
 (* Independent mirror of the published matching rules, run over the raw
@@ -1179,10 +1263,6 @@ let verify_indirect text_arr =
     (Printf.sprintf "%d indirect jump(s), returns only" !count)
     (match !bad with None -> Proved | Some m -> Refuted m)
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* Every save/restore inside instrumented code must be bracketed by
    the frame-integrity calls (§4.2); the scan tracks label scope so
    the monitor library's and patch stubs' own code is exempt. *)
@@ -1415,7 +1495,8 @@ let run ?audit ?(tags = []) (inst : I.t) : report =
             :: verify_plan_coverage inst p
             :: verify_dominance st p
             :: verify_alias inst c lp p
-            :: List.map (verify_check st p) p.L.checks))
+            :: verify_exits text_arr inst c lp p
+            @ List.map (verify_check st p) p.L.checks))
       inst.I.loop_plans
   in
   let sym_obs =

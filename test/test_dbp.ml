@@ -21,24 +21,52 @@ let test_region_basics () =
   Alcotest.check_raises "bad size" (Region.Invalid "region size not a positive word multiple")
     (fun () -> ignore (Region.v ~addr:0x1000 ~size_bytes:6 ()))
 
+(* The region table lives in simulated memory: every operation reads
+   and writes words at [Layout.region_table], and a fresh memory is an
+   empty table. *)
 let test_region_set () =
-  let s = Region.empty in
+  let mem = Machine.Memory.create () in
   let r1 = Region.v ~addr:0x1000 ~size_bytes:4 () in
   let r2 = Region.v ~addr:0x2000 ~size_bytes:16 () in
-  let s = Region.add (Region.add s r1) r2 in
-  check_int "elements" 2 (List.length (Region.elements s));
-  (match Region.find_containing s 0x2008 with
+  Region.add mem r1;
+  Region.add mem r2;
+  let elements () =
+    let acc = ref [] in
+    Region.iter mem (fun r -> acc := r :: !acc);
+    !acc
+  in
+  check_int "elements" 2 (List.length (elements ()));
+  (match Region.find_containing mem 0x2008 with
   | Some r -> check_bool "found r2" true (Region.equal r r2)
   | None -> Alcotest.fail "lookup failed");
-  check_bool "no hit" true (Region.find_containing s 0x1800 = None);
-  check_bool "range intersect" true (Region.intersects_range s ~lo:0x1F00 ~hi:0x2003);
-  check_bool "range miss" false (Region.intersects_range s ~lo:0x1004 ~hi:0x1FFF);
+  check_bool "no hit" true (Region.find_containing mem 0x1800 = None);
+  check_bool "range intersect" true (Region.intersects_range mem ~lo:0x1F00 ~hi:0x2003);
+  check_bool "range miss" false (Region.intersects_range mem ~lo:0x1004 ~hi:0x1FFF);
+  (match Region.find_in mem ~lo:0x0 ~hi:0x3000 with
+  | Some r -> check_bool "lowest of two" true (Region.equal r r1)
+  | None -> Alcotest.fail "range lookup failed");
   (try
-     ignore (Region.add s (Region.v ~addr:0x2004 ~size_bytes:4 ()));
+     Region.add mem (Region.v ~addr:0x2004 ~size_bytes:4 ());
      Alcotest.fail "overlap accepted"
    with Region.Invalid _ -> ());
-  let s = Region.remove s r1 in
-  check_bool "removed" true (Region.find_containing s 0x1000 = None)
+  let alias = Region.v ~kind:Region.Internal ~addr:0x3000 ~size_bytes:4 () in
+  Region.add mem ~owner:(7, 0x7fff_fe00) alias;
+  check_bool "owner recorded" true (Region.owner_loop mem alias = Some 7);
+  check_bool "user region has no owner" true (Region.owner_loop mem r2 = None);
+  check_int "owned in that frame" 1
+    (List.length (Region.owned_by mem ~loop:7 ~fp:0x7fff_fe00));
+  check_int "not in another frame" 0
+    (List.length (Region.owned_by mem ~loop:7 ~fp:0x7fff_fd00));
+  Region.remove mem r1;
+  check_bool "removed" true (Region.find_containing mem 0x1000 = None);
+  check_int "others kept" 2 (List.length (elements ()));
+  Region.remove mem alias;
+  Region.remove mem r2;
+  (* An emptied table is all zeros again, like fresh memory. *)
+  for i = 0 to 11 do
+    check_int "zeroed" 0
+      (Machine.Memory.read_word mem (Layout.region_count + (4 * i)))
+  done
 
 (* --- segmented bitmap --------------------------------------------------------- *)
 
@@ -396,7 +424,7 @@ let test_store_table () =
           (fun i ->
             let pc = base + (4 * i) in
             let want = show (Hashtbl.find_opt expected pc)
-            and got = show (Session.store_write_type session pc) in
+            and got = show (Instrument.store_type session.Session.sites pc) in
             if want = got then None
             else Some (Printf.sprintf "0x%x: want %s, got %s" pc want got))
           (List.init (Array.length image.Sparc.Assembler.text) Fun.id)
@@ -407,13 +435,13 @@ let test_store_table () =
         (fun pc ->
           Alcotest.(check string) (Printf.sprintf "store 0x%x %s" pc name)
             (show (Hashtbl.find_opt expected pc))
-            (show (Session.store_write_type session pc)))
+            (show (Instrument.store_type session.Session.sites pc)))
         [ List.fold_left min max_int pcs; List.fold_left max 0 pcs ];
       let text_end = base + (4 * Array.length image.Sparc.Assembler.text) in
       List.iter
         (fun pc ->
           Alcotest.(check string) (Printf.sprintf "pc 0x%x %s" pc name) "none"
-            (show (Session.store_write_type session pc)))
+            (show (Instrument.store_type session.Session.sites pc)))
         [ 0; base - 4; text_end; text_end + 4 ])
     (all_option_sets
     @ List.map
@@ -542,7 +570,7 @@ let test_site_map_reference () =
           Option.map
             (fun (r : Instrument.read_site) -> r.r_slot)
             (Instrument.read_site_at sites pc),
-          Session.store_write_type session pc )
+          Instrument.store_type session.Session.sites pc )
       in
       let mismatches =
         List.filter_map
@@ -596,6 +624,43 @@ let test_alias_writes_detected () =
       check_int "alias write caught" 1
         (Mrs.counters session.Session.mrs).Mrs.user_hits)
     [ options (); options ~opt:Instrument.O_symbol (); options ~opt:Instrument.O_full () ]
+
+(* CI's matrix kernel: two alias-checked loops whose pre-headers cover
+   frame locals ([init.i], [matmul.j]) with internal regions. *)
+let ci_matrix_src =
+  "int a[484]; int b[484]; int c[484];\n\
+   int init() { int i; int v; v = 1;\n\
+  \  for (i = 0; i < 484; i = i + 1) { a[i] = v & 1023; b[i] = (v * 3) & 1023; v = v * 17 + 7; }\n\
+  \  return 0; }\n\
+   int matmul() { int i; int j; int k; int sum;\n\
+  \  for (i = 0; i < 22; i = i + 1) { for (j = 0; j < 22; j = j + 1) { sum = 0;\n\
+  \    for (k = 0; k < 22; k = k + 1) { sum = sum + a[i * 22 + k] * b[k * 22 + j]; }\n\
+  \    c[i * 22 + j] = sum; } }\n\
+  \  return 0; }\n\
+   int checksum() { int i; int s; s = 0; for (i = 0; i < 484; i = i + 1) { s = s + c[i]; } return s; }\n\
+   int main() { init(); matmul(); return checksum() & 255; }\n"
+
+(* Every alias region a loop pre-header creates is deleted at the loop's
+   exit, so none is left in the region table when the program exits. *)
+let test_alias_regions_die_with_their_loop () =
+  let o = options ~opt:Instrument.O_full ~check_aliases:true () in
+  let session, _, _, code, _ =
+    run_session ~options:o ~watch:(fun dbg -> Debugger.watch dbg "a") ci_matrix_src
+  in
+  check_int "exit" 158 code;
+  let audit = Audit.report session.Session.audit in
+  let count kind =
+    List.length
+      (List.filter
+         (fun (e : Audit.region_event) -> e.Audit.rg_kind = kind && e.Audit.rg_why <> "user")
+         audit.Audit.a_regions)
+  in
+  check_bool "pre-headers created alias regions" true (count Audit.Region_created > 0);
+  check_int "every one deleted" (count Audit.Region_created) (count Audit.Region_deleted);
+  let internal = ref 0 in
+  Region.iter (Machine.Cpu.mem session.Session.cpu) (fun r ->
+      if r.Region.kind = Region.Internal then incr internal);
+  check_int "no internal region left" 0 !internal
 
 let test_symbol_elimination_and_premonitor () =
   let o = options ~opt:Instrument.O_symbol () in
@@ -1064,6 +1129,8 @@ let suites =
           test_site_map_reference;
         Alcotest.test_case "disabled flag" `Quick test_disabled_no_hits;
         Alcotest.test_case "alias writes detected" `Quick test_alias_writes_detected;
+        Alcotest.test_case "alias regions die with their loop" `Quick
+          test_alias_regions_die_with_their_loop;
         Alcotest.test_case "nop padding" `Quick test_nop_padding;
         Alcotest.test_case "read monitoring hits" `Quick test_read_monitoring;
         Alcotest.test_case "read monitoring semantics" `Slow

@@ -49,14 +49,20 @@ let rec gen_expr env fuel st =
        ])
       st
 
+(* Besides masked indices, an element indexed by a loop variable: loops
+   run at most 6 times, so it stays in range, and its address sweeps a
+   range whose bound reads the variable's home, an alias pseudo (§4.5). *)
 let gen_lvalue env st =
   let open QCheck.Gen in
   (oneof
-     [
-       oneofl (List.filter (fun v -> not (List.mem v env.loop_vars)) scalars);
-       (let* idx = gen_expr env 1 in
-        return (Printf.sprintf "ga[(%s) & 15]" idx));
-     ])
+     ([
+        oneofl (List.filter (fun v -> not (List.mem v env.loop_vars)) scalars);
+        (let* idx = gen_expr env 1 in
+         return (Printf.sprintf "ga[(%s) & 15]" idx));
+      ]
+     @
+     if env.loop_vars = [] then []
+     else [ map (Printf.sprintf "ga[%s]") (oneofl env.loop_vars) ]))
     st
 
 let rec gen_stmt env st =
@@ -409,6 +415,77 @@ let prop_slicing_matches_run =
           = run_watched ~options ~checkpoint_every ~slice:(Some slice) src)
         slicing_configurations)
 
+(* Retroactive queries against ground truth (the fuzzed form of
+   test_replay's full-trace check): an unrecorded run with g0 watched
+   logs every store to g0 and ga as it happens, and a recorded run must
+   answer [last_write] and [write_history] over each exactly as the log
+   says.  Every opt level, with and without alias checks, at a random
+   checkpoint interval and a random journal budget small enough that
+   most journals thin.  The thinned journals and the alias regions the
+   recorded runs created are counted, and both must be seen. *)
+let journals_thinned = ref 0
+let alias_regions_created = ref 0
+
+let journal_configurations =
+  List.concat_map
+    (fun opt ->
+      List.map
+        (fun check_aliases -> { Instrument.default_options with opt; check_aliases })
+        [ false; true ])
+    Instrument.[ O0; O_symbol; O_full ]
+
+let journal_matches_store_log ~options ~checkpoint_every ~checkpoint_budget src =
+  let watched ?checkpoint_every ?checkpoint_budget () =
+    let s = Session.create ~options ?checkpoint_every ?checkpoint_budget src in
+    ignore (Debugger.watch (Debugger.create s) "g0");
+    s
+  in
+  let plain = watched () in
+  let span v =
+    let lo = Option.get (Session.resolve_addr plain v) in
+    (lo, lo + Sparc.Symtab.size_bytes (Option.get (Sparc.Symtab.lookup plain.Session.symtab v)))
+  in
+  let spans = List.map span [ "g0"; "ga" ] in
+  let log =
+    Test_replay.log_stores plain.Session.cpu
+      ~lo:(List.fold_left (fun a (lo, _) -> min a lo) max_int spans)
+      ~hi:(List.fold_left (fun a (_, hi) -> max a hi) 0 spans)
+  in
+  ignore (Session.run ~fuel:20_000_000 plain);
+  let truth = log () in
+  let recorded = watched ~checkpoint_every ~checkpoint_budget () in
+  ignore (Session.run ~fuel:20_000_000 recorded);
+  let r = Option.get (Session.replay recorded) in
+  if Journal.evictions (Replay.journal r) > 0 then incr journals_thinned;
+  List.iter
+    (fun (e : Audit.region_event) ->
+      if e.Audit.rg_kind = Audit.Region_created && e.Audit.rg_why = "loop-preheader"
+      then incr alias_regions_created)
+    (Audit.report recorded.Session.audit).Audit.a_regions;
+  List.for_all
+    (fun (lo, hi) ->
+      let truth = Test_replay.within ~lo ~hi truth in
+      Option.map Test_replay.gt_of_hit (Replay.last_write r ~lo ~hi)
+      = Test_replay.last_of truth
+      && List.map
+           (fun (w : Session.write_record) -> Test_replay.gt_of_hit w.Session.wr_hit)
+           (Session.write_history recorded ~lo ~hi)
+         = truth)
+    spans
+
+let prop_journal_ground_truth =
+  QCheck.Test.make ~name:"random programs: journal answers == unrecorded store log"
+    ~count:40
+    (QCheck.triple arb_program (QCheck.int_range 50 2_000)
+       (QCheck.int_range 1 400_000))
+    (fun (src, checkpoint_every, checkpoint_budget) ->
+      List.for_all
+        (fun (options : Instrument.options) ->
+          journal_matches_store_log ~options ~checkpoint_every ~checkpoint_budget src
+          || QCheck.Test.fail_reportf "opt=%s check_aliases=%b: answers differ from the log"
+               (Frontend.opt_name options.Instrument.opt) options.Instrument.check_aliases)
+        journal_configurations)
+
 let suites =
   [
     ( "dbp.fuzz",
@@ -418,6 +495,14 @@ let suites =
         QCheck_alcotest.to_alcotest prop_observed_differential;
         verifier_case;
         QCheck_alcotest.to_alcotest prop_slicing_matches_run;
+        (let name, speed, run = QCheck_alcotest.to_alcotest prop_journal_ground_truth in
+         ( name,
+           speed,
+           fun () ->
+             run ();
+             Alcotest.(check bool) "some journals thinned" true (!journals_thinned > 0);
+             Alcotest.(check bool) "some alias regions created" true
+               (!alias_regions_created > 0) ));
         Alcotest.test_case "recursive program: pre-decoded fast path == generic"
           `Quick test_recursive_differential;
       ] );

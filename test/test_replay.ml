@@ -609,12 +609,13 @@ let last_of l = List.fold_left (fun _ x -> Some x) None l
 (* [w] at [opt] with [var] watched through the debugger — so loop
    pre-headers patch checks in and out exactly as a `dbreak --watch`
    run does — and [var]'s footprint [[lo, hi)].  Not yet run. *)
-let watched_session ?checkpoint_every ?checkpoint_budget ~opt
-    (w : Workloads.Workload.t) var =
+let watched_session ?checkpoint_every ?checkpoint_budget ?(check_aliases = false)
+    ~opt (w : Workloads.Workload.t) var =
   let options =
     { Instrument.default_options with
       strategy = Strategy.Bitmap_inline_registers;
       opt;
+      check_aliases;
       fortran_idiom = Workloads.Workload.fortran_idiom w }
   in
   let session =
@@ -684,14 +685,15 @@ let check_range label r truth ~lo ~hi =
    that recording leaves the program's write trace unchanged.
    [sub_word] adds a range of two bytes inside the first word. *)
 let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
-    ?(sub_word = false) ~interval (wname, var) =
+    ?check_aliases ?(sub_word = false) ~interval (wname, var) =
   let w = workload wname in
-  let plain, lo, hi = watched_session ~opt w var in
+  let plain, lo, hi = watched_session ?check_aliases ~opt w var in
   let log = log_stores plain.Session.cpu ~lo ~hi in
   run_to_exit plain w;
   let truth = log () in
   let session, _, _ =
-    watched_session ~checkpoint_every:interval ?checkpoint_budget ~opt w var
+    watched_session ~checkpoint_every:interval ?checkpoint_budget ?check_aliases
+      ~opt w var
   in
   run_to_exit session w;
   let cpu = session.Session.cpu in
@@ -741,8 +743,11 @@ let test_queries_survive_eviction () =
 
 (* Every global of the program, each in its own watched recording.  At
    O_full the watch makes loop pre-headers patch checks in during the
-   run, which a replay must reproduce from the restored text. *)
-let every_global ?checkpoint_budget ?sub_word ?(interval = 10_000) ~opt wname () =
+   run, which a replay must reproduce from the restored text; with
+   [check_aliases] they also create and delete alias regions, which a
+   replay must reproduce from the restored region table. *)
+let every_global ?checkpoint_budget ?check_aliases ?sub_word ?(interval = 10_000)
+    ~opt wname () =
   let globals =
     Sparc.Symtab.globals
       (Session.create (workload wname).Workloads.Workload.source).Session.symtab
@@ -751,8 +756,8 @@ let every_global ?checkpoint_budget ?sub_word ?(interval = 10_000) ~opt wname ()
   List.iter
     (fun (g : Sparc.Symtab.entry) ->
       ignore
-        (check_queries_against_ground_truth ?checkpoint_budget ?sub_word ~opt
-           ~interval (wname, g.name)))
+        (check_queries_against_ground_truth ?checkpoint_budget ?check_aliases
+           ?sub_word ~opt ~interval (wname, g.name)))
     globals
 
 (* --- window skipping ------------------------------------------------------------ *)
@@ -1089,6 +1094,10 @@ let suites =
           (every_global ~opt:Instrument.O_full "047.tomcatv");
         Alcotest.test_case "nasker every global, O_full" `Quick
           (every_global ~opt:Instrument.O_full "020.nasker");
+        Alcotest.test_case "matrix300 every global, O_full, alias-checked" `Quick
+          (every_global ~check_aliases:true ~opt:Instrument.O_full "030.matrix300");
+        Alcotest.test_case "li every global, O_full, alias-checked" `Quick
+          (every_global ~check_aliases:true ~opt:Instrument.O_full "022.li");
         Alcotest.test_case "matrix300 every global, O_full, thinned" `Quick
           (every_global ~interval:5_000 ~checkpoint_budget:200_000
              ~sub_word:true ~opt:Instrument.O_full "030.matrix300");

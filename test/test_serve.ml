@@ -509,6 +509,46 @@ let test_engine_errors_and_gauges () =
       check_bool "closed session's counters absorbed" true
         (List.assoc "store_execs" rep.Telemetry.r_counters >= 0))
 
+(* Arming a watch that overlaps one already armed is a user mistake:
+   the session answers it with an error reply, in dbreak's words, and
+   stays usable; the shard job does not escape. *)
+let test_bad_arm_answered () =
+  let t = Daemon.create ~shards:2 () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.shutdown t)
+    (fun () ->
+      let c = Daemon.client t in
+      List.iter (Daemon.submit t c)
+        [
+          Proto.encode_command
+            (Proto.Open
+               {
+                 sid = "b1";
+                 source = Proto.Program program;
+                 strategy = "BitmapInlineRegisters";
+                 opt = "none";
+               });
+          Proto.encode_command (Proto.Arm { sid = "b1"; target = Proto.Var "counter" });
+          Proto.encode_command (Proto.Arm { sid = "b1"; target = Proto.Var "counter" });
+          Proto.encode_command (Proto.Run { sid = "b1"; fuel = 100_000_000 });
+        ];
+      Daemon.drain t;
+      let bodies =
+        List.filter_map
+          (fun l ->
+            match Proto.decode_reply l with
+            | Ok { Proto.r_body; _ } -> Some r_body
+            | Error _ -> None)
+          (Daemon.output c)
+      in
+      check_bool "second arm answered with an error" true
+        (List.mem (Proto.Error "invalid region: regions must not overlap") bodies);
+      check_bool "next command answered" true
+        (List.exists (function Proto.Exited _ -> true | _ -> false) bodies);
+      check_bool "no job escaped" true
+        (List.mem "dbreakd_job_failures_total 0"
+           (String.split_on_char '\n' (Daemon.metrics_body t))))
+
 (* --- wake-up ------------------------------------------------------------- *)
 
 let read_available fd =
@@ -1120,6 +1160,8 @@ let suites =
           test_engine_shard_determinism;
         Alcotest.test_case "errors, gauges, disconnect" `Quick
           test_engine_errors_and_gauges;
+        Alcotest.test_case "overlapping arm answered, session kept" `Quick
+          test_bad_arm_answered;
         Alcotest.test_case "escaped job counted in /metrics" `Quick
           test_job_failure_metric;
         Alcotest.test_case "shard replies wake the server fds" `Quick

@@ -133,6 +133,65 @@ let test_mutant_killed (m : Verify_mutate.mutant) () =
           m.Verify_mutate.m_name name (Verify.summary_line rep))
     applied
 
+(* --- alias-checked exits ------------------------------------------------------------ *)
+
+(* matrix300 with alias checks: its loop plans carry alias pseudos, so
+   every exit edge of those loops must pass a loop-exit trap, or the
+   alias regions the pre-header created outlive the loop. *)
+let aliased =
+  lazy
+    (let s =
+       Session.create
+         ~options:{ o_full with Instrument.check_aliases = true }
+         (workload "030.matrix300").Workloads.Workload.source
+     in
+     (s.Session.plan, Some (Audit.report s.Session.audit)))
+
+let exit_verdicts (rep : Verify.report) =
+  List.filter_map
+    (fun (o : Verify.obligation) ->
+      if o.Verify.o_kind = "exit" then Some o.Verify.o_verdict else None)
+    rep.Verify.v_obligations
+
+let test_exits_proved () =
+  let plan, audit = Lazy.force aliased in
+  let rep = Verify.run ?audit plan in
+  check_bool "alias-checked loops have exit obligations" true
+    (exit_verdicts rep <> []);
+  check_bool "report ok" true (Verify.ok rep)
+
+(* Delete the first loop-exit trap instruction from the emitted text. *)
+let drop_loop_exit_trap : Verify_mutate.mutant =
+  {
+    Verify_mutate.m_name = "drop_loop_exit_trap";
+    m_apply =
+      (fun inst audit ->
+        let rec split acc = function
+          | Sparc.Asm.Insn (Sparc.Insn.Trap { number }) :: rest
+            when number = Traps.loop_exit ->
+            Some (List.rev_append acc rest)
+          | item :: rest -> split (item :: acc) rest
+          | [] -> None
+        in
+        Option.map
+          (fun text ->
+            ( { inst with
+                Instrument.program = { inst.Instrument.program with Sparc.Asm.text } },
+              audit ))
+          (split [] inst.Instrument.program.Sparc.Asm.text));
+  }
+
+let test_drop_loop_exit_trap_killed () =
+  let plan, audit = Lazy.force aliased in
+  match drop_loop_exit_trap.Verify_mutate.m_apply plan audit with
+  | None -> Alcotest.fail "no loop-exit trap to drop"
+  | Some (plan', audit') ->
+    let rep = Verify.run ?audit:audit' plan' in
+    check_bool "an exit obligation is refuted" true
+      (List.exists
+         (function Verify.Refuted _ -> true | _ -> false)
+         (exit_verdicts rep))
+
 (* --- golden renderings ------------------------------------------------------------ *)
 
 let render_checks (inst : Instrument.t) =
@@ -234,7 +293,12 @@ let suites =
           Alcotest.test_case
             ("kills " ^ m.Verify_mutate.m_name)
             `Quick (test_mutant_killed m))
-        Verify_mutate.all );
+        Verify_mutate.all
+      @ [
+          Alcotest.test_case "alias-checked exits proved" `Quick test_exits_proved;
+          Alcotest.test_case "kills drop_loop_exit_trap" `Quick
+            test_drop_loop_exit_trap_killed;
+        ] );
     ( "verify.golden",
       [
         Alcotest.test_case "matrix300 checks" `Quick
