@@ -327,9 +327,9 @@ let run ?fuel t =
    can round-robin many sessions on one domain without letting any of
    them starve the loop.  With a checkpoint journal armed the slices go
    through {!Replay.record_slice}, which places checkpoints exactly
-   where a one-shot run would — so slicing is invisible to
-   {!last_write}/{!write_history}/{!time_travel} and to telemetry.
-   No ["run"] span is recorded per slice (span multisets would then
+   where a one-shot run would — so slicing is invisible to every replay
+   {!cursor} (sliced the same way by {!advance}) and to telemetry.  No
+   ["run"] span is recorded per slice (span multisets would then
    depend on the slice quantum); the daemon brackets its own spans. *)
 let run_slice ?fuel t =
   match Cpu.halted t.cpu with
@@ -366,23 +366,27 @@ type write_record = {
 let enrich t (h : Replay.hit) =
   { wr_hit = h; wr_write_type = Instrument.store_type t.sites h.Replay.h_pc }
 
-(* Replay queries roll the machine back and re-execute recorded
-   instructions under the machine's observer gate, so the replayed
-   steps are not counted twice by the profiler, the sampler or the
-   heatmap. *)
+let cursor ?guard t goal =
+  Replay.cursor ?guard (require_replay t "Session.cursor") goal
+
+(* Replay rolls the machine back and re-executes recorded instructions
+   under the machine's observer gate, so the replayed steps are not
+   counted twice by the profiler, the sampler or the heatmap. *)
+let advance t c ~fuel = Cpu.without_observers t.cpu (fun () -> Replay.advance c ~fuel)
+
+let query ?guard t fn goal =
+  let r = require_replay t fn in
+  Cpu.without_observers t.cpu (fun () -> Replay.query ?guard r goal)
+
 let last_write ?guard t ~addr =
-  let r = require_replay t "Session.last_write" in
-  Cpu.without_observers t.cpu (fun () ->
-      Option.map (enrich t) (Replay.last_write_word ?guard r ~addr))
+  let lo = addr land lnot 3 in
+  Option.map (enrich t)
+    (query ?guard t "Session.last_write" (Replay.Last_write { lo; hi = lo + 4 }))
 
 let write_history ?guard t ~lo ~hi =
-  let r = require_replay t "Session.write_history" in
-  Cpu.without_observers t.cpu (fun () ->
-      List.map (enrich t) (Replay.write_history ?guard r ~lo ~hi))
+  List.map (enrich t) (query ?guard t "Session.write_history" (Replay.History { lo; hi }))
 
-let time_travel ?guard t ~insn =
-  let r = require_replay t "Session.time_travel" in
-  Cpu.without_observers t.cpu (fun () -> Replay.travel ?guard r ~insn)
+let time_travel ?guard t ~insn = query ?guard t "Session.time_travel" (Replay.Travel insn)
 
 (* Resolve a CLI watch target to an address: a 0x-hex or decimal
    numeral, or a global variable name from the symbol table. *)

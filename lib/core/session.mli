@@ -113,8 +113,8 @@ val run_slice : ?fuel:int -> t -> [ `Exited of int * string | `Running of int ]
     keep firing across slices).  [`Exited (code, output)] is terminal
     and idempotent.  With [checkpoint_every] set, slices record through
     {!Replay.record_slice}, whose checkpoint placement is identical to
-    a one-shot {!run} — slicing never changes the answers of
-    {!last_write}/{!write_history}/{!time_travel} or the telemetry. *)
+    a one-shot {!run} — slicing never changes a replay's answers or the
+    telemetry.  Replays are sliced the same way: see {!advance}. *)
 
 (** {1 Time travel}
 
@@ -131,19 +131,23 @@ type write_record = {
           monitor-library stores) *)
 }
 
+val cursor : ?guard:bool -> t -> 'a Replay.goal -> 'a Replay.cursor
+val advance : t -> 'a Replay.cursor -> fuel:int -> 'a Replay.progress
+(** A replay cursor over the session's journal ({!Replay.cursor}), and
+    {!Replay.advance} with the session's observers paused. *)
+
 val last_write : ?guard:bool -> t -> addr:int -> write_record option
-(** The final store of the recorded run to the word containing [addr]:
-    restores the latest checkpoint whose window contains a write and
-    re-executes under an invisible watch.  Returns the exact
-    (instruction index, pc, old/new value, write type). *)
+(** The final store of the recorded run to the word containing [addr]
+    ({!Replay.Last_write}), with its write type. *)
 
 val write_history :
   ?guard:bool -> t -> lo:int -> hi:int -> write_record list
-(** Every recorded store landing in [[lo, hi)], in execution order. *)
+(** Every recorded store landing in [[lo, hi)], in execution order
+    ({!Replay.History}). *)
 
 val time_travel : ?guard:bool -> t -> insn:int -> int
-(** Move the machine to its state just after instruction [insn];
-    returns the number of re-executed instructions. *)
+(** Move the machine to its state just after instruction [insn]
+    ({!Replay.Travel}); returns the re-executed instruction count. *)
 
 val resolve_addr : t -> string -> int option
 (** Resolve a CLI target — [0x]-hex or decimal numeral, or a global

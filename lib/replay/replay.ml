@@ -2,22 +2,11 @@ open Sparc
 open Machine
 
 (* Time-travel engine: record a run while checkpointing it at an
-   instruction-count interval, then answer retroactive queries by
-   restoring the nearest checkpoint and re-executing.
-
-   The watchpoint used during re-execution is *host-side*: a store
-   hook that observes effective addresses after each store, exactly
-   like the hardware-watchpoint strategy's oracle.  Nothing is written
-   into simulated memory and no trap instruction runs, so the replayed
-   program's architectural outcome is byte-identical whether or not a
-   watch is armed (Price's virtual-breakpoint invisibility property) —
-   which is precisely what lets the determinism guard hold during
-   queries.
-
-   While the run is recorded, the same hook marks the words every store
-   writes ({!Written}); each checkpoint keeps the marks of the window
-   it closes, and a query replays only the windows whose marks overlap
-   the watched range. *)
+   instruction-count interval, then answer retroactive queries with one
+   replay cursor that restores checkpoints and re-executes.  One store
+   hook serves both phases: while recording it marks the words every
+   store writes ({!Written}); while a cursor's leg is armed it is the
+   invisible host-side watch (see replay.mli). *)
 
 type hit = {
   h_insn : int;  (* instruction count including the store *)
@@ -49,24 +38,28 @@ type t = {
   mutable started : bool;
   mutable next_boundary : int;
   pending : Written.builder;  (* stores since the last checkpoint *)
-  (* Watch state shared with the store hook installed at [create]
-     (hooks are append-only, so one hook with an [armed] flag). *)
-  mutable armed : bool;
-  mutable watch_lo : int;
-  mutable watch_hi : int;  (* exclusive *)
-  shadow : (int, int) Hashtbl.t;  (* watched word -> current value *)
-  mutable hits : hit list;  (* newest first; reset on arm *)
+  mutable watch : watch option;
+      (* read by the store hook installed at [create] (hooks are
+         append-only): set while an armed leg replays *)
   mutable replayed : int;
 }
 
-let off_telemetry () = Telemetry.create ~enabled:false ()
-let off_audit () = Audit.create ~enabled:(fun () -> false) ()
+(* A cursor's watch on [[lo, hi)]: [shadow] maps each watched word to
+   its current value. *)
+and watch = {
+  lo : int;
+  hi : int;
+  shadow : (int, int) Hashtbl.t;
+  mutable hits : hit list;  (* newest first, across the cursor's legs *)
+}
 
 let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
   let telemetry =
-    match telemetry with Some t -> t | None -> off_telemetry ()
+    match telemetry with Some t -> t | None -> Telemetry.create ~enabled:false ()
   in
-  let audit = match audit with Some a -> a | None -> off_audit () in
+  let audit =
+    match audit with Some a -> a | None -> Audit.create ~enabled:(fun () -> false) ()
+  in
   let on_evict snap =
     Telemetry.incr telemetry Telemetry.Checkpoint_evictions;
     if Audit.enabled audit then
@@ -90,26 +83,22 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
       started = false;
       next_boundary = 0;
       pending = Written.builder ();
-      armed = false;
-      watch_lo = 0;
-      watch_hi = 0;
-      shadow = Hashtbl.create 64;
-      hits = [];
+      watch = None;
       replayed = 0;
     }
   in
   Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
-      if t.armed then begin
+      match t.watch with
+      | None -> if not t.recorded then Written.add t.pending ~addr ~width
+      | Some wt ->
         let last = addr + Insn.width_bytes width in
         let w = ref (addr land lnot 3) in
         while !w < last do
           (* Word [w] overlaps the watched byte range [lo, hi)? *)
-          if !w + 4 > t.watch_lo && !w < t.watch_hi then begin
+          if !w + 4 > wt.lo && !w < wt.hi then begin
             let nv = Memory.read_word (Cpu.mem cpu) !w in
-            let ov =
-              match Hashtbl.find_opt t.shadow !w with Some v -> v | None -> 0
-            in
-            t.hits <-
+            let ov = Option.value ~default:0 (Hashtbl.find_opt wt.shadow !w) in
+            wt.hits <-
               {
                 h_insn = Cpu.instr_count cpu;
                 h_pc = Cpu.pc cpu;
@@ -118,13 +107,11 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
                 h_new = nv;
                 h_width = width;
               }
-              :: t.hits;
-            Hashtbl.replace t.shadow !w nv
+              :: wt.hits;
+            Hashtbl.replace wt.shadow !w nv
           end;
           w := !w + 4
-        done
-      end
-      else if not t.recorded then Written.add t.pending ~addr ~width);
+        done);
   t
 
 let journal t = t.journal
@@ -139,24 +126,21 @@ let take_checkpoint t =
     Snapshot.capture ~seq:t.seq ~written:(Written.take t.pending) t.cpu
   in
   t.seq <- t.seq + 1;
-  let d0 = Journal.captured_delta_pages t.journal in
-  let s0 = Journal.captured_shared_pages t.journal in
-  let b0 = Journal.captured_bytes t.journal in
-  Journal.record t.journal snap;
+  let j = t.journal in
+  let d0 = Journal.captured_delta_pages j
+  and s0 = Journal.captured_shared_pages j
+  and b0 = Journal.captured_bytes j in
+  Journal.record j snap;
+  let pages = Journal.captured_delta_pages j - d0
+  and shared = Journal.captured_shared_pages j - s0
+  and bytes = Journal.captured_bytes j - b0 in
   Telemetry.incr t.telemetry Telemetry.Checkpoints_taken;
-  Telemetry.add t.telemetry Telemetry.Checkpoint_pages_copied
-    (Journal.captured_delta_pages t.journal - d0);
-  Telemetry.add t.telemetry Telemetry.Checkpoint_pages_shared
-    (Journal.captured_shared_pages t.journal - s0);
-  Telemetry.add t.telemetry Telemetry.Checkpoint_bytes
-    (Journal.captured_bytes t.journal - b0);
+  Telemetry.add t.telemetry Telemetry.Checkpoint_pages_copied pages;
+  Telemetry.add t.telemetry Telemetry.Checkpoint_pages_shared shared;
+  Telemetry.add t.telemetry Telemetry.Checkpoint_bytes bytes;
   if Audit.enabled t.audit then
     Audit.replay t.audit ~kind:Audit.Checkpoint_taken ~insn:(Snapshot.insn snap)
-      ~detail:
-        (Printf.sprintf "pages=%d shared=%d bytes=%d"
-           (Journal.captured_delta_pages t.journal - d0)
-           (Journal.captured_shared_pages t.journal - s0)
-           (Journal.captured_bytes t.journal - b0))
+      ~detail:(Printf.sprintf "pages=%d shared=%d bytes=%d" pages shared bytes)
 
 (* Incremental recording: each slice advances the machine by at most
    [fuel] instructions, checkpointing at exactly the same places a
@@ -206,139 +190,149 @@ let record ?(fuel = 200_000_000) t =
     then take_checkpoint t;
     raise (Cpu.Out_of_fuel { executed })
 
-(* --- travel ----------------------------------------------------------- *)
+(* --- the replay cursor --------------------------------------------------- *)
 
-let restore_to t snap ~target =
-  Snapshot.restore t.cpu snap;
+type _ goal =
+  | Travel : int -> int goal
+  | Last_write : { lo : int; hi : int } -> hit option goal
+  | History : { lo : int; hi : int } -> hit list goal
+
+type 'a progress = More | Done of 'a
+
+(* Restore [from] and re-execute to [upto], under the watch if [armed]. *)
+type leg = { from : Snapshot.t; upto : int; armed : bool }
+
+type 'a cursor = {
+  r : t;
+  goal : 'a goal;
+  guard : bool;
+  watch : watch;
+  mutable legs : leg list;  (* the head is under way once [restored] *)
+  mutable restored : bool;
+  mutable replayed : int;
+}
+
+let make ?(guard = true) ?(lo = 0) ?(hi = 0) r goal legs =
+  if not r.recorded then invalid_arg "Replay.cursor: record the run first";
+  let watch = { lo; hi; shadow = Hashtbl.create 64; hits = [] } in
+  { r; goal; guard; watch; legs; restored = false; replayed = 0 }
+
+(* A travel is one unarmed leg.  A query replays each window that stored
+   to the range (the summary marks exactly the words the watch would
+   report) from its own checkpoint, then travels back to the end:
+   newest first for the last write (Transition-Watchpoints search
+   order: the first window that hits holds it), oldest first for the
+   history.  A skipped window left the range unchanged, so arming at a
+   window's start seeds the old values the recorded run had there. *)
+let cursor (type a) ?guard t (goal : a goal) : a cursor =
+  let travel insn =
+    if insn < 0 || insn > t.end_insn then
+      invalid_arg "Replay.travel: target outside the recorded run";
+    (* The first checkpoint, at insn 0, is never evicted. *)
+    { from = Option.get (Journal.nearest t.journal ~insn); upto = insn; armed = false }
+  in
+  let query ~lo ~hi order =
+    let rec windows acc = function
+      | from :: (stop :: _ as rest) ->
+        windows
+          (if Written.overlaps (Snapshot.written stop) ~lo ~hi then
+             { from; upto = Snapshot.insn stop; armed = true } :: acc
+           else acc)
+          rest
+      | _ -> acc
+    in
+    let newest_first = windows [] (Journal.snapshots t.journal) in
+    make ?guard t goal ~lo ~hi (order newest_first @ [ travel t.end_insn ])
+  in
+  match goal with
+  | Travel insn -> make ?guard t goal [ travel insn ]
+  | Last_write { lo; hi } -> query ~lo ~hi Fun.id
+  | History { lo; hi } -> query ~lo ~hi List.rev
+
+let start_leg c leg =
+  let t = c.r in
+  Snapshot.restore t.cpu leg.from;
   Telemetry.incr t.telemetry Telemetry.Restores;
   if Audit.enabled t.audit then
-    Audit.replay t.audit ~kind:Audit.State_restored ~insn:(Snapshot.insn snap)
-      ~detail:(Printf.sprintf "target=%d" target)
-
-(* Step to [insn]; if a retained checkpoint exists exactly there,
-   compare the machine with it (the determinism guard). *)
-let exec_to ?(guard = true) t ~insn =
-  let start = Cpu.instr_count t.cpu in
-  Cpu.run_to t.cpu ~insn;
-  let replayed = Cpu.instr_count t.cpu - start in
-  t.replayed <- t.replayed + replayed;
-  Telemetry.add t.telemetry Telemetry.Replayed_instrs replayed;
-  if Cpu.instr_count t.cpu <> insn then
-    failwith
-      (Printf.sprintf
-         "Replay: re-execution diverged: halted at insn %d before target %d"
-         (Cpu.instr_count t.cpu) insn);
-  if guard then begin
-    match Option.bind (Journal.find t.journal ~insn) (Snapshot.diverges t.cpu) with
-    | Some (expected, actual) ->
-      raise (Determinism_violation { insn; expected; actual })
-    | None -> ()
+    Audit.replay t.audit ~kind:Audit.State_restored ~insn:(Snapshot.insn leg.from)
+      ~detail:(Printf.sprintf "target=%d" leg.upto);
+  if leg.armed then begin
+    let wt = c.watch in
+    Hashtbl.reset wt.shadow;
+    let w = ref (wt.lo land lnot 3) in
+    while !w < wt.hi do
+      Hashtbl.replace wt.shadow !w (Memory.read_word (Cpu.mem t.cpu) !w);
+      w := !w + 4
+    done;
+    t.watch <- Some wt
   end;
+  c.restored <- true
+
+(* A leg ends on its target: disarm, apply the determinism guard if a
+   retained checkpoint is there, and once a last-write leg has hit,
+   drop the windows left to search. *)
+let finish_leg (type a) (c : a cursor) leg =
+  let t = c.r in
+  t.watch <- None;
+  c.restored <- false;
+  (match c.goal with
+  | Last_write _ when c.watch.hits <> [] ->
+    c.legs <- List.filter (fun l -> not l.armed) c.legs
+  | _ -> ());
+  if c.guard then
+    Option.iter
+      (fun (expected, actual) ->
+        raise (Determinism_violation { insn = leg.upto; expected; actual }))
+      (Option.bind (Journal.find t.journal ~insn:leg.upto) (Snapshot.diverges t.cpu));
   if Audit.enabled t.audit then
-    Audit.replay t.audit ~kind:Audit.Replay_finished ~insn
-      ~detail:(Printf.sprintf "replayed=%d" replayed);
-  replayed
+    Audit.replay t.audit ~kind:Audit.Replay_finished ~insn:leg.upto
+      ~detail:(Printf.sprintf "replayed=%d" (leg.upto - Snapshot.insn leg.from))
 
-let replay_from ?guard t snap ~insn =
-  if not t.recorded then invalid_arg "Replay.replay_from: record the run first";
-  if insn < Snapshot.insn snap || insn > t.end_insn then
-    invalid_arg "Replay.replay_from: target outside [snapshot, end]";
-  restore_to t snap ~target:insn;
-  exec_to ?guard t ~insn
+let answer (type a) (c : a cursor) : a =
+  match c.goal with
+  | Travel _ -> c.replayed
+  | Last_write _ -> List.nth_opt c.watch.hits 0
+  | History _ -> List.rev c.watch.hits
 
-let travel ?guard t ~insn =
-  if not t.recorded then invalid_arg "Replay.travel: record the run first";
-  if insn < 0 || insn > t.end_insn then
-    invalid_arg "Replay.travel: target outside the recorded run";
-  match Journal.nearest t.journal ~insn with
-  | None -> invalid_arg "Replay.travel: no checkpoint at or before target"
-  | Some snap ->
-    restore_to t snap ~target:insn;
-    exec_to ?guard t ~insn
-
-(* --- retroactive queries ---------------------------------------------- *)
-
-let arm t ~lo ~hi =
-  if lo >= hi then invalid_arg "Replay.arm: empty range";
-  Hashtbl.reset t.shadow;
-  let w = ref (lo land lnot 3) in
-  while !w < hi do
-    Hashtbl.replace t.shadow !w (Memory.read_word (Cpu.mem t.cpu) !w);
-    w := !w + 4
-  done;
-  t.watch_lo <- lo;
-  t.watch_hi <- hi;
-  t.hits <- [];
-  t.armed <- true
-
-let disarm t = t.armed <- false
-
-let hits t = List.rev t.hits
-
-(* Re-execute to [insn] under the armed watch; an exception disarms it.
-   Hits accumulate in [t.hits]. *)
-let replay_armed ?guard t ~insn =
-  try ignore (exec_to ?guard t ~insn)
+(* The one replay loop: restore each leg's checkpoint and re-execute
+   toward its target until [fuel] instructions have run.  An exception
+   disarms the watch. *)
+let advance c ~fuel =
+  let t = c.r in
+  let rec go fuel =
+    match c.legs with
+    | [] -> Done (answer c)
+    | _ when fuel <= 0 -> More
+    | leg :: rest ->
+      if not c.restored then start_leg c leg;
+      let start = Cpu.instr_count t.cpu in
+      Cpu.run_to t.cpu ~insn:(start + min fuel (leg.upto - start));
+      let ran = Cpu.instr_count t.cpu - start in
+      t.replayed <- t.replayed + ran;
+      c.replayed <- c.replayed + ran;
+      Telemetry.add t.telemetry Telemetry.Replayed_instrs ran;
+      if Cpu.instr_count t.cpu = leg.upto then begin
+        c.legs <- rest;
+        finish_leg c leg;
+        go (fuel - ran)
+      end
+      else if Option.is_some (Cpu.halted t.cpu) then
+        failwith
+          (Printf.sprintf
+             "Replay: re-execution diverged: halted at insn %d before target %d"
+             (Cpu.instr_count t.cpu) leg.upto)
+      else More
+  in
+  try go fuel
   with e ->
-    disarm t;
+    t.watch <- None;
     raise e
 
-(* Whether the window closed by [stop] stored to [[lo, hi)].  The
-   summary marks exactly the words the watch would report, so the
-   queries below skip every other window without restoring anything. *)
-let stored stop ~lo ~hi = Written.overlaps (Snapshot.written stop) ~lo ~hi
+let rec to_end c = match advance c ~fuel:max_int with Done a -> a | More -> to_end c
 
-(* Scan checkpoint windows newest-first; the first window containing a
-   hit holds the final write (Transition-Watchpoints search order).
-   The machine is left at the recorded end state. *)
-let last_write ?guard t ~lo ~hi =
-  if not t.recorded then invalid_arg "Replay.last_write: record the run first";
-  let snaps = Arr.of_list (Journal.snapshots t.journal) in
-  let result = ref None in
-  let i = ref (Array.length snaps - 1) in
-  while Option.is_none !result && !i >= 1 do
-    let start = snaps.(!i - 1) and stop = snaps.(!i) in
-    if stored stop ~lo ~hi then begin
-      let insn = Snapshot.insn stop in
-      restore_to t start ~target:insn;
-      arm t ~lo ~hi;
-      replay_armed ?guard t ~insn;
-      disarm t;
-      match t.hits with [] -> () | newest :: _ -> result := Some newest
-    end;
-    decr i
-  done;
-  ignore (travel ?guard t ~insn:t.end_insn);
-  !result
+let query ?guard t goal = to_end (cursor ?guard t goal)
 
-let last_write_word ?guard t ~addr =
-  let lo = addr land lnot 3 in
-  last_write ?guard t ~lo ~hi:(lo + 4)
-
-(* Full history: replay, oldest first, only the windows that wrote the
-   range, each from its own checkpoint.  Every window ends on a retained
-   checkpoint, so the guard checks each of them; a skipped window left
-   the range unchanged, so arming at a window's start seeds the same old
-   values the recorded run had there. *)
-let write_history ?guard t ~lo ~hi =
-  if not t.recorded then
-    invalid_arg "Replay.write_history: record the run first";
-  let snaps = Arr.of_list (Journal.snapshots t.journal) in
-  let history =
-    List.concat_map
-      (fun i ->
-        let start = snaps.(i - 1) and stop = snaps.(i) in
-        if not (stored stop ~lo ~hi) then []
-        else begin
-          let insn = Snapshot.insn stop in
-          restore_to t start ~target:insn;
-          arm t ~lo ~hi;
-          replay_armed ?guard t ~insn;
-          hits t
-        end)
-      (List.init (max 0 (Array.length snaps - 1)) succ)
-  in
-  disarm t;
-  t.hits <- [];
-  ignore (travel ?guard t ~insn:t.end_insn);
-  history
+let replay_from ?guard t from ~insn =
+  if insn < Snapshot.insn from || insn > t.end_insn then
+    invalid_arg "Replay.replay_from: target outside [snapshot, end]";
+  to_end (make ?guard t (Travel insn) [ { from; upto = insn; armed = false } ])

@@ -14,18 +14,14 @@
     checkpoint, the machine must equal that checkpoint in full
     ({!Snapshot.diverges}), or {!Determinism_violation} is raised.
 
-    Queries replay only the windows that stored to the watched words.
     While the run is recorded, the same store hook marks every word each
     store instruction writes, and each checkpoint keeps the marks of the
     window it closes ({!Snapshot.written}, exact per word; eviction
-    merges a victim's marks into its successor).  A window whose marks
-    miss the range cannot produce a hit and is skipped without
-    restoring anything.  Host-side writes (a trap handler or the
-    debugger writing simulated memory) are not marked: they run no
-    store hook, so replaying them produces no hit either.
-
-    Recording and replay run the interpreter through {!Machine.Cpu.run_to},
-    stopped at checkpoint boundaries or at the replay target. *)
+    merges a victim's marks into its successor).  A query skips every
+    window whose marks miss its range.  Host-side writes (a trap handler
+    or the debugger writing simulated memory) run no store hook, so they
+    are neither marked nor reported.  Recording and replay both run the
+    interpreter through {!Machine.Cpu.run_to}. *)
 
 type hit = {
   h_insn : int;  (** instruction count {e including} the store *)
@@ -90,49 +86,50 @@ val end_insn : t -> int
 val replayed_insns : t -> int
 (** Total instructions re-executed by travels and queries so far. *)
 
-(** {1 Time travel} *)
+(** {1 The replay cursor}
 
-val travel : ?guard:bool -> t -> insn:int -> int
-(** Move the machine to its state just after instruction [insn] of the
-    recorded run: restore the latest checkpoint at or before [insn] and
-    re-execute the gap.  Returns the number of re-executed
-    instructions.  [guard] (default true) applies the determinism check
-    when [insn] is itself a retained checkpoint.
-    @raise Determinism_violation if the replayed state differs.
-    @raise Invalid_argument if the run is unrecorded or [insn] is
-    outside it. *)
+    One resumable cursor answers every question about the recorded run.
+    It runs a queue of {e legs}: each restores a checkpoint and
+    re-executes to a target instruction, under the watch or not, and the
+    determinism guard checks every leg that ends on a retained
+    checkpoint. *)
+
+type _ goal =
+  | Travel : int -> int goal
+      (** Move the machine to its state just after instruction [insn]:
+          restore the latest checkpoint at or before it and re-execute
+          the gap.  Answers the number of re-executed instructions. *)
+  | Last_write : { lo : int; hi : int } -> hit option goal
+      (** The final store of the recorded run that landed in byte range
+          [[lo, hi)], or [None] if none did.  Replays the written windows
+          newest first and stops after the first that hits. *)
+  | History : { lo : int; hi : int } -> hit list goal
+      (** Every store of the recorded run landing in [[lo, hi)], in
+          execution order.  Replays the written windows oldest first. *)
+
+type 'a cursor
+
+type 'a progress = More | Done of 'a
+
+val cursor : ?guard:bool -> t -> 'a goal -> 'a cursor
+(** A cursor toward [goal]; nothing runs until {!advance}.  [guard]
+    (default true) applies the determinism check at every leg end that
+    is a retained checkpoint.
+    @raise Invalid_argument if the run is unrecorded or a travel target
+    is outside it. *)
+
+val advance : 'a cursor -> fuel:int -> 'a progress
+(** Replay until [fuel] (positive) instructions have run or the goal is
+    reached.  Skipped windows cost nothing.  [More] leaves the machine
+    mid-replay: call again to resume, and touch the machine in between
+    only through this cursor.  [Done] leaves it at the travel target, or
+    at the recorded end state after a query.
+    @raise Determinism_violation if a replayed leg diverges. *)
+
+val query : ?guard:bool -> t -> 'a goal -> 'a
+(** {!advance} a fresh cursor to its answer. *)
 
 val replay_from : ?guard:bool -> t -> Snapshot.t -> insn:int -> int
-(** Like {!travel} but from an explicit starting checkpoint — the
-    determinism-guard test replays every checkpoint-to-checkpoint
+(** One unarmed leg from an explicit starting checkpoint to [insn] —
+    the determinism-guard tests replay every checkpoint-to-checkpoint
     window with this. *)
-
-(** {1 Retroactive queries} *)
-
-val last_write : ?guard:bool -> t -> lo:int -> hi:int -> hit option
-(** The final store of the recorded run that landed in byte range
-    [[lo, hi)]: scans checkpoint windows newest-first and replays, under
-    an armed watch, the first one that stored to the range — it holds
-    the hit.  Returns the exact
-    (instruction index, pc, old/new value) of that store, or [None] if
-    the range was never written.  Leaves the machine at the recorded
-    end state. *)
-
-val last_write_word : ?guard:bool -> t -> addr:int -> hit option
-(** {!last_write} over the word containing [addr]. *)
-
-val write_history : ?guard:bool -> t -> lo:int -> hi:int -> hit list
-(** Every store of the recorded run landing in [[lo, hi)], in execution
-    order.  Replays only the windows that stored to the range, each
-    from its own checkpoint, and guards every replayed window.  Leaves
-    the machine at the recorded end state. *)
-
-(** {1 Low-level watch control}
-
-    Exposed for tests; queries above manage these themselves. *)
-
-val arm : t -> lo:int -> hi:int -> unit
-(** Reset hit collection and watch [[lo, hi)] from now on; old values
-    seed from current memory. *)
-
-val disarm : t -> unit

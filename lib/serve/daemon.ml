@@ -12,8 +12,9 @@
      passes, and {!drain} runs the rest.
 
    - A session's *shard domain* executes its commands in arrival
-     order: opening (compile → instrument → load), arming, fuel-sliced
-     running with async hit streaming, retroactive queries, closing.
+     order: opening (compile → instrument → load), arming, running with
+     async hit streaming, retroactive queries and travel, closing.
+     Every verb that executes instructions is cut into fuel slices.
      Every session-level reply is emitted there, which is what makes
      per-session sequence numbers and transcripts deterministic — the
      shard count only changes which sessions run concurrently, never
@@ -37,13 +38,12 @@ type sess = {
   cmd_mu : Mutex.t;  (* guards [cmdq]: main thread pushes, shard pops *)
   cmdq : Proto.command Queue.t;  (* commands awaiting execution *)
   mutable cont : (unit -> unit) option;
-      (* pending continuation of a sliced [run].  Checked before
+      (* pending continuation of a sliced verb.  Checked before
          [cmdq], so slicing yields to other sessions on the shard but
          never reorders this session's own command stream.  Shard-only
          state. *)
   mutable seq : int;  (* bumped only on the owning shard *)
-  mutable session : Session.t option;  (* None until [open] completes *)
-  mutable dbg : Debugger.t option;
+  mutable session : (Session.t * Debugger.t) option;  (* None until [open] *)
   mutable watches : (string * Debugger.watchpoint) list;
   mutable exited : int option;
   mutable closed : bool;
@@ -160,71 +160,55 @@ let emit sess body =
 let hit_sink t sess = Sched.sink t.sched ~shard:sess.shard
 
 let do_open t sess source strategy_s opt_s =
-  match sess.session with
-  | Some _ -> emit sess (Proto.Error "session already open")
-  | None ->
-    let strategy =
-      try Ok (Strategy.of_string strategy_s)
-      with Invalid_argument m -> Error m
+  let ( let* ) = Result.bind in
+  let parsed =
+    let* () =
+      if Option.is_some sess.session then Error "session already open" else Ok ()
     in
-    (match (strategy, Frontend.parse_opt opt_s) with
-    | Error m, _ | _, Error m -> emit sess (Proto.Error m)
-    | Ok strategy, Ok opt -> (
-      let named =
-        match source with
-        | Proto.Workload w -> (
-          match Workloads.Spec.find w with
-          | Some spec -> Ok (w, spec.Workloads.Workload.source)
-          | None -> Error (Printf.sprintf "unknown workload %S" w))
-        | Proto.Program src -> Ok ("program", src)
-      in
-      match named with
-      | Error m -> emit sess (Proto.Error m)
-      | Ok (name, src) ->
-        let options =
-          { Instrument.default_options with strategy; opt }
-        in
-        let telemetry = Telemetry.create () in
-        Telemetry.set_tag telemetry "source" name;
-        (* Retroactive queries are first-class verbs, so every daemon
-           session records through a checkpoint journal. *)
-        let session =
-          Session.create ~options ~telemetry ~checkpoint_every:10_000 src
-        in
-        let dbg = Debugger.create session in
-        Debugger.set_on_event dbg (fun e ->
-            if not sess.in_query then begin
-              Telemetry.incr (hit_sink t sess) Telemetry.Hits_streamed;
-              emit sess
-                (Proto.Hit
-                   {
-                     name = e.Debugger.watch.Debugger.wname;
-                     insn = Machine.Cpu.instr_count session.Session.cpu;
-                     pc = e.Debugger.pc;
-                     addr = e.Debugger.addr;
-                     value = e.Debugger.value;
-                     func = Option.value ~default:"?" e.Debugger.in_function;
-                   })
-            end);
-        sess.session <- Some session;
-        sess.dbg <- Some dbg;
-        emit sess
-          (Proto.Opened
-             {
-               name;
-               strategy = Strategy.to_string strategy;
-               opt = Frontend.opt_name opt;
-             })))
+    let* strategy =
+      try Ok (Strategy.of_string strategy_s) with Invalid_argument m -> Error m
+    in
+    let* opt = Frontend.parse_opt opt_s in
+    match source with
+    | Proto.Program src -> Ok (strategy, opt, "program", src)
+    | Proto.Workload w -> (
+      match Workloads.Spec.find w with
+      | Some spec -> Ok (strategy, opt, w, spec.Workloads.Workload.source)
+      | None -> Error (Printf.sprintf "unknown workload %S" w))
+  in
+  match parsed with
+  | Error m -> emit sess (Proto.Error m)
+  | Ok (strategy, opt, name, src) ->
+    let options = { Instrument.default_options with strategy; opt } in
+    let telemetry = Telemetry.create () in
+    Telemetry.set_tag telemetry "source" name;
+    (* Retroactive queries are first-class verbs, so every daemon
+       session records through a checkpoint journal. *)
+    let session = Session.create ~options ~telemetry ~checkpoint_every:10_000 src in
+    let dbg = Debugger.create session in
+    Debugger.set_on_event dbg (fun e ->
+        if not sess.in_query then begin
+          Telemetry.incr (hit_sink t sess) Telemetry.Hits_streamed;
+          emit sess
+            (Proto.Hit
+               {
+                 name = e.Debugger.watch.Debugger.wname;
+                 insn = Machine.Cpu.instr_count session.Session.cpu;
+                 pc = e.Debugger.pc;
+                 addr = e.Debugger.addr;
+                 value = e.Debugger.value;
+                 func = Option.value ~default:"?" e.Debugger.in_function;
+               })
+        end);
+    sess.session <- Some (session, dbg);
+    emit sess
+      (Proto.Opened
+         { name; strategy = Strategy.to_string strategy; opt = Frontend.opt_name opt })
 
 let with_session sess f =
   match sess.session with
   | None -> emit sess (Proto.Error "session not open")
-  | Some s -> f s
-
-let with_debugger sess f =
-  match sess.dbg with
-  | None -> emit sess (Proto.Error "session not open")
-  | Some d -> f d
+  | Some (s, dbg) -> f s dbg
 
 let armed_reply sess name (wp : Debugger.watchpoint) =
   sess.watches <- (name, wp) :: sess.watches;
@@ -233,7 +217,7 @@ let armed_reply sess name (wp : Debugger.watchpoint) =
     (Proto.Armed { name; lo = r.Region.lo; len = Region.size_bytes r })
 
 let do_arm sess target =
-  with_debugger sess (fun dbg ->
+  with_session sess (fun _ dbg ->
       match target with
       | Proto.Var v -> armed_reply sess v (Debugger.watch dbg v)
       | Proto.Region { lo; len } ->
@@ -242,7 +226,7 @@ let do_arm sess target =
           (Debugger.watch_addr dbg ~name ~addr:lo ~size_bytes:len ()))
 
 let do_disarm sess name =
-  with_debugger sess (fun dbg ->
+  with_session sess (fun _ dbg ->
       match List.assoc_opt name sess.watches with
       | None -> emit sess (Proto.Error (Printf.sprintf "no watch named %S" name))
       | Some wp ->
@@ -250,118 +234,135 @@ let do_disarm sess name =
         sess.watches <- List.remove_assoc name sess.watches;
         emit sess (Proto.Disarmed { name }))
 
-(* The run verb: execute [fuel] instructions in [t.slice]-sized
-   quanta.  After each quantum the continuation is parked in
-   [sess.cont] and a fresh step job is posted, landing behind other
-   sessions' queued work on the shard — round-robin, one session
-   cannot starve the loop.  [step] checks [cont] before the command
-   queue, so the session's own later commands never overtake the run.
-   Slicing is invisible on the wire: hits stream as they fire and
-   exactly one terminal [running]/[exited] reply closes the command,
-   whatever the quantum. *)
-let do_run t sess repost fuel =
-  with_session sess (fun s ->
+(* A reply line costs the fuel of this many instructions: a slice's
+   worth of [Write] lines takes about as long to encode as a slice. *)
+let line_fuel = 50
+
+(* Every verb that executes instructions runs through [drive]:
+   [advance ~fuel] runs at most [t.slice] of them and answers [More], or
+   [Done a], whose [reply a] lines are then emitted [t.slice / line_fuel]
+   per job.  Between jobs the continuation is parked in [sess.cont],
+   and [step] posts a fresh job for it, landing behind other sessions'
+   queued work on the shard — round-robin, one session cannot starve the
+   loop.  [step] checks [cont] before the command queue, so the
+   session's own later commands never overtake the verb.  Slicing is
+   invisible on the wire: hits stream as they fire and the same reply
+   lines close the command, whatever the quantum. *)
+let drive t sess advance reply =
+  let per_job = max 1 (t.slice / line_fuel) in
+  let rec lines n = function
+    | [] -> ()
+    | rest when n = 0 -> sess.cont <- Some (fun () -> lines per_job rest)
+    | body :: rest ->
+      emit sess body;
+      lines (n - 1) rest
+  in
+  let rec slice () =
+    match advance ~fuel:t.slice with
+    | Replay.Done a ->
+      sess.in_query <- false;
+      lines per_job (reply a)
+    | Replay.More -> sess.cont <- Some slice
+  in
+  slice ()
+
+let do_run t sess fuel =
+  with_session sess (fun s _ ->
       let start_insn = Machine.Cpu.instr_count s.Session.cpu in
       let executed () = Machine.Cpu.instr_count s.Session.cpu - start_insn in
-      let rec slice remaining =
-        match Session.run_slice ~fuel:(min t.slice remaining) s with
-        | `Exited (code, output) ->
-          sess.exited <- Some code;
-          emit sess (Proto.Exited { code; executed = executed (); output })
-        | `Running n ->
-          let remaining = remaining - n in
-          if remaining <= 0 then
-            emit sess (Proto.Running { executed = executed () })
-          else begin
-            sess.cont <- Some (fun () -> slice remaining);
-            repost ()
-          end
-      in
-      slice (max 0 fuel))
+      let remaining = ref (max 0 fuel) in
+      drive t sess
+        (fun ~fuel ->
+          match Session.run_slice ~fuel:(min fuel !remaining) s with
+          | `Exited (code, output) ->
+            sess.exited <- Some code;
+            Replay.Done (Proto.Exited { code; executed = executed (); output })
+          | `Running n ->
+            remaining := !remaining - n;
+            if !remaining > 0 then Replay.More
+            else Replay.Done (Proto.Running { executed = executed () }))
+        (fun body -> [ body ]))
 
 (* Every shard-side command runs under this: anything the session
    machinery raises becomes a deterministic error reply, in dbreak's
-   words, instead of killing the shard. *)
+   words, instead of killing the shard.  The failed command's
+   continuation is already dropped, and its hit suppression ends. *)
 let guarded sess f =
   try f ()
   with e -> (
+    sess.in_query <- false;
     match Frontend.error_message e with
     | Some m -> emit sess (Proto.Error m)
     | None -> raise e)
 
-let resolve sess s target k =
-  match Session.resolve_addr s target with
-  | Some addr -> k addr
-  | None -> emit sess (Proto.Error (Frontend.unresolved_target target))
+let with_target sess target k =
+  with_session sess (fun s _ ->
+      match Session.resolve_addr s target with
+      | Some addr -> k s addr
+      | None -> emit sess (Proto.Error (Frontend.unresolved_target target)))
 
-let recorded_only sess s k =
-  if sess.exited = None then
-    emit sess (Proto.Error "program still running: run it to completion first")
-  else begin
+(* A retroactive verb: a replay cursor driven to its answer, with hit
+   streaming suppressed from its first slice to its last. *)
+let query t sess s goal reply =
+  match sess.exited with
+  | None -> emit sess (Proto.Error "program still running: run it to completion first")
+  | Some _ ->
+    let c = Session.cursor s goal in
     sess.in_query <- true;
-    Fun.protect ~finally:(fun () -> sess.in_query <- false) (fun () -> k s)
-  end
+    drive t sess (Session.advance s c) reply
 
-let wtype_name = function
-  | Some wt -> Write_type.to_string wt
-  | None -> "untyped"
+let wtype s (h : Replay.hit) =
+  Option.fold ~none:"untyped" ~some:Write_type.to_string
+    (Instrument.store_type s.Session.sites h.h_pc)
 
-let do_last_write sess target =
-  with_session sess (fun s ->
-      resolve sess s target (fun addr ->
-          recorded_only sess s (fun s ->
-              match Session.last_write s ~addr with
-              | None -> emit sess (Proto.Never_written { target; addr })
-              | Some { Session.wr_hit = h; wr_write_type } ->
-                emit sess
-                  (Proto.Last_write
-                     {
-                       target;
-                       addr;
-                       insn = h.Replay.h_insn;
-                       pc = h.Replay.h_pc;
-                       old_v = h.Replay.h_old;
-                       new_v = h.Replay.h_new;
-                       wtype = wtype_name wr_write_type;
-                       func =
-                         Option.value ~default:"?"
-                           (Debugger.function_of_pc s h.Replay.h_pc);
-                     }))))
+let do_last_write t sess target =
+  with_target sess target (fun s addr ->
+      let lo = addr land lnot 3 in
+      query t sess s (Replay.Last_write { lo; hi = lo + 4 }) (function
+        | None -> [ Proto.Never_written { target; addr } ]
+        | Some (h : Replay.hit) ->
+          [
+            Proto.Last_write
+              {
+                target;
+                addr;
+                insn = h.h_insn;
+                pc = h.h_pc;
+                old_v = h.h_old;
+                new_v = h.h_new;
+                wtype = wtype s h;
+                func = Option.value ~default:"?" (Debugger.function_of_pc s h.h_pc);
+              };
+          ]))
 
-let do_history sess target len =
-  with_session sess (fun s ->
-      resolve sess s target (fun lo ->
-          recorded_only sess s (fun s ->
-              let writes = Session.write_history s ~lo ~hi:(lo + max 0 len) in
-              emit sess (Proto.History { count = List.length writes });
-              List.iter
-                (fun { Session.wr_hit = h; wr_write_type } ->
-                  emit sess
-                    (Proto.Write
-                       {
-                         insn = h.Replay.h_insn;
-                         pc = h.Replay.h_pc;
-                         addr = h.Replay.h_addr;
-                         old_v = h.Replay.h_old;
-                         new_v = h.Replay.h_new;
-                         wtype = wtype_name wr_write_type;
-                       }))
-                writes)))
+let do_history t sess target len =
+  with_target sess target (fun s lo ->
+      query t sess s (Replay.History { lo; hi = lo + max 0 len }) (fun writes ->
+          Proto.History { count = List.length writes }
+          :: List.map
+               (fun (h : Replay.hit) ->
+                 Proto.Write
+                   {
+                     insn = h.h_insn;
+                     pc = h.h_pc;
+                     addr = h.h_addr;
+                     old_v = h.h_old;
+                     new_v = h.h_new;
+                     wtype = wtype s h;
+                   })
+               writes))
 
-let do_travel sess insn =
-  with_session sess (fun s ->
-      recorded_only sess s (fun s ->
-          let re = Session.time_travel s ~insn in
-          emit sess
-            (Proto.Traveled
-               { insn; reexecuted = re; pc = Machine.Cpu.pc s.Session.cpu })))
+let do_travel t sess insn =
+  with_session sess (fun s _ ->
+      query t sess s (Replay.Travel insn) (fun reexecuted ->
+          [ Proto.Traveled { insn; reexecuted; pc = Machine.Cpu.pc s.Session.cpu } ]))
 
 let do_report sess =
-  with_session sess (fun s ->
+  with_session sess (fun s _ ->
       emit sess (Proto.Report_json (Export.to_json_string (Session.report s))))
 
 let do_verify sess =
-  with_session sess (fun s ->
+  with_session sess (fun s _ ->
       let rep =
         Verify.run
           ~audit:(Audit.report s.Session.audit)
@@ -378,7 +379,7 @@ let do_verify sess =
 
 let do_close t sess =
   (match sess.session with
-  | Some s -> Telemetry.absorb (hit_sink t sess) (Session.report s)
+  | Some (s, _) -> Telemetry.absorb (hit_sink t sess) (Session.report s)
   | None -> ());
   sess.closed <- true;
   emit sess Proto.Closed;
@@ -386,21 +387,21 @@ let do_close t sess =
   Hashtbl.remove t.sessions sess.sid;
   Mutex.unlock t.mu
 
-let exec t sess repost cmd =
+let exec t sess cmd =
   match cmd with
   | Proto.Hello -> assert false (* answered client-side *)
   | Proto.Open { source; strategy; opt; _ } -> do_open t sess source strategy opt
   | Proto.Arm { target; _ } -> do_arm sess target
   | Proto.Disarm { name; _ } -> do_disarm sess name
-  | Proto.Run { fuel; _ } -> do_run t sess repost fuel
-  | Proto.Query_last_write { target; _ } -> do_last_write sess target
-  | Proto.Query_history { target; len; _ } -> do_history sess target len
-  | Proto.Travel { insn; _ } -> do_travel sess insn
+  | Proto.Run { fuel; _ } -> do_run t sess fuel
+  | Proto.Query_last_write { target; _ } -> do_last_write t sess target
+  | Proto.Query_history { target; len; _ } -> do_history t sess target len
+  | Proto.Travel { insn; _ } -> do_travel t sess insn
   | Proto.Report _ -> do_report sess
   | Proto.Verify _ -> do_verify sess
   | Proto.Close _ -> do_close t sess
 
-(* One scheduler job = one step of one session: resume a parked run
+(* One scheduler job = one step of one session: resume a parked
    continuation if there is one, otherwise execute the next queued
    command.  Every enqueue (submit or continuation park) posts exactly
    one step, so steps and work items balance; all session state except
@@ -412,19 +413,21 @@ let rec step t sess =
     | Some _ -> emit sess (Proto.Error "session closed")
     | None -> ()
   end
-  else
-    match sess.cont with
+  else begin
+    (match sess.cont with
     | Some k ->
       sess.cont <- None;
       guarded sess k
     | None -> (
       match take_cmd sess with
-      | Some cmd -> guarded sess (fun () -> exec t sess (repost t sess) cmd)
-      | None -> ())
+      | Some cmd -> guarded sess (fun () -> exec t sess cmd)
+      | None -> ()));
+    if Option.is_some sess.cont then repost t sess
+  end
 
 (* One wake per job, and only for a job that emitted: a step streaming
    hundreds of hits costs the main loop one pass, not one per line. *)
-and repost t sess () =
+and repost t sess =
   Sched.post t.sched ~key:sess.sid (fun () ->
       let seq = sess.seq in
       Fun.protect
@@ -441,7 +444,7 @@ let enqueue t sess cmd =
   Mutex.lock sess.cmd_mu;
   Queue.push cmd sess.cmdq;
   Mutex.unlock sess.cmd_mu;
-  repost t sess ()
+  repost t sess
 
 (* --- routing (main-thread side) --------------------------------------- *)
 
@@ -480,7 +483,6 @@ let submit t c line =
                 cont = None;
                 seq = 0;
                 session = None;
-                dbg = None;
                 watches = [];
                 exited = None;
                 closed = false;
@@ -534,7 +536,7 @@ let merged_report t =
     Hashtbl.fold
       (fun _ sess acc ->
         match sess.session with
-        | Some s when not sess.closed -> Session.report s :: acc
+        | Some (s, _) when not sess.closed -> Session.report s :: acc
         | _ -> acc)
       t.sessions []
   in
@@ -732,7 +734,7 @@ let flush_conn srv conn =
   end
 
 (* At most one shard-0 job runs between the read and the flush, so
-   socket I/O waits for at most one run slice or one other verb.  While
+   socket I/O waits for at most one slice or one other verb.  While
    shard 0 still has queued work the pass leaves a wake in the pipe, so
    the next [select] on {!server_fds} returns at once. *)
 let server_poll srv =

@@ -5,17 +5,16 @@
     table, client-level replies under sid ["-"]) from command
     {e execution} (the session's shard domain, in arrival order — which
     is what makes each session's reply stream, sequence numbers and
-    telemetry independent of the shard count).  Long [run] commands are
-    executed in fuel slices and re-posted behind other sessions' work,
-    so one session cannot starve a shard.
+    telemetry independent of the shard count).  Every verb that executes
+    instructions — [run], [query], [travel] — runs in fuel slices
+    re-posted behind other sessions' work, so one session cannot starve
+    a shard.
 
     The main thread is shard 0's domain ({!Sched}): it runs shard 0's
     jobs one per {!server_poll}, between socket passes, and all of them
     in {!drain}.  [n] shards therefore run on [n] domains.  Call every
-    function here from the domain that called {!create}.  Only [run] is
-    cut into slices: an [open], [verify], [query] or [travel] that lands
-    on shard 0 runs as one job, and holds up socket I/O for every
-    shard's sessions for its whole duration.
+    function here from the domain that called {!create}.  An [open] or
+    [verify] on shard 0 runs as one job (a few ms, DESIGN §13).
 
     Two front ends sit on top: the in-process {!client}/{!submit}/
     {!output} API (tests, bench loopback driver) and the TCP listener
@@ -25,7 +24,7 @@ type t
 (** The engine: scheduler, session table, daemon telemetry registry. *)
 
 val default_slice : int
-(** Fairness quantum (instructions per [run] slice): 50k. *)
+(** Fairness quantum (instructions per slice): 50k. *)
 
 val create : ?shards:int -> ?slice:int -> unit -> t
 (** Create the shard pool: the calling domain runs shard 0, and
@@ -106,7 +105,7 @@ val server_poll : server -> unit
     then clear the wake-pending flag, so a reply pushed during this pass
     wakes the next [select]), accept pending connections, read available
     bytes (feeding complete frames to {!submit}), run at most one
-    shard-0 job (one [run] slice or one other verb), flush outboxes
+    shard-0 job (one slice or one other verb), flush outboxes
     (bytes the socket does not take stay queued), reap disconnected
     peers (closing their sessions).  While shard 0 still has queued
     work after the pass, it leaves a wake in the pipe, so a caller's

@@ -465,7 +465,7 @@ let journal_matches_store_log ~options ~checkpoint_every ~checkpoint_budget src 
   List.for_all
     (fun (lo, hi) ->
       let truth = Test_replay.within ~lo ~hi truth in
-      Option.map Test_replay.gt_of_hit (Replay.last_write r ~lo ~hi)
+      Option.map Test_replay.gt_of_hit (Replay.query r (Replay.Last_write { lo; hi }))
       = Test_replay.last_of truth
       && List.map
            (fun (w : Session.write_record) -> Test_replay.gt_of_hit w.Session.wr_hit)
@@ -486,6 +486,117 @@ let prop_journal_ground_truth =
                (Frontend.opt_name options.Instrument.opt) options.Instrument.check_aliases)
         journal_configurations)
 
+(* One answer through every front end: the daemon, fed a session over
+   its in-memory client at a random slice and shard count, must answer
+   exactly as one in-process [Session] run plus its queries — exit code
+   and output, the hit stream, and the last-write, history and travel
+   replies.  Two sessions run the same script, so slices of one
+   interleave with the other's on a shared shard. *)
+let frontend_bodies ~opt ~watch ~len ~travel_frac src =
+  let options =
+    { Instrument.default_options with
+      strategy = Strategy.of_string "BitmapInlineRegisters";
+      opt = Result.get_ok (Frontend.parse_opt opt) }
+  in
+  let s = Session.create ~options ~checkpoint_every:10_000 src in
+  let dbg = Debugger.create s in
+  let hits = ref [] in
+  Debugger.set_on_event dbg (fun e ->
+      hits :=
+        Proto.Hit
+          { name = e.Debugger.watch.Debugger.wname;
+            insn = Machine.Cpu.instr_count s.Session.cpu; pc = e.Debugger.pc;
+            addr = e.Debugger.addr; value = e.Debugger.value;
+            func = Option.value ~default:"?" e.Debugger.in_function }
+        :: !hits);
+  ignore (Debugger.watch dbg watch);
+  let code, output = Session.run s in
+  let executed = Machine.Cpu.instr_count s.Session.cpu in
+  let run = List.rev !hits @ [ Proto.Exited { code; executed; output } ] in
+  let addr = Option.get (Session.resolve_addr s watch) in
+  let wtype = function Some wt -> Write_type.to_string wt | None -> "untyped" in
+  let last =
+    match Session.last_write s ~addr with
+    | None -> Proto.Never_written { target = watch; addr }
+    | Some { Session.wr_hit = h; wr_write_type } ->
+      Proto.Last_write
+        { target = watch; addr; insn = h.h_insn; pc = h.h_pc; old_v = h.h_old;
+          new_v = h.h_new; wtype = wtype wr_write_type;
+          func = Option.value ~default:"?" (Debugger.function_of_pc s h.h_pc) }
+  in
+  let writes = Session.write_history s ~lo:addr ~hi:(addr + len) in
+  let history =
+    Proto.History { count = List.length writes }
+    :: List.map
+         (fun { Session.wr_hit = h; wr_write_type } ->
+           Proto.Write
+             { insn = h.h_insn; pc = h.h_pc; addr = h.h_addr; old_v = h.h_old;
+               new_v = h.h_new; wtype = wtype wr_write_type })
+         writes
+  in
+  let insn = executed * travel_frac / 1000 in
+  let reexecuted = Session.time_travel s ~insn in
+  let travel = Proto.Traveled { insn; reexecuted; pc = Machine.Cpu.pc s.Session.cpu } in
+  (run @ [ last ] @ history @ [ travel ], insn)
+
+let daemon_matches_session (src, opt, watch, len, travel_frac, slice, shards) =
+  let expected, insn = frontend_bodies ~opt ~watch ~len ~travel_frac src in
+  let t = Daemon.create ~shards ~slice () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.shutdown t)
+    (fun () ->
+      let c = Daemon.client t in
+      let sids = [ "p"; "q" ] in
+      List.iter
+        (fun sid ->
+          List.iter
+            (fun cmd -> Daemon.submit t c (Proto.encode_command cmd))
+            [ Proto.Open
+                { sid; source = Proto.Program src;
+                  strategy = "BitmapInlineRegisters"; opt };
+              Proto.Arm { sid; target = Proto.Var watch };
+              Proto.Run { sid; fuel = 100_000_000 };
+              Proto.Query_last_write { sid; target = watch };
+              Proto.Query_history { sid; target = watch; len };
+              Proto.Travel { sid; insn };
+              Proto.Close { sid } ])
+        sids;
+      Daemon.drain t;
+      let replies = List.map (fun l -> Result.get_ok (Proto.decode_reply l)) (Daemon.output c) in
+      List.for_all
+        (fun sid ->
+          let got =
+            List.filter_map
+              (fun { Proto.r_sid; r_body; _ } ->
+                match r_body with
+                | (Proto.Opened _ | Armed _ | Closed) when r_sid = sid -> None
+                | body when r_sid = sid -> Some body
+                | _ -> None)
+              replies
+          in
+          got = expected
+          || QCheck.Test.fail_reportf "session %s: %d replies, expected %d" sid
+               (List.length got) (List.length expected))
+        sids)
+
+let prop_daemon_matches_session =
+  QCheck.Test.make ~name:"random programs: dbreakd answers == one Session" ~count:100
+    QCheck.(
+      make
+        ~print:(fun (src, opt, watch, len, frac, slice, shards) ->
+          Printf.sprintf "%s\n-O %s watch %s len %d travel %d/1000 slice %d shards %d"
+            src opt watch len frac slice shards)
+        Gen.(
+          let* src = gen_program in
+          let* opt = oneofl [ "none"; "symbol"; "full" ] in
+          let* watch = oneofl [ "g0"; "g1"; "ga" ] in
+          let* len = int_range 1 64 in
+          let* frac = int_range 0 1000 in
+          let* slice = oneof [ int_range 1 100; int_range 1 5_000 ] in
+          let* shards = int_range 1 3 in
+          return (src, opt, watch, len, frac, slice, shards)))
+    daemon_matches_session
+
 let suites =
   [
     ( "dbp.fuzz",
@@ -495,6 +606,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_observed_differential;
         verifier_case;
         QCheck_alcotest.to_alcotest prop_slicing_matches_run;
+        QCheck_alcotest.to_alcotest prop_daemon_matches_session;
         (let name, speed, run = QCheck_alcotest.to_alcotest prop_journal_ground_truth in
          ( name,
            speed,

@@ -410,7 +410,7 @@ let test_journal_eviction () =
   check_int "retained_bytes consistent after eviction" recount
     (Journal.retained_bytes j2);
   (* The thinned journal still answers queries correctly. *)
-  let t = Replay.travel r2 ~insn:(Replay.end_insn r2 / 3) in
+  let t = Replay.query r2 (Replay.Travel (Replay.end_insn r2 / 3)) in
   check_bool "travel through thinned journal" true (t >= 0);
   check_int "landed exactly" (Replay.end_insn r2 / 3)
     (Machine.Cpu.instr_count cpu2)
@@ -442,9 +442,10 @@ let record_session ?checkpoint_budget ~interval (w : Workloads.Workload.t) =
 
 (* Replay every checkpoint-to-checkpoint window under the determinism
    guard and compare the architectural stats at each target with the
-   stats the recorder saw — once bare, and once with an (invisible)
-   watch armed over the whole data space.  [Cpu.stats] equality adds
-   what the guard leaves out: the counters and the cache model's
+   stats the recorder saw — once bare, through [replay_from], and once
+   under an (invisible) watch over the whole data space, through a
+   [History] cursor stopped on every window end.  [Cpu.stats] equality
+   adds what the guard leaves out: the counters and the cache model's
    hit/miss history. *)
 let check_all_windows (session : Session.t) r ~watch =
   let cpu = session.Session.cpu in
@@ -459,22 +460,41 @@ let check_all_windows (session : Session.t) r ~watch =
         Machine.Cpu.stats cpu)
       snaps
   in
+  let lo = 0x40_0000 and hi = 0x50_0000 in
+  let c = Replay.cursor r (Replay.History { lo; hi }) in
+  let windows = ref 0 in
   for i = 1 to Array.length snaps - 1 do
     let target = Snapshot.insn snaps.(i) in
-    if watch then Replay.arm r ~lo:0x40_0000 ~hi:0x50_0000;
-    let replayed = Replay.replay_from r snaps.(i - 1) ~insn:target in
-    if watch then Replay.disarm r;
-    check_int
-      (Printf.sprintf "window %d replays its full gap" i)
-      (target - Snapshot.insn snaps.(i - 1))
-      replayed;
-    (* The guard inside [replay_from] has already compared the state
-       with the checkpoint; stats add counters and cache history. *)
-    check_bool
-      (Printf.sprintf "stats identical at checkpoint %d (watch=%b)" i watch)
-      true
-      (Machine.Cpu.stats cpu = recorded_stats.(i))
-  done
+    let gap = target - Snapshot.insn snaps.(i - 1) in
+    let before = Replay.replayed_insns r in
+    (* The cursor's legs are exactly the windows that stored to the data
+       space, oldest first, so [gap] fuel replays this window's leg and
+       stops on its checkpoint. *)
+    let replays =
+      (not watch) || Written.overlaps (Snapshot.written snaps.(i)) ~lo ~hi
+    in
+    if not watch then ignore (Replay.replay_from r snaps.(i - 1) ~insn:target)
+    else if replays then ignore (Replay.advance c ~fuel:gap);
+    if replays then begin
+      incr windows;
+      check_int
+        (Printf.sprintf "window %d replays its full gap" i)
+        gap
+        (Replay.replayed_insns r - before);
+      check_int (Printf.sprintf "window %d lands on its checkpoint" i) target
+        (Machine.Cpu.instr_count cpu);
+      (* The guard has already compared the state with the checkpoint;
+         stats add counters and cache history. *)
+      check_bool
+        (Printf.sprintf "stats identical at checkpoint %d (watch=%b)" i watch)
+        true
+        (Machine.Cpu.stats cpu = recorded_stats.(i))
+    end
+  done;
+  check_bool "at least 4 windows replayed" true (!windows >= 4);
+  if watch then
+    check_bool "the cursor ends after the written windows" true
+      (match Replay.advance c ~fuel:1 with Replay.Done _ -> true | Replay.More -> false)
 
 let test_determinism_matrix300 () =
   let session, r = record_session ~interval:25_000 (workload "030.matrix300") in
@@ -673,9 +693,9 @@ let within ~lo ~hi = List.filter (fun g -> g.g_addr + 4 > lo && g.g_addr < hi)
 let check_range label r truth ~lo ~hi =
   let truth = within ~lo ~hi truth in
   check_hit (label ^ " last write") (last_of truth)
-    (Option.map gt_of_hit (Replay.last_write r ~lo ~hi));
+    (Option.map gt_of_hit (Replay.query r (Replay.Last_write { lo; hi })));
   check_hits (label ^ " history") truth
-    (List.map gt_of_hit (Replay.write_history r ~lo ~hi))
+    (List.map gt_of_hit (Replay.query r (Replay.History { lo; hi })))
 
 (* The full-trace answer, independent of recording: a second session
    with the same options and watch but no journal logs every store to
@@ -703,7 +723,7 @@ let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
       (Journal.evictions (Replay.journal r) > 0);
   let label = Printf.sprintf "%s %s" w.name var in
   check_hit (label ^ " last write") (last_of truth)
-    (Option.map gt_of_hit (Replay.last_write r ~lo ~hi));
+    (Option.map gt_of_hit (Replay.query r (Replay.Last_write { lo; hi })));
   (match Session.last_write session ~addr:lo with
   | None -> check_hit (label ^ " first-word last write") None None
   | Some { Session.wr_hit = h; wr_write_type } ->
@@ -840,7 +860,7 @@ let test_host_write_skipped () =
   let start, stop = window_around r ~insn:(last.g_insn - 1) in
   check_int "last write replays one window"
     (Snapshot.insn stop - Snapshot.insn start)
-    (replayed_by r (fun () -> ignore (Replay.last_write r ~lo:x ~hi:(x + 8))))
+    (replayed_by r (fun () -> ignore (Replay.query r (Replay.Last_write { lo = x; hi = x + 8 }))))
 
 (* Queries over ranges straddling a 128-byte block or a 4 KiB page
    boundary inside an array written element by element. *)
@@ -894,13 +914,36 @@ let test_slicing_invariance () =
     in
     let j = Replay.journal r in
     let snaps = Journal.snapshots j in
+    (* A sliced recording is also queried in slices: a cursor advanced
+       by random fuel answers, restores and replays as one advanced to
+       its end. *)
+    let query (type a) (goal : a Replay.goal) : a =
+      match rng with
+      | None -> Replay.query r goal
+      | Some rng ->
+        let c = Replay.cursor r goal in
+        let rec go () =
+          match Replay.advance c ~fuel:(1 + Random.State.int rng 20_000) with
+          | Replay.Done a -> a
+          | Replay.More -> go ()
+        in
+        go ()
+    in
     let answers =
       List.map
         (fun g ->
           let lo = Option.get (Session.resolve_addr session g) in
-          ( Option.map gt_of_hit (Replay.last_write r ~lo ~hi:(lo + 8)),
-            List.map gt_of_hit (Replay.write_history r ~lo ~hi:(lo + 8)) ))
+          ( Option.map gt_of_hit (query (Replay.Last_write { lo; hi = lo + 8 })),
+            List.map gt_of_hit (query (Replay.History { lo; hi = lo + 8 })),
+            query (Replay.Travel (Replay.end_insn r / 3)) ))
         globals
+    in
+    let tel = session.Session.telemetry in
+    let answers =
+      ( answers,
+        Replay.replayed_insns r,
+        Telemetry.get tel Telemetry.Restores,
+        Telemetry.get tel Telemetry.Replayed_instrs )
     in
     ( (code, Replay.end_insn r, Journal.evictions j),
       ( Journal.captured_delta_pages j,

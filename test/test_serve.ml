@@ -361,6 +361,23 @@ let run_engine shards =
       check_int "all sessions closed" 0 (Daemon.sessions_open t);
       (streams, Export.to_json_string (Daemon.merged_report t)))
 
+(* A reply's kind, as the transcript tests spell it. *)
+let kind = function
+  | Proto.Opened _ -> "opened"
+  | Proto.Armed _ -> "armed"
+  | Proto.Running _ -> "running"
+  | Proto.Exited _ -> "exited"
+  | Proto.Hit _ -> "hit"
+  | Proto.Last_write _ -> "last-write"
+  | Proto.History _ -> "history"
+  | Proto.Write _ -> "write"
+  | Proto.Traveled _ -> "traveled"
+  | Proto.Report_json _ -> "report"
+  | Proto.Verified _ -> "verified"
+  | Proto.Closed -> "closed"
+  | Proto.Error _ -> "error"
+  | _ -> "?"
+
 let test_engine_transcripts () =
   let streams, _ = run_engine 1 in
   (match streams with
@@ -371,21 +388,7 @@ let test_engine_transcripts () =
       List.map
         (fun l ->
           match Proto.decode_reply l with
-          | Ok { Proto.r_body; _ } -> (
-            match r_body with
-            | Proto.Opened _ -> "opened"
-            | Proto.Armed _ -> "armed"
-            | Proto.Running _ -> "running"
-            | Proto.Exited _ -> "exited"
-            | Proto.Hit _ -> "hit"
-            | Proto.Last_write _ -> "last-write"
-            | Proto.History _ -> "history"
-            | Proto.Write _ -> "write"
-            | Proto.Traveled _ -> "traveled"
-            | Proto.Report_json _ -> "report"
-            | Proto.Verified _ -> "verified"
-            | Proto.Closed -> "closed"
-            | _ -> "?")
+          | Ok { Proto.r_body; _ } -> kind r_body
           | Error _ -> "!")
         lines
     in
@@ -827,8 +830,9 @@ let test_replies_skip_delayed_ack () =
         true
         (List.length slow <= 4))
 
-(* About seven million instructions: at a 1000-instruction slice, a few
-   thousand shard-0 jobs. *)
+(* About ten million instructions: at a 1000-instruction slice, many
+   thousand shard-0 jobs.  [counter] is written every 256th iteration,
+   in every 10,000-instruction checkpoint window, 3907 times in all. *)
 let long_program = {|
 int counter;
 
@@ -836,7 +840,9 @@ int main() {
   int i;
   i = 0;
   while (i < 1000000) {
-    counter = i;
+    if ((i & 255) == 0) {
+      counter = i;
+    }
     i = i + 1;
   }
   return 0;
@@ -860,7 +866,10 @@ let test_shard0_head_of_line () =
   (* The serving domain runs at most one shard-0 job per poll, so a
      long run on shard 0 cannot hold back socket I/O: a short session
      sent while the run is under way is read, run on shard 1 and
-     closed before the long run exits. *)
+     closed before the long run exits.  The same holds for a query:
+     a history of [counter] replays every window of the long run, and
+     a second short session sent after its first slices closes before
+     the history reply. *)
   let t = Daemon.create ~shards:2 ~slice:1000 () in
   let srv = Daemon.listen t ~port:0 () in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -873,6 +882,7 @@ let test_shard0_head_of_line () =
       connect_to srv sock;
       Unix.set_nonblock sock;
       let long = sid_on_shard 0 "long" and short = sid_on_shard 1 "short" in
+      let late = sid_on_shard 1 "late" in
       let send cmds =
         let frames =
           String.concat "" (List.map (fun c -> Proto.encode_command c ^ "\n") cmds)
@@ -914,6 +924,9 @@ let test_shard0_head_of_line () =
                       (executed > 5_000_000)
                 | Ok { Proto.r_sid; r_body = Proto.Closed; _ } ->
                   events := (r_sid ^ " closed") :: !events
+                | Ok { Proto.r_sid; r_body = Proto.History { count }; _ } ->
+                  events := (r_sid ^ " history") :: !events;
+                  check_int "every write to counter" 3907 count
                 | Ok { Proto.r_body = Proto.Error m; _ } -> Alcotest.fail m
                 | _ -> ())
               (String.split_on_char '\n' (String.sub data 0 i)));
@@ -934,7 +947,89 @@ let test_shard0_head_of_line () =
         (String.concat ", "
            [ long ^ " opened"; short ^ " opened"; short ^ " exited";
              short ^ " closed"; long ^ " exited" ])
+        (String.concat ", " (List.rev !events));
+      events := [];
+      send [ Proto.Query_history { sid = long; target = "counter"; len = 4 } ];
+      (* A few passes read the query and run its first slices. *)
+      for _ = 1 to 3 do
+        Daemon.server_poll srv
+      done;
+      send
+        [
+          opener late counter_program;
+          Proto.Run { sid = late; fuel = 100_000_000 };
+          Proto.Close { sid = late };
+        ];
+      serve_until (fun () -> seen (late ^ " closed") () && seen (long ^ " history") ());
+      check_string "a later session closes while the history replays"
+        (String.concat ", "
+           [ late ^ " opened"; late ^ " exited"; late ^ " closed"; long ^ " history" ])
         (String.concat ", " (List.rev !events)))
+
+(* Queries at a 1000-instruction slice, each across several slices.
+   (a) Arming between two run slices leaves the recorded window
+   unrepeatable (ROADMAP item 1's open gap), so a history over it fails
+   at the window's end, mid-cursor: one error reply, and the session
+   keeps answering — a travel, a report, a run — with no job escaped.
+   (b) A report queued behind a multi-slice history is answered after
+   the history's last write line. *)
+let test_sliced_query_failure_and_order () =
+  let t = Daemon.create ~shards:2 ~slice:1000 () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.shutdown t)
+    (fun () ->
+      let c = Daemon.client t in
+      let opener sid src =
+        Proto.Open
+          { sid; source = Proto.Program src; strategy = "BitmapInlineRegisters";
+            opt = "none" }
+      in
+      let arm sid = Proto.Arm { sid; target = Proto.Var "counter" } in
+      let history sid = Proto.Query_history { sid; target = "counter"; len = 4 } in
+      List.iter
+        (fun cmd -> Daemon.submit t c (Proto.encode_command cmd))
+        [
+          opener "f" long_program; Proto.Run { sid = "f"; fuel = 200 }; arm "f";
+          Proto.Run { sid = "f"; fuel = 100_000_000 }; history "f";
+          Proto.Travel { sid = "f"; insn = 100 }; Proto.Report { sid = "f" };
+          Proto.Run { sid = "f"; fuel = 100_000_000 };
+          opener "o" counter_program; arm "o"; Proto.Run { sid = "o"; fuel = 100_000_000 };
+          history "o"; Proto.Report { sid = "o" };
+        ];
+      Daemon.drain t;
+      let replies = List.map (fun l -> Result.get_ok (Proto.decode_reply l)) (Daemon.output c) in
+      let kinds sid =
+        List.filter_map
+          (fun { Proto.r_sid; r_body; _ } ->
+            (match r_body with
+            | Proto.Error m ->
+              check_bool ("typed divergence: " ^ m) true
+                (String.starts_with ~prefix:"replay diverged from the recorded run at insn" m)
+            | _ -> ());
+            if r_sid = sid then Some (kind r_body) else None)
+          replies
+      in
+      let after_hits l = List.filter (fun k -> k <> "hit") l in
+      check_string "(a) one error, then every later command answered"
+        "opened,running,armed,exited,error,traveled,report,exited"
+        (String.concat "," (after_hits (kinds "f")));
+      let o = kinds "o" in
+      let writes = List.length (List.filter (( = ) "write") o) in
+      check_int "(b) 400 writes" 400 writes;
+      check_string "(b) report after the last write"
+        ("opened,armed,exited,history," ^ String.concat "," (List.init 400 (fun _ -> "write"))
+        ^ ",report")
+        (String.concat "," (after_hits o));
+      let last_write_insn =
+        List.fold_left
+          (fun acc { Proto.r_sid; r_body; _ } ->
+            match r_body with Proto.Write { insn; _ } when r_sid = "o" -> insn | _ -> acc)
+          0 replies
+      in
+      check_bool "(b) the replayed window spans several slices" true (last_write_insn > 2000);
+      check_bool "no job escaped" true
+        (List.mem "dbreakd_job_failures_total 0"
+           (String.split_on_char '\n' (Daemon.metrics_body t))))
 
 let test_overlong_frame () =
   (* A frame that never ends: the daemon stops buffering at the cap,
@@ -1164,6 +1259,8 @@ let suites =
           test_bad_arm_answered;
         Alcotest.test_case "escaped job counted in /metrics" `Quick
           test_job_failure_metric;
+        Alcotest.test_case "sliced queries: typed failure, no overtaking" `Quick
+          test_sliced_query_failure_and_order;
         Alcotest.test_case "shard replies wake the server fds" `Quick
           test_wake_on_replies;
         Alcotest.test_case "slow reader gets the whole backlog" `Quick
