@@ -30,11 +30,20 @@
 
 open Dbp
 
+type client = {
+  out_mu : Mutex.t;
+  outbox : string Queue.t;
+  mutable queued : int;  (* bytes in [outbox]; guarded by [out_mu] *)
+  mutable cseq : int;  (* sid "-" counter; main thread only *)
+  gone : bool Atomic.t;
+      (* disconnected or over its backlog cap: its lines are dropped and
+         its sessions close at their next step, on whichever shard *)
+}
+
 type sess = {
   sid : string;
   shard : int;
-  owner : int;  (* owning client id; commands from others are refused *)
-  emit_line : string -> unit;  (* append to the owner's outbox *)
+  owner : client;  (* commands from other clients are refused *)
   cmd_mu : Mutex.t;  (* guards [cmdq]: main thread pushes, shard pops *)
   cmdq : Proto.command Queue.t;  (* commands awaiting execution *)
   mutable cont : (unit -> unit) option;
@@ -50,21 +59,12 @@ type sess = {
   mutable in_query : bool;  (* suppress hit streaming during replay *)
 }
 
-type client = {
-  cid : int;
-  out_mu : Mutex.t;
-  outbox : string Queue.t;
-  mutable cseq : int;  (* sid "-" counter; main thread only *)
-  mutable disconnected : bool;
-}
-
 type t = {
   sched : Sched.t;
   slice : int;  (* fairness quantum: instructions per run slice *)
   reg : Telemetry.t;  (* daemon registry; main thread only *)
   mu : Mutex.t;  (* guards [sessions] *)
   sessions : (string, sess) Hashtbl.t;
-  mutable next_cid : int;
   wake_r : Unix.file_descr;  (* readable once a shard has pushed replies *)
   wake_w : Unix.file_descr;
   wake_pending : bool Atomic.t;  (* a wake byte is in flight *)
@@ -83,7 +83,6 @@ let create ?(shards = 1) ?(slice = default_slice) () =
     reg = Telemetry.create ();
     mu = Mutex.create ();
     sessions = Hashtbl.create 64;
-    next_cid = 0;
     wake_r;
     wake_w;
     wake_pending = Atomic.make false;
@@ -105,41 +104,41 @@ let wake t =
    the flag stays up, stranding every later reply. *)
 let clear_wake t =
   if not t.down then begin
-    let buf = Bytes.create 64 in
-    let rec drain () =
-      match Unix.read t.wake_r buf 0 (Bytes.length buf) with
-      | 0 -> ()
-      | _ -> drain ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    drain ();
+    ignore (Edge_io.read t.wake_r (Bytes.create 64) (fun _ -> true));
     Atomic.set t.wake_pending false
   end
 
 let shards t = Sched.shards t.sched
 
-let client t =
-  let c =
-    {
-      cid = t.next_cid;
-      out_mu = Mutex.create ();
-      outbox = Queue.create ();
-      cseq = 0;
-      disconnected = false;
-    }
-  in
-  t.next_cid <- t.next_cid + 1;
-  c
+let client _ =
+  { out_mu = Mutex.create (); outbox = Queue.create (); queued = 0; cseq = 0; gone = Atomic.make false }
 
+(* Most reply bytes a client may leave unsent, in its outbox and again
+   in its connection's write buffer: a client that stops reading is
+   reaped like a peer reset instead of growing the daemon. *)
+let max_unsent = 32 lsl 20
+
+(* A line pushed past the cap is dropped and marks the client gone, so
+   the job that crossed it is the last one that adds to the outbox. *)
 let push c line =
-  Mutex.lock c.out_mu;
-  Queue.push line c.outbox;
-  Mutex.unlock c.out_mu
+  if not (Atomic.get c.gone) then begin
+    Mutex.lock c.out_mu;
+    Queue.push line c.outbox;
+    c.queued <- c.queued + String.length line + 1;
+    let over = c.queued > max_unsent in
+    if over then begin
+      Queue.clear c.outbox;
+      c.queued <- 0
+    end;
+    Mutex.unlock c.out_mu;
+    if over then Atomic.set c.gone true
+  end
 
 let output c =
   Mutex.lock c.out_mu;
   let lines = List.of_seq (Queue.to_seq c.outbox) in
   Queue.clear c.outbox;
+  c.queued <- 0;
   Mutex.unlock c.out_mu;
   lines
 
@@ -152,7 +151,7 @@ let client_reply c body =
 (* Session-level reply: called on the owning shard only. *)
 let emit sess body =
   sess.seq <- sess.seq + 1;
-  sess.emit_line
+  push sess.owner
     (Proto.encode_reply { Proto.r_sid = sess.sid; r_seq = sess.seq; r_body = body })
 
 (* --- command execution (shard side) ----------------------------------- *)
@@ -407,6 +406,7 @@ let exec t sess cmd =
    one step, so steps and work items balance; all session state except
    [cmdq] is touched only here, on the owning shard. *)
 let rec step t sess =
+  if Atomic.get sess.owner.gone && not sess.closed then do_close t sess;
   if sess.closed then begin
     sess.cont <- None;
     match take_cmd sess with
@@ -465,7 +465,7 @@ let submit t c line =
         | Some _, true ->
           Error (Printf.sprintf "session %S already exists" sid)
         | Some sess, false ->
-          if sess.owner <> c.cid then
+          if sess.owner != c then
             Error (Printf.sprintf "session %S belongs to another client" sid)
           else Ok sess
         | None, true ->
@@ -476,8 +476,7 @@ let submit t c line =
               {
                 sid;
                 shard = Sched.shard_of t.sched sid;
-                owner = c.cid;
-                emit_line = push c;
+                owner = c;
                 cmd_mu = Mutex.create ();
                 cmdq = Queue.create ();
                 cont = None;
@@ -499,22 +498,17 @@ let submit t c line =
       | Error m -> client_reply c (Proto.Error m)
       | Ok sess -> enqueue t sess cmd))
 
-(* Close every session a disconnecting client still owns (absorbing
-   their telemetry); its outbox is simply never flushed again. *)
+(* Mark the client gone, and post one step to each session it owns:
+   that step, or the one its parked continuation already has queued,
+   closes the session instead of running its work. *)
 let close_client t c =
-  if not c.disconnected then begin
-    c.disconnected <- true;
-    Mutex.lock t.mu;
-    let owned =
-      Hashtbl.fold
-        (fun _ sess acc -> if sess.owner = c.cid then sess :: acc else acc)
-        t.sessions []
-    in
-    Mutex.unlock t.mu;
-    (* Through the command queue, so an in-flight sliced run finishes
-       (and its telemetry is complete) before the close absorbs it. *)
-    List.iter (fun sess -> enqueue t sess (Proto.Close { sid = sess.sid })) owned
-  end
+  Atomic.set c.gone true;
+  Mutex.lock t.mu;
+  let owned =
+    Hashtbl.fold (fun _ sess acc -> if sess.owner == c then sess :: acc else acc) t.sessions []
+  in
+  Mutex.unlock t.mu;
+  List.iter (repost t) owned
 
 let drain t = Sched.drain t.sched
 
@@ -568,21 +562,11 @@ let shutdown t =
 
 (* --- wire listener ----------------------------------------------------- *)
 
-(* Same nonblocking-accept discipline as {!Scrape}, but connections are
-   long-lived: each one feeds complete frames to {!submit} as bytes
-   arrive, and flushes its client's outbox with nonblocking writes.
-   Unsent bytes wait in [wbuf] from offset [woff] until the socket
-   drains ({!serve_for} selects for writability while any are
-   pending). *)
+(* Connections are long-lived: each feeds complete frames to {!submit}
+   as bytes arrive and flushes its client's outbox through its {!Edge}.
+   A connection past EOF stays only to send what it still owes. *)
 
-type conn = {
-  fd : Unix.file_descr;
-  cl : client;
-  rbuf : Buffer.t;  (* the unterminated tail of the input *)
-  wbuf : Buffer.t;  (* reply bytes accepted for write *)
-  mutable woff : int;  (* [wbuf]'s prefix already sent *)
-  mutable eof : bool;
-}
+type conn = { fd : Unix.file_descr; cl : client; edge : Edge.t; mutable eof : bool }
 
 type server = {
   engine : t;
@@ -593,144 +577,42 @@ type server = {
   chunk : Bytes.t;  (* read and write staging, main thread only *)
 }
 
-let listen ?(host = Unix.inet_addr_loopback) t ~port () =
-  (* A write to a peer that reset would otherwise kill the process
-     before [flush_conn] sees EPIPE. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (host, port));
-     Unix.listen sock 64;
-     Unix.set_nonblock sock
-   with e ->
-     Unix.close sock;
-     raise e);
-  let lport =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  {
-    engine = t;
-    lsock = sock;
-    lport;
-    conns = [];
-    sclosed = false;
-    chunk = Bytes.create 65536;
-  }
+let listen ?host t ~port () =
+  let lsock, lport = Edge_io.listen ?host ~port () in
+  { engine = t; lsock; lport; conns = []; sclosed = false; chunk = Bytes.create 65536 }
 
 let server_port srv = srv.lport
-
-let accept_pending srv =
-  let rec go () =
-    match Unix.accept srv.lsock with
-    | fd, _ ->
-      Unix.set_nonblock fd;
-      (* [flush_conn] already writes a pass's replies at once; Nagle
-         would hold a second write (the [exited] after a slice's hits,
-         another session's replies) until the peer's delayed ACK. *)
-      Unix.setsockopt fd Unix.TCP_NODELAY true;
-      srv.conns <-
-        {
-          fd;
-          cl = client srv.engine;
-          rbuf = Buffer.create 256;
-          wbuf = Buffer.create 4096;
-          woff = 0;
-          eof = false;
-        }
-        :: srv.conns;
-      go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
 
 (* Longest unterminated frame a connection may send.  Real frames are
    far smaller: the largest SPEC source is ~3 KB before escaping. *)
 let max_line = 1 lsl 20
 
-(* Submit the frames completed by the [k] bytes just read into
-   [srv.chunk], the first one prefixed by the buffered tail, and buffer
-   the new tail.  Only the new bytes are scanned. *)
-let feed_chunk srv conn k =
-  let rec go start i =
-    if i = k then Buffer.add_subbytes conn.rbuf srv.chunk start (k - start)
-    else if Bytes.get srv.chunk i <> '\n' then go start (i + 1)
-    else begin
-      Buffer.add_subbytes conn.rbuf srv.chunk start (i - start);
-      let n = Buffer.length conn.rbuf in
-      let n = if n > 0 && Buffer.nth conn.rbuf (n - 1) = '\r' then n - 1 else n in
-      let line = Buffer.sub conn.rbuf 0 n in
-      Buffer.clear conn.rbuf;
-      if line <> "" then submit srv.engine conn.cl line;
-      go (i + 1) (i + 1)
-    end
-  in
-  go 0 0
-
-(* Read until the socket would block.  A tail past [max_line] gets one
-   client-level error and ends the connection like EOF, so its sessions
-   close once the error is flushed. *)
+(* A frame past [max_line] gets one client-level error and ends the
+   connection like EOF, so its sessions close once the error is
+   flushed. *)
 let read_conn srv conn =
-  let rec go () =
-    match Unix.read conn.fd srv.chunk 0 (Bytes.length srv.chunk) with
-    | 0 -> conn.eof <- true
-    | k ->
-      feed_chunk srv conn k;
-      if Buffer.length conn.rbuf > max_line then begin
-        Buffer.reset conn.rbuf;
-        client_reply conn.cl
-          (Proto.Error (Printf.sprintf "frame longer than %d bytes" max_line));
-        conn.eof <- true
-      end
-      else go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error _ -> conn.eof <- true
-  in
-  go ()
+  match
+    Edge_io.read conn.fd srv.chunk (fun k ->
+        Edge.feed conn.edge srv.chunk k (submit srv.engine conn.cl))
+  with
+  | `Open -> ()
+  | `Eof -> conn.eof <- true
+  | `Over ->
+    client_reply conn.cl (Proto.Error (Printf.sprintf "frame longer than %d bytes" max_line));
+    conn.eof <- true
 
-let unsent conn = Buffer.length conn.wbuf - conn.woff
-
-(* Append the outbox to [wbuf] and write until the socket would block.
-   Each write stages at most one chunk, and the sent prefix is dropped
-   once it outgrows what is left, so a slow reader's backlog costs time
-   linear in its bytes. *)
+(* A peer that reset, or a client past [max_unsent], loses its pending
+   bytes; the reaping below closes its sessions. *)
 let flush_conn srv conn =
-  List.iter
-    (fun l ->
-      Buffer.add_string conn.wbuf l;
-      Buffer.add_char conn.wbuf '\n')
-    (output conn.cl);
-  let rec go () =
-    let n = min (unsent conn) (Bytes.length srv.chunk) in
-    if n > 0 then begin
-      Buffer.blit conn.wbuf conn.woff srv.chunk 0 n;
-      match Unix.single_write conn.fd srv.chunk 0 n with
-      | k ->
-        conn.woff <- conn.woff + k;
-        go ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error _ ->
-        (* Peer reset: drop the pending bytes; the EOF path below reaps
-           the connection and closes its sessions. *)
-        Buffer.clear conn.wbuf;
-        conn.woff <- 0;
-        conn.eof <- true
-    end
-  in
-  go ();
-  if conn.woff > unsent conn then begin
-    let rest = Buffer.sub conn.wbuf conn.woff (unsent conn) in
-    Buffer.clear conn.wbuf;
-    Buffer.add_string conn.wbuf rest;
-    conn.woff <- 0
+  List.iter (Edge.add_line conn.edge) (output conn.cl);
+  if
+    not
+      (Edge_io.flush conn.fd srv.chunk conn.edge
+      && (not (Edge.over conn.edge))
+      && not (Atomic.get conn.cl.gone))
+  then begin
+    Edge.drop conn.edge;
+    conn.eof <- true
   end
 
 (* At most one shard-0 job runs between the read and the flush, so
@@ -741,47 +623,46 @@ let server_poll srv =
   if not srv.sclosed then begin
     let t = srv.engine in
     clear_wake t;
-    accept_pending srv;
+    List.iter
+      (fun fd ->
+        let edge = Edge.create Edge.Lines ~in_cap:max_line ~out_cap:max_unsent in
+        srv.conns <- { fd; cl = client t; edge; eof = false } :: srv.conns)
+      (Edge_io.accept srv.lsock);
     List.iter (fun conn -> if not conn.eof then read_conn srv conn) srv.conns;
     ignore (Sched.run_local t.sched);
     List.iter (flush_conn srv) srv.conns;
     let live, dead =
-      List.partition (fun c -> not c.eof || unsent c > 0) srv.conns
+      List.partition (fun c -> (not c.eof) || Edge.pending c.edge > 0) srv.conns
     in
     srv.conns <- live;
     List.iter
       (fun conn ->
-        close_client srv.engine conn.cl;
-        (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ());
-        try Unix.close conn.fd with _ -> ())
+        close_client t conn.cl;
+        Edge_io.close conn.fd)
       dead;
     if (not t.down) && Sched.local_pending t.sched then wake t
   end
 
-(* A connection past EOF stays only to send what it still owes: it
-   waits for writability, never readability (EOF is always readable). *)
+(* EOF is always readable, so a connection past it waits for
+   writability only. *)
 let server_fds srv =
   (if srv.engine.down then [] else [ srv.engine.wake_r ])
   @ (srv.lsock :: List.filter_map (fun c -> if c.eof then None else Some c.fd) srv.conns)
 
 let serve_for ?scrape srv ~seconds =
-  let deadline = Unix.gettimeofday () +. seconds in
-  let scrape_fds = Option.to_list (Option.map Scrape.fd scrape) in
-  let rec go () =
-    let now = Unix.gettimeofday () in
-    if now < deadline && not srv.sclosed then begin
-      let writes =
-        List.filter_map (fun c -> if unsent c > 0 then Some c.fd else None) srv.conns
+  Edge_io.serve ~seconds
+    ~fds:(fun () ->
+      let reads, writes, wake_at =
+        match scrape with Some s -> Scrape.fds s | None -> ([], [], infinity)
       in
-      (try
-         ignore (Unix.select (scrape_fds @ server_fds srv) writes [] (deadline -. now))
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      ( reads @ server_fds srv,
+        List.filter_map (fun c -> if Edge.pending c.edge > 0 then Some c.fd else None) srv.conns
+        @ writes,
+        wake_at ))
+    ~poll:(fun () ->
       server_poll srv;
       Option.iter (fun s -> ignore (Scrape.poll s)) scrape;
-      go ()
-    end
-  in
-  go ()
+      not srv.sclosed)
 
 let server_close srv =
   if not srv.sclosed then begin
@@ -790,7 +671,7 @@ let server_close srv =
     List.iter
       (fun conn ->
         close_client srv.engine conn.cl;
-        try Unix.close conn.fd with _ -> ())
+        Edge_io.close conn.fd)
       srv.conns;
     srv.conns <- [];
     try Unix.close srv.lsock with _ -> ()

@@ -40,7 +40,9 @@ type client
     that never reached a session (the [hello] greeting, parse errors,
     unknown-session errors) arrive under the reserved sid ["-"] with a
     per-client sequence; session replies carry the session's own
-    monotone sequence. *)
+    monotone sequence.  A client whose outbox grows past 32 MiB is
+    treated as disconnected ({!close_client}): the line that crossed
+    the cap and every later one are dropped. *)
 
 val client : t -> client
 
@@ -55,8 +57,12 @@ val output : client -> string list
     order). *)
 
 val close_client : t -> client -> unit
-(** Close every session the client still owns (absorbing their
-    telemetry into the shard sinks), as on TCP disconnect. *)
+(** The client is gone, as on TCP disconnect: later replies to it are
+    dropped, and every session it owns closes at its next step, on
+    whichever shard — a parked sliced verb is dropped rather than run
+    out, and the session's telemetry so far is absorbed into its shard
+    sink.  So a [run] with any fuel stops within one slice of the
+    close. *)
 
 val drain : t -> unit
 (** Run shard 0's posted commands inline, then block until all posted
@@ -88,9 +94,9 @@ type server
 
 val listen :
   ?host:Unix.inet_addr -> t -> port:int -> unit -> server
-(** Bind a nonblocking listener (port 0 for ephemeral — read it back
-    with {!server_port}).  Loopback by default.  Sets the process's
-    SIGPIPE disposition to ignore, so a peer that resets costs only its
+(** Bind a nonblocking listener with {!Edge_io.listen} (port 0 for
+    ephemeral — read it back with {!server_port}).  Loopback by
+    default.  SIGPIPE is ignored, so a peer that resets costs only its
     own connection (the write fails with EPIPE and the connection is
     reaped) instead of killing the process.  Every accepted connection
     sets [TCP_NODELAY]: the daemon already writes each connection's
@@ -107,11 +113,14 @@ val server_poll : server -> unit
     bytes (feeding complete frames to {!submit}), run at most one
     shard-0 job (one slice or one other verb), flush outboxes
     (bytes the socket does not take stay queued), reap disconnected
-    peers (closing their sessions).  While shard 0 still has queued
+    peers ({!close_client}).  While shard 0 still has queued
     work after the pass, it leaves a wake in the pipe, so a caller's
-    [select] on {!server_fds} returns at once.  A connection whose
-    unterminated frame grows past 1 MiB gets one client-level [error]
-    reply and is then reaped as on EOF. *)
+    [select] on {!server_fds} returns at once.  Each connection runs on
+    {!Edge}'s core, with two caps.  One whose unterminated frame grows
+    past 1 MiB gets one client-level [error] reply and is then reaped
+    as on EOF.  One that leaves more than 32 MiB of replies unsent (it
+    stopped reading) is reaped like a peer reset, its pending bytes
+    dropped. *)
 
 val server_fds : server -> Unix.file_descr list
 (** Fds to wait on for reading before the next {!server_poll}: the
@@ -121,10 +130,11 @@ val server_fds : server -> Unix.file_descr list
     there is a reply to flush or a shard-0 job to run. *)
 
 val serve_for : ?scrape:Scrape.t -> server -> seconds:float -> unit
-(** The daemon's event loop, for a bounded duration: [select] on
-    {!server_fds}, on [scrape]'s listener, and for writing on every
-    connection with unsent bytes; then {!server_poll} and
-    {!Scrape.poll}.  No timer: replies go out as soon as a shard
+(** The daemon's event loop ({!Edge_io.serve}), for a bounded duration:
+    one [select] on {!server_fds} and [scrape]'s {!Scrape.fds}, for
+    writing on every connection with unsent bytes, and until the
+    earliest scrape deadline; then {!server_poll} and {!Scrape.poll},
+    neither of which blocks.  No timer: replies go out as soon as a shard
     produces them.  While shard 0 has queued work the wake fd stays
     readable, so the loop alternates one shard-0 job with one socket
     pass; socket I/O waits for at most one job. *)

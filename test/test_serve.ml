@@ -1,8 +1,9 @@
 (* The service layer: dbp-wire/1 codec round-trips and decoder
-   totality, the shard scheduler's ordering/merge guarantees, the
-   daemon engine's transcript and telemetry determinism across shard
-   counts, peer resets on both listeners, and the scrape endpoint's
-   malformed-request hardening. *)
+   totality, the connection core's framing and caps, the shard
+   scheduler's ordering/merge guarantees, the daemon engine's
+   transcript and telemetry determinism across shard counts, peer
+   resets, disconnects and unread backlogs on the wire, and the scrape
+   endpoint's malformed-request hardening and deadlines. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -189,6 +190,104 @@ let prop_decoders_total =
        QCheck.Gen.(frequency [ (1, gen_bytes); (3, gen_token_frame) ]))
     (fun frame ->
       total Proto.decode_command frame && total Proto.decode_reply frame)
+
+(* --- edge: the pure connection core -------------------------------------- *)
+
+(* A random input stream: frames without CR or LF, each ended by LF or
+   CR LF, with blank lines between; then the cuts it arrives in, and
+   the sizes the socket takes of each write. *)
+let gen_edge_case =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '%'; '\t' ]) (0 -- 12) in
+  let line = map2 ( ^ ) text (oneofl [ "\n"; "\r\n" ]) in
+  let* stream = map (String.concat "") (list_size (0 -- 30) line) in
+  let* cuts = list_size (return 40) (1 -- 16) in
+  let* replies = list_size (0 -- 20) text in
+  let* writes = list_size (return 80) (0 -- 20) in
+  return (stream, cuts, replies, writes)
+
+(* Feed [stream] to a fresh edge in pieces of the [cuts] sizes (the
+   last one repeated), collecting its frames. *)
+let edge_frames framing stream cuts =
+  let e = Edge.create framing ~in_cap:max_int ~out_cap:max_int in
+  let frames = ref [] in
+  let rec go pos cuts =
+    if pos < String.length stream then begin
+      let k, rest = match cuts with [ k ] -> (k, [ k ]) | k :: r -> (k, r) | [] -> (1, []) in
+      let k = min k (String.length stream - pos) in
+      ignore (Edge.feed e (Bytes.of_string (String.sub stream pos k)) k (fun f -> frames := f :: !frames));
+      go (pos + k) rest
+    end
+  in
+  go 0 cuts;
+  List.rev !frames
+
+(* The same frames cut from the whole stream at once. *)
+let split_lines stream =
+  List.filter_map
+    (fun l ->
+      let l = if String.ends_with ~suffix:"\r" l then String.sub l 0 (String.length l - 1) else l in
+      if l = "" then None else Some l)
+    (List.rev (List.tl (List.rev (String.split_on_char '\n' stream))))
+
+let split_heads stream =
+  let rec go head acc = function
+    | [] | [ _ ] -> List.rev acc
+    | l :: rest ->
+      if l = "" || l = "\r" then go "" (head :: acc) rest else go (head ^ l ^ "\n") acc rest
+  in
+  go "" [] (String.split_on_char '\n' stream)
+
+(* Queue the replies one per write attempt and let the socket take the
+   [writes] sizes of what is staged; the bytes taken must be the
+   replies, in order. *)
+let edge_written replies writes =
+  let e = Edge.create Edge.Lines ~in_cap:max_int ~out_cap:max_int in
+  let out = Buffer.create 256 in
+  let chunk = Bytes.create 8 in
+  let rec go replies writes =
+    (match replies with r :: _ -> Edge.add_line e r | [] -> ());
+    let w, writes = match writes with w :: r -> (w, r) | [] -> (max_int, []) in
+    let n = Edge.stage e chunk in
+    let k = min w n in
+    Buffer.add_subbytes out chunk 0 k;
+    Edge.sent e k;
+    if replies <> [] || Edge.pending e > 0 then
+      go (match replies with _ :: r -> r | [] -> []) writes
+  in
+  go replies writes;
+  Buffer.contents out
+
+(* Each cap trips at its bound and not a byte before. *)
+let edge_caps_exact stream cuts =
+  let cap = String.length stream / 2 in
+  let unframed = String.map (fun c -> if c = '\n' then 'x' else c) stream in
+  let e = Edge.create Edge.Lines ~in_cap:cap ~out_cap:cap in
+  let rec feed pos = function
+    | k :: rest when pos < String.length unframed ->
+      let k = min k (String.length unframed - pos) in
+      let ok = Edge.feed e (Bytes.of_string (String.sub unframed pos k)) k ignore in
+      ok = (pos + k <= cap) && ((not ok) || feed (pos + k) rest)
+    | _ -> true
+  in
+  feed 0 cuts
+  && begin
+       Edge.add e (String.make cap 'y');
+       let at_cap = Edge.over e in
+       Edge.add e "y";
+       (not at_cap) && Edge.over e
+     end
+
+let prop_edge_core =
+  QCheck.Test.make ~name:"frames, writes and caps match a one-shot split" ~count:300
+    (QCheck.make
+       ~print:(fun (s, _, r, _) -> Printf.sprintf "%S / %s" s (String.concat "|" r))
+       gen_edge_case)
+    (fun (stream, cuts, replies, writes) ->
+      edge_frames Edge.Lines stream cuts = split_lines stream
+      && edge_frames Edge.Head stream cuts = split_heads stream
+      && edge_written replies writes = String.concat "" (List.map (fun r -> r ^ "\n") replies)
+      && edge_caps_exact stream cuts)
 
 (* --- sched --------------------------------------------------------------- *)
 
@@ -511,6 +610,50 @@ let test_engine_errors_and_gauges () =
       let rep = Daemon.merged_report t in
       check_bool "closed session's counters absorbed" true
         (List.assoc "store_execs" rep.Telemetry.r_counters >= 0))
+
+(* A program that writes its one global forever: every loop iteration
+   is a hit. *)
+let firehose_program = "int g; int main() { while (1) { g = g + 1; } }"
+
+let firehose_frames sid fuel =
+  [
+    Proto.encode_command
+      (Proto.Open
+         {
+           sid;
+           source = Proto.Program firehose_program;
+           strategy = "BitmapInlineRegisters";
+           opt = "none";
+         });
+    Proto.encode_command (Proto.Arm { sid; target = Proto.Var "g" });
+    Proto.encode_command (Proto.Run { sid; fuel });
+  ]
+
+let hits_streamed t =
+  List.assoc "hits_streamed" (Daemon.merged_report t).Telemetry.r_counters
+
+(* A client that disconnects mid-run ends its session's work: the
+   session closes at its next step instead of running out its fuel
+   into an outbox nobody reads. *)
+let test_disconnect_ends_run () =
+  let t = Daemon.create ~shards:1 () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.shutdown t)
+    (fun () ->
+      let c = Daemon.client t in
+      List.iter (Daemon.submit t c) (firehose_frames "f1" 30_000_000);
+      (* open, arm, then three run slices *)
+      for _ = 1 to 5 do
+        ignore (Sched.run_local (Daemon.sched t))
+      done;
+      let per_slice = hits_streamed t / 3 in
+      check_bool "the run streams hits" true (per_slice > 0);
+      let before = hits_streamed t in
+      Daemon.close_client t c;
+      Daemon.drain t;
+      check_int "session closed" 0 (Daemon.sessions_open t);
+      check_bool "under two slices of hits after the close" true
+        (hits_streamed t - before < 2 * per_slice))
 
 (* Arming a watch that overlaps one already armed is a user mistake:
    the session answers it with an error reply, in dbreak's words, and
@@ -1085,6 +1228,33 @@ let test_overlong_frame () =
       Daemon.drain t;
       check_int "its session closed" 0 (Daemon.sessions_open t))
 
+let test_unread_firehose_reaped () =
+  (* A client that never reads while its run streams hits: once its
+     unsent bytes pass the daemon's cap, the connection is reaped like a
+     peer reset and its session closes.  Counted in passes, not time. *)
+  let t = Daemon.create ~shards:1 () in
+  let srv = Daemon.listen t ~port:0 () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with _ -> ());
+      Daemon.server_close srv;
+      Daemon.shutdown t)
+    (fun () ->
+      Unix.setsockopt_int sock Unix.SO_RCVBUF 4096;
+      connect_to srv sock;
+      let payload =
+        String.concat "" (List.map (fun l -> l ^ "\n") (firehose_frames "h1" 40_000_000))
+      in
+      ignore (Unix.write_substring sock payload 0 (String.length payload));
+      let rounds = ref 0 in
+      while (!rounds = 0 || Daemon.sessions_open t > 0) && !rounds < 2000 do
+        incr rounds;
+        Daemon.server_poll srv
+      done;
+      check_int "its session closed" 0 (Daemon.sessions_open t);
+      check_int "connection reaped" 2 (List.length (Daemon.server_fds srv)))
+
 let test_no_fd_leak () =
   if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
   let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
@@ -1096,6 +1266,30 @@ let test_no_fd_leak () =
 
 (* --- scrape hardening ---------------------------------------------------- *)
 
+(* Poll the endpoint until it closes [sock], reading the response as
+   it arrives; a head that never completes is answered once its
+   deadline has passed, so this may take a second. *)
+let scrape_response srv sock =
+  Unix.set_nonblock sock;
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let until = Unix.gettimeofday () +. 10. in
+  let rec go () =
+    ignore (Scrape.poll srv);
+    match Unix.read sock chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | k ->
+      Buffer.add_subbytes buf chunk 0 k;
+      go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+      when Unix.gettimeofday () < until ->
+      ignore (Unix.select [ sock ] [] [] 0.05);
+      go ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ();
+  Buffer.contents buf
+
 let http_roundtrip srv ~shutdown_after request =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -1105,20 +1299,7 @@ let http_roundtrip srv ~shutdown_after request =
         (Unix.ADDR_INET (Unix.inet_addr_loopback, Scrape.port srv));
       ignore (Unix.write_substring sock request 0 (String.length request));
       if shutdown_after then Unix.shutdown sock Unix.SHUTDOWN_SEND;
-      ignore (Scrape.poll srv);
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      (try
-         let rec drain () =
-           let k = Unix.read sock chunk 0 (Bytes.length chunk) in
-           if k > 0 then begin
-             Buffer.add_subbytes buf chunk 0 k;
-             drain ()
-           end
-         in
-         drain ()
-       with Unix.Unix_error _ -> ());
-      Buffer.contents buf)
+      scrape_response srv sock)
 
 let has_substring hay needle =
   let n = String.length needle in
@@ -1128,7 +1309,14 @@ let has_substring hay needle =
   go 0
 
 let test_scrape_hardening () =
-  let srv = Scrape.create ~port:0 ~metrics:(fun () -> "m 1\n") () in
+  let calls = ref 0 in
+  let srv =
+    Scrape.create ~port:0
+      ~metrics:(fun () ->
+        incr calls;
+        "m 1\n")
+      ()
+  in
   Fun.protect
     ~finally:(fun () -> Scrape.close srv)
     (fun () ->
@@ -1147,7 +1335,8 @@ let test_scrape_hardening () =
       in
       check_bool "oversized header block is 400" true
         (has_substring resp "HTTP/1.0 400");
-      (* A slow-loris that stalls mid-head hits the receive timeout:
+      check_int "oversized heads never reach the metrics callback" 0 !calls;
+      (* A slow-loris that stalls mid-head runs out its head deadline:
          400, bounded wait, never dispatched. *)
       let resp = http_roundtrip srv ~shutdown_after:false "GET /met" in
       check_bool "stalled partial head is 400" true
@@ -1182,6 +1371,62 @@ let test_scrape_hardening () =
       in
       check_bool "served after a reset" true
         (has_substring resp "HTTP/1.0 200 OK"))
+
+(* A scraper that sends a complete GET and then one byte every 100 ms
+   for 3 s, against dbreakd's one serving loop: a wire [hello] in the
+   meantime is answered at once, and the endpoint closes the scraper's
+   connection by its deadline.  The two clients run on another domain;
+   this one serves. *)
+let test_dripping_scraper () =
+  let t = Daemon.create () in
+  let srv = Daemon.listen t ~port:0 () in
+  let scrape = Scrape.create ~port:0 ~metrics:(fun () -> Daemon.metrics_body t) () in
+  let connect port =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    s
+  in
+  let send s m = ignore (Unix.write_substring s m 0 (String.length m)) in
+  let clients () =
+    let drip = connect (Scrape.port scrape) and wire = connect (Daemon.server_port srv) in
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ drip; wire ])
+      (fun () ->
+        let start = Unix.gettimeofday () in
+        send drip "GET /metrics HTTP/1.0\r\n\r\n";
+        let rtt = ref infinity and closed_at = ref infinity in
+        let rec go i =
+          if i < 30 && !closed_at = infinity then begin
+            Unix.sleepf 0.1;
+            (match send drip "x" with
+            | () -> ()
+            | exception Unix.Unix_error _ -> closed_at := Unix.gettimeofday () -. start);
+            if i = 3 then begin
+              let sent = Unix.gettimeofday () in
+              send wire "hello\n";
+              match Unix.select [ wire ] [] [] 2.0 with
+              | [ _ ], _, _ -> rtt := Unix.gettimeofday () -. sent
+              | _ -> ()
+            end;
+            go (i + 1)
+          end
+        in
+        go 0;
+        (!rtt, !closed_at))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.server_close srv;
+      Scrape.close scrape;
+      Daemon.shutdown t)
+    (fun () ->
+      let d = Domain.spawn clients in
+      Daemon.serve_for ~scrape srv ~seconds:2.0;
+      let rtt, closed_at = Domain.join d in
+      check_bool (Printf.sprintf "hello answered in %.3f s" rtt) true (rtt < 0.2);
+      check_bool
+        (Printf.sprintf "scraper closed %.2f s after its request" closed_at)
+        true (closed_at < 1.5))
 
 (* --- front-end vocabulary ------------------------------------------------ *)
 
@@ -1238,6 +1483,7 @@ let suites =
         Alcotest.test_case "malformed frames rejected" `Quick
           test_malformed_frames;
       ] );
+    ("serve.edge", [ QCheck_alcotest.to_alcotest prop_edge_core ]);
     ( "serve.sched",
       [
         Alcotest.test_case "per-key FIFO and failure backstop" `Quick
@@ -1255,6 +1501,8 @@ let suites =
           test_engine_shard_determinism;
         Alcotest.test_case "errors, gauges, disconnect" `Quick
           test_engine_errors_and_gauges;
+        Alcotest.test_case "disconnect ends the client's run" `Quick
+          test_disconnect_ends_run;
         Alcotest.test_case "overlapping arm answered, session kept" `Quick
           test_bad_arm_answered;
         Alcotest.test_case "escaped job counted in /metrics" `Quick
@@ -1273,6 +1521,8 @@ let suites =
           test_nodelay_on_accept;
         Alcotest.test_case "run replies skip the delayed-ACK clock" `Quick
           test_replies_skip_delayed_ack;
+        Alcotest.test_case "a client that never reads is reaped" `Quick
+          test_unread_firehose_reaped;
         Alcotest.test_case "overlong frame answered once and reaped" `Quick
           test_overlong_frame;
         Alcotest.test_case "a long shard-0 run does not hold back shard 1"
@@ -1287,5 +1537,7 @@ let suites =
       [
         Alcotest.test_case "malformed-head hardening" `Slow
           test_scrape_hardening;
+        Alcotest.test_case "a dripping scraper does not stall the wire" `Quick
+          test_dripping_scraper;
       ] );
   ]

@@ -555,16 +555,24 @@ let http_get srv request =
       ignore (Unix.write_substring sock request 0 (String.length request));
       let handled = Scrape.poll srv in
       check_int "poll answered the pending request" 1 handled;
+      (* The response may take more than one pass to write: keep
+         polling until the endpoint half-closes. *)
+      Unix.set_nonblock sock;
       let buf = Buffer.create 1024 in
       let chunk = Bytes.create 4096 in
       let rec drain () =
-        let k = Unix.read sock chunk 0 (Bytes.length chunk) in
-        if k > 0 then begin
+        match Unix.read sock chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | k ->
           Buffer.add_subbytes buf chunk 0 k;
           drain ()
-        end
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          ignore (Unix.select [ sock ] [] [] 0.05);
+          ignore (Scrape.poll srv);
+          drain ()
+        | exception Unix.Unix_error _ -> ()
       in
-      (try drain () with Unix.Unix_error _ -> ());
+      drain ();
       Buffer.contents buf)
 
 let has_substring hay needle =
