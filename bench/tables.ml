@@ -159,7 +159,9 @@ let cache_hit_rate (w : Workloads.Workload.t) ~seg_bits =
       (Telemetry.get_typed session.Session.telemetry
          Telemetry.Cache_misses_by_type)
   in
-  let total = Session.total_site_executions session in
+  let total =
+    Telemetry.current session.Session.telemetry Telemetry.Check_execs
+  in
   if total = 0 then 0.0
   else 100.0 *. (1.0 -. (float_of_int misses /. float_of_int total))
 
@@ -204,8 +206,9 @@ let table2 () =
         in
         let full_run, session = Runner.instrumented o_full w in
         let plan = session.Session.plan in
-        let total = float_of_int (max 1 (Session.total_site_executions session)) in
-        let sym = float_of_int (Session.sym_eliminated_site_executions session) in
+        let execs = Telemetry.current session.Session.telemetry in
+        let total = float_of_int (max 1 (execs Telemetry.Check_execs)) in
+        let sym = float_of_int (execs Telemetry.Sym_eliminated_execs) in
         (* Split loop-eliminated executions into LI vs Range by each
            origin's planned check kind. *)
         let kind_of_origin =
@@ -536,7 +539,9 @@ int main() {
             if addr lsr 9 = b_seg then incr full);
         ignore (Session.run ~fuel:Runner.fuel session);
         let s = Session.stats session in
-        (s.Machine.Cpu.cycles, !full, Session.total_site_executions session)
+        ( s.Machine.Cpu.cycles,
+          !full,
+          Telemetry.current session.Session.telemetry Telemetry.Check_execs )
       in
       let cache_cycles, full_lookups, total = run_with Strategy.Cache in
       let bir_cycles, _, _ = run_with Strategy.Bitmap_inline_registers in
@@ -599,7 +604,7 @@ let smoke () =
 
    The deep-copy baseline is what the pre-COW [Memory.snapshot] would
    have paid: every checkpoint copies the whole resident image.  The
-   COW figure is [Journal.captured_bytes] — pages actually copied
+   COW figure is the registry's [Checkpoint_bytes] — pages actually copied
    (plus register/cache overhead) with everything else shared.  The
    acceptance bound is COW < 2x deep-copy at the default interval;
    in practice it is far below 1x. *)
@@ -642,14 +647,14 @@ let replay () =
             (fun acc snap -> acc + Snapshot.bytes ~prev:None snap)
             0 snaps
         in
-        let cow_bytes = Journal.captured_bytes journal in
+        let cow_bytes = Telemetry.get telemetry Telemetry.Checkpoint_bytes in
         let addr =
           match Session.resolve_addr session var with
           | Some a -> a
           | None -> failwith (Printf.sprintf "replay: no global %s" var)
         in
         let hit = Session.last_write session ~addr in
-        let lw_replayed = Replay.replayed_insns r in
+        let lw_replayed = Telemetry.get telemetry Telemetry.Replayed_instrs in
         (* Travel into the middle of the run: the re-execution gap is
            bounded by the checkpoint interval, so this column is the
            interval-vs-latency tradeoff in its purest form. *)
@@ -662,8 +667,8 @@ let replay () =
           var,
           interval,
           List.length snaps,
-          Journal.captured_delta_pages journal,
-          Journal.captured_shared_pages journal,
+          Telemetry.get telemetry Telemetry.Checkpoint_pages_copied,
+          Telemetry.get telemetry Telemetry.Checkpoint_pages_shared,
           cow_bytes,
           deep_bytes,
           hit,

@@ -185,19 +185,20 @@ let run_cmd source_file watches strategy opt check_aliases monitor_reads dump_as
           (List.length (Heatmap.never_fired hm)));
       if stats then begin
         let s = Session.stats session in
-        let c = Mrs.counters session.Session.mrs in
+        let c = Telemetry.current telemetry in
+        let eliminated =
+          c Telemetry.Sym_eliminated_execs + c Telemetry.Loop_eliminated_execs
+        in
         Printf.printf "instructions: %d\ncycles:       %d\nstores:       %d\n"
           s.Machine.Cpu.instrs s.Machine.Cpu.cycles s.Machine.Cpu.stores;
         Printf.printf "checked write executions:    %d\n"
-          (Session.total_site_executions session
-          - Session.eliminated_site_executions session);
-        Printf.printf "eliminated write executions: %d\n"
-          (Session.eliminated_site_executions session);
-        Printf.printf "monitor hits: %d user, %d internal\n" c.Mrs.user_hits
-          c.Mrs.internal_hits;
-        Printf.printf "pre-header checks: %d (%d triggered)\n" c.Mrs.loop_entries
-          c.Mrs.loop_triggers;
-        Printf.printf "patches inserted: %d\n" c.Mrs.patches_inserted;
+          (c Telemetry.Check_execs - eliminated);
+        Printf.printf "eliminated write executions: %d\n" eliminated;
+        Printf.printf "monitor hits: %d user, %d internal\n"
+          (c Telemetry.User_hits) (c Telemetry.Internal_hits);
+        Printf.printf "pre-header checks: %d (%d triggered)\n"
+          (c Telemetry.Loop_entries) (c Telemetry.Loop_triggers);
+        Printf.printf "patches inserted: %d\n" (c Telemetry.Patches_inserted);
         Printf.printf "missed hits (oracle): %d\n" (Session.missed_hits session)
       end;
       if trace > 0 then begin

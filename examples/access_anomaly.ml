@@ -62,11 +62,12 @@ let () =
           anomalies := (e.Debugger.addr, e.Debugger.in_function) :: !anomalies);
 
   let exit_code, _ = Session.run session in
-  let c = Mrs.counters session.Session.mrs in
+  let count = Telemetry.get session.Session.telemetry in
+  let reads = count Telemetry.Read_hits in
   Printf.printf "exit %d; %d writes and %d reads of 'shared' monitored\n"
     exit_code
-    (c.Mrs.user_hits - c.Mrs.read_hits)
-    c.Mrs.read_hits;
+    (count Telemetry.User_hits - reads)
+    reads;
   match List.rev !anomalies with
   | [] -> print_endline "no anomalies"
   | l ->

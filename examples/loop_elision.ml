@@ -79,13 +79,15 @@ let () =
     plan.Instrument.loop_plans;
 
   let exit_code, _ = Session.run session in
-  let total = Session.total_site_executions session in
-  let elim = Session.eliminated_site_executions session in
+  let count = Telemetry.current session.Session.telemetry in
+  let total = count Telemetry.Check_execs in
+  let elim =
+    count Telemetry.Sym_eliminated_execs + count Telemetry.Loop_eliminated_execs
+  in
   Printf.printf "\nexit code %d\n" exit_code;
   Printf.printf "dynamic writes:            %8d\n" total;
   Printf.printf "checks eliminated:         %8d (%.1f%%)\n" elim
     (100.0 *. float_of_int elim /. float_of_int (max 1 total));
-  Printf.printf "pre-header checks run:     %8d\n"
-    (Mrs.counters session.Session.mrs).Mrs.loop_entries;
+  Printf.printf "pre-header checks run:     %8d\n" (count Telemetry.Loop_entries);
   Printf.printf "range checks that fired:   %8d (no regions are set)\n"
-    (Mrs.counters session.Session.mrs).Mrs.loop_triggers
+    (count Telemetry.Loop_triggers)

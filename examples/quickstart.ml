@@ -55,5 +55,5 @@ let () =
   let exit_code, _output = Session.run session in
   Printf.printf "\nprogram exited with %d; %d writes caught, 0 missed (oracle: %d)\n"
     exit_code
-    (Mrs.counters session.Session.mrs).Mrs.user_hits
+    (Telemetry.get session.Session.telemetry Telemetry.User_hits)
     (Session.missed_hits session)

@@ -97,4 +97,4 @@ let () =
   | _ -> ());
 
   Printf.printf "%d instructions re-executed across all queries\n"
-    (Replay.replayed_insns replay)
+    (Telemetry.get session.Session.telemetry Telemetry.Replayed_instrs)

@@ -68,4 +68,4 @@ let () =
     "(the last writer above is the culprit; note the write in\n\
     \ reset_verbosity never mentions max_depth in the source)\n";
   (* Updates to OTHER fields of cfg must not trigger. *)
-  assert ((Mrs.counters session.Session.mrs).Mrs.user_hits = 3)
+  assert (Telemetry.get session.Session.telemetry Telemetry.User_hits = 3)

@@ -14,16 +14,6 @@ type access = Write | Read
 
 type hit = { addr : int; pc : int; region : Region.t; access : access }
 
-type counters = {
-  mutable user_hits : int;
-  mutable read_hits : int;
-  mutable internal_hits : int;
-  mutable loop_entries : int;
-  mutable loop_triggers : int;
-  mutable patches_inserted : int;
-  mutable violations : int;
-}
-
 type t = {
   layout : Layout.t;
   plan : Instrument.t;
@@ -37,7 +27,6 @@ type t = {
      observers are paused ({!Cpu.without_observers}). *)
   mutable observers : (hit -> unit) list;
   loops : (int, Loopopt.loop_plan) Hashtbl.t;
-  counters : counters;
   entries_by_loop : (int, int) Hashtbl.t;
   loop_check_cycles : int;
   pseudo_home : string -> [ `Global of int | `Local of string * int ] option;
@@ -46,8 +35,6 @@ type t = {
 }
 
 let g6 = Reg.g 6
-
-let counters t = t.counters
 
 (* --- audit glue ---------------------------------------------------------------- *)
 
@@ -215,7 +202,6 @@ let insert_check ?(why = "") t origin =
   if not (check_inserted t origin) then begin
     match Instrument.find_site t.sites origin with
     | Some p when p.stub >= 0 ->
-      t.counters.patches_inserted <- t.counters.patches_inserted + 1;
       Telemetry.incr t.telemetry Telemetry.Patches_inserted;
       aud_patch t Audit.Patch_inserted ~why origin;
       Cpu.patch t.cpu p.pc (Insn.Branch { cond = Cond.A; target = Insn.Abs p.stub })
@@ -295,8 +281,6 @@ let post_monitor t pseudo =
 (* Deliver a hit on a user region: count it, attribute it, then tell the
    callback and (outside replay) the observers. *)
 let user_hit t cpu ~access ~addr ~pc region =
-  t.counters.user_hits <- t.counters.user_hits + 1;
-  if access = Read then t.counters.read_hits <- t.counters.read_hits + 1;
   Telemetry.incr t.telemetry Telemetry.User_hits;
   if access = Read then Telemetry.incr t.telemetry Telemetry.Read_hits;
   tel_hit t cpu ~access ~addr ~pc region;
@@ -316,7 +300,6 @@ let on_hit ?(access = Write) t cpu =
   | Some ({ Region.kind = Region.User; _ } as region) ->
     user_hit t cpu ~access ~addr ~pc region
   | Some ({ Region.kind = Region.Internal; _ } as region) -> (
-    t.counters.internal_hits <- t.counters.internal_hits + 1;
     Telemetry.incr t.telemetry Telemetry.Internal_hits;
     tel_hit t cpu ~access ~addr ~pc region;
     (* An alias home changed: conservatively re-insert every check the
@@ -332,7 +315,6 @@ let on_hit ?(access = Write) t cpu =
 let loop_of_trap t cpu = Hashtbl.find_opt t.loops (Word.to_unsigned (Cpu.get cpu (Reg.g 5)))
 
 let on_loop_entry t cpu =
-  t.counters.loop_entries <- t.counters.loop_entries + 1;
   Telemetry.incr t.telemetry Telemetry.Loop_entries;
   (let id = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
    Hashtbl.replace t.entries_by_loop id
@@ -363,7 +345,6 @@ let on_loop_entry t cpu =
         plan.checks
     in
     if triggered then begin
-      t.counters.loop_triggers <- t.counters.loop_triggers + 1;
       Telemetry.incr t.telemetry Telemetry.Loop_triggers;
       List.iter
         (insert_check ~why:("loop:" ^ string_of_int plan.loop_id) t)
@@ -397,7 +378,6 @@ let on_loop_exit t cpu =
     Cpu.add_cycles cpu (4 - (Cpu.config cpu).Cpu.trap_cycles)
 
 let on_violation t _cpu =
-  t.counters.violations <- t.counters.violations + 1;
   Telemetry.incr t.telemetry Telemetry.Violations
 
 (* --- installation -------------------------------------------------------------------- *)
@@ -417,16 +397,6 @@ let install ?(protect_self = false) ~telemetry ~audit ~(plan : Instrument.t)
       observers = [];
       loops = Hashtbl.create 16;
       entries_by_loop = Hashtbl.create 16;
-      counters =
-        {
-          user_hits = 0;
-          read_hits = 0;
-          internal_hits = 0;
-          loop_entries = 0;
-          loop_triggers = 0;
-          patches_inserted = 0;
-          violations = 0;
-        };
       loop_check_cycles = 12;
       pseudo_home = (fun p -> pseudo_home_of_symtab symtab p);
       telemetry;

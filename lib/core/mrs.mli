@@ -24,16 +24,6 @@ type access = Write | Read
 
 type hit = { addr : int; pc : int; region : Region.t; access : access }
 
-type counters = {
-  mutable user_hits : int;
-  mutable read_hits : int;  (** subset of [user_hits] from read checks *)
-  mutable internal_hits : int;
-  mutable loop_entries : int;
-  mutable loop_triggers : int;
-  mutable patches_inserted : int;
-  mutable violations : int;
-}
-
 type t
 
 val install :
@@ -49,15 +39,17 @@ val install :
 (** Install trap handlers and initialize reserved registers.  The MRS
     starts disabled.  With [protect_self], internal monitored regions
     cover the MRS's own in-memory structures (§2.1); stray program
-    writes into them surface as [internal_hits].  [sites] is [plan]'s
-    site map in [image]: patches swing a site to its stub through it.
+    writes into them surface as {!Telemetry.Internal_hits}.  [sites] is
+    [plan]'s site map in [image]: patches swing a site to its stub
+    through it.
 
-    Every service-interface action and monitor hit is mirrored into
-    [telemetry]: hits are attributed back to their check site
-    ({!Instrument.write_site_at}, {!Instrument.read_site_at}) and bump
-    that slot's hit cell, a trace event is appended to the registry's
-    ring, and region/patch/loop/violation counters are kept alongside
-    {!counters}.
+    Every service-interface action and monitor hit is counted in
+    [telemetry], the only place these counts live: hits are attributed
+    back to their check site ({!Instrument.write_site_at},
+    {!Instrument.read_site_at}) and bump that slot's hit cell, a trace
+    event is appended to the registry's ring, and the hit, loop-entry,
+    loop-trigger, patch, region and violation counters are bumped
+    there.
 
     Patch insert/remove and region create/delete are journalled in
     [audit] as lifecycle events carrying the reason ([why]) and the
@@ -91,8 +83,6 @@ val pre_monitor : t -> string -> unit
 val post_monitor : t -> string -> unit
 
 val check_inserted : t -> int -> bool
-
-val counters : t -> counters
 
 val record_gauges : t -> unit
 (** Write the occupancy gauges ({!Telemetry.Seg_words_monitored},

@@ -263,30 +263,6 @@ let site_executions t origin =
   | Some p -> Telemetry.site_exec t.telemetry p.site.slot
   | None -> 0
 
-let total_site_executions t =
-  let acc = ref 0 in
-  for slot = 0 to Telemetry.n_sites t.telemetry - 1 do
-    acc := !acc + Telemetry.site_exec t.telemetry slot
-  done;
-  !acc
-
-let eliminated_site_executions t =
-  List.fold_left
-    (fun acc (s : Instrument.site) ->
-      match s.status with
-      | Instrument.Checked -> acc
-      | Instrument.Sym_eliminated _ | Instrument.Loop_eliminated _ ->
-        acc + site_executions t s.origin)
-    0 t.plan.Instrument.sites
-
-let sym_eliminated_site_executions t =
-  List.fold_left
-    (fun acc (s : Instrument.site) ->
-      match s.status with
-      | Instrument.Sym_eliminated _ -> acc + site_executions t s.origin
-      | Instrument.Checked | Instrument.Loop_eliminated _ -> acc)
-    0 t.plan.Instrument.sites
-
 (* The oracle: record every program store that lands in a user region;
    at the end of the run, every one of them must have produced a
    notification (assuming the debugger armed the regions through the
@@ -318,7 +294,10 @@ let run ?fuel t =
     Trace.with_span t.trace "run" (fun () ->
         match t.replay with
         | None -> Cpu.run ?fuel t.cpu
-        | Some r -> Replay.record ?fuel r)
+        | Some r -> (
+          match Replay.record_slice ?fuel r with
+          | `Exited code -> code
+          | `Out_of_fuel executed -> raise (Cpu.Out_of_fuel { executed })))
   in
   (code, Cpu.output t.cpu)
 
@@ -410,8 +389,7 @@ let resolve_addr t target =
     | Some _ | None -> None)
 
 let missed_hits t =
-  let actual = (Mrs.counters t.mrs).Mrs.user_hits in
-  max 0 (t.expected_hits - actual)
+  max 0 (t.expected_hits - Telemetry.get t.telemetry Telemetry.User_hits)
 
 let stats t = Cpu.stats t.cpu
 

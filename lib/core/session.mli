@@ -103,8 +103,10 @@ val create :
 
 val run : ?fuel:int -> t -> int * string
 (** Execute to completion; returns (exit code, captured output).  With
-    [checkpoint_every] set, execution is recorded through the replay
-    engine (same result, plus a checkpoint journal). *)
+    [checkpoint_every] set, execution is recorded through
+    {!Replay.record_slice} (same result, plus a checkpoint journal).
+    @raise Machine.Cpu.Out_of_fuel after [fuel] instructions (default
+    2·10{^8}); a later {!run} or {!run_slice} resumes the program. *)
 
 val run_slice : ?fuel:int -> t -> [ `Exited of int * string | `Running of int ]
 (** Fuel-bounded resumable execution — the service daemon's fairness
@@ -154,18 +156,18 @@ val resolve_addr : t -> string -> int option
     variable name — to a data address. *)
 
 val site_executions : t -> int -> int
-(** Dynamic executions of one write site (by origin). *)
-
-val total_site_executions : t -> int
-val eliminated_site_executions : t -> int
-val sym_eliminated_site_executions : t -> int
+(** Dynamic executions of one write site (by origin).  Totals over
+    all sites are {!Telemetry.current} of [Check_execs],
+    [Sym_eliminated_execs] and [Loop_eliminated_execs] on [telemetry]. *)
 
 val install_oracle : t -> unit
 (** Count every program store (and, with read monitoring, every
     program load) that lands in a user region; after the run,
     {!missed_hits} is the number of such accesses that produced no
     notification.  Zero for a correctly armed debugger — the soundness
-    property the test suite checks for every strategy. *)
+    property the test suite checks for every strategy.  Notifications
+    are counted by the session's registry ({!Telemetry.User_hits}), so
+    the oracle needs an enabled one. *)
 
 val missed_hits : t -> int
 

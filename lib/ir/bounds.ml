@@ -498,14 +498,23 @@ let dispositions (ssa : Ssa.t) (loop : Loops.loop) (env : env) : store_decision 
                   if bexpr_equal lo.expr hi.expr then
                     Invariant
                       { expr = lo.expr; level = min_level lo.level hi.level }
-                  else
-                    Range
-                      {
-                        lo = lo.expr;
-                        hi = hi.expr;
-                        lo_level = lo.level;
-                        hi_level = hi.level;
-                      }
+                  else begin
+                    match normalize (Bsub (hi.expr, lo.expr)) with
+                    | Bconst d when d < 0 ->
+                      (* An empty range: the bounds come from asserts
+                         that contradict each other (a branch the loop
+                         bound rules out).  A range check over it would
+                         never fire, so the store keeps its check. *)
+                      Keep
+                    | _ ->
+                      Range
+                        {
+                          lo = lo.expr;
+                          hi = hi.expr;
+                          lo_level = lo.level;
+                          hi_level = hi.level;
+                        }
+                  end
                 | (Unbounded | Bound _), _ -> Keep
               in
               out := { origin; block = blk; width; disposition } :: !out

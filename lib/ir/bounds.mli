@@ -83,7 +83,10 @@ type store_decision = {
 val dispositions : Ssa.t -> Loops.loop -> env -> store_decision list
 (** Classify every store inside the loop.  Expressions in non-[Keep]
     dispositions are evaluable in the loop pre-header: all their
-    variables carry the version live at the header's entry. *)
+    variables carry the version live at the header's entry.  A store
+    whose [hi - lo] normalizes to a negative constant (bounds from
+    contradictory asserts on a path the loop bound rules out) is
+    [Keep], never an empty {!Range}. *)
 
 val evaluable : Ssa.t -> Loops.loop -> bexpr -> bool
 

@@ -31,11 +31,6 @@ type t = {
   budget_bytes : int option;
   mutable entries : entry list;  (* newest first *)
   mutable n : int;
-  mutable evictions : int;
-  (* Capture-time statistics (cumulative; unaffected by eviction). *)
-  mutable captured_delta_pages : int;
-  mutable captured_shared_pages : int;
-  mutable captured_bytes : int;
   on_evict : Snapshot.t -> unit;
 }
 
@@ -49,19 +44,11 @@ let create ?(on_evict = fun _ -> ()) ?budget_bytes ?(interval = 1) () =
     budget_bytes;
     entries = [];
     n = 0;
-    evictions = 0;
-    captured_delta_pages = 0;
-    captured_shared_pages = 0;
-    captured_bytes = 0;
     on_evict;
   }
 
 let interval t = t.interval
 let length t = t.n
-let evictions t = t.evictions
-let captured_delta_pages t = t.captured_delta_pages
-let captured_shared_pages t = t.captured_shared_pages
-let captured_bytes t = t.captured_bytes
 
 let retained_bytes t =
   List.fold_left (fun acc e -> acc + e.bytes) 0 t.entries
@@ -120,7 +107,6 @@ let evict_one t =
     t.entries <-
       List.rev (List.filteri (fun i _ -> i <> idx) (Array.to_list arr));
     t.n <- t.n - 1;
-    t.evictions <- t.evictions + 1;
     t.on_evict victim.snap;
     true
 
@@ -133,17 +119,15 @@ let record t snap =
   let e = entry ~prev snap in
   t.entries <- e :: t.entries;
   t.n <- t.n + 1;
-  t.captured_delta_pages <- t.captured_delta_pages + e.delta_pages;
-  t.captured_shared_pages <- t.captured_shared_pages + e.shared_pages;
-  t.captured_bytes <- t.captured_bytes + e.bytes;
-  match t.budget_bytes with
+  (match t.budget_bytes with
   | None -> ()
   | Some budget ->
     let continue = ref (retained_bytes t > budget) in
     while !continue do
       if evict_one t then continue := retained_bytes t > budget
       else continue := false
-    done
+    done);
+  e
 
 let nearest t ~insn =
   (* Latest retained snapshot at or before [insn]; entries are newest

@@ -40,25 +40,16 @@ val create :
 
 val interval : t -> int
 val length : t -> int
-val evictions : t -> int
 
 val retained_bytes : t -> int
 (** Attributed bytes across retained entries — what the budget bounds. *)
 
-val captured_delta_pages : t -> int
-(** Cumulative pages physically copied across all captures (the true
-    O(dirty) work done), regardless of later eviction. *)
-
-val captured_shared_pages : t -> int
-(** Cumulative pages captures shared with their predecessors — the
-    deep-copy work COW avoided. *)
-
-val captured_bytes : t -> int
-(** Cumulative attributed bytes at capture time. *)
-
-val record : t -> Snapshot.t -> unit
+val record : t -> Snapshot.t -> entry
 (** Append a snapshot (instruction counts must be non-decreasing), then
-    thin until back under budget.
+    thin until back under budget.  Returns the new entry as captured:
+    its pages copied, pages shared and bytes against the previous
+    retained entry, before any thinning — the capture-time figures
+    the replay engine adds to its telemetry.
     @raise Invalid_argument on out-of-order instruction counts. *)
 
 val snapshots : t -> Snapshot.t list

@@ -41,7 +41,6 @@ type t = {
   mutable watch : watch option;
       (* read by the store hook installed at [create] (hooks are
          append-only): set while an armed leg replays *)
-  mutable replayed : int;
 }
 
 (* A cursor's watch on [[lo, hi)]: [shadow] maps each watched word to
@@ -84,7 +83,6 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
       next_boundary = 0;
       pending = Written.builder ();
       watch = None;
-      replayed = 0;
     }
   in
   Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
@@ -116,7 +114,6 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
 
 let journal t = t.journal
 let end_insn t = t.end_insn
-let replayed_insns t = t.replayed
 let interval t = Journal.interval t.journal
 
 (* --- recording -------------------------------------------------------- *)
@@ -126,14 +123,9 @@ let take_checkpoint t =
     Snapshot.capture ~seq:t.seq ~written:(Written.take t.pending) t.cpu
   in
   t.seq <- t.seq + 1;
-  let j = t.journal in
-  let d0 = Journal.captured_delta_pages j
-  and s0 = Journal.captured_shared_pages j
-  and b0 = Journal.captured_bytes j in
-  Journal.record j snap;
-  let pages = Journal.captured_delta_pages j - d0
-  and shared = Journal.captured_shared_pages j - s0
-  and bytes = Journal.captured_bytes j - b0 in
+  let { Journal.delta_pages = pages; shared_pages = shared; bytes; _ } =
+    Journal.record t.journal snap
+  in
   Telemetry.incr t.telemetry Telemetry.Checkpoints_taken;
   Telemetry.add t.telemetry Telemetry.Checkpoint_pages_copied pages;
   Telemetry.add t.telemetry Telemetry.Checkpoint_pages_shared shared;
@@ -144,7 +136,7 @@ let take_checkpoint t =
 
 (* Incremental recording: each slice advances the machine by at most
    [fuel] instructions, checkpointing at exactly the same places a
-   one-shot {!record} would — interval boundaries and the halt — so a
+   one-shot recording would — interval boundaries and the halt — so a
    run recorded in N slices produces the same journal (and the same
    checkpoint telemetry) as a run recorded in one.  A slice that
    exhausts its fuel mid-interval takes no checkpoint; the next slice
@@ -177,18 +169,6 @@ let record_slice ?(fuel = 200_000_000) t =
       t.recorded <- true;
       `Exited code
   end
-
-let record ?(fuel = 200_000_000) t =
-  if t.recorded then invalid_arg "Replay.record: run already recorded";
-  match record_slice ~fuel t with
-  | `Exited code -> code
-  | `Out_of_fuel executed ->
-    (* Parity with the pre-slice behavior: the one-shot recorder always
-       checkpointed the frontier before giving up (unless a boundary
-       checkpoint already landed on this exact instruction). *)
-    if Cpu.instr_count t.cpu + Journal.interval t.journal <> t.next_boundary
-    then take_checkpoint t;
-    raise (Cpu.Out_of_fuel { executed })
 
 (* --- the replay cursor --------------------------------------------------- *)
 
@@ -308,7 +288,6 @@ let advance c ~fuel =
       let start = Cpu.instr_count t.cpu in
       Cpu.run_to t.cpu ~insn:(start + min fuel (leg.upto - start));
       let ran = Cpu.instr_count t.cpu - start in
-      t.replayed <- t.replayed + ran;
       c.replayed <- c.replayed + ran;
       Telemetry.add t.telemetry Telemetry.Replayed_instrs ran;
       if Cpu.instr_count t.cpu = leg.upto then begin

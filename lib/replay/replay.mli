@@ -57,34 +57,26 @@ val create :
     executed instructions; [budget_bytes] enables exponential-thinning
     eviction.  [telemetry]/[audit] receive checkpoint and
     replay lifecycle counters/events, gated by their own flags
-    (defaults: disabled instances). *)
+    (defaults: disabled instances).  [telemetry] is where the engine's
+    counts live: checkpoints, pages copied and shared, bytes,
+    evictions, restores and replayed instructions. *)
 
 val record_slice : ?fuel:int -> t -> [ `Exited of int | `Out_of_fuel of int ]
 (** Advance the recording by at most [fuel] instructions (the service
-    daemon's fairness quantum).  Checkpoints land exactly where a
-    one-shot {!record} would put them — interval boundaries and the
-    halt — so a run recorded in N slices yields the same journal, the
-    same telemetry and the same retroactive-query answers as a run
-    recorded in one.  [`Out_of_fuel n] means [n] instructions were
+    daemon's fairness quantum; default 2·10{^8}).  Checkpoints land
+    where recording starts, every [checkpoint_every] instructions after
+    that and at the halt, so a run recorded in N slices yields the same
+    journal, the same telemetry and the same retroactive-query answers
+    as a run recorded in one.  [`Out_of_fuel n] means [n] instructions were
     executed and the program is still running (call again to resume);
     [`Exited code] finalizes the recording.  Once recorded, further
     calls return [`Exited code] without touching the machine. *)
-
-val record : ?fuel:int -> t -> int
-(** Run the program to completion, checkpointing at the interval plus
-    once at start and once at halt; returns the exit code.
-    @raise Machine.Cpu.Out_of_fuel after [fuel] instructions
-    (default 2·10{^8}).
-    @raise Invalid_argument if already recorded. *)
 
 val journal : t -> Journal.t
 val interval : t -> int
 
 val end_insn : t -> int
 (** Instruction count at the recorded halt. *)
-
-val replayed_insns : t -> int
-(** Total instructions re-executed by travels and queries so far. *)
 
 (** {1 The replay cursor}
 

@@ -318,33 +318,6 @@ let verdict_to_json = function
         ("levels", Str levels);
       ]
 
-let verdict_of_json v =
-  let f = as_obj v in
-  match as_str (get_field "verdict" f) with
-  | "kept" -> Kept
-  | "sym_matched" ->
-    Sym_matched
-      {
-        pseudo = as_str (get_field "pseudo" f);
-        symtab_entry = as_str (get_field "symtab_entry" f);
-      }
-  | "loop_invariant" ->
-    Loop_invariant
-      {
-        loop_id = as_int (get_field "loop" f);
-        bexpr = as_str (get_field "bexpr" f);
-        level = as_str (get_field "level" f);
-      }
-  | "loop_range" ->
-    Loop_range
-      {
-        loop_id = as_int (get_field "loop" f);
-        lo = as_str (get_field "lo" f);
-        hi = as_str (get_field "hi" f);
-        levels = as_str (get_field "levels" f);
-      }
-  | s -> raise (Parse_error ("bad verdict " ^ s))
-
 let site_to_json s =
   Obj
     [
@@ -354,16 +327,6 @@ let site_to_json s =
       ("write_type", Str s.a_write_type);
       ("provenance", verdict_to_json s.a_verdict);
     ]
-
-let site_of_json v =
-  let f = as_obj v in
-  {
-    a_slot = as_int (get_field "slot" f);
-    a_origin = as_int (get_field "origin" f);
-    a_fn = as_str (get_field "fn" f);
-    a_write_type = as_str (get_field "write_type" f);
-    a_verdict = verdict_of_json (get_field "provenance" f);
-  }
 
 let patch_to_json e =
   Obj
@@ -377,19 +340,6 @@ let patch_to_json e =
       ("origin", Int e.p_origin);
       ("insn", Int e.p_insn);
     ]
-
-let patch_of_json v =
-  let f = as_obj v in
-  {
-    p_kind =
-      (match as_str (get_field "event" f) with
-      | "patch_inserted" -> Patch_inserted
-      | "patch_removed" -> Patch_removed
-      | s -> raise (Parse_error ("bad patch event " ^ s)));
-    p_pseudo = as_str (get_field "pseudo" f);
-    p_origin = as_int (get_field "origin" f);
-    p_insn = as_int (get_field "insn" f);
-  }
 
 let region_to_json e =
   Obj
@@ -406,21 +356,6 @@ let region_to_json e =
       ("insn", Int e.rg_insn);
     ]
 
-let region_of_json v =
-  let f = as_obj v in
-  {
-    rg_kind =
-      (match as_str (get_field "event" f) with
-      | "region_created" -> Region_created
-      | "region_deleted" -> Region_deleted
-      | "region_refused" -> Region_refused
-      | s -> raise (Parse_error ("bad region event " ^ s)));
-    rg_lo = as_int (get_field "lo" f);
-    rg_hi = as_int (get_field "hi" f);
-    rg_why = as_str (get_field "why" f);
-    rg_insn = as_int (get_field "insn" f);
-  }
-
 let lattice_to_json l =
   Obj
     [
@@ -430,15 +365,6 @@ let lattice_to_json l =
       ("bounds", Str l.lb_bounds);
     ]
 
-let lattice_of_json v =
-  let f = as_obj v in
-  {
-    lb_fn = as_str (get_field "fn" f);
-    lb_loop = as_int (get_field "loop" f);
-    lb_var = as_str (get_field "var" f);
-    lb_bounds = as_str (get_field "bounds" f);
-  }
-
 let replay_to_json e =
   Obj
     [
@@ -446,20 +372,6 @@ let replay_to_json e =
       ("insn", Int e.rp_insn);
       ("detail", Str e.rp_detail);
     ]
-
-let replay_of_json v =
-  let f = as_obj v in
-  {
-    rp_kind =
-      (match as_str (get_field "event" f) with
-      | "checkpoint_taken" -> Checkpoint_taken
-      | "checkpoint_evicted" -> Checkpoint_evicted
-      | "state_restored" -> State_restored
-      | "replay_finished" -> Replay_finished
-      | s -> raise (Parse_error ("bad replay event " ^ s)));
-    rp_insn = as_int (get_field "insn" f);
-    rp_detail = as_str (get_field "detail" f);
-  }
 
 let to_json r =
   Obj
@@ -474,22 +386,4 @@ let to_json r =
       ("replay", List (List.map replay_to_json r.a_replay));
     ]
 
-let of_json v =
-  let f = as_obj v in
-  let schema = as_str (get_field "schema" f) in
-  if schema <> schema_version then
-    raise (Parse_error ("unsupported audit schema " ^ schema));
-  {
-    a_schema = schema;
-    a_tags = List.map (fun (k, v) -> (k, as_str v)) (as_obj (get_field "tags" f));
-    a_summary =
-      List.map (fun (k, v) -> (k, as_int v)) (as_obj (get_field "summary" f));
-    a_sites = List.map site_of_json (as_list (get_field "sites" f));
-    a_patches = List.map patch_of_json (as_list (get_field "patches" f));
-    a_regions = List.map region_of_json (as_list (get_field "regions" f));
-    a_lattice = List.map lattice_of_json (as_list (get_field "lattice" f));
-    a_replay = List.map replay_of_json (as_list (get_field "replay" f));
-  }
-
 let to_json_string ?indent r = json_to_string ?indent (to_json r)
-let of_json_string s = of_json (json_of_string s)

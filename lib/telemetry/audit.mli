@@ -10,7 +10,7 @@
 
     The journal is append-only during analysis and execution, snapshot
     into an immutable {!report} afterwards, and rendered as versioned
-    ["dbp-audit/2"] JSON that round-trips through {!of_json_string}.
+    ["dbp-audit/2"] JSON ({!to_json_string}); the journal is write-only.
     All analysis payloads (bound expressions, lattice values, symbol
     table entries) are carried as pre-rendered strings so this library
     stays dependency-free.
@@ -186,6 +186,3 @@ val explain : report -> string -> string option
 (** {2 JSON} *)
 
 val to_json_string : ?indent:int -> report -> string
-val of_json_string : string -> report
-(** @raise Export.Parse_error when the text does not match
-    {!schema_version}'s layout. *)

@@ -227,16 +227,11 @@ let json_of_string s =
   if !pos <> n then fail "trailing garbage";
   v
 
-(* --- report <-> json ----------------------------------------------------------- *)
+(* --- report -> json ----------------------------------------------------------- *)
 
 open Telemetry
 
 let access_name = function Write -> "write" | Read -> "read"
-
-let access_of_name = function
-  | "write" -> Write
-  | "read" -> Read
-  | s -> raise (Parse_error ("bad access " ^ s))
 
 let event_to_json (e : event) =
   Obj
@@ -291,86 +286,7 @@ let to_json (r : report) =
       ("samples_dropped", Int r.r_samples_dropped);
     ]
 
-let get_field name fields =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> raise (Parse_error ("missing field " ^ name))
-
-let as_int = function
-  | Int n -> n
-  | _ -> raise (Parse_error "expected integer")
-
-let as_str = function
-  | Str s -> s
-  | _ -> raise (Parse_error "expected string")
-
-let as_obj = function
-  | Obj kvs -> kvs
-  | _ -> raise (Parse_error "expected object")
-
-let as_list = function
-  | List xs -> xs
-  | _ -> raise (Parse_error "expected array")
-
-let event_of_json v =
-  let f = as_obj v in
-  {
-    ev_pc = as_int (get_field "pc" f);
-    ev_addr = as_int (get_field "addr" f);
-    ev_region_lo = as_int (get_field "region_lo" f);
-    ev_region_hi = as_int (get_field "region_hi" f);
-    ev_region_kind = as_str (get_field "region_kind" f);
-    ev_access = access_of_name (as_str (get_field "access" f));
-    ev_write_type = as_str (get_field "write_type" f);
-    ev_insn = as_int (get_field "insn" f);
-  }
-
-let sample_of_json v =
-  let f = as_obj v in
-  {
-    s_insn = as_int (get_field "insn" f);
-    s_values =
-      List.map (fun (k, v) -> (k, as_int v)) (as_obj (get_field "values" f));
-  }
-
-let site_of_json v =
-  let f = as_obj v in
-  {
-    sr_site = as_int (get_field "site" f);
-    sr_write_type = as_str (get_field "write_type" f);
-    sr_kind = as_str (get_field "kind" f);
-    sr_exec = as_int (get_field "exec" f);
-    sr_hits = as_int (get_field "hits" f);
-    sr_patched = as_int (get_field "patched" f);
-  }
-
-let of_json v =
-  let f = as_obj v in
-  let schema = as_str (get_field "schema" f) in
-  if schema <> schema_version then
-    raise (Parse_error ("unsupported telemetry schema " ^ schema));
-  {
-    r_schema = schema;
-    r_tags = List.map (fun (k, v) -> (k, as_str v)) (as_obj (get_field "tags" f));
-    r_counters =
-      List.map (fun (k, v) -> (k, as_int v)) (as_obj (get_field "counters" f));
-    r_typed =
-      List.map
-        (fun (k, v) -> (k, List.map (fun (wt, n) -> (wt, as_int n)) (as_obj v)))
-        (as_obj (get_field "by_write_type" f));
-    r_sites = List.map site_of_json (as_list (get_field "sites" f));
-    r_read_sites = List.map site_of_json (as_list (get_field "read_sites" f));
-    r_events = List.map event_of_json (as_list (get_field "events" f));
-    r_events_dropped = as_int (get_field "events_dropped" f);
-    r_sample_every = as_int (get_field "sample_every" f);
-    r_sample_metrics =
-      List.map as_str (as_list (get_field "sample_metrics" f));
-    r_samples = List.map sample_of_json (as_list (get_field "samples" f));
-    r_samples_dropped = as_int (get_field "samples_dropped" f);
-  }
-
 let to_json_string ?indent r = json_to_string ?indent (to_json r)
-let of_json_string s = of_json (json_of_string s)
 
 (* --- prometheus ---------------------------------------------------------------- *)
 

@@ -6,9 +6,10 @@
     ([dbreak --metrics FILE]).
 
     The JSON side is a self-contained mini JSON library (the repository
-    takes no external dependencies): objects preserve key order, so a
-    report survives [to_json] → [print] → [parse] → [of_json]
-    unchanged — the round-trip property the test suite checks. *)
+    takes no external dependencies).  Exports are write-only: objects
+    preserve key order, and {!json_of_string}, the one JSON reader, is
+    there so the test suite can check that every writer emits
+    well-formed JSON ([json_of_string (to_json_string r) = to_json r]). *)
 
 (** {1 Minimal JSON} *)
 
@@ -30,25 +31,10 @@ val json_of_string : string -> json
     module emits (no floats, no unicode escapes beyond [\uXXXX] of
     ASCII). *)
 
-(** Decoding accessors shared by every JSON reader; each raises
-    {!Parse_error} on a missing field or a value of the wrong shape. *)
-
-val get_field : string -> (string * json) list -> json
-val as_int : json -> int
-val as_str : json -> string
-val as_obj : json -> (string * json) list
-val as_list : json -> json list
-
 (** {1 Report renderers} *)
 
 val to_json : Telemetry.report -> json
-
-val of_json : json -> Telemetry.report
-(** @raise Parse_error when the value does not match
-    {!Telemetry.schema_version}'s layout. *)
-
 val to_json_string : ?indent:int -> Telemetry.report -> string
-val of_json_string : string -> Telemetry.report
 
 val to_prometheus : Telemetry.report -> string
 (** Prometheus exposition text: one family per scalar counter,

@@ -3,6 +3,9 @@ open Dbp
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* The session registry's live value of one counter. *)
+let count (s : Session.t) = Telemetry.get s.Session.telemetry
+
 (* The five Table 1 variants, then the hash table. *)
 let table1_strategies_and_hash =
   Strategy.
@@ -359,14 +362,14 @@ let test_hits_all_strategies () =
         run_session ~options:o ~watch:(fun dbg -> Debugger.watch dbg "g") watched_src
       in
       check_int ("exit " ^ Strategy.to_string o.Instrument.strategy) 50 code;
-      let c = Mrs.counters session.Session.mrs in
+      let c = count session in
       check_int
         ("hits with " ^ Strategy.to_string o.Instrument.strategy
         ^ (match o.Instrument.opt with
           | Instrument.O0 -> "/O0"
           | Instrument.O_symbol -> "/sym"
           | Instrument.O_full -> "/full"))
-        25 c.Mrs.user_hits;
+        25 (c Telemetry.User_hits);
       check_int "oracle: no missed hits" 0 (Session.missed_hits session))
     all_option_sets
 
@@ -606,7 +609,7 @@ let test_disabled_no_hits () =
   ignore w;
   let code, _ = Session.run session in
   check_int "exit" 50 code;
-  check_int "no hits while disabled" 0 (Mrs.counters session.Session.mrs).Mrs.user_hits
+  check_int "no hits while disabled" 0 (count session Telemetry.User_hits)
 
 let test_alias_writes_detected () =
   (* Writes through a pointer alias must be caught even with symbol
@@ -622,7 +625,7 @@ let test_alias_writes_detected () =
       in
       check_int "exit" 16 code;
       check_int "alias write caught" 1
-        (Mrs.counters session.Session.mrs).Mrs.user_hits)
+        (count session Telemetry.User_hits))
     [ options (); options ~opt:Instrument.O_symbol (); options ~opt:Instrument.O_full () ]
 
 (* CI's matrix kernel: two alias-checked loops whose pre-headers cover
@@ -684,13 +687,13 @@ let test_symbol_elimination_and_premonitor () =
   | _ -> Alcotest.fail "no symbol g");
   ignore (Session.run session2);
   check_int "region alone misses matched writes" 0
-    (Mrs.counters mrs2).Mrs.user_hits;
+    (count session2 Telemetry.User_hits);
   (* With the full debugger interface (region + PreMonitor): *)
   let session3, _, _, _, _ =
     run_session ~options:o ~watch:(fun dbg -> Debugger.watch dbg "g") watched_src
   in
   check_int "premonitor restores detection" 25
-    (Mrs.counters session3.Session.mrs).Mrs.user_hits
+    (count session3 Telemetry.User_hits)
 
 let test_loop_elimination_and_reinsertion () =
   let src =
@@ -711,10 +714,10 @@ let test_loop_elimination_and_reinsertion () =
     run_session ~options:o ~watch:(fun dbg -> Debugger.watch dbg "a") src
   in
   check_int "exit" 13 code;
-  let c = Mrs.counters session2.Session.mrs in
-  check_int "all elements caught" 40 c.Mrs.user_hits;
-  check_bool "range check triggered" true (c.Mrs.loop_triggers > 0);
-  check_bool "patch inserted" true (c.Mrs.patches_inserted > 0);
+  let c = count session2 in
+  check_int "all elements caught" 40 (c Telemetry.User_hits);
+  check_bool "range check triggered" true (c Telemetry.Loop_triggers > 0);
+  check_bool "patch inserted" true (c Telemetry.Patches_inserted > 0);
   check_int "oracle" 0 (Session.missed_hits session2)
 
 let test_loop_not_triggered_when_unwatched () =
@@ -727,10 +730,10 @@ let test_loop_not_triggered_when_unwatched () =
   let session, _, _, _, _ =
     run_session ~options:o ~watch:(fun dbg -> Debugger.watch dbg "b") src
   in
-  let c = Mrs.counters session.Session.mrs in
-  check_int "b caught" 1 c.Mrs.user_hits;
-  check_bool "loop entry checked" true (c.Mrs.loop_entries > 0);
-  check_int "never triggered" 0 c.Mrs.loop_triggers;
+  let c = count session in
+  check_int "b caught" 1 (c Telemetry.User_hits);
+  check_bool "loop entry checked" true (c Telemetry.Loop_entries > 0);
+  check_int "never triggered" 0 (c Telemetry.Loop_triggers);
   check_int "oracle" 0 (Session.missed_hits session)
 
 let test_cache_invalidation () =
@@ -751,8 +754,8 @@ let test_cache_invalidation () =
         ignore (Debugger.watch dbg "h")
       end);
   ignore (Session.run session);
-  let c = Mrs.counters session.Session.mrs in
-  check_int "hits on both" 20 c.Mrs.user_hits
+  let c = count session in
+  check_int "hits on both" 20 (c Telemetry.User_hits)
 
 let test_check_in_progress_flag () =
   (* The %g7 flag must be clear again after every call-based check. *)
@@ -807,7 +810,7 @@ let test_watch_struct_field () =
       src
   in
   check_int "exit" 4 code;
-  check_int "only f's writes hit" 2 (Mrs.counters session.Session.mrs).Mrs.user_hits;
+  check_int "only f's writes hit" 2 (count session Telemetry.User_hits);
   ignore dbg
 
 let test_watch_heap_object () =
@@ -853,11 +856,11 @@ let test_read_monitoring () =
         run_session ~options:o ~watch:(fun dbg -> Debugger.watch dbg "g") src
       in
       check_int "exit" 50 code;
-      let c = Mrs.counters session.Session.mrs in
+      let c = count session in
       check_int
         ("hits w+r under " ^ Strategy.to_string strategy)
-        12 c.Mrs.user_hits;
-      check_int ("read hits under " ^ Strategy.to_string strategy) 10 c.Mrs.read_hits;
+        12 (c Telemetry.User_hits);
+      check_int ("read hits under " ^ Strategy.to_string strategy) 10 (c Telemetry.Read_hits);
       check_int ("read oracle under " ^ Strategy.to_string strategy) 0
         (Session.missed_hits session))
     [ Strategy.Bitmap; Strategy.Bitmap_inline; Strategy.Bitmap_inline_registers;
@@ -866,8 +869,8 @@ let test_read_monitoring () =
   let session, _, _, _, _ =
     run_session ~options:(options ()) ~watch:(fun dbg -> Debugger.watch dbg "g") src
   in
-  check_int "write-only hits" 2 (Mrs.counters session.Session.mrs).Mrs.user_hits;
-  check_int "no read hits" 0 (Mrs.counters session.Session.mrs).Mrs.read_hits
+  check_int "write-only hits" 2 (count session Telemetry.User_hits);
+  check_int "no read hits" 0 (count session Telemetry.Read_hits)
 
 let test_read_monitoring_semantics () =
   (* Read checks must not perturb results, including through pointer
@@ -913,7 +916,7 @@ let test_oracle_detects_sabotage () =
   | _ -> Alcotest.fail "no g");
   ignore (Session.run session);
   check_int "no hits after sabotage" 0
-    (Mrs.counters session.Session.mrs).Mrs.user_hits;
+    (count session Telemetry.User_hits);
   check_bool "oracle reports the misses" true (Session.missed_hits session > 0)
 
 let test_checkpoint_replay () =
@@ -929,7 +932,7 @@ let test_checkpoint_replay () =
   Debugger.set_on_event dbg (fun _ ->
       if !cp = None then cp := Some (Machine.Cpu.checkpoint session.Session.cpu));
   let code1, out1 = Session.run session in
-  let hits1 = (Mrs.counters session.Session.mrs).Mrs.user_hits in
+  let hits1 = (count session Telemetry.User_hits) in
   (match !cp with
   | None -> Alcotest.fail "no checkpoint taken"
   | Some cp ->
@@ -939,7 +942,7 @@ let test_checkpoint_replay () =
     Alcotest.(check string) "replayed output" out1 out2;
     (* The replay sees the post-checkpoint hits again. *)
     check_int "replayed hits" (2 * hits1 - 1)
-      (Mrs.counters session.Session.mrs).Mrs.user_hits)
+      (count session Telemetry.User_hits))
 
 let test_trap_check_strategy () =
   let session, _, _, code, _ =
@@ -949,7 +952,7 @@ let test_trap_check_strategy () =
       watched_src
   in
   check_int "exit" 50 code;
-  check_int "hits via traps" 25 (Mrs.counters session.Session.mrs).Mrs.user_hits;
+  check_int "hits via traps" 25 (count session Telemetry.User_hits);
   check_int "oracle" 0 (Session.missed_hits session)
 
 (* The MRS's disabled flag lives in %g6 alone, so a rollback to before
@@ -968,7 +971,7 @@ let test_rollback_past_enable () =
       check_int
         (Strategy.to_string strategy ^ ": no hits after the rollback")
         0
-        (Mrs.counters session.Session.mrs).Mrs.user_hits)
+        (count session Telemetry.User_hits))
     [ Strategy.Bitmap_inline_registers; Strategy.Hardware_watch 1 ]
 
 let test_hardware_watch_strategy () =
@@ -978,7 +981,7 @@ let test_hardware_watch_strategy () =
     run_session ~options:o ~watch:(fun dbg -> Debugger.watch dbg "g") watched_src
   in
   check_int "exit" 50 code;
-  check_int "hits" 25 (Mrs.counters session.Session.mrs).Mrs.user_hits;
+  check_int "hits" 25 (count session Telemetry.User_hits);
   (* Zero overhead: no checks were inserted at all. *)
   let plain_instrs =
     let s2 = Session.create ~options:(options ~strategy:Strategy.Nocheck ()) watched_src in
@@ -1034,13 +1037,13 @@ let test_mrs_self_protection () =
   let code, _ = Session.run session in
   check_int "exit" 5 code;
   check_bool "corruption detected" true
-    ((Mrs.counters session.Session.mrs).Mrs.internal_hits > 0);
+    (count session Telemetry.Internal_hits > 0);
   (* Without self-protection it goes unnoticed. *)
   let session2 = Session.create ~options:(options ()) src in
   Mrs.enable session2.Session.mrs;
   ignore (Session.run session2);
   check_int "undetected without protection" 0
-    (Mrs.counters session2.Session.mrs).Mrs.internal_hits
+    (count session2 Telemetry.Internal_hits)
 
 let test_conditional_watch () =
   (* "stop when g > 100": only the qualifying writes produce events. *)

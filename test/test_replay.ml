@@ -28,6 +28,16 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+(* Record to the halt in one slice. *)
+let record_all r =
+  match Replay.record_slice r with
+  | `Exited code -> code
+  | `Out_of_fuel _ -> Alcotest.fail "recording ran out of fuel"
+
+(* Instructions the session's replay engine has re-executed so far. *)
+let replayed (s : Session.t) =
+  Telemetry.get s.Session.telemetry Telemetry.Replayed_instrs
+
 (* --- units: COW memory snapshots --------------------------------------------- *)
 
 let test_memory_cow_sharing () =
@@ -132,7 +142,7 @@ let test_written_store_widths () =
   Machine.Cpu.install_basic_services cpu;
   let x = Option.get (Assembler.addr_of_label image "x") in
   let r = Replay.create ~checkpoint_every:1 cpu in
-  check_int "exit" 0 (Replay.record r);
+  check_int "exit" 0 (record_all r);
   let written n =
     Written.words
       (Snapshot.written (Option.get (Journal.find (Replay.journal r) ~insn:n)))
@@ -344,9 +354,10 @@ let test_journal_basics () =
   let cpu = snap_cpu () in
   let j = Journal.create ~interval:100 () in
   check_int "interval" 100 (Journal.interval j);
+  let entries = ref [] in
   let take seq =
     let s = Snapshot.capture ~seq ~written:(Written.take (Written.builder ())) cpu in
-    Journal.record j s;
+    entries := Journal.record j s :: !entries;
     s
   in
   let s0 = take 0 in
@@ -365,7 +376,15 @@ let test_journal_basics () =
   check_bool "find exact only" true
     (Journal.find j ~insn:2 = Some s2 && Journal.find j ~insn:1 = None);
   check_bool "first snapshot full, rest deltas" true
-    (Journal.captured_delta_pages j >= Snapshot.pages s0);
+    (match List.rev !entries with
+    | e0 :: rest ->
+      e0.Journal.delta_pages = Snapshot.pages s0
+      && e0.Journal.shared_pages = 0
+      && List.for_all
+           (fun (e : Journal.entry) ->
+             e.delta_pages + e.shared_pages = Snapshot.pages e.snap)
+           rest
+    | [] -> false);
   Alcotest.check_raises "interval must be positive"
     (Invalid_argument "Journal.create: interval must be positive") (fun () ->
       ignore (Journal.create ~interval:0 ()))
@@ -383,8 +402,7 @@ let test_journal_eviction () =
   let cpu = Machine.Cpu.create linked.Minic.Compile.image in
   Machine.Cpu.install_basic_services cpu;
   let r = Replay.create ~checkpoint_every:2_000 cpu in
-  let code = Replay.record r in
-  check_int "exit" 9 code;
+  check_int "exit" 9 (record_all r);
   let unbounded = Journal.retained_bytes (Replay.journal r) in
   (* Same program again under a quarter of the unbounded footprint. *)
   let cpu2 = Machine.Cpu.create linked.Minic.Compile.image in
@@ -392,9 +410,9 @@ let test_journal_eviction () =
   let budget = unbounded / 4 in
   let r2 = Replay.create ~budget_bytes:budget ~checkpoint_every:2_000 cpu2 in
   let j2 = Replay.journal r2 in
-  let code2 = Replay.record r2 in
-  check_int "exit under budget" 9 code2;
-  check_bool "evictions happened" true (Journal.evictions j2 > 0);
+  check_int "exit under budget" 9 (record_all r2);
+  check_bool "evictions happened" true
+    (Journal.length j2 < Journal.length (Replay.journal r));
   check_bool "budget respected" true (Journal.retained_bytes j2 <= budget);
   (* Endpoints retained. *)
   let snaps = Journal.snapshots j2 in
@@ -466,7 +484,7 @@ let check_all_windows (session : Session.t) r ~watch =
   for i = 1 to Array.length snaps - 1 do
     let target = Snapshot.insn snaps.(i) in
     let gap = target - Snapshot.insn snaps.(i - 1) in
-    let before = Replay.replayed_insns r in
+    let before = replayed session in
     (* The cursor's legs are exactly the windows that stored to the data
        space, oldest first, so [gap] fuel replays this window's leg and
        stops on its checkpoint. *)
@@ -480,7 +498,7 @@ let check_all_windows (session : Session.t) r ~watch =
       check_int
         (Printf.sprintf "window %d replays its full gap" i)
         gap
-        (Replay.replayed_insns r - before);
+        (replayed session - before);
       check_int (Printf.sprintf "window %d lands on its checkpoint" i) target
         (Machine.Cpu.instr_count cpu);
       (* The guard has already compared the state with the checkpoint;
@@ -720,7 +738,7 @@ let check_queries_against_ground_truth ?checkpoint_budget ?(opt = Instrument.O0)
   let r = Option.get (Session.replay session) in
   if checkpoint_budget <> None then
     check_bool "eviction happened" true
-      (Journal.evictions (Replay.journal r) > 0);
+      (Telemetry.get session.Session.telemetry Telemetry.Checkpoint_evictions > 0);
   let label = Printf.sprintf "%s %s" w.name var in
   check_hit (label ^ " last write") (last_of truth)
     (Option.map gt_of_hit (Replay.query r (Replay.Last_write { lo; hi })));
@@ -788,11 +806,6 @@ let program_session ?checkpoint_every src var =
   let session = Session.create ?checkpoint_every src in
   (session, Option.get (Session.resolve_addr session var))
 
-let record_all r =
-  match Replay.record_slice r with
-  | `Exited code -> code
-  | `Out_of_fuel _ -> Alcotest.fail "recording ran out of fuel"
-
 (* The window closed by the first checkpoint after [insn]. *)
 let window_around r ~insn =
   let snaps = Array.of_list (Journal.snapshots (Replay.journal r)) in
@@ -802,10 +815,10 @@ let window_around r ~insn =
   done;
   (snaps.(!i - 1), snaps.(!i))
 
-let replayed_by r f =
-  let before = Replay.replayed_insns r in
+let replayed_by session f =
+  let before = replayed session in
   f ();
-  Replay.replayed_insns r - before
+  replayed session - before
 
 (* A host-side write is not a store: a window whose only write to the
    range is one is skipped, although it changed the range, and the
@@ -855,12 +868,12 @@ let test_host_write_skipped () =
     (Written.overlaps (Snapshot.written stop) ~lo:x ~hi:(x + 8));
   check_range "x" r truth ~lo:x ~hi:(x + 8);
   check_int "x[1] alone: nothing replayed" 0
-    (replayed_by r (fun () -> check_range "x[1]" r truth ~lo:(x + 4) ~hi:(x + 8)));
+    (replayed_by session (fun () -> check_range "x[1]" r truth ~lo:(x + 4) ~hi:(x + 8)));
   let last = Option.get (last_of truth) in
   let start, stop = window_around r ~insn:(last.g_insn - 1) in
   check_int "last write replays one window"
     (Snapshot.insn stop - Snapshot.insn start)
-    (replayed_by r (fun () -> ignore (Replay.query r (Replay.Last_write { lo = x; hi = x + 8 }))))
+    (replayed_by session (fun () -> ignore (Replay.query r (Replay.Last_write { lo = x; hi = x + 8 }))))
 
 (* Queries over ranges straddling a 128-byte block or a 4 KiB page
    boundary inside an array written element by element. *)
@@ -903,7 +916,7 @@ let test_slicing_invariance () =
     let r = Option.get (Session.replay session) in
     let code =
       match rng with
-      | None -> Replay.record r
+      | None -> record_all r
       | Some rng ->
         let rec go () =
           match Replay.record_slice ~fuel:(Random.State.int rng 20_000) r with
@@ -938,17 +951,14 @@ let test_slicing_invariance () =
             query (Replay.Travel (Replay.end_insn r / 3)) ))
         globals
     in
-    let tel = session.Session.telemetry in
+    let count = Telemetry.get session.Session.telemetry in
     let answers =
-      ( answers,
-        Replay.replayed_insns r,
-        Telemetry.get tel Telemetry.Restores,
-        Telemetry.get tel Telemetry.Replayed_instrs )
+      (answers, count Telemetry.Restores, count Telemetry.Replayed_instrs)
     in
-    ( (code, Replay.end_insn r, Journal.evictions j),
-      ( Journal.captured_delta_pages j,
-        Journal.captured_shared_pages j,
-        Journal.captured_bytes j,
+    ( (code, Replay.end_insn r, count Telemetry.Checkpoint_evictions),
+      ( count Telemetry.Checkpoint_pages_copied,
+        count Telemetry.Checkpoint_pages_shared,
+        count Telemetry.Checkpoint_bytes,
         Journal.retained_bytes j ),
       List.map Snapshot.insn snaps,
       List.map (fun s -> Written.words (Snapshot.written s)) snaps,
@@ -986,7 +996,8 @@ let test_eviction_merges_summaries () =
     Option.get (Session.replay session)
   in
   let full = record () and thin = record ~checkpoint_budget:150_000 () in
-  check_bool "eviction happened" true (Journal.evictions (Replay.journal thin) > 0);
+  check_bool "eviction happened" true
+    (Journal.length (Replay.journal thin) < Journal.length (Replay.journal full));
   let windows = Journal.snapshots (Replay.journal full) in
   let kept = Array.of_list (Journal.snapshots (Replay.journal thin)) in
   let widest = ref 0 in
@@ -1032,8 +1043,8 @@ let test_resolve_addr_forms () =
 
 let test_replay_observability () =
   (* Checkpoint counters land in the session registry; replay lifecycle
-     events land in the audit journal and survive the JSON round trip
-     (dbp-audit/2). *)
+     events land in the audit journal, whose JSON (dbp-audit/2) parses
+     back to what was written. *)
   let telemetry = Telemetry.create () in
   let audit = Audit.create () in
   let options =
@@ -1059,10 +1070,7 @@ let test_replay_observability () =
   | Some { Session.wr_hit = h; _ } -> check_bool "hit found" true (h.Replay.h_new > 0)
   | None -> Alcotest.fail "no hit");
   check_bool "restores counted" true (Telemetry.get telemetry Telemetry.Restores > 0);
-  check_int "replayed instrs counter tracks the engine"
-    (Replay.replayed_insns r)
-    (Telemetry.get telemetry Telemetry.Replayed_instrs);
-  (* Audit: checkpoint_taken events recorded and round-trippable. *)
+  (* Audit: checkpoint_taken events recorded and well-formed JSON. *)
   let rep = Audit.report audit in
   let count k =
     List.length
@@ -1073,11 +1081,19 @@ let test_replay_observability () =
   check_bool "restore events present" true (count Audit.State_restored > 0);
   check_bool "replay_finished events present" true
     (count Audit.Replay_finished > 0);
+  (* Every replayed leg journals its length: their sum recounts the
+     registry's replayed instructions. *)
+  check_int "replayed instrs = sum over replay_finished events"
+    (List.fold_left
+       (fun acc (e : Audit.replay_event) ->
+         if e.rp_kind = Audit.Replay_finished then
+           acc + Scanf.sscanf e.rp_detail "replayed=%d" Fun.id
+         else acc)
+       0 rep.Audit.a_replay)
+    (Telemetry.get telemetry Telemetry.Replayed_instrs);
   let json = Audit.to_json_string rep in
-  let rep2 = Audit.of_json_string json in
-  check_int "replay events survive the JSON round trip"
-    (List.length rep.Audit.a_replay)
-    (List.length rep2.Audit.a_replay)
+  check_bool "audit JSON parses back to what was written" true
+    (Export.json_to_string (Export.json_of_string json) = json)
 
 let suites =
   [

@@ -1,8 +1,8 @@
 open Dbp
 
 (* Tests for the telemetry subsystem: the ring buffer, the report
-   export round-trip, counter parity between the registry and the
-   session/MRS recounts, and the repo-hygiene guard. *)
+   export, counter parity between the registry and independent
+   recounts, and the repo-hygiene guard. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -80,32 +80,14 @@ let busy_report () =
 
 let test_json_round_trip () =
   let rep = busy_report () in
-  let s = Export.to_json_string rep in
-  let rep' = Export.of_json_string s in
-  check_bool "report survives JSON round-trip" true (rep = rep');
+  let json = Export.to_json rep in
+  check_bool "report JSON parses back to what was written" true
+    (Export.json_of_string (Export.to_json_string rep) = json);
   (* Pretty-printing parses back to the same value too. *)
-  let pretty = Export.to_json_string ~indent:2 rep in
-  check_bool "pretty round-trip" true (Export.of_json_string pretty = rep);
+  check_bool "pretty JSON parses back" true
+    (Export.json_of_string (Export.to_json_string ~indent:2 rep) = json);
   check_bool "schema recorded" true
     (rep.Telemetry.r_schema = Telemetry.schema_version)
-
-let test_json_rejects_bad_schema () =
-  let rep = busy_report () in
-  let broken =
-    match Export.to_json rep with
-    | Export.Obj fields ->
-      Export.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = "schema" then (k, Export.Str "dbp-telemetry/999")
-             else (k, v))
-           fields)
-    | _ -> Alcotest.fail "report JSON is not an object"
-  in
-  check_bool "wrong schema rejected" true
-    (match Export.of_json broken with
-    | exception Export.Parse_error _ -> true
-    | _ -> false)
 
 let test_merge_deterministic () =
   let mk hits regions =
@@ -123,7 +105,91 @@ let test_merge_deterministic () =
   check_bool "common tags survive" true
     (List.assoc_opt "strategy" m1.Telemetry.r_tags = Some "bitmap")
 
-(* --- counter parity: registry vs session/MRS recounts ------------------------ *)
+(* Every document the tools write parses with the one JSON reader and
+   carries its schema tag.  Two sessions on CI's matrix kernel: one
+   with every observer on, [a] watched and a last-write query on [c]
+   (what dbreak's --metrics/--audit/--profile/--timeseries/--heatmap/
+   --chrome-trace exports and dbreakd's report reply render), and one
+   at O_full with alias checks, verified (dbreak --verify FILE). *)
+let test_every_export_parses () =
+  let parsed what s =
+    match Export.json_of_string s with
+    | v -> v
+    | exception Export.Parse_error e -> Alcotest.failf "%s: %s" what e
+  in
+  let schema_of what s =
+    match parsed what s with
+    | Export.Obj fields -> (
+      match List.assoc_opt "schema" fields with
+      | Some (Export.Str v) -> v
+      | _ -> Alcotest.failf "%s: no schema tag" what)
+    | _ -> Alcotest.failf "%s: not a JSON object" what
+  in
+  let tracer = Trace.create () in
+  let session =
+    Session.create ~trace:tracer ~checkpoint_every:10_000 ~profile:true
+      ~sample_every:997 ~heatmap:true Test_dbp.ci_matrix_src
+  in
+  ignore (Debugger.watch (Debugger.create session) "a");
+  let code, _ = Session.run session in
+  check_int "exit" 158 code;
+  check_bool "c has a last write" true
+    (Session.last_write session
+       ~addr:(Option.get (Session.resolve_addr session "c"))
+    <> None);
+  let rep = Session.report session in
+  Session.heatmap_sync_regions session;
+  let full =
+    Session.create
+      ~options:
+        { Instrument.default_options with opt = Instrument.O_full;
+          check_aliases = true }
+      Test_dbp.ci_matrix_src
+  in
+  let verified =
+    Verify.run ~audit:(Audit.report full.Session.audit) full.Session.plan
+  in
+  List.iter
+    (fun (what, schema, doc) ->
+      Alcotest.(check string) (what ^ " schema") schema (schema_of what doc))
+    [
+      ("telemetry", "dbp-telemetry/6", Export.to_json_string rep);
+      ( "audit",
+        "dbp-audit/2",
+        Audit.to_json_string ~indent:1 (Audit.report session.Session.audit) );
+      ("verify", "dbp-verify/1", Verify.to_json_string ~indent:1 verified);
+      ("timeseries", "dbp-timeseries/1", Timeseries.to_json_string rep);
+      ( "profile",
+        "dbp-profile/1",
+        Profile.to_json_string ~indent:1 (Session.profile_report session) );
+      ( "heatmap",
+        "dbp-heatmap/1",
+        Heatmap.to_json_string (Option.get session.Session.heatmap) );
+    ];
+  (* The Chrome trace is an array of events: complete spans, then
+     counter samples. *)
+  let counters =
+    Profile.chrome_counters (Option.get session.Session.profiler)
+    @ Timeseries.chrome_counters (Option.get session.Session.timeseries)
+  in
+  match parsed "chrome trace" (Trace.to_chrome_string ~counters [ tracer ]) with
+  | Export.List events ->
+    let phase ph =
+      List.length
+        (List.filter
+           (function
+             | Export.Obj f -> List.assoc_opt "ph" f = Some (Export.Str ph)
+             | _ -> false)
+           events)
+    in
+    check_bool "chrome trace has spans" true (phase "X" > 0);
+    check_int "chrome trace has the counter samples" (List.length counters)
+      (phase "C");
+    check_int "every chrome event is a span or a counter" (List.length events)
+      (phase "X" + phase "C")
+  | _ -> Alcotest.fail "chrome trace: not a JSON array"
+
+(* --- counter parity: registry vs independent recounts ------------------- *)
 
 let sum_site_hits rep =
   List.fold_left
@@ -133,46 +199,74 @@ let sum_site_hits rep =
       (fun acc (s : Telemetry.site_report) -> acc + s.Telemetry.sr_hits)
       0 rep.Telemetry.r_read_sites
 
-let parity_checks (session : Session.t) =
+(* Counts kept outside the registry, for a session about to run: a
+   store hook counts executed program stores at write sites (the inline
+   store, or the first pc of its patch stub), the oracle counts program
+   accesses that land in a user region, and the debugger keeps one
+   event per notification. *)
+type recount = { session : Session.t; dbg : Debugger.t; site_stores : int ref }
+
+let recount session =
+  let site_stores = ref 0 in
+  Machine.Cpu.set_store_hook session.Session.cpu (fun cpu ~addr:_ ~width:_ ->
+      if Option.is_some
+           (Instrument.store_type session.Session.sites (Machine.Cpu.pc cpu))
+      then incr site_stores);
+  Session.install_oracle session;
+  { session; dbg = Debugger.create session; site_stores }
+
+let user_events rc = List.length (Debugger.events rc.dbg)
+
+let read_events rc =
+  List.length
+    (List.filter (fun e -> e.Debugger.access = Mrs.Read) (Debugger.events rc.dbg))
+
+let parity_checks rc =
+  let session = rc.session in
   let rep = Session.report session in
-  let c = Mrs.counters session.Session.mrs in
-  check_int "check_execs = session recount"
-    (Session.total_site_executions session)
+  check_int "check_execs = store-hook recount" !(rc.site_stores)
     (counter rep "check_execs");
-  check_int "user_hits mirror" c.Mrs.user_hits (counter rep "user_hits");
-  check_int "read_hits mirror" c.Mrs.read_hits (counter rep "read_hits");
-  check_int "internal_hits mirror" c.Mrs.internal_hits
-    (counter rep "internal_hits");
-  check_int "loop_entries mirror" c.Mrs.loop_entries
+  check_int "user_hits = debugger events" (user_events rc)
+    (counter rep "user_hits");
+  check_int "user_hits = oracle's covered accesses"
+    session.Session.expected_hits (counter rep "user_hits");
+  check_int "read_hits = debugger read events" (read_events rc)
+    (counter rep "read_hits");
+  check_int "loop_entries = per-loop entry counts"
+    (List.fold_left
+       (fun acc (p : Loopopt.loop_plan) ->
+         acc + Mrs.loop_entry_count session.Session.mrs p.loop_id)
+       0 session.Session.plan.Instrument.loop_plans)
     (counter rep "loop_entries");
-  check_int "patches mirror" c.Mrs.patches_inserted
+  check_int "patches_inserted = journalled insertions"
+    (List.length
+       (List.filter
+          (fun (p : Audit.patch_event) -> p.Audit.p_kind = Audit.Patch_inserted)
+          (Audit.report session.Session.audit).Audit.a_patches))
     (counter rep "patches_inserted");
   (* Conservation: every hit lands on exactly one site, or is counted
      unattributed — never both, never twice. *)
   check_int "hit attribution conserves totals"
-    (c.Mrs.user_hits + c.Mrs.internal_hits)
+    (counter rep "user_hits" + counter rep "internal_hits")
     (sum_site_hits rep + counter rep "unattributed_hits");
   rep
 
-(* matrix300, with its output matrix watched: per-site check and hit
-   counts in the telemetry report must match the MRS counter totals
-   exactly (the acceptance check of this PR). *)
+(* matrix300, with its output matrix watched: the registry's check and
+   hit totals must match the recounts exactly. *)
 let test_matrix300_parity () =
   let w =
     match Workloads.Spec.find "030.matrix300" with
     | Some w -> w
     | None -> Alcotest.fail "030.matrix300 missing"
   in
-  let session = Session.create w.Workloads.Workload.source in
-  let dbg = Debugger.create session in
-  ignore (Debugger.watch dbg "c");
-  let code, _ = Session.run ~fuel:50_000_000 session in
+  let rc = recount (Session.create w.Workloads.Workload.source) in
+  ignore (Debugger.watch rc.dbg "c");
+  let code, _ = Session.run ~fuel:50_000_000 rc.session in
   (match w.Workloads.Workload.expected_exit with
   | Some e -> check_int "exit code" e code
   | None -> ());
-  let rep = parity_checks session in
-  let c = Mrs.counters session.Session.mrs in
-  check_bool "watch produced hits" true (c.Mrs.user_hits > 0);
+  let rep = parity_checks rc in
+  check_bool "watch produced hits" true (counter rep "user_hits" > 0);
   check_int "no unattributed hits" 0 (counter rep "unattributed_hits")
 
 (* Optimized + read-monitored run: eliminated sites, patches, loop
@@ -197,17 +291,17 @@ int main() {
     { Instrument.default_options with opt = Instrument.O_full;
       monitor_reads = true }
   in
-  let session = Session.create ~options src in
-  let dbg = Debugger.create session in
-  ignore (Debugger.watch dbg "g");
-  let _code, _ = Session.run ~fuel:5_000_000 session in
-  let rep = parity_checks session in
-  let c = Mrs.counters session.Session.mrs in
-  check_bool "saw read hits" true (c.Mrs.read_hits > 0);
+  let rc = recount (Session.create ~options src) in
+  ignore (Debugger.watch rc.dbg "g");
+  let _code, _ = Session.run ~fuel:5_000_000 rc.session in
+  let rep = parity_checks rc in
+  let user = counter rep "user_hits" and reads = counter rep "read_hits" in
+  check_bool "saw read hits" true (reads > 0);
+  check_bool "patches inserted" true (counter rep "patches_inserted" > 0);
   (* read_hits is a subset of user_hits, counted exactly once: write
      hits (attributed to write sites) and read hits partition the user
      total. *)
-  check_bool "read subset" true (c.Mrs.read_hits <= c.Mrs.user_hits);
+  check_bool "read subset" true (reads <= user);
   let write_site_hits =
     List.fold_left
       (fun acc (s : Telemetry.site_report) -> acc + s.Telemetry.sr_hits)
@@ -218,10 +312,9 @@ int main() {
       (fun acc (s : Telemetry.site_report) -> acc + s.Telemetry.sr_hits)
       0 rep.Telemetry.r_read_sites
   in
-  check_int "read hits attributed to read sites" c.Mrs.read_hits
-    read_site_hits;
+  check_int "read hits attributed to read sites" reads read_site_hits;
   check_int "write + read partition user hits (none double-counted)"
-    (c.Mrs.user_hits + c.Mrs.internal_hits)
+    (user + counter rep "internal_hits")
     (write_site_hits + read_site_hits + counter rep "unattributed_hits")
 
 (* --- fuzz: registry on/off parity -------------------------------------------- *)
@@ -229,7 +322,7 @@ int main() {
 (* The registry must be observation-only: running the same program with
    telemetry enabled and disabled yields bit-identical simulations
    (exit code, stats, output), the enabled counters agree with the
-   session/MRS recounts, and the disabled registry records nothing on
+   independent recounts, and the disabled registry records nothing on
    the bump paths. *)
 let prop_registry_parity =
   QCheck.Test.make
@@ -241,25 +334,26 @@ let prop_registry_parity =
           { Instrument.default_options with opt = Instrument.O_full;
             monitor_reads = true }
         in
-        let session = Session.create ~options ~telemetry src in
-        let dbg = Debugger.create session in
-        ignore (Debugger.watch dbg "g0");
-        ignore (Debugger.watch dbg "ga");
-        let code, out = Session.run ~fuel:20_000_000 session in
-        (code, out, Session.stats session, session)
+        let rc = recount (Session.create ~options ~telemetry src) in
+        ignore (Debugger.watch rc.dbg "g0");
+        ignore (Debugger.watch rc.dbg "ga");
+        let code, out = Session.run ~fuel:20_000_000 rc.session in
+        (code, out, Session.stats rc.session, rc)
       in
-      let code_on, out_on, stats_on, s_on = run true in
-      let code_off, out_off, stats_off, s_off = run false in
-      let rep_on = Session.report s_on and rep_off = Session.report s_off in
-      let c_on = Mrs.counters s_on.Session.mrs in
+      let code_on, out_on, stats_on, on = run true in
+      let code_off, out_off, stats_off, off = run false in
+      let rep_on = Session.report on.session
+      and rep_off = Session.report off.session in
       code_on = code_off && out_on = out_off && stats_on = stats_off
-      && counter rep_on "check_execs" = Session.total_site_executions s_on
-      && counter rep_on "user_hits" = c_on.Mrs.user_hits
-      && counter rep_on "read_hits" = c_on.Mrs.read_hits
+      && counter rep_on "check_execs" = !(on.site_stores)
+      && counter rep_on "user_hits" = user_events on
+      && counter rep_on "user_hits" = on.session.Session.expected_hits
+      && counter rep_on "read_hits" = read_events on
       && sum_site_hits rep_on + counter rep_on "unattributed_hits"
-         = c_on.Mrs.user_hits + c_on.Mrs.internal_hits
+         = counter rep_on "user_hits" + counter rep_on "internal_hits"
       (* the MRS itself behaves identically with the registry off *)
-      && (Mrs.counters s_off.Session.mrs).Mrs.user_hits = c_on.Mrs.user_hits
+      && user_events off = user_events on
+      && !(off.site_stores) = !(on.site_stores)
       (* ... but its bump-path counters record nothing *)
       && counter rep_off "check_execs" = 0
       && counter rep_off "user_hits" = 0
@@ -363,10 +457,10 @@ let suites =
     ( "telemetry.export",
       [
         Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip;
-        Alcotest.test_case "bad schema rejected" `Quick
-          test_json_rejects_bad_schema;
         Alcotest.test_case "merge deterministic" `Quick
           test_merge_deterministic;
+        Alcotest.test_case "every export parses, schema tagged" `Quick
+          test_every_export_parses;
       ] );
     ( "telemetry.parity",
       [

@@ -58,8 +58,11 @@ let eliminated_fraction (w : Workloads.Workload.t) =
   in
   let session = Session.create ~options:o w.source in
   ignore (Session.run ~fuel:50_000_000 session);
-  let total = Session.total_site_executions session in
-  let elim = Session.eliminated_site_executions session in
+  let count = Telemetry.current session.Session.telemetry in
+  let total = count Telemetry.Check_execs in
+  let elim =
+    count Telemetry.Sym_eliminated_execs + count Telemetry.Loop_eliminated_execs
+  in
   float_of_int elim /. float_of_int (max 1 total)
 
 let test_elimination_extremes () =
