@@ -49,8 +49,5 @@ val region_capacity : int
 val segment_words : t -> int
 val segment_bitmap_bytes : t -> int
 
-val segment_of : t -> int -> int
-(** Segment number of an address ([addr >> seg_bits], unsigned). *)
-
 val table_entry_addr : t -> int -> int
 val word_in_segment : t -> int -> int

@@ -138,11 +138,13 @@ let analyze ~next_loop_id ?trace (input : fn_input) : loop_plan list * stats =
   in
   let plans =
     span "bounds" @@ fun () ->
+    (* the per-function tables, once, if any loop qualifies *)
+    let fn = lazy (Ir.Bounds.prepare ssa) in
     List.filter_map
       (fun (loop : Ir.Loops.loop) ->
         if not (fallthrough_entry cfg loop) then None
         else begin
-          let env, _groups = Ir.Bounds.propagate ssa loop in
+          let env, _groups = Ir.Bounds.propagate (Lazy.force fn) loop in
           let decisions = Ir.Bounds.dispositions ssa loop env in
           let checks, eliminated, alias =
             List.fold_left

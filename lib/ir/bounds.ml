@@ -179,21 +179,23 @@ let const_bound v = Bound { level = Lc; expr = Bconst v }
 
 (* --- variable bound store -------------------------------------------------- *)
 
-module VarTbl = Hashtbl.Make (struct
-  type t = Ssa.var
+(* A loop's environment is an array over the function's dense variable
+   ids ({!Ssa.var_id}); [None] is a variable the loop never bound.  The
+   names are shared by every loop of a function: the id of a variable,
+   the renderings of all its variables, sorted once for {!env_bindings},
+   and each variable's self-seed [v@Lli, v@Lli]. *)
+type names = {
+  id_of : Ssa.var -> int;
+  sorted : (string * int) array Lazy.t;  (* (rendering, id), listing order *)
+  seeds : bounds option array;  (* by id; empty outside a function *)
+}
 
-  let equal = Ssa.var_equal
+type env = { names : names; slots : bounds option array }
 
-  let hash (v : Ssa.var) =
-    Hashtbl.hash
-      (match v.name with
-      | Tac.Machine r -> (0, Sparc.Reg.index r, v.version)
-      | Tac.Pseudo s -> (1, Hashtbl.hash s, v.version))
-end)
+let get slots i =
+  if i < 0 then bot else match slots.(i) with Some b -> b | None -> bot
 
-type env = bounds VarTbl.t
-
-let lookup (env : env) v = Option.value ~default:bot (VarTbl.find_opt env v)
+let lookup env v = get env.slots (env.names.id_of v)
 
 let operand_bounds env = function
   | Ssa.Oimm i -> { lo = const_bound i; hi = const_bound i }
@@ -201,6 +203,36 @@ let operand_bounds env = function
     let b = Bound { level = Lc; expr = Blab (l, o) } in
     { lo = b; hi = b }
   | Ssa.Ovar v -> lookup env v
+
+(* Sorted by the rendered variable name, then version, so the listing
+   does not depend on how ids were assigned. *)
+let sorted_names n (var : int -> Ssa.var) =
+  let named =
+    Array.init n (fun i ->
+        let v = var i in
+        (Ssa.var_to_string v, v.version, i))
+  in
+  Array.stable_sort
+    (fun (ra, va, _) (rb, vb, _) ->
+      match String.compare ra rb with 0 -> compare va vb | c -> c)
+    named;
+  Array.map (fun (name, _, i) -> (name, i)) named
+
+let env_of_list bindings =
+  let ids = Hashtbl.create 16 and vars = ref [] in
+  List.iter
+    (fun (v, _) ->
+      if not (Hashtbl.mem ids v) then begin
+        Hashtbl.replace ids v (Hashtbl.length ids);
+        vars := v :: !vars
+      end)
+    bindings;
+  let vars = Array.of_list (List.rev !vars) in
+  let slots = Array.make (Array.length vars) None in
+  List.iter (fun (v, b) -> slots.(Hashtbl.find ids v) <- Some b) bindings;
+  let id_of v = Option.value ~default:(-1) (Hashtbl.find_opt ids v) in
+  let sorted = lazy (sorted_names (Array.length vars) (Array.get vars)) in
+  { names = { id_of; sorted; seeds = [||] }; slots }
 
 (* Bounds of a binary operation (the paper's ComputeLower/UpperBound). *)
 let bin_bounds alu a b =
@@ -253,8 +285,7 @@ let bin_bounds alu a b =
       | None -> bot)
     | _, _ -> bot)
 
-let refine_assert env src_bounds rel bound_op =
-  let b = operand_bounds env bound_op in
+let refine_assert src_bounds rel b =
   let minus_one = function
     | Unbounded -> Unbounded
     | Bound x -> guard_depth (Bound { x with expr = badd x.expr (Bconst (-1)) })
@@ -349,56 +380,99 @@ let monotonic_groups (ssa : Ssa.t) (loop : Loops.loop) : group list =
 
 (* --- the Figure 4 fixpoint -------------------------------------------------- *)
 
-type stmt =
-  | Sphi of int * Ssa.phi
-  | Sinstr of int * Ssa.instr
+(* A statement's transfer function over variable ids.  Literal operands
+   carry their bounds; [Rnone] is a statement without exactly one
+   destination or whose transfer is ⊥, which the max-merge can never
+   change. *)
+type operand = Known of bounds | Var of int
 
-let stmt_defs = function
-  | Sphi (_, p) -> [ p.dst ]
-  | Sinstr (_, i) -> Ssa.instr_defs i
+type rule =
+  | Rnone
+  | Rphi of int array
+  | Rmov of operand
+  | Rbin of Insn.alu * operand * operand
+  | Rassert of int * Tac.relop * operand
 
-let stmt_uses = function
-  | Sphi (_, p) -> List.map snd p.args
-  | Sinstr (_, i) -> Ssa.instr_uses i
+(* Everything about a function that does not depend on the loop: its
+   statements (in the order the worklist starts from), the use map, each
+   variable's self-seed bound, and the sorted renderings. *)
+type fn = {
+  ssa : Ssa.t;
+  names : names;
+  stmts : (int * rule) array;  (* destination id and transfer rule *)
+  users : int array array;  (* by variable id: its readers, once per read *)
+}
 
-let compute_stmt env = function
-  | Sphi (_, p) -> (
-    (* A phi is bounded only when all arguments agree (monotonic phis
-       are seeded separately and protected by the max update). *)
-    match List.map (fun (_, v) -> lookup env v) p.args with
-    | [] -> bot
-    | first :: rest ->
-      if List.for_all (bounds_equal first) rest then first else bot)
-  | Sinstr (_, i) -> (
-    match i with
-    | Ssa.Def { rhs; _ } -> (
-      match rhs with
-      | Ssa.Mov op -> operand_bounds env op
-      | Ssa.Bin (alu, a, b) ->
-        bin_bounds alu (operand_bounds env a) (operand_bounds env b)
-      | Ssa.Load _ | Ssa.Callret -> bot)
-    | Ssa.Assert { src; rel; bound; _ } ->
-      refine_assert env (lookup env src) rel bound
-    | Ssa.Call _ | Ssa.Effect _ | Ssa.Store _ | Ssa.Control _ -> bot)
+let prepare (ssa : Ssa.t) : fn =
+  let id = Ssa.var_id ssa in
+  let n = Ssa.n_vars ssa in
+  let items = ref [] in
+  Ssa.iter_instrs ssa (fun _ item -> items := item :: !items);
+  let items = Array.of_list !items in
+  let operand = function
+    | Ssa.Oimm i -> Known { lo = const_bound i; hi = const_bound i }
+    | Ssa.Olab (l, o) ->
+      let b = Bound { level = Lc; expr = Blab (l, o) } in
+      Known { lo = b; hi = b }
+    | Ssa.Ovar v -> Var (id v)
+  in
+  let rule = function
+    | `Phi (p : Ssa.phi) ->
+      (id p.dst, Rphi (Array.of_list (List.map (fun (_, v) -> id v) p.args)))
+    | `Instr (Ssa.Def { dst; rhs = Ssa.Mov op; _ }) -> (id dst, Rmov (operand op))
+    | `Instr (Ssa.Def { dst; rhs = Ssa.Bin (alu, a, b); _ }) ->
+      (id dst, Rbin (alu, operand a, operand b))
+    | `Instr (Ssa.Assert { dst; src; rel; bound; _ }) ->
+      (id dst, Rassert (id src, rel, operand bound))
+    | `Instr
+        ( Ssa.Def { rhs = Ssa.Load _ | Ssa.Callret; _ }
+        | Ssa.Store _ | Ssa.Call _ | Ssa.Effect _ | Ssa.Control _ ) ->
+      (-1, Rnone)
+  in
+  let stmts = Array.map rule items in
+  (* The use map lists a variable's readers last statement first, once
+     per read: the order the worklist re-queues them in, which the
+     fixpoint depends on. *)
+  let uses = function
+    | `Phi (p : Ssa.phi) -> List.map snd p.args
+    | `Instr i -> Ssa.instr_uses i
+  in
+  let reads = Array.map (fun item -> List.map id (uses item)) items in
+  let count = Array.make n 0 in
+  Array.iter (List.iter (fun u -> count.(u) <- count.(u) + 1)) reads;
+  let users = Array.map (fun c -> Array.make c 0) count in
+  Array.iteri
+    (fun s us ->
+      List.iter
+        (fun u ->
+          count.(u) <- count.(u) - 1;
+          users.(u).(count.(u)) <- s)
+        us)
+    reads;
+  let seeds =
+    Array.init n (fun i ->
+        let b = Bound { level = Lli; expr = Bvar (Ssa.var_of_id ssa i) } in
+        Some { lo = b; hi = b })
+  in
+  let sorted = lazy (sorted_names n (Ssa.var_of_id ssa)) in
+  { ssa; names = { id_of = id; sorted; seeds }; stmts; users }
 
 (* Run bound propagation for one loop.  Returns the variable-bounds
    environment; store dispositions are derived by {!dispositions}. *)
-let propagate (ssa : Ssa.t) (loop : Loops.loop) : env * group list =
-  let env : env = VarTbl.create 256 in
-  let in_loop = Loops.in_loop loop in
+let propagate (fn : fn) (loop : Loops.loop) : env * group list =
+  let ssa = fn.ssa in
+  let in_loop = Array.make (Array.length ssa.blocks) false in
+  List.iter (fun b -> in_loop.(b) <- true) loop.body;
   (* Seed loop-invariant variables: anything defined outside the loop
      bounds itself. *)
-  Hashtbl.iter
-    (fun (v : Ssa.var) site ->
-      let outside =
-        match site with
-        | Ssa.Dentry -> true
-        | Ssa.Dphi (b, _) | Ssa.Dinstr (b, _) -> not (in_loop b)
-      in
-      if outside then
-        let b = Bound { level = Lli; expr = Bvar v } in
-        VarTbl.replace env v { lo = b; hi = b })
-    ssa.defs;
+  let slots =
+    Array.mapi
+      (fun i seed ->
+        match Ssa.def_site_of_id ssa i with
+        | Ssa.Dphi (b, _) | Ssa.Dinstr (b, _) when in_loop.(b) -> None
+        | Ssa.Dphi _ | Ssa.Dinstr _ | Ssa.Dentry -> seed)
+      fn.names.seeds
+  in
   (* Seed monotonic groups. *)
   let groups = monotonic_groups ssa loop in
   List.iter
@@ -409,48 +483,49 @@ let propagate (ssa : Ssa.t) (loop : Loops.loop) : env * group list =
         | Increasing -> { lo = init_bound; hi = Unbounded }
         | Decreasing -> { lo = Unbounded; hi = init_bound }
       in
-      VarTbl.replace env g.phi_var b)
+      slots.(fn.names.id_of g.phi_var) <- Some b)
     groups;
-  (* Collect statements and the use map. *)
-  let stmts = ref [] in
-  Ssa.iter_instrs ssa (fun blk item ->
-      match item with
-      | `Phi p -> stmts := Sphi (blk, p) :: !stmts
-      | `Instr i -> stmts := Sinstr (blk, i) :: !stmts);
-  let stmts = !stmts in
-  let users : (Ssa.var, stmt list) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun u ->
-          Hashtbl.replace users u (s :: Option.value ~default:[] (Hashtbl.find_opt users u)))
-        (stmt_uses s))
-    stmts;
+  let get = get slots in
+  let operand = function Known b -> b | Var i -> get i in
+  let compute = function
+    | Rnone -> bot
+    | Rphi args ->
+      (* A phi is bounded only when all arguments agree (monotonic phis
+         are seeded separately and protected by the max update). *)
+      let n = Array.length args in
+      if n = 0 then bot
+      else begin
+        let first = get args.(0) in
+        let rec agree j =
+          j >= n || (bounds_equal first (get args.(j)) && agree (j + 1))
+        in
+        if agree 1 then first else bot
+      end
+    | Rmov op -> operand op
+    | Rbin (alu, a, b) -> bin_bounds alu (operand a) (operand b)
+    | Rassert (src, rel, bound) -> refine_assert (get src) rel (operand bound)
+  in
   let work = Queue.create () in
-  List.iter (fun s -> Queue.add s work) stmts;
+  Array.iteri (fun s _ -> Queue.add s work) fn.stmts;
   let steps = ref 0 in
   while not (Queue.is_empty work) && !steps < 200_000 do
     incr steps;
-    let s = Queue.pop work in
-    match stmt_defs s with
-    | [ dst ] ->
-      let computed = compute_stmt env s in
-      let current = lookup env dst in
-      let merged =
-        { lo = max_bound current.lo computed.lo; hi = max_bound current.hi computed.hi }
-      in
+    match fn.stmts.(Queue.pop work) with
+    | _, Rnone -> ()
+    | dst, rule ->
+      let computed = compute rule in
+      let current = get dst in
+      let lo = max_bound current.lo computed.lo in
+      let hi = max_bound current.hi computed.hi in
       (* [max_bound] returns its current argument unless the candidate
          is strictly more useful, so physical inequality is exactly
          "the bound changed" — no normalization needed. *)
-      if not (merged.lo == current.lo && merged.hi == current.hi) then begin
-        VarTbl.replace env dst merged;
-        List.iter
-          (fun u -> Queue.add u work)
-          (Option.value ~default:[] (Hashtbl.find_opt users dst))
+      if not (lo == current.lo && hi == current.hi) then begin
+        slots.(dst) <- Some { lo; hi };
+        Array.iter (fun u -> Queue.add u work) fn.users.(dst)
       end
-    | _ -> ()
   done;
-  (env, groups)
+  ({ names = fn.names; slots }, groups)
 
 (* --- store dispositions ------------------------------------------------------ *)
 
@@ -585,12 +660,23 @@ let pp_bexpr ppf e = Fmt.string ppf (bexpr_to_string e)
 
 (* Deterministic listing of an env's fixpoint: sorted by the rendered
    variable name so the audit journal and [--explain] output do not
-   depend on hash-table iteration order.  Each name is rendered once,
-   before the sort, and each binding's bounds once, after it. *)
+   depend on variable ids.  The names are rendered and sorted once per
+   function.  Most bindings are self-seeds the loop left alone, and
+   their bounds are spelled from the rendered name; the rest are
+   rendered here, once each. *)
 let env_bindings (env : env) : (string * string) list =
-  VarTbl.fold (fun v b acc -> (Ssa.var_to_string v, v, b) :: acc) env []
-  |> List.sort (fun (ra, (a : Ssa.var), _) (rb, (b : Ssa.var), _) ->
-         match String.compare ra rb with
-         | 0 -> compare a.version b.version
-         | c -> c)
-  |> List.map (fun (name, _, b) -> (name, bounds_to_string b))
+  let seeds = env.names.seeds in
+  let lli = "@" ^ level_name Lli in
+  Array.fold_right
+    (fun (name, i) acc ->
+      match env.slots.(i) with
+      | Some b as slot ->
+        let text =
+          if i < Array.length seeds && slot == seeds.(i) then
+            String.concat "" [ "["; name; lli; ", "; name; lli; "]" ]
+          else bounds_to_string b
+        in
+        (name, text) :: acc
+      | None -> acc)
+    (Lazy.force env.names.sorted)
+    []

@@ -50,9 +50,13 @@ type bound = Unbounded | Bound of { level : level; expr : bexpr }
 
 type bounds = { lo : bound; hi : bound }
 
-module VarTbl : Hashtbl.S with type key = Ssa.var
+type env
+(** One loop's fixpoint: bounds by dense variable id
+    ({!Ssa.var_id}), for the variables the loop bound. *)
 
-type env = bounds VarTbl.t
+val env_of_list : (Ssa.var * bounds) list -> env
+(** An environment binding exactly these variables (a repeated
+    variable's last binding wins), outside any function. *)
 
 type direction = Increasing | Decreasing
 
@@ -62,9 +66,23 @@ val monotonic_groups : Ssa.t -> Loops.loop -> group list
 (** Header phis whose back-edge chains add a constant of uniform sign
     each iteration (following copies and asserts). *)
 
-val propagate : Ssa.t -> Loops.loop -> env * group list
+type fn
+(** What bound propagation needs of a function independently of the
+    loop, built once and read by each of its loops: the statements in
+    worklist order, the use map and each variable's self-seed bound,
+    all arrays over dense variable ids, and the variables' renderings,
+    sorted on the first {!env_bindings}. *)
+
+val prepare : Ssa.t -> fn
+
+val propagate : fn -> Loops.loop -> env * group list
 (** Seed invariants and monotonic groups, then run the Figure 4
-    worklist to fixpoint. *)
+    worklist to fixpoint.  Only the environment array and the in-loop
+    block set are per loop.  The worklist is FIFO, starts from every
+    statement of the function and re-queues a variable's readers once
+    per read; it stops after 200 000 steps.  The order matters: the
+    phi rule is not monotone (a phi is bounded only when all its
+    arguments agree, under max-merge). *)
 
 type disposition =
   | Keep
@@ -113,6 +131,6 @@ val bounds_to_string : bounds -> string
 val env_bindings : env -> (string * string) list
 (** The fixpoint environment as rendered [(variable, bounds)] pairs
     ({!Ssa.var_to_string}, {!bounds_to_string}), sorted by rendered
-    variable name, then version — hash-order independent, for the
-    audit journal's lattice section.  Each variable and each binding's
-    bounds is rendered exactly once. *)
+    variable name, then version — independent of variable ids, for the
+    audit journal's lattice section.  The names are rendered and
+    sorted once per function, and each binding's bounds once. *)

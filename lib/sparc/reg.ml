@@ -37,13 +37,18 @@ let of_index n =
 
 let compare a b = compare (index a) (index b)
 
-let to_string = function
+let render = function
   | O 6 -> "%sp"
   | I 6 -> "%fp"
   | G i -> Printf.sprintf "%%g%d" i
   | O i -> Printf.sprintf "%%o%d" i
   | L i -> Printf.sprintf "%%l%d" i
   | I i -> Printf.sprintf "%%i%d" i
+
+(* Rendered once: SSA names and the printer render registers often. *)
+let names = Array.init 32 (fun n -> render (of_index n))
+
+let to_string r = names.(index r)
 
 let of_string s =
   let fail () = invalid_arg (Printf.sprintf "Reg.of_string: %S" s) in

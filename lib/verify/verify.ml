@@ -93,13 +93,13 @@ type cstate = {
   c : ctx;
   loop : Ir.Loops.loop;
   groups : B.group list;
-  memo : B.bexpr list option array B.VarTbl.t;
+  memo : B.bexpr list option array array;  (* by {!S.var_id}, per mode *)
   mutable cut : bool;  (* a cycle guard fired below: don't memoize *)
 }
 
 let cstate c (loop : Ir.Loops.loop) =
   { c; loop; groups = B.monotonic_groups c.ssa loop;
-    memo = B.VarTbl.create 64; cut = false }
+    memo = Array.make (S.n_vars c.ssa) [||]; cut = false }
 
 let rec bdepth = function
   | B.Bconst _ | B.Blab _ | B.Bvar _ -> 1
@@ -155,12 +155,9 @@ let alu_word (op : Insn.alu) x y =
 
 let rec var_cands st visiting mode (v : S.var) : B.bexpr list =
   let slot =
-    match B.VarTbl.find_opt st.memo v with
-    | Some arr -> arr
-    | None ->
-      let arr = Array.make 4 None in
-      B.VarTbl.replace st.memo v arr;
-      arr
+    let i = S.var_id st.c.ssa v in
+    if Array.length st.memo.(i) = 0 then st.memo.(i) <- Array.make 4 None;
+    st.memo.(i)
   in
   match slot.(mode_idx mode) with
   | Some cs -> cs

@@ -267,7 +267,7 @@ let test_monotonic_decreasing () =
     (List.exists (fun g -> g.Ir.Bounds.direction = Ir.Bounds.Decreasing) groups)
 
 let dispositions_of p l =
-  let env, _ = Ir.Bounds.propagate p.ssa l in
+  let env, _ = Ir.Bounds.propagate (Ir.Bounds.prepare p.ssa) l in
   Ir.Bounds.dispositions p.ssa l env
 
 let test_range_disposition () =

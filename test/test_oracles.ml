@@ -1,13 +1,747 @@
 open Dbp
 
-(* Exactness oracles for the single-pass renderers and verifier tables.
-   Each oracle is the straightforward implementation the faster code
-   replaced: Fmt-based printers and a sorter that renders inside its
-   comparator, and a per-site walk of a function's raw TAC.  The fast
-   paths must agree with them byte for byte. *)
+(* Exactness oracles for the single-pass renderers, the verifier tables
+   and the IR.  Each oracle is the straightforward implementation the
+   faster code replaced: Fmt-based printers and a sorter that renders
+   inside its comparator, a per-site walk of a function's raw TAC, and
+   SSA construction and bound propagation over name maps and hash
+   tables.  The fast paths must agree with them byte for byte. *)
 
 module B = Ir.Bounds
 module S = Ir.Ssa
+
+(* --- oracle SSA and bound propagation -------------------------------------- *)
+
+(* [Ssa.construct] and [Bounds.propagate] before dense ids: def blocks
+   in a name map, one hash table per name for phi placement, renaming
+   stacks keyed by name, every name's live-in version snapshotted at
+   every block, and a hash-table environment per loop that rebuilds the
+   statements, the use map and the self-seeds.  The types are the
+   library's, so results compare structurally. *)
+module Oracle_ssa = struct
+  module Tac = Ir.Tac
+  module Cfg = Ir.Cfg
+  module Dominance = Ir.Dominance
+
+  type var = S.var = { name : Tac.name; version : int }
+
+  let var_equal = S.var_equal
+  let instr_uses = S.instr_uses
+  let instr_defs = S.instr_defs
+
+  type operand = S.operand = Ovar of var | Oimm of int | Olab of string * int
+
+  type rhs = S.rhs =
+    | Mov of operand
+    | Bin of Sparc.Insn.alu * operand * operand
+    | Load of { base : operand; off : operand; width : Sparc.Insn.width }
+    | Callret
+
+  type phi = S.phi = { dst : var; args : (int * var) list }
+
+  type instr = S.instr =
+    | Def of { dst : var; rhs : rhs; origin : int }
+    | Store of {
+        base : operand;
+        off : operand;
+        src : operand;
+        width : Sparc.Insn.width;
+        origin : int;
+      }
+    | Assert of { dst : var; src : var; rel : Tac.relop; bound : operand; origin : int }
+    | Call of { target : string; defs : var list; origin : int }
+    | Effect of { defs : var list; origin : int }
+    | Control of { origin : int }
+
+  type block = S.block = { mutable phis : phi list; mutable body : instr list }
+
+  type def_site = S.def_site =
+    | Dphi of int * phi        (* block id *)
+    | Dinstr of int * instr
+    | Dentry                   (* implicit version-0 definition at entry *)
+
+  type t = {
+    cfg : Cfg.t;
+    dom : Dominance.t;
+    blocks : block array;
+    live_in : (int * (Tac.name * var) list) list;
+        (* per reachable block: versions reaching block start (before phis) *)
+    defs : (var, def_site) Hashtbl.t;
+  }
+
+  let live_in t id =
+    match List.assoc_opt id t.live_in with Some l -> l | None -> []
+
+  (* Names never defined keep the implicit entry version. *)
+  let live_in_var t id name =
+    match List.find_opt (fun (n, _) -> Tac.name_equal n name) (live_in t id) with
+    | Some (_, v) -> v
+    | None -> { name; version = 0 }
+
+  let def_site t v = Hashtbl.find_opt t.defs v
+
+  let operand_of_tac rename = function
+    | Tac.Name n -> Ovar (rename n)
+    | Tac.Imm i -> Oimm i
+    | Tac.Lab (l, o) -> Olab (l, o)
+
+  let rhs_of_tac rename = function
+    | Tac.Mov op -> Mov (operand_of_tac rename op)
+    | Tac.Bin (alu, a, b) -> Bin (alu, operand_of_tac rename a, operand_of_tac rename b)
+    | Tac.Load { base; off; width } ->
+      Load { base = operand_of_tac rename base; off = operand_of_tac rename off; width }
+    | Tac.Callret -> Callret
+
+  (* The renaming stacks are keyed on names; a monomorphic table avoids
+     the polymorphic hash and compare on every lookup. *)
+  module NameTbl = Hashtbl.Make (struct
+    type t = Tac.name
+
+    let equal = Tac.name_equal
+
+    let hash = function
+      | Tac.Machine r -> Sparc.Reg.index r
+      | Tac.Pseudo s -> Hashtbl.hash s
+  end)
+
+  let construct ?(extra_call_defs = []) (cfg : Cfg.t) (dom : Dominance.t) : t =
+    let n = Cfg.n_blocks cfg in
+    let reachable = Cfg.reachable cfg in
+    (* 1. names and their def blocks (every name is implicitly defined at
+       entry with version 0). *)
+    let module NameMap = Map.Make (struct
+      type t = Tac.name
+
+      let compare = Tac.name_compare
+    end) in
+    let def_blocks = ref NameMap.empty in
+    let note_def name blk =
+      def_blocks :=
+        NameMap.update name
+          (function None -> Some [ blk ] | Some l -> Some (blk :: l))
+          !def_blocks
+    in
+    Array.iter
+      (fun (b : Cfg.block) ->
+        if reachable.(b.id) then
+          List.iter
+            (fun i ->
+              List.iter (fun nm -> note_def nm b.id) (Tac.defs ~extra_call_defs i);
+              List.iter (fun nm -> note_def nm cfg.entry) (Tac.uses i))
+            b.body)
+      cfg.blocks;
+    (* 2. phi placement via iterated dominance frontiers. *)
+    let needs_phi : (int, Tac.name list) Hashtbl.t = Hashtbl.create 64 in
+    NameMap.iter
+      (fun name blocks ->
+        let blocks = cfg.entry :: blocks in
+        let placed = Hashtbl.create 8 in
+        let work = Queue.create () in
+        List.iter (fun b -> Queue.add b work) (List.sort_uniq compare blocks);
+        while not (Queue.is_empty work) do
+          let b = Queue.pop work in
+          List.iter
+            (fun d ->
+              if reachable.(d) && not (Hashtbl.mem placed d) then begin
+                Hashtbl.replace placed d ();
+                Hashtbl.replace needs_phi d
+                  (name :: Option.value ~default:[] (Hashtbl.find_opt needs_phi d));
+                Queue.add d work
+              end)
+            (Dominance.frontier dom b)
+        done)
+      !def_blocks;
+    (* 3. renaming. *)
+    let blocks = Array.init n (fun _ -> { phis = []; body = [] }) in
+    let counters : int NameTbl.t = NameTbl.create 64 in
+    let stacks : var list NameTbl.t = NameTbl.create 64 in
+    let top name =
+      match NameTbl.find_opt stacks name with
+      | Some (v :: _) -> v
+      | Some [] | None -> { name; version = 0 }
+    in
+    let fresh name =
+      let c = Option.value ~default:0 (NameTbl.find_opt counters name) + 1 in
+      NameTbl.replace counters name c;
+      let v = { name; version = c } in
+      NameTbl.replace stacks name (v :: Option.value ~default:[] (NameTbl.find_opt stacks name));
+      v
+    in
+    let pop name =
+      match NameTbl.find_opt stacks name with
+      | Some (_ :: rest) -> NameTbl.replace stacks name rest
+      | Some [] | None -> ()
+    in
+    let defs_table : (var, def_site) Hashtbl.t = Hashtbl.create 256 in
+    let live_in_acc = ref [] in
+    (* Initialize phis (dst filled during rename of the block). *)
+    Array.iteri
+      (fun id b ->
+        match Hashtbl.find_opt needs_phi id with
+        | Some names ->
+          b.phis <-
+            List.map
+              (fun name -> { dst = { name; version = 0 }; args = [] })
+              (List.sort_uniq Tac.name_compare names)
+        | None -> ())
+      blocks;
+    let phi_names_of id = List.map (fun p -> p.dst.name) blocks.(id).phis in
+    let rec rename id =
+      let b = blocks.(id) in
+      let snapshot =
+        (* Live-in versions for every name with a definition somewhere. *)
+        NameMap.fold (fun name _ acc -> (name, top name) :: acc) !def_blocks []
+      in
+      live_in_acc := (id, snapshot) :: !live_in_acc;
+      let pushed = ref [] in
+      b.phis <-
+        List.map
+          (fun p ->
+            let dst = fresh p.dst.name in
+            pushed := p.dst.name :: !pushed;
+            let p = { p with dst } in
+            Hashtbl.replace defs_table dst (Dphi (id, p));
+            p)
+          b.phis;
+      let body =
+        List.filter_map
+          (fun (i : Tac.instr) ->
+            match i with
+            | Tac.Label _ -> None
+            | Tac.Def { dst; rhs; origin } ->
+              let rhs = rhs_of_tac top rhs in
+              let dst = fresh dst in
+              pushed := dst.name :: !pushed;
+              let instr = Def { dst; rhs; origin } in
+              Hashtbl.replace defs_table dst (Dinstr (id, instr));
+              Some instr
+            | Tac.Store { base; off; src; width; origin } ->
+              Some
+                (Store
+                   {
+                     base = operand_of_tac top base;
+                     off = operand_of_tac top off;
+                     src = operand_of_tac top src;
+                     width;
+                     origin;
+                   })
+            | Tac.Assert { dst; src; rel; bound; origin } ->
+              let src = top src in
+              let bound = operand_of_tac top bound in
+              let dst = fresh dst in
+              pushed := dst.name :: !pushed;
+              let instr = Assert { dst; src; rel; bound; origin } in
+              Hashtbl.replace defs_table dst (Dinstr (id, instr));
+              Some instr
+            | Tac.Call { target; origin } ->
+              let defs =
+                List.map
+                  (fun nm ->
+                    let v = fresh nm in
+                    pushed := nm :: !pushed;
+                    v)
+                  (Tac.defs ~extra_call_defs i)
+              in
+              let instr = Call { target; defs; origin } in
+              List.iter (fun v -> Hashtbl.replace defs_table v (Dinstr (id, instr))) defs;
+              Some instr
+            | Tac.Effect { origin } ->
+              let defs =
+                List.map
+                  (fun nm ->
+                    let v = fresh nm in
+                    pushed := nm :: !pushed;
+                    v)
+                  (Tac.defs i)
+              in
+              let instr = Effect { defs; origin } in
+              List.iter (fun v -> Hashtbl.replace defs_table v (Dinstr (id, instr))) defs;
+              Some instr
+            | Tac.Branch { origin; _ } | Tac.Jump { origin; _ } | Tac.Ret { origin }
+              ->
+              Some (Control { origin }))
+          (Cfg.block cfg id).body
+      in
+      b.body <- body;
+      (* Fill successor phi arguments. *)
+      List.iter
+        (fun s ->
+          List.iter
+            (fun name ->
+              blocks.(s).phis <-
+                List.map
+                  (fun p ->
+                    if Tac.name_equal p.dst.name name then
+                      { p with args = (id, top name) :: p.args }
+                    else p)
+                  blocks.(s).phis)
+            (phi_names_of s))
+        (Cfg.block cfg id).succs;
+      List.iter rename (Dominance.children dom id);
+      List.iter pop !pushed
+    in
+    rename cfg.entry;
+    (* Register implicit entry definitions. *)
+    NameMap.iter
+      (fun name _ -> Hashtbl.replace defs_table { name; version = 0 } Dentry)
+      !def_blocks;
+    { cfg; dom; blocks; live_in = !live_in_acc; defs = defs_table }
+
+  let block t id = t.blocks.(id)
+
+  let iter_instrs t f =
+    Array.iteri
+      (fun id b ->
+        List.iter (fun p -> f id (`Phi p)) b.phis;
+        List.iter (fun i -> f id (`Instr i)) b.body)
+      t.blocks
+end
+
+module Oracle_bounds = struct
+  open Sparc
+  module Ssa = Oracle_ssa
+  module Tac = Ir.Tac
+  module Loops = Ir.Loops
+
+  type level = B.level = La | Lm | Lli | Lc
+
+  type bexpr = B.bexpr =
+    | Bconst of int
+    | Blab of string * int
+    | Bvar of Ssa.var
+    | Badd of bexpr * bexpr
+    | Bsub of bexpr * bexpr
+    | Bmul of bexpr * int
+    | Bshl of bexpr * int
+
+  type bound = B.bound = Unbounded | Bound of { level : level; expr : bexpr }
+
+  type bounds = B.bounds = { lo : bound; hi : bound }
+
+  type direction = B.direction = Increasing | Decreasing
+
+  type group = B.group = { phi_var : Ssa.var; init : Ssa.var; direction : direction }
+
+  type disposition = B.disposition =
+    | Keep
+    | Invariant of { expr : bexpr; level : level }
+    | Range of { lo : bexpr; hi : bexpr; lo_level : level; hi_level : level }
+
+  type store_decision = B.store_decision = {
+    origin : int;
+    block : int;
+    width : Insn.width;
+    disposition : disposition;
+  }
+
+  let normalize = B.normalize
+  let bexpr_equal = B.bexpr_equal
+  let bexpr_vars = B.bexpr_vars
+
+  let level_rank = function La -> 1 | Lm -> 2 | Lli -> 3 | Lc -> 4
+
+  let min_level a b = if level_rank a <= level_rank b then a else b
+
+  let rec bexpr_depth = function
+    | Bconst _ | Blab _ | Bvar _ -> 1
+    | Badd (a, b) | Bsub (a, b) -> 1 + max (bexpr_depth a) (bexpr_depth b)
+    | Bmul (a, _) | Bshl (a, _) -> 1 + bexpr_depth a
+
+  let max_bexpr_depth = 16
+
+  (* Smart constructors with constant folding. *)
+  let badd a b =
+    match a, b with
+    | Bconst x, Bconst y -> Bconst (Word.add x y)
+    | Blab (l, o), Bconst c | Bconst c, Blab (l, o) -> Blab (l, o + c)
+    | a, Bconst 0 | Bconst 0, a -> a
+    | a, b -> Badd (a, b)
+
+  let bsub a b =
+    match a, b with
+    | Bconst x, Bconst y -> Bconst (Word.sub x y)
+    | Blab (l, o), Bconst c -> Blab (l, o - c)
+    | a, Bconst 0 -> a
+    | a, b -> Bsub (a, b)
+
+  let bmul a c =
+    match a with
+    | Bconst x -> Bconst (Word.mul x c)
+    | a -> if c = 1 then a else Bmul (a, c)
+
+  let bshl a c =
+    match a with
+    | Bconst x -> Bconst (Word.sll x c)
+    | a -> if c = 0 then a else Bshl (a, c)
+
+  let bot = { lo = Unbounded; hi = Unbounded }
+
+  let bound_equal a b =
+    match a, b with
+    | Unbounded, Unbounded -> true
+    | Bound x, Bound y -> x.level = y.level && bexpr_equal x.expr y.expr
+    | (Unbounded | Bound _), _ -> false
+
+  let bounds_equal a b = bound_equal a.lo b.lo && bound_equal a.hi b.hi
+
+  (* "More useful" comparison: keep the existing bound unless the new one
+     has a strictly higher level (Figure 4's max operator). *)
+  let max_bound current candidate =
+    match current, candidate with
+    | Unbounded, c -> c
+    | c, Unbounded -> c
+    | Bound a, Bound b -> if level_rank b.level > level_rank a.level then candidate else current
+
+  let cap_level cap = function
+    | Unbounded -> Unbounded
+    | Bound b -> Bound { b with level = min_level cap b.level }
+
+  let guard_depth = function
+    | Unbounded -> Unbounded
+    | Bound b -> if bexpr_depth b.expr > max_bexpr_depth then Unbounded else Bound b
+
+  (* Arithmetic on bounds: level = min of operand levels. *)
+  let bin_bound f a b =
+    match a, b with
+    | Bound x, Bound y ->
+      guard_depth (Bound { level = min_level x.level y.level; expr = f x.expr y.expr })
+    | (Unbounded | Bound _), _ -> Unbounded
+
+  let scale_bound c = function
+    | Unbounded -> Unbounded
+    | Bound x -> guard_depth (Bound { x with expr = bmul x.expr c })
+
+  let shift_bound c = function
+    | Unbounded -> Unbounded
+    | Bound x -> guard_depth (Bound { x with expr = bshl x.expr c })
+
+  let const_bound v = Bound { level = Lc; expr = Bconst v }
+
+  (* --- variable bound store -------------------------------------------------- *)
+
+  module VarTbl = Hashtbl.Make (struct
+    type t = Ssa.var
+
+    let equal = Ssa.var_equal
+
+    let hash (v : Ssa.var) =
+      Hashtbl.hash
+        (match v.name with
+        | Tac.Machine r -> (0, Sparc.Reg.index r, v.version)
+        | Tac.Pseudo s -> (1, Hashtbl.hash s, v.version))
+  end)
+
+  type env = bounds VarTbl.t
+
+  let lookup (env : env) v = Option.value ~default:bot (VarTbl.find_opt env v)
+
+  let operand_bounds env = function
+    | Ssa.Oimm i -> { lo = const_bound i; hi = const_bound i }
+    | Ssa.Olab (l, o) ->
+      let b = Bound { level = Lc; expr = Blab (l, o) } in
+      { lo = b; hi = b }
+    | Ssa.Ovar v -> lookup env v
+
+  (* Bounds of a binary operation (the paper's ComputeLower/UpperBound). *)
+  let bin_bounds alu a b =
+    let const_of bounds =
+      match bounds.lo, bounds.hi with
+      | Bound { expr = Bconst x; _ }, Bound { expr = Bconst y; _ } when x = y -> Some x
+      | _, _ -> None
+    in
+    match alu with
+    | Insn.Add ->
+      { lo = bin_bound badd a.lo b.lo; hi = bin_bound badd a.hi b.hi }
+    | Insn.Sub ->
+      { lo = bin_bound bsub a.lo b.hi; hi = bin_bound bsub a.hi b.lo }
+    | Insn.Smul | Insn.Umul -> (
+      match const_of a, const_of b with
+      | Some x, Some y -> let v = Word.mul x y in { lo = const_bound v; hi = const_bound v }
+      | Some c, None when c >= 0 -> { lo = scale_bound c b.lo; hi = scale_bound c b.hi }
+      | Some c, None -> { lo = scale_bound c b.hi; hi = scale_bound c b.lo }
+      | None, Some c when c >= 0 -> { lo = scale_bound c a.lo; hi = scale_bound c a.hi }
+      | None, Some c -> { lo = scale_bound c a.hi; hi = scale_bound c a.lo }
+      | None, None -> bot)
+    | Insn.Sll -> (
+      match const_of b with
+      | Some c when c >= 0 && c < 31 ->
+        { lo = shift_bound c a.lo; hi = shift_bound c a.hi }
+      | Some _ | None -> bot)
+    | Insn.And -> (
+      (* x & c with c >= 0 lies in [0, c]. *)
+      match const_of a, const_of b with
+      | Some x, Some y -> let v = Word.logand x y in { lo = const_bound v; hi = const_bound v }
+      | _, Some c when c >= 0 -> { lo = const_bound 0; hi = const_bound c }
+      | Some c, _ when c >= 0 -> { lo = const_bound 0; hi = const_bound c }
+      | _, _ -> bot)
+    | Insn.Or | Insn.Xor | Insn.Andn | Insn.Orn | Insn.Xnor | Insn.Srl
+    | Insn.Sra | Insn.Sdiv | Insn.Udiv -> (
+      match const_of a, const_of b with
+      | Some x, Some y -> (
+        let f =
+          match alu with
+          | Insn.Or -> Some Word.logor
+          | Insn.Xor -> Some Word.logxor
+          | Insn.Srl -> Some Word.srl
+          | Insn.Sra -> Some Word.sra
+          | Insn.Sdiv -> if y = 0 then None else Some Word.sdiv
+          | Insn.Udiv -> if y = 0 then None else Some Word.udiv
+          | _ -> None
+        in
+        match f with
+        | Some f -> let v = f x y in { lo = const_bound v; hi = const_bound v }
+        | None -> bot)
+      | _, _ -> bot)
+
+  let refine_assert env src_bounds rel bound_op =
+    let b = operand_bounds env bound_op in
+    let minus_one = function
+      | Unbounded -> Unbounded
+      | Bound x -> guard_depth (Bound { x with expr = badd x.expr (Bconst (-1)) })
+    in
+    let plus_one = function
+      | Unbounded -> Unbounded
+      | Bound x -> guard_depth (Bound { x with expr = badd x.expr (Bconst 1) })
+    in
+    let cap = cap_level La in
+    let lo_cand, hi_cand =
+      match (rel : Tac.relop) with
+      | Tac.Rle -> (Unbounded, cap b.hi)
+      | Tac.Rlt -> (Unbounded, cap (minus_one b.hi))
+      | Tac.Rge -> (cap b.lo, Unbounded)
+      | Tac.Rgt -> (cap (plus_one b.lo), Unbounded)
+      | Tac.Req -> (cap b.lo, cap b.hi)
+    in
+    {
+      lo = max_bound src_bounds.lo lo_cand;
+      hi = max_bound src_bounds.hi hi_cand;
+    }
+
+  let rec const_of_var ssa depth v =
+    if depth > 8 then None
+    else
+      match Ssa.def_site ssa v with
+      | Some (Ssa.Dinstr (_, Ssa.Def { rhs = Ssa.Mov (Ssa.Oimm c); _ })) -> Some c
+      | Some (Ssa.Dinstr (_, Ssa.Def { rhs = Ssa.Mov (Ssa.Ovar w); _ })) ->
+        const_of_var ssa (depth + 1) w
+      | Some (Ssa.Dinstr (_, Ssa.Assert { src; _ })) -> const_of_var ssa (depth + 1) src
+      | Some (Ssa.Dphi _) | Some (Ssa.Dinstr _) | Some Ssa.Dentry | None -> None
+
+  let const_of_operand ssa = function
+    | Ssa.Oimm c -> Some c
+    | Ssa.Ovar v -> const_of_var ssa 0 v
+    | Ssa.Olab _ -> None
+
+  (* Follow copies/asserts/adds from [v] back to [target]; returns the
+     accumulated constant delta if the chain closes. *)
+  let rec chase ssa ~target ~depth v acc =
+    if depth > 32 then None
+    else if Ssa.var_equal v target then Some acc
+    else
+      match Ssa.def_site ssa v with
+      | Some (Ssa.Dinstr (_, Ssa.Def { rhs = Ssa.Mov (Ssa.Ovar w); _ })) ->
+        chase ssa ~target ~depth:(depth + 1) w acc
+      | Some (Ssa.Dinstr (_, Ssa.Assert { src; _ })) ->
+        chase ssa ~target ~depth:(depth + 1) src acc
+      | Some (Ssa.Dinstr (_, Ssa.Def { rhs = Ssa.Bin (Insn.Add, a, b); _ })) -> (
+        match a, const_of_operand ssa b with
+        | Ssa.Ovar w, Some c -> chase ssa ~target ~depth:(depth + 1) w (acc + c)
+        | _, _ -> (
+          match const_of_operand ssa a, b with
+          | Some c, Ssa.Ovar w -> chase ssa ~target ~depth:(depth + 1) w (acc + c)
+          | _, _ -> None))
+      | Some (Ssa.Dinstr (_, Ssa.Def { rhs = Ssa.Bin (Insn.Sub, a, b); _ })) -> (
+        match a, const_of_operand ssa b with
+        | Ssa.Ovar w, Some c -> chase ssa ~target ~depth:(depth + 1) w (acc - c)
+        | _, _ -> None)
+      | Some (Ssa.Dphi _) | Some (Ssa.Dinstr _) | Some Ssa.Dentry | None -> None
+
+  let monotonic_groups (ssa : Ssa.t) (loop : Loops.loop) : group list =
+    let header_block = Ssa.block ssa loop.header in
+    List.filter_map
+      (fun (p : Ssa.phi) ->
+        let outside, inside =
+          List.partition (fun (pred, _) -> not (Loops.in_loop loop pred)) p.args
+        in
+        match outside, inside with
+        | (_, init) :: more_outside, _ :: _
+          when List.for_all (fun (_, v) -> Ssa.var_equal v init) more_outside ->
+          let deltas =
+            List.map (fun (_, v) -> chase ssa ~target:p.dst ~depth:0 v 0) inside
+          in
+          if List.for_all (fun d -> match d with Some d -> d > 0 | None -> false) deltas
+          then Some { phi_var = p.dst; init; direction = Increasing }
+          else if
+            List.for_all (fun d -> match d with Some d -> d < 0 | None -> false) deltas
+          then Some { phi_var = p.dst; init; direction = Decreasing }
+          else None
+        | _, _ -> None)
+      header_block.phis
+
+  (* --- the Figure 4 fixpoint -------------------------------------------------- *)
+
+  type stmt =
+    | Sphi of int * Ssa.phi
+    | Sinstr of int * Ssa.instr
+
+  let stmt_defs = function
+    | Sphi (_, p) -> [ p.dst ]
+    | Sinstr (_, i) -> Ssa.instr_defs i
+
+  let stmt_uses = function
+    | Sphi (_, p) -> List.map snd p.args
+    | Sinstr (_, i) -> Ssa.instr_uses i
+
+  let compute_stmt env = function
+    | Sphi (_, p) -> (
+      (* A phi is bounded only when all arguments agree (monotonic phis
+         are seeded separately and protected by the max update). *)
+      match List.map (fun (_, v) -> lookup env v) p.args with
+      | [] -> bot
+      | first :: rest ->
+        if List.for_all (bounds_equal first) rest then first else bot)
+    | Sinstr (_, i) -> (
+      match i with
+      | Ssa.Def { rhs; _ } -> (
+        match rhs with
+        | Ssa.Mov op -> operand_bounds env op
+        | Ssa.Bin (alu, a, b) ->
+          bin_bounds alu (operand_bounds env a) (operand_bounds env b)
+        | Ssa.Load _ | Ssa.Callret -> bot)
+      | Ssa.Assert { src; rel; bound; _ } ->
+        refine_assert env (lookup env src) rel bound
+      | Ssa.Call _ | Ssa.Effect _ | Ssa.Store _ | Ssa.Control _ -> bot)
+
+  (* Run bound propagation for one loop.  Returns the variable-bounds
+     environment; store dispositions are derived by {!dispositions}. *)
+  let propagate (ssa : Ssa.t) (loop : Loops.loop) : env * group list =
+    let env : env = VarTbl.create 256 in
+    let in_loop = Loops.in_loop loop in
+    (* Seed loop-invariant variables: anything defined outside the loop
+       bounds itself. *)
+    Hashtbl.iter
+      (fun (v : Ssa.var) site ->
+        let outside =
+          match site with
+          | Ssa.Dentry -> true
+          | Ssa.Dphi (b, _) | Ssa.Dinstr (b, _) -> not (in_loop b)
+        in
+        if outside then
+          let b = Bound { level = Lli; expr = Bvar v } in
+          VarTbl.replace env v { lo = b; hi = b })
+      ssa.defs;
+    (* Seed monotonic groups. *)
+    let groups = monotonic_groups ssa loop in
+    List.iter
+      (fun g ->
+        let init_bound = Bound { level = Lm; expr = Bvar g.init } in
+        let b =
+          match g.direction with
+          | Increasing -> { lo = init_bound; hi = Unbounded }
+          | Decreasing -> { lo = Unbounded; hi = init_bound }
+        in
+        VarTbl.replace env g.phi_var b)
+      groups;
+    (* Collect statements and the use map. *)
+    let stmts = ref [] in
+    Ssa.iter_instrs ssa (fun blk item ->
+        match item with
+        | `Phi p -> stmts := Sphi (blk, p) :: !stmts
+        | `Instr i -> stmts := Sinstr (blk, i) :: !stmts);
+    let stmts = !stmts in
+    let users : (Ssa.var, stmt list) Hashtbl.t = Hashtbl.create 256 in
+    List.iter
+      (fun s ->
+        List.iter
+          (fun u ->
+            Hashtbl.replace users u (s :: Option.value ~default:[] (Hashtbl.find_opt users u)))
+          (stmt_uses s))
+      stmts;
+    let work = Queue.create () in
+    List.iter (fun s -> Queue.add s work) stmts;
+    let steps = ref 0 in
+    while not (Queue.is_empty work) && !steps < 200_000 do
+      incr steps;
+      let s = Queue.pop work in
+      match stmt_defs s with
+      | [ dst ] ->
+        let computed = compute_stmt env s in
+        let current = lookup env dst in
+        let merged =
+          { lo = max_bound current.lo computed.lo; hi = max_bound current.hi computed.hi }
+        in
+        (* [max_bound] returns its current argument unless the candidate
+           is strictly more useful, so physical inequality is exactly
+           "the bound changed" — no normalization needed. *)
+        if not (merged.lo == current.lo && merged.hi == current.hi) then begin
+          VarTbl.replace env dst merged;
+          List.iter
+            (fun u -> Queue.add u work)
+            (Option.value ~default:[] (Hashtbl.find_opt users dst))
+        end
+      | _ -> ()
+    done;
+    (env, groups)
+
+  (* A bound expression is evaluable in the loop pre-header when every
+     variable it mentions carries the version live at the header's entry
+     (i.e. defined outside the loop and still current). *)
+  let evaluable (ssa : Ssa.t) (loop : Loops.loop) expr =
+    List.for_all
+      (fun (v : Ssa.var) ->
+        Ssa.var_equal v (Ssa.live_in_var ssa loop.header v.name))
+      (bexpr_vars expr)
+
+  let dispositions (ssa : Ssa.t) (loop : Loops.loop) (env : env) : store_decision list
+      =
+    let in_loop = Loops.in_loop loop in
+    let out = ref [] in
+    Array.iteri
+      (fun blk (b : Ssa.block) ->
+        if in_loop blk then
+          List.iter
+            (fun i ->
+              match i with
+              | Ssa.Store { base; off; width; origin; _ } ->
+                let addr =
+                  bin_bounds Insn.Add (operand_bounds env base)
+                    (operand_bounds env off)
+                in
+                let disposition =
+                  match addr.lo, addr.hi with
+                  | Bound lo, Bound hi
+                    when evaluable ssa loop lo.expr && evaluable ssa loop hi.expr
+                    ->
+                    if bexpr_equal lo.expr hi.expr then
+                      Invariant
+                        { expr = lo.expr; level = min_level lo.level hi.level }
+                    else begin
+                      match normalize (Bsub (hi.expr, lo.expr)) with
+                      | Bconst d when d < 0 ->
+                        (* An empty range: the bounds come from asserts
+                           that contradict each other (a branch the loop
+                           bound rules out).  A range check over it would
+                           never fire, so the store keeps its check. *)
+                        Keep
+                      | _ ->
+                        Range
+                          {
+                            lo = lo.expr;
+                            hi = hi.expr;
+                            lo_level = lo.level;
+                            hi_level = hi.level;
+                          }
+                    end
+                  | (Unbounded | Bound _), _ -> Keep
+                in
+                out := { origin; block = blk; width; disposition } :: !out
+              | Ssa.Def _ | Ssa.Assert _ | Ssa.Call _ | Ssa.Effect _
+              | Ssa.Control _ ->
+                ())
+            b.body)
+      ssa.blocks;
+    List.rev !out
+end
 
 (* --- oracle printers ------------------------------------------------------- *)
 
@@ -48,8 +782,8 @@ let oracle_pp_check ppf = function
 
 (* The lattice listing: sorted by rendering both sides of every
    comparison, then each binding rendered again. *)
-let oracle_lattice (env : B.env) =
-  B.VarTbl.fold (fun v b acc -> (v, b) :: acc) env []
+let oracle_lattice (env : Oracle_bounds.env) =
+  Oracle_bounds.VarTbl.fold (fun v b acc -> (v, b) :: acc) env []
   |> List.sort (fun ((a : S.var), _) ((b : S.var), _) ->
          let render (v : S.var) = Fmt.str "%a" oracle_pp_var v in
          match String.compare (render a) (render b) with
@@ -182,9 +916,9 @@ let printer_qchecks =
         ~count:200
         (QCheck.make QCheck.Gen.(list_size (int_range 0 40) (pair var_gen bounds_gen)))
         (fun bindings ->
-          let env = B.VarTbl.create 16 in
-          List.iter (fun (v, b) -> B.VarTbl.replace env v b) bindings;
-          B.env_bindings env = oracle_lattice env);
+          let env = Oracle_bounds.VarTbl.create 16 in
+          List.iter (fun (v, b) -> Oracle_bounds.VarTbl.replace env v b) bindings;
+          B.env_bindings (B.env_of_list bindings) = oracle_lattice env);
     ]
 
 (* --- the ten workloads ------------------------------------------------------ *)
@@ -208,7 +942,8 @@ let label_item (fi : Loopopt.fn_input) label =
     fi.Loopopt.items
 
 (* Every optimized loop's recorded lattice equals the oracle listing of
-   the same loop's fixpoint, rebuilt from the retained inputs. *)
+   the oracle fixpoint of the same loop, rebuilt from the retained
+   inputs. *)
 let test_lattice_matches_oracle () =
   let loops_checked = ref 0 in
   List.iter
@@ -224,7 +959,8 @@ let test_lattice_matches_oracle () =
           let cfg = Ir.Cfg.insert_asserts (Ir.Cfg.build fi.Loopopt.tac) in
           let dom = Ir.Dominance.compute cfg in
           let ssa =
-            S.construct ~extra_call_defs:fi.Loopopt.extra_call_defs cfg dom
+            Oracle_ssa.construct ~extra_call_defs:fi.Loopopt.extra_call_defs cfg
+              dom
           in
           let loop =
             List.find
@@ -234,7 +970,7 @@ let test_lattice_matches_oracle () =
                 | [] -> false)
               (Ir.Loops.find cfg dom)
           in
-          let env, _ = B.propagate ssa loop in
+          let env, _ = Oracle_bounds.propagate ssa loop in
           incr loops_checked;
           Alcotest.(check (list (pair string string)))
             (Printf.sprintf "%s loop %d lattice" name p.Loopopt.loop_id)
@@ -242,6 +978,72 @@ let test_lattice_matches_oracle () =
         inst.Instrument.loop_plans)
     (Lazy.force sessions);
   Alcotest.(check bool) "some loops optimized" true (!loops_checked > 0)
+
+(* One function's dense-id IR against the oracles: phis (names and
+   arguments in order) and renamed bodies, every def site, the live-in
+   version of every name (and of one the function lacks) at every loop
+   header, and per loop the monotonic groups, the lattice listing and
+   the store dispositions.  Returns the number of loops compared. *)
+let check_ir_matches_oracle what (fi : Loopopt.fn_input) =
+  let fail fmt = Alcotest.failf ("%s %s: " ^^ fmt) what fi.Loopopt.fname in
+  let cfg = Ir.Cfg.insert_asserts (Ir.Cfg.build fi.Loopopt.tac) in
+  let dom = Ir.Dominance.compute cfg in
+  let extra_call_defs = fi.Loopopt.extra_call_defs in
+  let ssa = S.construct ~extra_call_defs cfg dom in
+  let old = Oracle_ssa.construct ~extra_call_defs cfg dom in
+  if ssa.S.blocks <> old.Oracle_ssa.blocks then fail "phis or bodies differ";
+  Hashtbl.iter
+    (fun v site ->
+      if S.def_site ssa v <> Some site then
+        fail "def site of %s differs" (S.var_to_string v))
+    old.Oracle_ssa.defs;
+  if S.n_vars ssa <> Hashtbl.length old.Oracle_ssa.defs then
+    fail "%d variable ids for %d definitions" (S.n_vars ssa)
+      (Hashtbl.length old.Oracle_ssa.defs);
+  let names =
+    Ir.Tac.Pseudo "no.such.home"
+    :: List.concat_map (fun (_, l) -> List.map fst l) old.Oracle_ssa.live_in
+    |> List.sort_uniq Ir.Tac.name_compare
+  in
+  let fn = B.prepare ssa in
+  let loops = Ir.Loops.find cfg dom in
+  List.iter
+    (fun (l : Ir.Loops.loop) ->
+      List.iter
+        (fun name ->
+          let v = S.live_in_var ssa l.header name in
+          if not (S.var_equal v (Oracle_ssa.live_in_var old l.header name)) then
+            fail "live-in %s at header %d" (S.var_to_string v) l.header)
+        names;
+      if B.monotonic_groups ssa l <> Oracle_bounds.monotonic_groups old l then
+        fail "monotonic groups at header %d" l.header;
+      let env, _ = B.propagate fn l in
+      let old_env, _ = Oracle_bounds.propagate old l in
+      if B.env_bindings env <> oracle_lattice old_env then
+        fail "lattice at header %d" l.header;
+      if B.dispositions ssa l env <> Oracle_bounds.dispositions old l old_env then
+        fail "dispositions at header %d" l.header)
+    loops;
+  List.length loops
+
+let test_ir_matches_oracle () =
+  let loops = ref 0 in
+  List.iter
+    (fun (name, (sess : Session.t)) ->
+      List.iter
+        (fun fi -> loops := !loops + check_ir_matches_oracle name fi)
+        sess.Session.plan.Instrument.fn_inputs)
+    (Lazy.force sessions);
+  Alcotest.(check bool) "some loops compared" true (!loops > 0)
+
+let prop_ir_matches_oracle =
+  QCheck.Test.make ~name:"random programs: dense-id IR = oracle" ~count:30
+    Test_fuzz.arb_program (fun src ->
+      let options = { Instrument.default_options with opt = Instrument.O_full } in
+      List.iter
+        (fun fi -> ignore (check_ir_matches_oracle "random" fi))
+        (Session.create ~options src).Session.plan.Instrument.fn_inputs;
+      true)
 
 (* Every symbol-eliminated site resolves to the same function, and every
    store to the same home, as the per-site oracle walks. *)
@@ -307,5 +1109,7 @@ let suites =
           test_lattice_matches_oracle;
         Alcotest.test_case "verifier tables = per-site walks" `Quick
           test_verify_tables_match_oracle;
+        Alcotest.test_case "dense-id IR = oracle" `Quick test_ir_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_ir_matches_oracle;
       ] );
   ]
