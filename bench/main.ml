@@ -4,8 +4,8 @@
 
      dune exec bench/main.exe -- [table1|table2|figure3|nops|strategies|
                                   breakeven|readwrite|ablations|smoke|
-                                  telemetry|replay|profile|timeseries|verify|
-                                  service|all]
+                                  replay|profile|timeseries|verify|service|
+                                  all]
                                  [-j N] [--chrome-trace FILE] [--span-set]
 
    Cells run on a pool of [-j] worker domains (default: [DBP_JOBS] or
@@ -24,7 +24,7 @@
 
 let usage () =
   prerr_endline
-    "usage: main.exe [table1|table2|figure3|nops|strategies|breakeven|readwrite|ablations|smoke|telemetry|replay|profile|timeseries|verify|service|all] [-j N] [--chrome-trace FILE] [--span-set]";
+    "usage: main.exe [table1|table2|figure3|nops|strategies|breakeven|readwrite|ablations|smoke|replay|profile|timeseries|verify|service|all] [-j N] [--chrome-trace FILE] [--span-set]";
   exit 2
 
 let () =
@@ -61,7 +61,6 @@ let () =
   | "readwrite" -> Tables.readwrite ()
   | "ablations" -> Tables.ablations ()
   | "smoke" -> Tables.smoke ()
-  | "telemetry" -> Tables.telemetry ()
   | "replay" -> Tables.replay ()
   | "profile" -> Tables.profile ()
   | "timeseries" -> Tables.timeseries_sampler ()
@@ -76,7 +75,6 @@ let () =
     Tables.breakeven ();
     Tables.readwrite ();
     Tables.ablations ();
-    Tables.telemetry ();
     Tables.replay ();
     Tables.profile ();
     Tables.timeseries_sampler ();

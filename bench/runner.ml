@@ -62,16 +62,14 @@ let options_for (w : Workloads.Workload.t) ?(opt = Instrument.O0)
 let overhead (w : Workloads.Workload.t) run = Stats.pct (baseline w).cycles run.cycles
 
 (* Run instrumented; [enable] turns monitoring on with no regions (the
-   monitor-miss steady state Table 1 measures).  [telemetry] overrides
-   the session's registry (the telemetry-overhead experiment passes a
-   disabled one); either way the session's final report is absorbed
-   into this domain's sink so the harness can print one merged,
-   scheduling-independent telemetry summary at the end. *)
-let instrumented ?(enable = true) ?telemetry ?(profile = false) ?sample_every
+   monitor-miss steady state Table 1 measures).  The session's final
+   report is absorbed into this domain's sink so the harness can print
+   one merged, scheduling-independent telemetry summary at the end. *)
+let instrumented ?(enable = true) ?(profile = false) ?sample_every
     ?(heatmap = false) options (w : Workloads.Workload.t) : run * Session.t =
   let session =
-    Session.create ?telemetry ~trace:(Pool.trace_sink ()) ~options ~profile
-      ?sample_every ~heatmap w.source
+    Session.create ~trace:(Pool.trace_sink ()) ~options ~profile ?sample_every
+      ~heatmap w.source
   in
   if enable then Mrs.enable session.Session.mrs;
   let exit_code, _ = Session.run ~fuel session in

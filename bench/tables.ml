@@ -240,7 +240,7 @@ let table2 () =
         let gen_li = ref 0 and gen_range = ref 0 in
         List.iter
           (fun (p : Loopopt.loop_plan) ->
-            let entries = Mrs.loop_entry_count session.Session.mrs p.loop_id in
+            let entries = Telemetry.loop_entries session.Session.telemetry p.loop_id in
             List.iter
               (fun c ->
                 match c with
@@ -701,46 +701,6 @@ let replay () =
     \ lw-repl = instructions re-executed to answer the last-write query and\n\
     \ return to the recorded end state; tvl-repl = instructions re-executed\n\
     \ to travel to the middle of the run, bounded by the interval)\n"
-
-(* --- Telemetry registry: enabled vs disabled ------------------------------------ *)
-
-(* Same workload and strategy, one run with the telemetry registry
-   enabled and one with it disabled.  The table shows that probes cost
-   no simulated cycles — the cycle counts of the two rows are identical
-   by construction — and that only the enabled registry sees check
-   executions and probe dispatches.  No perfbench metric isolates the
-   registry: every perfbench session runs with it enabled, so its host
-   cost is inside [cpu.session_mips] and [checks.enabled_cost_pct] on
-   the debug-batch workload. *)
-let telemetry () =
-  let cells = on_off_cells [ "023.eqntott"; "030.matrix300" ] in
-  let rows =
-    Pool.map
-      (fun ((w : Workloads.Workload.t), enabled) ->
-        let tel = Telemetry.create ~enabled () in
-        let r, session =
-          Runner.instrumented ~telemetry:tel
-            (Runner.options_for w Strategy.Bitmap_inline_registers)
-            w
-        in
-        let rep = Session.report session in
-        let counter name =
-          match List.assoc_opt name rep.Telemetry.r_counters with
-          | Some v -> v
-          | None -> 0
-        in
-        (w, enabled, r, counter "check_execs", counter "probe_dispatches"))
-      cells
-  in
-  Printf.printf "\n== Telemetry registry overhead (enabled vs disabled) ==\n";
-  Printf.printf "%-18s%12s%14s%14s%14s\n" "Programs" "Registry" "Cycles"
-    "CheckExecs" "ProbeDisp";
-  List.iter
-    (fun ((w : Workloads.Workload.t), enabled, (r : Runner.run), checks, probes) ->
-      Printf.printf "%-18s%12s%14d%14d%14d\n" (lang_tag w)
-        (if enabled then "on" else "off")
-        r.Runner.cycles checks probes)
-    rows
 
 (* --- Hot-path profiler: attached vs detached ------------------------------------ *)
 

@@ -136,13 +136,8 @@ let run_cmd source_file watches strategy opt check_aliases monitor_reads dump_as
             (Option.value ~default:"?" e.Debugger.in_function)
             e.Debugger.pc);
       let code, output = Session.run ~fuel session in
-      (* The replays behind --last-write/--travel re-execute the watched
-         stores; those are not live events. *)
-      Debugger.set_on_event dbg ignore;
       if output <> "" then Printf.printf "--- program output ---\n%s\n" output;
       Printf.printf "--- exited with %d ---\n" code;
-      (* Snapshot the profile now: the retroactive queries below roll
-         the machine's counters back and would skew the totals. *)
       let profile_rep =
         if profile then Some (Session.profile_report session) else None
       in

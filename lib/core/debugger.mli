@@ -67,6 +67,9 @@ val restrict_writers : t -> watchpoint -> writers:string list -> unit
     function outside [writers] is recorded as a violation. *)
 
 val events : t -> event list
+(** Every event so far, oldest first: live hits only, since a hit that
+    a replay query re-executes notifies no one ({!Mrs.set_callback}). *)
+
 val violations : t -> (string * string option) list
 val set_on_event : t -> (event -> unit) -> unit
 

@@ -23,11 +23,9 @@ type t = {
   bitmap : Segbitmap.t;
   mutable callback : (hit -> unit) option;
   (* Passive hit observers (heatmaps, tooling): all run after the
-     user callback, never replace it, and skip hits while the machine's
-     observers are paused ({!Cpu.without_observers}). *)
+     user callback and never replace it. *)
   mutable observers : (hit -> unit) list;
   loops : (int, Loopopt.loop_plan) Hashtbl.t;
-  entries_by_loop : (int, int) Hashtbl.t;
   loop_check_cycles : int;
   pseudo_home : string -> [ `Global of int | `Local of string * int ] option;
   telemetry : Telemetry.t;
@@ -38,12 +36,16 @@ let g6 = Reg.g 6
 
 (* --- audit glue ---------------------------------------------------------------- *)
 
+(* Lifecycle events follow the registry's gate, whatever journal the
+   caller passed, so a replayed leg journals nothing. *)
 let aud_patch t kind ~why origin =
-  Audit.patch t.audit ~kind ~pseudo:why ~origin ~insn:(Cpu.instr_count t.cpu)
+  if Telemetry.enabled t.telemetry then
+    Audit.patch t.audit ~kind ~pseudo:why ~origin ~insn:(Cpu.instr_count t.cpu)
 
 let aud_region t kind ~why (r : Region.t) =
-  Audit.region t.audit ~kind ~lo:r.Region.lo ~hi:r.Region.hi ~why
-    ~insn:(Cpu.instr_count t.cpu)
+  if Telemetry.enabled t.telemetry then
+    Audit.region t.audit ~kind ~lo:r.Region.lo ~hi:r.Region.hi ~why
+      ~insn:(Cpu.instr_count t.cpu)
 
 (* Attribute a monitor hit to its check site through the site map,
    bump the per-site hit cell, and append a trace event.  When the pc
@@ -86,9 +88,6 @@ let tel_hit t cpu ~(access : access) ~addr ~pc (region : Region.t) =
         ev_insn = Cpu.instr_count cpu;
       }
   end
-
-let loop_entry_count t id =
-  Option.value ~default:0 (Hashtbl.find_opt t.entries_by_loop id)
 
 let pseudo_home_of_symtab symtab pseudo =
   match String.index_opt pseudo '.' with
@@ -279,14 +278,17 @@ let post_monitor t pseudo =
 (* --- trap handlers ---------------------------------------------------------------- *)
 
 (* Deliver a hit on a user region: count it, attribute it, then tell the
-   callback and (outside replay) the observers. *)
+   callback and the observers — unless the hit is replayed, which
+   notifies no one. *)
 let user_hit t cpu ~access ~addr ~pc region =
   Telemetry.incr t.telemetry Telemetry.User_hits;
   if access = Read then Telemetry.incr t.telemetry Telemetry.Read_hits;
   tel_hit t cpu ~access ~addr ~pc region;
-  let h = { addr; pc; region; access } in
-  (match t.callback with Some f -> f h | None -> ());
-  if Cpu.observing cpu then List.iter (fun f -> f h) t.observers
+  if Cpu.observing cpu then begin
+    let h = { addr; pc; region; access } in
+    (match t.callback with Some f -> f h | None -> ());
+    List.iter (fun f -> f h) t.observers
+  end
 
 let on_hit ?(access = Write) t cpu =
   let addr = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
@@ -315,13 +317,10 @@ let on_hit ?(access = Write) t cpu =
 let loop_of_trap t cpu = Hashtbl.find_opt t.loops (Word.to_unsigned (Cpu.get cpu (Reg.g 5)))
 
 let on_loop_entry t cpu =
-  Telemetry.incr t.telemetry Telemetry.Loop_entries;
-  (let id = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
-   Hashtbl.replace t.entries_by_loop id
-     (1 + Option.value ~default:0 (Hashtbl.find_opt t.entries_by_loop id)));
   match loop_of_trap t cpu with
   | None -> ()
   | Some plan ->
+    Telemetry.bump_loop_entry t.telemetry plan.loop_id;
     (* Model the pre-header check as inline code rather than a full trap:
        refund the trap cost beyond the modelled check cost. *)
     Cpu.add_cycles cpu
@@ -396,7 +395,6 @@ let install ?(protect_self = false) ~telemetry ~audit ~(plan : Instrument.t)
       callback = None;
       observers = [];
       loops = Hashtbl.create 16;
-      entries_by_loop = Hashtbl.create 16;
       loop_check_cycles = 12;
       pseudo_home = (fun p -> pseudo_home_of_symtab symtab p);
       telemetry;
@@ -406,6 +404,9 @@ let install ?(protect_self = false) ~telemetry ~audit ~(plan : Instrument.t)
   List.iter
     (fun (p : Loopopt.loop_plan) -> Hashtbl.replace t.loops p.loop_id p)
     plan.Instrument.loop_plans;
+  Telemetry.alloc_loops telemetry
+    (1 + List.fold_left (fun n (p : Loopopt.loop_plan) -> max n p.loop_id) 0
+           plan.Instrument.loop_plans);
   (* §2.1: the MRS protects the integrity of its own structures with
      internal monitored regions (the shadow stack and the hash-table
      bucket array; the segment table itself is too large to cover and a

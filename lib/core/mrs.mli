@@ -47,14 +47,16 @@ val install :
     [telemetry], the only place these counts live: hits are attributed
     back to their check site ({!Instrument.write_site_at},
     {!Instrument.read_site_at}) and bump that slot's hit cell, a trace
-    event is appended to the registry's ring, and the hit, loop-entry,
-    loop-trigger, patch, region and violation counters are bumped
-    there.
+    event is appended to the registry's ring, and the hit, per-loop
+    entry ({!Telemetry.bump_loop_entry}), loop-trigger, patch, region
+    and violation counters are bumped there.
 
     Patch insert/remove and region create/delete are journalled in
     [audit] as lifecycle events carrying the reason ([why]) and the
     instruction count at which they happened — the runtime half of the
-    provenance record started at instrument time. *)
+    provenance record started at instrument time.  A replayed hit runs
+    the same handlers and patches but is counted, journalled and
+    notified nowhere: see {!Replay.advance}. *)
 
 val create_region : ?why:string -> t -> Region.t -> unit
 (** [why] labels the audit event (defaults to ["user"]; internal callers
@@ -64,14 +66,13 @@ val create_region : ?why:string -> t -> Region.t -> unit
 val delete_region : ?why:string -> t -> Region.t -> unit
 
 val set_callback : t -> (hit -> unit) -> unit
-(** The NotificationCallBack; fired for every hit on a [User] region. *)
+(** The NotificationCallBack; fired for every live hit on a [User]
+    region (not for hits a replay re-executes). *)
 
 val add_hit_observer : t -> (hit -> unit) -> unit
 (** Register a passive observer (heatmaps, tooling) fired for every
-    [User]-region hit after the callback.  Observers accumulate —
-    unlike {!set_callback} they never replace each other.  Unlike the
-    callback, they share the machine's observer gate: no observer runs
-    inside {!Machine.Cpu.without_observers} (replay re-execution). *)
+    live [User]-region hit after the callback.  Observers accumulate —
+    unlike {!set_callback} they never replace each other. *)
 
 val enable : t -> unit
 val disable : t -> unit
@@ -88,9 +89,6 @@ val record_gauges : t -> unit
 (** Write the occupancy gauges ({!Telemetry.Seg_words_monitored},
     {!Telemetry.Seg_arena_bytes}) into the installed telemetry registry.
     Call just before taking a report. *)
-
-val loop_entry_count : t -> int -> int
-(** Dynamic executions of a loop's pre-header check. *)
 
 val eval_bexpr : t -> Ir.Bounds.bexpr -> int
 (** Evaluate a bound expression against live machine state (registers,

@@ -24,7 +24,14 @@ type t = {
   heatmap : Heatmap.t option;  (* present iff [~heatmap:true] *)
   on_sample : (int -> unit) ref;
       (* extra per-sample callback (scrape-server polling) *)
+  mutable at_halt : (int * int) option;
+      (* instructions and cycles at the halt, when the machine's gauges
+         were last read: a replay query moves the machine afterwards *)
 }
+
+(* A store or load hook that watches execution sees the live run only,
+   like every observer: a replayed leg runs with [observing] false. *)
+let observed hook cpu ~addr ~width = if Cpu.observing cpu then hook cpu ~addr ~width
 
 let site_kind_of_status = function
   | Instrument.Checked -> Telemetry.site_kind_checked
@@ -186,19 +193,16 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
   in
   (* Address-space heatmap: a store hook paints per-page write density
      (plus check density where the store is a program store site)
-     and an MRS hit observer paints hit density.  The hook tests the
-     machine's observer gate, so replayed stores are not counted
-     twice. *)
+     and an MRS hit observer paints hit density. *)
   let heatmap =
     if not heatmap then None
     else begin
       let hm = Heatmap.create ~page_bits:Memory.page_bits () in
-      Cpu.set_store_hook cpu (fun cpu ~addr ~width:_ ->
-          if Cpu.observing cpu then begin
-            Heatmap.record_write hm addr;
-            if Option.is_some (Instrument.store_type sites (Cpu.pc cpu)) then
-              Heatmap.record_check hm addr
-          end);
+      Cpu.set_store_hook cpu
+        (observed (fun cpu ~addr ~width:_ ->
+             Heatmap.record_write hm addr;
+             if Option.is_some (Instrument.store_type sites (Cpu.pc cpu)) then
+               Heatmap.record_check hm addr));
       Mrs.add_hit_observer mrs (fun (h : Mrs.hit) ->
           Heatmap.record_hit hm h.Mrs.addr);
       Some hm
@@ -256,6 +260,7 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
     timeseries;
     heatmap;
     on_sample;
+    at_halt = None;
   }
 
 let site_executions t origin =
@@ -282,12 +287,33 @@ let install_oracle t =
     if covered ~lo ~hi:(lo + Insn.width_bytes width - 1) then
       t.expected_hits <- t.expected_hits + 1
   in
-  Cpu.set_store_hook t.cpu (fun cpu ~addr ~width ->
-      if Option.is_some (Instrument.store_type t.sites (Cpu.pc cpu)) then
-        count ~addr ~width);
+  Cpu.set_store_hook t.cpu
+    (observed (fun cpu ~addr ~width ->
+         if Option.is_some (Instrument.store_type t.sites (Cpu.pc cpu)) then
+           count ~addr ~width));
   if t.plan.Instrument.options.monitor_reads then
-    Cpu.set_load_hook t.cpu (fun cpu ~addr ~width ->
-        if Instrument.load_site t.sites (Cpu.pc cpu) then count ~addr ~width)
+    Cpu.set_load_hook t.cpu
+      (observed (fun cpu ~addr ~width ->
+           if Instrument.load_site t.sites (Cpu.pc cpu) then count ~addr ~width))
+
+(* The gauges a report reads off the machine: current values, not bump
+   streams.  Read for the last time at the halt, since a replay query
+   moves the machine after that. *)
+let record_gauges t =
+  if Option.is_none t.at_halt then begin
+    Mrs.record_gauges t.mrs;
+    let set = Telemetry.set t.telemetry in
+    set Telemetry.Probe_dispatches (Cpu.probe_dispatches t.cpu);
+    set Telemetry.Store_hook_dispatches (Cpu.store_hook_dispatches t.cpu);
+    set Telemetry.Load_hook_dispatches (Cpu.load_hook_dispatches t.cpu);
+    set Telemetry.Trap_dispatches (Cpu.trap_count t.cpu);
+    set Telemetry.Store_execs (Cpu.stats t.cpu).Cpu.stores;
+    if Option.is_some (Cpu.halted t.cpu) then
+      t.at_halt <- Some (Cpu.instr_count t.cpu, Cpu.cycle_count t.cpu)
+  end
+
+let instrs_and_cycles t =
+  Option.value t.at_halt ~default:(Cpu.instr_count t.cpu, Cpu.cycle_count t.cpu)
 
 let run ?fuel t =
   let code =
@@ -299,6 +325,7 @@ let run ?fuel t =
           | `Exited code -> code
           | `Out_of_fuel executed -> raise (Cpu.Out_of_fuel { executed })))
   in
+  record_gauges t;
   (code, Cpu.output t.cpu)
 
 (* Fuel-bounded, resumable execution — the service daemon's `run` verb.
@@ -307,9 +334,10 @@ let run ?fuel t =
    them starve the loop.  With a checkpoint journal armed the slices go
    through {!Replay.record_slice}, which places checkpoints exactly
    where a one-shot run would — so slicing is invisible to every replay
-   {!cursor} (sliced the same way by {!advance}) and to telemetry.  No
-   ["run"] span is recorded per slice (span multisets would then
-   depend on the slice quantum); the daemon brackets its own spans. *)
+   {!cursor} (sliced the same way by {!Replay.advance}) and to
+   telemetry.  No ["run"] span is recorded per slice (span multisets
+   would then depend on the slice quantum); the daemon brackets its own
+   spans. *)
 let run_slice ?fuel t =
   match Cpu.halted t.cpu with
   | Some code -> `Exited (code, Cpu.output t.cpu)
@@ -317,11 +345,15 @@ let run_slice ?fuel t =
     match t.replay with
     | None -> (
       match Cpu.run ?fuel t.cpu with
-      | code -> `Exited (code, Cpu.output t.cpu)
+      | code ->
+        record_gauges t;
+        `Exited (code, Cpu.output t.cpu)
       | exception Cpu.Out_of_fuel { executed } -> `Running executed)
     | Some r -> (
       match Replay.record_slice ?fuel r with
-      | `Exited code -> `Exited (code, Cpu.output t.cpu)
+      | `Exited code ->
+        record_gauges t;
+        `Exited (code, Cpu.output t.cpu)
       | `Out_of_fuel executed -> `Running executed))
 
 (* --- time travel ------------------------------------------------------ *)
@@ -348,14 +380,7 @@ let enrich t (h : Replay.hit) =
 let cursor ?guard t goal =
   Replay.cursor ?guard (require_replay t "Session.cursor") goal
 
-(* Replay rolls the machine back and re-executes recorded instructions
-   under the machine's observer gate, so the replayed steps are not
-   counted twice by the profiler, the sampler or the heatmap. *)
-let advance t c ~fuel = Cpu.without_observers t.cpu (fun () -> Replay.advance c ~fuel)
-
-let query ?guard t fn goal =
-  let r = require_replay t fn in
-  Cpu.without_observers t.cpu (fun () -> Replay.query ?guard r goal)
+let query ?guard t fn goal = Replay.query ?guard (require_replay t fn) goal
 
 let last_write ?guard t ~addr =
   let lo = addr land lnot 3 in
@@ -388,43 +413,24 @@ let resolve_addr t target =
     | Some { Symtab.location = Symtab.Absolute a; _ } -> Some a
     | Some _ | None -> None)
 
-let missed_hits t =
-  max 0 (t.expected_hits - Telemetry.get t.telemetry Telemetry.User_hits)
+let missed_hits t = t.expected_hits - Telemetry.get t.telemetry Telemetry.User_hits
 
 let stats t = Cpu.stats t.cpu
 
 let report t =
-  (* Fold in the snapshot gauges and interpreter dispatch counts before
-     freezing: these are current-value reads, not bump streams. *)
-  Mrs.record_gauges t.mrs;
-  Telemetry.set t.telemetry Telemetry.Probe_dispatches
-    (Cpu.probe_dispatches t.cpu);
-  Telemetry.set t.telemetry Telemetry.Store_hook_dispatches
-    (Cpu.store_hook_dispatches t.cpu);
-  Telemetry.set t.telemetry Telemetry.Load_hook_dispatches
-    (Cpu.load_hook_dispatches t.cpu);
-  Telemetry.set t.telemetry Telemetry.Trap_dispatches (Cpu.trap_count t.cpu);
-  (* Monotonic, like the sample-ring finalize below: replay queries
-     roll the machine's stats back, but the end-of-run store total is
-     what the heatmap's per-page write counts conserve against. *)
-  Telemetry.set t.telemetry Telemetry.Store_execs
-    (max
-       (Telemetry.get t.telemetry Telemetry.Store_execs)
-       (Cpu.stats t.cpu).Cpu.stores);
+  record_gauges t;
   (match t.profiler with
   | Some p ->
-    (* The exec-array sum, not [instr_count]: replay queries run with
-       the profiler paused, so the two legitimately differ. *)
     Telemetry.set t.telemetry Telemetry.Profiled_instrs
       (Profile.profiled_instrs p);
     Telemetry.set t.telemetry Telemetry.Prof_transfers (Profile.transfers p)
   | None -> ());
   (* Close the sample ring: the final sample makes the last ring entry
      equal the end-of-run counter values (idempotent — [sample] ignores
-     non-increasing instruction counts, so repeated reports and
-     post-travel rollbacks add nothing). *)
+     non-increasing instruction counts, so repeated reports add
+     nothing). *)
   (match t.timeseries with
-  | Some ts -> Timeseries.finalize ts ~insn:(Cpu.instr_count t.cpu)
+  | Some ts -> Timeseries.finalize ts ~insn:(fst (instrs_and_cycles t))
   | None -> ());
   Telemetry.report t.telemetry
 
@@ -454,5 +460,5 @@ let profile_report t =
           else (p.pc, Telemetry.site_exec t.telemetry p.site.slot) :: acc)
         (Instrument.write_sites t.sites) []
     in
-    Profile.report p ~site_checks ~instrs:(Cpu.instr_count t.cpu)
-      ~cycles:(Cpu.cycle_count t.cpu) ()
+    let instrs, cycles = instrs_and_cycles t in
+    Profile.report p ~site_checks ~instrs ~cycles ()

@@ -29,6 +29,9 @@ type t = {
       (** address-space heatmap, present iff [heatmap] was given *)
   on_sample : (int -> unit) ref;
       (** extra per-sample callback — see {!set_on_sample} *)
+  mutable at_halt : (int * int) option;
+      (** instructions and cycles at the halt, when {!report} last read
+          the machine's gauges *)
 }
 
 val create :
@@ -94,10 +97,10 @@ val create :
     {!Heatmap.to_text}/[to_json_string]/[to_ppm] after calling
     {!heatmap_sync_regions}.
 
-    Replay queries run under {!Machine.Cpu.without_observers}, which
-    pauses the profiler, the sampler and the heatmap together, so
-    replayed instructions are never counted twice.  The debugger's
-    notification callback is not an observer and fires during replay.
+    Replay counts nothing ({!Replay.advance}): a report taken after any
+    mix of queries equals the one taken at exit, apart from the replay
+    engine's own restore, replayed-instruction and checkpoint counters,
+    and no replayed hit reaches the callback or an observer.
     @raise Failure if the instrumented program fails to assemble.
     @raise Minic.Compile.Error on compilation errors. *)
 
@@ -116,7 +119,7 @@ val run_slice : ?fuel:int -> t -> [ `Exited of int * string | `Running of int ]
     and idempotent.  With [checkpoint_every] set, slices record through
     {!Replay.record_slice}, whose checkpoint placement is identical to
     a one-shot {!run} — slicing never changes a replay's answers or the
-    telemetry.  Replays are sliced the same way: see {!advance}. *)
+    telemetry.  Replays are sliced the same way: see {!cursor}. *)
 
 (** {1 Time travel}
 
@@ -134,9 +137,8 @@ type write_record = {
 }
 
 val cursor : ?guard:bool -> t -> 'a Replay.goal -> 'a Replay.cursor
-val advance : t -> 'a Replay.cursor -> fuel:int -> 'a Replay.progress
-(** A replay cursor over the session's journal ({!Replay.cursor}), and
-    {!Replay.advance} with the session's observers paused. *)
+(** A replay cursor over the session's journal ({!Replay.cursor});
+    drive it with {!Replay.advance}. *)
 
 val last_write : ?guard:bool -> t -> addr:int -> write_record option
 (** The final store of the recorded run to the word containing [addr]
@@ -166,8 +168,8 @@ val install_oracle : t -> unit
     {!missed_hits} is the number of such accesses that produced no
     notification.  Zero for a correctly armed debugger — the soundness
     property the test suite checks for every strategy.  Notifications
-    are counted by the session's registry ({!Telemetry.User_hits}), so
-    the oracle needs an enabled one. *)
+    are counted by the session's registry ({!Telemetry.User_hits});
+    neither side counts a replayed access. *)
 
 val missed_hits : t -> int
 
@@ -177,7 +179,9 @@ val report : t -> Telemetry.report
 (** Freeze the session's registry into a report, first folding in the
     snapshot gauges (segment-arena occupancy), the interpreter's
     probe/hook/trap dispatch counts, the store-execution total and —
-    when profiling — the profiler's instruction/transfer totals.  With
+    when profiling — the profiler's instruction/transfer totals.  Once
+    the program has halted, the gauges read off the machine are those of
+    the halt, not of a machine a query has since moved.  With
     a sampler armed, the sample ring is finalized first: its last entry
     equals the end-of-run counter values (idempotent across repeated
     reports). *)
@@ -193,8 +197,7 @@ val heatmap_sync_regions : t -> unit
     never fired).  Call before rendering; no-op without [heatmap]. *)
 
 val profile_report : t -> Profile.report
-(** Freeze the profiler at the machine's current instruction/cycle
-    totals, joining per-block MRS check density from the telemetry
-    per-site exec arrays.  Take it right after {!run}: replay queries
-    roll the machine's counters back and would skew the totals.
+(** Freeze the profiler at the machine's instruction/cycle totals (those
+    of the halt once it has halted, like {!report}), joining per-block
+    MRS check density from the telemetry per-site exec arrays.
     @raise Invalid_argument on a session created without [profile]. *)

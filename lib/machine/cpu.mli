@@ -268,8 +268,9 @@ val sample_install : t -> every:int -> hook:(int -> unit) -> unit
 
 val observing : t -> bool
 (** [false] inside {!without_observers}, [true] otherwise.  Passive
-    observers outside the interpreter (the heatmap's store hook and
-    MRS hit observers) test it, so one gate pauses every observer. *)
+    observers outside the interpreter (the heatmap's and the oracle's
+    hooks, the MRS's notification callback and hit observers) test it,
+    so one gate pauses every observer. *)
 
 val without_observers : t -> (unit -> 'a) -> 'a
 (** [without_observers t f] runs [f] with every observer paused: the

@@ -54,7 +54,7 @@ and watch = {
 
 let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
   let telemetry =
-    match telemetry with Some t -> t | None -> Telemetry.create ~enabled:false ()
+    match telemetry with Some t -> t | None -> Telemetry.create ()
   in
   let audit =
     match audit with Some a -> a | None -> Audit.create ~enabled:(fun () -> false) ()
@@ -275,8 +275,9 @@ let answer (type a) (c : a cursor) : a =
   | History _ -> List.rev c.watch.hits
 
 (* The one replay loop: restore each leg's checkpoint and re-execute
-   toward its target until [fuel] instructions have run.  An exception
-   disarms the watch. *)
+   toward its target until [fuel] instructions have run, inside the
+   bracket that makes replay count nothing (see replay.mli).  An
+   exception disarms the watch. *)
 let advance c ~fuel =
   let t = c.r in
   let rec go fuel =
@@ -286,7 +287,9 @@ let advance c ~fuel =
     | leg :: rest ->
       if not c.restored then start_leg c leg;
       let start = Cpu.instr_count t.cpu in
-      Cpu.run_to t.cpu ~insn:(start + min fuel (leg.upto - start));
+      Cpu.without_observers t.cpu (fun () ->
+          Telemetry.replaying t.telemetry (fun () ->
+              Cpu.run_to t.cpu ~insn:(start + min fuel (leg.upto - start))));
       let ran = Cpu.instr_count t.cpu - start in
       c.replayed <- c.replayed + ran;
       Telemetry.add t.telemetry Telemetry.Replayed_instrs ran;

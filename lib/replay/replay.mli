@@ -21,7 +21,10 @@
     window whose marks miss its range.  Host-side writes (a trap handler
     or the debugger writing simulated memory) run no store hook, so they
     are neither marked nor reported.  Recording and replay both run the
-    interpreter through {!Machine.Cpu.run_to}. *)
+    interpreter through {!Machine.Cpu.run_to}.  Replay counts nothing:
+    {!advance} runs each leg inside {!Machine.Cpu.without_observers} and
+    {!Telemetry.replaying}; only its restores, replayed instructions and
+    their audit events are counted, outside that bracket. *)
 
 type hit = {
   h_insn : int;  (** instruction count {e including} the store *)
@@ -56,10 +59,11 @@ val create :
     it).  [checkpoint_every] (default 10000) is the journal interval in
     executed instructions; [budget_bytes] enables exponential-thinning
     eviction.  [telemetry]/[audit] receive checkpoint and
-    replay lifecycle counters/events, gated by their own flags
-    (defaults: disabled instances).  [telemetry] is where the engine's
-    counts live: checkpoints, pages copied and shared, bytes,
-    evictions, restores and replayed instructions. *)
+    replay lifecycle counters/events (defaults: a private registry and
+    a disabled journal).  [telemetry] is where the engine's counts
+    live: checkpoints, pages copied and shared, bytes, evictions,
+    restores and replayed instructions; its gate is shut while a leg
+    replays. *)
 
 val record_slice : ?fuel:int -> t -> [ `Exited of int | `Out_of_fuel of int ]
 (** Advance the recording by at most [fuel] instructions (the service

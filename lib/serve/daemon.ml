@@ -56,7 +56,6 @@ type sess = {
   mutable watches : (string * Debugger.watchpoint) list;
   mutable exited : int option;
   mutable closed : bool;
-  mutable in_query : bool;  (* suppress hit streaming during replay *)
 }
 
 type t = {
@@ -186,19 +185,17 @@ let do_open t sess source strategy_s opt_s =
     let session = Session.create ~options ~telemetry ~checkpoint_every:10_000 src in
     let dbg = Debugger.create session in
     Debugger.set_on_event dbg (fun e ->
-        if not sess.in_query then begin
-          Telemetry.incr (hit_sink t sess) Telemetry.Hits_streamed;
-          emit sess
-            (Proto.Hit
-               {
-                 name = e.Debugger.watch.Debugger.wname;
-                 insn = Machine.Cpu.instr_count session.Session.cpu;
-                 pc = e.Debugger.pc;
-                 addr = e.Debugger.addr;
-                 value = e.Debugger.value;
-                 func = Option.value ~default:"?" e.Debugger.in_function;
-               })
-        end);
+        Telemetry.incr (hit_sink t sess) Telemetry.Hits_streamed;
+        emit sess
+          (Proto.Hit
+             {
+               name = e.Debugger.watch.Debugger.wname;
+               insn = Machine.Cpu.instr_count session.Session.cpu;
+               pc = e.Debugger.pc;
+               addr = e.Debugger.addr;
+               value = e.Debugger.value;
+               func = Option.value ~default:"?" e.Debugger.in_function;
+             }));
     sess.session <- Some (session, dbg);
     emit sess
       (Proto.Opened
@@ -258,9 +255,7 @@ let drive t sess advance reply =
   in
   let rec slice () =
     match advance ~fuel:t.slice with
-    | Replay.Done a ->
-      sess.in_query <- false;
-      lines per_job (reply a)
+    | Replay.Done a -> lines per_job (reply a)
     | Replay.More -> sess.cont <- Some slice
   in
   slice ()
@@ -285,11 +280,10 @@ let do_run t sess fuel =
 (* Every shard-side command runs under this: anything the session
    machinery raises becomes a deterministic error reply, in dbreak's
    words, instead of killing the shard.  The failed command's
-   continuation is already dropped, and its hit suppression ends. *)
+   continuation is already dropped. *)
 let guarded sess f =
   try f ()
   with e -> (
-    sess.in_query <- false;
     match Frontend.error_message e with
     | Some m -> emit sess (Proto.Error m)
     | None -> raise e)
@@ -300,15 +294,12 @@ let with_target sess target k =
       | Some addr -> k s addr
       | None -> emit sess (Proto.Error (Frontend.unresolved_target target)))
 
-(* A retroactive verb: a replay cursor driven to its answer, with hit
-   streaming suppressed from its first slice to its last. *)
+(* A retroactive verb: a replay cursor driven to its answer.  Replay
+   notifies no one, so no hit streams while it runs. *)
 let query t sess s goal reply =
   match sess.exited with
   | None -> emit sess (Proto.Error "program still running: run it to completion first")
-  | Some _ ->
-    let c = Session.cursor s goal in
-    sess.in_query <- true;
-    drive t sess (Session.advance s c) reply
+  | Some _ -> drive t sess (Replay.advance (Session.cursor s goal)) reply
 
 let wtype s (h : Replay.hit) =
   Option.fold ~none:"untyped" ~some:Write_type.to_string
@@ -485,7 +476,6 @@ let submit t c line =
                 watches = [];
                 exited = None;
                 closed = false;
-                in_query = false;
               }
             in
             Hashtbl.replace t.sessions sid sess;

@@ -1,7 +1,7 @@
 (** Rendering of telemetry {!Telemetry.report} snapshots.
 
     Three formats: human-readable text (for [dbreak --stats] and the
-    bench telemetry table), versioned JSON (the dbreakd [report]
+    bench harness's merged summary), versioned JSON (the dbreakd [report]
     reply), and Prometheus-style exposition text
     ([dbreak --metrics FILE]).
 

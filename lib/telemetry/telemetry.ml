@@ -188,7 +188,7 @@ type sample = {
 }
 
 type t = {
-  on : bool;
+  mutable on : bool;  (* false only inside [replaying] *)
   scalars : int array;
   typed : int array array;
   mutable site_exec : int array;
@@ -196,6 +196,7 @@ type t = {
   mutable site_patched : int array;
   mutable site_type : int array;
   mutable site_kind : int array;
+  mutable loop_entry : int array;  (* indexed by loop id *)
   mutable rsite_exec : int array;
   mutable rsite_hit : int array;
   mutable rsite_type : int array;
@@ -209,9 +210,9 @@ type t = {
   mutable tags : (string * string) list;
 }
 
-let create ?(enabled = true) ?(ring_capacity = 0) () =
+let create ?(ring_capacity = 0) () =
   {
-    on = enabled;
+    on = true;
     scalars = Array.make n_counters 0;
     typed = Array.init n_typed (fun _ -> Array.make n_write_types 0);
     site_exec = [||];
@@ -219,6 +220,7 @@ let create ?(enabled = true) ?(ring_capacity = 0) () =
     site_patched = [||];
     site_type = [||];
     site_kind = [||];
+    loop_entry = [||];
     rsite_exec = [||];
     rsite_hit = [||];
     rsite_type = [||];
@@ -231,6 +233,11 @@ let create ?(enabled = true) ?(ring_capacity = 0) () =
   }
 
 let enabled t = t.on
+
+let replaying t f =
+  let was = t.on in
+  t.on <- false;
+  Fun.protect ~finally:(fun () -> t.on <- was) f
 
 let set_tag t k v =
   t.tags <- (k, v) :: List.remove_assoc k t.tags
@@ -275,6 +282,8 @@ let alloc_read_sites t types =
 
 let n_sites t = Array.length t.site_exec
 
+let alloc_loops t n = t.loop_entry <- Array.make n 0
+
 (* The probe fast path: one test, one increment. *)
 let[@inline] bump_site t slot =
   if t.on then t.site_exec.(slot) <- t.site_exec.(slot) + 1
@@ -293,8 +302,12 @@ let[@inline] bump_read_site t slot =
 let[@inline] bump_read_site_hit t slot =
   if t.on then t.rsite_hit.(slot) <- t.rsite_hit.(slot) + 1
 
+let bump_loop_entry t id =
+  if t.on then t.loop_entry.(id) <- t.loop_entry.(id) + 1
+
 let site_exec t slot = t.site_exec.(slot)
 let site_patched t slot = t.site_patched.(slot)
+let loop_entries t id = t.loop_entry.(id)
 
 let record_event t ev = if t.on then Ring.push t.ring ev
 
@@ -371,8 +384,9 @@ let by_type values tags =
 let count_kind t k =
   sum_where (fun x -> x = k) (Array.map (fun _ -> 1) t.site_kind) t.site_kind
 
-(* Scalar cells plus the components derived from the per-site arrays;
-   computed at report/sample time rather than on the bump paths. *)
+(* Scalar cells plus the components derived from the per-site and
+   per-loop arrays; computed at report/sample time rather than on the
+   bump paths. *)
 let derived t c =
   match c with
   | Check_execs -> sum t.site_exec
@@ -382,6 +396,7 @@ let derived t c =
   | Loop_eliminated_execs ->
     sum_where (fun k -> k = site_kind_loop) t.site_exec t.site_kind
   | Patched_check_execs -> sum t.site_patched
+  | Loop_entries -> sum t.loop_entry
   | Sites_total -> Array.length t.site_exec
   | Sites_checked -> count_kind t site_kind_checked
   | Sites_sym_eliminated -> count_kind t site_kind_sym

@@ -6,8 +6,9 @@
     execution/hit arrays sized at instrument time — plus a fixed-size
     ring buffer of monitor-hit events.  Every bump is a single array
     increment guarded by the registry's [enabled] flag, mirroring the
-    paper's reserved {e disabled} register: with telemetry off, the
-    instrumented fast paths pay one boolean test and nothing else.
+    paper's reserved {e disabled} register.  The flag is on except while
+    a replay re-executes recorded instructions ({!replaying}), so a
+    replayed leg counts nothing here or in anything gated on it.
 
     Reports ({!report}) are immutable snapshots rendered by {!Export}
     as human text, versioned JSON ({!schema_version}) or
@@ -27,7 +28,7 @@ type counter =
   | Read_hits             (** subset of [User_hits] raised by read checks *)
   | Internal_hits
   | Unattributed_hits     (** hits whose pc matched no known check site *)
-  | Loop_entries
+  | Loop_entries          (** derived: sum of the per-loop entry array *)
   | Loop_triggers
   | Patches_inserted
   | Patches_removed
@@ -96,11 +97,17 @@ type event = {
 
 type t
 
-val create : ?enabled:bool -> ?ring_capacity:int -> unit -> t
-(** A fresh registry; [ring_capacity] defaults to [0] (tracing off,
-    pushes only counted). *)
+val create : ?ring_capacity:int -> unit -> t
+(** A fresh, enabled registry; [ring_capacity] defaults to [0] (tracing
+    off, pushes only counted). *)
 
 val enabled : t -> bool
+(** [false] exactly inside {!replaying}. *)
+
+val replaying : t -> (unit -> 'a) -> 'a
+(** [replaying t f] runs [f] with every bump, {!record_event} and
+    {!record_sample} a no-op, then restores the gate, also on raise.
+    {!Replay.advance} wraps each replayed leg in it. *)
 
 val set_tag : t -> string -> string -> unit
 (** Attach report metadata (workload, strategy, …); keys are unique and
@@ -160,8 +167,18 @@ val bump_site_patched : t -> int -> unit
 val bump_read_site : t -> int -> unit
 val bump_read_site_hit : t -> int -> unit
 
+val alloc_loops : t -> int -> unit
+(** [alloc_loops t n] sizes (and zeroes) the per-loop entry array for
+    loop ids [0, n); {!Loop_entries} is its sum. *)
+
+val bump_loop_entry : t -> int -> unit
+(** One execution of loop [id]'s pre-header check. *)
+
 val site_exec : t -> int -> int
 val site_patched : t -> int -> int
+
+val loop_entries : t -> int -> int
+(** Pre-header check executions of one loop, by id. *)
 
 (** {2 Tracing} *)
 

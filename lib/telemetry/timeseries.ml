@@ -30,8 +30,7 @@ let create ?(clock = fun () -> 0.) ~every ~registry ~metrics () =
   { registry; metrics; clock; chrome = []; last_insn = -1 }
 
 (* One snapshot.  Monotonic guard: [Session.report] finalizes on every
-   call and replay rollbacks move the instruction count backwards, so
-   only strictly newer instruction counts produce a sample. *)
+   call, so only strictly newer instruction counts produce a sample. *)
 let sample t ~insn =
   if insn > t.last_insn then begin
     t.last_insn <- insn;

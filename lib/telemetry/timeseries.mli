@@ -39,8 +39,7 @@ val create :
 val sample : t -> insn:int -> unit
 (** Take one snapshot at instruction count [insn].  Monotonic: calls
     with [insn] not above the last sampled count are no-ops, which
-    makes {!finalize} idempotent and keeps replay rollbacks (which move
-    the instruction count backwards) from producing phantom samples. *)
+    makes {!finalize} idempotent. *)
 
 val finalize : t -> insn:int -> unit
 (** Record the end-of-run sample so the ring's last entry equals the

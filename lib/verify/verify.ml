@@ -188,7 +188,11 @@ let rec var_cands st visiting mode (v : S.var) : B.bexpr list =
 and derive st visiting mode v =
   match S.def_site st.c.ssa v with
   | None | Some S.Dentry -> []
-  | Some (S.Dphi (b, phi)) -> phi_cands st visiting mode b phi
+  | Some (S.Dphi (b, phi)) ->
+    (* [def_site] keeps the phi as it stood when [b] was renamed, before
+       a loop's latches added their arguments: read the final one. *)
+    let final (p : S.phi) = S.var_equal p.S.dst phi.S.dst in
+    phi_cands st visiting mode b (List.find final (S.block st.c.ssa b).S.phis)
   | Some (S.Dinstr (_, ins)) -> instr_cands st visiting mode v ins
 
 and phi_cands st visiting mode b (phi : S.phi) =
@@ -392,6 +396,46 @@ let geq st a b =
     | Some x, Some y -> Some (x >= y)
     | _ -> None)
 
+type motion = Fixed | Moves | Unclear
+
+(* How an operand's value changes from one iteration to the next:
+   [Fixed] when the loop never changes it, [Moves] when it differs on
+   every iteration — one of the loop's induction variables (a header phi
+   of a monotonic group, which adds a nonzero constant each iteration),
+   plus or minus a [Fixed] value, or scaled by a nonzero constant.
+   Scaling assumes the step times the scale is not a multiple of 2^32,
+   which no realistic array walk reaches. *)
+let rec motion st depth (op : S.operand) =
+  match op with
+  | S.Oimm _ | S.Olab _ -> Fixed
+  | S.Ovar v when invariant_var st v -> Fixed
+  | S.Ovar v when List.exists (fun (g : B.group) -> S.var_equal g.B.phi_var v) st.groups ->
+    Moves
+  | S.Ovar v when depth > 0 -> (
+    let m = motion st (depth - 1) in
+    match S.def_site st.c.ssa v with
+    | Some (S.Dinstr (_, S.Def { rhs = S.Mov a; _ })) -> m a
+    | Some (S.Dinstr (_, S.Def { rhs = S.Bin (alu, a, b); _ })) -> (
+      match (alu, m a, m b, b) with
+      | _, Fixed, Fixed, _ -> Fixed
+      | (Insn.Add | Insn.Sub), Moves, Fixed, _ | (Insn.Add | Insn.Sub), Fixed, Moves, _ ->
+        Moves
+      | Insn.Sll, Moves, _, S.Oimm k when k land 31 = k -> Moves
+      | (Insn.Smul | Insn.Umul), Moves, _, S.Oimm k when Word.norm k <> 0 -> Moves
+      | _ -> Unclear)
+    | Some (S.Dinstr (_, S.Assert { src; rel; _ })) when rel <> T.Req -> m (S.Ovar src)
+    | _ -> Unclear)
+  | S.Ovar _ -> Unclear
+
+(* A store in block [b] that runs on every iteration reaching a back
+   edge, at an address that moves, writes a different word each time. *)
+let moves_every_iteration st b base off =
+  List.for_all (Ir.Dominance.dominates st.c.dom b) st.loop.Ir.Loops.back_edges
+  &&
+  match (motion st 16 base, motion st 16 off) with
+  | Moves, Fixed | Fixed, Moves -> true
+  | _ -> false
+
 let find_store st origin =
   List.find_map
     (fun b ->
@@ -430,7 +474,7 @@ let verify_check st (p : L.loop_plan) (chk : L.check) : obligation =
       Refuted
         (Printf.sprintf "no store at origin %d inside loop %d" origin
            p.L.loop_id)
-    | Some (_, base, off, w) -> (
+    | Some (b, base, off, w) -> (
       match chk with
       | L.Inv { expr; width; _ } ->
         if w <> width then Refuted "check width differs from the store's width"
@@ -459,6 +503,10 @@ let verify_check st (p : L.loop_plan) (chk : L.check) : obligation =
               | Some x, Some y ->
                 Refuted
                   (Printf.sprintf "store address %d but the check covers %d" x y)
+              | _ when moves_every_iteration st b base off ->
+                Refuted
+                  "store address moves with an induction variable: one \
+                   invariant check covers only one iteration"
               | _ -> Unknown "could not derive the store address symbolically")
         end
       | L.Rng { lo; hi; width; _ } ->

@@ -96,6 +96,35 @@ let shrink_rng_hi =
     | L.Rng r -> Some (L.Rng { r with hi = bump r.hi (-8) })
     | L.Inv _ -> None)
 
+(* Claim that a range check's store never moves: the first [Rng] becomes
+   an [Inv] on its [lo] bound, and the site's journalled verdict is
+   rewritten to match, so only the proof engine can refute it. *)
+let rng_to_inv =
+  let to_inv = function
+    | L.Rng { lo; width; origin; lo_level; _ } ->
+      Some (L.Inv { expr = lo; width; origin; level = lo_level })
+    | L.Inv _ -> None
+  in
+  let mutant = mutate_check "rng_to_inv" to_inv in
+  let target (p : L.loop_plan) =
+    Option.map (fun c -> (p, c)) (List.find_map to_inv p.L.checks)
+  in
+  let m_apply inst audit =
+    match (mutant.m_apply inst audit, List.find_map target inst.I.loop_plans) with
+    | Some (inst', audit), Some (p, L.Inv { expr; origin; level; _ }) ->
+      let verdict =
+        Audit.Loop_invariant
+          { loop_id = p.L.loop_id; bexpr = B.bexpr_to_string expr; level = B.level_name level }
+      in
+      let retag (a : Audit.site) =
+        if a.Audit.a_origin = origin then { a with Audit.a_verdict = verdict } else a
+      in
+      let retag_all (r : Audit.report) = { r with Audit.a_sites = List.map retag r.Audit.a_sites } in
+      Some (inst', Option.map retag_all audit)
+    | _ -> None
+  in
+  { mutant with m_apply }
+
 (* --- plan-structure mutants ------------------------------------------------------- *)
 
 (* Claim one more store than the checks cover: pull a Checked site of
@@ -283,6 +312,7 @@ let all =
     retarget_inv_expr;
     inflate_rng_lo;
     shrink_rng_hi;
+    rng_to_inv;
     move_preheader;
     cross_loop_eliminate;
     forget_alias_pseudo;

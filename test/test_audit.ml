@@ -368,21 +368,36 @@ int main() { g = 7; return g; }
   in
   check_bool "span multiset is scheduling-independent" true (serial = sharded)
 
-(* Disabled registry ⇒ disabled journal and tracer: a session created
-   with telemetry off must leave both empty (the gating the telemetry
-   ablation experiment relies on). *)
+(* Disabled registry ⇒ disabled journal and tracer.  Only a replayed
+   leg disables the registry, and the session's default journal and
+   tracer share its gate: a store hook firing while a query replays sees
+   all three off, and the span it opens is dropped, while the same hook
+   during the live run sees them on. *)
 let test_disabled_gating () =
   let src = {|
 int g;
-int main() { g = 7; return g; }
+int main() { int i; for (i = 0; i < 5; i = i + 1) { g = i; } return g; }
 |} in
-  let tel = Telemetry.create ~enabled:false () in
-  let session = Session.create ~options:o_full ~telemetry:tel src in
+  let session = Session.create ~options:o_full ~checkpoint_every:20 src in
+  let gates = ref [] in
+  Machine.Cpu.set_store_hook session.Session.cpu (fun _ ~addr:_ ~width:_ ->
+      gates :=
+        (Telemetry.enabled session.Session.telemetry, Audit.enabled session.Session.audit)
+        :: !gates;
+      Trace.with_span session.Session.trace "store" ignore);
   let _ = Session.run ~fuel:1_000_000 session in
-  let rep = Audit.report session.Session.audit in
-  check_int "no sites journalled" 0 (List.length rep.Audit.a_sites);
-  check_int "no spans recorded" 0
-    (List.length (Trace.spans session.Session.trace))
+  let live = !gates and spans = List.length (Trace.spans session.Session.trace) in
+  check_bool "live stores see the gates on" true
+    (live <> [] && List.for_all (( = ) (true, true)) live);
+  gates := [];
+  let g = Option.get (Session.resolve_addr session "g") in
+  ignore (Session.write_history session ~lo:g ~hi:(g + 4));
+  check_bool "replayed stores see the gates off" true
+    (!gates <> [] && List.for_all (( = ) (false, false)) !gates);
+  check_int "no span recorded during replay" spans
+    (List.length (Trace.spans session.Session.trace));
+  check_bool "the gates reopen after the query" true
+    (Telemetry.enabled session.Session.telemetry && Audit.enabled session.Session.audit)
 
 let suites =
   [

@@ -4,7 +4,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* The session registry's live value of one counter. *)
-let count (s : Session.t) = Telemetry.get s.Session.telemetry
+let count (s : Session.t) = Telemetry.current s.Session.telemetry
 
 (* The five Table 1 variants, then the hash table. *)
 let table1_strategies_and_hash =

@@ -372,8 +372,9 @@ let verifier_case =
 (* Fuel slicing on generated programs: a session run in slices of a
    random size, with a random checkpoint interval, must end exactly as
    one [Session.run] of the same program does — exit code, output,
-   stats, debugger hits, telemetry, and the retroactive answers about
-   [g0].  dbreakd serves every [run] through [run_slice]. *)
+   stats, debugger hits, telemetry, the retroactive answers about [g0]
+   and the telemetry after them.  dbreakd serves every [run] through
+   [run_slice]. *)
 type run_result = {
   code : int;
   output : string;
@@ -382,6 +383,7 @@ type run_result = {
   telemetry : string;
   last_write : Session.write_record option;
   history : Session.write_record list;
+  telemetry_after : string;  (* the report once the queries have run *)
 }
 
 let run_watched ~options ~checkpoint_every ~slice src =
@@ -400,20 +402,21 @@ let run_watched ~options ~checkpoint_every ~slice src =
       go ()
   in
   let g0 = Option.get (Session.resolve_addr session "g0") in
-  {
-    code;
-    output;
-    stats = Session.stats session;
-    hits =
-      List.map
-        (fun (e : Debugger.event) ->
-          (e.Debugger.addr, e.Debugger.pc, e.Debugger.in_function,
-           e.Debugger.access, e.Debugger.value))
-        (Debugger.events dbg);
-    telemetry = Export.to_text (Session.report session);
-    last_write = Session.last_write session ~addr:g0;
-    history = Session.write_history session ~lo:g0 ~hi:(g0 + 4);
-  }
+  (* The run's own state first, then the queries: [let]s, since record
+     fields evaluate in no fixed order. *)
+  let stats = Session.stats session in
+  let hits =
+    List.map
+      (fun (e : Debugger.event) ->
+        (e.Debugger.addr, e.Debugger.pc, e.Debugger.in_function,
+         e.Debugger.access, e.Debugger.value))
+      (Debugger.events dbg)
+  in
+  let telemetry = Export.to_text (Session.report session) in
+  let last_write = Session.last_write session ~addr:g0 in
+  let history = Session.write_history session ~lo:g0 ~hi:(g0 + 4) in
+  let telemetry_after = Export.to_text (Session.report session) in
+  { code; output; stats; hits; telemetry; last_write; history; telemetry_after }
 
 let slicing_configurations =
   [
@@ -439,6 +442,85 @@ let prop_slicing_matches_run =
           run_watched ~options ~checkpoint_every ~slice:None src
           = run_watched ~options ~checkpoint_every ~slice:(Some slice) src)
         slicing_configurations)
+
+(* Replay counts nothing: after a random mix of retroactive queries on
+   g0, g1 and ga, a session's report and audit journal equal the ones
+   taken at exit, apart from what the replay engine counts of itself
+   (restores, replayed instructions, checkpoints).  The debugger saw no
+   replayed hit, and the oracle — whose hooks follow the same rule —
+   misses none.  The slicing configurations, with reads monitored in
+   the O_full one. *)
+let replay_configurations =
+  [
+    Instrument.default_options;
+    { Instrument.default_options with opt = Instrument.O_symbol };
+    { Instrument.default_options with opt = Instrument.O_full; monitor_reads = true };
+    { Instrument.default_options with opt = Instrument.O_full; check_aliases = true };
+  ]
+
+type query = Last_write of string | History of string | Travel of int
+
+let gen_queries =
+  let open QCheck.Gen in
+  let var = oneofl [ "g0"; "g1"; "ga" ] in
+  list_size (int_range 1 4)
+    (oneof
+       [
+         map (fun v -> Last_write v) var;
+         map (fun v -> History v) var;
+         map (fun f -> Travel f) (int_range 0 1000);
+       ])
+
+let print_query = function
+  | Last_write v -> "last-write " ^ v
+  | History v -> "history " ^ v
+  | Travel f -> Printf.sprintf "travel %d/1000" f
+
+let replay_free (rep : Telemetry.report) =
+  let own n =
+    List.mem n [ "replayed_instrs"; "restores" ]
+    || String.starts_with ~prefix:"checkpoint" n
+  in
+  { rep with r_counters = List.filter (fun (n, _) -> not (own n)) rep.r_counters }
+
+let queries_count_nothing ~options ~checkpoint_every src queries =
+  let session = Session.create ~options ~checkpoint_every src in
+  Session.install_oracle session;
+  let dbg = Debugger.create session in
+  ignore (Debugger.watch dbg "g0");
+  ignore (Debugger.watch dbg "ga");
+  let _ = Session.run ~fuel:20_000_000 session in
+  let at_exit = replay_free (Session.report session) in
+  let audit_at_exit = Audit.report session.Session.audit in
+  let events = Debugger.events dbg in
+  let end_insn = Machine.Cpu.instr_count session.Session.cpu in
+  let addr v = Option.get (Session.resolve_addr session v) in
+  List.iter
+    (function
+      | Last_write v -> ignore (Session.last_write session ~addr:(addr v))
+      | History v ->
+        let lo = addr v in
+        let hi = lo + if v = "ga" then 64 else 4 in
+        ignore (Session.write_history session ~lo ~hi)
+      | Travel f -> ignore (Session.time_travel session ~insn:(end_insn * f / 1000)))
+    queries;
+  let audit = Audit.report session.Session.audit in
+  replay_free (Session.report session) = at_exit
+  && { audit with Audit.a_replay = [] } = { audit_at_exit with Audit.a_replay = [] }
+  && Debugger.events dbg = events
+  && Session.missed_hits session = 0
+
+let prop_replay_counts_nothing =
+  QCheck.Test.make ~name:"random programs: retroactive queries count nothing"
+    ~count:40
+    QCheck.(
+      triple arb_program
+        (make ~print:string_of_int Gen.(int_range 50 2_000))
+        (make ~print:(fun qs -> String.concat "; " (List.map print_query qs)) gen_queries))
+    (fun (src, checkpoint_every, queries) ->
+      List.for_all
+        (fun options -> queries_count_nothing ~options ~checkpoint_every src queries)
+        replay_configurations)
 
 (* Retroactive queries against ground truth (the fuzzed form of
    test_replay's full-trace check): an unrecorded run with g0 watched
@@ -636,6 +718,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_observed_differential;
         verifier_case;
         QCheck_alcotest.to_alcotest prop_slicing_matches_run;
+        QCheck_alcotest.to_alcotest prop_replay_counts_nothing;
         QCheck_alcotest.to_alcotest prop_daemon_matches_session;
         (let name, speed, run = QCheck_alcotest.to_alcotest prop_journal_ground_truth in
          ( name,

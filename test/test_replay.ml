@@ -587,17 +587,19 @@ let test_guard_fires_on_divergence () =
   (* ...and with the saboteur off the same window replays clean. *)
   ignore (Replay.replay_from r snaps.(0) ~insn:(Snapshot.insn snaps.(1)))
 
-(* Saboteurs for the other components: a sampler firing on the
-   window's last replayed instruction perturbs a register or the output
-   buffer, where nothing later in the window can undo it. *)
+(* Saboteurs for the other components: a control probe on the window's
+   last replayed instruction perturbs a register or the output buffer
+   just before it runs, and that instruction leaves the perturbation in
+   place.  A probe, not an observer: replay pauses the sampler. *)
 let test_guard_fires_on_registers_and_output () =
   let session, r = record_session ~interval:10_000 (workload "030.matrix300") in
   let cpu = session.Session.cpu in
   let snaps = Array.of_list (Journal.snapshots (Replay.journal r)) in
   let target = Snapshot.insn snaps.(1) in
+  ignore (Session.time_travel session ~insn:(target - 1));
   let perturb = ref ignore in
-  Machine.Cpu.sample_install cpu ~every:1 ~hook:(fun insn ->
-      if insn = target then !perturb ());
+  Machine.Cpu.add_probe cpu (Machine.Cpu.pc cpu) (fun cpu ->
+      if Machine.Cpu.instr_count cpu = target - 1 then !perturb ());
   let sabotage ~names p =
     perturb := p;
     let expected, actual = violation r snaps in

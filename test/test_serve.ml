@@ -522,6 +522,76 @@ let test_engine_shard_determinism () =
     (List.combine s1 s3);
   check_string "merged telemetry identical across shards" t1 t3
 
+(* Replay counts nothing, over the wire: at O_full, the session's report
+   after a history, a last-write and a travel equals the one taken at
+   exit, apart from what the replay engine counts of itself (restores,
+   replayed instructions, checkpoints), and no hit streams while a query
+   runs. *)
+let test_queries_count_nothing () =
+  let t = Daemon.create ~shards:1 ~slice:700 () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.shutdown t)
+    (fun () ->
+      let c = Daemon.client t in
+      let sid = "q" in
+      List.iter
+        (fun cmd -> Daemon.submit t c (Proto.encode_command cmd))
+        [
+          Proto.Open
+            { sid; source = Proto.Program program; strategy = "BitmapInlineRegisters";
+              opt = "full" };
+          Proto.Arm { sid; target = Proto.Var "counter" };
+          Proto.Run { sid; fuel = 100_000_000 };
+          Proto.Report { sid };
+          Proto.Query_history { sid; target = "counter"; len = 4 };
+          Proto.Query_last_write { sid; target = "counter" };
+          Proto.Travel { sid; insn = 100 };
+          Proto.Report { sid };
+        ];
+      Daemon.drain t;
+      let bodies =
+        List.filter_map
+          (fun l ->
+            match Proto.decode_reply l with
+            | Ok { Proto.r_sid; r_body; _ } when r_sid = sid -> Some r_body
+            | _ -> None)
+          (Daemon.output c)
+      in
+      let rec split_at_exit before = function
+        | [] -> (List.rev before, [])
+        | (Proto.Exited _ as b) :: rest -> (List.rev (b :: before), rest)
+        | b :: rest -> split_at_exit (b :: before) rest
+      in
+      let run, queries = split_at_exit [] bodies in
+      check_bool "hits streamed during the run" true (List.mem "hit" (List.map kind run));
+      let after = List.map kind queries in
+      check_bool "every query answered" true
+        (List.for_all (fun k -> List.mem k after) [ "history"; "last-write"; "traveled" ]);
+      check_bool "no hit streamed while the queries ran" false (List.mem "hit" after);
+      let counters j =
+        match Export.json_of_string j with
+        | Export.Obj fields -> (
+          match List.assoc_opt "counters" fields with
+          | Some (Export.Obj cs) ->
+            List.filter_map
+              (fun (n, v) ->
+                match v with
+                | Export.Int v
+                  when not
+                         (List.mem n [ "replayed_instrs"; "restores" ]
+                         || String.starts_with ~prefix:"checkpoint" n) ->
+                  Some (Printf.sprintf "%s=%d" n v)
+                | _ -> None)
+              cs
+          | _ -> Alcotest.fail "report without counters")
+        | _ -> Alcotest.fail "report is not an object"
+      in
+      match List.filter_map (function Proto.Report_json j -> Some j | _ -> None) queries with
+      | [ at_exit; after ] ->
+        Alcotest.(check (list string))
+          "report after the queries = report at exit" (counters at_exit) (counters after)
+      | _ -> Alcotest.fail "expected two reports")
+
 (* A job that escapes every handler is the scheduler's backstop: it is
    counted in the daemon's /metrics body (which must still lint), and
    its shard goes on to run the next job. *)
@@ -1499,6 +1569,8 @@ let suites =
           test_engine_transcripts;
         Alcotest.test_case "transcripts and telemetry shard-invariant" `Slow
           test_engine_shard_determinism;
+        Alcotest.test_case "queries count nothing, stream no hit" `Quick
+          test_queries_count_nothing;
         Alcotest.test_case "errors, gauges, disconnect" `Quick
           test_engine_errors_and_gauges;
         Alcotest.test_case "disconnect ends the client's run" `Quick

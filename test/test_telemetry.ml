@@ -235,7 +235,7 @@ let parity_checks rc =
   check_int "loop_entries = per-loop entry counts"
     (List.fold_left
        (fun acc (p : Loopopt.loop_plan) ->
-         acc + Mrs.loop_entry_count session.Session.mrs p.loop_id)
+         acc + Telemetry.loop_entries session.Session.telemetry p.loop_id)
        0 session.Session.plan.Instrument.loop_plans)
     (counter rep "loop_entries");
   check_int "patches_inserted = journalled insertions"
@@ -317,47 +317,50 @@ int main() {
     (user + counter rep "internal_hits")
     (write_site_hits + read_site_hits + counter rep "unattributed_hits")
 
-(* --- fuzz: registry on/off parity -------------------------------------------- *)
+(* --- fuzz: replay counts nothing ------------------------------------------------ *)
 
-(* The registry must be observation-only: running the same program with
-   telemetry enabled and disabled yields bit-identical simulations
-   (exit code, stats, output), the enabled counters agree with the
-   independent recounts, and the disabled registry records nothing on
-   the bump paths. *)
+(* The registry counts the live run once.  A session recorded through
+   the checkpoint journal is asked every kind of retroactive question;
+   its report afterwards must still agree with independent recounts
+   taken when the program exited — the recount hook, the debugger's
+   events and the oracle — and the hit ring must hold only live
+   events. *)
 let prop_registry_parity =
   QCheck.Test.make
-    ~name:"random programs: telemetry on/off parity, counters match recounts"
+    ~name:"random programs: telemetry counts the live run once, = recounts"
     ~count:10 Test_fuzz.arb_program (fun src ->
-      let run enabled =
-        let telemetry = Telemetry.create ~enabled ~ring_capacity:8 () in
-        let options =
-          { Instrument.default_options with opt = Instrument.O_full;
-            monitor_reads = true }
-        in
-        let rc = recount (Session.create ~options ~telemetry src) in
-        ignore (Debugger.watch rc.dbg "g0");
-        ignore (Debugger.watch rc.dbg "ga");
-        let code, out = Session.run ~fuel:20_000_000 rc.session in
-        (code, out, Session.stats rc.session, rc)
+      let telemetry = Telemetry.create ~ring_capacity:8 () in
+      let options =
+        { Instrument.default_options with opt = Instrument.O_full;
+          monitor_reads = true }
       in
-      let code_on, out_on, stats_on, on = run true in
-      let code_off, out_off, stats_off, off = run false in
-      let rep_on = Session.report on.session
-      and rep_off = Session.report off.session in
-      code_on = code_off && out_on = out_off && stats_on = stats_off
-      && counter rep_on "check_execs" = !(on.site_stores)
-      && counter rep_on "user_hits" = user_events on
-      && counter rep_on "user_hits" = on.session.Session.expected_hits
-      && counter rep_on "read_hits" = read_events on
-      && sum_site_hits rep_on + counter rep_on "unattributed_hits"
-         = counter rep_on "user_hits" + counter rep_on "internal_hits"
-      (* the MRS itself behaves identically with the registry off *)
-      && user_events off = user_events on
-      && !(off.site_stores) = !(on.site_stores)
-      (* ... but its bump-path counters record nothing *)
-      && counter rep_off "check_execs" = 0
-      && counter rep_off "user_hits" = 0
-      && rep_off.Telemetry.r_events = [])
+      let rc =
+        recount (Session.create ~options ~telemetry ~checkpoint_every:300 src)
+      in
+      ignore (Debugger.watch rc.dbg "g0");
+      ignore (Debugger.watch rc.dbg "ga");
+      let _ = Session.run ~fuel:20_000_000 rc.session in
+      let site_stores = !(rc.site_stores) in
+      let events = Debugger.events rc.dbg in
+      let ring = (Session.report rc.session).Telemetry.r_events in
+      let session = rc.session in
+      let g0 = Option.get (Session.resolve_addr session "g0") in
+      let ga = Option.get (Session.resolve_addr session "ga") in
+      ignore (Session.last_write session ~addr:g0);
+      ignore (Session.write_history session ~lo:ga ~hi:(ga + 32));
+      ignore
+        (Session.time_travel session
+           ~insn:(Machine.Cpu.instr_count session.Session.cpu / 2));
+      let rep = Session.report session in
+      counter rep "check_execs" = site_stores
+      && counter rep "user_hits" = List.length events
+      && counter rep "user_hits" = session.Session.expected_hits
+      && counter rep "read_hits"
+         = List.length (List.filter (fun e -> e.Debugger.access = Mrs.Read) events)
+      && sum_site_hits rep + counter rep "unattributed_hits"
+         = counter rep "user_hits" + counter rep "internal_hits"
+      && Debugger.events rc.dbg = events
+      && rep.Telemetry.r_events = ring)
 
 (* A session's check sites carry probes and so execute through the
    generic interpreter; everything else runs the pre-decoded fast path.
