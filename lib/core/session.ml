@@ -191,18 +191,16 @@ let create ?(options = Instrument.default_options) ?(protect_mrs = false)
       Some p
     end
   in
-  (* Address-space heatmap: a store hook paints per-page write density
-     (plus check density where the store is a program store site)
-     and an MRS hit observer paints hit density. *)
+  (* Address-space heatmap: the store bodies count per-page write
+     density (plus check density where the store is a program store
+     site, decided here once per text slot) and an MRS hit observer
+     paints hit density. *)
   let heatmap =
     if not heatmap then None
     else begin
       let hm = Heatmap.create ~page_bits:Memory.page_bits () in
-      Cpu.set_store_hook cpu
-        (observed (fun cpu ~addr ~width:_ ->
-             Heatmap.record_write hm addr;
-             if Option.is_some (Instrument.store_type sites (Cpu.pc cpu)) then
-               Heatmap.record_check hm addr));
+      Cpu.heat_install cpu hm ~check_site:(fun pc ->
+          Option.is_some (Instrument.store_type sites pc));
       Mrs.add_hit_observer mrs (fun (h : Mrs.hit) ->
           Heatmap.record_hit hm h.Mrs.addr);
       Some hm

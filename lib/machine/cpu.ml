@@ -88,11 +88,20 @@ type t = {
   out : Buffer.t;
   mutable brk : int;
   config : config;
-  (* Store/load observers as dense counted arrays (amortized O(1)
-     registration, order-preserving).  [nstore_hooks = 0] is the
-     has-no-hooks fast-path test paid on every memory operation. *)
+  (* Store/load hooks as dense counted arrays (amortized O(1)
+     registration, order-preserving). *)
   mutable store_hooks : (t -> addr:int -> width:Insn.width -> unit) array;
   mutable nstore_hooks : int;
+  (* The built-in store observers, made inline by the store bodies:
+     the window marks of a run being recorded ([marks]) and the
+     heatmap's per-page write and check counts ([heat], with one
+     check-site flag per text slot in [check_slots]).  [nstore_obs]
+     counts them plus the store hooks; [nstore_obs = 0] is the one
+     test a store pays when nothing observes stores. *)
+  mutable marks : Written.builder option;
+  mutable heat : Heatmap.t option;
+  mutable check_slots : Bytes.t;
+  mutable nstore_obs : int;
   mutable load_hooks : (t -> addr:int -> width:Insn.width -> unit) array;
   mutable nload_hooks : int;
   (* Pre-decoded instruction closures, parallel to [text]: slot [i] is a
@@ -317,7 +326,8 @@ let[@inline] prof_step t idx =
     else
       match t.prof with
       | Some p ->
-        Profile.transfer p ~kind:k ~pc:t.pc ~instrs:t.ninstrs ~cycles:t.cycles
+        Profile.transfer p ~slot:idx ~kind:k ~pc:t.pc ~instrs:t.ninstrs
+          ~cycles:t.cycles
       | None -> ()
 
 (* Post-step work of whichever observers are installed, for the
@@ -416,10 +426,6 @@ let run_hooks t kind hs n ea width =
       ("Cpu: a " ^ kind
      ^ " hook halted the machine, patched text, added a probe or moved the pc")
 
-let run_store_hooks t ea width =
-  t.nstore_hook_dispatches <- t.nstore_hook_dispatches + t.nstore_hooks;
-  run_hooks t "store" t.store_hooks t.nstore_hooks ea width
-
 let run_load_hooks t ea width =
   t.nload_hook_dispatches <- t.nload_hook_dispatches + t.nload_hooks;
   run_hooks t "load" t.load_hooks t.nload_hooks ea width
@@ -437,6 +443,44 @@ let[@inline] mem_page m key =
   Array.unsafe_get
     (Array.unsafe_get m.Memory.dir (key lsr Memory.l2_bits))
     (key land Memory.l2_mask)
+
+(* Mark the word at normalized address [a] in a window's marks: one
+   [lor] into the cached row when [a] is on the last page marked. *)
+let[@inline] mark b a =
+  let page = a asr Written.page_bits in
+  let row = if page = b.Written.page then b.Written.row else Written.row b page in
+  let blk = (a lsr Written.block_bits) land Written.row_mask in
+  Array.unsafe_set row blk
+    (Array.unsafe_get row blk lor (1 lsl ((a asr 2) land Written.word_mask)))
+
+(* Count a store at [ea] on its page, and a check too when the store's
+   slot is a check site. *)
+let[@inline] heat_count t hm ea =
+  let key = (ea lsr Memory.page_bits) land hm.Heatmap.key_mask in
+  let l2 = Array.unsafe_get hm.Heatmap.dir (key lsr Heatmap.l2_bits) in
+  let l2 = if Array.length l2 = 0 then Heatmap.l2 hm (key lsr Heatmap.l2_bits) else l2 in
+  let i = (key land Heatmap.l2_mask) lsl Heatmap.cell_bits in
+  Array.unsafe_set l2 i (Array.unsafe_get l2 i + 1);
+  if Bytes.unsafe_get t.check_slots ((t.pc - t.text_base) lsr 2) <> '\000' then
+    Array.unsafe_set l2 (i + 1) (Array.unsafe_get l2 (i + 1) + 1)
+
+(* Every store observer, for a store of [width] at [ea] that just
+   completed (the pc is still the store's): the marks while recording,
+   the heat counts while observing, then the hooks.  Each observer
+   counts as one hook dispatch. *)
+let[@inline] observe_store t ea width =
+  t.nstore_hook_dispatches <- t.nstore_hook_dispatches + t.nstore_obs;
+  (match t.marks with
+  | Some b -> (
+    mark b ea;
+    match width with
+    | Insn.Double -> mark b (norm (ea + 4))
+    | Insn.Word | Insn.Byte | Insn.Half -> ())
+  | None -> ());
+  (match t.heat with
+  | Some hm when not t.paused -> heat_count t hm ea
+  | Some _ | None -> ());
+  if t.nstore_hooks <> 0 then run_hooks t "store" t.store_hooks t.nstore_hooks ea width
 
 let ld_word t ea rd =
   t.nloads <- t.nloads + 1;
@@ -494,7 +538,7 @@ let st_word t ea rd =
   in
   (* Register values are already normalized. *)
   Array.unsafe_set arr ((a land Memory.offset_mask) lsr 2) (rget t rd);
-  if t.nstore_hooks <> 0 then run_store_hooks t ea Insn.Word
+  if t.nstore_obs <> 0 then observe_store t ea Insn.Word
 
 let st_double t ea rd =
   t.nstores <- t.nstores + 1;
@@ -508,7 +552,7 @@ let st_double t ea rd =
      Memory.write_word t.mem (ea + 4) (get t odd)
    with Memory.Misaligned { addr; width } ->
      faultf t "misaligned %d-byte store at 0x%x" width (Word.to_unsigned addr));
-  if t.nstore_hooks <> 0 then run_store_hooks t ea Insn.Double
+  if t.nstore_obs <> 0 then observe_store t ea Insn.Double
 
 let st_byte t ea rd =
   t.nstores <- t.nstores + 1;
@@ -517,7 +561,7 @@ let st_byte t ea rd =
   (try Memory.write_byte t.mem ea (rget t rd land 0xFF)
    with Memory.Misaligned { addr; width } ->
      faultf t "misaligned %d-byte store at 0x%x" width (Word.to_unsigned addr));
-  if t.nstore_hooks <> 0 then run_store_hooks t ea Insn.Byte
+  if t.nstore_obs <> 0 then observe_store t ea Insn.Byte
 
 let st_half t ea rd =
   t.nstores <- t.nstores + 1;
@@ -526,7 +570,7 @@ let st_half t ea rd =
   (try Memory.write_half t.mem ea (rget t rd land 0xFFFF)
    with Memory.Misaligned { addr; width } ->
      faultf t "misaligned %d-byte store at 0x%x" width (Word.to_unsigned addr));
-  if t.nstore_hooks <> 0 then run_store_hooks t ea Insn.Half
+  if t.nstore_obs <> 0 then observe_store t ea Insn.Half
 
 (* Execute [insn]; [next] is the fall-through pc.  This generic
    interpreter only runs on the probe slow path (and so also backs the
@@ -871,6 +915,10 @@ let create ?(config = default_config) (image : Assembler.image) =
       config;
       store_hooks = [||];
       nstore_hooks = 0;
+      marks = None;
+      heat = None;
+      check_slots = Bytes.empty;
+      nstore_obs = 0;
       load_hooks = [||];
       nload_hooks = 0;
       code = Arr.mapi (compile image.text_base) text;
@@ -1302,7 +1350,33 @@ let push_hook arr n hook =
 
 let set_store_hook t hook =
   t.store_hooks <- push_hook t.store_hooks t.nstore_hooks hook;
-  t.nstore_hooks <- t.nstore_hooks + 1
+  t.nstore_hooks <- t.nstore_hooks + 1;
+  t.nstore_obs <- t.nstore_obs + 1
+
+let remove_store_hook t hook =
+  let hs = t.store_hooks and n = t.nstore_hooks in
+  let rec find i = if i = n || hs.(i) == hook then i else find (i + 1) in
+  let i = find 0 in
+  if i < n then begin
+    Array.blit hs (i + 1) hs i (n - i - 1);
+    t.nstore_hooks <- n - 1;
+    t.nstore_obs <- t.nstore_obs - 1
+  end
+
+let set_marks t marks =
+  let was = Option.is_some t.marks and now = Option.is_some marks in
+  t.marks <- marks;
+  t.nstore_obs <- t.nstore_obs + Bool.to_int now - Bool.to_int was
+
+let heat_install t hm ~check_site =
+  if Heatmap.page_bytes hm <> Memory.page_bytes then
+    invalid_arg "Cpu.heat_install: heatmap pages differ from memory pages";
+  if Option.is_some t.heat then invalid_arg "Cpu.heat_install: already installed";
+  t.check_slots <-
+    Bytes.init (Array.length t.text) (fun i ->
+        if check_site (t.text_base + (i lsl 2)) then '\001' else '\000');
+  t.heat <- Some hm;
+  t.nstore_obs <- t.nstore_obs + 1
 
 let set_load_hook t hook =
   t.load_hooks <- push_hook t.load_hooks t.nload_hooks hook;

@@ -136,16 +136,40 @@ val halted : t -> int option
 val set_store_hook : t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> unit
 (** Register an observer invoked after every executed store with its
     effective address (the test oracle; the hardware-watchpoint
-    strategy).  Hooks compose: each registered hook runs in
-    registration order.  Registration is amortized O(1) (hooks live in
-    a counted array), and a zero-hook machine pays only one integer
-    test per memory operation.
+    strategy; a replay query's watch).  Hooks compose: each registered
+    hook runs in registration order, after the built-in store
+    observers ({!set_marks}, {!heat_install}).  Registration is
+    amortized O(1) (hooks live in a counted array), and a machine with
+    no store observer of either kind pays only one integer test per
+    store.
 
     Hooks run inside {!run_to}'s blocks, so a hook must never halt the
     machine, patch text, add a probe or move the pc; it may read any
     state, raise, or record.  The dispatcher checks this after each
     access's hooks.
     @raise Invalid_argument (from the access) when a hook broke it. *)
+
+val remove_store_hook :
+  t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> unit
+(** Unregister the first hook physically equal to the one given (no-op
+    when none is); the others keep their order.  Not from inside a
+    hook. *)
+
+val set_marks : t -> Written.builder option -> unit
+(** [Some b]: from now on every executed store marks the words it wrote
+    in [b] (the same marks as {!Written.add}), inline in the store
+    body — the replay engine records its windows this way.  [None]
+    stops marking.  Marks are made whether or not observers are paused:
+    recording is not an observer (replay runs with [None]). *)
+
+val heat_install : t -> Heatmap.t -> check_site:(int -> bool) -> unit
+(** Count every executed store in the heatmap's page cell, inline in
+    the store body, and a check too when [check_site pc] holds for the
+    store's pc.  [check_site] is asked once per text slot, here, so
+    patching text later changes no flag.  Counts are made only while
+    {!observing}.
+    @raise Invalid_argument when the heatmap's pages are not memory
+    pages, or one is already installed. *)
 
 val set_load_hook : t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> unit
 (** Same for loads (the read-monitoring oracle), under the same
@@ -222,7 +246,9 @@ val probe_dispatches : t -> int
     each counter bumped, on either path. *)
 
 val store_hook_dispatches : t -> int
-(** Total store-hook invocations across all executed stores. *)
+(** Total store-observer invocations across all executed stores: each
+    store counts one per registered hook and one per built-in observer
+    installed ({!set_marks}, {!heat_install}), paused or not. *)
 
 val load_hook_dispatches : t -> int
 
@@ -267,10 +293,10 @@ val sample_install : t -> every:int -> hook:(int -> unit) -> unit
     @raise Invalid_argument when [every < 1]. *)
 
 val observing : t -> bool
-(** [false] inside {!without_observers}, [true] otherwise.  Passive
-    observers outside the interpreter (the heatmap's and the oracle's
-    hooks, the MRS's notification callback and hit observers) test it,
-    so one gate pauses every observer. *)
+(** [false] inside {!without_observers}, [true] otherwise.  The heat
+    counts ({!heat_install}) and the passive observers outside the
+    interpreter (the oracle's hooks, the MRS's notification callback
+    and hit observers) test it, so one gate pauses every observer. *)
 
 val without_observers : t -> (unit -> 'a) -> 'a
 (** [without_observers t f] runs [f] with every observer paused: the

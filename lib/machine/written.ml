@@ -2,8 +2,8 @@ open Sparc
 
 (* Which words one checkpoint window stored to, exact per word: one
    32-bit mask per 128-byte block, bit [i] standing for the block's
-   word [i].  Addresses are taken as the interpreter hands them to its
-   store hooks, with the same word arithmetic ([land lnot 3]) the
+   word [i].  Addresses are taken as the interpreter's store bodies
+   compute them, with the same word arithmetic ([land lnot 3]) the
    replay watch uses, so a range overlaps a summary exactly when
    replaying the window under a watch on that range would report a
    hit. *)
@@ -79,14 +79,16 @@ let union a b =
 (* --- accumulation ------------------------------------------------------- *)
 
 (* Marks live in a direct-indexed table over the 20-bit page number,
-   two levels like {!Machine.Memory}'s page table: a page's row holds
-   its 32 block masks, then a flag saying the page is listed in
-   [touched].  [take] zeroes the rows it reads and keeps them, so a
-   window of stores to pages seen before allocates nothing.  The last
-   row written is cached, so a store to the same page as the previous
-   one is a compare, a shift and an [lor]. *)
+   two levels like {!Memory}'s page table: a page's row holds its 32
+   block masks, then a flag saying the page is listed in [touched].
+   [take] zeroes the rows it reads and keeps them, so a window of
+   stores to pages seen before allocates nothing.  The last row
+   written is cached, so a store to the same page as the previous one
+   is a compare, a shift and an [lor]; {!Cpu}'s store bodies make that
+   mark inline. *)
 let page_bits = 12
 let row_blocks = 1 lsl (page_bits - block_bits)
+let row_mask = row_blocks - 1
 let l2_bits = 10
 let l2_mask = (1 lsl l2_bits) - 1
 let page_mask = (1 lsl (32 - page_bits)) - 1
@@ -112,9 +114,7 @@ let builder () =
     row = no_row;
   }
 
-(* The row of signed page number [page], created and listed in
-   [touched] as needed. *)
-let row_of b page =
+let row b page =
   let key = page land page_mask in
   let l2 =
     let l2 = b.dir.(key lsr l2_bits) in
@@ -141,18 +141,17 @@ let row_of b page =
     b.touched.(b.n_touched) <- page;
     b.n_touched <- b.n_touched + 1
   end;
+  b.row <- row;
+  b.page <- page;
   row
 
 let mark b addr =
   let addr = Word.norm addr in
   let page = addr asr page_bits in
-  if page <> b.page then begin
-    b.row <- row_of b page;
-    b.page <- page
-  end;
-  let blk = (addr lsr block_bits) land (row_blocks - 1) in
-  Array.unsafe_set b.row blk
-    (Array.unsafe_get b.row blk lor (1 lsl ((addr asr 2) land word_mask)))
+  let row = if page = b.page then b.row else row b page in
+  let blk = (addr lsr block_bits) land row_mask in
+  Array.unsafe_set row blk
+    (Array.unsafe_get row blk lor (1 lsl ((addr asr 2) land word_mask)))
 
 let add b ~addr ~width =
   mark b addr;

@@ -3,10 +3,10 @@ open Machine
 
 (* Time-travel engine: record a run while checkpointing it at an
    instruction-count interval, then answer retroactive queries with one
-   replay cursor that restores checkpoints and re-executes.  One store
-   hook serves both phases: while recording it marks the words every
-   store writes ({!Written}); while a cursor's leg is armed it is the
-   invisible host-side watch (see replay.mli). *)
+   replay cursor that restores checkpoints and re-executes.  While
+   recording, the machine's store bodies mark the words every store
+   writes ({!Cpu.set_marks}); while a cursor's leg is armed, a store
+   hook is the invisible host-side watch (see replay.mli). *)
 
 type hit = {
   h_insn : int;  (* instruction count including the store *)
@@ -38,9 +38,8 @@ type t = {
   mutable started : bool;
   mutable next_boundary : int;
   pending : Written.builder;  (* stores since the last checkpoint *)
-  mutable watch : watch option;
-      (* read by the store hook installed at [create] (hooks are
-         append-only): set while an armed leg replays *)
+  mutable armed : (Cpu.t -> addr:int -> width:Insn.width -> unit) option;
+      (* the watch's store hook, registered while an armed leg replays *)
 }
 
 (* A cursor's watch on [[lo, hi)]: [shadow] maps each watched word to
@@ -82,35 +81,44 @@ let create ?telemetry ?audit ?budget_bytes ?(checkpoint_every = 10_000) cpu =
       started = false;
       next_boundary = 0;
       pending = Written.builder ();
-      watch = None;
+      armed = None;
     }
   in
-  Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
-      match t.watch with
-      | None -> if not t.recorded then Written.add t.pending ~addr ~width
-      | Some wt ->
-        let last = addr + Insn.width_bytes width in
-        let w = ref (addr land lnot 3) in
-        while !w < last do
-          (* Word [w] overlaps the watched byte range [lo, hi)? *)
-          if !w + 4 > wt.lo && !w < wt.hi then begin
-            let nv = Memory.read_word (Cpu.mem cpu) !w in
-            let ov = Option.value ~default:0 (Hashtbl.find_opt wt.shadow !w) in
-            wt.hits <-
-              {
-                h_insn = Cpu.instr_count cpu;
-                h_pc = Cpu.pc cpu;
-                h_addr = !w;
-                h_old = ov;
-                h_new = nv;
-                h_width = width;
-              }
-              :: wt.hits;
-            Hashtbl.replace wt.shadow !w nv
-          end;
-          w := !w + 4
-        done);
+  Cpu.set_marks cpu (Some t.pending);
   t
+
+(* The watch's store hook: every watched word a store wrote is a hit. *)
+let watch_hook wt cpu ~addr ~width =
+  let last = addr + Insn.width_bytes width in
+  let w = ref (addr land lnot 3) in
+  while !w < last do
+    (* Word [w] overlaps the watched byte range [lo, hi)? *)
+    if !w + 4 > wt.lo && !w < wt.hi then begin
+      let nv = Memory.read_word (Cpu.mem cpu) !w in
+      let ov = Option.value ~default:0 (Hashtbl.find_opt wt.shadow !w) in
+      wt.hits <-
+        {
+          h_insn = Cpu.instr_count cpu;
+          h_pc = Cpu.pc cpu;
+          h_addr = !w;
+          h_old = ov;
+          h_new = nv;
+          h_width = width;
+        }
+        :: wt.hits;
+      Hashtbl.replace wt.shadow !w nv
+    end;
+    w := !w + 4
+  done
+
+let disarm t =
+  Option.iter (Cpu.remove_store_hook t.cpu) t.armed;
+  t.armed <- None
+
+let arm t hook =
+  disarm t;
+  Cpu.set_store_hook t.cpu hook;
+  t.armed <- Some hook
 
 let journal t = t.journal
 let end_insn t = t.end_insn
@@ -167,6 +175,7 @@ let record_slice ?(fuel = 200_000_000) t =
       t.end_insn <- Cpu.instr_count t.cpu;
       t.exit_code <- Some code;
       t.recorded <- true;
+      Cpu.set_marks t.cpu None;
       `Exited code
   end
 
@@ -187,6 +196,7 @@ type 'a cursor = {
   goal : 'a goal;
   guard : bool;
   watch : watch;
+  hook : Cpu.t -> addr:int -> width:Insn.width -> unit;  (* [watch_hook watch] *)
   mutable legs : leg list;  (* the head is under way once [restored] *)
   mutable restored : bool;
   mutable replayed : int;
@@ -195,7 +205,7 @@ type 'a cursor = {
 let make ?(guard = true) ?(lo = 0) ?(hi = 0) r goal legs =
   if not r.recorded then invalid_arg "Replay.cursor: record the run first";
   let watch = { lo; hi; shadow = Hashtbl.create 64; hits = [] } in
-  { r; goal; guard; watch; legs; restored = false; replayed = 0 }
+  { r; goal; guard; watch; hook = watch_hook watch; legs; restored = false; replayed = 0 }
 
 (* A travel is one unarmed leg.  A query replays each window that stored
    to the range (the summary marks exactly the words the watch would
@@ -244,7 +254,7 @@ let start_leg c leg =
       Hashtbl.replace wt.shadow !w (Memory.read_word (Cpu.mem t.cpu) !w);
       w := !w + 4
     done;
-    t.watch <- Some wt
+    arm t c.hook
   end;
   c.restored <- true
 
@@ -253,7 +263,7 @@ let start_leg c leg =
    drop the windows left to search. *)
 let finish_leg (type a) (c : a cursor) leg =
   let t = c.r in
-  t.watch <- None;
+  disarm t;
   c.restored <- false;
   (match c.goal with
   | Last_write _ when c.watch.hits <> [] ->
@@ -307,7 +317,7 @@ let advance c ~fuel =
   in
   try go fuel
   with e ->
-    t.watch <- None;
+    disarm t;
     raise e
 
 let rec to_end c = match advance c ~fuel:max_int with Done a -> a | More -> to_end c

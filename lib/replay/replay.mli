@@ -14,13 +14,14 @@
     checkpoint, the machine must equal that checkpoint in full
     ({!Snapshot.diverges}), or {!Determinism_violation} is raised.
 
-    While the run is recorded, the same store hook marks every word each
-    store instruction writes, and each checkpoint keeps the marks of the
-    window it closes ({!Snapshot.written}, exact per word; eviction
-    merges a victim's marks into its successor).  A query skips every
-    window whose marks miss its range.  Host-side writes (a trap handler
-    or the debugger writing simulated memory) run no store hook, so they
-    are neither marked nor reported.  Recording and replay both run the
+    While the run is recorded, the interpreter's store bodies mark every
+    word each store instruction writes ({!Machine.Cpu.set_marks}), and
+    each checkpoint keeps the marks of the window it closes
+    ({!Snapshot.written}, exact per word; eviction merges a victim's
+    marks into its successor).  A query skips every window whose marks
+    miss its range.  Host-side writes (a trap handler or the debugger
+    writing simulated memory) run no store body, so they are neither
+    marked nor reported.  Recording and replay both run the
     interpreter through {!Machine.Cpu.run_to}.  Replay counts nothing:
     {!advance} runs each leg inside {!Machine.Cpu.without_observers} and
     {!Telemetry.replaying}; only its restores, replayed instructions and
@@ -54,9 +55,11 @@ val create :
   ?checkpoint_every:int ->
   Machine.Cpu.t ->
   t
-(** Attach a replay engine to a machine.  One store hook is installed
-    immediately (disarmed: one flag test per store until a query arms
-    it).  [checkpoint_every] (default 10000) is the journal interval in
+(** Attach a replay engine to a machine: from now until the recorded
+    run halts, the machine marks the words its stores write.  The
+    watch's store hook is registered only while an armed leg replays,
+    so the live run dispatches no hook of the engine's.
+    [checkpoint_every] (default 10000) is the journal interval in
     executed instructions; [budget_bytes] enables exponential-thinning
     eviction.  [telemetry]/[audit] receive checkpoint and
     replay lifecycle counters/events (defaults: a private registry and

@@ -17,7 +17,7 @@
 
 type t
 
-val capture : seq:int -> written:Written.t -> Machine.Cpu.t -> t
+val capture : seq:int -> written:Machine.Written.t -> Machine.Cpu.t -> t
 (** Snapshot the machine now.  [seq] is the caller-assigned capture
     order (kept per replay instance so parallel bench domains share no
     state); [written] summarizes the stores made since the previous
@@ -40,7 +40,7 @@ val seq : t -> int
 
 val view : t -> Machine.Memory.view
 
-val written : t -> Written.t
+val written : t -> Machine.Written.t
 (** The words stored to between the previous retained checkpoint and
     this one. *)
 

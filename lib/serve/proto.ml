@@ -11,17 +11,27 @@ let version = "dbp-wire/1"
 let needs_escape c =
   c = '%' || c = ' ' || Char.code c < 0x21 || Char.code c > 0x7e
 
+let hex_digits = "0123456789ABCDEF"
+
+(* Append [s] escaped: [%XX] for each byte that needs it, [%z] for the
+   empty string. *)
+let add_escaped b s =
+  if s = "" then Buffer.add_string b "%z"
+  else
+    for i = 0 to String.length s - 1 do
+      let c = s.[i] in
+      if needs_escape c then begin
+        Buffer.add_char b '%';
+        Buffer.add_char b hex_digits.[Char.code c lsr 4];
+        Buffer.add_char b hex_digits.[Char.code c land 15]
+      end
+      else Buffer.add_char b c
+    done
+
 let escape s =
-  if s = "" then "%z"
-  else begin
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        if needs_escape c then Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-        else Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
+  let b = Buffer.create (String.length s + 8) in
+  add_escaped b s;
+  Buffer.contents b
 
 let hex_val c =
   match c with
@@ -227,39 +237,109 @@ type reply = { r_sid : string; r_seq : int; r_body : reply_body }
 
 let terminal = function Hit _ | Write _ | History _ -> false | _ -> true
 
-let encode_body = function
-  | Hello_ok -> "hello " ^ version
-  | Opened { name; strategy; opt } ->
-    Printf.sprintf "opened %s %s %s" (escape name) (escape strategy)
-      (escape opt)
-  | Armed { name; lo; len } ->
-    Printf.sprintf "armed %s %d %d" (escape name) lo len
-  | Disarmed { name } -> Printf.sprintf "disarmed %s" (escape name)
-  | Running { executed } -> Printf.sprintf "running %d" executed
-  | Exited { code; executed; output } ->
-    Printf.sprintf "exited %d %d %s" code executed (escape output)
-  | Hit { name; insn; pc; addr; value; func } ->
-    Printf.sprintf "hit %s %d %d %d %d %s" (escape name) insn pc addr value
-      (escape func)
-  | Last_write { target; addr; insn; pc; old_v; new_v; wtype; func } ->
-    Printf.sprintf "last-write %s %d %d %d %d %d %s %s" (escape target) addr
-      insn pc old_v new_v (escape wtype) (escape func)
-  | Never_written { target; addr } ->
-    Printf.sprintf "never-written %s %d" (escape target) addr
-  | History { count } -> Printf.sprintf "history %d" count
-  | Write { insn; pc; addr; old_v; new_v; wtype } ->
-    Printf.sprintf "write %d %d %d %d %d %s" insn pc addr old_v new_v
-      (escape wtype)
-  | Traveled { insn; reexecuted; pc } ->
-    Printf.sprintf "traveled %d %d %d" insn reexecuted pc
-  | Report_json j -> Printf.sprintf "report %s" (escape j)
-  | Verified { total; proved; refuted; unknown } ->
-    Printf.sprintf "verified %d %d %d %d" total proved refuted unknown
-  | Closed -> "closed"
-  | Error msg -> Printf.sprintf "error %s" (escape msg)
+(* A frame is built in one buffer: each field after the first is a
+   space and then a bare word, a decimal integer or an escaped
+   string. *)
+let word b w =
+  Buffer.add_char b ' ';
+  Buffer.add_string b w
+
+(* [n] in decimal, as [%d] prints it; digits are taken off a
+   non-positive value, so [min_int] needs no special case. *)
+let int b n =
+  Buffer.add_char b ' ';
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  if n < 0 then Buffer.add_char b '-';
+  digits (if n > 0 then -n else n)
+
+let str b x =
+  Buffer.add_char b ' ';
+  add_escaped b x
 
 let encode_reply r =
-  Printf.sprintf "%s %d %s" (escape r.r_sid) r.r_seq (encode_body r.r_body)
+  let b = Buffer.create 64 in
+  add_escaped b r.r_sid;
+  int b r.r_seq;
+  (match r.r_body with
+  | Hello_ok ->
+    word b "hello";
+    word b version
+  | Opened { name; strategy; opt } ->
+    word b "opened";
+    str b name;
+    str b strategy;
+    str b opt
+  | Armed { name; lo; len } ->
+    word b "armed";
+    str b name;
+    int b lo;
+    int b len
+  | Disarmed { name } ->
+    word b "disarmed";
+    str b name
+  | Running { executed } ->
+    word b "running";
+    int b executed
+  | Exited { code; executed; output } ->
+    word b "exited";
+    int b code;
+    int b executed;
+    str b output
+  | Hit { name; insn; pc; addr; value; func } ->
+    word b "hit";
+    str b name;
+    int b insn;
+    int b pc;
+    int b addr;
+    int b value;
+    str b func
+  | Last_write { target; addr; insn; pc; old_v; new_v; wtype; func } ->
+    word b "last-write";
+    str b target;
+    int b addr;
+    int b insn;
+    int b pc;
+    int b old_v;
+    int b new_v;
+    str b wtype;
+    str b func
+  | Never_written { target; addr } ->
+    word b "never-written";
+    str b target;
+    int b addr
+  | History { count } ->
+    word b "history";
+    int b count
+  | Write { insn; pc; addr; old_v; new_v; wtype } ->
+    word b "write";
+    int b insn;
+    int b pc;
+    int b addr;
+    int b old_v;
+    int b new_v;
+    str b wtype
+  | Traveled { insn; reexecuted; pc } ->
+    word b "traveled";
+    int b insn;
+    int b reexecuted;
+    int b pc
+  | Report_json j ->
+    word b "report";
+    str b j
+  | Verified { total; proved; refuted; unknown } ->
+    word b "verified";
+    int b total;
+    int b proved;
+    int b refuted;
+    int b unknown
+  | Closed -> word b "closed"
+  | Error msg ->
+    word b "error";
+    str b msg);
+  Buffer.contents b
 
 let decode_body = function
   | [ "hello"; v ] when v = version -> Ok Hello_ok

@@ -1,157 +1,156 @@
 (* Address-space heatmap: per-page write/check/hit counters over the
    simulated sparse memory.  The page size comes in as [page_bits]
    (the machine layer passes its own — telemetry takes no dependency
-   on it); pages materialize on first touch, so an untouched address
-   space costs nothing.  All renders sort by page index, making every
-   export deterministic regardless of hash-table iteration order. *)
+   on it).  Cells live in a flat two-level table shaped like the
+   machine's page directory, whose second levels are allocated on first
+   touch, so an untouched address space costs one directory.  The
+   interpreter's store bodies bump the write and check counts inline
+   ({!Cpu.heat_install}).  All renders walk pages in ascending order,
+   so every export is deterministic. *)
 
 type cell = {
-  mutable writes : int;   (* store instructions landing in the page *)
-  mutable checks : int;   (* instrumented check executions *)
-  mutable hits : int;     (* monitored-region hits *)
-  mutable monitored : bool;
+  writes : int;   (* store instructions landing in the page *)
+  checks : int;   (* instrumented check executions *)
+  hits : int;     (* monitored-region hits *)
+  monitored : bool;
 }
 
-type t = {
-  page_bits : int;
-  pages : (int, cell) Hashtbl.t;
-  (* Lookup cache in front of [pages]: the recorder sits on the
-     interpreter's store path, and stores alternate between a few hot
-     pages (stack, data, shadow stack; 3-11 per SPEC program), which a
-     one-entry cache missed on 40% of stores.  A hit is two loads and
-     a compare of the full page number.  [-1] marks an empty slot. *)
-  slot_page : int array;
-  slot_cell : cell array;
-}
+type t = { page_bits : int; key_mask : int; dir : int array array }
 
-(* 16 slots indexed by the top bits of [page * golden] (Fibonacci
-   hashing): low-bit indexing maps data page 0x400 and the
-   shadow-stack page at 0xB0000000 to one slot.  With this index every
-   SPEC program's store stream misses only on a page's first store. *)
-let slot_bits = 4
-let golden = 0x4F1B_BCDC_BFA5_3E0B (* 2^63 / phi, odd; wraps to negative *)
-let slot_of page = (page * golden) lsr (Sys.int_size - slot_bits)
+let l2_bits = 10
+let l2_mask = (1 lsl l2_bits) - 1
 
-let dummy_cell () = { writes = 0; checks = 0; hits = 0; monitored = false }
+(* A cell is four ints: writes, checks, hits, monitored (0 or 1). *)
+let cell_bits = 2
 
 let create ~page_bits () =
-  if page_bits < 1 || page_bits > 30 then
+  (* Below 8 the directory, one entry per [1 lsl l2_bits] keys, would
+     pass 32 768 entries. *)
+  if page_bits < 8 || page_bits > 30 then
     invalid_arg "Heatmap.create: page_bits out of range";
+  let key_bits = 33 - page_bits in
   {
     page_bits;
-    pages = Hashtbl.create 64;
-    slot_page = Array.make (1 lsl slot_bits) (-1);
-    slot_cell = Array.make (1 lsl slot_bits) (dummy_cell ());
+    key_mask = (1 lsl key_bits) - 1;
+    dir = Array.make (1 lsl max 0 (key_bits - l2_bits)) [||];
   }
 
 let page_bytes t = 1 lsl t.page_bits
 
-let cell t addr =
-  let page = addr lsr t.page_bits in
-  let slot = slot_of page in
-  if Array.unsafe_get t.slot_page slot = page then Array.unsafe_get t.slot_cell slot
+let l2 t i =
+  let l2 = t.dir.(i) in
+  if Array.length l2 > 0 then l2
   else begin
-    let c =
-      match Hashtbl.find_opt t.pages page with
-      | Some c -> c
-      | None ->
-        let c = dummy_cell () in
-        Hashtbl.add t.pages page c;
-        c
-    in
-    t.slot_page.(slot) <- page;
-    t.slot_cell.(slot) <- c;
-    c
+    let l2 = Array.make (1 lsl (l2_bits + cell_bits)) 0 in
+    t.dir.(i) <- l2;
+    l2
   end
 
-let record_write t addr =
-  let c = cell t addr in
-  c.writes <- c.writes + 1
+(* Apply [f] to field [k] of the cell of [addr]'s page. *)
+let update t addr k f =
+  let key = (addr lsr t.page_bits) land t.key_mask in
+  let l2 = l2 t (key lsr l2_bits) and i = ((key land l2_mask) lsl cell_bits) + k in
+  l2.(i) <- f l2.(i)
 
-let record_check t addr =
-  let c = cell t addr in
-  c.checks <- c.checks + 1
-
-let record_hit t addr =
-  let c = cell t addr in
-  c.hits <- c.hits + 1
+let record_write t addr = update t addr 0 succ
+let record_check t addr = update t addr 1 succ
+let record_hit t addr = update t addr 2 succ
 
 let mark_monitored t ~lo ~hi =
   if hi >= lo then
     for page = lo lsr t.page_bits to hi lsr t.page_bits do
-      let c = cell t (page lsl t.page_bits) in
-      c.monitored <- true
+      update t (page lsl t.page_bits) 3 (fun _ -> 1)
     done
 
-let n_pages t = Hashtbl.length t.pages
+(* The page number [addr lsr page_bits] of the addresses with key
+   [key]: a key in the upper half stands for a negative address, whose
+   63-bit logical shift sets the bits above the key. *)
+let page_of_key t key =
+  if key lsr (32 - t.page_bits) = 0 then key
+  else key + (1 lsl (63 - t.page_bits)) - (1 lsl (33 - t.page_bits))
 
-let fold f t acc =
-  (* Sorted page order: the deterministic spine of every render. *)
-  Hashtbl.fold (fun page c acc -> (page, c) :: acc) t.pages []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.fold_left (fun acc (page, c) -> f acc page c) acc
+(* The touched pages (a non-zero field) and their cells, in ascending
+   page order (key order is page order): one pass for a render to read
+   everything from. *)
+let cells t =
+  let acc = ref [] in
+  for d = Array.length t.dir - 1 downto 0 do
+    let l2 = t.dir.(d) in
+    for j = (Array.length l2 lsr cell_bits) - 1 downto 0 do
+      let i = j lsl cell_bits in
+      let w = l2.(i) and c = l2.(i + 1) and h = l2.(i + 2) and m = l2.(i + 3) in
+      if w lor c lor h lor m <> 0 then
+        acc :=
+          ( page_of_key t ((d lsl l2_bits) + j),
+            { writes = w; checks = c; hits = h; monitored = m <> 0 } )
+          :: !acc
+    done
+  done;
+  !acc
 
-let total_writes t = fold (fun acc _ c -> acc + c.writes) t 0
-let total_checks t = fold (fun acc _ c -> acc + c.checks) t 0
-let total_hits t = fold (fun acc _ c -> acc + c.hits) t 0
+let sum f cells = List.fold_left (fun acc (_, c) -> acc + f c) 0 cells
+let n_pages t = List.length (cells t)
+let total_writes t = sum (fun c -> c.writes) (cells t)
+let total_checks t = sum (fun c -> c.checks) (cells t)
+let total_hits t = sum (fun c -> c.hits) (cells t)
 
-let never_fired t =
-  fold
-    (fun acc page c -> if c.monitored && c.hits = 0 then page :: acc else acc)
-    t []
-  |> List.rev
+let never_fired_of cells =
+  List.filter_map (fun (page, c) -> if c.monitored && c.hits = 0 then Some page else None) cells
+
+let never_fired t = never_fired_of (cells t)
 
 (* --- renders ------------------------------------------------------------------- *)
 
 let schema_version = "dbp-heatmap/1"
 
 let to_json t =
+  let cells = cells t in
   Export.Obj
     [
       ("schema", Export.Str schema_version);
       ("page_bytes", Export.Int (page_bytes t));
-      ("pages", Export.Int (n_pages t));
-      ("total_writes", Export.Int (total_writes t));
-      ("total_checks", Export.Int (total_checks t));
-      ("total_hits", Export.Int (total_hits t));
+      ("pages", Export.Int (List.length cells));
+      ("total_writes", Export.Int (sum (fun c -> c.writes) cells));
+      ("total_checks", Export.Int (sum (fun c -> c.checks) cells));
+      ("total_hits", Export.Int (sum (fun c -> c.hits) cells));
       ( "cells",
         Export.List
-          (List.rev
-             (fold
-                (fun acc page c ->
-                  Export.Obj
-                    [
-                      ("page", Export.Int page);
-                      ("addr", Export.Int (page lsl t.page_bits));
-                      ("writes", Export.Int c.writes);
-                      ("checks", Export.Int c.checks);
-                      ("hits", Export.Int c.hits);
-                      ("monitored", Export.Bool c.monitored);
-                    ]
-                  :: acc)
-                t [])) );
+          (List.map
+             (fun (page, c) ->
+               Export.Obj
+                 [
+                   ("page", Export.Int page);
+                   ("addr", Export.Int (page lsl t.page_bits));
+                   ("writes", Export.Int c.writes);
+                   ("checks", Export.Int c.checks);
+                   ("hits", Export.Int c.hits);
+                   ("monitored", Export.Bool c.monitored);
+                 ])
+             cells) );
       ( "never_fired_pages",
-        Export.List (List.map (fun p -> Export.Int p) (never_fired t)) );
+        Export.List (List.map (fun p -> Export.Int p) (never_fired_of cells)) );
     ]
 
 let to_json_string t = Export.json_to_string ~indent:1 (to_json t)
 
 let to_text t =
+  let cells = cells t in
   let b = Buffer.create 512 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   p "heatmap (%s): %d pages of %d bytes, writes=%d checks=%d hits=%d\n"
-    schema_version (n_pages t) (page_bytes t) (total_writes t) (total_checks t)
-    (total_hits t);
+    schema_version (List.length cells) (page_bytes t)
+    (sum (fun c -> c.writes) cells)
+    (sum (fun c -> c.checks) cells)
+    (sum (fun c -> c.hits) cells);
   p "  %-12s %-10s %-10s %-10s %s\n" "page" "writes" "checks" "hits" "flags";
-  ignore
-    (fold
-       (fun () page c ->
-         p "  0x%08x   %-10d %-10d %-10d %s%s\n" (page lsl t.page_bits)
-           c.writes c.checks c.hits
-           (if c.monitored then "monitored" else "")
-           (if c.monitored && c.hits = 0 then " never-fired" else ""))
-       t ());
-  (match never_fired t with
+  List.iter
+    (fun (page, c) ->
+      p "  0x%08x   %-10d %-10d %-10d %s%s\n" (page lsl t.page_bits)
+        c.writes c.checks c.hits
+        (if c.monitored then "monitored" else "")
+        (if c.monitored && c.hits = 0 then " never-fired" else ""))
+    cells;
+  (match never_fired_of cells with
   | [] -> ()
   | pages ->
     p "  monitored pages that never fired: %s\n"
@@ -166,9 +165,7 @@ let to_text t =
    the per-channel maximum: red = writes, green = checks, blue = hits.
    Integer arithmetic only, so the image is byte-stable. *)
 let to_ppm t =
-  let cells =
-    List.rev (fold (fun acc page c -> (page, c) :: acc) t [])
-  in
+  let cells = cells t in
   let n = List.length cells in
   let width =
     let rec grow w = if w * w >= n then w else grow (w + 1) in

@@ -15,10 +15,29 @@
     the machine's [Memory.page_bits]); this module takes no dependency
     on the machine layer. *)
 
-type t
+type t = private { page_bits : int; key_mask : int; dir : int array array }
+(** Cells live in a two-level table indexed by a page's key, the low
+    [33 - page_bits] bits of [addr lsr page_bits]: one more bit than a
+    32-bit address needs, so that a negative (normalized) address and
+    its unsigned twin stay two pages, each exported under its own
+    [addr lsr page_bits].  [dir.(key lsr l2_bits)] is an
+    empty array until a page under it is touched ({!l2}); then cell
+    [key land l2_mask] is the four ints from
+    [(key land l2_mask) lsl cell_bits]: writes, checks, hits, and 1
+    when monitored.  A page is touched when one of them is non-zero.
+
+    The representation is exposed so {!Cpu}'s store bodies can count
+    inline.  Code outside [Cpu] must treat the type as abstract. *)
+
+val l2_bits : int
+val l2_mask : int
+val cell_bits : int
+
+val l2 : t -> int -> int array
+(** [l2 t i]: [dir.(i)], allocated (zeroed) on first use. *)
 
 val create : page_bits:int -> unit -> t
-(** @raise Invalid_argument when [page_bits] is outside [1, 30]. *)
+(** @raise Invalid_argument when [page_bits] is outside [8, 30]. *)
 
 val page_bytes : t -> int
 

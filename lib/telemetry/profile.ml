@@ -10,18 +10,6 @@ let kind_ret = 3
 
 let schema_version = "dbp-profile/1"
 
-(* Call-tree node: one per distinct call path, keyed by function id.
-   Self counts accumulate here so the folded export reads paths off the
-   tree instead of materializing strings per transfer.  Children sit
-   unordered in the first [n_nkids] cells of [n_kids] (see [child]). *)
-type node = {
-  n_fn : int;
-  n_parent : node;  (* the root is its own parent *)
-  mutable n_kids : node array;
-  mutable n_nkids : int;
-  mutable n_self : int;
-}
-
 type t = {
   text_base : int;
   info : (int * int) array;        (* (kind, static target idx or -1) *)
@@ -38,19 +26,30 @@ type t = {
   fn_at : int array;
   fn_outside : (int, int) Hashtbl.t;
   static_fns : (int * int) array;  (* (entry addr, id), sorted, static *)
-  mutable fn_calls : int array;
-  mutable fn_excl_i : int array;
-  mutable fn_excl_c : int array;
-  mutable fn_incl_i : int array;
-  mutable fn_incl_c : int array;
-  mutable fn_depth : int array;    (* live recursion depth per fn *)
-  (* Shadow stack (parallel arrays, frame 0 = entry function). *)
-  mutable st_fn : int array;
-  mutable st_entry_i : int array;
-  mutable st_entry_c : int array;
+  (* Per call slot: the destination pc its callee was last resolved
+     for ([-1]: never), and that callee's id. *)
+  slot_pc : int array;
+  slot_fn : int array;
+  (* The call tree, one node per distinct call path, as parallel int
+     arrays, so a call or a return writes no pointer.  Node 0 is the
+     root (the entry function), its own parent; a child is made after
+     its parent, so it has a larger id.  A node counts its entries and
+     the instructions and cycles run with it on top of the stack; the
+     per-function table and the folded stacks are read off the tree
+     (see [report]), so the tree is the shadow stack too: [cur] is the
+     top frame's node and [depth] the stack's depth.  A node's children
+     form a list through [nd_next] headed by [nd_kids] ([-1] ends it),
+     the child found last at its front (see [child]). *)
+  mutable nd_fn : int array;
+  mutable nd_parent : int array;
+  mutable nd_calls : int array;
+  mutable nd_self_i : int array;
+  mutable nd_self_c : int array;
+  mutable nd_kids : int array;
+  mutable nd_next : int array;
+  mutable nnodes : int;
+  mutable cur : int;
   mutable depth : int;
-  root : node;
-  mutable cur : node;  (* the top frame's node *)
   mutable last_i : int;            (* machine totals at last flush *)
   mutable last_c : int;
   mutable ntransfers : int;
@@ -70,15 +69,6 @@ let taken_array t = t.taken
 let transfers t = t.ntransfers
 
 (* ---------- construction ---------- *)
-
-let mk_node fn parent =
-  { n_fn = fn; n_parent = parent; n_kids = [||]; n_nkids = 0; n_self = 0 }
-
-let mk_root fn =
-  let rec root =
-    { n_fn = fn; n_parent = root; n_kids = [||]; n_nkids = 0; n_self = 0 }
-  in
-  root
 
 let grow a len init =
   if Array.length a >= len then a
@@ -104,12 +94,6 @@ let register_fn t addr name =
   else begin
     let id = t.nfns in
     t.fn_name <- grow t.fn_name (id + 1) "";
-    t.fn_calls <- grow t.fn_calls (id + 1) 0;
-    t.fn_excl_i <- grow t.fn_excl_i (id + 1) 0;
-    t.fn_excl_c <- grow t.fn_excl_c (id + 1) 0;
-    t.fn_incl_i <- grow t.fn_incl_i (id + 1) 0;
-    t.fn_incl_c <- grow t.fn_incl_c (id + 1) 0;
-    t.fn_depth <- grow t.fn_depth (id + 1) 0;
     t.fn_name.(id) <- name;
     t.nfns <- id + 1;
     if slot >= 0 then t.fn_at.(slot) <- id else Hashtbl.add t.fn_outside addr id;
@@ -177,18 +161,18 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
       fn_at = Array.make n (-1);
       fn_outside = Hashtbl.create 1;
       static_fns = [||];
-      fn_calls = [||];
-      fn_excl_i = [||];
-      fn_excl_c = [||];
-      fn_incl_i = [||];
-      fn_incl_c = [||];
-      fn_depth = [||];
-      st_fn = Array.make 64 0;
-      st_entry_i = Array.make 64 0;
-      st_entry_c = Array.make 64 0;
-      depth = 0;
-      root = mk_root 0;
-      cur = mk_root 0;
+      slot_pc = Array.make n (-1);
+      slot_fn = Array.make n 0;
+      nd_fn = Array.make 64 0;
+      nd_parent = Array.make 64 0;
+      nd_calls = Array.make 64 0;
+      nd_self_i = Array.make 64 0;
+      nd_self_c = Array.make 64 0;
+      nd_kids = Array.make 64 (-1);
+      nd_next = Array.make 64 (-1);
+      nnodes = 1;
+      cur = 0;
+      depth = 1;
       last_i = 0;
       last_c = 0;
       ntransfers = 0;
@@ -198,9 +182,9 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
     }
   in
   (* Register static functions sorted by entry address so ids are
-     deterministic, then seed the stack with the entry function —
-     under its hex address, as for any unnamed callee, when no
-     function is given. *)
+     deterministic, then root the tree at the entry function — under
+     its hex address, as for any unnamed callee, when no function is
+     given. *)
   let fns =
     match functions with
     | [] -> [ (entry, Printf.sprintf "0x%x" entry) ]
@@ -210,100 +194,98 @@ let create ?(clock = fun () -> 0.) ~text_base ~info ~functions ~entry () =
     List.map (fun (addr, name) -> (addr, register_fn t addr name)) fns
   in
   let t = { t with static_fns = Array.of_list statics } in
-  let entry_fn = fn_of_pc t entry in
-  let root = mk_root entry_fn in
-  let t = { t with root; cur = root } in
-  t.st_fn.(0) <- entry_fn;
-  t.depth <- 1;
-  t.fn_calls.(entry_fn) <- 1;
-  t.fn_depth.(entry_fn) <- 1;
+  t.nd_fn.(0) <- fn_of_pc t entry;
+  t.nd_calls.(0) <- 1;
   t
 
 (* ---------- shadow stack ---------- *)
 
+(* Charge the instructions and cycles since the last transfer to the
+   top frame's node.  [cur] is always a made node. *)
 let[@inline] flush t ~instrs ~cycles =
-  let di = instrs - t.last_i and dc = cycles - t.last_c in
-  if di <> 0 || dc <> 0 then begin
-    let fn = t.st_fn.(t.depth - 1) in
-    t.fn_excl_i.(fn) <- t.fn_excl_i.(fn) + di;
-    t.fn_excl_c.(fn) <- t.fn_excl_c.(fn) + dc;
-    t.cur.n_self <- t.cur.n_self + di;
-    t.last_i <- instrs;
-    t.last_c <- cycles
-  end
+  let k = t.cur in
+  Array.unsafe_set t.nd_self_i k (Array.unsafe_get t.nd_self_i k + instrs - t.last_i);
+  Array.unsafe_set t.nd_self_c k (Array.unsafe_get t.nd_self_c k + cycles - t.last_c);
+  t.last_i <- instrs;
+  t.last_c <- cycles
 
-let sample t ~instrs ~cycles =
-  if instrs >= t.next_sample then begin
-    t.samples <- (t.clock (), instrs, cycles, t.depth) :: t.samples;
-    t.next_sample <- instrs + sample_every
-  end
+let take_sample t ~instrs ~cycles =
+  t.samples <- (t.clock (), instrs, cycles, t.depth) :: t.samples;
+  t.next_sample <- instrs + sample_every
 
-(* The function entered at [pc]: the id its slot holds, registering an
-   unnamed entry the first time. *)
-let callee t pc =
-  let slot = slot_of t pc in
-  let id = if slot >= 0 then Array.unsafe_get t.fn_at slot else -1 in
-  if id >= 0 then id else register_fn t pc (Printf.sprintf "0x%x" pc)
+(* The function a call from text slot [slot] enters at [pc]: resolved
+   once per slot and destination (by the id [pc]'s slot holds, an
+   unnamed entry registered the first time), then read back. *)
+let resolve t ~slot pc =
+  let at = slot_of t pc in
+  let id = if at >= 0 then Array.unsafe_get t.fn_at at else -1 in
+  let id = if id >= 0 then id else register_fn t pc (Printf.sprintf "0x%x" pc) in
+  t.slot_pc.(slot) <- pc;
+  t.slot_fn.(slot) <- id;
+  id
+
+let[@inline] callee t ~slot pc =
+  if t.slot_pc.(slot) = pc then Array.unsafe_get t.slot_fn slot else resolve t ~slot pc
+
+let grow_nodes t =
+  let n = t.nnodes in
+  t.nd_fn <- grow t.nd_fn (n + 1) 0;
+  t.nd_parent <- grow t.nd_parent (n + 1) 0;
+  t.nd_calls <- grow t.nd_calls (n + 1) 0;
+  t.nd_self_i <- grow t.nd_self_i (n + 1) 0;
+  t.nd_self_c <- grow t.nd_self_c (n + 1) 0;
+  t.nd_kids <- grow t.nd_kids (n + 1) (-1);
+  t.nd_next <- grow t.nd_next (n + 1) (-1)
 
 (* [parent]'s child for [fn], made on the first entry.  The child found
-   swaps to the front, so a loop around one call site finds it with one
-   comparison; no lookup hashes. *)
-let child parent fn =
-  let n = parent.n_nkids in
-  let i = ref 0 in
-  while !i < n && (Array.unsafe_get parent.n_kids !i).n_fn <> fn do
-    incr i
+   moves to the front of the list, so a loop around one call site finds
+   it with one comparison; no lookup hashes and no move writes a
+   pointer. *)
+let find_child t parent fn =
+  let first = t.nd_kids.(parent) in
+  let next = t.nd_next in
+  let prev = ref first and k = ref (if first >= 0 then next.(first) else -1) in
+  while !k >= 0 && Array.unsafe_get t.nd_fn !k <> fn do
+    prev := !k;
+    k := Array.unsafe_get next !k
   done;
-  let i = !i in
-  if i = n then begin
-    let nd = mk_node fn parent in
-    parent.n_kids <- grow parent.n_kids (n + 1) nd;
-    parent.n_kids.(n) <- nd;
-    parent.n_nkids <- n + 1
-  end;
-  let kids = parent.n_kids in
-  let nd = kids.(i) in
-  if i > 0 then begin
-    kids.(i) <- kids.(0);
-    kids.(0) <- nd
-  end;
-  nd
+  let k =
+    if !k >= 0 then begin
+      next.(!prev) <- next.(!k);
+      !k
+    end
+    else begin
+      if t.nnodes = Array.length t.nd_fn then grow_nodes t;
+      let k = t.nnodes in
+      t.nnodes <- k + 1;
+      t.nd_fn.(k) <- fn;
+      t.nd_parent.(k) <- parent;
+      k
+    end
+  in
+  t.nd_next.(k) <- first;
+  t.nd_kids.(parent) <- k;
+  k
 
-let grow_stack t =
-  let d = t.depth in
-  t.st_fn <- grow t.st_fn (d + 1) 0;
-  t.st_entry_i <- grow t.st_entry_i (d + 1) 0;
-  t.st_entry_c <- grow t.st_entry_c (d + 1) 0
+let[@inline] child t parent fn =
+  let first = Array.unsafe_get t.nd_kids parent in
+  if first >= 0 && Array.unsafe_get t.nd_fn first = fn then first
+  else find_child t parent fn
 
-let transfer t ~kind ~pc ~instrs ~cycles =
+let transfer t ~slot ~kind ~pc ~instrs ~cycles =
   flush t ~instrs ~cycles;
   t.ntransfers <- t.ntransfers + 1;
   if kind = kind_call then begin
-    let fn = callee t pc in
-    let d = t.depth in
-    if d = Array.length t.st_fn then grow_stack t;
-    t.st_fn.(d) <- fn;
-    t.st_entry_i.(d) <- instrs;
-    t.st_entry_c.(d) <- cycles;
-    t.cur <- child t.cur fn;
-    t.depth <- d + 1;
-    t.fn_calls.(fn) <- t.fn_calls.(fn) + 1;
-    t.fn_depth.(fn) <- t.fn_depth.(fn) + 1
+    let k = child t t.cur (callee t ~slot pc) in
+    Array.unsafe_set t.nd_calls k (Array.unsafe_get t.nd_calls k + 1);
+    t.cur <- k;
+    t.depth <- t.depth + 1
   end
   else if kind = kind_ret && t.depth > 1 then begin
-    let d = t.depth - 1 in
-    let fn = t.st_fn.(d) in
-    t.depth <- d;
-    t.fn_depth.(fn) <- t.fn_depth.(fn) - 1;
-    if t.fn_depth.(fn) = 0 then begin
-      (* Outermost activation ends: charge the inclusive interval.
-         Recursive re-entries inside it are covered by this span. *)
-      t.fn_incl_i.(fn) <- t.fn_incl_i.(fn) + (instrs - t.st_entry_i.(d));
-      t.fn_incl_c.(fn) <- t.fn_incl_c.(fn) + (cycles - t.st_entry_c.(d))
-    end;
-    t.cur <- t.cur.n_parent
+    t.cur <- Array.unsafe_get t.nd_parent t.cur;
+    t.depth <- t.depth - 1
   end;
-  sample t ~instrs ~cycles
+  if instrs >= t.next_sample then take_sample t ~instrs ~cycles
 
 (* ---------- reporting ---------- *)
 
@@ -355,47 +337,66 @@ type report = {
 
 let addr_of t i = t.text_base + (i lsl 2)
 
+let children t k =
+  let rec go k acc = if k < 0 then acc else go t.nd_next.(k) (k :: acc) in
+  go t.nd_kids.(k) []
+
 let folded_of_tree t =
   let acc = ref [] in
-  let rec walk node path =
-    let path =
-      if path = "" then t.fn_name.(node.n_fn)
-      else path ^ ";" ^ t.fn_name.(node.n_fn)
-    in
-    if node.n_self > 0 then acc := (path, node.n_self) :: !acc;
-    let kids = Array.to_list (Array.sub node.n_kids 0 node.n_nkids) in
-    let kids =
-      List.sort (fun a b -> compare t.fn_name.(a.n_fn) t.fn_name.(b.n_fn)) kids
-    in
-    List.iter (fun k -> walk k path) kids
+  let name k = t.fn_name.(t.nd_fn.(k)) in
+  let rec walk k path =
+    let path = if path = "" then name k else path ^ ";" ^ name k in
+    if t.nd_self_i.(k) > 0 then acc := (path, t.nd_self_i.(k)) :: !acc;
+    List.iter
+      (fun k -> walk k path)
+      (List.sort (fun a b -> compare (name a) (name b)) (children t k))
   in
-  walk t.root "";
+  walk 0 "";
   List.sort compare !acc
 
 let report t ?(site_checks = []) ~instrs ~cycles () =
   flush t ~instrs ~cycles;
   let n = Array.length t.info in
   let nb = Array.length t.block_lo in
-  (* Inclusive totals for still-live frames: first (outermost)
-     activation of each function on the stack, without unwinding. *)
-  let incl_i = Array.sub t.fn_incl_i 0 t.nfns in
-  let incl_c = Array.sub t.fn_incl_c 0 t.nfns in
-  let seen = Hashtbl.create 16 in
-  for d = 0 to t.depth - 1 do
-    let fn = t.st_fn.(d) in
-    if not (Hashtbl.mem seen fn) then begin
-      Hashtbl.add seen fn ();
-      incl_i.(fn) <- incl_i.(fn) + (instrs - t.st_entry_i.(d));
-      incl_c.(fn) <- incl_c.(fn) + (cycles - t.st_entry_c.(d))
+  (* The function table, read off the tree: a function's calls and
+     exclusive counts sum over its nodes, its inclusive counts over the
+     subtrees of its outermost nodes (no ancestor runs it), so recursion
+     is charged once and a live frame counts up to now.  A child's id
+     exceeds its parent's, so one downward pass sums the subtrees. *)
+  let nn = t.nnodes and nf = t.nfns in
+  let calls = Array.make nf 0 and excl_i = Array.make nf 0 and excl_c = Array.make nf 0 in
+  let sub_i = Array.sub t.nd_self_i 0 nn and sub_c = Array.sub t.nd_self_c 0 nn in
+  for k = nn - 1 downto 0 do
+    let fn = t.nd_fn.(k) in
+    calls.(fn) <- calls.(fn) + t.nd_calls.(k);
+    excl_i.(fn) <- excl_i.(fn) + t.nd_self_i.(k);
+    excl_c.(fn) <- excl_c.(fn) + t.nd_self_c.(k);
+    if k > 0 then begin
+      let p = t.nd_parent.(k) in
+      sub_i.(p) <- sub_i.(p) + sub_i.(k);
+      sub_c.(p) <- sub_c.(p) + sub_c.(k)
     end
   done;
+  let incl_i = Array.make nf 0 and incl_c = Array.make nf 0 in
+  let on_path = Array.make nf 0 in
+  let rec outermost k =
+    let fn = t.nd_fn.(k) in
+    if on_path.(fn) = 0 then begin
+      incl_i.(fn) <- incl_i.(fn) + sub_i.(k);
+      incl_c.(fn) <- incl_c.(fn) + sub_c.(k)
+    end;
+    on_path.(fn) <- on_path.(fn) + 1;
+    List.iter outermost (children t k);
+    on_path.(fn) <- on_path.(fn) - 1
+  in
+  outermost 0;
   let functions =
-    List.init t.nfns (fun id ->
+    List.init nf (fun id ->
         {
           fr_name = t.fn_name.(id);
-          fr_calls = t.fn_calls.(id);
-          fr_excl_instrs = t.fn_excl_i.(id);
-          fr_excl_cycles = t.fn_excl_c.(id);
+          fr_calls = calls.(id);
+          fr_excl_instrs = excl_i.(id);
+          fr_excl_cycles = excl_c.(id);
           fr_incl_instrs = incl_i.(id);
           fr_incl_cycles = incl_c.(id);
         })

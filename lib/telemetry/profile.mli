@@ -25,8 +25,11 @@
     {!transfer} (a call or return).  Transfers are not
     rare: watched at symbol-table elimination, gcc1.35 makes one every
     8.5 instructions (410 226 in 3.50M) and li one every 10.4.  So
-    {!transfer} resolves a callee by its text slot, finds a call-tree
-    child by a short scan that hashes nothing, and allocates nothing
+    {!transfer} resolves a call's callee once per call slot, keeps the
+    call tree, which is also the shadow stack, as int ids in flat arrays
+    (a call or a return writes no pointer), finds a call-tree child by a
+    short scan that hashes nothing, counts per call-tree node only (the
+    per-function table is derived by {!report}), and allocates nothing
     once the tree is warm. *)
 
 (** {1 Instruction kinds}
@@ -101,13 +104,16 @@ val taken_array : t -> int array
     whose target {e is} its fall-through is indistinguishable and
     counts as not taken, which merges two identical edges). *)
 
-val transfer : t -> kind:int -> pc:int -> instrs:int -> cycles:int -> unit
+val transfer :
+  t -> slot:int -> kind:int -> pc:int -> instrs:int -> cycles:int -> unit
 (** Control-transfer event from the interpreter, fired {e after} the
-    call/return instruction executed: [pc] is the destination (callee
-    entry for a call, return point for a return), [instrs]/[cycles]
-    the machine totals.  Maintains the shadow stack, attributes the
-    instructions and cycles since the previous transfer to the
-    function that executed them, and takes counter samples.  A call to
+    call/return instruction at text slot [slot] executed: [pc] is the
+    destination (callee entry for a call, return point for a return),
+    [instrs]/[cycles] the machine totals.  A call's callee is resolved
+    from [pc] the first time [slot] calls it and read back from the slot
+    after that.  Maintains the shadow stack, attributes the
+    instructions and cycles since the previous transfer to the call
+    path that executed them, and takes counter samples.  A call to
     an entry seen before, from a call path seen before, allocates
     nothing. *)
 

@@ -709,6 +709,25 @@ let prop_daemon_matches_session =
           return (src, opt, watch, len, frac, slice, shards)))
     daemon_matches_session
 
+(* Window marks against an independent store log (see
+   [Test_replay.marks_match_log]) over compiled random programs, watched,
+   at every opt level, so check code and MRS stores are marked too. *)
+let prop_marks_random_programs =
+  QCheck.Test.make ~name:"random programs: window marks == store log" ~count:15
+    QCheck.(pair arb_program (int_range 3 500))
+    (fun (src, every) ->
+      List.for_all
+        (fun opt ->
+          let s =
+            Session.create ~options:{ Instrument.default_options with opt }
+              ~checkpoint_every:every src
+          in
+          ignore (Debugger.watch (Debugger.create s) "g0");
+          let log = Test_replay.log_store_words s.Session.cpu in
+          ignore (Session.run ~fuel:20_000_000 s);
+          Test_replay.marks_match_log (Replay.journal (Option.get (Session.replay s))) !log)
+        Instrument.[ O0; O_symbol; O_full ])
+
 let suites =
   [
     ( "dbp.fuzz",
@@ -719,6 +738,7 @@ let suites =
         verifier_case;
         QCheck_alcotest.to_alcotest prop_slicing_matches_run;
         QCheck_alcotest.to_alcotest prop_replay_counts_nothing;
+        QCheck_alcotest.to_alcotest prop_marks_random_programs;
         QCheck_alcotest.to_alcotest prop_daemon_matches_session;
         (let name, speed, run = QCheck_alcotest.to_alcotest prop_journal_ground_truth in
          ( name,

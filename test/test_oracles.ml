@@ -1100,6 +1100,342 @@ let test_verify_tables_match_oracle () =
     (oracle_store_home raw 7 = Hashtbl.find_opt (Verify.store_homes raw) 7
     && oracle_store_home raw 7 = Some (Verify.Hglobal ("g", 4), Sparc.Insn.Word))
 
+(* --- oracle profiler call tree ----------------------------------------------- *)
+
+(* [Profile.transfer] and the call tree before flat arrays: nodes are
+   records linked by pointers, a call moves [cur] and swaps the child it
+   found to the front of its parent's array, and every transfer resolves
+   its callee from the destination pc.  Only what the function table and
+   the folded stacks read is kept. *)
+module Oracle_profile = struct
+  type node = {
+    n_fn : int;
+    n_parent : node;
+    mutable n_kids : node array;
+    mutable n_nkids : int;
+    mutable n_self : int;
+  }
+
+  type t = {
+    text_base : int;
+    mutable fn_name : string array;
+    mutable nfns : int;
+    fn_at : int array;
+    fn_outside : (int, int) Hashtbl.t;
+    mutable static_fns : (int * int) array;
+    mutable fn_calls : int array;
+    mutable fn_excl_i : int array;
+    mutable fn_excl_c : int array;
+    mutable fn_incl_i : int array;
+    mutable fn_incl_c : int array;
+    mutable fn_depth : int array;
+    mutable st_fn : int array;
+    mutable st_entry_i : int array;
+    mutable st_entry_c : int array;
+    mutable depth : int;
+    mutable root : node;
+    mutable cur : node;
+    mutable last_i : int;
+    mutable last_c : int;
+  }
+
+  let mk_node fn parent =
+    { n_fn = fn; n_parent = parent; n_kids = [||]; n_nkids = 0; n_self = 0 }
+
+  let mk_root fn =
+    let rec root = { n_fn = fn; n_parent = root; n_kids = [||]; n_nkids = 0; n_self = 0 } in
+    root
+
+  let grow a len init =
+    if Array.length a >= len then a
+    else begin
+      let b = Array.make (max len (2 * Array.length a + 8)) init in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  let slot_of t addr =
+    let off = addr - t.text_base in
+    if off land 3 = 0 && off lsr 2 < Array.length t.fn_at then off lsr 2 else -1
+
+  let register_fn t addr name =
+    let slot = slot_of t addr in
+    let known =
+      if slot >= 0 then t.fn_at.(slot)
+      else Option.value ~default:(-1) (Hashtbl.find_opt t.fn_outside addr)
+    in
+    if known >= 0 then known
+    else begin
+      let id = t.nfns in
+      t.fn_name <- grow t.fn_name (id + 1) "";
+      t.fn_calls <- grow t.fn_calls (id + 1) 0;
+      t.fn_excl_i <- grow t.fn_excl_i (id + 1) 0;
+      t.fn_excl_c <- grow t.fn_excl_c (id + 1) 0;
+      t.fn_incl_i <- grow t.fn_incl_i (id + 1) 0;
+      t.fn_incl_c <- grow t.fn_incl_c (id + 1) 0;
+      t.fn_depth <- grow t.fn_depth (id + 1) 0;
+      t.fn_name.(id) <- name;
+      t.nfns <- id + 1;
+      if slot >= 0 then t.fn_at.(slot) <- id else Hashtbl.add t.fn_outside addr id;
+      id
+    end
+
+  let fn_of_pc t pc =
+    let a = t.static_fns in
+    let lo = ref 0 and hi = ref (Array.length a - 1) and best = ref (snd a.(0)) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let addr, id = a.(mid) in
+      if addr <= pc then begin
+        best := id;
+        lo := mid + 1
+      end
+      else hi := mid - 1
+    done;
+    !best
+
+  let create ~text_base ~n ~functions ~entry =
+    let t =
+      {
+        text_base;
+        fn_name = [||];
+        nfns = 0;
+        fn_at = Array.make n (-1);
+        fn_outside = Hashtbl.create 1;
+        static_fns = [||];
+        fn_calls = [||];
+        fn_excl_i = [||];
+        fn_excl_c = [||];
+        fn_incl_i = [||];
+        fn_incl_c = [||];
+        fn_depth = [||];
+        st_fn = Array.make 64 0;
+        st_entry_i = Array.make 64 0;
+        st_entry_c = Array.make 64 0;
+        depth = 0;
+        root = mk_root 0;
+        cur = mk_root 0;
+        last_i = 0;
+        last_c = 0;
+      }
+    in
+    let fns =
+      match functions with
+      | [] -> [ (entry, Printf.sprintf "0x%x" entry) ]
+      | _ -> List.sort_uniq compare functions
+    in
+    t.static_fns <-
+      Array.of_list (List.map (fun (addr, name) -> (addr, register_fn t addr name)) fns);
+    let entry_fn = fn_of_pc t entry in
+    t.root <- mk_root entry_fn;
+    t.cur <- t.root;
+    t.st_fn.(0) <- entry_fn;
+    t.depth <- 1;
+    t.fn_calls.(entry_fn) <- 1;
+    t.fn_depth.(entry_fn) <- 1;
+    t
+
+  let flush t ~instrs ~cycles =
+    let di = instrs - t.last_i and dc = cycles - t.last_c in
+    if di <> 0 || dc <> 0 then begin
+      let fn = t.st_fn.(t.depth - 1) in
+      t.fn_excl_i.(fn) <- t.fn_excl_i.(fn) + di;
+      t.fn_excl_c.(fn) <- t.fn_excl_c.(fn) + dc;
+      t.cur.n_self <- t.cur.n_self + di;
+      t.last_i <- instrs;
+      t.last_c <- cycles
+    end
+
+  let callee t pc =
+    let slot = slot_of t pc in
+    let id = if slot >= 0 then t.fn_at.(slot) else -1 in
+    if id >= 0 then id else register_fn t pc (Printf.sprintf "0x%x" pc)
+
+  let child parent fn =
+    let n = parent.n_nkids in
+    let i = ref 0 in
+    while !i < n && parent.n_kids.(!i).n_fn <> fn do
+      incr i
+    done;
+    let i = !i in
+    if i = n then begin
+      let nd = mk_node fn parent in
+      parent.n_kids <- grow parent.n_kids (n + 1) nd;
+      parent.n_kids.(n) <- nd;
+      parent.n_nkids <- n + 1
+    end;
+    let kids = parent.n_kids in
+    let nd = kids.(i) in
+    if i > 0 then begin
+      kids.(i) <- kids.(0);
+      kids.(0) <- nd
+    end;
+    nd
+
+  let transfer t ~kind ~pc ~instrs ~cycles =
+    flush t ~instrs ~cycles;
+    if kind = Profile.kind_call then begin
+      let fn = callee t pc in
+      let d = t.depth in
+      if d = Array.length t.st_fn then begin
+        t.st_fn <- grow t.st_fn (d + 1) 0;
+        t.st_entry_i <- grow t.st_entry_i (d + 1) 0;
+        t.st_entry_c <- grow t.st_entry_c (d + 1) 0
+      end;
+      t.st_fn.(d) <- fn;
+      t.st_entry_i.(d) <- instrs;
+      t.st_entry_c.(d) <- cycles;
+      t.cur <- child t.cur fn;
+      t.depth <- d + 1;
+      t.fn_calls.(fn) <- t.fn_calls.(fn) + 1;
+      t.fn_depth.(fn) <- t.fn_depth.(fn) + 1
+    end
+    else if kind = Profile.kind_ret && t.depth > 1 then begin
+      let d = t.depth - 1 in
+      let fn = t.st_fn.(d) in
+      t.depth <- d;
+      t.fn_depth.(fn) <- t.fn_depth.(fn) - 1;
+      if t.fn_depth.(fn) = 0 then begin
+        t.fn_incl_i.(fn) <- t.fn_incl_i.(fn) + (instrs - t.st_entry_i.(d));
+        t.fn_incl_c.(fn) <- t.fn_incl_c.(fn) + (cycles - t.st_entry_c.(d))
+      end;
+      t.cur <- t.cur.n_parent
+    end
+
+  let folded_of_tree t =
+    let acc = ref [] in
+    let rec walk node path =
+      let path =
+        if path = "" then t.fn_name.(node.n_fn) else path ^ ";" ^ t.fn_name.(node.n_fn)
+      in
+      if node.n_self > 0 then acc := (path, node.n_self) :: !acc;
+      let kids = Array.to_list (Array.sub node.n_kids 0 node.n_nkids) in
+      let kids =
+        List.sort (fun a b -> compare t.fn_name.(a.n_fn) t.fn_name.(b.n_fn)) kids
+      in
+      List.iter (fun k -> walk k path) kids
+    in
+    walk t.root "";
+    List.sort compare !acc
+
+  let functions t ~instrs ~cycles =
+    flush t ~instrs ~cycles;
+    let incl_i = Array.sub t.fn_incl_i 0 t.nfns in
+    let incl_c = Array.sub t.fn_incl_c 0 t.nfns in
+    let seen = Hashtbl.create 16 in
+    for d = 0 to t.depth - 1 do
+      let fn = t.st_fn.(d) in
+      if not (Hashtbl.mem seen fn) then begin
+        Hashtbl.add seen fn ();
+        incl_i.(fn) <- incl_i.(fn) + (instrs - t.st_entry_i.(d));
+        incl_c.(fn) <- incl_c.(fn) + (cycles - t.st_entry_c.(d))
+      end
+    done;
+    List.init t.nfns (fun id ->
+        {
+          Profile.fr_name = t.fn_name.(id);
+          fr_calls = t.fn_calls.(id);
+          fr_excl_instrs = t.fn_excl_i.(id);
+          fr_excl_cycles = t.fn_excl_c.(id);
+          fr_incl_instrs = incl_i.(id);
+          fr_incl_cycles = incl_c.(id);
+        })
+    |> List.filter (fun (f : Profile.fn_report) -> f.fr_calls > 0 || f.fr_excl_instrs > 0)
+    |> List.sort (fun (a : Profile.fn_report) (b : Profile.fn_report) ->
+           match compare b.fr_excl_instrs a.fr_excl_instrs with
+           | 0 -> compare a.fr_name b.fr_name
+           | c -> c)
+end
+
+(* The function table a profiled session starts from: the compiler's
+   functions, then every named call target in the image. *)
+let profile_functions (s : Session.t) =
+  let image = s.Session.image in
+  let seen = Hashtbl.create 32 in
+  let add acc addr name =
+    if addr >= 0 && not (Hashtbl.mem seen addr) then begin
+      Hashtbl.add seen addr ();
+      (addr, name) :: acc
+    end
+    else acc
+  in
+  let acc =
+    List.fold_left (fun acc (a, f) -> add acc a f) [] (Instrument.functions s.Session.sites)
+  in
+  Array.fold_left
+    (fun acc insn ->
+      match insn with
+      | Sparc.Insn.Call { target = Sparc.Insn.Abs a } ->
+        add acc a
+          (match Sparc.Assembler.label_of_addr image a with
+          | Some l -> l
+          | None -> Printf.sprintf "0x%x" a)
+      | _ -> acc)
+    acc image.Sparc.Assembler.text
+
+(* A profiled session's exports against the oracle's: a second,
+   unprofiled session of the same source steps one instruction at a
+   time and hands every call and return to the oracle, classified as
+   the interpreter classifies them.  The oracle's function table and
+   folded stacks replace the report's; the JSON and the folded text
+   must not change. *)
+let profile_matches_oracle ~options ~watch src =
+  let session ~profile =
+    let s = Session.create ~options ~profile src in
+    ignore (Debugger.watch (Debugger.create s) watch);
+    s
+  in
+  let s = session ~profile:true in
+  ignore (Session.run ~fuel:50_000_000 s);
+  let rep = Session.profile_report s in
+  let o = session ~profile:false in
+  let cpu = o.Session.cpu and image = o.Session.image in
+  let oracle =
+    Oracle_profile.create ~text_base:image.Sparc.Assembler.text_base
+      ~n:(Array.length image.Sparc.Assembler.text) ~functions:(profile_functions o)
+      ~entry:image.Sparc.Assembler.entry
+  in
+  while Machine.Cpu.halted cpu = None do
+    let kind =
+      match Machine.Cpu.fetch_at cpu (Machine.Cpu.pc cpu) with
+      | Sparc.Insn.Call _ -> Profile.kind_call
+      | Sparc.Insn.Jmpl { rd = Sparc.Reg.G 0; _ } -> Profile.kind_ret
+      | Sparc.Insn.Jmpl _ -> Profile.kind_call
+      | _ -> Profile.kind_plain
+    in
+    Machine.Cpu.step cpu;
+    if kind <> Profile.kind_plain then
+      Oracle_profile.transfer oracle ~kind ~pc:(Machine.Cpu.pc cpu)
+        ~instrs:(Machine.Cpu.instr_count cpu) ~cycles:(Machine.Cpu.cycle_count cpu)
+  done;
+  let instrs = Machine.Cpu.instr_count cpu and cycles = Machine.Cpu.cycle_count cpu in
+  (* [functions] flushes the last interval, so it runs first. *)
+  let p_functions = Oracle_profile.functions oracle ~instrs ~cycles in
+  let want = { rep with Profile.p_functions; p_folded = Oracle_profile.folded_of_tree oracle } in
+  Profile.to_json_string rep = Profile.to_json_string want
+  && Profile.folded_to_string rep = Profile.folded_to_string want
+
+let test_profile_matches_oracle () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let options =
+        { Instrument.default_options with
+          opt = Instrument.O_symbol;
+          fortran_idiom = Workloads.Workload.fortran_idiom w }
+      in
+      let out = Minic.Compile.compile w.source in
+      let g = (List.hd (Sparc.Symtab.globals out.Minic.Codegen.symtab)).Sparc.Symtab.name in
+      Alcotest.(check bool) (w.name ^ ": profile exports = oracle") true
+        (profile_matches_oracle ~options ~watch:g w.source))
+    Workloads.Spec.all
+
+let prop_profile_matches_oracle =
+  QCheck.Test.make ~name:"random programs: profile exports = oracle" ~count:30
+    Test_fuzz.arb_program (fun src ->
+      profile_matches_oracle
+        ~options:{ Instrument.default_options with opt = Instrument.O_symbol }
+        ~watch:"g0" src)
+
 let suites =
   [
     ("oracle.render", printer_qchecks);
@@ -1111,5 +1447,7 @@ let suites =
           test_verify_tables_match_oracle;
         Alcotest.test_case "dense-id IR = oracle" `Quick test_ir_matches_oracle;
         QCheck_alcotest.to_alcotest prop_ir_matches_oracle;
+        Alcotest.test_case "profile exports = oracle" `Quick test_profile_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_profile_matches_oracle;
       ] );
   ]

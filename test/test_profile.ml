@@ -191,7 +191,7 @@ let test_warm_transfers_allocate_nothing () =
   let instrs = ref (Machine.Cpu.instr_count session.Session.cpu) in
   let transfer kind pc =
     incr instrs;
-    Profile.transfer p ~kind ~pc ~instrs:!instrs ~cycles:!instrs
+    Profile.transfer p ~slot:0 ~kind ~pc ~instrs:!instrs ~cycles:!instrs
   in
   let round () =
     transfer Profile.kind_call f;
@@ -205,7 +205,16 @@ let test_warm_transfers_allocate_nothing () =
   let words = Gc.minor_words () -. before in
   check_bool
     (Printf.sprintf "20 000 warm transfers allocated %.0f words" words)
-    true (words < 64.)
+    true (words < 64.);
+  (* Every call above came from slot 0, alternating its callee, as an
+     indirect call may: each still enters its own function. *)
+  let calls name =
+    let rep = Profile.report p ~instrs:!instrs ~cycles:!instrs () in
+    (List.find (fun f -> f.Profile.fr_name = name) rep.Profile.p_functions)
+      .Profile.fr_calls
+  in
+  check_int "calls of f" 5002 (calls "f");
+  check_int "calls of g" 5002 (calls "g")
 
 (* --- determinism of the exports --------------------------------------------------- *)
 

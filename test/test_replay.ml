@@ -144,7 +144,7 @@ let test_written_store_widths () =
   let r = Replay.create ~checkpoint_every:1 cpu in
   check_int "exit" 0 (record_all r);
   let written n =
-    Written.words
+    Machine.Written.words
       (Snapshot.written (Option.get (Journal.find (Replay.journal r) ~insn:n)))
   in
   (* Set_label (sethi + or) and the three moves come first. *)
@@ -164,19 +164,19 @@ let test_written_store_widths () =
   (* A sub-word range overlaps the word holding it, and nothing else. *)
   let at n = Snapshot.written (Option.get (Journal.find (Replay.journal r) ~insn:n)) in
   check_bool "stb: byte range inside the word" true
-    (Written.overlaps (at 9) ~lo:(x + 18) ~hi:(x + 19));
-  check_bool "stb: next word" false (Written.overlaps (at 9) ~lo:(x + 20) ~hi:(x + 24));
+    (Machine.Written.overlaps (at 9) ~lo:(x + 18) ~hi:(x + 19));
+  check_bool "stb: next word" false (Machine.Written.overlaps (at 9) ~lo:(x + 20) ~hi:(x + 24));
   check_bool "std: its second word alone" true
-    (Written.overlaps (at 8) ~lo:(x + 13) ~hi:(x + 14));
-  check_bool "empty range" false (Written.overlaps (at 8) ~lo:(x + 8) ~hi:(x + 8))
+    (Machine.Written.overlaps (at 8) ~lo:(x + 13) ~hi:(x + 14));
+  check_bool "empty range" false (Machine.Written.overlaps (at 8) ~lo:(x + 8) ~hi:(x + 8))
 
 (* Summaries straddling a 128-byte block and a 4 KiB page boundary,
    marked directly. *)
 let test_written_boundaries () =
   let summary addrs =
-    let b = Written.builder () in
-    List.iter (fun addr -> Written.add b ~addr ~width:Sparc.Insn.Word) addrs;
-    Written.take b
+    let b = Machine.Written.builder () in
+    List.iter (fun addr -> Machine.Written.add b ~addr ~width:Sparc.Insn.Word) addrs;
+    Machine.Written.take b
   in
   let base = 0x40_0000 in
   let block_end = base + 0x7C and page_end = base + 0xFFC in
@@ -198,22 +198,22 @@ let test_written_boundaries () =
   List.iter
     (fun (name, addrs, lo, hi, expected) ->
       check_bool name expected
-        (Written.overlaps (summary addrs) ~lo:(base + lo) ~hi:(base + hi)))
+        (Machine.Written.overlaps (summary addrs) ~lo:(base + lo) ~hi:(base + hi)))
     cases;
   (* Heap addresses are negative as normalized words. *)
   let heap = Sparc.Word.norm 0xA000_0080 in
-  Alcotest.(check (list int)) "heap word" [ heap ] (Written.words (summary [ heap ]));
+  Alcotest.(check (list int)) "heap word" [ heap ] (Machine.Written.words (summary [ heap ]));
   check_bool "heap range across a block" true
-    (Written.overlaps (summary [ heap - 4 ]) ~lo:(heap - 2) ~hi:(heap + 2));
+    (Machine.Written.overlaps (summary [ heap - 4 ]) ~lo:(heap - 2) ~hi:(heap + 2));
   (* The builder forgets what it handed out, and union merges blocks. *)
-  let b = Written.builder () in
-  Written.add b ~addr:page_end ~width:Sparc.Insn.Byte;
-  ignore (Written.take b);
-  check_int "taken marks are forgotten" 0 (Written.blocks (Written.take b));
-  let u = Written.union (summary [ base; page_end ]) (summary [ base + 4; base + 0x80 ]) in
+  let b = Machine.Written.builder () in
+  Machine.Written.add b ~addr:page_end ~width:Sparc.Insn.Byte;
+  ignore (Machine.Written.take b);
+  check_int "taken marks are forgotten" 0 (Machine.Written.blocks (Machine.Written.take b));
+  let u = Machine.Written.union (summary [ base; page_end ]) (summary [ base + 4; base + 0x80 ]) in
   Alcotest.(check (list int)) "union" [ base; base + 4; base + 0x80; page_end ]
-    (Written.words u);
-  check_int "union blocks" 3 (Written.blocks u)
+    (Machine.Written.words u);
+  check_int "union blocks" 3 (Machine.Written.blocks u)
 
 (* The builder against a word-set model: every store width, addresses
    at and above 0x80000000 (negative as normalized words), page and
@@ -269,26 +269,26 @@ let prop_written_model =
        ~shrink:QCheck.Shrink.list
        (list_size (int_range 1 60) (frequency [ (6, store); (1, take) ])))
     (fun ops ->
-      let b = Written.builder () in
+      let b = Machine.Written.builder () in
       let model = ref [] in
       let word a = Sparc.Word.norm a land lnot 3 in
       List.iter
         (function
           | Store (a, w) ->
-            Written.add b ~addr:a ~width:w;
+            Machine.Written.add b ~addr:a ~width:w;
             model := word a :: !model;
             if w = Sparc.Insn.Double then model := word (a + 4) :: !model
           | Take ranges ->
-            let got = Written.take b in
+            let got = Machine.Written.take b in
             let want = List.sort_uniq compare !model in
             model := [];
-            if Written.words got <> want then
+            if Machine.Written.words got <> want then
               QCheck.Test.fail_reportf "take: %d words, model %d"
-                (List.length (Written.words got)) (List.length want);
+                (List.length (Machine.Written.words got)) (List.length want);
             List.iter
               (fun (lo, hi) ->
                 let want = List.exists (fun w -> w + 4 > lo && w < hi) want in
-                if Written.overlaps got ~lo ~hi <> want then
+                if Machine.Written.overlaps got ~lo ~hi <> want then
                   QCheck.Test.fail_reportf "overlaps [0x%x, 0x%x): model %b" lo hi want)
               ranges)
         (ops @ [ Take [] ]);
@@ -356,7 +356,7 @@ let test_journal_basics () =
   check_int "interval" 100 (Journal.interval j);
   let entries = ref [] in
   let take seq =
-    let s = Snapshot.capture ~seq ~written:(Written.take (Written.builder ())) cpu in
+    let s = Snapshot.capture ~seq ~written:(Machine.Written.take (Machine.Written.builder ())) cpu in
     entries := Journal.record j s :: !entries;
     s
   in
@@ -489,7 +489,7 @@ let check_all_windows (session : Session.t) r ~watch =
        space, oldest first, so [gap] fuel replays this window's leg and
        stops on its checkpoint. *)
     let replays =
-      (not watch) || Written.overlaps (Snapshot.written snaps.(i)) ~lo ~hi
+      (not watch) || Machine.Written.overlaps (Snapshot.written snaps.(i)) ~lo ~hi
     in
     if not watch then ignore (Replay.replay_from r snaps.(i - 1) ~insn:target)
     else if replays then ignore (Replay.advance c ~fuel:gap);
@@ -867,7 +867,7 @@ let test_host_write_skipped () =
     (Machine.Memory.view_read_word (Snapshot.view start) (x + 4) = 0
     && Machine.Memory.view_read_word (Snapshot.view stop) (x + 4) = 77);
   check_bool "yet the window's summary misses the range" false
-    (Written.overlaps (Snapshot.written stop) ~lo:x ~hi:(x + 8));
+    (Machine.Written.overlaps (Snapshot.written stop) ~lo:x ~hi:(x + 8));
   check_range "x" r truth ~lo:x ~hi:(x + 8);
   check_int "x[1] alone: nothing replayed" 0
     (replayed_by session (fun () -> check_range "x[1]" r truth ~lo:(x + 4) ~hi:(x + 8)));
@@ -963,7 +963,7 @@ let test_slicing_invariance () =
         count Telemetry.Checkpoint_bytes,
         Journal.retained_bytes j ),
       List.map Snapshot.insn snaps,
-      List.map (fun s -> Written.words (Snapshot.written s)) snaps,
+      List.map (fun s -> Machine.Written.words (Snapshot.written s)) snaps,
       answers )
   in
   List.iter
@@ -1013,11 +1013,11 @@ let test_eviction_merges_summaries () =
     widest := max !widest (List.length absorbed);
     Alcotest.(check (list int))
       (Printf.sprintf "summary of (%d, %d]" lo hi)
-      (Written.words
+      (Machine.Written.words
          (List.fold_left
-            (fun acc s -> Written.union acc (Snapshot.written s))
-            (Written.take (Written.builder ())) absorbed))
-      (Written.words (Snapshot.written kept.(i)))
+            (fun acc s -> Machine.Written.union acc (Snapshot.written s))
+            (Machine.Written.take (Machine.Written.builder ())) absorbed))
+      (Machine.Written.words (Snapshot.written kept.(i)))
   done;
   check_bool "some window absorbed several" true (!widest > 2)
 
@@ -1097,6 +1097,103 @@ let test_replay_observability () =
   check_bool "audit JSON parses back to what was written" true
     (Export.json_to_string (Export.json_of_string json) = json)
 
+(* --- window marks against an independent store log --------------------- *)
+
+(* Every checkpoint's marks are exactly the words an independent store
+   hook saw stored in its window: [std] two words, [st], [stb] and
+   [sth] one each.  [log] is that hook's [(insn, words)] list, newest
+   first; the window of a checkpoint at insn [n] after one at [m] holds
+   the stores counted in [(m, n]]. *)
+let marks_match_log journal log =
+  let word a = Sparc.Word.norm a land lnot 3 in
+  let rec windows = function
+    | prev :: (cur :: _ as rest) ->
+      let lo = Snapshot.insn prev and hi = Snapshot.insn cur in
+      let want =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun (insn, words) ->
+               if insn > lo && insn <= hi then List.map word words else [])
+             log)
+      in
+      Machine.Written.words (Snapshot.written cur) = want && windows rest
+    | _ -> true
+  in
+  windows (Journal.snapshots journal)
+
+let log_store_words cpu =
+  let log = ref [] in
+  Machine.Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
+      let words =
+        match width with
+        | Sparc.Insn.Double -> [ addr; addr + 4 ]
+        | Sparc.Insn.Word | Sparc.Insn.Byte | Sparc.Insn.Half -> [ addr ]
+      in
+      log := (Machine.Cpu.instr_count cpu, words) :: !log);
+  log
+
+(* A loop over a random straight-line body of stores of every width
+   and ALU steps, its base moving 8 bytes per iteration across a
+   two-page array, so blocks are long and a checkpoint interval of a
+   few instructions ends inside them. *)
+let gen_mark_program =
+  let open QCheck.Gen in
+  let open Sparc in
+  let store =
+    let* width = oneofl Insn.[ Word; Double; Byte; Half ] in
+    let* off = int_range 0 4088 in
+    let off = off land lnot (Insn.width_bytes width - 1) in
+    let rd = if width = Insn.Double then Reg.l 2 else Reg.l 0 in
+    return (Asm.st ~width rd (Reg.l 1) (Insn.Imm off))
+  in
+  let step =
+    let* k = int_range 1 900 in
+    return (Asm.add (Reg.l 0) (Insn.Imm k) (Reg.l 0))
+  in
+  let* body = list_size (int_range 1 14) (frequency [ (3, store); (1, step) ]) in
+  let* iterations = int_range 1 30 in
+  return
+    ( {
+        Asm.text =
+          [ Asm.Label "main"; Asm.Set_label { label = "x"; offset = 0; rd = Reg.l 1 } ]
+          @ Asm.insns
+              [
+                Asm.add (Reg.l 1) (Insn.Imm 7) (Reg.l 1);
+                Asm.and_ (Reg.l 1) (Insn.Imm (-8)) (Reg.l 1);
+                Asm.mov (Insn.Imm 5) (Reg.l 0);
+                Asm.mov (Insn.Imm 9) (Reg.l 2);
+                Asm.mov (Insn.Imm 11) (Reg.l 3);
+                Asm.mov (Insn.Imm 0) (Reg.l 7);
+              ]
+          @ [ Asm.Label "loop" ]
+          @ Asm.insns
+              (body
+              @ [
+                  Asm.add (Reg.l 1) (Insn.Imm 8) (Reg.l 1);
+                  Asm.add (Reg.l 7) (Insn.Imm 1) (Reg.l 7);
+                  Asm.cmp (Reg.l 7) (Insn.Imm iterations);
+                  Asm.branch Cond.L "loop";
+                  Asm.mov (Insn.Imm 0) (Reg.o 0);
+                  Asm.trap 0;
+                ]);
+        data = [ { Asm.name = "x"; size = 8192 + 256; init = [] } ];
+        entry = "main";
+      },
+      List.length body )
+
+let prop_marks_random_asm =
+  QCheck.Test.make ~name:"random store loops: window marks == store log" ~count:150
+    (QCheck.make
+       ~print:(fun ((_, n), every) -> Printf.sprintf "%d-insn body, every %d" n every)
+       QCheck.Gen.(pair gen_mark_program (int_range 1 40)))
+    (fun ((prog, _), every) ->
+      let cpu = Machine.Cpu.create (Sparc.Assembler.assemble prog) in
+      Machine.Cpu.install_basic_services cpu;
+      let r = Replay.create ~checkpoint_every:every cpu in
+      let log = log_store_words cpu in
+      ignore (record_all r);
+      marks_match_log (Replay.journal r) !log)
+
 let suites =
   [
     ( "replay.snapshot",
@@ -1110,6 +1207,7 @@ let suites =
         Alcotest.test_case "written: block and page boundaries" `Quick
           test_written_boundaries;
         QCheck_alcotest.to_alcotest prop_written_model;
+        QCheck_alcotest.to_alcotest prop_marks_random_asm;
         Alcotest.test_case "diverges names each component" `Quick
           test_diverges_names_component;
       ] );

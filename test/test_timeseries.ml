@@ -347,10 +347,15 @@ let test_heatmap_pages () =
   Heatmap.mark_monitored hm ~lo:0x1ff0 ~hi:0x2008;
   Alcotest.(check (list int)) "never-fired monitored page" [ 1 ]
     (Heatmap.never_fired hm);
-  check_bool "bad page_bits rejected" true
-    (match Heatmap.create ~page_bits:0 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  List.iter
+    (fun page_bits ->
+      check_bool
+        (Printf.sprintf "page_bits %d rejected" page_bits)
+        true
+        (match Heatmap.create ~page_bits () with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ 0; 7; 31 ]
 
 (* More pages than the lookup cache has slots, some of them negative
    as normalized words: stores cycling through them evict each other's
@@ -382,6 +387,121 @@ let test_heatmap_slot_conflicts () =
   in
   Alcotest.(check (list (pair int int)))
     "writes per page" (List.sort compare (List.map (fun p -> (p, 6)) pages)) writes
+
+(* --- heatmap parity with a hook recount ---------------------------------------- *)
+
+(* The heatmap's per-page cells as [(page, (writes, checks, hits))], read
+   off its JSON export. *)
+let heat_cells hm =
+  let int = function Export.Int n -> n | _ -> Alcotest.fail "heatmap int" in
+  match Heatmap.to_json hm with
+  | Export.Obj fields -> (
+    match List.assoc "cells" fields with
+    | Export.List cells ->
+      List.map
+        (function
+          | Export.Obj c ->
+            let f k = int (List.assoc k c) in
+            (f "page", (f "writes", f "checks", f "hits"))
+          | _ -> Alcotest.fail "heatmap cell")
+        cells
+    | _ -> Alcotest.fail "heatmap cells")
+  | _ -> Alcotest.fail "heatmap json"
+
+(* An independent recount of the session's heatmap: a plain store hook
+   counts each live store on page [addr lsr 12], and a check where
+   [Instrument.store_type] knows its pc (a site, or a stub's first pc);
+   a second hit observer counts hits.  Returns the recount's cells, in
+   the heatmap's order, and a counter of checked stores made in patch
+   stubs. *)
+let recount_heat (s : Session.t) =
+  let cells = Hashtbl.create 16 in
+  let cell page =
+    match Hashtbl.find_opt cells page with
+    | Some c -> c
+    | None ->
+      let c = [| 0; 0; 0 |] in
+      Hashtbl.replace cells page c;
+      c
+  in
+  let stubs =
+    Array.fold_left
+      (fun acc (p : Instrument.placed) -> if p.stub >= 0 then p.stub :: acc else acc)
+      [] (Instrument.write_sites s.Session.sites)
+  in
+  let stub_checks = ref 0 in
+  Machine.Cpu.set_store_hook s.Session.cpu (fun cpu ~addr ~width:_ ->
+      if Machine.Cpu.observing cpu then begin
+        let c = cell (addr lsr 12) in
+        c.(0) <- c.(0) + 1;
+        let pc = Machine.Cpu.pc cpu in
+        if Option.is_some (Instrument.store_type s.Session.sites pc) then begin
+          c.(1) <- c.(1) + 1;
+          if List.mem pc stubs then incr stub_checks
+        end
+      end);
+  Mrs.add_hit_observer s.Session.mrs (fun h ->
+      let c = cell (h.Mrs.addr lsr 12) in
+      c.(2) <- c.(2) + 1);
+  let read () =
+    Hashtbl.fold (fun page c acc -> (page, (c.(0), c.(1), c.(2))) :: acc) cells []
+    |> List.sort compare
+  in
+  (read, stub_checks)
+
+(* Each touched page's writes, checks and hits equal the recount's, at
+   the halt and again after a last-write, a history and a travel query
+   (replay counts nothing).  Returns the checked stores made in
+   stubs. *)
+let heat_matches_recount ~options ~watch src =
+  let s = Session.create ~options ~checkpoint_every:2_000 ~heatmap:true src in
+  ignore (Debugger.watch (Debugger.create s) watch);
+  let recount, stub_checks = recount_heat s in
+  let hm = Option.get s.Session.heatmap in
+  ignore (Session.run ~fuel:50_000_000 s);
+  let agree () = heat_cells hm = recount () in
+  let at_halt = agree () in
+  let addr = Option.get (Session.resolve_addr s watch) in
+  ignore (Session.last_write s ~addr);
+  ignore (Session.write_history s ~lo:addr ~hi:(addr + 8));
+  ignore (Session.time_travel s ~insn:(Machine.Cpu.instr_count s.Session.cpu / 3));
+  (at_halt && agree (), !stub_checks)
+
+let prop_heatmap_parity_random =
+  QCheck.Test.make ~name:"random programs: heatmap pages == hook recount" ~count:12
+    Test_fuzz.arb_program (fun src ->
+      List.for_all
+        (fun opt ->
+          fst
+            (heat_matches_recount
+               ~options:{ Instrument.default_options with opt }
+               ~watch:"g0" src))
+        Instrument.[ O0; O_symbol ])
+
+let test_heatmap_parity_workloads () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let options =
+        { Instrument.default_options with
+          opt = Instrument.O_symbol;
+          fortran_idiom = Workloads.Workload.fortran_idiom w }
+      in
+      let out = Minic.Compile.compile w.source in
+      let g = (List.hd (Sparc.Symtab.globals out.Minic.Codegen.symtab)).Sparc.Symtab.name in
+      check_bool (w.name ^ ": heatmap pages == hook recount") true
+        (fst (heat_matches_recount ~options ~watch:g w.source)))
+    Workloads.Spec.all
+
+(* At -O full with alias checks the pre-header trigger patches checks
+   back in, so stores run inside their stubs: those slots' check flags
+   are what this pins. *)
+let test_heatmap_parity_stubs () =
+  let options =
+    { Instrument.default_options with opt = Instrument.O_full; check_aliases = true }
+  in
+  let ok, stub_checks = heat_matches_recount ~options ~watch:"a" Test_dbp.ci_matrix_src in
+  check_bool "stores ran in patch stubs" true (stub_checks > 0);
+  check_bool "heatmap pages == hook recount" true ok
 
 let test_heatmap_renders () =
   let hm = Heatmap.create ~page_bits:12 () in
@@ -650,6 +770,11 @@ let suites =
         Alcotest.test_case "page accounting" `Quick test_heatmap_pages;
         Alcotest.test_case "lookup slot conflicts" `Quick test_heatmap_slot_conflicts;
         Alcotest.test_case "renders deterministic" `Quick test_heatmap_renders;
+        QCheck_alcotest.to_alcotest prop_heatmap_parity_random;
+        Alcotest.test_case "SPEC pages == hook recount" `Quick
+          test_heatmap_parity_workloads;
+        Alcotest.test_case "stub check flags == hook recount" `Quick
+          test_heatmap_parity_stubs;
       ] );
     ( "timeseries.prometheus",
       [
