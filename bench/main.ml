@@ -2,13 +2,14 @@
    paper's evaluation (see DESIGN.md section 4 for the experiment
    index).  Run a single experiment by name, or everything:
 
-     dune exec bench/main.exe -- [table1|table2|figure3|nops|strategies|
-                                  breakeven|readwrite|ablations|smoke|
-                                  replay|profile|timeseries|verify|service|
-                                  all]
-                                 [-j N] [--chrome-trace FILE] [--span-set]
+     dune exec bench/main.exe -- [EXPERIMENT|all] [-j N]
+                                 [--chrome-trace FILE] [--span-set]
 
-   Cells run on a pool of [-j] worker domains (default: [DBP_JOBS] or
+   where EXPERIMENT is a name from [experiments] below; [all] runs
+   those marked for it, in order.  Each experiment returns its tables
+   as data and [Table.print_parts] prints them.
+
+   Cells run on a pool of [-j] worker domains (default:
    [Domain.recommended_domain_count ()]; [-j 1] is fully serial).  Every
    number printed is simulated, so stdout is byte-identical for every
    [-j].  Host time is measured by perfbench alone (perfbench/README.md).
@@ -22,9 +23,29 @@
    writes every domain's pipeline spans as one Perfetto-loadable
    trace. *)
 
+(* Every experiment by name, with whether [all] runs it; [all] keeps
+   this order. *)
+let experiments =
+  [
+    ("table1", true, Tables.table1);
+    ("figure3", true, Tables.figure3);
+    ("table2", true, Tables.table2);
+    ("nops", true, Tables.nops);
+    ("strategies", true, Tables.strategies);
+    ("breakeven", true, Tables.breakeven);
+    ("readwrite", true, Tables.readwrite);
+    ("ablations", true, Tables.ablations);
+    ("replay", true, Tables.replay);
+    ("profile", true, Tables.profile);
+    ("timeseries", true, Tables.timeseries_sampler);
+    ("verify", true, Tables.verify);
+    ("smoke", false, Tables.smoke);
+    ("service", false, Service.run);
+  ]
+
 let usage () =
-  prerr_endline
-    "usage: main.exe [table1|table2|figure3|nops|strategies|breakeven|readwrite|ablations|smoke|replay|profile|timeseries|verify|service|all] [-j N] [--chrome-trace FILE] [--span-set]";
+  Printf.eprintf "usage: main.exe [%s|all] [-j N] [--chrome-trace FILE] [--span-set]\n"
+    (String.concat "|" (List.map (fun (name, _, _) -> name) experiments));
   exit 2
 
 let () =
@@ -52,34 +73,14 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let which = Option.value ~default:"all" !experiment in
   (match which with
-  | "table1" -> Tables.table1 ()
-  | "table2" -> Tables.table2 ()
-  | "figure3" -> Tables.figure3 ()
-  | "nops" -> Tables.nops ()
-  | "strategies" -> Tables.strategies ()
-  | "breakeven" -> Tables.breakeven ()
-  | "readwrite" -> Tables.readwrite ()
-  | "ablations" -> Tables.ablations ()
-  | "smoke" -> Tables.smoke ()
-  | "replay" -> Tables.replay ()
-  | "profile" -> Tables.profile ()
-  | "timeseries" -> Tables.timeseries_sampler ()
-  | "verify" -> Tables.verify ()
-  | "service" -> Service.run ()
   | "all" ->
-    Tables.table1 ();
-    Tables.figure3 ();
-    Tables.table2 ();
-    Tables.nops ();
-    Tables.strategies ();
-    Tables.breakeven ();
-    Tables.readwrite ();
-    Tables.ablations ();
-    Tables.replay ();
-    Tables.profile ();
-    Tables.timeseries_sampler ();
-    Tables.verify ()
-  | _ -> usage ());
+    List.iter
+      (fun (_, in_all, run) -> if in_all then Table.print_parts (run ()))
+      experiments
+  | name -> (
+    match List.find_opt (fun (n, _, _) -> n = name) experiments with
+    | Some (_, _, run) -> Table.print_parts (run ())
+    | None -> usage ()));
   (* The merged telemetry summary is a sum over per-domain sinks —
      commutative, so byte-identical for every [-j]. *)
   let merged = Pool.merged_report () in

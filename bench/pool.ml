@@ -95,25 +95,14 @@ let parse_jobs s =
   | Some n when n >= 1 -> Some n
   | _ -> None
 
-let env_jobs () =
-  match Sys.getenv_opt "DBP_JOBS" with
-  | Some s -> (
-    match parse_jobs s with
-    | Some n -> n
-    | None ->
-      Printf.eprintf "warning: ignoring invalid DBP_JOBS=%S\n%!" s;
-      Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
-
-(* 0 = not yet resolved; the [-j] flag (see [Main]) overrides the
-   [DBP_JOBS] environment variable, which overrides
+(* 0 = not yet resolved; the [-j] flag (see [Main]) overrides
    [Domain.recommended_domain_count]. *)
 let requested = ref 0
 
 let set_jobs n = requested := max 1 n
 
 let jobs () =
-  if !requested = 0 then requested := env_jobs ();
+  if !requested = 0 then requested := Domain.recommended_domain_count ();
   !requested
 
 let map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list =

@@ -12,7 +12,7 @@ open Dbp
 
 let fuel = 200_000_000
 
-type run = { cycles : int; instrs : int; stores : int; exit_code : int }
+type run = { cycles : int; instrs : int; stores : int; loads : int; exit_code : int }
 
 (* --- baseline runs --------------------------------------------------------- *)
 
@@ -36,7 +36,7 @@ let baseline (w : Workloads.Workload.t) : run =
     let s = Machine.Cpu.stats cpu in
     let r =
       { cycles = s.Machine.Cpu.cycles; instrs = s.Machine.Cpu.instrs;
-        stores = s.Machine.Cpu.stores; exit_code }
+        stores = s.Machine.Cpu.stores; loads = s.Machine.Cpu.loads; exit_code }
     in
     Mutex.protect cache_mu (fun () -> Hashtbl.replace baseline_cache w.name r);
     r
@@ -59,19 +59,22 @@ let options_for (w : Workloads.Workload.t) ?(opt = Instrument.O0)
     single_cache;
   }
 
-let overhead (w : Workloads.Workload.t) run = Stats.pct (baseline w).cycles run.cycles
-
 (* Run instrumented; [enable] turns monitoring on with no regions (the
-   monitor-miss steady state Table 1 measures).  The session's final
-   report is absorbed into this domain's sink so the harness can print
-   one merged, scheduling-independent telemetry summary at the end. *)
-let instrumented ?(enable = true) ?(profile = false) ?sample_every
-    ?(heatmap = false) options (w : Workloads.Workload.t) : run * Session.t =
+   monitor-miss steady state Table 1 measures), and [setup] may arm
+   regions or hooks before the run.  With [absorb] (the default) the
+   session's pipeline spans go to this domain's tracer and its final
+   report and audit summary to this domain's sinks, so the harness can
+   print one merged, scheduling-independent summary at the end. *)
+let instrumented ?(enable = true) ?(absorb = true) ?(setup = ignore)
+    ?(profile = false) ?sample_every ?(heatmap = false) options
+    (w : Workloads.Workload.t) : run * Session.t =
   let session =
-    Session.create ~trace:(Pool.trace_sink ()) ~options ~profile ?sample_every
-      ~heatmap w.source
+    Session.create
+      ?trace:(if absorb then Some (Pool.trace_sink ()) else None)
+      ~options ~profile ?sample_every ~heatmap w.source
   in
   if enable then Mrs.enable session.Session.mrs;
+  setup session;
   let exit_code, _ = Session.run ~fuel session in
   (match w.expected_exit with
   | Some e when e <> exit_code ->
@@ -82,8 +85,18 @@ let instrumented ?(enable = true) ?(profile = false) ?sample_every
   let s = Session.stats session in
   let r =
     { cycles = s.Machine.Cpu.cycles; instrs = s.Machine.Cpu.instrs;
-      stores = s.Machine.Cpu.stores; exit_code }
+      stores = s.Machine.Cpu.stores; loads = s.Machine.Cpu.loads; exit_code }
   in
-  Telemetry.absorb (Pool.telemetry_sink ()) (Session.report session);
-  Pool.absorb_audit_summary (Audit.summary session.Session.audit);
+  if absorb then begin
+    Telemetry.absorb (Pool.telemetry_sink ()) (Session.report session);
+    Pool.absorb_audit_summary (Audit.summary session.Session.audit)
+  end;
   (r, session)
+
+(* The one overhead measurement every table's percentage comes from:
+   the cycles [w] takes instrumented with [options] over its
+   uninstrumented baseline, in percent, with the session for callers
+   that read more off the same run. *)
+let overhead ?enable ?absorb ?setup options w =
+  let r, session = instrumented ?enable ?absorb ?setup options w in
+  (Stats.pct (baseline w).cycles r.cycles, session)

@@ -178,19 +178,21 @@ let run_fleet k =
   Daemon.shutdown engine;
 
   (* Deterministic stdout: one full transcript + per-session digests. *)
-  Printf.printf "\n== service: %d concurrent sessions ==\n" k;
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "\n== service: %d concurrent sessions ==\n" k;
   let s1 = List.hd clients in
-  Printf.printf "--- transcript %s ---\n" s1.sid;
-  List.iter print_endline (List.rev s1.transcript);
-  Printf.printf "--- sessions ---\n";
+  Printf.bprintf b "--- transcript %s ---\n" s1.sid;
+  List.iter (Printf.bprintf b "%s\n") (List.rev s1.transcript);
+  Printf.bprintf b "--- sessions ---\n";
   List.iter
     (fun c ->
-      Printf.printf "%-4s replies=%d hits=%d exit=%s last-write-insn=%s\n"
+      Printf.bprintf b "%-4s replies=%d hits=%d exit=%s last-write-insn=%s\n"
         c.sid c.replies c.hits
         (match c.exit_code with Some e -> string_of_int e | None -> "?")
         (match c.last_write_insn with
         | Some i -> string_of_int i
         | None -> "?"))
-    clients
+    clients;
+  Table.Text (Buffer.contents b)
 
-let run () = List.iter run_fleet fleet_sizes
+let run () = List.map run_fleet fleet_sizes

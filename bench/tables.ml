@@ -5,10 +5,12 @@ open Dbp
    the paper's corresponding numbers are printed alongside each table
    in EXPERIMENTS.md.
 
-   Every experiment is phrased compute-then-print: the per-row (or
+   Every experiment returns what it prints as data ({!Table.part}s),
+   and {!Table.print} lays out every table.  The per-row (or
    per-sweep-point) cell computations go through {!Pool.map}, which
    shards them across worker domains and returns results in input
-   order, so the printed tables are byte-identical for every [-j]. *)
+   order, so the printed tables are byte-identical for every [-j].
+   Every overhead percentage is {!Runner.overhead}'s. *)
 
 let workloads = Workloads.Spec.all
 
@@ -29,121 +31,121 @@ let on_off_cells names =
 let lang_tag (w : Workloads.Workload.t) =
   Printf.sprintf "(%s) %s" (Workloads.Workload.lang_to_string w.lang) w.name
 
-let averages rows =
-  (* rows: (workload, float list); returns (c_avg, f_avg, all_avg) per column *)
-  let cols = List.length (snd (List.hd rows)) in
-  let avg filt col =
-    let vals =
-      List.filter_map
-        (fun ((w : Workloads.Workload.t), xs) ->
-          if filt w then Some (List.nth xs col) else None)
-        rows
-    in
-    Stats.mean vals
-  in
-  let line name filt =
-    (name, List.init cols (fun c -> avg filt c))
-  in
-  [
-    line "C AVERAGE" (fun w -> w.Workloads.Workload.lang = Workloads.Workload.C);
-    line "FORTRAN AVERAGE" (fun w -> w.Workloads.Workload.lang = Workloads.Workload.Fortran);
-    line "OVERALL AVERAGE" (fun _ -> true);
-  ]
+(* The attached-vs-detached tables' columns and rows: the observer's
+   state, the run's cycles and instructions, then [n] counts of its
+   own, or [-] where it was detached. *)
+let on_off_columns observer extra =
+  Table.columns ([ (observer, 10); ("Cycles", 14); ("Instrs", 14) ] @ extra)
 
-let print_table ~title ~headers rows_with_names =
-  Printf.printf "\n== %s ==\n" title;
-  Printf.printf "%-18s" "Programs";
-  List.iter (fun h -> Printf.printf "%12s" h) headers;
-  print_newline ();
-  List.iter
-    (fun (name, values) ->
-      Printf.printf "%-18s" name;
-      List.iter (fun v -> Printf.printf "%11.1f%%" v) values;
-      print_newline ())
-    rows_with_names
+let on_off_row w on (r : Runner.run) n extra =
+  ( lang_tag w,
+    Table.Str (if on then "on" else "off")
+    :: Table.Int r.Runner.cycles
+    :: Table.Int r.Runner.instrs
+    ::
+    (match extra with
+    | Some xs -> List.map (fun x -> Table.Int x) xs
+    | None -> List.init n (fun _ -> Table.Str "-")) )
+
+(* --- measured columns and their average rows --------------------------------- *)
+
+(* A column of a per-workload table: its header and width, and the
+   value it measures on one workload. *)
+type measured = Table.column * (Workloads.Workload.t -> float)
+
+(* An overhead column: the check configuration [options w], measured
+   by [Runner.overhead] with monitoring [enable]d. *)
+let ovh ?width ?(enable = true) header options : measured =
+  (Table.col ?width header, fun w -> fst (Runner.overhead ~enable (options w) w))
+
+let strategy s w = Runner.options_for w s
+let bir = Strategy.Bitmap_inline_registers
+
+(* One [Pool.map] cell per workload, measuring its columns left to right. *)
+let measure (cols : measured list) =
+  Pool.map (fun w -> (w, List.map (fun (_, f) -> f w) cols)) workloads
+
+let labelled rows = List.map (fun (w, xs) -> (lang_tag w, xs)) rows
+let cells fmt rows = List.map (fun (label, xs) -> (label, List.map fmt xs)) rows
+
+let is_lang lang (w : Workloads.Workload.t) = w.lang = lang
+let c_avg = ("C AVERAGE", is_lang Workloads.Workload.C)
+let fortran_avg = ("FORTRAN AVERAGE", is_lang Workloads.Workload.Fortran)
+let overall_avg = ("OVERALL AVERAGE", fun _ -> true)
+let by_lang = [ c_avg; fortran_avg; overall_avg ]
+let average = ("AVERAGE", fun _ -> true)
+
+(* The average rows: for each (label, keep) group, every column's mean
+   over the workloads the group keeps. *)
+let averages groups rows =
+  List.map
+    (fun (label, keep) ->
+      let kept = List.filter_map (fun (w, xs) -> if keep w then Some xs else None) rows in
+      ( label,
+        List.mapi
+          (fun i _ -> Stats.mean (List.map (fun xs -> List.nth xs i) kept))
+          (snd (List.hd rows)) ))
+    groups
+
+(* A table of percentages with a row per workload and then [groups]'s
+   average rows. *)
+let pct_table ~title ?notes ?(groups = by_lang) columns rows =
+  Table.Table
+    (Table.v ~title ?notes columns
+       (cells Table.pct1 (labelled rows @ averages groups rows)))
 
 (* --- nop-insertion cache-effects experiment (sigma of Table 1) ---------------- *)
 
-let nop_sigma (w : Workloads.Workload.t) =
-  let points =
-    List.map
-      (fun n ->
-        let o = { (Runner.options_for w Strategy.Nocheck) with Instrument.nop_padding = n } in
-        let r, _ = Runner.instrumented ~enable:false o w in
-        (float_of_int n, Runner.overhead w r))
-      [ 2; 4; 8; 16; 32 ]
+let nop_paddings = [ 2; 4; 8; 16; 32 ]
+
+let nop_cols =
+  List.map
+    (fun n ->
+      ovh ~width:10 ~enable:false (string_of_int n) (fun w ->
+          Runner.options_for w ~nop_padding:n Strategy.Nocheck))
+    nop_paddings
+
+(* The overhead at each padding, and the least-squares slope per nop
+   and residual σ over them. *)
+let nop_sweep w =
+  let ys = List.map (fun (_, f) -> f w) nop_cols in
+  let _, slope, sigma =
+    Stats.linreg (List.map2 (fun n y -> (float_of_int n, y)) nop_paddings ys)
   in
-  let _, _, sigma = Stats.linreg points in
-  sigma
+  (ys, slope, sigma)
+
+let nops () =
+  let rows = Pool.map (fun w -> (w, nop_sweep w)) workloads in
+  [
+    Table.Table
+      (Table.v ~title:"Nop-insertion experiment (cache alignment effects, sec 3.3.1)"
+         (List.map fst nop_cols
+         @ [ Table.col "slope/nop"; Table.col ~width:10 "sigma" ])
+         (List.map
+            (fun (w, (ys, slope, sigma)) ->
+              ( lang_tag w,
+                List.map Table.pct1 ys @ [ Table.Pct (2, slope); Table.Pct (2, sigma) ] ))
+            rows));
+  ]
 
 (* --- Table 1: write check implementations ----------------------------------- *)
 
 (* The disabled column and the five strategy variants of Table 1, plus
    the cache-alignment sigma from the nop experiment. *)
 let table1 () =
-  let strategies =
+  let cols =
     [
-      Strategy.Bitmap;
-      Strategy.Bitmap_inline;
-      Strategy.Bitmap_inline_registers;
-      Strategy.Cache;
-      Strategy.Cache_inline;
+      ovh ~enable:false "Disabled" (strategy bir);
+      ovh "Bitmap" (strategy Strategy.Bitmap);
+      ovh "BmpInline" (strategy Strategy.Bitmap_inline);
+      ovh "BmpInlRegs" (strategy bir);
+      ovh "Cache" (strategy Strategy.Cache);
+      ovh "CacheInl" (strategy Strategy.Cache_inline);
+      (Table.col "sigma", fun w -> let _, _, sigma = nop_sweep w in sigma);
     ]
   in
-  let rows =
-    Pool.map
-      (fun (w : Workloads.Workload.t) ->
-        let disabled =
-          let o = Runner.options_for w Strategy.Bitmap_inline_registers in
-          let r, _ = Runner.instrumented ~enable:false o w in
-          Runner.overhead w r
-        in
-        let per_strategy =
-          List.map
-            (fun s ->
-              let r, _ = Runner.instrumented (Runner.options_for w s) w in
-              Runner.overhead w r)
-            strategies
-        in
-        let sigma = nop_sigma w in
-        (w, disabled :: per_strategy @ [ sigma ]))
-      workloads
-  in
-  let printable =
-    List.map (fun (w, xs) -> (lang_tag w, xs)) rows @ averages rows
-  in
-  print_table ~title:"Table 1: monitored region service overhead"
-    ~headers:
-      [ "Disabled"; "Bitmap"; "BmpInline"; "BmpInlRegs"; "Cache"; "CacheInl"; "sigma" ]
-    printable
-
-let nops () =
-  let rows =
-    Pool.map
-      (fun (w : Workloads.Workload.t) ->
-        let points =
-          List.map
-            (fun n ->
-              let o =
-                { (Runner.options_for w Strategy.Nocheck) with Instrument.nop_padding = n }
-              in
-              let r, _ = Runner.instrumented ~enable:false o w in
-              (float_of_int n, Runner.overhead w r))
-            [ 2; 4; 8; 16; 32 ]
-        in
-        let _, slope, sigma = Stats.linreg points in
-        (w, points, slope, sigma))
-      workloads
-  in
-  Printf.printf "\n== Nop-insertion experiment (cache alignment effects, sec 3.3.1) ==\n";
-  Printf.printf "%-18s%10s%10s%10s%10s%10s%12s%10s\n" "Programs" "2" "4" "8" "16"
-    "32" "slope/nop" "sigma";
-  List.iter
-    (fun (w, points, slope, sigma) ->
-      Printf.printf "%-18s" (lang_tag w);
-      List.iter (fun (_, y) -> Printf.printf "%9.1f%%" y) points;
-      Printf.printf "%11.2f%%%9.2f%%\n" slope sigma)
-    rows
+  [ pct_table ~title:"Table 1: monitored region service overhead" (List.map fst cols)
+      (measure cols) ]
 
 (* --- Figure 3: segment cache locality vs segment size -------------------------- *)
 
@@ -151,7 +153,7 @@ let nops () =
    [Cache_misses_by_type] counter — [Session.create] probes the
    per-write-type miss handlers itself for segment-cache strategies, so
    Figure 3 and the telemetry reports share one definition of a miss. *)
-let cache_hit_rate (w : Workloads.Workload.t) ~seg_bits =
+let cache_hit_rate ~seg_bits (w : Workloads.Workload.t) =
   let o = Runner.options_for w ~seg_bits Strategy.Cache in
   let _, session = Runner.instrumented o w in
   let misses =
@@ -166,45 +168,26 @@ let cache_hit_rate (w : Workloads.Workload.t) ~seg_bits =
   else 100.0 *. (1.0 -. (float_of_int misses /. float_of_int total))
 
 let figure3 () =
-  let sizes = [ 7; 8; 9; 10; 11; 12 ] in
-  let rows =
-    Pool.map
-      (fun (w : Workloads.Workload.t) ->
-        (w, List.map (fun sb -> cache_hit_rate w ~seg_bits:sb) sizes))
-      workloads
-  in
-  Printf.printf "\n== Figure 3: segment cache locality (hit %%) vs segment size ==\n";
-  Printf.printf "%-18s" "Programs";
-  List.iter (fun sb -> Printf.printf "%9dw" ((1 lsl sb) / 4)) sizes;
-  print_newline ();
-  let all_rates =
+  let cols =
     List.map
-      (fun ((w : Workloads.Workload.t), rates) ->
-        Printf.printf "%-18s" (lang_tag w);
-        List.iter (fun r -> Printf.printf "%9.1f%%" r) rates;
-        print_newline ();
-        rates)
-      rows
+      (fun sb ->
+        (Table.col ~width:10 (Printf.sprintf "%dw" ((1 lsl sb) / 4)), cache_hit_rate ~seg_bits:sb))
+      [ 7; 8; 9; 10; 11; 12 ]
   in
-  Printf.printf "%-18s" "AVERAGE";
-  List.iteri
-    (fun i _ ->
-      let col = List.map (fun rates -> List.nth rates i) all_rates in
-      Printf.printf "%9.1f%%" (Stats.mean col))
-    sizes;
-  print_newline ()
+  [ pct_table ~title:"Figure 3: segment cache locality (hit %) vs segment size"
+      ~groups:[ average ] (List.map fst cols) (measure cols) ]
 
 (* --- Table 2: write check elimination -------------------------------------------- *)
 
 let table2 () =
+  let sym_col = ovh "Sym" (fun w -> Runner.options_for w ~opt:Instrument.O_symbol bir) in
   let rows =
     Pool.map
       (fun (w : Workloads.Workload.t) ->
         (* Full optimization run. *)
-        let o_full =
-          Runner.options_for w ~opt:Instrument.O_full Strategy.Bitmap_inline_registers
+        let full_ovh, session =
+          Runner.overhead (Runner.options_for w ~opt:Instrument.O_full bir) w
         in
-        let full_run, session = Runner.instrumented o_full w in
         let plan = session.Session.plan in
         let execs = Telemetry.current session.Session.telemetry in
         let total = float_of_int (max 1 (execs Telemetry.Check_execs)) in
@@ -248,13 +231,7 @@ let table2 () =
                 | Loopopt.Rng _ -> gen_range := !gen_range + entries)
               p.checks)
           plan.Instrument.loop_plans;
-        let full_ovh = Runner.overhead w full_run in
-        (* Symbol-only run. *)
-        let o_sym =
-          Runner.options_for w ~opt:Instrument.O_symbol Strategy.Bitmap_inline_registers
-        in
-        let sym_run, _ = Runner.instrumented o_sym w in
-        let sym_ovh = Runner.overhead w sym_run in
+        let sym_ovh = snd sym_col w in
         let p x = 100.0 *. (x /. total) in
         ( w,
           [
@@ -269,89 +246,66 @@ let table2 () =
           ] ))
       workloads
   in
-  let printable = List.map (fun (w, xs) -> (lang_tag w, xs)) rows @ averages rows in
-  print_table ~title:"Table 2: write check elimination"
-    ~headers:[ "Symbol"; "LI"; "Range"; "Total"; "GenLI"; "GenRng"; "Full"; "Sym" ]
-    printable
+  [ pct_table ~title:"Table 2: write check elimination"
+      (List.map Table.col [ "Symbol"; "LI"; "Range"; "Total"; "GenLI"; "GenRng"; "Full" ]
+      @ [ fst sym_col ])
+      rows ]
 
 (* --- Strategy comparison (sec 1 / Wahbe's pilot study) ----------------------------- *)
 
+(* VM page protection: watch this workload's [seed] word; every store to
+   its 4 KiB page faults (~1500 cycles with the fault round trip).  A
+   model over the bare run, not an instrumented configuration. *)
+let pageprot (w : Workloads.Workload.t) =
+  let linked = Minic.Compile.compile_and_link w.source in
+  let watched =
+    match Sparc.Assembler.addr_of_label linked.image "seed" with
+    | Some a -> Some a
+    | None -> (
+      match Sparc.Symtab.globals linked.symtab with
+      | { Sparc.Symtab.location = Sparc.Symtab.Absolute a; _ } :: _ -> Some a
+      | _ -> None)
+  in
+  match watched with
+  | None -> nan
+  | Some seed_addr ->
+    let page = seed_addr lsr 12 in
+    let cpu = Machine.Cpu.create linked.image in
+    Machine.Cpu.install_basic_services cpu;
+    let faults = ref 0 in
+    Machine.Cpu.set_store_hook cpu (fun _ ~addr ~width:_ ->
+        if addr lsr 12 = page then incr faults);
+    ignore (Machine.Cpu.run ~fuel:Runner.fuel cpu);
+    let s = Machine.Cpu.stats cpu in
+    Stats.pct (Runner.baseline w).Runner.cycles (s.Machine.Cpu.cycles + (!faults * 1500))
+
 let strategies () =
-  let rows =
-    Pool.map
-      (fun (w : Workloads.Workload.t) ->
-        let base = Runner.baseline w in
-      let bitmap =
-        let r, _ =
-          Runner.instrumented (Runner.options_for w Strategy.Bitmap_inline_registers) w
-        in
-        Runner.overhead w r
-      in
-      let hash =
-        let r, _ = Runner.instrumented (Runner.options_for w Strategy.Hash_table) w in
-        Runner.overhead w r
-      in
-      ignore base;
+  let cols =
+    [
+      ovh ~width:14 "Bitmap(regs)" (strategy bir);
+      ovh ~width:14 "HashTable" (strategy Strategy.Hash_table);
       (* Trap-per-write, measured: every store raises a trap and the
          check runs in the "kernel" (the OCaml MRS), charged a 400-cycle
          context switch on top of the trap cost. *)
-      let trap_ovh =
-        let r, _ = Runner.instrumented (Runner.options_for w Strategy.Trap_check) w in
-        Runner.overhead w r
-      in
-      (* VM page protection: watch this workload's [seed] word; every
-         store to its 4 KiB page faults (~1500 cycles with the fault
-         round trip). *)
-      let pageprot =
-        let linked = Minic.Compile.compile_and_link w.source in
-        let watched =
-          match Sparc.Assembler.addr_of_label linked.image "seed" with
-          | Some a -> Some a
-          | None -> (
-            match Sparc.Symtab.globals linked.symtab with
-            | { Sparc.Symtab.location = Sparc.Symtab.Absolute a; _ } :: _ -> Some a
-            | _ -> None)
-        in
-        match watched with
-        | None -> nan
-        | Some seed_addr ->
-          let page = seed_addr lsr 12 in
-          let cpu = Machine.Cpu.create linked.image in
-          Machine.Cpu.install_basic_services cpu;
-          let faults = ref 0 in
-          Machine.Cpu.set_store_hook cpu (fun _ ~addr ~width:_ ->
-              if addr lsr 12 = page then incr faults);
-          ignore (Machine.Cpu.run ~fuel:Runner.fuel cpu);
-          let s = Machine.Cpu.stats cpu in
-          Stats.pct base.Runner.cycles (s.Machine.Cpu.cycles + (!faults * 1500))
-      in
+      ovh ~width:14 "TrapPerWrite" (strategy Strategy.Trap_check);
+      (Table.col ~width:14 "VM-pageprot", pageprot);
       (* Hardware watchpoints: measured zero-overhead when a scalar
          fits the registers; capacity fails for anything bigger. *)
-      let hw =
-        let o = Runner.options_for w (Strategy.Hardware_watch 4) in
-        let r, _ = Runner.instrumented o w in
-        Runner.overhead w r
-      in
-        (w, bitmap, hash, trap_ovh, pageprot, hw))
-      workloads
+      ovh ~width:14 "HW-watch" (strategy (Strategy.Hardware_watch 4));
+    ]
   in
-  Printf.printf
-    "\n== Implementation strategy comparison (sec 1; Wahbe ASPLOS'92 pilot) ==\n";
-  Printf.printf "%-18s%14s%14s%14s%14s%14s\n" "Programs" "Bitmap(regs)" "HashTable"
-    "TrapPerWrite" "VM-pageprot" "HW-watch";
-  List.iter
-    (fun (w, bitmap, hash, trap_ovh, pageprot, hw) ->
-      Printf.printf "%-18s%13.1f%%%13.1f%%%13.1f%%%13.1f%%%13.1f%%\n" (lang_tag w)
-        bitmap hash trap_ovh pageprot hw)
-    rows;
-  Printf.printf
-    "\n(dbx-style single-step checking is a constant factor of ~%.0fx, the paper's\n\
-     measured value -- 8,500,000%% overhead, off this table's scale.)\n"
-    85000.0;
-  Printf.printf
-    "(HW watchpoints: SPARC/R4000 watch 1 word, i386 watches 4 -- e.g. watching\n\
-     matrix300's %d-word output array is unsupported in hardware.)\n"
-    (22 * 22)
+  [ pct_table ~groups:[]
+      ~title:"Implementation strategy comparison (sec 1; Wahbe ASPLOS'92 pilot)"
+      ~notes:
+        [
+          "";
+          "(dbx-style single-step checking is a constant factor of ~85000x, the paper's";
+          "measured value -- 8,500,000% overhead, off this table's scale.)";
+          "(HW watchpoints: SPARC/R4000 watch 1 word, i386 watches 4 -- e.g. watching";
+          Printf.sprintf "matrix300's %d-word output array is unsupported in hardware.)"
+            (22 * 22);
+        ]
+      (List.map fst cols) (measure cols) ]
 
 (* --- Ablations of the paper's design choices ------------------------------------------ *)
 
@@ -360,61 +314,32 @@ let strategies () =
       that buy an almost-free "no breakpoints" mode;
    2. per-write-type segment caches (§3.1) vs one shared cache. *)
 let ablations () =
-  let rows =
-    Pool.map
-      (fun (w : Workloads.Workload.t) ->
-        let bir =
-          let r, _ =
-            Runner.instrumented (Runner.options_for w Strategy.Bitmap_inline_registers) w
-          in
-          Runner.overhead w r
-        in
-        let bir_noguard =
-          let o =
-            Runner.options_for w ~disabled_guard:false
-              Strategy.Bitmap_inline_registers
-          in
-          let r, _ = Runner.instrumented o w in
-          Runner.overhead w r
-        in
-        let bir_disabled =
-          let o = Runner.options_for w Strategy.Bitmap_inline_registers in
-          let r, _ = Runner.instrumented ~enable:false o w in
-          Runner.overhead w r
-        in
-        let cache4 =
-          let r, _ = Runner.instrumented (Runner.options_for w Strategy.Cache_inline) w in
-          Runner.overhead w r
-        in
-        let cache1 =
-          let o = Runner.options_for w ~single_cache:true Strategy.Cache_inline in
-          let r, _ = Runner.instrumented o w in
-          Runner.overhead w r
-        in
-        (w, [ bir; bir_noguard; bir_disabled; cache4; cache1 ]))
-      workloads
+  let cols =
+    [
+      ovh "BIR" (strategy bir);
+      ovh "BIR-noguard" (fun w -> Runner.options_for w ~disabled_guard:false bir);
+      ovh ~width:14 ~enable:false "BIR-disabled" (strategy bir);
+      ovh "Cache4" (strategy Strategy.Cache_inline);
+      ovh ~width:14 "Cache-shared" (fun w ->
+          Runner.options_for w ~single_cache:true Strategy.Cache_inline);
+    ]
   in
-  Printf.printf "\n== Ablations ==\n";
-  Printf.printf "%-18s%12s%12s%14s%12s%14s\n" "Programs" "BIR" "BIR-noguard"
-    "BIR-disabled" "Cache4" "Cache-shared";
-  List.iter
-    (fun (w, xs) ->
-      Printf.printf "%-18s" (lang_tag w);
-      (match xs with
-      | [ bir; bir_noguard; bir_disabled; cache4; cache1 ] ->
-        Printf.printf "%11.1f%%%11.1f%%%13.1f%%%11.1f%%%13.1f%%\n" bir
-          bir_noguard bir_disabled cache4 cache1
-      | _ -> assert false))
-    rows;
-  let rows = List.map snd rows in
-  let col i = Stats.mean (List.map (fun xs -> List.nth xs i) rows) in
-  Printf.printf "%-18s%11.1f%%%11.1f%%%13.1f%%%11.1f%%%13.1f%%\n" "AVERAGE"
-    (col 0) (col 1) (col 2) (col 3) (col 4);
-  Printf.printf
-    "(the guard costs ~%.1f points of steady-state overhead but keeps the\n\
-    \ disabled mode at ~%.1f%%; a single shared cache loses ~%.1f points to\n\
-    \ inter-type interference)\n"
-    (col 0 -. col 1) (col 2) (col 4 -. col 3)
+  let rows = measure cols in
+  let notes =
+    match averages [ average ] rows with
+    | [ (_, [ bir; noguard; disabled; cache4; shared ]) ] ->
+      [
+        Printf.sprintf
+          "(the guard costs ~%.1f points of steady-state overhead but keeps the"
+          (bir -. noguard);
+        Printf.sprintf
+          " disabled mode at ~%.1f%%; a single shared cache loses ~%.1f points to"
+          disabled (shared -. cache4);
+        " inter-type interference)";
+      ]
+    | _ -> assert false
+  in
+  [ pct_table ~title:"Ablations" ~groups:[ average ] ~notes (List.map fst cols) rows ]
 
 (* --- Read monitoring (sec 5 extension) ----------------------------------------------- *)
 
@@ -422,57 +347,35 @@ let ablations () =
    detection need read monitoring too, that reads outnumber writes 2-3x
    dynamically, and that straightforward extensions of the techniques
    handle them.  This table measures that extension: checking every
-   read and write vs. writes only. *)
+   read and write vs. writes only.  Loads per store are the
+   uninstrumented run's; the average rows' ratio is the ratio of the
+   averages. *)
 let readwrite () =
-  let rows =
-    Pool.map
-      (fun (w : Workloads.Workload.t) ->
-        let base = Runner.baseline w in
-        let wo =
-          let r, _ =
-            Runner.instrumented (Runner.options_for w Strategy.Bitmap_inline_registers) w
-          in
-          Runner.overhead w r
-        in
-        let rw =
-          let o =
-            Runner.options_for w ~monitor_reads:true Strategy.Bitmap_inline_registers
-          in
-          let r, _ = Runner.instrumented o w in
-          Runner.overhead w r
-        in
-        ignore base;
-        let ls =
-          (* measured loads/stores of the uninstrumented run *)
-          let linked = Minic.Compile.compile_and_link w.source in
-          let cpu = Machine.Cpu.create linked.image in
-          Machine.Cpu.install_basic_services cpu;
-          ignore (Machine.Cpu.run ~fuel:Runner.fuel cpu);
-          let st = Machine.Cpu.stats cpu in
-          float_of_int st.Machine.Cpu.loads /. float_of_int (max 1 st.Machine.Cpu.stores)
-        in
-        (w, ls, [ wo; rw ]))
-      workloads
+  let cols =
+    [
+      ovh ~width:14 "writes-only" (strategy bir);
+      ovh ~width:14 "reads+writes" (fun w ->
+          Runner.options_for w ~monitor_reads:true bir);
+    ]
   in
-  Printf.printf "\n== Read+write monitoring (sec 5 extension) ==\n";
-  Printf.printf "%-18s%12s%14s%14s%12s\n" "Programs" "loads/store" "writes-only"
-    "reads+writes" "ratio";
-  List.iter
-    (fun (w, ls, xs) ->
-      let wo = List.nth xs 0 and rw = List.nth xs 1 in
-      Printf.printf "%-18s%12.2f%13.1f%%%13.1f%%%12.2f\n" (lang_tag w) ls wo rw
-        (rw /. wo))
-    rows;
-  let rows = List.map (fun (w, _, xs) -> (w, xs)) rows in
-  let c_w = Stats.mean (List.filter_map (fun ((w : Workloads.Workload.t), xs) ->
-      if w.lang = Workloads.Workload.C then Some (List.nth xs 0) else None) rows) in
-  let c_rw = Stats.mean (List.filter_map (fun ((w : Workloads.Workload.t), xs) ->
-      if w.lang = Workloads.Workload.C then Some (List.nth xs 1) else None) rows) in
-  let a_w = Stats.mean (List.map (fun (_, xs) -> List.nth xs 0) rows) in
-  let a_rw = Stats.mean (List.map (fun (_, xs) -> List.nth xs 1) rows) in
-  Printf.printf "%-18s%12s%13.1f%%%13.1f%%%12.2f\n" "C AVERAGE" "" c_w c_rw (c_rw /. c_w);
-  Printf.printf "%-18s%12s%13.1f%%%13.1f%%%12.2f\n" "OVERALL AVERAGE" "" a_w a_rw
-    (a_rw /. a_w)
+  let rows = measure cols in
+  let row ls = function
+    | [ wo; rw ] -> [ ls; Table.pct1 wo; Table.pct1 rw; Table.Float (2, rw /. wo) ]
+    | _ -> assert false
+  in
+  let loads_per_store w =
+    let b = Runner.baseline w in
+    float_of_int b.Runner.loads /. float_of_int (max 1 b.Runner.stores)
+  in
+  [
+    Table.Table
+      (Table.v ~title:"Read+write monitoring (sec 5 extension)"
+         ((Table.col "loads/store" :: List.map fst cols) @ [ Table.col "ratio" ])
+         (List.map (fun (w, xs) -> (lang_tag w, row (Table.Float (2, loads_per_store w)) xs)) rows
+         @ List.map
+             (fun (label, xs) -> (label, row (Table.Str "") xs))
+             (averages [ c_avg; overall_avg ] rows)));
+  ]
 
 (* --- Break-even analysis (sec 3.3.3) ------------------------------------------------- *)
 
@@ -513,53 +416,42 @@ int main() {
           library_functions = [];
         }
       in
+      (* Monitor b's last word only: same segment, never written.  Full
+         lookups are checks whose target segment holds a monitored
+         region: count stores into b's segment. *)
+      let full = ref 0 in
       let watch_b (session : Session.t) =
         match Sparc.Symtab.lookup session.Session.symtab "b" with
         | Some { Sparc.Symtab.location = Sparc.Symtab.Absolute addr; _ } ->
-          (* Monitor the last word only: same segment, never written. *)
-          Mrs.create_region session.Session.mrs
-            (Region.v ~addr:(addr + (4 * 127)) ~size_bytes:4 ());
-          Mrs.enable session.Session.mrs
+          let last = addr + (4 * 127) in
+          Mrs.create_region session.Session.mrs (Region.v ~addr:last ~size_bytes:4 ());
+          Mrs.enable session.Session.mrs;
+          Machine.Cpu.set_store_hook session.Session.cpu (fun _ ~addr ~width:_ ->
+              if addr lsr 9 = last lsr 9 then incr full)
         | _ -> failwith "no b"
       in
-      let run_with strategy =
-        let o = Runner.options_for w strategy in
-        let session = Session.create ~options:o w.source in
-        watch_b session;
-        (* Full lookups are checks whose target segment holds a
-           monitored region: count stores into b's segment. *)
-        let b_seg =
-          match Sparc.Symtab.lookup session.Session.symtab "b" with
-          | Some { Sparc.Symtab.location = Sparc.Symtab.Absolute a; _ } ->
-            (a + (4 * 127)) lsr 9
-          | _ -> -1
-        in
-        let full = ref 0 in
-        Machine.Cpu.set_store_hook session.Session.cpu (fun _ ~addr ~width:_ ->
-            if addr lsr 9 = b_seg then incr full);
-        ignore (Session.run ~fuel:Runner.fuel session);
-        let s = Session.stats session in
-        ( s.Machine.Cpu.cycles,
-          !full,
-          Telemetry.current session.Session.telemetry Telemetry.Check_execs )
+      (* [watch_b] enables monitoring once the region is armed; these
+         sessions are left out of the merged summaries. *)
+      let run_with s =
+        Runner.overhead ~enable:false ~absorb:false ~setup:watch_b (strategy s w) w
       in
-      let cache_cycles, full_lookups, total = run_with Strategy.Cache in
-      let bir_cycles, _, _ = run_with Strategy.Bitmap_inline_registers in
-      let base = (Runner.baseline w).Runner.cycles in
-      let full_pct = 100.0 *. float_of_int full_lookups /. float_of_int (max 1 total) in
-      let co = Stats.pct base cache_cycles and bo = Stats.pct base bir_cycles in
-      (ratio, full_pct, co, bo))
+      let co, session = run_with Strategy.Cache in
+      let total = Telemetry.current session.Session.telemetry Telemetry.Check_execs in
+      let full_pct = 100.0 *. float_of_int !full /. float_of_int (max 1 total) in
+      let bo, _ = run_with bir in
+      ( string_of_int ratio,
+        [ Table.pct1 full_pct; Table.pct1 co; Table.pct1 bo;
+          Table.Str (if co < bo then "Cache" else "BmpInlRegs") ] ))
       [ 120; 16; 8; 4; 2; 1 ]
   in
-  Printf.printf
-    "\n== Break-even: segment caching vs BitmapInlineRegisters (sec 3.3.3) ==\n";
-  Printf.printf "%-10s%14s%14s%14s%16s\n" "ratio" "full-lookup%" "Cache ovh"
-    "BmpInlRegs ovh" "winner";
-  List.iter
-    (fun (ratio, full_pct, co, bo) ->
-      Printf.printf "%-10d%13.1f%%%13.1f%%%13.1f%%%16s\n" ratio full_pct co bo
-        (if co < bo then "Cache" else "BmpInlRegs"))
-    rows
+  [
+    Table.Table
+      (Table.v ~title:"Break-even: segment caching vs BitmapInlineRegisters (sec 3.3.3)"
+         ~corner:"ratio" ~label_width:10
+         (Table.columns
+            [ ("full-lookup%", 14); ("Cache ovh", 14); ("BmpInlRegs ovh", 14); ("winner", 16) ])
+         rows);
+  ]
 
 (* --- Smoke subset (bench-smoke alias) ------------------------------------------- *)
 
@@ -577,17 +469,17 @@ let smoke () =
   let rows =
     Pool.map
       (fun ((w : Workloads.Workload.t), s) ->
-        let r, _ = Runner.instrumented (Runner.options_for w s) w in
-        (w, s, Runner.overhead w r))
+        ( lang_tag w,
+          [ Table.Str (Strategy.to_string s);
+            Table.pct1 (fst (Runner.overhead (strategy s w) w)) ] ))
       cells
   in
-  Printf.printf "\n== Smoke subset (monitored, no regions) ==\n";
-  Printf.printf "%-18s%22s%12s\n" "Programs" "Strategy" "Overhead";
-  List.iter
-    (fun ((w : Workloads.Workload.t), s, ovh) ->
-      Printf.printf "%-18s%22s%11.1f%%\n" (lang_tag w) (Strategy.to_string s)
-        ovh)
-    rows
+  [
+    Table.Table
+      (Table.v ~title:"Smoke subset (monitored, no regions)"
+         [ Table.col ~width:22 "Strategy"; Table.col "Overhead" ]
+         rows);
+  ]
 
 (* --- Checkpoint/replay: interval vs query latency ------------------------------- *)
 
@@ -663,44 +555,44 @@ let replay () =
         in
         Telemetry.absorb (Pool.telemetry_sink ()) (Session.report session);
         Pool.absorb_audit_summary (Audit.summary session.Session.audit);
-        ( w,
-          var,
-          interval,
-          List.length snaps,
-          Telemetry.get telemetry Telemetry.Checkpoint_pages_copied,
-          Telemetry.get telemetry Telemetry.Checkpoint_pages_shared,
-          cow_bytes,
-          deep_bytes,
-          hit,
-          lw_replayed,
-          travel_replayed ))
+        let hit_str =
+          match hit with
+          | None -> var ^ ": never"
+          | Some { Session.wr_hit = h; _ } ->
+            Printf.sprintf "%s@%d" var h.Replay.h_insn
+        in
+        ( lang_tag w,
+          [
+            Table.Int interval;
+            Table.Int (List.length snaps);
+            Table.Int (Telemetry.get telemetry Telemetry.Checkpoint_pages_copied);
+            Table.Int (Telemetry.get telemetry Telemetry.Checkpoint_pages_shared);
+            Table.Int cow_bytes;
+            Table.Int deep_bytes;
+            Table.pct1 (100.0 *. float_of_int cow_bytes /. float_of_int (max 1 deep_bytes));
+            Table.Str hit_str;
+            Table.Int lw_replayed;
+            Table.Int travel_replayed;
+          ] ))
       cells
   in
-  Printf.printf
-    "\n== Checkpoint/replay: interval vs retroactive-query latency (sec 9) ==\n";
-  Printf.printf "%-18s%9s%7s%7s%8s%10s%11s%7s%21s%10s%10s\n" "Programs"
-    "interval" "ckpts" "pages" "shared" "COW-B" "deep-B" "COW%" "last-write"
-    "lw-repl" "tvl-repl";
-  List.iter
-    (fun ((w : Workloads.Workload.t), var, interval, n, pages, shared, cow,
-          deep, hit, lw_replayed, travel_replayed) ->
-      let hit_str =
-        match hit with
-        | None -> var ^ ": never"
-        | Some { Session.wr_hit = h; _ } ->
-          Printf.sprintf "%s@%d" var h.Replay.h_insn
-      in
-      Printf.printf "%-18s%9d%7d%7d%8d%10d%11d%6.1f%%%21s%10d%10d\n"
-        (lang_tag w) interval n pages shared cow deep
-        (100.0 *. float_of_int cow /. float_of_int (max 1 deep))
-        hit_str lw_replayed travel_replayed)
-    rows;
-  Printf.printf
-    "(COW-B = bytes actually captured (copy-on-write deltas + register/cache\n\
-    \ state); deep-B = what per-checkpoint full-image copies would cost;\n\
-    \ lw-repl = instructions re-executed to answer the last-write query and\n\
-    \ return to the recorded end state; tvl-repl = instructions re-executed\n\
-    \ to travel to the middle of the run, bounded by the interval)\n"
+  [
+    Table.Table
+      (Table.v ~title:"Checkpoint/replay: interval vs retroactive-query latency (sec 9)"
+         (Table.columns
+            [ ("interval", 9); ("ckpts", 7); ("pages", 7); ("shared", 8);
+              ("COW-B", 10); ("deep-B", 11); ("COW%", 7); ("last-write", 21);
+              ("lw-repl", 10); ("tvl-repl", 10) ])
+         ~notes:
+           [
+             "(COW-B = bytes actually captured (copy-on-write deltas + register/cache";
+             " state); deep-B = what per-checkpoint full-image copies would cost;";
+             " lw-repl = instructions re-executed to answer the last-write query and";
+             " return to the recorded end state; tvl-repl = instructions re-executed";
+             " to travel to the middle of the run, bounded by the interval)";
+           ]
+         rows);
+  ]
 
 (* --- Hot-path profiler: attached vs detached ------------------------------------ *)
 
@@ -736,65 +628,69 @@ let profile () =
         (w, on, r, rep))
       cells
   in
-  Printf.printf "\n== Hot-path profiler (attached vs detached) ==\n";
-  Printf.printf "%-18s%10s%14s%14s%9s%8s%11s\n" "Programs" "Profiler" "Cycles"
-    "Instrs" "Blocks" "Edges" "Transfers";
-  List.iter
-    (fun ((w : Workloads.Workload.t), on, (r : Runner.run), rep) ->
-      match rep with
-      | Some (p : Profile.report) ->
-        Printf.printf "%-18s%10s%14d%14d%9d%8d%11d\n" (lang_tag w)
-          (if on then "on" else "off")
-          r.Runner.cycles r.Runner.instrs
-          (List.length p.Profile.p_blocks)
-          (List.length p.Profile.p_edges)
-          (List.fold_left
-             (fun acc (f : Profile.fn_report) -> acc + f.Profile.fr_calls)
-             0 p.Profile.p_functions)
-      | None ->
-        Printf.printf "%-18s%10s%14d%14d%9s%8s%11s\n" (lang_tag w)
-          (if on then "on" else "off")
-          r.Runner.cycles r.Runner.instrs "-" "-" "-")
-    rows;
-  Printf.printf "\n== Hottest paths ==\n";
-  List.iter
-    (fun ((w : Workloads.Workload.t), _, _, rep) ->
-      match rep with
-      | None -> ()
-      | Some (p : Profile.report) ->
-        (match p.Profile.p_functions with
-        | f :: _ ->
-          Printf.printf "%-18s hottest function %s (%d instrs exclusive)\n"
-            (lang_tag w) f.Profile.fr_name f.Profile.fr_excl_instrs
-        | [] -> ());
-        (match p.Profile.p_backedges with
-        | be :: _ ->
-          Printf.printf
+  let hottest ((w : Workloads.Workload.t), _, _, rep) =
+    match rep with
+    | None -> []
+    | Some (p : Profile.report) ->
+      (match p.Profile.p_functions with
+      | f :: _ ->
+        [ Printf.sprintf "%-18s hottest function %s (%d instrs exclusive)\n"
+            (lang_tag w) f.Profile.fr_name f.Profile.fr_excl_instrs ]
+      | [] -> [])
+      @
+      (match p.Profile.p_backedges with
+      | be :: _ ->
+        [ Printf.sprintf
             "%-18s hottest back-edge 0x%x -> 0x%x (%d taken, %d blocks, %d \
              check execs in body)\n"
             (lang_tag w) be.Profile.be_from_pc be.Profile.be_to_pc
             be.Profile.be_count
             (List.length be.Profile.be_blocks)
-            be.Profile.be_check_execs
-        | [] -> ()))
-    rows;
+            be.Profile.be_check_execs ]
+      | [] -> [])
+  in
   (* The kernel workload's full report, under the [-j] byte-parity
      diff: block/edge/function tables and the superblock-candidate
      back-edges are all simulated quantities. *)
-  (match
-     List.find_map
-       (fun ((w : Workloads.Workload.t), _, _, rep) ->
-         if w.name = "030.matrix300" then rep else None)
-       rows
-   with
-  | Some p ->
-    Printf.printf "\n== dbp-profile/1 (030.matrix300) ==\n%s\n"
-      (Profile.to_json_string ~indent:1 p)
-  | None -> ());
-  Printf.printf "\n== Folded stacks (merged across profiled cells) ==\n";
-  List.iter
-    (fun (path, count) -> Printf.printf "%s %d\n" path count)
-    (Pool.merged_profile ())
+  let json =
+    match
+      List.find_map
+        (fun ((w : Workloads.Workload.t), _, _, rep) ->
+          if w.name = "030.matrix300" then rep else None)
+        rows
+    with
+    | Some p ->
+      Printf.sprintf "\n== dbp-profile/1 (030.matrix300) ==\n%s\n"
+        (Profile.to_json_string ~indent:1 p)
+    | None -> ""
+  in
+  [
+    Table.Table
+      (Table.v ~title:"Hot-path profiler (attached vs detached)"
+         (on_off_columns "Profiler" [ ("Blocks", 9); ("Edges", 8); ("Transfers", 11) ])
+         (List.map
+            (fun (w, on, r, rep) ->
+              on_off_row w on r 3
+                (Option.map
+                   (fun (p : Profile.report) ->
+                     [
+                       List.length p.Profile.p_blocks;
+                       List.length p.Profile.p_edges;
+                       List.fold_left
+                         (fun acc (f : Profile.fn_report) -> acc + f.Profile.fr_calls)
+                         0 p.Profile.p_functions;
+                     ])
+                   rep))
+            rows));
+    Table.Text (String.concat "" ("\n== Hottest paths ==\n" :: List.concat_map hottest rows));
+    Table.Text json;
+    Table.Text
+      (String.concat ""
+         ("\n== Folded stacks (merged across profiled cells) ==\n"
+         :: List.map
+              (fun (path, count) -> Printf.sprintf "%s %d\n" path count)
+              (Pool.merged_profile ())));
+  ]
 
 (* --- Time-series sampler & heatmap: attached vs detached ------------------------ *)
 
@@ -854,44 +750,44 @@ let timeseries_sampler () =
         (w, on, r, extra))
       cells
   in
-  Printf.printf "\n== Time-series sampler (attached vs detached) ==\n";
-  Printf.printf "%-18s%10s%14s%14s%10s%10s\n" "Programs" "Sampler" "Cycles"
-    "Instrs" "Samples" "Dropped";
-  List.iter
-    (fun ((w : Workloads.Workload.t), on, (r : Runner.run), extra) ->
-      match extra with
-      | Some (rep, _, _) ->
-        Printf.printf "%-18s%10s%14d%14d%10d%10d\n" (lang_tag w)
-          (if on then "on" else "off")
-          r.Runner.cycles r.Runner.instrs
-          (List.length rep.Telemetry.r_samples)
-          rep.Telemetry.r_samples_dropped
-      | None ->
-        Printf.printf "%-18s%10s%14d%14d%10s%10s\n" (lang_tag w)
-          (if on then "on" else "off")
-          r.Runner.cycles r.Runner.instrs "-" "-")
-    rows;
-  Printf.printf "\n== Windowed rates (per %d instrs) ==\n" sample_interval;
-  List.iter
-    (fun ((w : Workloads.Workload.t), _, _, extra) ->
-      match extra with
-      | None -> ()
-      | Some (rep, _, _) ->
-        Printf.printf "%s:\n%s" (lang_tag w)
-          (Timeseries.summary_text ~window:sample_interval rep))
-    rows;
-  Printf.printf "\n== Address-space heatmap ==\n";
-  Printf.printf "%-18s%8s%12s%12s%10s%18s%14s\n" "Programs" "Pages" "Writes"
-    "Checks" "Hits" "MonitoredSilent" "Conservation";
-  List.iter
-    (fun ((w : Workloads.Workload.t), _, _, extra) ->
-      match extra with
-      | None -> ()
-      | Some (_, (pages, writes, checks, hits, silent), conserved) ->
-        Printf.printf "%-18s%8d%12d%12d%10d%18d%14s\n" (lang_tag w) pages
-          writes checks hits silent
-          (if conserved then "ok" else "VIOLATED"))
-    rows
+  [
+    Table.Table
+      (Table.v ~title:"Time-series sampler (attached vs detached)"
+         (on_off_columns "Sampler" [ ("Samples", 10); ("Dropped", 10) ])
+         (List.map
+            (fun (w, on, r, extra) ->
+              on_off_row w on r 2
+                (Option.map
+                   (fun (rep, _, _) ->
+                     [ List.length rep.Telemetry.r_samples; rep.Telemetry.r_samples_dropped ])
+                   extra))
+            rows));
+    Table.Text
+      (String.concat ""
+         (Printf.sprintf "\n== Windowed rates (per %d instrs) ==\n" sample_interval
+         :: List.filter_map
+              (fun (w, _, _, extra) ->
+                Option.map
+                  (fun (rep, _, _) ->
+                    Printf.sprintf "%s:\n%s" (lang_tag w)
+                      (Timeseries.summary_text ~window:sample_interval rep))
+                  extra)
+              rows));
+    Table.Table
+      (Table.v ~title:"Address-space heatmap"
+         (Table.columns
+            [ ("Pages", 8); ("Writes", 12); ("Checks", 12); ("Hits", 10);
+              ("MonitoredSilent", 18); ("Conservation", 14) ])
+         (List.filter_map
+            (fun (w, _, _, extra) ->
+              Option.map
+                (fun (_, (pages, writes, checks, hits, silent), conserved) ->
+                  ( lang_tag w,
+                    List.map (fun n -> Table.Int n) [ pages; writes; checks; hits; silent ]
+                    @ [ Table.Str (if conserved then "ok" else "VIOLATED") ] ))
+                extra)
+            rows));
+  ]
 
 (* --- Plan verification: translation-validation gate ---------------------------- *)
 
@@ -922,20 +818,6 @@ let verify () =
         (w, rep))
       workloads
   in
-  Printf.printf "\n== Plan verification (O_full, all obligations) ==\n";
-  Printf.printf "%-18s%14s%10s%10s%10s\n" "Programs" "Obligations" "Proved"
-    "Refuted" "Unknown";
-  List.iter
-    (fun ((w : Workloads.Workload.t), (rep : Verify.report)) ->
-      Printf.printf "%-18s%14d%10d%10d%10d\n" (lang_tag w)
-        (List.length rep.Verify.v_obligations)
-        rep.Verify.v_proved rep.Verify.v_refuted rep.Verify.v_unknown)
-    rows;
-  List.iter
-    (fun ((w : Workloads.Workload.t), rep) ->
-      Printf.printf "%s: %s\n" w.Workloads.Workload.name
-        (Verify.summary_line rep))
-    rows;
   (* Mutation kills.  The three workloads jointly make every operator
      applicable: matrix300 (range checks + sym matches), espresso
      (invariant checks, several plans), li (sym-only, no loop plans). *)
@@ -972,9 +854,6 @@ let verify () =
             if rep.Verify.v_refuted > 0 then `Killed else `Survived ))
       cells
   in
-  Printf.printf "\n== Mutation kills (operator x workload) ==\n";
-  Printf.printf "%-26s%16s%16s%16s\n" "Mutant" "030.matrix300" "008.espresso"
-    "022.li";
   let status m name =
     match
       List.find_map
@@ -986,21 +865,40 @@ let verify () =
     | Some `Survived -> "SURVIVED"
     | Some `NA | None -> "-"
   in
-  List.iter
-    (fun (mut : Verify_mutate.mutant) ->
-      let m = mut.Verify_mutate.m_name in
-      Printf.printf "%-26s%16s%16s%16s\n" m
-        (status m "030.matrix300")
-        (status m "008.espresso")
-        (status m "022.li"))
-    Verify_mutate.all;
-  let applied =
-    List.filter (fun (_, _, s) -> s <> `NA) kills
-  in
-  let killed =
-    List.filter (fun (_, _, s) -> s = `Killed) applied
-  in
-  Printf.printf "mutation kill rate: %d/%d (%d%%)\n" (List.length killed)
-    (List.length applied)
-    (if applied = [] then 0
-     else 100 * List.length killed / List.length applied)
+  let applied = List.filter (fun (_, _, s) -> s <> `NA) kills in
+  let killed = List.filter (fun (_, _, s) -> s = `Killed) applied in
+  [
+    Table.Table
+      (Table.v ~title:"Plan verification (O_full, all obligations)"
+         (Table.columns
+            [ ("Obligations", 14); ("Proved", 10); ("Refuted", 10); ("Unknown", 10) ])
+         ~notes:
+           (List.map
+              (fun ((w : Workloads.Workload.t), rep) ->
+                Printf.sprintf "%s: %s" w.Workloads.Workload.name (Verify.summary_line rep))
+              rows)
+         (List.map
+            (fun (w, (rep : Verify.report)) ->
+              ( lang_tag w,
+                List.map
+                  (fun n -> Table.Int n)
+                  [ List.length rep.Verify.v_obligations; rep.Verify.v_proved;
+                    rep.Verify.v_refuted; rep.Verify.v_unknown ] ))
+            rows));
+    Table.Table
+      (Table.v ~title:"Mutation kills (operator x workload)" ~corner:"Mutant"
+         ~label_width:26
+         (List.map (Table.col ~width:16) mutation_names)
+         ~notes:
+           [
+             Printf.sprintf "mutation kill rate: %d/%d (%d%%)" (List.length killed)
+               (List.length applied)
+               (if applied = [] then 0
+                else 100 * List.length killed / List.length applied);
+           ]
+         (List.map
+            (fun (mut : Verify_mutate.mutant) ->
+              let m = mut.Verify_mutate.m_name in
+              (m, List.map (fun name -> Table.Str (status m name)) mutation_names))
+            Verify_mutate.all));
+  ]
