@@ -449,7 +449,7 @@ int main() {
       (Table.v ~title:"Break-even: segment caching vs BitmapInlineRegisters (sec 3.3.3)"
          ~corner:"ratio" ~label_width:10
          (Table.columns
-            [ ("full-lookup%", 14); ("Cache ovh", 14); ("BmpInlRegs ovh", 14); ("winner", 16) ])
+            [ ("full-lookup%", 14); ("Cache ovh", 14); ("BmpInlRegs ovh", 16); ("winner", 16) ])
          rows);
   ]
 
