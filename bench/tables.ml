@@ -65,9 +65,6 @@ let bir = Strategy.Bitmap_inline_registers
 let measure (cols : measured list) =
   Pool.map (fun w -> (w, List.map (fun (_, f) -> f w) cols)) workloads
 
-let labelled rows = List.map (fun (w, xs) -> (lang_tag w, xs)) rows
-let cells fmt rows = List.map (fun (label, xs) -> (label, List.map fmt xs)) rows
-
 let is_lang lang (w : Workloads.Workload.t) = w.lang = lang
 let c_avg = ("C AVERAGE", is_lang Workloads.Workload.C)
 let fortran_avg = ("FORTRAN AVERAGE", is_lang Workloads.Workload.Fortran)
@@ -92,7 +89,9 @@ let averages groups rows =
 let pct_table ~title ?notes ?(groups = by_lang) columns rows =
   Table.Table
     (Table.v ~title ?notes columns
-       (cells Table.pct1 (labelled rows @ averages groups rows)))
+       (List.map
+          (fun (label, xs) -> (label, List.map Table.pct1 xs))
+          (List.map (fun (w, xs) -> (lang_tag w, xs)) rows @ averages groups rows)))
 
 (* --- nop-insertion cache-effects experiment (sigma of Table 1) ---------------- *)
 
@@ -192,45 +191,32 @@ let table2 () =
         let execs = Telemetry.current session.Session.telemetry in
         let total = float_of_int (max 1 (execs Telemetry.Check_execs)) in
         let sym = float_of_int (execs Telemetry.Sym_eliminated_execs) in
-        (* Split loop-eliminated executions into LI vs Range by each
-           origin's planned check kind. *)
-        let kind_of_origin =
-          let tbl = Hashtbl.create 64 in
-          List.iter
-            (fun (p : Loopopt.loop_plan) ->
-              List.iter
-                (fun c ->
-                  match c with
-                  | Loopopt.Inv { origin; _ } -> Hashtbl.replace tbl origin `LI
-                  | Loopopt.Rng { origin; _ } -> Hashtbl.replace tbl origin `Range)
-                p.checks)
-            plan.Instrument.loop_plans;
-          tbl
-        in
+        (* Dynamic pre-header checks generated, and loop-eliminated
+           executions split into LI vs Range by each origin's planned
+           check kind. *)
         let li_dyn = ref 0 and range_dyn = ref 0 in
-        List.iter
-          (fun (s : Instrument.site) ->
-            match s.status with
-            | Instrument.Loop_eliminated _ -> (
-              let n = Session.site_executions session s.origin in
-              match Hashtbl.find_opt kind_of_origin s.origin with
-              | Some `LI -> li_dyn := !li_dyn + n
-              | Some `Range -> range_dyn := !range_dyn + n
-              | None -> ())
-            | Instrument.Checked | Instrument.Sym_eliminated _ -> ())
-          plan.Instrument.sites;
-        (* Dynamic pre-header checks generated. *)
         let gen_li = ref 0 and gen_range = ref 0 in
+        let kind_of_origin = Hashtbl.create 64 in
         List.iter
           (fun (p : Loopopt.loop_plan) ->
             let entries = Telemetry.loop_entries session.Session.telemetry p.loop_id in
             List.iter
-              (fun c ->
-                match c with
-                | Loopopt.Inv _ -> gen_li := !gen_li + entries
-                | Loopopt.Rng _ -> gen_range := !gen_range + entries)
+              (function
+                | Loopopt.Inv { origin; _ } ->
+                  Hashtbl.replace kind_of_origin origin li_dyn;
+                  gen_li := !gen_li + entries
+                | Loopopt.Rng { origin; _ } ->
+                  Hashtbl.replace kind_of_origin origin range_dyn;
+                  gen_range := !gen_range + entries)
               p.checks)
           plan.Instrument.loop_plans;
+        List.iter
+          (fun (s : Instrument.site) ->
+            match (s.status, Hashtbl.find_opt kind_of_origin s.origin) with
+            | Instrument.Loop_eliminated _, Some dyn ->
+              dyn := !dyn + Session.site_executions session s.origin
+            | _ -> ())
+          plan.Instrument.sites;
         let sym_ovh = snd sym_col w in
         let p x = 100.0 *. (x /. total) in
         ( w,
@@ -800,15 +786,14 @@ let timeseries_sampler () =
    mutant must be refuted — a surviving mutant names a missing proof
    obligation.  Everything printed is deterministic, so the
    [verify-smoke] alias diffs -j 1 against -j 2 byte-for-byte. *)
+let o_full_session (w : Workloads.Workload.t) =
+  Session.create ~options:(Runner.options_for w ~opt:Instrument.O_full bir) w.source
+
 let verify () =
   let rows =
     Pool.map
       (fun (w : Workloads.Workload.t) ->
-        let options =
-          Runner.options_for w ~opt:Instrument.O_full
-            Strategy.Bitmap_inline_registers
-        in
-        let session = Session.create ~options w.Workloads.Workload.source in
+        let session = o_full_session w in
         let rep =
           Verify.run
             ~audit:(Audit.report session.Session.audit)
@@ -824,13 +809,7 @@ let verify () =
   let mutation_names = [ "030.matrix300"; "008.espresso"; "022.li" ] in
   let sessions =
     Pool.map
-      (fun name ->
-        let w = find_workload name in
-        let options =
-          Runner.options_for w ~opt:Instrument.O_full
-            Strategy.Bitmap_inline_registers
-        in
-        (name, Session.create ~options w.Workloads.Workload.source))
+      (fun name -> (name, o_full_session (find_workload name)))
       mutation_names
   in
   let cells =
